@@ -282,6 +282,10 @@ def main(argv: Optional[List[str]] = None) -> int:
             print(f"error: cannot read {args.session_file}: {exc}",
                   file=sys.stderr)
             return 2
+        except UnicodeDecodeError:
+            print(f"error: cannot read {args.session_file}: "
+                  "not valid UTF-8", file=sys.stderr)
+            return 2
         try:
             session = parse_session(text)
         except ParseError as exc:

@@ -12,13 +12,14 @@ elimination-style syzygy and lifting computations below correct.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
-from typing import Iterable, List, Optional, Sequence, Tuple
+from heapq import heapify, heappop, heappush
+from math import gcd, lcm
+from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 from .rings import (GREVLEX, MonomialOrder, Monomial, Poly, RingSpec,
-                    mono_div, mono_divides, mono_lcm, mono_mul, mono_one)
+                    mono_div, mono_divides, mono_lcm, mono_mul)
 
 
 @dataclass(frozen=True)
@@ -142,187 +143,199 @@ class Vector:
 
 # -- division ------------------------------------------------------------------
 
-def _to_scaled_ints(terms: Iterable[Tuple[Tuple[int, Monomial], Fraction]],
-                    ) -> Tuple[Fraction, dict]:
-    """(s, D) with D a primitive integer term dict and s * D the input."""
-    items = list(terms)
-    denom_lcm = 1
-    for _, c in items:
-        denom_lcm = denom_lcm * c.denominator // gcd(denom_lcm, c.denominator)
-    ints = [(k, c.numerator * (denom_lcm // c.denominator)) for k, c in items]
-    num_gcd = 0
-    for _, n in ints:
-        num_gcd = gcd(num_gcd, n)
-    if num_gcd == 0:
-        return Fraction(1), {}
-    return Fraction(num_gcd, denom_lcm), {k: n // num_gcd for k, n in ints}
+_ONE = Fraction(1)
 
 
-def divide(v: Vector, basis: Sequence[Vector], order: ModuleOrder = POT_GREVLEX,
-           ) -> Tuple[Vector, List[Poly]]:
+def _scaled_ints(v: Vector) -> Tuple[Fraction, dict]:
+    """(s, D) with D a primitive integer term dict keyed by (position,
+    monomial) and s * D == v."""
+    terms = [((pos, exps), c) for pos, poly in enumerate(v.entries)
+             for exps, c in poly.terms]
+    denom = lcm(*(c.denominator for _, c in terms))
+    ints = {k: c.numerator * (denom // c.denominator) for k, c in terms}
+    content = gcd(*ints.values())
+    if content == 0:
+        return _ONE, {}
+    return Fraction(content, denom), {k: n // content for k, n in ints.items()}
+
+
+def _primitive(terms: dict) -> Tuple[int, dict]:
+    """(g, P) with terms == g * P, P primitive and its first coefficient
+    positive (the reducer lists remainder terms leading term first)."""
+    g = gcd(*terms.values())
+    if terms[next(iter(terms))] < 0:
+        g = -g
+    if g == 1:
+        return 1, terms
+    return g, {k: c // g for k, c in terms.items()}
+
+
+def _vector(ring: RingSpec, rank: int, terms: dict, unit) -> Vector:
+    """The vector unit * terms."""
+    rows: List[List[Tuple[Monomial, Fraction]]] = [[] for _ in range(rank)]
+    for (pos, exps), c in terms.items():
+        rows[pos].append((exps, unit * c))
+    return Vector(ring, (Poly(ring, r) for r in rows))
+
+
+def _reversed_key(key):
+    """An order key with every integer negated: a min-heap of these pops
+    the largest term first (keys are nested tuples of integers)."""
+    return tuple(_reversed_key(x) if type(x) is tuple else -x for x in key)
+
+
+class _IntBasis:
+    """Divisors converted once to primitive integer term dicts.
+
+    Element i is the vector units[i] * terms[i]; terms[i] is keyed by
+    (position, monomial) and leads[i] is its leading key.  invs[i] is one
+    over the element's leading coefficient.  by_pos lists, per position,
+    the elements leading there in the order they were added, as
+    (i, lead monomial, integer lead coefficient, other terms, invs[i]).
+    """
+
+    __slots__ = ("order", "rank", "terms", "leads", "units", "invs",
+                 "by_pos")
+
+    def __init__(self, order: ModuleOrder, rank: int):
+        self.order = order
+        self.rank = rank
+        self.terms: List[dict] = []
+        self.leads: List[Tuple[int, Monomial]] = []
+        self.units: List[Fraction] = []
+        self.invs: List[Fraction] = []
+        self.by_pos: dict = {}
+
+    @staticmethod
+    def of(vectors: Sequence[Vector], order: ModuleOrder,
+           rank: int) -> "_IntBasis":
+        basis = _IntBasis(order, rank)
+        for v in vectors:
+            if v.rank != rank:
+                raise ValueError("vector rank mismatch")
+            pos, exps, _ = v.leading(order)
+            unit, terms = _scaled_ints(v)
+            basis.add(terms, (pos, exps), unit)
+        return basis
+
+    def __len__(self) -> int:
+        return len(self.terms)
+
+    def add(self, terms: dict, lead: Tuple[int, Monomial],
+            unit: Fraction = _ONE) -> None:
+        b = terms[lead]
+        inv = 1 / (unit * b)
+        tail = tuple((pos, exps, c) for (pos, exps), c in terms.items()
+                     if (pos, exps) != lead)
+        self.by_pos.setdefault(lead[0], []).append(
+            (len(self.terms), lead[1], b, tail, inv))
+        self.terms.append(terms)
+        self.leads.append(lead)
+        self.units.append(unit)
+        self.invs.append(inv)
+
+
+def _reduce(p: dict, basis: _IntBasis, scale: Optional[Fraction] = None,
+            skip: int = -1,
+            ) -> Tuple[dict, Optional[Fraction], Optional[List[dict]]]:
+    """Reduce the integer term dict p (consumed) against basis.
+
+    The leading term is reduced first, by the first element of basis
+    (other than element skip) whose lead divides it; a term no lead
+    divides moves to the remainder.  The leading term is found with a
+    heap of reversed order keys; a key whose term cancelled stays in the
+    heap and is dropped when popped.
+
+    Without scale, returns (rem, None, None): the remainder up to a
+    nonzero rational factor.  With scale, p stands for scale * p and the
+    quotients are tracked: returns (rem, s, q) with
+    scale * p == sum(q[i][m] * x^m * basis[i]) + s * rem exactly.
+    Either way rem lists its terms leading term first.
+    """
+    key = basis.order.key
+    by_pos = basis.by_pos
+    track = scale is not None
+    quotients = [{} for _ in range(len(basis))] if track else None
+    heap = [(_reversed_key(key(*t)), t) for t in p]
+    heapify(heap)
+    rem: dict = {}
+    steps = 0
+    while heap:
+        t = heappop(heap)[1]
+        a = p.pop(t, 0)
+        if not a:
+            continue
+        pos, exps = t
+        for i, gexps, b, tail, inv in by_pos.get(pos, ()):
+            if mono_divides(gexps, exps) and i != skip:
+                break
+        else:
+            rem[t] = a
+            continue
+        shift = mono_div(exps, gexps)
+        if track:
+            # leads strictly decrease, so each shift occurs once per divisor
+            quotients[i][shift] = scale * a * inv
+        d = gcd(a, b)
+        ap, bp = a // d, b // d
+        if bp != 1:
+            p = {k: bp * c for k, c in p.items()}
+            rem = {k: bp * c for k, c in rem.items()}
+            if track:
+                scale /= bp
+        for tpos, texps, tc in tail:
+            k = (tpos, mono_mul(texps, shift))
+            c = p.get(k)
+            if c is None:
+                p[k] = -ap * tc
+                heappush(heap, (_reversed_key(key(*k)), k))
+            else:
+                c -= ap * tc
+                if c:
+                    p[k] = c
+                else:
+                    del p[k]
+        steps += 1
+        if steps % 32 == 0:
+            content = gcd(*p.values(), *rem.values())
+            if content > 1:
+                p = {k: c // content for k, c in p.items()}
+                rem = {k: c // content for k, c in rem.items()}
+                if track:
+                    scale *= content
+    return rem, scale, quotients
+
+
+def _quotient_polys(ring: RingSpec, quotients: List[dict]) -> List[Poly]:
+    return [Poly(ring, list(q.items())) for q in quotients]
+
+
+def divide(v: Vector, basis: Union[Sequence[Vector], _IntBasis],
+           order: ModuleOrder = POT_GREVLEX) -> Tuple[Vector, List[Poly]]:
     """Multivariate division: v = sum(q[i] * basis[i]) + r.
 
     No term of r is divisible (same position) by any basis leading term.
-    Among applicable reducers the first in the given sequence wins.
+    The leading term of what is left is reduced first, and among
+    applicable reducers the first in the given sequence wins.
 
-    The loop runs on (rational scalar) * (primitive integer term dict)
-    representations of the dividend and the divisors, so the per-term
-    arithmetic is plain integer work; the emitted quotients and remainder
-    are the exact rationals of the textbook division.
+    This is the rational face of the one integer reducer (``_reduce``)
+    that Buchberger completion also runs on: dividend and divisors become
+    primitive integer term dicts times a rational unit, so the per-term
+    arithmetic is plain integer work, and the emitted quotients and
+    remainder are the exact rationals of the textbook division.  basis
+    may also be an ``_IntBasis`` already converted under its own order.
     """
-    ring = v.ring
-    for g in basis:
-        if g.rank != v.rank:
-            raise ValueError("vector rank mismatch")
-    leads = [g.leading(order) for g in basis]
-    scale, p = _to_scaled_ints(
-        ((pos, exps), c)
-        for pos, poly in enumerate(v.entries) for exps, c in poly.terms)
-    divisors = []
-    for g, (gpos, gexps, _) in zip(basis, leads):
-        gscale, gd = _to_scaled_ints(
-            ((pos, exps), c)
-            for pos, poly in enumerate(g.entries) for exps, c in poly.terms)
-        divisors.append((gscale, gd, gd[(gpos, gexps)]))
-
-    def term_key(k):
-        return order.key(k[0], k[1])
-
-    quotients: List[dict] = [{} for _ in basis]
-    rem_terms: List[List[Tuple[int, Monomial, Fraction]]] = [
-        [] for _ in range(v.rank)]
-    steps = 0
-    while p:
-        pos, exps = max(p, key=term_key)
-        a = p[(pos, exps)]
-        for i, (gpos, gexps, _) in enumerate(leads):
-            if gpos == pos and mono_divides(gexps, exps):
-                gscale, gd, b = divisors[i]
-                shift = mono_div(exps, gexps)
-                factor = scale * a / (gscale * b)
-                quotients[i][shift] = quotients[i].get(shift, 0) + factor
-                d = gcd(a, b)
-                ap, bp = a // d, b // d
-                if bp != 1:
-                    p = {k: bp * c for k, c in p.items()}
-                    scale /= bp
-                for (gp, ge), gc in gd.items():
-                    kk = (gp, mono_mul(ge, shift))
-                    nv = p.get(kk, 0) - ap * gc
-                    if nv:
-                        p[kk] = nv
-                    else:
-                        p.pop(kk, None)
-                steps += 1
-                if steps % 32 == 0 and p:
-                    content = 0
-                    for c in p.values():
-                        content = gcd(content, c)
-                    if content > 1:
-                        p = {k: c // content for k, c in p.items()}
-                        scale *= content
-                break
-        else:
-            rem_terms[pos].append((pos, exps, scale * a))
-            del p[(pos, exps)]
-    remainder = Vector(ring, (
-        Poly(ring, [(exps, c) for _, exps, c in terms])
-        for terms in rem_terms))
-    quots = [Poly(ring, [(exps, Fraction(c)) for exps, c in q.items()])
-             for q in quotients]
-    return remainder, quots
-
-
-def _reduce_primitive(v: Vector, basis: Sequence[Vector],
-                      order: ModuleOrder) -> Vector:
-    """Remainder of v against basis, up to a positive rational unit.
-
-    Same reduction steps as divide, but no quotient bookkeeping and no
-    rational scalar at all: the working dividend stays a primitive
-    integer term dict, which is all a Groebner completion round needs
-    (every pushed element is renormalized anyway).
-    """
-    ring = v.ring
-    for g in basis:
-        if g.rank != v.rank:
-            raise ValueError("vector rank mismatch")
-    leads = [g.leading(order) for g in basis]
-    _, p = _to_scaled_ints(
-        ((pos, exps), c)
-        for pos, poly in enumerate(v.entries) for exps, c in poly.terms)
-    divisors = []
-    for g, (gpos, gexps, _) in zip(basis, leads):
-        _, gd = _to_scaled_ints(
-            ((pos, exps), c)
-            for pos, poly in enumerate(g.entries) for exps, c in poly.terms)
-        divisors.append((gd, gd[(gpos, gexps)]))
-
-    def term_key(k):
-        return order.key(k[0], k[1])
-
-    rem: dict = {}
-    steps = 0
-    while p:
-        pos, exps = max(p, key=term_key)
-        a = p[(pos, exps)]
-        for i, (gpos, gexps, _) in enumerate(leads):
-            if gpos == pos and mono_divides(gexps, exps):
-                gd, b = divisors[i]
-                shift = mono_div(exps, gexps)
-                d = gcd(a, b)
-                ap, bp = a // d, b // d
-                if bp != 1:
-                    p = {k: bp * c for k, c in p.items()}
-                    if rem:
-                        rem = {k: bp * c for k, c in rem.items()}
-                for (gp, ge), gc in gd.items():
-                    kk = (gp, mono_mul(ge, shift))
-                    nv = p.get(kk, 0) - ap * gc
-                    if nv:
-                        p[kk] = nv
-                    else:
-                        p.pop(kk, None)
-                steps += 1
-                if steps % 32 == 0:
-                    content = 0
-                    for c in p.values():
-                        content = gcd(content, c)
-                    for c in rem.values():
-                        content = gcd(content, c)
-                    if content > 1:
-                        p = {k: c // content for k, c in p.items()}
-                        rem = {k: c // content for k, c in rem.items()}
-                break
-        else:
-            rem[(pos, exps)] = a
-            del p[(pos, exps)]
-    if not rem:
-        return Vector.zero(ring, v.rank)
-    content = 0
-    for c in rem.values():
-        content = gcd(content, c)
-    lead_key = max(rem, key=term_key)
-    sign = 1 if rem[lead_key] > 0 else -1
-    content *= sign
-    per_pos: List[List[Tuple[Monomial, Fraction]]] = [
-        [] for _ in range(v.rank)]
-    for (pos, exps), c in rem.items():
-        per_pos[pos].append((exps, Fraction(c // content)))
-    return Vector(ring, (Poly(ring, terms) for terms in per_pos))
+    if not isinstance(basis, _IntBasis):
+        basis = _IntBasis.of(basis, order, v.rank)
+    elif basis.rank != v.rank:
+        raise ValueError("vector rank mismatch")
+    unit, p = _scaled_ints(v)
+    rem, scale, quotients = _reduce(p, basis, unit)
+    return (_vector(v.ring, v.rank, rem, scale),
+            _quotient_polys(v.ring, quotients))
 
 
 # -- Buchberger completion -------------------------------------------------------
-
-def _concentrated_position(v: Vector) -> Optional[int]:
-    """The unique position carrying all nonzero entries, if there is one."""
-    pos = None
-    for i, p in enumerate(v.entries):
-        if not p.is_zero():
-            if pos is not None:
-                return None
-            pos = i
-    return pos
-
 
 def _scale_cof(cof: Optional[List[Poly]], c) -> Optional[List[Poly]]:
     if cof is None:
@@ -331,23 +344,9 @@ def _scale_cof(cof: Optional[List[Poly]], c) -> Optional[List[Poly]]:
 
 
 def _primitive_scale(v: Vector, order: ModuleOrder) -> Fraction:
-    """Unit c such that c*v has coprime integer coefficients, positive lead.
-
-    Working bases are kept in this form rather than monic: it bounds the
-    rational arithmetic during completion (monic scaling lets numerators and
-    denominators compound across reduction steps).
-    """
-    coeffs = [c for p in v.entries for _, c in p.terms]
-    denom_lcm = 1
-    for c in coeffs:
-        denom_lcm = denom_lcm * c.denominator // gcd(denom_lcm, c.denominator)
-    num_gcd = 0
-    for c in coeffs:
-        num_gcd = gcd(num_gcd, c.numerator * (denom_lcm // c.denominator))
-    scale = Fraction(denom_lcm, num_gcd)
-    if v.leading(order)[2] * scale < 0:
-        scale = -scale
-    return scale
+    """Unit c such that c*v has coprime integer coefficients, positive lead."""
+    unit, _ = _scaled_ints(v)
+    return -1 / unit if v.leading(order)[2] < 0 else 1 / unit
 
 
 def _combine_cof(cof: Optional[List[Poly]], quotients: Sequence[Poly],
@@ -366,68 +365,197 @@ def _combine_cof(cof: Optional[List[Poly]], quotients: Sequence[Poly],
     return out
 
 
-def _s_vector_cof(f: Vector, cf, g: Vector, cg, order: ModuleOrder):
-    """(s, cof): the S-vector of (f, g) with its tracked cofactors."""
-    _, fexps, fcoeff = f.leading(order)
-    _, gexps, gcoeff = g.leading(order)
-    l = mono_lcm(fexps, gexps)
-    ac, am = 1 / fcoeff, mono_div(l, fexps)
-    bc, bm = 1 / gcoeff, mono_div(l, gexps)
-    s = f.mul_term(ac, am) - g.mul_term(bc, bm)
-    if cf is None:
-        return s, None
-    cof = [x.mul_term(ac, am) - y.mul_term(bc, bm) for x, y in zip(cf, cg)]
-    return s, cof
+def _s_vector(basis: _IntBasis, i: int, j: int,
+              cofs: Sequence[Optional[List[Poly]]]):
+    """(S, scale, cof): scale * S is the S-vector of elements i and j of
+    basis, which lead in one position, with both leads scaled to 1, and
+    cof are its cofactors; scale and cof are None when cofs[i] is."""
+    ti, tj = basis.terms[i], basis.terms[j]
+    (_, ei), (_, ej) = basis.leads[i], basis.leads[j]
+    bi, bj = ti[basis.leads[i]], tj[basis.leads[j]]
+    l = bi * bj // gcd(bi, bj)
+    m = mono_lcm(ei, ej)
+    mi, mj = mono_div(m, ei), mono_div(m, ej)
+    ci, cj = l // bi, l // bj
+    s = {(pos, mono_mul(exps, mi)): ci * c for (pos, exps), c in ti.items()}
+    for (pos, exps), c in tj.items():
+        k = (pos, mono_mul(exps, mj))
+        c = s.get(k, 0) - cj * c
+        if c:
+            s[k] = c
+        else:
+            s.pop(k, None)
+    if cofs[i] is None:
+        return s, None, None
+    ii, ij = basis.invs[i], basis.invs[j]
+    cof = [x.mul_term(ii, mi) - y.mul_term(ij, mj)
+           for x, y in zip(cofs[i], cofs[j])]
+    return s, Fraction(1, l), cof
 
 
-def _interreduce(basis: List[Vector], order: ModuleOrder,
-                 cofs: Optional[List[List[Poly]]] = None,
-                 ) -> Tuple[List[Vector], Optional[List[List[Poly]]]]:
-    """Minimalize, tail-reduce, and normalize to the unique reduced basis."""
-    track = cofs is not None
-    items = []
-    for idx, v in enumerate(basis):
-        if not v.is_zero():
-            pos, exps, coeff = v.leading(order)
-            items.append((order.key(pos, exps), pos, exps,
-                          v.scale(1 / coeff),
-                          _scale_cof(cofs[idx], 1 / coeff) if track else None))
-    items.sort(key=lambda t: t[0])
-    minimal: List[Tuple] = []
-    for key, pos, exps, v, cof in items:
-        if any(p == pos and mono_divides(e, exps)
-               for _, p, e, _, _ in minimal):
+def _reduce_to_element(p: dict, scale: Optional[Fraction], cof,
+                       basis: _IntBasis, cofs: Sequence, ring: RingSpec):
+    """(terms, lead, cof) of the primitive remainder of p against basis,
+    or None when it is zero.  p stands for scale * p and cof are its
+    cofactors when tracked; both are None otherwise."""
+    rem, scale, quotients = _reduce(p, basis, scale)
+    if not rem:
+        return None
+    g, prim = _primitive(rem)
+    if cof is not None:
+        cof = _scale_cof(_combine_cof(cof, _quotient_polys(ring, quotients),
+                                      cofs), 1 / (scale * g))
+    return prim, next(iter(prim)), cof
+
+
+class _Completion:
+    """One round of Buchberger completion on an integer basis.
+
+    Elements are kept primitive rather than monic: that bounds the
+    arithmetic (monic scaling lets numerators and denominators compound
+    across reduction steps).  cofs[i] expresses element i over the input
+    (None when not tracked).
+
+    Pending pairs sit in a heap of (order.key(position, lcm), i, j, lcm),
+    keyed once when pushed; live holds the (i, j) still in the heap.
+    """
+
+    def __init__(self, order: ModuleOrder, ring: RingSpec, rank: int):
+        self.ring = ring
+        self.basis = _IntBasis(order, rank)
+        self.cofs: List[Optional[List[Poly]]] = []
+        self.conc: List[Optional[int]] = []  # sole position used, or None
+        self.same_pos: dict = {}  # position -> elements leading there
+        self.pending: List[tuple] = []
+        self.live: set = set()
+
+    def add(self, terms: dict, lead: Tuple[int, Monomial], cof,
+            unit: Fraction = _ONE, pairs: bool = True) -> None:
+        basis = self.basis
+        j = len(basis)
+        pos, exps = lead
+        basis.add(terms, lead, unit)
+        self.cofs.append(cof)
+        self.conc.append(pos if all(k[0] == pos for k in terms) else None)
+        row = self.same_pos.setdefault(pos, [])
+        if pairs:
+            key = basis.order.key
+            for i in row:
+                l = mono_lcm(basis.leads[i][1], exps)
+                heappush(self.pending, (key(pos, l), i, j, l))
+                self.live.add((i, j))
+        row.append(j)
+
+    def reduce_and_add(self, p: dict, scale: Optional[Fraction],
+                       cof) -> None:
+        found = _reduce_to_element(p, scale, cof, self.basis, self.cofs,
+                                   self.ring)
+        if found is not None:
+            self.add(*found)
+
+    def run(self) -> None:
+        """Process pending pairs, smallest lcm first, ties by (i, j)."""
+        basis, leads, conc = self.basis, self.basis.leads, self.conc
+        pending, live = self.pending, self.live
+        while pending:
+            _, i, j, l = heappop(pending)
+            live.discard((i, j))
+            pos = leads[i][0]
+            if (conc[i] == pos and conc[j] == pos
+                    and l == mono_mul(leads[i][1], leads[j][1])):
+                continue
+            chained = False
+            for k in self.same_pos[pos]:
+                if (k != i and k != j and mono_divides(leads[k][1], l)
+                        and (min(i, k), max(i, k)) not in live
+                        and (min(j, k), max(j, k)) not in live):
+                    chained = True
+                    break
+            if chained:
+                continue
+            self.reduce_and_add(*_s_vector(basis, i, j, self.cofs))
+
+
+def _interreduce(basis: _IntBasis, cofs: Sequence, ring: RingSpec,
+                 ) -> Tuple[_IntBasis, List[Vector], List]:
+    """Minimalize, tail-reduce, and normalize to the unique reduced basis.
+
+    Returns the integer basis of the monic result (ascending leads), the
+    monic vectors and their cofactors (None entries when not tracked).
+    """
+    order = basis.order
+    ranked = sorted(range(len(basis)),
+                    key=lambda i: order.key(*basis.leads[i]))
+    minimal = _IntBasis(order, basis.rank)
+    min_cofs = []
+    for i in ranked:
+        pos, exps = basis.leads[i]
+        if any(mono_divides(e, exps)
+               for _, e, _, _, _ in minimal.by_pos.get(pos, ())):
             continue
-        minimal.append((key, pos, exps, v, cof))
-    reduced = []
-    for i, (_, _, _, v, cof) in enumerate(minimal):
-        others = [w for j, (_, _, _, w, _) in enumerate(minimal) if j != i]
-        other_cofs = [c for j, (_, _, _, _, c) in enumerate(minimal)
-                      if j != i]
-        r, q = divide(v, others, order)
-        rcof = _combine_cof(cof, q, other_cofs)
-        pos, exps, coeff = r.leading(order)
-        reduced.append((order.key(pos, exps), r.scale(1 / coeff),
-                        _scale_cof(rcof, 1 / coeff)))
-    reduced.sort(key=lambda t: t[0])
-    out_vs = [t[1] for t in reduced]
-    out_cofs = [t[2] for t in reduced] if track else None
-    return out_vs, out_cofs
+        minimal.add(basis.terms[i], basis.leads[i], basis.units[i])
+        min_cofs.append(cofs[i])
+    reduced = _IntBasis(order, basis.rank)
+    vectors, out_cofs = [], []
+    for i, lead in enumerate(minimal.leads):
+        cof = min_cofs[i]
+        rem, scale, quotients = _reduce(
+            dict(minimal.terms[i]), minimal,
+            None if cof is None else minimal.units[i], skip=i)
+        _, prim = _primitive(rem)
+        unit = Fraction(1, prim[lead])
+        reduced.add(prim, lead, unit)
+        vectors.append(_vector(ring, basis.rank, prim, unit))
+        if cof is not None:
+            cof = _scale_cof(_combine_cof(
+                cof, _quotient_polys(ring, quotients), min_cofs),
+                1 / (scale * rem[lead]))
+        out_cofs.append(cof)
+    return reduced, vectors, out_cofs
+
+
+def _sweep(basis: _IntBasis, cofs: List, ring: RingSpec) -> None:
+    """Final check of a candidate basis: reduce every same-position
+    S-vector against the basis and the remainders found so far, and append
+    each nonzero remainder (primitive) to basis and its cofactors to cofs.
+    """
+    n = len(basis)
+    for i in range(n):
+        for j in range(i + 1, n):
+            if basis.leads[i][0] != basis.leads[j][0]:
+                continue
+            found = _reduce_to_element(*_s_vector(basis, i, j, cofs), basis,
+                                       cofs, ring)
+            if found is not None:
+                terms, lead, cof = found
+                basis.add(terms, lead)
+                cofs.append(cof)
 
 
 @dataclass(frozen=True)
 class GrobnerBasis:
-    """Reduced Groebner basis: monic, pairwise irreducible, sorted ascending."""
+    """Reduced Groebner basis: monic, pairwise irreducible, sorted ascending.
+
+    Keeps the integer form of its elements, converted once, for
+    ``normal_form``.
+    """
 
     ring: RingSpec
     rank: int
     order: ModuleOrder
     gens: Tuple[Vector, ...]
+    _basis: Optional[_IntBasis] = field(default=None, repr=False,
+                                        compare=False)
+
+    def __post_init__(self):
+        if self._basis is None:
+            object.__setattr__(self, "_basis",
+                               _IntBasis.of(self.gens, self.order, self.rank))
 
     def normal_form(self, v: Vector) -> Tuple[Vector, List[Poly]]:
         if v.rank != self.rank:
             raise ValueError("rank mismatch")
-        return divide(v, self.gens, self.order)
+        return divide(v, self._basis, self.order)
 
     def reduce(self, v: Vector) -> Vector:
         return self.normal_form(v)[0]
@@ -444,11 +572,15 @@ def buchberger(gens: Sequence[Vector], order: ModuleOrder = POT_GREVLEX,
                ) -> GrobnerBasis:
     """Reduced Groebner basis of the submodule generated by gens.
 
-    Normal pair-selection strategy; the coprime-lead shortcut is applied only
-    to pairs concentrated in one common position (the unrestricted product
+    Normal pair-selection strategy: pending pairs sit in a heap keyed once
+    by the module term of their lcm, smallest first, ties broken by the
+    basis indices (i, j).  The coprime-lead shortcut is applied only to
+    pairs concentrated in one common position (the unrestricted product
     criterion is unsound for modules), together with the chain criterion.
-    A final sweep re-checks every S-vector of the candidate basis, so the
-    output is correct independently of the pair bookkeeping.
+    The basis is kept as primitive integer term dicts for the whole
+    completion and every S-vector goes through the same reducer as
+    ``divide``.  A final sweep re-checks every S-vector of the candidate
+    basis and restarts the completion from any nonzero remainder.
     """
     gb, _ = _buchberger_core(gens, order, ring, rank, track=False)
     return gb
@@ -480,117 +612,29 @@ def _buchberger_core(gens: Sequence[Vector], order: ModuleOrder,
         if v.rank != rank:
             raise ValueError("rank mismatch")
 
-    basis: List[Vector] = []
-    cofs: List[Optional[List[Poly]]] = []
-    leads: List[Tuple[int, Monomial]] = []
-    conc: List[Optional[int]] = []
-    pending: List[Tuple[int, int]] = []
-
-    def push(v: Vector, cof):
-        pos, exps, _ = v.leading(order)
-        c = _primitive_scale(v, order)
-        j = len(basis)
-        basis.append(v.scale(c))
-        cofs.append(_scale_cof(cof, c))
-        leads.append((pos, exps))
-        conc.append(_concentrated_position(basis[-1]))
-        for i in range(j):
-            if leads[i][0] == pos:
-                pending.append((i, j))
-
-    def unit_cof(i: int) -> Optional[List[Poly]]:
-        if not track:
-            return None
-        return [Poly.one(ring) if k == i else Poly.zero(ring)
-                for k in range(m)]
-
+    state = _Completion(order, ring, rank)
     for i, v in seeds:
+        unit, p = _scaled_ints(v)
         if track:
-            r, q = divide(v, basis, order)
-            rcof = _combine_cof(unit_cof(i), q, cofs)
+            cof = [Poly.one(ring) if k == i else Poly.zero(ring)
+                   for k in range(m)]
+            state.reduce_and_add(p, unit, cof)
         else:
-            r, rcof = _reduce_primitive(v, basis, order), None
-        if not r.is_zero():
-            push(r, rcof)
-
-    def pair_key(pair):
-        i, j = pair
-        l = mono_lcm(leads[i][1], leads[j][1])
-        return (order.key(leads[i][0], l), i, j)
-
+            state.reduce_and_add(p, None, None)
     while True:
-        while pending:
-            pending.sort(key=pair_key)
-            i, j = pending.pop(0)
-            pos = leads[i][0]
-            li, lj = leads[i][1], leads[j][1]
-            if (conc[i] == pos and conc[j] == pos
-                    and mono_lcm(li, lj) == mono_mul(li, lj)):
-                continue
-            l = mono_lcm(li, lj)
-            chained = False
-            remaining = set(pending)
-            for k in range(len(basis)):
-                if k in (i, j) or leads[k][0] != pos:
-                    continue
-                if not mono_divides(leads[k][1], l):
-                    continue
-                pik = (min(i, k), max(i, k))
-                pjk = (min(j, k), max(j, k))
-                if pik not in remaining and pjk not in remaining:
-                    chained = True
-                    break
-            if chained:
-                continue
-            s, scof = _s_vector_cof(basis[i], cofs[i], basis[j], cofs[j],
-                                    order)
-            if track:
-                r, q = divide(s, basis, order)
-                rcof = _combine_cof(scof, q, cofs)
-            else:
-                r, rcof = _reduce_primitive(s, basis, order), None
-            if not r.is_zero():
-                push(r, rcof)
-        candidate, cand_cofs = _interreduce(
-            basis, order, cofs if track else None)
-        extra = _nonzero_s_reductions(candidate, cand_cofs, order)
-        if not extra:
-            return (GrobnerBasis(ring, rank, order, tuple(candidate)),
-                    cand_cofs)
-        basis = list(candidate)
-        cofs = list(cand_cofs) if track else [None] * len(basis)
-        leads = [v.leading(order)[:2] for v in basis]
-        conc = [_concentrated_position(v) for v in basis]
-        pending = []
-        for r, rcof in extra:
-            push(r, rcof)
-
-
-def _nonzero_s_reductions(basis: Sequence[Vector],
-                          cofs: Optional[Sequence[List[Poly]]],
-                          order: ModuleOrder) -> List[Tuple]:
-    track = cofs is not None
-    out = []
-    current = list(basis)
-    current_cofs = list(cofs) if track else [None] * len(basis)
-    for i in range(len(basis)):
-        for j in range(i + 1, len(basis)):
-            pi = basis[i].leading(order)[0]
-            pj = basis[j].leading(order)[0]
-            if pi != pj:
-                continue
-            s, scof = _s_vector_cof(basis[i], current_cofs[i],
-                                    basis[j], current_cofs[j], order)
-            if track:
-                r, q = divide(s, current, order)
-                rcof = _combine_cof(scof, q, current_cofs)
-            else:
-                r, rcof = _reduce_primitive(s, current, order), None
-            if not r.is_zero():
-                out.append((r, rcof))
-                current.append(r)
-                current_cofs.append(rcof)
-    return out
+        state.run()
+        reduced, vectors, cofs = _interreduce(state.basis, state.cofs, ring)
+        n = len(reduced)
+        _sweep(reduced, cofs, ring)
+        if len(reduced) == n:
+            return (GrobnerBasis(ring, rank, order, tuple(vectors), reduced),
+                    cofs if track else None)
+        # restart from the candidate; only pairs with the new remainders
+        # are queued
+        state = _Completion(order, ring, rank)
+        for k in range(len(reduced)):
+            state.add(reduced.terms[k], reduced.leads[k], cofs[k],
+                      reduced.units[k], pairs=k >= n)
 
 
 # -- syzygies and membership ------------------------------------------------------

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, le, sub
 from typing import Iterable, Iterator, Sequence, Tuple
 
 from .scalars import format_rational
@@ -56,20 +57,20 @@ def mono_one(nvars: int) -> Monomial:
 
 
 def mono_mul(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def mono_divides(a: Monomial, b: Monomial) -> bool:
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def mono_div(a: Monomial, b: Monomial) -> Monomial:
     """a / b; caller guarantees divisibility."""
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(sub, a, b))
 
 
 def mono_lcm(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 def mono_degree(a: Monomial) -> int:
@@ -240,8 +241,13 @@ class Poly:
         if n < 0:
             raise ValueError("negative exponent")
         out = Poly.one(self.ring)
-        for _ in range(n):
-            out = out * self
+        base = self
+        while n:  # square-and-multiply
+            if n & 1:
+                out = out * base
+            n >>= 1
+            if n:
+                base = base * base
         return out
 
     # identity & text

@@ -125,8 +125,11 @@ def parse_session(text: str) -> Session:
                     f"arity mismatch: {len(unknowns)} unknowns for "
                     f"{mat.ncols} matrix columns",
                     vars_kw.line, vars_kw.col)
-            session.systems[name_tok.text] = ControlSystem(
-                ring, unknowns, mat)
+            try:
+                session.systems[name_tok.text] = ControlSystem(
+                    ring, unknowns, mat)
+            except ValueError as exc:
+                raise ParseError(str(exc), tok.line, tok.col) from None
             session.bindings.append(("system", name_tok.text))
         elif tok.text == "module":
             name_tok = ts.expect_ident("module name")
@@ -138,8 +141,11 @@ def parse_session(text: str) -> Session:
                 raise ts.error("expected 'coker' in module binding", coker_kw)
             mat = _parse_matrix(ts, ring)
             # text rows are relations; presentations store them as columns
-            session.modules[name_tok.text] = FPModule(
-                ring, mat.ncols, mat.transpose())
+            try:
+                session.modules[name_tok.text] = FPModule(
+                    ring, mat.ncols, mat.transpose())
+            except ValueError as exc:
+                raise ParseError(str(exc), tok.line, tok.col) from None
             session.bindings.append(("module", name_tok.text))
         elif tok.text == "verify":
             session.commands.append(("verify", ()))

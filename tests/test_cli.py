@@ -11,12 +11,13 @@ FREE_DRIFT = "ring Q[d]; system S = [[d]] vars x;"
 MIXED_MODULE = "ring Q[d]; module M = coker [[d, 0], [0, 1]];"
 
 
-def invoke(args, env_extra=None):
+def invoke(args, env_extra=None, timeout=None):
     env = dict(os.environ, MALGRANGE_COLOR="never")
     if env_extra:
         env.update(env_extra)
     return subprocess.run([sys.executable, "-m", "malgrange", *args],
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True, env=env,
+                          timeout=timeout)
 
 
 def session_file(tmp_path, text):
@@ -118,6 +119,29 @@ def test_parse_error_is_usage_error(tmp_path):
     r = invoke(["analyze", session_file(tmp_path, "ring Q[]")])
     assert r.returncode == 2
     assert "1:7" in r.stderr
+
+
+def test_duplicate_unknown_names_are_a_parse_error(tmp_path):
+    text = "ring Q[d]; system S = [[d, 1]] vars x, x;"
+    r = invoke(["analyze", session_file(tmp_path, text)])
+    assert r.returncode == 2
+    assert r.stderr == "error: 1:11: duplicate unknown name\n"
+
+
+def test_non_utf8_session_file_is_usage_error(tmp_path):
+    p = tmp_path / "session.mg"
+    p.write_bytes(b"ring Q[d]; module M = coker [[d]];\n\xff\n")
+    r = invoke(["torsion", str(p)])
+    assert r.returncode == 2
+    assert r.stderr == f"error: cannot read {p}: not valid UTF-8\n"
+
+
+def test_huge_exponent_of_a_monomial_answers_quickly(tmp_path):
+    text = "ring Q[d]; module M = coker [[d^99999999999]];"
+    r = invoke(["torsion", session_file(tmp_path, text)], timeout=20)
+    assert r.returncode == 0
+    assert r.stdout == ("torsion M: generators: 1\n"
+                        "  generator [1]: annihilator d^99999999999\n")
 
 
 def test_unknown_command_is_usage_error(tmp_path):

@@ -1,14 +1,17 @@
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from malgrange.groebner import (POT_GREVLEX, GrobnerBasis, ModuleOrder,
                                 PolyMatrix, SpanSolver, Vector, buchberger,
-                                divide, syzygies, syzygies_mod, solve_mod)
-from malgrange.rings import LEX, Poly, ring
+                                divide, extended_buchberger, syzygies,
+                                syzygies_mod, solve_mod)
+from malgrange.rings import (LEX, Poly, mono_div, mono_divides, mono_mul,
+                             ring)
 from malgrange.parsing import parse_poly
 
 RX = ring("x")
@@ -75,6 +78,93 @@ def test_division_identity_seeded():
         for qi, gi in zip(quots, basis):
             acc = acc + gi.poly_mul(qi)
         assert acc == v
+
+
+# -- reference reducer ---------------------------------------------------------
+
+def _reference_scaled_ints(terms):
+    items = list(terms)
+    denom_lcm = 1
+    for _, c in items:
+        denom_lcm = denom_lcm * c.denominator // gcd(denom_lcm, c.denominator)
+    ints = [(k, c.numerator * (denom_lcm // c.denominator)) for k, c in items]
+    num_gcd = 0
+    for _, n in ints:
+        num_gcd = gcd(num_gcd, n)
+    if num_gcd == 0:
+        return Fraction(1), {}
+    return Fraction(num_gcd, denom_lcm), {k: n // num_gcd for k, n in ints}
+
+
+def reference_divide(v, basis, order):
+    """Division as the engine first shipped it: the leading term of the
+    dividend is found by a max-scan over all its terms at every step, and
+    every divisor is converted on each call."""
+    ring_ = v.ring
+    leads = [g.leading(order) for g in basis]
+    scale, p = _reference_scaled_ints(
+        ((pos, exps), c)
+        for pos, poly in enumerate(v.entries) for exps, c in poly.terms)
+    divisors = []
+    for g, (gpos, gexps, _) in zip(basis, leads):
+        gscale, gd = _reference_scaled_ints(
+            ((pos, exps), c)
+            for pos, poly in enumerate(g.entries) for exps, c in poly.terms)
+        divisors.append((gscale, gd, gd[(gpos, gexps)]))
+    quotients = [{} for _ in basis]
+    rem_terms = [[] for _ in range(v.rank)]
+    while p:
+        pos, exps = max(p, key=lambda k: order.key(k[0], k[1]))
+        a = p[(pos, exps)]
+        for i, (gpos, gexps, _) in enumerate(leads):
+            if gpos == pos and mono_divides(gexps, exps):
+                gscale, gd, b = divisors[i]
+                shift = mono_div(exps, gexps)
+                factor = scale * a / (gscale * b)
+                quotients[i][shift] = quotients[i].get(shift, 0) + factor
+                d = gcd(a, b)
+                ap, bp = a // d, b // d
+                if bp != 1:
+                    p = {k: bp * c for k, c in p.items()}
+                    scale /= bp
+                for (gp, ge), gc in gd.items():
+                    kk = (gp, mono_mul(ge, shift))
+                    nv = p.get(kk, 0) - ap * gc
+                    if nv:
+                        p[kk] = nv
+                    else:
+                        p.pop(kk, None)
+                break
+        else:
+            rem_terms[pos].append((exps, scale * a))
+            del p[(pos, exps)]
+    remainder = Vector(ring_, (Poly(ring_, terms) for terms in rem_terms))
+    quots = [Poly(ring_, [(exps, Fraction(c)) for exps, c in q.items()])
+             for q in quotients]
+    return remainder, quots
+
+
+R3 = ring("x", "y", "z")
+ORDERS = [POT_GREVLEX, ModuleOrder(LEX, "POT")]
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(0, 2**30), st.sampled_from(ORDERS),
+       st.sampled_from([RX, RXY, R3]))
+def test_divide_matches_reference_reducer(seed, order, r):
+    rng = random.Random(seed)
+    rank = rng.randint(1, 3)
+    basis = [rand_vector(r, rng, rank, deg=rng.randint(1, 3))
+             for _ in range(rng.randint(1, 5))]
+    basis = [b.scale(Fraction(rng.randint(1, 5), rng.randint(1, 5)))
+             for b in basis if not b.is_zero()]
+    v = rand_vector(r, rng, rank, deg=4, terms=6)
+    if not basis:
+        return
+    assert divide(v, basis, order) == reference_divide(v, basis, order)
+    # the cached form a basis keeps answers the same
+    g = GrobnerBasis(r, rank, order, tuple(basis))
+    assert g.normal_form(v) == reference_divide(v, basis, order)
 
 
 def test_normal_form_idempotent_and_membership():
@@ -172,6 +262,26 @@ def test_gb_permutation_invariance():
         rng.shuffle(shuffled)
         g2 = buchberger(shuffled, ring=RXY, rank=rank)
         assert g1.gens == g2.gens
+
+
+def test_final_sweep_restarts_on_a_nonzero_s_vector(monkeypatch):
+    # x^2 - y and x*y - 1 are interreduced but not a Groebner basis: with
+    # every S-pair left unprocessed, the final sweep finds y^2 - x and the
+    # restarted completion must end at the reduced basis, with cofactors
+    # that still certify each element
+    import malgrange.groebner as groebner
+    gens = [vec(RXY, "x^2 - y"), vec(RXY, "x*y - 1")]
+    expected = buchberger(gens, ring=RXY, rank=1)
+    assert vec(RXY, "y^2 - x") in expected.gens
+    monkeypatch.setattr(groebner._Completion, "run", lambda self: None)
+    assert buchberger(gens, ring=RXY, rank=1).gens == expected.gens
+    g, cofs = extended_buchberger(gens, ring=RXY, rank=1)
+    assert g.gens == expected.gens
+    for v, row in zip(g.gens, cofs):
+        acc = Vector.zero(RXY, 1)
+        for c, gen in zip(row, gens):
+            acc = acc + gen.poly_mul(c)
+        assert acc == v
 
 
 # -- syzygies ------------------------------------------------------------------

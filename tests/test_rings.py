@@ -50,6 +50,16 @@ def test_binomial_cube():
                                   for e, c in coeffs.items()])
 
 
+def test_power_matches_repeated_product():
+    x = Poly.variable(RXY, 0)
+    f = x - Poly.variable(RXY, 1).scale(Fraction(2, 3)) + Poly.one(RXY)
+    acc = Poly.one(RXY)
+    for n in range(12):
+        assert f ** n == acc
+        assert str(f ** n) == str(acc)
+        acc = acc * f
+
+
 def test_leading_term_orders():
     # x + y^2: lex picks x, grevlex picks y^2
     f = Poly.variable(RXY, 0) + Poly.variable(RXY, 1, 2)

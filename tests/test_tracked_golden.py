@@ -1,0 +1,91 @@
+"""Pinned tracked output of the Groebner layer.
+
+The reduced basis does not depend on the order in which S-pairs are
+processed, but the cofactor rows of ``extended_buchberger`` and the rows
+of ``SpanSolver.syzygies`` do.  These digests fix both on seeded inputs,
+so a change to pair selection or to the reducer's choice of divisor shows
+up here even when every basis stays the same.
+"""
+
+import hashlib
+import random
+
+import pytest
+
+from malgrange import corpus
+from malgrange.groebner import (POT_GREVLEX, ModuleOrder, PolyMatrix,
+                                SpanSolver, Vector, extended_buchberger)
+from malgrange.parsing import parse_poly
+from malgrange.rings import LEX, ring
+
+
+def _xy_presentations():
+    return [(name, m.relations.columns(), m.ngens, POT_GREVLEX)
+            for name, m in corpus.main_theorem_modules()
+            if name.startswith("random-xy-")]
+
+
+def _xyz_matrix():
+    rxyz = ring("x", "y", "z")
+    rng = random.Random(2011)
+    rows = [[corpus.random_poly(rxyz, rng, 1) for _ in range(3)]
+            for _ in range(2)]
+    return PolyMatrix(rxyz, 2, 3, rows).columns()
+
+
+def _tied_pairs():
+    # under POT/lex two pending pairs of this input share their lcm, so
+    # its cofactors depend on the (i, j) tie-break of the pair queue
+    rxyz = ring("x", "y", "z")
+    rows = [["0", "1/3*x^2 - 7/2*x", "2"],
+            ["-4*y*z", "-2/3*z - 7/2", "-y*z + 4*z - 5"],
+            ["-4/3*z + 2", "9", "y*z"],
+            ["-3/2*y", "4/3*y", "4/3"]]
+    return [Vector(rxyz, [parse_poly(t, rxyz) for t in row]) for row in rows]
+
+
+CASES = _xy_presentations() + [
+    ("xyz-2x3-deg1", _xyz_matrix(), 2, POT_GREVLEX),
+    ("xyz-tied-pairs-lex", _tied_pairs(), 3, ModuleOrder(LEX, "POT")),
+]
+
+# sha256 of the text forms below, recorded before the pair queue and the
+# reducer were rebuilt
+GOLDEN = {
+    "random-xy-0": (
+        "17f98b4ac7faa6b6892dd3c58c267a5b28e5b56a6b831a5825bb7124c6000adc",
+        "495da68d7000ae708028913b6d4a129bd3198e8f970ede895924a6ac526ea797"),
+    "random-xy-1": (
+        "902ae710ef7ecc9298488df4f1402227dfafdfdc173596b5228fff7dc180bdf6",
+        "1d96bd6f10d88fddd60a8fbec080b811350f6be04e12ef12fe4ddebbc6f00fa0"),
+    "random-xy-2": (
+        "403b7bbb5cffa10fcdf81c0020c295a775acefd8a5085fa434721542f59f1e6e",
+        "70bd243a02a7d5e98670f34b4f3882ade2eface0baeaef24f647f7c1c6981dad"),
+    "xyz-2x3-deg1": (
+        "50014546391b0a2795712e38f7e4c1ec54370fe0caa0d22e32b033bbfd41c5e2",
+        "99f6f10700d6b419b141721437db66d90247633eba556dab3aac870ca34a9b4e"),
+    "xyz-tied-pairs-lex": (
+        "f8dfa8c72478462c8fa75f3089bfd71463f0e4f11fda669857b26ed1c5b353b3",
+        "2c4f8133852277a4109dd4b4a4902801c30183110432a6772087ab5fe79d019a"),
+}
+
+
+def _digest(lines):
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+def _tracked_texts(gens, rank, order):
+    r = gens[0].ring
+    gb, cofs = extended_buchberger(gens, order, ring=r, rank=rank)
+    cof_lines = [f"{g} <- [{', '.join(str(c) for c in row)}]"
+                 for g, row in zip(gb.gens, cofs)]
+    syz = SpanSolver(gens, r, rank, order).syzygies()
+    return cof_lines, [str(v) for v in syz]
+
+
+@pytest.mark.parametrize("name,gens,rank,order", CASES,
+                         ids=[c[0] for c in CASES])
+def test_tracked_rows_are_pinned(name, gens, rank, order):
+    cof_lines, syz_lines = _tracked_texts(gens, rank, order)
+    assert cof_lines and syz_lines
+    assert (_digest(cof_lines), _digest(syz_lines)) == GOLDEN[name]

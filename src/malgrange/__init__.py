@@ -2,8 +2,8 @@
 
 The layers, bottom to top:
 
-- ``scalars``, ``rings``: exact rational arithmetic and multivariate
-  polynomials with monomial orders.
+- ``rings``: multivariate polynomials over Q (coefficients are
+  ``fractions.Fraction``) with monomial orders.
 - ``groebner``: Gröbner bases for submodules of free modules, division,
   syzygies, and membership certificates.
 - ``modules``: finitely presented modules, morphisms, Hom modules, duals,
@@ -27,7 +27,7 @@ from .modules import (AnnihilatorIdeal, Element, FPModule, Morphism,
                       module_annihilator, q_dimension, tensor_modules)
 from .smith import (invariant_factors, smith_diagonal,
                     smith_invariant_factors, smith_torsion_oracle)
-from .functors import (AdjunctionReport, ContraFPFunctor, FPFunctor,
+from .functors import (BijectionReport, ContraFPFunctor, FPFunctor,
                        FunMorphism, MainTheoremReport, cdefect,
                        cokernel_fun, contra_representable,
                        contra_stable_hom, defect, defect_via_nat,
@@ -37,9 +37,8 @@ from .functors import (AdjunctionReport, ContraFPFunctor, FPFunctor,
                        tensor_functor, verify_adjunction,
                        verify_main_theorem, zero_functor)
 from .control import (AnalysisReport, AutonomyGenerator, ControlSystem,
-                      MalgrangeCheckReport, autonomy, autonomy_report,
-                      is_controllable, malgrange_check, malgrange_module,
-                      solution_module)
+                      autonomy, autonomy_report, is_controllable,
+                      malgrange_check, malgrange_module, solution_module)
 from .parsing import ParseError, parse_poly
 from .session import Session, parse_session
 
@@ -56,17 +55,16 @@ __all__ = [
     "lift_through", "module_annihilator", "q_dimension", "tensor_modules",
     "invariant_factors", "smith_diagonal", "smith_invariant_factors",
     "smith_torsion_oracle",
-    "AdjunctionReport", "ContraFPFunctor", "FPFunctor", "FunMorphism",
+    "BijectionReport", "ContraFPFunctor", "FPFunctor", "FunMorphism",
     "MainTheoremReport", "cdefect", "cokernel_fun", "contra_representable",
     "contra_stable_hom", "defect", "defect_via_nat", "eval_functor",
     "eval_functor_map", "forgetful", "is_zero_functor", "kernel_fun",
     "nat_hom", "representable", "stable_hom", "stable_map",
     "tensor_eval_map", "tensor_functor", "verify_adjunction",
     "verify_main_theorem", "zero_functor",
-    "AnalysisReport", "AutonomyGenerator", "ControlSystem",
-    "MalgrangeCheckReport", "autonomy", "autonomy_report",
-    "is_controllable", "malgrange_check", "malgrange_module",
-    "solution_module",
+    "AnalysisReport", "AutonomyGenerator", "ControlSystem", "autonomy",
+    "autonomy_report", "is_controllable", "malgrange_check",
+    "malgrange_module", "solution_module",
     "ParseError", "parse_poly", "Session", "parse_session",
     "__version__",
 ]

@@ -21,7 +21,8 @@ from typing import Dict, List, Optional, Tuple
 
 from . import corpus
 from .control import autonomy_report, malgrange_check
-from .functors import stable_hom, defect, verify_adjunction, verify_main_theorem
+from .functors import (module_dict, stable_hom, verify_adjunction,
+                       verify_main_theorem)
 from .modules import FPModule, annihilator, bass_torsion, hom_module
 from .parsing import ParseError
 from .session import COMMANDS, Session, parse_session
@@ -64,11 +65,6 @@ def _targets(session: Session, command: str) -> List[Tuple[str, ...]]:
     return [(name,) for _, name in session.bindings]
 
 
-def _annihilator_strings(m: FPModule, col) -> List[str]:
-    ann = annihilator(m.element(col))
-    return [str(g) for g in ann.gens if not g.is_zero()]
-
-
 def _run_analyze(session: Session, out: _Printer, results: List[Dict]) -> int:
     code = 0
     for (name,) in _targets(session, "analyze"):
@@ -96,13 +92,12 @@ def _run_torsion(session: Session, out: _Printer, results: List[Dict]) -> int:
         out.add(f"torsion {name}: generators: {len(gens)}")
         entries = []
         for col in gens:
-            anns = _annihilator_strings(m, col)
+            anns = [str(g) for g in annihilator(m.element(col)).gens]
             word = "annihilator" if len(anns) == 1 else "annihilators"
             out.add(f"  generator {col}: {word} {', '.join(anns)}")
             entries.append({"element": str(col), "annihilators": anns})
         results.append({"check": "torsion", "name": name,
-                        "module": {"ngens": m.ngens,
-                                   "relations": str(m.relations)},
+                        "module": module_dict(m),
                         "generators": entries})
     return 0
 

@@ -16,9 +16,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .rings import Poly, RingSpec
 from .groebner import PolyMatrix, Vector, solve_mod
 from .modules import (Element, FPModule, Morphism, annihilator, bass_torsion,
-                      direct_power, hom_module, is_injective, is_surjective,
-                      kernel)
-from .functors import MainTheoremReport, verify_main_theorem
+                      direct_power, hom_module, kernel)
+from .functors import (BijectionReport, MainTheoremReport, bijection_report,
+                       module_dict, verify_main_theorem)
 
 
 class ControlSystem:
@@ -71,39 +71,7 @@ def solution_module(sys: ControlSystem, v: FPModule,
     return kernel(Morphism(vq, vp, action, _checked=True))
 
 
-@dataclass(frozen=True)
-class MalgrangeCheckReport:
-    """Bijectivity check of the canonical map Hom(M,V) -> Sol(V)."""
-
-    system: str
-    probe: Dict
-    hom_ngens: int
-    sol_ngens: int
-    injective: bool
-    surjective: bool
-
-    @property
-    def bijective(self) -> bool:
-        return self.injective and self.surjective
-
-    @property
-    def ok(self) -> bool:
-        return self.bijective
-
-    def to_dict(self) -> Dict:
-        return {
-            "check": "malgrange",
-            "system": self.system,
-            "probe": self.probe,
-            "hom_generators": self.hom_ngens,
-            "solution_generators": self.sol_ngens,
-            "injective": self.injective,
-            "surjective": self.surjective,
-            "bijective": self.bijective,
-        }
-
-
-def malgrange_check(sys: ControlSystem, v: FPModule) -> MalgrangeCheckReport:
+def malgrange_check(sys: ControlSystem, v: FPModule) -> BijectionReport:
     """Assert Hom(M, V) = Sol(V) via the map phi -> (phi(e_1)..phi(e_q))."""
     m = malgrange_module(sys)
     h = hom_module(m, v)
@@ -121,14 +89,9 @@ def malgrange_check(sys: ControlSystem, v: FPModule) -> MalgrangeCheckReport:
             raise ValueError("solution tuple escaped the solution module")
         cols.append(Vector(ring, coeffs))
     cmp_map = Morphism(h, sol, PolyMatrix.from_columns(ring, sol.ngens, cols))
-    return MalgrangeCheckReport(
-        system=str(sys.mat),
-        probe={"ngens": v.ngens, "relations": str(v.relations)},
-        hom_ngens=h.ngens,
-        sol_ngens=sol.ngens,
-        injective=is_injective(cmp_map),
-        surjective=is_surjective(cmp_map),
-    )
+    return bijection_report("malgrange",
+                            {"system": str(sys.mat), "probe": module_dict(v)},
+                            cmp_map, "hom_generators", "solution_generators")
 
 
 def autonomy(sys: ControlSystem) -> Tuple[FPModule, Morphism]:
@@ -228,12 +191,12 @@ def autonomy_report(sys: ControlSystem) -> AnalysisReport:
         gens.append(AutonomyGenerator(
             combination=_combination(sys, elem.vec),
             element=str(elem.vec),
-            witnesses=tuple(str(g) for g in ann.gens if not g.is_zero()),
+            witnesses=tuple(str(g) for g in ann.gens),
         ))
     return AnalysisReport(
         system=str(sys.mat),
         unknowns=sys.unknowns,
-        malgrange={"ngens": m.ngens, "relations": str(m.relations)},
+        malgrange=module_dict(m),
         generators=tuple(gens),
         controllable=not gens,
         theorem_check=verify_main_theorem(m),

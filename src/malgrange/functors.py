@@ -383,7 +383,7 @@ def cdefect(fun: ContraFPFunctor) -> FPModule:
 
 # -- verification reports -------------------------------------------------------------
 
-def _module_dict(m: FPModule) -> Dict:
+def module_dict(m: FPModule) -> Dict:
     return {"ngens": m.ngens, "relations": str(m.relations)}
 
 
@@ -415,13 +415,20 @@ class MainTheoremReport:
 
 
 @dataclass(frozen=True)
-class AdjunctionReport:
-    """Outcome of checking Nat(F, Hom(A,-)) = Hom(A, w(F))."""
+class BijectionReport:
+    """Outcome of checking that a comparison map is bijective.
 
-    functor: Dict
-    module: Dict
-    nat_ngens: int
-    hom_ngens: int
+    ``subject`` holds the entries naming what was compared, in output
+    order; ``source_key``/``target_key`` name the generator counts of the
+    map's two sides in ``to_dict``.
+    """
+
+    check: str
+    subject: Dict
+    source_key: str
+    source_ngens: int
+    target_key: str
+    target_ngens: int
     injective: bool
     surjective: bool
 
@@ -435,15 +442,29 @@ class AdjunctionReport:
 
     def to_dict(self) -> Dict:
         return {
-            "check": "adjunction",
-            "functor": self.functor,
-            "module": self.module,
-            "nat_generators": self.nat_ngens,
-            "hom_generators": self.hom_ngens,
+            "check": self.check,
+            **self.subject,
+            self.source_key: self.source_ngens,
+            self.target_key: self.target_ngens,
             "injective": self.injective,
             "surjective": self.surjective,
             "bijective": self.bijective,
         }
+
+
+def bijection_report(check: str, subject: Dict, cmp_map: Morphism,
+                     source_key: str, target_key: str) -> BijectionReport:
+    """Test cmp_map for injectivity and surjectivity."""
+    return BijectionReport(
+        check=check,
+        subject=subject,
+        source_key=source_key,
+        source_ngens=cmp_map.source.ngens,
+        target_key=target_key,
+        target_ngens=cmp_map.target.ngens,
+        injective=is_injective(cmp_map),
+        surjective=is_surjective(cmp_map),
+    )
 
 
 def _image_membership_witness(phi: Morphism, psi: Morphism) -> Optional[str]:
@@ -480,7 +501,7 @@ def verify_main_theorem(a: FPModule) -> MainTheoremReport:
     t, iota = bass_torsion(a)
     witness = _image_membership_witness(emb, iota)
     return MainTheoremReport(
-        module=_module_dict(a),
+        module=module_dict(a),
         defect_generators=_nonzero_columns(emb),
         torsion_generators=_nonzero_columns(iota),
         equal=witness is None,
@@ -488,7 +509,7 @@ def verify_main_theorem(a: FPModule) -> MainTheoremReport:
     )
 
 
-def verify_adjunction(fun: FPFunctor, a: FPModule) -> AdjunctionReport:
+def verify_adjunction(fun: FPFunctor, a: FPModule) -> BijectionReport:
     """Check Nat(F, Hom(A,-)) = Hom(A, Ker f_F) via the corestriction map."""
     n = nat_hom(fun, representable(a))
     w, emb = defect(fun)
@@ -500,13 +521,8 @@ def verify_adjunction(fun: FPFunctor, a: FPModule) -> AdjunctionReport:
         corestricted = lift_through(emb, alpha.b)
         cols.append(h.encode(corestricted).vec)
     mat = PolyMatrix.from_columns(ring, h.ngens, cols)
-    cmp_map = Morphism(n, h, mat)
-    return AdjunctionReport(
-        functor={"f": str(fun.f.mat), "Y": _module_dict(fun.y),
-                 "X": _module_dict(fun.x)},
-        module=_module_dict(a),
-        nat_ngens=n.ngens,
-        hom_ngens=h.ngens,
-        injective=is_injective(cmp_map),
-        surjective=is_surjective(cmp_map),
-    )
+    subject = {"functor": {"f": str(fun.f.mat), "Y": module_dict(fun.y),
+                           "X": module_dict(fun.x)},
+               "module": module_dict(a)}
+    return bijection_report("adjunction", subject, Morphism(n, h, mat),
+                            "nat_generators", "hom_generators")

@@ -24,25 +24,19 @@ from .rings import (GREVLEX, MonomialOrder, Monomial, Poly, RingSpec,
 
 @dataclass(frozen=True)
 class ModuleOrder:
-    """Well-order on (position, monomial) pairs; positions rank e1 > e2 > ..."""
+    """Position over term on (position, monomial) pairs: positions rank
+    e1 > e2 > ..., ties broken by the base monomial order."""
 
     base: MonomialOrder = GREVLEX
-    scheme: str = "POT"
-
-    def __post_init__(self):
-        if self.scheme not in ("POT", "TOP"):
-            raise ValueError("scheme must be POT or TOP")
 
     def key(self, pos: int, exps: Monomial):
-        if self.scheme == "POT":
-            return (-pos, self.base.key(exps))
-        return (self.base.key(exps), -pos)
+        return (-pos, self.base.key(exps))
 
     def __str__(self) -> str:
-        return f"{self.scheme}/{self.base}"
+        return f"POT/{self.base}"
 
 
-POT_GREVLEX = ModuleOrder(GREVLEX, "POT")
+POT_GREVLEX = ModuleOrder(GREVLEX)
 
 
 class Vector:
@@ -100,11 +94,6 @@ class Vector:
     def mul_term(self, coeff: Fraction, exps: Monomial) -> "Vector":
         return Vector(self.ring, (p.mul_term(coeff, exps) for p in self.entries))
 
-    def add_term(self, pos: int, coeff: Fraction, exps: Monomial) -> "Vector":
-        t = Poly.term(self.ring, coeff, exps)
-        return Vector(self.ring, (p + t if i == pos else p
-                                  for i, p in enumerate(self.entries)))
-
     def leading(self, order: ModuleOrder) -> Tuple[int, Monomial, Fraction]:
         """(position, monomial, coefficient) of the maximal module term."""
         best = None
@@ -120,9 +109,6 @@ class Vector:
         if best is None:
             raise ValueError("zero vector has no leading term")
         return best
-
-    def concat(self, other: "Vector") -> "Vector":
-        return Vector(self.ring, self.entries + other.entries)
 
     def slice(self, start: int, stop: int) -> "Vector":
         return Vector(self.ring, self.entries[start:stop])
@@ -670,14 +656,7 @@ class SpanSolver:
         r, q = self._gb.normal_form(v)
         if not r.is_zero():
             return None
-        coeffs = [Poly.zero(self.ring) for _ in range(self.count)]
-        for qa, row in zip(q, self._cofs):
-            if qa.is_zero():
-                continue
-            for k, c in enumerate(row):
-                if not c.is_zero():
-                    coeffs[k] = coeffs[k] + c * qa
-        return coeffs
+        return list(self._gb_combination(q).entries)
 
     def contains(self, v: Vector) -> bool:
         if v.rank != self.rank:
@@ -796,16 +775,6 @@ class PolyMatrix:
         return PolyMatrix(ring, n, n,
                           tuple(tuple(one if i == j else z for j in range(n))
                                 for i in range(n)))
-
-    @staticmethod
-    def from_rows(ring: RingSpec, rows: Sequence[Sequence[Poly]],
-                  ncols: Optional[int] = None) -> "PolyMatrix":
-        nrows = len(rows)
-        if nrows == 0:
-            if ncols is None:
-                raise ValueError("empty matrix needs explicit column count")
-            return PolyMatrix(ring, 0, ncols, ())
-        return PolyMatrix(ring, nrows, len(rows[0]), rows)
 
     @staticmethod
     def from_columns(ring: RingSpec, nrows: int,

@@ -16,14 +16,14 @@ from itertools import product as iter_product
 from typing import List, Optional, Sequence, Tuple
 
 from .rings import Poly, RingSpec, mono_divides
-from .groebner import (GrobnerBasis, PolyMatrix, SpanSolver, Vector,
-                       buchberger, colon_ideal, solve_mod, syzygies_mod)
+from .groebner import (GrobnerBasis, PolyMatrix, Vector, buchberger,
+                       colon_ideal, solve_mod, syzygies_mod)
 
 
 class FPModule:
     """Module presented by generators e_1..e_m and relation columns."""
 
-    __slots__ = ("ring", "ngens", "relations", "_gb", "_solver")
+    __slots__ = ("ring", "ngens", "relations", "_gb")
 
     def __init__(self, ring: RingSpec, ngens: int, relations: PolyMatrix):
         if relations.ring != ring or relations.nrows != ngens:
@@ -32,7 +32,6 @@ class FPModule:
         self.ngens = ngens
         self.relations = relations
         self._gb: Optional[GrobnerBasis] = None
-        self._solver: Optional[SpanSolver] = None
 
     @staticmethod
     def free(ring: RingSpec, rank: int) -> "FPModule":
@@ -42,24 +41,12 @@ class FPModule:
     def zero(ring: RingSpec) -> "FPModule":
         return FPModule(ring, 0, PolyMatrix.zeros(ring, 0, 0))
 
-    @staticmethod
-    def quotient_ring(ring: RingSpec, ideal_gens: Sequence[Poly]) -> "FPModule":
-        mat = PolyMatrix(ring, 1, len(ideal_gens), [list(ideal_gens)])
-        return FPModule(ring, 1, mat)
-
     @property
     def gb(self) -> GrobnerBasis:
         if self._gb is None:
             self._gb = buchberger(self.relations.columns(), ring=self.ring,
                                   rank=self.ngens)
         return self._gb
-
-    @property
-    def solver(self) -> SpanSolver:
-        if self._solver is None:
-            self._solver = SpanSolver(self.relations.columns(), self.ring,
-                                      self.ngens)
-        return self._solver
 
     def element(self, vec: Vector) -> "Element":
         return Element(self, vec)
@@ -421,35 +408,26 @@ def bass_torsion(m: FPModule) -> Tuple[FPModule, Morphism]:
 class AnnihilatorIdeal:
     """Ideal {r in R : r * e = 0}, canonical generators, witness flagged."""
 
-    __slots__ = ("ring", "gens")
+    __slots__ = ("ring", "gens", "_gb")
 
     def __init__(self, ring: RingSpec, gens: Sequence[Poly]):
         self.ring = ring
         # canonical presentation: the reduced basis of the ideal, listed
         # with largest leading monomial first
-        nonzero = [g for g in gens if not g.is_zero()]
-        if nonzero:
-            gb = buchberger([Vector(ring, [g]) for g in nonzero],
-                            ring=ring, rank=1)
-            self.gens = tuple(v.entries[0] for v in reversed(gb.gens))
-        else:
-            self.gens = ()
+        self._gb = buchberger([Vector(ring, [g]) for g in gens],
+                              ring=ring, rank=1)
+        self.gens = tuple(v.entries[0] for v in reversed(self._gb.gens))
 
     @property
     def witness(self) -> Optional[Poly]:
         """A nonzero annihilating element, when one exists."""
-        for g in self.gens:
-            if not g.is_zero():
-                return g
-        return None
+        return self.gens[0] if self.gens else None
 
     def is_zero(self) -> bool:
         return self.witness is None
 
     def contains(self, f: Poly) -> bool:
-        gb = buchberger([Vector(self.ring, [g]) for g in self.gens],
-                        ring=self.ring, rank=1)
-        return gb.contains(Vector(self.ring, [f]))
+        return self._gb.contains(Vector(self.ring, [f]))
 
     def __str__(self) -> str:
         return "(" + ", ".join(str(g) for g in self.gens) + ")"
@@ -479,7 +457,7 @@ def module_annihilator(m: FPModule) -> AnnihilatorIdeal:
     return AnnihilatorIdeal(ring, colon_ideal(stacked, big))
 
 
-# -- lifting and submodule comparison ---------------------------------------------
+# -- lifting, injectivity and surjectivity ------------------------------------------
 
 def lift_through(iota: Morphism, phi: Morphism) -> Morphism:
     """psi with iota o psi = phi, assuming im(phi) lies in im(iota)."""
@@ -493,22 +471,6 @@ def lift_through(iota: Morphism, phi: Morphism) -> Morphism:
         cols.append(Vector(iota.source.ring, c))
     mat = PolyMatrix.from_columns(iota.source.ring, iota.source.ngens, cols)
     return Morphism(phi.source, iota.source, mat)
-
-
-def images_equal(phi: Morphism, psi: Morphism) -> bool:
-    """Equality of im(phi) and im(psi) as submodules of the common target."""
-    if phi.target != psi.target:
-        raise ValueError("images live in different modules")
-    t = phi.target
-    sp_phi = SpanSolver(phi.mat.columns() + t.relations.columns(),
-                        t.ring, t.ngens)
-    sp_psi = SpanSolver(psi.mat.columns() + t.relations.columns(),
-                        t.ring, t.ngens)
-    fwd = all(sp_psi.contains(phi.mat.column(j))
-              for j in range(phi.mat.ncols))
-    bwd = all(sp_phi.contains(psi.mat.column(j))
-              for j in range(psi.mat.ncols))
-    return fwd and bwd
 
 
 def is_injective(phi: Morphism) -> bool:

@@ -26,7 +26,7 @@ class ParseError(ValueError):
 
 @dataclass(frozen=True)
 class Token:
-    kind: str   # INT, IDENT, PUNCT, FLAG, EOF
+    kind: str   # INT, IDENT, PUNCT, EOF
     text: str
     line: int
     col: int
@@ -35,7 +35,6 @@ class Token:
 _TOKEN_RE = re.compile(r"""
     (?P<ws>\s+)
   | (?P<int>\d+)
-  | (?P<flag>--[A-Za-z][A-Za-z0-9_-]*)
   | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
   | (?P<punct>[\[\](),;=+\-*/^])
 """, re.VERBOSE)
@@ -58,7 +57,7 @@ def tokenize(text: str) -> List[Token]:
                 line_start = pos + chunk.rfind("\n") + 1
         else:
             kind = {"int": "INT", "ident": "IDENT",
-                    "punct": "PUNCT", "flag": "FLAG"}[m.lastgroup]
+                    "punct": "PUNCT"}[m.lastgroup]
             tokens.append(Token(kind, m.group(), line, pos - line_start))
         pos = m.end()
     tokens.append(Token("EOF", "", line, pos - line_start))
@@ -69,6 +68,7 @@ class TokenStream:
     def __init__(self, tokens: List[Token]):
         self.tokens = tokens
         self.index = 0
+        self.depth = 0  # open parentheses in the polynomial being parsed
 
     def peek(self) -> Token:
         return self.tokens[self.index]
@@ -110,6 +110,11 @@ class TokenStream:
 
 # -- polynomial expressions ----------------------------------------------------
 
+# Each parenthesis level costs three parser frames; the bound keeps deep
+# input a parse error instead of a RecursionError.
+MAX_NESTING = 100
+
+
 def _parse_exponent(ts: TokenStream) -> int:
     tok = ts.peek()
     if tok.kind != "INT":
@@ -142,8 +147,12 @@ def _parse_factor(ts: TokenStream, ring: RingSpec) -> Poly:
             raise ts.error(f"unknown variable {tok.text!r}", tok) from None
         base = Poly.variable(ring, idx)
     elif ts.at_punct("("):
+        if ts.depth == MAX_NESTING:
+            raise ts.error(f"parentheses nested deeper than {MAX_NESTING}")
         ts.next()
+        ts.depth += 1
         base = _parse_expr(ts, ring)
+        ts.depth -= 1
         ts.expect_punct(")")
     else:
         shown = tok.text or "end of input"

@@ -10,9 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, le, sub
-from typing import Iterable, Iterator, Sequence, Tuple
-
-from .scalars import format_rational
+from typing import Iterable, Iterator, Tuple
 
 Monomial = Tuple[int, ...]
 
@@ -168,13 +166,6 @@ class Poly:
         return not self.terms or (len(self.terms) == 1
                                   and mono_degree(self.terms[0][0]) == 0)
 
-    def constant_value(self) -> Fraction:
-        if not self.terms:
-            return Fraction(0)
-        if not self.is_constant():
-            raise ValueError("not a constant polynomial")
-        return self.terms[0][1]
-
     def total_degree(self) -> int:
         if not self.terms:
             raise ValueError("zero polynomial has no degree")
@@ -266,6 +257,13 @@ class Poly:
         return f"Poly({format_poly(self)})"
 
 
+def format_rational(a: Fraction) -> str:
+    """Canonical form: reduced, '-' prefix only, denominator omitted when 1."""
+    if a.denominator == 1:
+        return str(a.numerator)
+    return f"{a.numerator}/{a.denominator}"
+
+
 def format_monomial(ring: RingSpec, exps: Monomial) -> str:
     parts = []
     for name, e in zip(ring.var_names, exps):
@@ -296,9 +294,3 @@ def format_poly(f: Poly) -> str:
             chunks.append((" - " if c < 0 else " + ") + body)
     return "".join(chunks)
 
-
-def poly_sum(ring: RingSpec, polys: Sequence[Poly]) -> Poly:
-    out = Poly.zero(ring)
-    for p in polys:
-        out = out + p
-    return out

@@ -4,6 +4,7 @@ import subprocess
 import sys
 
 from malgrange.cli import _Printer, main, run
+from malgrange.parsing import MAX_NESTING
 from malgrange.session import parse_session
 
 INTEGRATOR = "ring Q[d]; system S = [[d, -1]] vars x, u;"
@@ -134,6 +135,32 @@ def test_non_utf8_session_file_is_usage_error(tmp_path):
     r = invoke(["torsion", str(p)])
     assert r.returncode == 2
     assert r.stderr == f"error: cannot read {p}: not valid UTF-8\n"
+
+
+def test_deep_parentheses_are_a_parse_error(tmp_path):
+    line2 = " module M = coker [["
+    text = ("ring Q[d];\n" + line2 + "(" * 3000 + "d" + ")" * 3000
+            + "]];")
+    r = invoke(["torsion", session_file(tmp_path, text)])
+    assert r.returncode == 2
+    # reported at the first '(' past the bound
+    col = len(line2) + MAX_NESTING
+    assert r.stderr == (f"error: 2:{col}: parentheses nested deeper than "
+                        f"{MAX_NESTING}\n")
+    # the bound itself still parses, within the default recursion limit
+    deepest = ("ring Q[d]; module M = coker [[" + "(" * MAX_NESTING + "d"
+               + ")" * MAX_NESTING + "]];")
+    plain = "ring Q[d]; module M = coker [[d]];"
+    assert (parse_session(deepest).modules["M"]
+            == parse_session(plain).modules["M"])
+
+
+def test_double_minus_is_two_tokens(tmp_path):
+    text = "ring Q[d]; module M = coker [[--d]];"
+    r = invoke(["torsion", session_file(tmp_path, text)])
+    assert r.returncode == 2
+    assert r.stderr == ("error: 1:31: expected polynomial factor, "
+                        "found '-'\n")
 
 
 def test_huge_exponent_of_a_monomial_answers_quickly(tmp_path):

@@ -101,7 +101,7 @@ def test_zero_probe():
     v = FPModule(RD, 1, mat(RD, [["1"]]))
     rep = malgrange_check(INTEGRATOR, v)
     assert rep.bijective
-    assert rep.hom_ngens == rep.sol_ngens == 0 or rep.bijective
+    assert rep.source_ngens == rep.target_ngens == 0 or rep.bijective
 
 
 def test_malgrange_check_all_corpus_pairs():

@@ -383,7 +383,7 @@ def test_adjunction_spot_checks():
     rep2 = verify_adjunction(stable_hom(MIXED), R1)
     assert rep2.bijective
     t, _ = bass_torsion(MIXED)
-    assert rep2.nat_ngens == rep2.hom_ngens
+    assert rep2.source_ngens == rep2.target_ngens
     assert q_dimension(t) == q_dimension(hom_module(R1, defect(stable_hom(MIXED))[0]))
     rep3 = verify_adjunction(tensor_functor(MOD_X2), MIXED)
     assert rep3.bijective

@@ -46,7 +46,7 @@ def _tied_pairs():
 
 CASES = _xy_presentations() + [
     ("xyz-2x3-deg1", _xyz_matrix(), 2, POT_GREVLEX),
-    ("xyz-tied-pairs-lex", _tied_pairs(), 3, ModuleOrder(LEX, "POT")),
+    ("xyz-tied-pairs-lex", _tied_pairs(), 3, ModuleOrder(LEX)),
 ]
 
 # sha256 of the text forms below, recorded before the pair queue and the

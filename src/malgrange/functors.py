@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from .rings import RingSpec
-from .groebner import PolyMatrix, SpanSolver, Vector, solve_mod
+from .groebner import PolyMatrix, Vector, solve_mod, span_solver
 from .modules import (Element, FPModule, Morphism, bass_torsion, cokernel,
                       direct_sum, dual, hom_module, hom_pre, hom_post,
                       is_injective, is_surjective, kernel, lift_through)
@@ -470,10 +470,10 @@ def bijection_report(check: str, subject: Dict, cmp_map: Morphism,
 def _image_membership_witness(phi: Morphism, psi: Morphism) -> Optional[str]:
     """A generator of one image missing from the other, or None when equal."""
     t = phi.target
-    sp_phi = SpanSolver(phi.mat.columns() + t.relations.columns(),
-                        t.ring, t.ngens)
-    sp_psi = SpanSolver(psi.mat.columns() + t.relations.columns(),
-                        t.ring, t.ngens)
+    sp_phi = span_solver(phi.mat.columns() + t.relations.columns(),
+                         t.ring, t.ngens)
+    sp_psi = span_solver(psi.mat.columns() + t.relations.columns(),
+                         t.ring, t.ngens)
     for j in range(phi.mat.ncols):
         if not sp_psi.contains(phi.mat.column(j)):
             return f"defect generator {phi.mat.column(j)} not in torsion"

@@ -5,6 +5,10 @@ reduced basis, syzygy computation, and membership solving.  All kernel,
 cokernel, and equality decisions elsewhere in the engine reduce to these
 operations.
 
+Reduced bases, span solvers and Hom modules are kept in one bounded LRU
+cache keyed by the exact presentation (``cached``): an equal input returns
+the object built, and certified, the first time.
+
 Module monomials are (position, monomial) pairs.  The default order is
 position-over-term with e1 > e2 > ... over grevlex, which makes the
 elimination-style syzygy and lifting computations below correct.
@@ -12,11 +16,13 @@ elimination-style syzygy and lifting computations below correct.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
-from typing import Iterable, List, Optional, Sequence, Tuple, Union
+from typing import (Callable, Iterable, List, Optional, Sequence, Tuple,
+                    TypeVar, Union)
 
 from .rings import (GREVLEX, MonomialOrder, Monomial, Poly, RingSpec,
                     mono_div, mono_divides, mono_lcm, mono_mul)
@@ -321,6 +327,38 @@ def divide(v: Vector, basis: Union[Sequence[Vector], _IntBasis],
             _quotient_polys(v.ring, quotients))
 
 
+# -- one cache of certified results per exact presentation -----------------------
+
+# Entries kept by ``cached``; past it the least recently used is dropped.
+# A module constant, not an option: it bounds memory, never a verdict.
+CACHE_ENTRIES = 512
+
+_CACHE: "OrderedDict[tuple, object]" = OrderedDict()
+_MISSING = object()
+_T = TypeVar("_T")
+
+
+def cached(key: tuple, build: Callable[[], _T]) -> _T:
+    """The value stored under key, or build() stored under key.
+
+    Keys hold the input itself (vectors, matrices, rings, orders), so a
+    hit needs an input equal term by term, with exact ``Fraction``
+    coefficients, to the one the value was built and certified from; a
+    hash collision alone never matches.  A build that raises stores
+    nothing.  Shared by reduced bases (``buchberger``), span solvers
+    (``span_solver``) and Hom modules (``modules.hom_module``).
+    """
+    value = _CACHE.get(key, _MISSING)
+    if value is _MISSING:
+        value = build()
+        _CACHE[key] = value
+        while len(_CACHE) > CACHE_ENTRIES:
+            _CACHE.popitem(last=False)
+    else:
+        _CACHE.move_to_end(key)
+    return value
+
+
 # -- Buchberger completion -------------------------------------------------------
 
 def _scale_cof(cof: Optional[List[Poly]], c) -> Optional[List[Poly]]:
@@ -567,9 +605,17 @@ def buchberger(gens: Sequence[Vector], order: ModuleOrder = POT_GREVLEX,
     completion and every S-vector goes through the same reducer as
     ``divide``.  A final sweep re-checks every S-vector of the candidate
     basis and restarts the completion from any nonzero remainder.
+
+    The result is cached under the exact input (see ``cached``).
     """
-    gb, _ = _buchberger_core(gens, order, ring, rank, track=False)
-    return gb
+    gens = tuple(gens)
+    for v in gens:  # the ring and rank the completion takes from its input
+        if not v.is_zero():
+            ring, rank = v.ring, v.rank
+            break
+    return cached(("gb", order, ring, rank, gens),
+                  lambda: _buchberger_core(gens, order, ring, rank,
+                                           track=False)[0])
 
 
 def extended_buchberger(gens: Sequence[Vector],
@@ -642,12 +688,13 @@ class SpanSolver:
         self.rank = rank
         self.count = len(gens)
         self.order = order
-        self.gens = list(gens)
+        self.gens = tuple(gens)  # shared through span_solver: read-only
         for g in gens:
             if g.rank != rank:
                 raise ValueError("rank mismatch")
         self._gb, self._cofs = extended_buchberger(gens, order, ring=ring,
                                                    rank=rank)
+        self._syz: Optional[List[Vector]] = None
 
     def solve(self, v: Vector) -> Optional[List[Poly]]:
         """Coefficients c with sum(c[i] * gens[i]) = v, or None."""
@@ -676,6 +723,16 @@ class SpanSolver:
 
     def syzygies(self) -> List[Vector]:
         """Certified generators of {(a_1..a_m) : sum(a_i * gens[i]) = 0}.
+
+        Computed and certified once per solver; each call returns a new
+        list of the same rows.
+        """
+        if self._syz is None:
+            self._syz = self._certified_syzygies()
+        return list(self._syz)
+
+    def _certified_syzygies(self) -> List[Vector]:
+        """The rows of ``syzygies``.
 
         Schreyer's construction: the rows below generate all relations
         (any syzygy s splits as s(I - BA) + (s B)A with B the division
@@ -728,11 +785,19 @@ class SpanSolver:
         return out
 
 
+def span_solver(gens: Sequence[Vector], ring: RingSpec, rank: int,
+                order: ModuleOrder = POT_GREVLEX) -> SpanSolver:
+    """The ``SpanSolver`` of gens, built once per exact input (``cached``)."""
+    gens = tuple(gens)
+    return cached(("span", order, ring, rank, gens),
+                  lambda: SpanSolver(gens, ring, rank, order))
+
+
 def syzygy_basis(gens: Sequence[Vector], ring: RingSpec, rank: int,
                  order: ModuleOrder = POT_GREVLEX) -> List[Vector]:
     if not gens:
         return []
-    return SpanSolver(gens, ring, rank, order).syzygies()
+    return span_solver(gens, ring, rank, order).syzygies()
 
 
 def syzygies(gens: Sequence[Vector], ring: RingSpec, rank: int,
@@ -929,7 +994,7 @@ def syzygies_mod(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
     ring = a.ring
     if a.ncols == 0:
         return PolyMatrix.zeros(ring, 0, 0)
-    solver = SpanSolver(a.columns() + b.columns(), ring, a.nrows)
+    solver = span_solver(a.columns() + b.columns(), ring, a.nrows)
     projected = [s.slice(0, a.ncols) for s in solver.syzygies()]
     gb = buchberger(projected, ring=ring, rank=a.ncols)
     return PolyMatrix.from_columns(ring, a.ncols, list(gb.gens))
@@ -963,7 +1028,7 @@ def solve_mod(v: Vector, a: PolyMatrix, b: PolyMatrix) -> Optional[List[Poly]]:
     """Coefficients c with a*c = v modulo the column span of b, or None."""
     if a.nrows != b.nrows or v.rank != a.nrows:
         raise ValueError("shape mismatch")
-    solver = SpanSolver(a.columns() + b.columns(), a.ring, a.nrows)
+    solver = span_solver(a.columns() + b.columns(), a.ring, a.nrows)
     sol = solver.solve(v)
     if sol is None:
         return None

@@ -16,7 +16,7 @@ from itertools import product as iter_product
 from typing import List, Optional, Sequence, Tuple
 
 from .rings import Poly, RingSpec, mono_divides
-from .groebner import (GrobnerBasis, PolyMatrix, Vector, buchberger,
+from .groebner import (GrobnerBasis, PolyMatrix, Vector, buchberger, cached,
                        colon_ideal, solve_mod, syzygies_mod)
 
 
@@ -330,18 +330,13 @@ class HomModule(FPModule):
         return [self.decode(g) for g in self.generators()]
 
 
-# keyed on presentations, not on FPModule equality: zero-normalized module
-# equality must not alias Hom modules of different generator counts
-_HOM_CACHE = {}
-
-
 def hom_module(dom: FPModule, cod: FPModule) -> HomModule:
-    key = (dom.ring, dom.ngens, dom.relations, cod.ngens, cod.relations)
-    h = _HOM_CACHE.get(key)
-    if h is None:
-        h = HomModule(dom, cod)
-        _HOM_CACHE[key] = h
-    return h
+    """Hom(dom, cod), built once per pair of presentations (``cached``)."""
+    # keyed on presentations, not on FPModule equality: zero-normalized module
+    # equality must not alias Hom modules of different generator counts
+    key = ("hom", dom.ring, dom.ngens, dom.relations, cod.ngens,
+           cod.relations)
+    return cached(key, lambda: HomModule(dom, cod))
 
 
 def hom_pre(f: Morphism, cod: FPModule) -> Morphism:

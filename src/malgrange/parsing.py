@@ -11,6 +11,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 from typing import List, Optional
 
 from .rings import Poly, RingSpec
@@ -115,6 +116,38 @@ class TokenStream:
 MAX_NESTING = 100
 
 
+# Coefficient products one parser multiplication may cost.  Each '*' and
+# '^' is checked before it runs, so a dense power such as (d+1)^3000 is a
+# parse error at once instead of minutes of rational arithmetic.  A module
+# constant, not an option.
+MAX_PRODUCT_WORK = 250_000
+
+
+def _check_work(work: int, what: str, op: Token) -> None:
+    if work > MAX_PRODUCT_WORK:
+        raise ParseError(f"{what} too large: predicted work exceeds "
+                         f"{MAX_PRODUCT_WORK} coefficient products",
+                         op.line, op.col)
+
+
+def _power_work(base: Poly, n: int) -> int:
+    """Predicted coefficient products of base ** n: R^2, where R bounds the
+    terms of every factor square-and-multiply forms (at most the monomials
+    of degree n in len(base.terms) symbols, and at most the monomials of
+    degree <= n * deg(base) in the ring's variables).  Past the bound, a
+    cheaper lower bound of R^2 may be returned instead."""
+    t = len(base.terms)
+    if t <= 1 or n <= 1:
+        return 0  # a single term or no product at all
+    # R >= n + 1 and R >= t: no binomials of a huge exponent are needed
+    if max(n + 1, t) ** 2 > MAX_PRODUCT_WORK:
+        return max(n + 1, t) ** 2
+    nvars = base.ring.nvars
+    r = min(comb(n + t - 1, t - 1), comb(n * base.total_degree() + nvars,
+                                         nvars))
+    return r * r
+
+
 def _parse_exponent(ts: TokenStream) -> int:
     tok = ts.peek()
     if tok.kind != "INT":
@@ -157,15 +190,21 @@ def _parse_factor(ts: TokenStream, ring: RingSpec) -> Poly:
     else:
         shown = tok.text or "end of input"
         raise ts.error(f"expected polynomial factor, found {shown!r}")
-    if ts.accept_punct("^"):
-        base = base ** _parse_exponent(ts)
+    if ts.at_punct("^"):
+        op = ts.next()
+        n = _parse_exponent(ts)
+        _check_work(_power_work(base, n), "power", op)
+        base = base ** n
     return base
 
 
 def _parse_product(ts: TokenStream, ring: RingSpec) -> Poly:
     out = _parse_factor(ts, ring)
-    while ts.accept_punct("*"):
-        out = out * _parse_factor(ts, ring)
+    while ts.at_punct("*"):
+        op = ts.next()
+        factor = _parse_factor(ts, ring)
+        _check_work(len(out.terms) * len(factor.terms), "product", op)
+        out = out * factor
     return out
 
 

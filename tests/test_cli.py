@@ -2,9 +2,15 @@ import json
 import os
 import subprocess
 import sys
+import time
 
+import pytest
+
+from malgrange import parsing
 from malgrange.cli import _Printer, main, run
-from malgrange.parsing import MAX_NESTING
+from malgrange.parsing import (MAX_NESTING, MAX_PRODUCT_WORK, ParseError,
+                               parse_poly)
+from malgrange.rings import ring
 from malgrange.session import parse_session
 
 INTEGRATOR = "ring Q[d]; system S = [[d, -1]] vars x, u;"
@@ -169,6 +175,46 @@ def test_huge_exponent_of_a_monomial_answers_quickly(tmp_path):
     assert r.returncode == 0
     assert r.stdout == ("torsion M: generators: 1\n"
                         "  generator [1]: annihilator d^99999999999\n")
+
+
+@pytest.mark.parametrize("text", [
+    "ring Q[d]; module M = coker [[(d+1)^3000]];",
+    "ring Q[x,y,z,w]; module M = coker [[(x+y+z+w)^30]];",
+], ids=["univariate", "four-variables"])
+def test_dense_power_fails_fast(tmp_path, text):
+    start = time.perf_counter()
+    r = invoke(["torsion", session_file(tmp_path, text)], timeout=20)
+    assert time.perf_counter() - start < 10
+    assert r.returncode == 2
+    # reported at the '^' whose predicted work exceeds the bound
+    assert r.stderr == (f"error: 1:{text.index('^')}: power too large: "
+                        f"predicted work exceeds {MAX_PRODUCT_WORK} "
+                        "coefficient products\n")
+
+
+def test_work_bound_is_inclusive_for_products_and_powers(monkeypatch):
+    monkeypatch.setattr(parsing, "MAX_PRODUCT_WORK", 12)
+    rd = ring("d")
+    # 3 * 4 products and (d+1)^2 (at most 3 terms, squared) are within
+    assert parse_poly("(1+d+d^2)*(1+d+d^2+d^3)", rd).terms[0][0] == (5,)
+    assert len(parse_poly("(d+1)^2", rd).terms) == 3
+    assert parsing._power_work(parse_poly("d+1", rd), 3) == 16
+    for text, what in (("(1+d+d^2)*(1+d+d^2+d^3+d^4)", "product"),
+                       ("(d+1)^3", "power")):
+        with pytest.raises(ParseError) as info:
+            parse_poly(text, rd)
+        op = "*" if what == "product" else "^"
+        assert (info.value.line, info.value.col) == (1, text.index(op))
+        assert info.value.msg == (f"{what} too large: predicted work "
+                                  "exceeds 12 coefficient products")
+
+
+def test_dense_powers_within_the_bound_still_parse():
+    rd = ring("d")
+    assert len(parse_poly("(d+1)^400", rd).terms) == 401
+    assert (parse_poly("(d+1)^30*(d+1)^40", rd)
+            == parse_poly("(d+1)^70", rd))
+    assert len(parse_poly("(d^2+d+1)^100", rd).terms) == 201
 
 
 def test_unknown_command_is_usage_error(tmp_path):

@@ -8,10 +8,14 @@ here.  ``verify --all --json --seed 3`` pins the corpus sweep as well.
 """
 
 import hashlib
+import os
+import subprocess
+import sys
 
 import pytest
 
 import malgrange
+import malgrange.groebner as groebner
 from malgrange.cli import main
 
 SESSION = """ring Q[d];
@@ -69,6 +73,31 @@ def test_cli_stdout_matches_golden(key, tmp_path, capsys, monkeypatch):
     code, digest = _stdout_sha(capsys, monkeypatch, args)
     assert code == 0
     assert digest == GOLDEN[key]
+
+
+def test_corpus_sweep_is_identical_on_a_cold_and_a_warm_cache(capsys,
+                                                              monkeypatch):
+    # the second run answers from the bases, solvers and Hom modules the
+    # first one cached; neither may print a different byte
+    key = "verify --all --json --seed 3"
+    groebner._CACHE.clear()
+    for _ in range(2):
+        code, digest = _stdout_sha(capsys, monkeypatch, key.split())
+        assert (code, digest) == (0, GOLDEN[key])
+
+
+def test_corpus_sweep_does_not_depend_on_the_hash_seed():
+    outs = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, MALGRANGE_COLOR="never", PYTHONHASHSEED=seed)
+        r = subprocess.run([sys.executable, "-m", "malgrange", "verify",
+                            "--all", "--json", "--seed", "3"],
+                           capture_output=True, env=env, timeout=120)
+        assert r.returncode == 0
+        outs.append(r.stdout)
+    assert outs[0] == outs[1]
+    assert hashlib.sha256(outs[0]).hexdigest() == GOLDEN[
+        "verify --all --json --seed 3"]
 
 
 def test_every_export_resolves():

@@ -6,10 +6,11 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import malgrange.groebner as groebner
 from malgrange.groebner import (POT_GREVLEX, GrobnerBasis, ModuleOrder,
                                 PolyMatrix, SpanSolver, Vector, buchberger,
-                                divide, extended_buchberger, syzygies,
-                                syzygies_mod, solve_mod)
+                                divide, extended_buchberger, span_solver,
+                                syzygies, syzygies_mod, solve_mod)
 from malgrange.rings import (LEX, Poly, mono_div, mono_divides, mono_mul,
                              ring)
 from malgrange.parsing import parse_poly
@@ -269,11 +270,11 @@ def test_final_sweep_restarts_on_a_nonzero_s_vector(monkeypatch):
     # every S-pair left unprocessed, the final sweep finds y^2 - x and the
     # restarted completion must end at the reduced basis, with cofactors
     # that still certify each element
-    import malgrange.groebner as groebner
     gens = [vec(RXY, "x^2 - y"), vec(RXY, "x*y - 1")]
     expected = buchberger(gens, ring=RXY, rank=1)
     assert vec(RXY, "y^2 - x") in expected.gens
     monkeypatch.setattr(groebner._Completion, "run", lambda self: None)
+    groebner._CACHE.clear()  # recompute instead of returning expected
     assert buchberger(gens, ring=RXY, rank=1).gens == expected.gens
     g, cofs = extended_buchberger(gens, ring=RXY, rank=1)
     assert g.gens == expected.gens
@@ -389,3 +390,70 @@ def test_gb_membership_of_random_combinations(seed):
     for gen in gens:
         combo = combo + gen.poly_mul(rand_vector(RXY, rng, 1).entries[0])
     assert g.contains(combo)
+
+
+# -- the presentation cache ------------------------------------------------------
+
+def test_repeated_buchberger_returns_the_cached_basis():
+    gens = [vec(RXY, "x^2 - y", "x"), vec(RXY, "x*y - 1", "0")]
+    g = buchberger(gens, ring=RXY, rank=2)
+    # an equal input, built anew and passed without ring/rank, hits
+    again = [vec(RXY, "x^2 - y", "x"), vec(RXY, "x*y - 1", "0")]
+    assert buchberger(again) is g
+    # a different order or coefficient is a different key
+    assert buchberger(gens, ModuleOrder(LEX), ring=RXY, rank=2) is not g
+    assert buchberger([vec(RXY, "x^2 - 1/2*y", "x"), gens[1]]) is not g
+
+
+def test_zero_inputs_are_keyed_on_the_explicit_rank():
+    zero = Vector.zero(RX, 2)
+    g2 = buchberger([zero], ring=RX, rank=2)
+    g3 = buchberger([zero], ring=RX, rank=3)
+    assert (g2.rank, g3.rank) == (2, 3)
+    assert buchberger([zero], ring=RX, rank=2) is g2
+
+
+def test_repeated_span_solver_returns_the_cached_solver():
+    gens = [vec(RXY, "x", "y"), vec(RXY, "y", "0")]
+    s = span_solver(gens, RXY, 2)
+    assert span_solver(tuple(gens), RXY, 2) is s
+    assert span_solver(gens, RXY, 2, ModuleOrder(LEX)) is not s
+    # direct construction never goes through the cache
+    assert SpanSolver(gens, RXY, 2) is not s
+
+
+def test_cache_evicts_the_least_recently_used_entry(monkeypatch):
+    monkeypatch.setattr(groebner, "CACHE_ENTRIES", 3)
+    groebner._CACHE.clear()
+    gens = [[vec(RX, f"x^{k} + 1")] for k in range(1, 6)]
+    first = [buchberger(g) for g in gens[:3]]
+    assert buchberger(gens[0]) is first[0]  # now the most recently used
+    buchberger(gens[3])  # evicts gens[1], the least recently used
+    assert len(groebner._CACHE) == 3
+    assert buchberger(gens[0]) is first[0]
+    assert buchberger(gens[2]) is first[2]
+    assert buchberger(gens[1]) is not first[1]
+    for g in gens:
+        buchberger(g)
+        assert len(groebner._CACHE) <= 3
+
+
+def test_mutating_returned_syzygies_does_not_change_the_solver():
+    gens = [vec(RXY, "x"), vec(RXY, "y"), vec(RXY, "x + y")]
+    solver = span_solver(gens, RXY, 1)
+    rows = solver.syzygies()
+    expected = list(rows)
+    rows.clear()
+    again = solver.syzygies()
+    assert again == expected and again is not rows
+    assert span_solver(gens, RXY, 1).syzygies() == expected
+
+
+def test_a_call_that_raises_caches_nothing():
+    groebner._CACHE.clear()
+    bad = [vec(RXY, "x"), vec(RXY, "y", "1")]
+    with pytest.raises(ValueError):
+        buchberger(bad)
+    with pytest.raises(ValueError):
+        span_solver(bad, RXY, 1)
+    assert len(groebner._CACHE) == 0

@@ -373,3 +373,16 @@ def test_q_dimension_cases():
     # standard monomials 1, x for gen 1 and 1 for gen 2... relations are
     # x^2*g1 = 0 and y*g2 = 0; y*g1 and x*g2 stay free, so infinite
     assert q_dimension(big) is None
+
+
+def test_hom_modules_of_zero_presentations_stay_distinct():
+    # both present the zero module, so they compare equal as modules, but
+    # Hom must keep each presentation's generator count
+    z1 = FPModule(RX, 1, mat(RX, [["1"]]))
+    z2 = FPModule(RX, 2, mat(RX, [["1", "0"], ["0", "1"]]))
+    assert z1 == z2
+    h1 = hom_module(z1, R1X)
+    h2 = hom_module(z2, R1X)
+    assert h1 is not h2
+    assert (h1.dom.ngens, h2.dom.ngens) == (1, 2)
+    assert hom_module(z1, R1X) is h1 and hom_module(z2, R1X) is h2

@@ -20,12 +20,13 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from math import gcd, lcm
+from math import gcd
 from typing import (Callable, Iterable, List, Optional, Sequence, Tuple,
                     TypeVar, Union)
 
 from .rings import (GREVLEX, MonomialOrder, Monomial, Poly, RingSpec,
-                    mono_div, mono_divides, mono_lcm, mono_mul)
+                    mono_div, mono_divides, mono_lcm, mono_mul, scaled_ints,
+                    sum_of_products)
 
 
 @dataclass(frozen=True)
@@ -141,14 +142,8 @@ _ONE = Fraction(1)
 def _scaled_ints(v: Vector) -> Tuple[Fraction, dict]:
     """(s, D) with D a primitive integer term dict keyed by (position,
     monomial) and s * D == v."""
-    terms = [((pos, exps), c) for pos, poly in enumerate(v.entries)
-             for exps, c in poly.terms]
-    denom = lcm(*(c.denominator for _, c in terms))
-    ints = {k: c.numerator * (denom // c.denominator) for k, c in terms}
-    content = gcd(*ints.values())
-    if content == 0:
-        return _ONE, {}
-    return Fraction(content, denom), {k: n // content for k, n in ints.items()}
+    return scaled_ints([((pos, exps), c) for pos, poly in enumerate(v.entries)
+                        for exps, c in poly.terms])
 
 
 def _primitive(terms: dict) -> Tuple[int, dict]:
@@ -373,20 +368,20 @@ def _primitive_scale(v: Vector, order: ModuleOrder) -> Fraction:
     return -1 / unit if v.leading(order)[2] < 0 else 1 / unit
 
 
-def _combine_cof(cof: Optional[List[Poly]], quotients: Sequence[Poly],
-                 cof_rows: Sequence[Optional[List[Poly]]],
-                 ) -> Optional[List[Poly]]:
+def _push_down(ring: RingSpec, coeffs: Sequence[Poly],
+               rows: Sequence[Sequence[Poly]], count: int) -> List[Poly]:
+    """sum(coeffs[b] * rows[b]) entry by entry: coefficients over a basis
+    pushed through its cofactor rows to the count generators."""
+    pairs = list(zip(coeffs, rows))
+    return [sum_of_products(ring, [(row[k], c) for c, row in pairs])
+            for k in range(count)]
+
+
+def _combine_cof(ring: RingSpec, cof: List[Poly], quotients: Sequence[Poly],
+                 cof_rows: Sequence[List[Poly]]) -> List[Poly]:
     """Cofactors of v - sum(q_b * basis_b) given cofactors of v and basis."""
-    if cof is None:
-        return None
-    out = list(cof)
-    for q, row in zip(quotients, cof_rows):
-        if q.is_zero():
-            continue
-        for k, c in enumerate(row):
-            if not c.is_zero():
-                out[k] = out[k] - c * q
-    return out
+    return [c - p for c, p in
+            zip(cof, _push_down(ring, quotients, cof_rows, len(cof)))]
 
 
 def _s_vector(basis: _IntBasis, i: int, j: int,
@@ -427,8 +422,9 @@ def _reduce_to_element(p: dict, scale: Optional[Fraction], cof,
         return None
     g, prim = _primitive(rem)
     if cof is not None:
-        cof = _scale_cof(_combine_cof(cof, _quotient_polys(ring, quotients),
-                                      cofs), 1 / (scale * g))
+        cof = _scale_cof(_combine_cof(ring, cof,
+                                      _quotient_polys(ring, quotients), cofs),
+                         1 / (scale * g))
     return prim, next(iter(prim)), cof
 
 
@@ -532,7 +528,7 @@ def _interreduce(basis: _IntBasis, cofs: Sequence, ring: RingSpec,
         vectors.append(_vector(ring, basis.rank, prim, unit))
         if cof is not None:
             cof = _scale_cof(_combine_cof(
-                cof, _quotient_polys(ring, quotients), min_cofs),
+                ring, cof, _quotient_polys(ring, quotients), min_cofs),
                 1 / (scale * rem[lead]))
         out_cofs.append(cof)
     return reduced, vectors, out_cofs
@@ -712,14 +708,8 @@ class SpanSolver:
 
     def _gb_combination(self, over_gb: List[Poly]) -> Vector:
         """Push a coefficient vector over the basis down to the gens."""
-        coeffs = [Poly.zero(self.ring) for _ in range(self.count)]
-        for ca, row in zip(over_gb, self._cofs):
-            if ca.is_zero():
-                continue
-            for k, c in enumerate(row):
-                if not c.is_zero():
-                    coeffs[k] = coeffs[k] + c * ca
-        return Vector(self.ring, coeffs)
+        return Vector(self.ring, _push_down(self.ring, over_gb, self._cofs,
+                                            self.count))
 
     def syzygies(self) -> List[Vector]:
         """Certified generators of {(a_1..a_m) : sum(a_i * gens[i]) = 0}.
@@ -776,10 +766,10 @@ class SpanSolver:
         for v in rows:
             if v.is_zero():
                 continue
-            acc = Vector.zero(self.ring, self.rank)
-            for c, g in zip(v.entries, self.gens):
-                acc = acc + g.poly_mul(c)
-            if not acc.is_zero():
+            # every row against every generator, one exact sum per position
+            if any(sum_of_products(self.ring, [(c, g.entries[p]) for c, g
+                                               in zip(v.entries, self.gens)]
+                                   ).terms for p in range(self.rank)):
                 raise RuntimeError("uncertified syzygy")
             out.append(v.scale(_primitive_scale(v, order)))
         return out
@@ -898,34 +888,16 @@ class PolyMatrix:
     def __mul__(self, other: "PolyMatrix") -> "PolyMatrix":
         if self.ncols != other.nrows:
             raise ValueError("matrix shape mismatch in product")
-        z = Poly.zero(self.ring)
-        out = []
-        for i in range(self.nrows):
-            row = []
-            for j in range(other.ncols):
-                acc = z
-                for k in range(self.ncols):
-                    a = self.rows[i][k]
-                    b = other.rows[k][j]
-                    if not a.is_zero() and not b.is_zero():
-                        acc = acc + a * b
-                row.append(acc)
-            out.append(tuple(row))
-        return PolyMatrix(self.ring, self.nrows, other.ncols, tuple(out))
+        cols = [[r[j] for r in other.rows] for j in range(other.ncols)]
+        return PolyMatrix(self.ring, self.nrows, other.ncols,
+                          ([sum_of_products(self.ring, zip(row, col))
+                            for col in cols] for row in self.rows))
 
     def mul_vec(self, v: Vector) -> Vector:
         if v.rank != self.ncols:
             raise ValueError("shape mismatch in matrix-vector product")
-        z = Poly.zero(self.ring)
-        out = []
-        for i in range(self.nrows):
-            acc = z
-            for k in range(self.ncols):
-                a = self.rows[i][k]
-                if not a.is_zero() and not v.entries[k].is_zero():
-                    acc = acc + a * v.entries[k]
-            out.append(acc)
-        return Vector(self.ring, out)
+        return Vector(self.ring, (sum_of_products(self.ring, zip(row, v.entries))
+                                  for row in self.rows))
 
     @staticmethod
     def hstack(a: "PolyMatrix", b: "PolyMatrix") -> "PolyMatrix":

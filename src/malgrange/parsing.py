@@ -123,11 +123,33 @@ MAX_NESTING = 100
 MAX_PRODUCT_WORK = 250_000
 
 
+# Bits one coefficient of a parser product or power may reach, predicted
+# before it runs, so a power of one term such as 2^99999999999 (never
+# bounded by MAX_PRODUCT_WORK) is a parse error at once instead of an
+# integer of gigabytes.  Integer literals are held to it too.  It keeps
+# every parsed coefficient under Python's 4300-digit limit on int-to-text
+# conversion.  A module constant, not an option.
+MAX_COEFFICIENT_BITS = 10_000
+
+
 def _check_work(work: int, what: str, op: Token) -> None:
     if work > MAX_PRODUCT_WORK:
         raise ParseError(f"{what} too large: predicted work exceeds "
                          f"{MAX_PRODUCT_WORK} coefficient products",
                          op.line, op.col)
+
+
+def _check_bits(bits: int, what: str, op: Token) -> None:
+    if bits > MAX_COEFFICIENT_BITS:
+        raise ParseError(f"{what} too large: predicted coefficients exceed "
+                         f"{MAX_COEFFICIENT_BITS} bits", op.line, op.col)
+
+
+def _coefficient_bits(p: Poly) -> int:
+    """Bit length of the largest numerator or denominator of p, with the
+    coefficients +1 and -1 counting 0 (their powers never grow)."""
+    return max((max(abs(c.numerator), c.denominator).bit_length()
+                for _, c in p.terms if abs(c) != 1), default=0)
 
 
 def _power_work(base: Poly, n: int) -> int:
@@ -148,28 +170,38 @@ def _power_work(base: Poly, n: int) -> int:
     return r * r
 
 
+def _int_literal(ts: TokenStream) -> int:
+    """The value of the INT token at ts (consumed), held to
+    MAX_COEFFICIENT_BITS; the digit count is checked before ``int`` runs,
+    since D digits are at least 3 * (D - 1) bits."""
+    tok = ts.next()
+    digits = tok.text.lstrip("0") or "0"
+    if (3 * (len(digits) - 1) > MAX_COEFFICIENT_BITS
+            or int(digits).bit_length() > MAX_COEFFICIENT_BITS):
+        raise ts.error(f"integer literal too large: exceeds "
+                       f"{MAX_COEFFICIENT_BITS} bits", tok)
+    return int(digits)
+
+
 def _parse_exponent(ts: TokenStream) -> int:
-    tok = ts.peek()
-    if tok.kind != "INT":
+    if ts.peek().kind != "INT":
         raise ts.error("expected nonnegative integer exponent")
-    ts.next()
-    return int(tok.text)
+    return _int_literal(ts)
 
 
 def _parse_factor(ts: TokenStream, ring: RingSpec) -> Poly:
     tok = ts.peek()
     if tok.kind == "INT":
-        ts.next()
-        num = int(tok.text)
+        num = _int_literal(ts)
         if ts.at_punct("/"):
             ts.next()
             den_tok = ts.peek()
             if den_tok.kind != "INT":
                 raise ts.error("expected denominator after '/'")
-            ts.next()
-            if int(den_tok.text) == 0:
+            den = _int_literal(ts)
+            if den == 0:
                 raise ts.error("zero denominator", den_tok)
-            base = Poly.constant(ring, Fraction(num, int(den_tok.text)))
+            base = Poly.constant(ring, Fraction(num, den))
         else:
             base = Poly.constant(ring, num)
     elif tok.kind == "IDENT":
@@ -194,6 +226,7 @@ def _parse_factor(ts: TokenStream, ring: RingSpec) -> Poly:
         op = ts.next()
         n = _parse_exponent(ts)
         _check_work(_power_work(base, n), "power", op)
+        _check_bits(n * _coefficient_bits(base), "power", op)
         base = base ** n
     return base
 
@@ -204,24 +237,26 @@ def _parse_product(ts: TokenStream, ring: RingSpec) -> Poly:
         op = ts.next()
         factor = _parse_factor(ts, ring)
         _check_work(len(out.terms) * len(factor.terms), "product", op)
+        _check_bits(_coefficient_bits(out) + _coefficient_bits(factor),
+                    "product", op)
         out = out * factor
     return out
 
 
 def _parse_expr(ts: TokenStream, ring: RingSpec) -> Poly:
-    negate = False
-    if ts.accept_punct("-"):
-        negate = True
-    out = _parse_product(ts, ring)
-    if negate:
-        out = -out
+    """A signed sum of products, built once from all of its summands' terms,
+    so a long literal sum parses in time linear in its terms."""
+    terms = []
+    negate = ts.accept_punct("-")
     while True:
+        summand = _parse_product(ts, ring).terms
+        terms.extend(((m, -c) for m, c in summand) if negate else summand)
         if ts.accept_punct("+"):
-            out = out + _parse_product(ts, ring)
+            negate = False
         elif ts.accept_punct("-"):
-            out = out - _parse_product(ts, ring)
+            negate = True
         else:
-            return out
+            return Poly(ring, terms)
 
 
 def parse_poly_tokens(ts: TokenStream, ring: RingSpec) -> Poly:

@@ -9,10 +9,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from operator import add, le, sub
-from typing import Iterable, Iterator, Tuple
+from typing import Dict, Hashable, Iterable, Iterator, Sequence, Tuple, TypeVar
 
 Monomial = Tuple[int, ...]
+_K = TypeVar("_K", bound=Hashable)
+_ONE = Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -96,6 +99,35 @@ LEX = MonomialOrder("lex")
 GREVLEX = MonomialOrder("grevlex")
 
 
+def _descending(item: Tuple[Monomial, object]):
+    """Sort key of a (monomial, coefficient) item that puts terms in
+    descending grevlex order: ascending by this key is descending by
+    ``GREVLEX.key``."""
+    exps = item[0]
+    return (-sum(exps), exps[::-1])
+
+
+def _sorted_terms(acc: Dict[Monomial, object]) -> tuple:
+    """The nonzero items of a term dict, in descending grevlex order."""
+    return tuple(sorted([t for t in acc.items() if t[1]], key=_descending))
+
+
+def scaled_ints(terms: Sequence[Tuple[_K, Fraction]],
+                ) -> Tuple[Fraction, Dict[_K, int]]:
+    """(s, D) with D a primitive integer dict and s * D == dict(terms).
+
+    Every coefficient is brought over the common denominator and the
+    content is divided out, so D holds the smallest integers that keep the
+    coefficients' ratios.  The empty input gives (1, {}).
+    """
+    denom = lcm(*(c.denominator for _, c in terms))
+    ints = {k: c.numerator * (denom // c.denominator) for k, c in terms}
+    content = gcd(*ints.values())
+    if content == 0:
+        return _ONE, {}
+    return Fraction(content, denom), {k: n // content for k, n in ints.items()}
+
+
 # -- polynomials ---------------------------------------------------------------
 
 class Poly:
@@ -117,13 +149,13 @@ class Poly:
             exps = tuple(exps)
             if len(exps) != ring.nvars:
                 raise ValueError("monomial length does not match ring")
-            c = acc.get(exps, 0) + coeff
-            if c == 0:
-                acc.pop(exps, None)
+            if type(coeff) is not Fraction:
+                coeff = Fraction(coeff)
+            if exps in acc:
+                acc[exps] += coeff
             else:
-                acc[exps] = Fraction(c)
-        ordered = sorted(acc.items(), key=lambda t: GREVLEX.key(t[0]), reverse=True)
-        object.__setattr__(self, "terms", tuple(ordered))
+                acc[exps] = coeff
+        object.__setattr__(self, "terms", _sorted_terms(acc))
 
     def __setattr__(self, *_):
         raise AttributeError("Poly is immutable")
@@ -191,7 +223,14 @@ class Poly:
 
     def __add__(self, other: "Poly") -> "Poly":
         self._check(other)
-        return Poly(self.ring, self.terms + other.terms)
+        if not other.terms:
+            return self
+        if not self.terms:
+            return other
+        acc = dict(self.terms)
+        for m, c in other.terms:
+            acc[m] = acc[m] + c if m in acc else c
+        return Poly(self.ring, _sorted_terms(acc), _canonical=True)
 
     def __sub__(self, other: "Poly") -> "Poly":
         self._check(other)
@@ -202,17 +241,7 @@ class Poly:
 
     def __mul__(self, other: "Poly") -> "Poly":
         self._check(other)
-        acc: dict = {}
-        for m1, c1 in self.terms:
-            for m2, c2 in other.terms:
-                m = mono_mul(m1, m2)
-                c = acc.get(m, 0) + c1 * c2
-                if c == 0:
-                    acc.pop(m, None)
-                else:
-                    acc[m] = c
-        ordered = sorted(acc.items(), key=lambda t: GREVLEX.key(t[0]), reverse=True)
-        return Poly(self.ring, tuple(ordered), _canonical=True)
+        return sum_of_products(self.ring, ((self, other),))
 
     def scale(self, c) -> "Poly":
         c = Fraction(c)
@@ -231,6 +260,10 @@ class Poly:
     def __pow__(self, n: int) -> "Poly":
         if n < 0:
             raise ValueError("negative exponent")
+        if len(self.terms) == 1:  # (c * x^m)^n = c^n * x^(n*m)
+            m, c = self.terms[0]
+            return Poly(self.ring, ((tuple(e * n for e in m), c ** n),),
+                        _canonical=True)
         out = Poly.one(self.ring)
         base = self
         while n:  # square-and-multiply
@@ -255,6 +288,40 @@ class Poly:
 
     def __repr__(self) -> str:
         return f"Poly({format_poly(self)})"
+
+
+def sum_of_products(ring: RingSpec, pairs: Iterable[Tuple[Poly, Poly]],
+                    ) -> Poly:
+    """The exact sum of a * b over pairs, in one integer pass.
+
+    Each operand is converted once to a primitive integer dict times a
+    rational unit (``scaled_ints``); the integer products, brought over
+    one common denominator, accumulate in one dict, and the result is
+    sorted once with one ``Fraction`` per surviving term.  An empty pair
+    list, or pairs that cancel, give the zero polynomial.
+    """
+    scaled = []
+    denom = 1
+    for a, b in pairs:
+        if a.ring != ring or b.ring != ring:
+            raise ValueError("ring mismatch")
+        if a.terms and b.terms:
+            ua, ia = scaled_ints(a.terms)
+            ub, ib = scaled_ints(b.terms)
+            unit = ua * ub
+            scaled.append((unit, ia, ib))
+            denom = lcm(denom, unit.denominator)
+    acc: dict = {}
+    get = acc.get
+    for unit, ia, ib in scaled:
+        f = unit.numerator * (denom // unit.denominator)
+        for m1, c1 in ia.items():
+            c1 *= f
+            for m2, c2 in ib.items():
+                m = tuple(map(add, m1, m2))
+                acc[m] = get(m, 0) + c1 * c2
+    return Poly(ring, [(m, Fraction(c, denom)) for m, c in _sorted_terms(acc)],
+                _canonical=True)
 
 
 def format_rational(a: Fraction) -> str:

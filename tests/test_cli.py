@@ -4,13 +4,15 @@ import subprocess
 import sys
 import time
 
+from fractions import Fraction
+
 import pytest
 
 from malgrange import parsing
 from malgrange.cli import _Printer, main, run
-from malgrange.parsing import (MAX_NESTING, MAX_PRODUCT_WORK, ParseError,
-                               parse_poly)
-from malgrange.rings import ring
+from malgrange.parsing import (MAX_COEFFICIENT_BITS, MAX_NESTING,
+                               MAX_PRODUCT_WORK, ParseError, parse_poly)
+from malgrange.rings import Poly, ring
 from malgrange.session import parse_session
 
 INTEGRATOR = "ring Q[d]; system S = [[d, -1]] vars x, u;"
@@ -215,6 +217,88 @@ def test_dense_powers_within_the_bound_still_parse():
     assert (parse_poly("(d+1)^30*(d+1)^40", rd)
             == parse_poly("(d+1)^70", rd))
     assert len(parse_poly("(d^2+d+1)^100", rd).terms) == 201
+
+
+def test_long_literal_sum_parses_in_linear_time():
+    rd = ring("d")
+    text = " + ".join(f"d^{k}" for k in range(20_000))
+    start = time.perf_counter()
+    parsed = parse_poly(text, rd)
+    assert time.perf_counter() - start < 10
+    assert parsed == Poly(rd, [((k,), 1) for k in range(20_000)])
+
+
+def test_signed_summands_are_collected_once():
+    rd = ring("d")
+    assert parse_poly("-d - 2 + d - (d - 2) + 3*d", rd) == parse_poly("2*d", rd)
+    assert parse_poly("d - d", rd) == Poly.zero(rd)
+
+
+@pytest.mark.parametrize("poly", [
+    "2^99999999999", "(2*d)^99999999999", "(1/3)^99999999999",
+], ids=["integer", "term", "fraction"])
+def test_coefficient_growth_fails_fast(tmp_path, poly):
+    text = f"ring Q[d]; module M = coker [[{poly}]];"
+    start = time.perf_counter()
+    r = invoke(["torsion", session_file(tmp_path, text)], timeout=20)
+    assert time.perf_counter() - start < 10
+    assert r.returncode == 2
+    # reported at the '^' whose predicted coefficients exceed the bound
+    assert r.stderr == (f"error: 1:{text.index('^')}: power too large: "
+                        f"predicted coefficients exceed {MAX_COEFFICIENT_BITS}"
+                        " bits\n")
+
+
+@pytest.mark.parametrize("poly, annihilator", [
+    ("d^99999999999", "d^99999999999"),
+    ("(-d)^99999999999", "d^99999999999"),
+    ("2^64*d", "d"),
+], ids=["monomial", "negated-monomial", "power-of-two"])
+def test_unit_and_small_coefficient_powers_still_answer(tmp_path, poly,
+                                                        annihilator):
+    text = f"ring Q[d]; module M = coker [[{poly}]];"
+    r = invoke(["torsion", session_file(tmp_path, text)], timeout=20)
+    assert r.returncode == 0
+    assert r.stdout == ("torsion M: generators: 1\n"
+                        f"  generator [1]: annihilator {annihilator}\n")
+    assert parse_poly("2^64", ring("d")) == Poly.constant(ring("d"), 2 ** 64)
+
+
+def test_coefficient_bound_is_inclusive_for_products_and_powers(monkeypatch):
+    monkeypatch.setattr(parsing, "MAX_COEFFICIENT_BITS", 12)
+    rd = ring("d")
+    # bit lengths: 2 and 1/2 have 2, 7 has 3, 16 has 5, 64 has 7, 2401 has
+    # 12, and the coefficients +1 and -1 count 0; each bound below is met
+    # exactly
+    assert parse_poly("2^6", rd) == Poly.constant(rd, 64)
+    assert parse_poly("(1/2*d)^6", rd) == Poly.term(rd, Fraction(1, 64), (6,))
+    assert parse_poly("64*16", rd) == Poly.constant(rd, 1024)
+    assert parse_poly("7*7*7*7*(-d)^100", rd) == Poly.term(rd, 2401, (100,))
+    for text, op in (("2^7", "^"), ("(1/2*d)^7", "^"), ("64*32", "*"),
+                     ("7*7*7*7*7", "*")):
+        with pytest.raises(ParseError) as info:
+            parse_poly(text, rd)
+        assert (info.value.line, info.value.col) == (1, text.rindex(op))
+        what = "power" if op == "^" else "product"
+        assert info.value.msg == (f"{what} too large: predicted coefficients "
+                                  "exceed 12 bits")
+
+
+def test_long_integer_literals_are_a_parse_error(tmp_path):
+    limit = MAX_COEFFICIENT_BITS
+    rd = ring("d")
+    assert parse_poly(str(2 ** limit - 1), rd).terms[0][1] == 2 ** limit - 1
+    assert parse_poly("0" * 5000 + "7*d", rd) == Poly.term(rd, 7, (1,))
+    for text in (str(2 ** limit), "1/" + "3" * 5000, "d^" + "9" * 5000):
+        with pytest.raises(ParseError) as info:
+            parse_poly(text, rd)
+        assert info.value.msg == (f"integer literal too large: exceeds "
+                                  f"{limit} bits")
+    text = "ring Q[d]; module M = coker [[" + "9" * 5000 + "*d]];"
+    r = invoke(["torsion", session_file(tmp_path, text)], timeout=20)
+    assert r.returncode == 2
+    assert r.stderr == (f"error: 1:{text.index('9')}: integer literal too "
+                        f"large: exceeds {limit} bits\n")
 
 
 def test_unknown_command_is_usage_error(tmp_path):

@@ -337,6 +337,57 @@ def test_span_solver_certificates():
     assert solver.solve(vec(RXY, "1", "0")) is None
 
 
+# The syzygy certificates must be live: a corrupted row or a basis that
+# fails its own closure is an error, never a returned relation.
+
+def test_a_corrupted_syzygy_row_is_not_certified(monkeypatch):
+    gens = [vec(RXY, "x"), vec(RXY, "y")]
+    assert SpanSolver(gens, RXY, 1).syzygies()  # uncorrupted: certified
+    solver = SpanSolver(gens, RXY, 1)
+    original = SpanSolver._gb_combination
+    seen = []
+
+    def corrupted(self, over_gb):
+        row = original(self, over_gb)
+        seen.append(row)
+        if len(seen) == 1:  # the first row gains a term on generator 2
+            row = row + Vector.unit(RXY, 2, 1)
+        return row
+
+    monkeypatch.setattr(SpanSolver, "_gb_combination", corrupted)
+    with pytest.raises(RuntimeError, match="uncertified syzygy"):
+        solver.syzygies()
+    assert seen
+
+
+def test_a_generator_outside_the_basis_span_is_an_error(monkeypatch):
+    gens = [vec(RXY, "x"), vec(RXY, "y")]
+    solver = SpanSolver(gens, RXY, 1)
+    original = GrobnerBasis.normal_form
+
+    def leaking(self, v):  # every vector reported as its own remainder
+        return v, original(self, v)[1]
+
+    monkeypatch.setattr(GrobnerBasis, "normal_form", leaking)
+    with pytest.raises(RuntimeError, match="generator escaped its own span"):
+        solver.syzygies()
+
+
+def test_a_basis_not_closed_under_s_vectors_is_an_error(monkeypatch):
+    gens = [vec(RXY, "x"), vec(RXY, "y")]
+    solver = SpanSolver(gens, RXY, 1)
+    original = GrobnerBasis.normal_form
+
+    def open_basis(self, v):  # S-vectors (not generators) leave a remainder
+        r, q = original(self, v)
+        return (r if v in gens else Vector.unit(RXY, 1, 0)), q
+
+    monkeypatch.setattr(GrobnerBasis, "normal_form", open_basis)
+    with pytest.raises(RuntimeError,
+                       match="basis is not closed under S-vectors"):
+        solver.syzygies()
+
+
 def test_syzygies_mod_projection():
     # c with x*c in (x^2): c must lie in (x)
     a = PolyMatrix(RX, 1, 1, [[parse_poly("x", RX)]])

@@ -1,12 +1,14 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, strategies as st
 
+from malgrange import rings
 from malgrange.rings import (GREVLEX, LEX, Poly, format_poly, mono_degree,
                              mono_divides, mono_div, mono_lcm, mono_mul,
-                             ring)
+                             ring, scaled_ints, sum_of_products)
 from malgrange.parsing import ParseError, parse_poly
 
 RX = ring("x")
@@ -148,3 +150,93 @@ def test_format_parse_roundtrip_seeded(seed):
     r = (RX, RXY, RXYZ)[rng.randrange(3)]
     f = rand_poly(r, rng)
     assert parse_poly(format_poly(f), r) == f
+
+
+# -- the one-pass sum of products against a naive Fraction reference -------------
+
+def reference_terms(terms):
+    """Canonical terms of a raw term list: Fraction sums per monomial, zeros
+    dropped, sorted with ``GREVLEX.key`` descending."""
+    acc = {}
+    for m, c in terms:
+        acc[m] = acc.get(m, Fraction(0)) + Fraction(c)
+    return tuple(sorted(((m, c) for m, c in acc.items() if c),
+                        key=lambda t: GREVLEX.key(t[0]), reverse=True))
+
+
+def reference_sum_of_products(pairs):
+    """Sum of a * b over pairs, term by term in Fraction arithmetic."""
+    return reference_terms([(tuple(x + y for x, y in zip(m1, m2)), c1 * c2)
+                            for a, b in pairs
+                            for m1, c1 in a.terms for m2, c2 in b.terms])
+
+
+def raw_terms(nvars):
+    # mixed denominators, repeated monomials and zero coefficients
+    return st.lists(st.tuples(st.tuples(*[st.integers(0, 3)] * nvars),
+                              st.fractions(-6, 6, max_denominator=7)),
+                    max_size=6)
+
+
+@st.composite
+def operand_pairs(draw):
+    r = draw(st.sampled_from((RX, RXY, RXYZ)))
+    def poly():  # zero operands included: an empty or cancelling term list
+        return Poly(r, reference_terms(draw(raw_terms(r.nvars))),
+                    _canonical=True)
+    pairs = [(poly(), poly()) for _ in range(draw(st.integers(0, 4)))]
+    return r, pairs, draw(raw_terms(r.nvars))
+
+
+@given(operand_pairs(), st.booleans())
+def test_sum_of_products_matches_the_fraction_reference(drawn, cancel):
+    r, pairs, raw = drawn
+    if cancel:  # every product also subtracted: the sum is zero
+        pairs = pairs + [(-a, b) for a, b in pairs]
+    total = sum_of_products(r, pairs)
+    assert total.terms == reference_sum_of_products(pairs)
+    assert all(type(c) is Fraction for _, c in total.terms)
+    if cancel:
+        assert total == Poly.zero(r)
+    for a, b in pairs:
+        assert (a + b).terms == reference_terms(a.terms + b.terms)
+        assert (a - b).terms == reference_terms(
+            a.terms + tuple((m, -c) for m, c in b.terms))
+        assert (a * b).terms == reference_sum_of_products([(a, b)])
+    built = Poly(r, raw)
+    assert built.terms == reference_terms(raw)
+    assert all(type(c) is Fraction for _, c in built.terms)
+    unit, ints = scaled_ints(built.terms)
+    assert {m: unit * n for m, n in ints.items()} == dict(built.terms)
+    assert gcd(*ints.values()) == (1 if ints else 0)
+
+
+def test_sum_of_products_edge_cases():
+    x, y = Poly.variable(RXY, 0), Poly.variable(RXY, 1)
+    zero = Poly.zero(RXY)
+    assert sum_of_products(RXY, []) == zero
+    assert sum_of_products(RXY, [(zero, x), (y, zero)]) == zero
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    # (x/2 + 1/3)(x + y) - (x*y)/2 = x^2/2 + x/3 + y/3
+    total = sum_of_products(RXY, [(x.scale(half) + Poly.constant(RXY, third),
+                                   x + y), (x.scale(-half), y)])
+    assert total == Poly(RXY, [((2, 0), half), ((1, 0), third),
+                               ((0, 1), third)])
+    with pytest.raises(ValueError, match="ring mismatch"):
+        sum_of_products(RXY, [(Poly.one(RX), x)])
+
+
+@given(st.lists(st.tuples(*[st.integers(0, 4)] * 3), max_size=30))
+def test_descending_key_orders_as_grevlex(monomials):
+    expected = sorted(set(monomials), key=GREVLEX.key, reverse=True)
+    items = sorted(((m, 1) for m in set(monomials)), key=rings._descending)
+    assert [m for m, _ in items] == expected
+    built = Poly(RXYZ, [(m, 1) for m in monomials])
+    assert [m for m, _ in built.terms] == expected
+
+
+def test_power_of_one_term_is_closed_form():
+    f = Poly.term(RXY, Fraction(-2, 3), (1, 2))
+    assert f ** 0 == Poly.one(RXY)
+    assert f ** 5 == f * f * f * f * f
+    assert (f ** 5).terms == (((5, 10), Fraction(-32, 243)),)

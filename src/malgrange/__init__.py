@@ -3,7 +3,7 @@
 The layers, bottom to top:
 
 - ``rings``: multivariate polynomials over Q (coefficients are
-  ``fractions.Fraction``) with monomial orders.
+  ``fractions.Fraction``) in grevlex order.
 - ``groebner``: Gröbner bases for submodules of free modules, division,
   syzygies, and membership certificates.
 - ``modules``: finitely presented modules, morphisms, Hom modules, duals,
@@ -15,7 +15,7 @@ The layers, bottom to top:
 - ``session``/``cli``: the input language and command-line surface.
 """
 
-from .rings import LEX, GREVLEX, MonomialOrder, Poly, RingSpec, ring
+from .rings import GREVLEX, MonomialOrder, Poly, RingSpec, ring
 from .groebner import (GrobnerBasis, PolyMatrix, SpanSolver, Vector,
                        buchberger, colon_ideal, divide, syzygies, syzygies_mod,
                        solve_mod)
@@ -45,7 +45,7 @@ from .session import Session, parse_session
 __version__ = "0.1.0"
 
 __all__ = [
-    "LEX", "GREVLEX", "MonomialOrder", "Poly", "RingSpec", "ring",
+    "GREVLEX", "MonomialOrder", "Poly", "RingSpec", "ring",
     "GrobnerBasis", "PolyMatrix", "SpanSolver", "Vector", "buchberger",
     "colon_ideal", "divide", "syzygies", "syzygies_mod", "solve_mod",
     "AnnihilatorIdeal", "Element", "FPModule", "Morphism", "annihilator",

@@ -141,8 +141,7 @@ def _run_hom(session: Session, out: _Printer, results: List[Dict]) -> int:
 def _run_gb(session: Session, out: _Printer, results: List[Dict]) -> int:
     for (name,) in _targets(session, "gb"):
         m = session.module_of(name)
-        basis = sorted(m.gb.gens, key=lambda v: m.gb.order.key(
-            *v.leading(m.gb.order)[:2]), reverse=True)
+        basis = m.gb.gens[::-1]  # a reduced basis lists its leads ascending
         out.add(f"gb {name}: elements: {len(basis)}")
         for v in basis:
             out.add(f"  {v}")

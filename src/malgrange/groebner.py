@@ -9,7 +9,7 @@ Reduced bases, span solvers and Hom modules are kept in one bounded LRU
 cache keyed by the exact presentation (``cached``): an equal input returns
 the object built, and certified, the first time.
 
-Module monomials are (position, monomial) pairs.  The default order is
+Module monomials are (position, monomial) pairs.  The order is
 position-over-term with e1 > e2 > ... over grevlex, which makes the
 elimination-style syzygy and lifting computations below correct.
 """
@@ -24,26 +24,15 @@ from math import gcd
 from typing import (Callable, Iterable, List, Optional, Sequence, Tuple,
                     TypeVar, Union)
 
-from .rings import (GREVLEX, MonomialOrder, Monomial, Poly, RingSpec,
-                    mono_div, mono_divides, mono_lcm, mono_mul, scaled_ints,
+from .rings import (GREVLEX, Monomial, Poly, RingSpec, mono_div,
+                    mono_divides, mono_lcm, mono_mul, scaled_ints,
                     sum_of_products)
 
 
-@dataclass(frozen=True)
-class ModuleOrder:
-    """Position over term on (position, monomial) pairs: positions rank
-    e1 > e2 > ..., ties broken by the base monomial order."""
-
-    base: MonomialOrder = GREVLEX
-
-    def key(self, pos: int, exps: Monomial):
-        return (-pos, self.base.key(exps))
-
-    def __str__(self) -> str:
-        return f"POT/{self.base}"
-
-
-POT_GREVLEX = ModuleOrder(GREVLEX)
+def _pot_key(pos: int, exps: Monomial):
+    """Sort key of the module term exps * e_pos: positions rank
+    e1 > e2 > ..., ties broken by grevlex; larger key = larger term."""
+    return (-pos, GREVLEX.key(exps))
 
 
 class Vector:
@@ -101,21 +90,16 @@ class Vector:
     def mul_term(self, coeff: Fraction, exps: Monomial) -> "Vector":
         return Vector(self.ring, (p.mul_term(coeff, exps) for p in self.entries))
 
-    def leading(self, order: ModuleOrder) -> Tuple[int, Monomial, Fraction]:
-        """(position, monomial, coefficient) of the maximal module term."""
-        best = None
-        best_key = None
+    def leading(self) -> Tuple[int, Monomial, Fraction]:
+        """(position, monomial, coefficient) of the maximal module term:
+        the first term of the first nonzero entry, since position over term
+        ranks position 0 highest and each entry lists its largest term
+        first."""
         for pos, p in enumerate(self.entries):
-            if p.is_zero():
-                continue
-            c, m = p.leading_term(order.base)
-            k = order.key(pos, m)
-            if best_key is None or k > best_key:
-                best_key = k
-                best = (pos, m, c)
-        if best is None:
-            raise ValueError("zero vector has no leading term")
-        return best
+            if p.terms:
+                m, c = p.terms[0]
+                return pos, m, c
+        raise ValueError("zero vector has no leading term")
 
     def slice(self, start: int, stop: int) -> "Vector":
         return Vector(self.ring, self.entries[start:stop])
@@ -165,12 +149,6 @@ def _vector(ring: RingSpec, rank: int, terms: dict, unit) -> Vector:
     return Vector(ring, (Poly(ring, r) for r in rows))
 
 
-def _reversed_key(key):
-    """An order key with every integer negated: a min-heap of these pops
-    the largest term first (keys are nested tuples of integers)."""
-    return tuple(_reversed_key(x) if type(x) is tuple else -x for x in key)
-
-
 class _IntBasis:
     """Divisors converted once to primitive integer term dicts.
 
@@ -181,11 +159,9 @@ class _IntBasis:
     (i, lead monomial, integer lead coefficient, other terms, invs[i]).
     """
 
-    __slots__ = ("order", "rank", "terms", "leads", "units", "invs",
-                 "by_pos")
+    __slots__ = ("rank", "terms", "leads", "units", "invs", "by_pos")
 
-    def __init__(self, order: ModuleOrder, rank: int):
-        self.order = order
+    def __init__(self, rank: int):
         self.rank = rank
         self.terms: List[dict] = []
         self.leads: List[Tuple[int, Monomial]] = []
@@ -194,13 +170,12 @@ class _IntBasis:
         self.by_pos: dict = {}
 
     @staticmethod
-    def of(vectors: Sequence[Vector], order: ModuleOrder,
-           rank: int) -> "_IntBasis":
-        basis = _IntBasis(order, rank)
+    def of(vectors: Sequence[Vector], rank: int) -> "_IntBasis":
+        basis = _IntBasis(rank)
         for v in vectors:
             if v.rank != rank:
                 raise ValueError("vector rank mismatch")
-            pos, exps, _ = v.leading(order)
+            pos, exps, _ = v.leading()
             unit, terms = _scaled_ints(v)
             basis.add(terms, (pos, exps), unit)
         return basis
@@ -230,8 +205,9 @@ def _reduce(p: dict, basis: _IntBasis, scale: Optional[Fraction] = None,
     The leading term is reduced first, by the first element of basis
     (other than element skip) whose lead divides it; a term no lead
     divides moves to the remainder.  The leading term is found with a
-    heap of reversed order keys; a key whose term cancelled stays in the
-    heap and is dropped when popped.
+    min-heap keyed (position, -degree, reversed exponents), which pops the
+    largest term first; a key whose term cancelled stays in the heap and
+    is dropped when popped.
 
     Without scale, returns (rem, None, None): the remainder up to a
     nonzero rational factor.  With scale, p stands for scale * p and the
@@ -239,16 +215,15 @@ def _reduce(p: dict, basis: _IntBasis, scale: Optional[Fraction] = None,
     scale * p == sum(q[i][m] * x^m * basis[i]) + s * rem exactly.
     Either way rem lists its terms leading term first.
     """
-    key = basis.order.key
     by_pos = basis.by_pos
     track = scale is not None
     quotients = [{} for _ in range(len(basis))] if track else None
-    heap = [(_reversed_key(key(*t)), t) for t in p]
+    heap = [(pos, -sum(exps), exps[::-1], (pos, exps)) for pos, exps in p]
     heapify(heap)
     rem: dict = {}
     steps = 0
     while heap:
-        t = heappop(heap)[1]
+        t = heappop(heap)[3]
         a = p.pop(t, 0)
         if not a:
             continue
@@ -271,11 +246,12 @@ def _reduce(p: dict, basis: _IntBasis, scale: Optional[Fraction] = None,
             if track:
                 scale /= bp
         for tpos, texps, tc in tail:
-            k = (tpos, mono_mul(texps, shift))
+            m = mono_mul(texps, shift)
+            k = (tpos, m)
             c = p.get(k)
             if c is None:
                 p[k] = -ap * tc
-                heappush(heap, (_reversed_key(key(*k)), k))
+                heappush(heap, (tpos, -sum(m), m[::-1], k))
             else:
                 c -= ap * tc
                 if c:
@@ -298,7 +274,7 @@ def _quotient_polys(ring: RingSpec, quotients: List[dict]) -> List[Poly]:
 
 
 def divide(v: Vector, basis: Union[Sequence[Vector], _IntBasis],
-           order: ModuleOrder = POT_GREVLEX) -> Tuple[Vector, List[Poly]]:
+           ) -> Tuple[Vector, List[Poly]]:
     """Multivariate division: v = sum(q[i] * basis[i]) + r.
 
     No term of r is divisible (same position) by any basis leading term.
@@ -310,10 +286,10 @@ def divide(v: Vector, basis: Union[Sequence[Vector], _IntBasis],
     primitive integer term dicts times a rational unit, so the per-term
     arithmetic is plain integer work, and the emitted quotients and
     remainder are the exact rationals of the textbook division.  basis
-    may also be an ``_IntBasis`` already converted under its own order.
+    may also be an ``_IntBasis`` already converted.
     """
     if not isinstance(basis, _IntBasis):
-        basis = _IntBasis.of(basis, order, v.rank)
+        basis = _IntBasis.of(basis, v.rank)
     elif basis.rank != v.rank:
         raise ValueError("vector rank mismatch")
     unit, p = _scaled_ints(v)
@@ -336,7 +312,7 @@ _T = TypeVar("_T")
 def cached(key: tuple, build: Callable[[], _T]) -> _T:
     """The value stored under key, or build() stored under key.
 
-    Keys hold the input itself (vectors, matrices, rings, orders), so a
+    Keys hold the input itself (vectors, matrices, rings), so a
     hit needs an input equal term by term, with exact ``Fraction``
     coefficients, to the one the value was built and certified from; a
     hash collision alone never matches.  A build that raises stores
@@ -362,10 +338,10 @@ def _scale_cof(cof: Optional[List[Poly]], c) -> Optional[List[Poly]]:
     return [p.scale(c) for p in cof]
 
 
-def _primitive_scale(v: Vector, order: ModuleOrder) -> Fraction:
+def _primitive_scale(v: Vector) -> Fraction:
     """Unit c such that c*v has coprime integer coefficients, positive lead."""
     unit, _ = _scaled_ints(v)
-    return -1 / unit if v.leading(order)[2] < 0 else 1 / unit
+    return -1 / unit if v.leading()[2] < 0 else 1 / unit
 
 
 def _push_down(ring: RingSpec, coeffs: Sequence[Poly],
@@ -436,13 +412,13 @@ class _Completion:
     across reduction steps).  cofs[i] expresses element i over the input
     (None when not tracked).
 
-    Pending pairs sit in a heap of (order.key(position, lcm), i, j, lcm),
+    Pending pairs sit in a heap of (_pot_key(position, lcm), i, j, lcm),
     keyed once when pushed; live holds the (i, j) still in the heap.
     """
 
-    def __init__(self, order: ModuleOrder, ring: RingSpec, rank: int):
+    def __init__(self, ring: RingSpec, rank: int):
         self.ring = ring
-        self.basis = _IntBasis(order, rank)
+        self.basis = _IntBasis(rank)
         self.cofs: List[Optional[List[Poly]]] = []
         self.conc: List[Optional[int]] = []  # sole position used, or None
         self.same_pos: dict = {}  # position -> elements leading there
@@ -459,10 +435,9 @@ class _Completion:
         self.conc.append(pos if all(k[0] == pos for k in terms) else None)
         row = self.same_pos.setdefault(pos, [])
         if pairs:
-            key = basis.order.key
             for i in row:
                 l = mono_lcm(basis.leads[i][1], exps)
-                heappush(self.pending, (key(pos, l), i, j, l))
+                heappush(self.pending, (_pot_key(pos, l), i, j, l))
                 self.live.add((i, j))
         row.append(j)
 
@@ -503,10 +478,9 @@ def _interreduce(basis: _IntBasis, cofs: Sequence, ring: RingSpec,
     Returns the integer basis of the monic result (ascending leads), the
     monic vectors and their cofactors (None entries when not tracked).
     """
-    order = basis.order
     ranked = sorted(range(len(basis)),
-                    key=lambda i: order.key(*basis.leads[i]))
-    minimal = _IntBasis(order, basis.rank)
+                    key=lambda i: _pot_key(*basis.leads[i]))
+    minimal = _IntBasis(basis.rank)
     min_cofs = []
     for i in ranked:
         pos, exps = basis.leads[i]
@@ -515,7 +489,7 @@ def _interreduce(basis: _IntBasis, cofs: Sequence, ring: RingSpec,
             continue
         minimal.add(basis.terms[i], basis.leads[i], basis.units[i])
         min_cofs.append(cofs[i])
-    reduced = _IntBasis(order, basis.rank)
+    reduced = _IntBasis(basis.rank)
     vectors, out_cofs = [], []
     for i, lead in enumerate(minimal.leads):
         cof = min_cofs[i]
@@ -562,7 +536,6 @@ class GrobnerBasis:
 
     ring: RingSpec
     rank: int
-    order: ModuleOrder
     gens: Tuple[Vector, ...]
     _basis: Optional[_IntBasis] = field(default=None, repr=False,
                                         compare=False)
@@ -570,12 +543,12 @@ class GrobnerBasis:
     def __post_init__(self):
         if self._basis is None:
             object.__setattr__(self, "_basis",
-                               _IntBasis.of(self.gens, self.order, self.rank))
+                               _IntBasis.of(self.gens, self.rank))
 
     def normal_form(self, v: Vector) -> Tuple[Vector, List[Poly]]:
         if v.rank != self.rank:
             raise ValueError("rank mismatch")
-        return divide(v, self._basis, self.order)
+        return divide(v, self._basis)
 
     def reduce(self, v: Vector) -> Vector:
         return self.normal_form(v)[0]
@@ -587,9 +560,8 @@ class GrobnerBasis:
         return "{" + "; ".join(str(g) for g in self.gens) + "}"
 
 
-def buchberger(gens: Sequence[Vector], order: ModuleOrder = POT_GREVLEX,
-               *, ring: Optional[RingSpec] = None, rank: Optional[int] = None,
-               ) -> GrobnerBasis:
+def buchberger(gens: Sequence[Vector], *, ring: Optional[RingSpec] = None,
+               rank: Optional[int] = None) -> GrobnerBasis:
     """Reduced Groebner basis of the submodule generated by gens.
 
     Normal pair-selection strategy: pending pairs sit in a heap keyed once
@@ -609,38 +581,35 @@ def buchberger(gens: Sequence[Vector], order: ModuleOrder = POT_GREVLEX,
         if not v.is_zero():
             ring, rank = v.ring, v.rank
             break
-    return cached(("gb", order, ring, rank, gens),
-                  lambda: _buchberger_core(gens, order, ring, rank,
-                                           track=False)[0])
+    return cached(("gb", ring, rank, gens),
+                  lambda: _buchberger_core(gens, ring, rank, track=False)[0])
 
 
-def extended_buchberger(gens: Sequence[Vector],
-                        order: ModuleOrder = POT_GREVLEX, *,
+def extended_buchberger(gens: Sequence[Vector], *,
                         ring: Optional[RingSpec] = None,
                         rank: Optional[int] = None,
                         ) -> Tuple[GrobnerBasis, List[List[Poly]]]:
     """(G, A) with A[a] the coefficients expressing G[a] over the input:
     G[a] = sum(A[a][i] * gens[i]); zero input vectors get zero columns."""
-    return _buchberger_core(gens, order, ring, rank, track=True)
+    return _buchberger_core(gens, ring, rank, track=True)
 
 
-def _buchberger_core(gens: Sequence[Vector], order: ModuleOrder,
-                     ring: Optional[RingSpec], rank: Optional[int],
-                     track: bool,
+def _buchberger_core(gens: Sequence[Vector], ring: Optional[RingSpec],
+                     rank: Optional[int], track: bool,
                      ) -> Tuple[GrobnerBasis, Optional[List[List[Poly]]]]:
     m = len(gens)
     seeds = [(i, v) for i, v in enumerate(gens) if not v.is_zero()]
     if not seeds:
         if ring is None or rank is None:
             raise ValueError("empty input needs explicit ring and rank")
-        return GrobnerBasis(ring, rank, order, ()), ([] if track else None)
+        return GrobnerBasis(ring, rank, ()), ([] if track else None)
     ring = seeds[0][1].ring
     rank = seeds[0][1].rank
     for _, v in seeds:
         if v.rank != rank:
             raise ValueError("rank mismatch")
 
-    state = _Completion(order, ring, rank)
+    state = _Completion(ring, rank)
     for i, v in seeds:
         unit, p = _scaled_ints(v)
         if track:
@@ -655,11 +624,11 @@ def _buchberger_core(gens: Sequence[Vector], order: ModuleOrder,
         n = len(reduced)
         _sweep(reduced, cofs, ring)
         if len(reduced) == n:
-            return (GrobnerBasis(ring, rank, order, tuple(vectors), reduced),
+            return (GrobnerBasis(ring, rank, tuple(vectors), reduced),
                     cofs if track else None)
         # restart from the candidate; only pairs with the new remainders
         # are queued
-        state = _Completion(order, ring, rank)
+        state = _Completion(ring, rank)
         for k in range(len(reduced)):
             state.add(reduced.terms[k], reduced.leads[k], cofs[k],
                       reduced.units[k], pairs=k >= n)
@@ -678,18 +647,15 @@ class SpanSolver:
     the basis).
     """
 
-    def __init__(self, gens: Sequence[Vector], ring: RingSpec, rank: int,
-                 order: ModuleOrder = POT_GREVLEX):
+    def __init__(self, gens: Sequence[Vector], ring: RingSpec, rank: int):
         self.ring = ring
         self.rank = rank
         self.count = len(gens)
-        self.order = order
         self.gens = tuple(gens)  # shared through span_solver: read-only
         for g in gens:
             if g.rank != rank:
                 raise ValueError("rank mismatch")
-        self._gb, self._cofs = extended_buchberger(gens, order, ring=ring,
-                                                   rank=rank)
+        self._gb, self._cofs = extended_buchberger(gens, ring=ring, rank=rank)
         self._syz: Optional[List[Vector]] = None
 
     def solve(self, v: Vector) -> Optional[List[Poly]]:
@@ -732,7 +698,6 @@ class SpanSolver:
         Buchberger after projecting to the block they keep, where the
         rank is smaller and completion stays cheap.
         """
-        order = self.order
         basis = self._gb.gens
         rows: List[Vector] = []
         # each generator re-expressed through the basis: e_i - B_i A
@@ -745,9 +710,9 @@ class SpanSolver:
             rows.append(unit - combo)
         # Schreyer rows: one per same-position S-pair of the basis
         for a in range(len(basis)):
-            pa, ea, ca = basis[a].leading(order)
+            pa, ea, ca = basis[a].leading()
             for b in range(a + 1, len(basis)):
-                pb, eb, cb = basis[b].leading(order)
+                pb, eb, cb = basis[b].leading()
                 if pa != pb:
                     continue
                 l = mono_lcm(ea, eb)
@@ -771,29 +736,29 @@ class SpanSolver:
                                                in zip(v.entries, self.gens)]
                                    ).terms for p in range(self.rank)):
                 raise RuntimeError("uncertified syzygy")
-            out.append(v.scale(_primitive_scale(v, order)))
+            out.append(v.scale(_primitive_scale(v)))
         return out
 
 
-def span_solver(gens: Sequence[Vector], ring: RingSpec, rank: int,
-                order: ModuleOrder = POT_GREVLEX) -> SpanSolver:
+def span_solver(gens: Sequence[Vector], ring: RingSpec,
+                rank: int) -> SpanSolver:
     """The ``SpanSolver`` of gens, built once per exact input (``cached``)."""
     gens = tuple(gens)
-    return cached(("span", order, ring, rank, gens),
-                  lambda: SpanSolver(gens, ring, rank, order))
+    return cached(("span", ring, rank, gens),
+                  lambda: SpanSolver(gens, ring, rank))
 
 
-def syzygy_basis(gens: Sequence[Vector], ring: RingSpec, rank: int,
-                 order: ModuleOrder = POT_GREVLEX) -> List[Vector]:
+def syzygy_basis(gens: Sequence[Vector], ring: RingSpec,
+                 rank: int) -> List[Vector]:
     if not gens:
         return []
-    return span_solver(gens, ring, rank, order).syzygies()
+    return span_solver(gens, ring, rank).syzygies()
 
 
-def syzygies(gens: Sequence[Vector], ring: RingSpec, rank: int,
-             order: ModuleOrder = POT_GREVLEX) -> "PolyMatrix":
+def syzygies(gens: Sequence[Vector], ring: RingSpec,
+             rank: int) -> "PolyMatrix":
     """Matrix whose columns generate the relations among gens."""
-    cols = syzygy_basis(gens, ring, rank, order)
+    cols = syzygy_basis(gens, ring, rank)
     return PolyMatrix.from_columns(ring, len(gens), cols)
 
 
@@ -849,9 +814,6 @@ class PolyMatrix:
 
     def columns(self) -> List[Vector]:
         return [self.column(j) for j in range(self.ncols)]
-
-    def row(self, i: int) -> Vector:
-        return Vector(self.ring, self.rows[i])
 
     def transpose(self) -> "PolyMatrix":
         return PolyMatrix(self.ring, self.ncols, self.nrows,

@@ -493,7 +493,7 @@ def q_dimension(m: FPModule) -> Optional[int]:
     nv = m.ring.nvars
     leads = [[] for _ in range(m.ngens)]
     for g in m.gb.gens:
-        pos, exps, _ = g.leading(m.gb.order)
+        pos, exps, _ = g.leading()
         leads[pos].append(exps)
     total = 0
     for pos in range(m.ngens):

@@ -78,25 +78,19 @@ def mono_degree(a: Monomial) -> int:
     return sum(a)
 
 
-@dataclass(frozen=True)
 class MonomialOrder:
-    """A monomial well-order given by a sort key; larger key = larger monomial."""
+    """The graded reverse lexicographic order, the one monomial order of
+    the engine, given by a sort key: larger key = larger monomial."""
 
-    name: str
+    __slots__ = ()
 
     def key(self, exps: Monomial):
-        if self.name == "lex":
-            return exps
-        # grevlex: total degree first, ties broken by the *smallest* exponent
-        # in the last position where they differ winning.
+        # total degree first, ties broken by the *smallest* exponent in the
+        # last position where they differ winning
         return (sum(exps), tuple(-e for e in reversed(exps)))
 
-    def __str__(self) -> str:
-        return self.name
 
-
-LEX = MonomialOrder("lex")
-GREVLEX = MonomialOrder("grevlex")
+GREVLEX = MonomialOrder()
 
 
 def _descending(item: Tuple[Monomial, object]):
@@ -194,22 +188,17 @@ class Poly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def is_constant(self) -> bool:
-        return not self.terms or (len(self.terms) == 1
-                                  and mono_degree(self.terms[0][0]) == 0)
-
     def total_degree(self) -> int:
         if not self.terms:
             raise ValueError("zero polynomial has no degree")
         return max(mono_degree(m) for m, _ in self.terms)
 
-    def leading_term(self, order: MonomialOrder = GREVLEX) -> Tuple[Fraction, Monomial]:
+    def leading_term(self) -> Tuple[Fraction, Monomial]:
+        """(coefficient, monomial) of the grevlex-largest term, which the
+        canonical form lists first."""
         if not self.terms:
             raise ValueError("no leading term: zero polynomial")
-        if order is GREVLEX or order.name == "grevlex":
-            m, c = self.terms[0]
-            return c, m
-        m, c = max(self.terms, key=lambda t: order.key(t[0]))
+        m, c = self.terms[0]
         return c, m
 
     def __iter__(self) -> Iterator[Tuple[Monomial, Fraction]]:

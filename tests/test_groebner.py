@@ -7,11 +7,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import malgrange.groebner as groebner
-from malgrange.groebner import (POT_GREVLEX, GrobnerBasis, ModuleOrder,
-                                PolyMatrix, SpanSolver, Vector, buchberger,
-                                divide, extended_buchberger, span_solver,
-                                syzygies, syzygies_mod, solve_mod)
-from malgrange.rings import (LEX, Poly, mono_div, mono_divides, mono_mul,
+from malgrange.groebner import (GrobnerBasis, PolyMatrix, SpanSolver, Vector,
+                                buchberger, divide, extended_buchberger,
+                                span_solver, syzygies, syzygies_mod,
+                                solve_mod)
+from malgrange.rings import (GREVLEX, Poly, mono_div, mono_divides, mono_mul,
                              ring)
 from malgrange.parsing import parse_poly
 
@@ -40,27 +40,20 @@ def rand_vector(r, rng, rank, deg=2, terms=3):
 
 def test_division_univariate_exact():
     g = buchberger([vec(RX, "x")], ring=RX, rank=1)
-    r, q = divide(vec(RX, "x^2"), list(g.gens), g.order)
+    r, q = divide(vec(RX, "x^2"), list(g.gens))
     assert r.is_zero()
     assert q[0] == parse_poly("x", RX)
 
 
-def test_division_lex_one_step():
-    order = ModuleOrder(LEX)
-    basis = [vec(RXY, "x^2 - y")]
-    r, q = divide(vec(RXY, "x^2 + y"), basis, order)
-    assert r == vec(RXY, "2*y")
-
-
 def test_division_pot_irreducible():
     basis = [vec(RXY, "x", "0"), vec(RXY, "0", "1")]
-    r, _ = divide(vec(RXY, "y", "0"), basis, POT_GREVLEX)
+    r, _ = divide(vec(RXY, "y", "0"), basis)
     assert r == vec(RXY, "y", "0")
 
 
 def test_division_rank_mismatch():
     with pytest.raises(ValueError):
-        divide(vec(RX, "x", "1"), [vec(RX, "x")], POT_GREVLEX)
+        divide(vec(RX, "x", "1"), [vec(RX, "x")])
 
 
 def test_division_identity_seeded():
@@ -74,7 +67,7 @@ def test_division_identity_seeded():
         if not basis:
             continue
         v = rand_vector(r_ring, rng, rank)
-        rem, quots = divide(v, basis, POT_GREVLEX)
+        rem, quots = divide(v, basis)
         acc = rem
         for qi, gi in zip(quots, basis):
             acc = acc + gi.poly_mul(qi)
@@ -97,12 +90,27 @@ def _reference_scaled_ints(terms):
     return Fraction(num_gcd, denom_lcm), {k: n // num_gcd for k, n in ints}
 
 
-def reference_divide(v, basis, order):
+def reference_key(pos, exps):
+    """POT over grevlex, written out here so that the reference reducer
+    shares only the grevlex rule with the engine: larger key = larger
+    term."""
+    return (-pos, GREVLEX.key(exps))
+
+
+def reference_leading(v):
+    """(position, monomial, coefficient) of v's largest term, by a
+    max-scan over all its terms."""
+    terms = [(pos, exps, c) for pos, poly in enumerate(v.entries)
+             for exps, c in poly.terms]
+    return max(terms, key=lambda t: reference_key(t[0], t[1]))
+
+
+def reference_divide(v, basis):
     """Division as the engine first shipped it: the leading term of the
     dividend is found by a max-scan over all its terms at every step, and
     every divisor is converted on each call."""
     ring_ = v.ring
-    leads = [g.leading(order) for g in basis]
+    leads = [reference_leading(g) for g in basis]
     scale, p = _reference_scaled_ints(
         ((pos, exps), c)
         for pos, poly in enumerate(v.entries) for exps, c in poly.terms)
@@ -115,7 +123,7 @@ def reference_divide(v, basis, order):
     quotients = [{} for _ in basis]
     rem_terms = [[] for _ in range(v.rank)]
     while p:
-        pos, exps = max(p, key=lambda k: order.key(k[0], k[1]))
+        pos, exps = max(p, key=lambda k: reference_key(k[0], k[1]))
         a = p[(pos, exps)]
         for i, (gpos, gexps, _) in enumerate(leads):
             if gpos == pos and mono_divides(gexps, exps):
@@ -146,13 +154,11 @@ def reference_divide(v, basis, order):
 
 
 R3 = ring("x", "y", "z")
-ORDERS = [POT_GREVLEX, ModuleOrder(LEX)]
 
 
 @settings(max_examples=120, deadline=None)
-@given(st.integers(0, 2**30), st.sampled_from(ORDERS),
-       st.sampled_from([RX, RXY, R3]))
-def test_divide_matches_reference_reducer(seed, order, r):
+@given(st.integers(0, 2**30), st.sampled_from([RX, RXY, R3]))
+def test_divide_matches_reference_reducer(seed, r):
     rng = random.Random(seed)
     rank = rng.randint(1, 3)
     basis = [rand_vector(r, rng, rank, deg=rng.randint(1, 3))
@@ -162,10 +168,26 @@ def test_divide_matches_reference_reducer(seed, order, r):
     v = rand_vector(r, rng, rank, deg=4, terms=6)
     if not basis:
         return
-    assert divide(v, basis, order) == reference_divide(v, basis, order)
+    assert divide(v, basis) == reference_divide(v, basis)
     # the cached form a basis keeps answers the same
-    g = GrobnerBasis(r, rank, order, tuple(basis))
-    assert g.normal_form(v) == reference_divide(v, basis, order)
+    g = GrobnerBasis(r, rank, tuple(basis))
+    assert g.normal_form(v) == reference_divide(v, basis)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**30), st.sampled_from([RX, RXY, R3]),
+       st.integers(0, 3))
+def test_leading_is_the_largest_term(seed, r, zeros):
+    # the first `zeros` entries are zero, so the lead sits further down
+    rng = random.Random(seed)
+    v = rand_vector(r, rng, rng.randint(1, 3), deg=rng.randint(0, 4),
+                    terms=5)
+    v = Vector(r, (Poly.zero(r),) * zeros + v.entries)
+    if v.is_zero():
+        with pytest.raises(ValueError, match="zero vector"):
+            v.leading()
+        return
+    assert v.leading() == reference_leading(v)
 
 
 def test_normal_form_idempotent_and_membership():
@@ -218,7 +240,7 @@ def test_gb_reduced_invariants():
         rank = rng.randint(1, 2)
         gens = [rand_vector(RXY, rng, rank) for _ in range(3)]
         g = buchberger(gens, ring=RXY, rank=rank)
-        leads = [v.leading(g.order) for v in g.gens]
+        leads = [v.leading() for v in g.gens]
         # monic
         assert all(c == 1 for _, _, c in leads)
         # minimal: no lead divides another
@@ -229,8 +251,12 @@ def test_gb_reduced_invariants():
         # tail-reduced: each generator is its own normal form vs the others
         for i, v in enumerate(g.gens):
             others = [w for j, w in enumerate(g.gens) if j != i]
-            r, _ = divide(v, others, g.order)
+            r, _ = divide(v, others)
             assert r == v
+        # leads strictly ascending: the gb command and AnnihilatorIdeal
+        # list a basis largest lead first by reversing it
+        keys = [reference_key(*reference_leading(v)[:2]) for v in g.gens]
+        assert all(a < b for a, b in zip(keys, keys[1:]))
 
 
 def test_gb_all_s_vectors_reduce_to_zero():
@@ -241,15 +267,15 @@ def test_gb_all_s_vectors_reduce_to_zero():
         g = buchberger(gens, ring=RXY, rank=rank)
         basis = list(g.gens)
         for v, w in combinations(basis, 2):
-            pv, ev, cv = v.leading(g.order)
-            pw, ew, cw = w.leading(g.order)
+            pv, ev, cv = v.leading()
+            pw, ew, cw = w.leading()
             if pv != pw:
                 continue
             from malgrange.rings import mono_lcm, mono_div
             lcm = mono_lcm(ev, ew)
             s = (v.mul_term(Fraction(1, 1) / cv, mono_div(lcm, ev))
                  - w.mul_term(Fraction(1, 1) / cw, mono_div(lcm, ew)))
-            r, _ = divide(s, basis, g.order)
+            r, _ = divide(s, basis)
             assert r.is_zero()
 
 
@@ -451,8 +477,7 @@ def test_repeated_buchberger_returns_the_cached_basis():
     # an equal input, built anew and passed without ring/rank, hits
     again = [vec(RXY, "x^2 - y", "x"), vec(RXY, "x*y - 1", "0")]
     assert buchberger(again) is g
-    # a different order or coefficient is a different key
-    assert buchberger(gens, ModuleOrder(LEX), ring=RXY, rank=2) is not g
+    # a different coefficient is a different key
     assert buchberger([vec(RXY, "x^2 - 1/2*y", "x"), gens[1]]) is not g
 
 
@@ -468,7 +493,6 @@ def test_repeated_span_solver_returns_the_cached_solver():
     gens = [vec(RXY, "x", "y"), vec(RXY, "y", "0")]
     s = span_solver(gens, RXY, 2)
     assert span_solver(tuple(gens), RXY, 2) is s
-    assert span_solver(gens, RXY, 2, ModuleOrder(LEX)) is not s
     # direct construction never goes through the cache
     assert SpanSolver(gens, RXY, 2) is not s
 

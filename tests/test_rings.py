@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from malgrange import rings
-from malgrange.rings import (GREVLEX, LEX, Poly, format_poly, mono_degree,
+from malgrange.rings import (GREVLEX, Poly, format_poly, mono_degree,
                              mono_divides, mono_div, mono_lcm, mono_mul,
                              ring, scaled_ints, sum_of_products)
 from malgrange.parsing import ParseError, parse_poly
@@ -62,20 +62,19 @@ def test_power_matches_repeated_product():
 
 
 def test_leading_term_orders():
-    # x + y^2: lex picks x, grevlex picks y^2
+    # x + y^2: grevlex picks y^2
     f = Poly.variable(RXY, 0) + Poly.variable(RXY, 1, 2)
-    assert f.leading_term(LEX)[1] == (1, 0)
-    assert f.leading_term(GREVLEX)[1] == (0, 2)
+    assert f.leading_term()[1] == (0, 2)
 
 
 def test_leading_term_constant():
     f = Poly.constant(RXY, 5)
-    assert f.leading_term(GREVLEX) == (Fraction(5), (0, 0))
+    assert f.leading_term() == (Fraction(5), (0, 0))
 
 
 def test_leading_term_zero_rejected():
     with pytest.raises(ValueError, match="no leading term"):
-        Poly.zero(RX).leading_term(GREVLEX)
+        Poly.zero(RX).leading_term()
 
 
 def test_ring_axioms_seeded():
@@ -98,11 +97,10 @@ def test_leading_term_multiplicative():
         f, g = rand_poly(RXY, rng), rand_poly(RXY, rng)
         if f.is_zero() or g.is_zero():
             continue
-        for order in (LEX, GREVLEX):
-            cf, mf = f.leading_term(order)
-            cg, mg = g.leading_term(order)
-            cp, mp = (f * g).leading_term(order)
-            assert cp == cf * cg and mp == mono_mul(mf, mg)
+        cf, mf = f.leading_term()
+        cg, mg = g.leading_term()
+        cp, mp = (f * g).leading_term()
+        assert cp == cf * cg and mp == mono_mul(mf, mg)
 
 
 def test_parse_examples():

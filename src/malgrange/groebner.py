@@ -332,12 +332,6 @@ def cached(key: tuple, build: Callable[[], _T]) -> _T:
 
 # -- Buchberger completion -------------------------------------------------------
 
-def _scale_cof(cof: Optional[List[Poly]], c) -> Optional[List[Poly]]:
-    if cof is None:
-        return None
-    return [p.scale(c) for p in cof]
-
-
 def _primitive_scale(v: Vector) -> Fraction:
     """Unit c such that c*v has coprime integer coefficients, positive lead."""
     unit, _ = _scaled_ints(v)
@@ -353,11 +347,15 @@ def _push_down(ring: RingSpec, coeffs: Sequence[Poly],
             for k in range(count)]
 
 
-def _combine_cof(ring: RingSpec, cof: List[Poly], quotients: Sequence[Poly],
-                 cof_rows: Sequence[List[Poly]]) -> List[Poly]:
-    """Cofactors of v - sum(q_b * basis_b) given cofactors of v and basis."""
-    return [c - p for c, p in
-            zip(cof, _push_down(ring, quotients, cof_rows, len(cof)))]
+def _combine_cof(ring: RingSpec, cof: List[Poly], quotients: List[dict],
+                 cof_rows: Sequence[List[Poly]],
+                 unit: Fraction = _ONE) -> List[Poly]:
+    """Cofactors of unit * (v - sum(q_b * basis_b)), given the cofactors
+    of v and of the basis and the quotient dicts q from ``_reduce``."""
+    pushed = _push_down(ring, _quotient_polys(ring, quotients), cof_rows,
+                        len(cof))
+    return [c - p if unit == 1 else (c - p).scale(unit)
+            for c, p in zip(cof, pushed)]
 
 
 def _s_vector(basis: _IntBasis, i: int, j: int,
@@ -389,18 +387,21 @@ def _s_vector(basis: _IntBasis, i: int, j: int,
 
 
 def _reduce_to_element(p: dict, scale: Optional[Fraction], cof,
-                       basis: _IntBasis, cofs: Sequence, ring: RingSpec):
+                       basis: _IntBasis, cofs: Sequence, ring: RingSpec,
+                       zero_rows: Optional[list] = None):
     """(terms, lead, cof) of the primitive remainder of p against basis,
     or None when it is zero.  p stands for scale * p and cof are its
-    cofactors when tracked; both are None otherwise."""
+    cofactors when tracked; both are None otherwise.  A zero remainder of
+    a tracked p appends its relation, cof - sum(q_b * cofs[b]), to
+    zero_rows when given."""
     rem, scale, quotients = _reduce(p, basis, scale)
     if not rem:
+        if zero_rows is not None and cof is not None:
+            zero_rows.append(_combine_cof(ring, cof, quotients, cofs))
         return None
     g, prim = _primitive(rem)
     if cof is not None:
-        cof = _scale_cof(_combine_cof(ring, cof,
-                                      _quotient_polys(ring, quotients), cofs),
-                         1 / (scale * g))
+        cof = _combine_cof(ring, cof, quotients, cofs, 1 / (scale * g))
     return prim, next(iter(prim)), cof
 
 
@@ -501,29 +502,36 @@ def _interreduce(basis: _IntBasis, cofs: Sequence, ring: RingSpec,
         reduced.add(prim, lead, unit)
         vectors.append(_vector(ring, basis.rank, prim, unit))
         if cof is not None:
-            cof = _scale_cof(_combine_cof(
-                ring, cof, _quotient_polys(ring, quotients), min_cofs),
-                1 / (scale * rem[lead]))
+            cof = _combine_cof(ring, cof, quotients, min_cofs,
+                               1 / (scale * rem[lead]))
         out_cofs.append(cof)
     return reduced, vectors, out_cofs
 
 
-def _sweep(basis: _IntBasis, cofs: List, ring: RingSpec) -> None:
+def _sweep(basis: _IntBasis, cofs: List, ring: RingSpec,
+           ) -> List[List[Poly]]:
     """Final check of a candidate basis: reduce every same-position
     S-vector against the basis and the remainders found so far, and append
     each nonzero remainder (primitive) to basis and its cofactors to cofs.
+
+    Returns, when tracked, the relation among the inputs left by each
+    S-vector of elements i < j that reduced to zero, in (i, j) order:
+    Schreyer's rows (Eisenbud, Thm. 15.10), valid only if nothing was
+    appended.
     """
+    rows: List[List[Poly]] = []
     n = len(basis)
     for i in range(n):
         for j in range(i + 1, n):
             if basis.leads[i][0] != basis.leads[j][0]:
                 continue
             found = _reduce_to_element(*_s_vector(basis, i, j, cofs), basis,
-                                       cofs, ring)
+                                       cofs, ring, rows)
             if found is not None:
                 terms, lead, cof = found
                 basis.add(terms, lead)
                 cofs.append(cof)
+    return rows
 
 
 @dataclass(frozen=True)
@@ -588,21 +596,26 @@ def buchberger(gens: Sequence[Vector], *, ring: Optional[RingSpec] = None,
 def extended_buchberger(gens: Sequence[Vector], *,
                         ring: Optional[RingSpec] = None,
                         rank: Optional[int] = None,
-                        ) -> Tuple[GrobnerBasis, List[List[Poly]]]:
-    """(G, A) with A[a] the coefficients expressing G[a] over the input:
-    G[a] = sum(A[a][i] * gens[i]); zero input vectors get zero columns."""
+                        ) -> Tuple[GrobnerBasis, List[List[Poly]],
+                                   List[List[Poly]]]:
+    """(G, A, S) with A[a] the coefficients expressing G[a] over the input:
+    G[a] = sum(A[a][i] * gens[i]); zero input vectors get zero columns.
+    S[k] = x^u A[a] - x^v A[b] - sum(q_c * A[c]) for the k-th pair a < b
+    leading in one position, where x^u G[a] - x^v G[b] = sum(q_c * G[c])
+    in the final sweep: Schreyer's relations among gens, not certified."""
     return _buchberger_core(gens, ring, rank, track=True)
 
 
 def _buchberger_core(gens: Sequence[Vector], ring: Optional[RingSpec],
                      rank: Optional[int], track: bool,
-                     ) -> Tuple[GrobnerBasis, Optional[List[List[Poly]]]]:
+                     ) -> Tuple[GrobnerBasis, Optional[list], Optional[list]]:
     m = len(gens)
     seeds = [(i, v) for i, v in enumerate(gens) if not v.is_zero()]
     if not seeds:
         if ring is None or rank is None:
             raise ValueError("empty input needs explicit ring and rank")
-        return GrobnerBasis(ring, rank, ()), ([] if track else None)
+        return (GrobnerBasis(ring, rank, ()), [] if track else None,
+                [] if track else None)
     ring = seeds[0][1].ring
     rank = seeds[0][1].rank
     for _, v in seeds:
@@ -622,10 +635,10 @@ def _buchberger_core(gens: Sequence[Vector], ring: Optional[RingSpec],
         state.run()
         reduced, vectors, cofs = _interreduce(state.basis, state.cofs, ring)
         n = len(reduced)
-        _sweep(reduced, cofs, ring)
+        rows = _sweep(reduced, cofs, ring)
         if len(reduced) == n:
             return (GrobnerBasis(ring, rank, tuple(vectors), reduced),
-                    cofs if track else None)
+                    cofs if track else None, rows if track else None)
         # restart from the candidate; only pairs with the new remainders
         # are queued
         state = _Completion(ring, rank)
@@ -642,9 +655,9 @@ class SpanSolver:
     Keeps the reduced basis of the span together with the cofactor rows
     expressing each basis vector over the generators; membership
     certificates are division quotients pushed through the cofactors, and
-    syzygies come from Schreyer's construction (one row per same-position
-    S-pair of the basis, plus one row per generator re-expressed through
-    the basis).
+    syzygies come from Schreyer's construction (one row per generator
+    re-expressed through the basis, plus one row per same-position S-pair
+    of the basis, as the final sweep of ``extended_buchberger`` left it).
     """
 
     def __init__(self, gens: Sequence[Vector], ring: RingSpec, rank: int):
@@ -655,7 +668,8 @@ class SpanSolver:
         for g in gens:
             if g.rank != rank:
                 raise ValueError("rank mismatch")
-        self._gb, self._cofs = extended_buchberger(gens, ring=ring, rank=rank)
+        self._gb, self._cofs, self._schreyer = extended_buchberger(
+            gens, ring=ring, rank=rank)
         self._syz: Optional[List[Vector]] = None
 
     def solve(self, v: Vector) -> Optional[List[Poly]]:
@@ -693,12 +707,13 @@ class SpanSolver:
         Schreyer's construction: the rows below generate all relations
         (any syzygy s splits as s(I - BA) + (s B)A with B the division
         coefficients of the generators over the basis and A the tracked
-        cofactors).  The rows are returned as constructed, certified but
+        cofactors).  The rows e_i - B_i A are built here; the S-pair rows
+        come from the final sweep of ``extended_buchberger``.  Every row is
+        re-multiplied against every generator, then returned certified but
         not recompleted: callers that need a canonical presentation run
         Buchberger after projecting to the block they keep, where the
         rank is smaller and completion stays cheap.
         """
-        basis = self._gb.gens
         rows: List[Vector] = []
         # each generator re-expressed through the basis: e_i - B_i A
         for i, f in enumerate(self.gens):
@@ -708,25 +723,7 @@ class SpanSolver:
             combo = self._gb_combination(q)
             unit = Vector.unit(self.ring, self.count, i)
             rows.append(unit - combo)
-        # Schreyer rows: one per same-position S-pair of the basis
-        for a in range(len(basis)):
-            pa, ea, ca = basis[a].leading()
-            for b in range(a + 1, len(basis)):
-                pb, eb, cb = basis[b].leading()
-                if pa != pb:
-                    continue
-                l = mono_lcm(ea, eb)
-                s = (basis[a].mul_term(1 / ca, mono_div(l, ea))
-                     - basis[b].mul_term(1 / cb, mono_div(l, eb)))
-                r, q = self._gb.normal_form(s)
-                if not r.is_zero():
-                    raise RuntimeError("basis is not closed under S-vectors")
-                sigma = [-p for p in q]
-                sigma[a] = sigma[a] + Poly.term(self.ring, 1 / ca,
-                                                mono_div(l, ea))
-                sigma[b] = sigma[b] - Poly.term(self.ring, 1 / cb,
-                                                mono_div(l, eb))
-                rows.append(self._gb_combination(sigma))
+        rows.extend(Vector(self.ring, row) for row in self._schreyer)
         out = []
         for v in rows:
             if v.is_zero():

@@ -126,9 +126,10 @@ MAX_PRODUCT_WORK = 250_000
 # Bits one coefficient of a parser product or power may reach, predicted
 # before it runs, so a power of one term such as 2^99999999999 (never
 # bounded by MAX_PRODUCT_WORK) is a parse error at once instead of an
-# integer of gigabytes.  Integer literals are held to it too.  It keeps
-# every parsed coefficient under Python's 4300-digit limit on int-to-text
-# conversion.  A module constant, not an option.
+# integer of gigabytes.  Integer literals are held to it too.  It bounds
+# the input only: the engine's own coefficients may grow past it, and
+# ``rings.format_int`` prints integers of any length.  A module constant,
+# not an option.
 MAX_COEFFICIENT_BITS = 10_000
 
 

@@ -8,6 +8,7 @@ distinct.  Structural equality is therefore semantic equality.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from math import gcd, lcm
 from operator import add, le, sub
@@ -313,11 +314,20 @@ def sum_of_products(ring: RingSpec, pairs: Iterable[Tuple[Poly, Poly]],
                 _canonical=True)
 
 
+def format_int(n: int) -> str:
+    """Decimal text of n, exact at any size: ``str`` refuses integers past
+    the interpreter's digit limit (4300 by default), ``Decimal`` does not."""
+    try:
+        return str(n)
+    except ValueError:
+        return str(Decimal(n))
+
+
 def format_rational(a: Fraction) -> str:
     """Canonical form: reduced, '-' prefix only, denominator omitted when 1."""
     if a.denominator == 1:
-        return str(a.numerator)
-    return f"{a.numerator}/{a.denominator}"
+        return format_int(a.numerator)
+    return f"{format_int(a.numerator)}/{format_int(a.denominator)}"
 
 
 def format_monomial(ring: RingSpec, exps: Monomial) -> str:
@@ -326,7 +336,7 @@ def format_monomial(ring: RingSpec, exps: Monomial) -> str:
         if e == 1:
             parts.append(name)
         elif e > 1:
-            parts.append(f"{name}^{e}")
+            parts.append(f"{name}^{format_int(e)}")
     return "*".join(parts)
 
 

@@ -301,6 +301,41 @@ def test_long_integer_literals_are_a_parse_error(tmp_path):
                         f"large: exceeds {limit} bits\n")
 
 
+def _decimal_text(n):
+    """Decimal text of n > 0 from chunks of 1000 digits, each short enough
+    for ``str``."""
+    chunks = []
+    while n >= 10 ** 1000:
+        n, r = divmod(n, 10 ** 1000)
+        chunks.append(str(r).zfill(1000))
+    return str(n) + "".join(reversed(chunks))
+
+
+@pytest.mark.parametrize("digit,count,text,expected", [
+    # the parser builds an exponent of about 5000 digits
+    ("9", 2500, "ring Q[d]; module M = coker [[(d^{N})^{N}]];",
+     {"gb": "gb M: elements: 1\n  [d^{N2}]\n",
+      "torsion": "torsion M: generators: 1\n"
+                 "  generator [1]: annihilator d^{N2}\n"}),
+    # a literal within MAX_COEFFICIENT_BITS whose square the basis holds
+    ("7", 2900, "ring Q[x, y, z]; module M = coker [[x - {N}*y], [y - {N}*z]];",
+     {"gb": "gb M: elements: 2\n  [x - {N2}*z]\n  [y - {N}*z]\n",
+      "torsion": "torsion M: generators: 1\n"
+                 "  generator [1]: annihilators x - {N2}*z, y - {N}*z\n"}),
+], ids=["exponent", "coefficient"])
+def test_integers_past_the_digit_limit_print_exactly(tmp_path, digit, count,
+                                                     text, expected):
+    n = int(digit * count)
+    assert n.bit_length() <= MAX_COEFFICIENT_BITS
+    n_text, n2_text = digit * count, _decimal_text(n * n)
+    assert len(n2_text) > 4300
+    path = session_file(tmp_path, text.format(N=n_text))
+    for command, out in expected.items():
+        r = invoke([command, path], timeout=60)
+        assert (r.returncode, r.stderr) == (0, "")
+        assert r.stdout == out.format(N=n_text, N2=n2_text)
+
+
 def test_unknown_command_is_usage_error(tmp_path):
     r = invoke(["frobnicate", session_file(tmp_path, INTEGRATOR)])
     assert r.returncode == 2

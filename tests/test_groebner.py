@@ -156,6 +156,34 @@ def reference_divide(v, basis):
 R3 = ring("x", "y", "z")
 
 
+def reference_schreyer_rows(basis, cofs):
+    """Schreyer's rows as ``SpanSolver`` once built them itself: each
+    same-position S-vector of the reduced basis, pairs in (a, b) order, is
+    divided by ``reference_divide``; its quotients become a relation among
+    the basis, pushed through the cofactor rows with ``Poly`` arithmetic."""
+    rows = []
+    for a, b in combinations(range(len(basis)), 2):
+        pa, ea, ca = reference_leading(basis[a])
+        pb, eb, cb = reference_leading(basis[b])
+        if pa != pb:
+            continue
+        lcm = tuple(max(u, v) for u, v in zip(ea, eb))
+        r_ = basis[a].ring
+        ta = Poly.term(r_, 1 / ca, mono_div(lcm, ea))
+        tb = Poly.term(r_, 1 / cb, mono_div(lcm, eb))
+        s = basis[a].poly_mul(ta) - basis[b].poly_mul(tb)
+        rem, q = reference_divide(s, basis)
+        assert rem.is_zero()
+        sigma = [-p for p in q]
+        sigma[a] = sigma[a] + ta
+        sigma[b] = sigma[b] - tb
+        row = [Poly.zero(r_)] * len(cofs[0])
+        for coeff, cof in zip(sigma, cofs):
+            row = [x + coeff * c for x, c in zip(row, cof)]
+        rows.append(row)
+    return rows
+
+
 @settings(max_examples=120, deadline=None)
 @given(st.integers(0, 2**30), st.sampled_from([RX, RXY, R3]))
 def test_divide_matches_reference_reducer(seed, r):
@@ -172,6 +200,20 @@ def test_divide_matches_reference_reducer(seed, r):
     # the cached form a basis keeps answers the same
     g = GrobnerBasis(r, rank, tuple(basis))
     assert g.normal_form(v) == reference_divide(v, basis)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(0, 2**30), st.sampled_from([RX, RXY, R3]))
+def test_sweep_rows_match_reference_schreyer_rows(seed, r):
+    # entries of degree 1 over R3 (up to 2 otherwise) and rank + 1
+    # generators: larger draws have a heavy tail of many-second completions
+    rng = random.Random(seed)
+    rank = rng.randint(1, 3)
+    deg = 1 if r is R3 else 2
+    gens = [rand_vector(r, rng, rank, deg=rng.randint(1, deg))
+            for _ in range(rank + 1)]
+    g, cofs, rows = extended_buchberger(gens, ring=r, rank=rank)
+    assert rows == reference_schreyer_rows(g.gens, cofs)
 
 
 @settings(max_examples=200, deadline=None)
@@ -302,7 +344,7 @@ def test_final_sweep_restarts_on_a_nonzero_s_vector(monkeypatch):
     monkeypatch.setattr(groebner._Completion, "run", lambda self: None)
     groebner._CACHE.clear()  # recompute instead of returning expected
     assert buchberger(gens, ring=RXY, rank=1).gens == expected.gens
-    g, cofs = extended_buchberger(gens, ring=RXY, rank=1)
+    g, cofs, _ = extended_buchberger(gens, ring=RXY, rank=1)
     assert g.gens == expected.gens
     for v, row in zip(g.gens, cofs):
         acc = Vector.zero(RXY, 1)
@@ -363,8 +405,10 @@ def test_span_solver_certificates():
     assert solver.solve(vec(RXY, "1", "0")) is None
 
 
-# The syzygy certificates must be live: a corrupted row or a basis that
-# fails its own closure is an error, never a returned relation.
+# The syzygy certificates must be live: a corrupted row or a generator
+# outside the basis span is an error, never a returned relation.  Closure
+# under S-vectors is the final sweep's job (see
+# test_schreyer_rows_come_from_the_final_sweep_only).
 
 def test_a_corrupted_syzygy_row_is_not_certified(monkeypatch):
     gens = [vec(RXY, "x"), vec(RXY, "y")]
@@ -399,19 +443,36 @@ def test_a_generator_outside_the_basis_span_is_an_error(monkeypatch):
         solver.syzygies()
 
 
-def test_a_basis_not_closed_under_s_vectors_is_an_error(monkeypatch):
-    gens = [vec(RXY, "x"), vec(RXY, "y")]
-    solver = SpanSolver(gens, RXY, 1)
-    original = GrobnerBasis.normal_form
+def test_schreyer_rows_come_from_the_final_sweep_only(monkeypatch):
+    # with every S-pair left unprocessed, the first sweep runs over a
+    # three-element candidate: two S-vectors reduce to zero and one does
+    # not, so the completion restarts.  The rows of that sweep are
+    # relations too, but not Schreyer's rows of the final basis: only the
+    # last sweep's rows may come back
+    gens = [vec(RXY, "x^3 + x^2*y"), vec(RXY, "-x*y + y"), vec(RXY, "y^2")]
+    sweeps = []
+    original = groebner._sweep
 
-    def open_basis(self, v):  # S-vectors (not generators) leave a remainder
-        r, q = original(self, v)
-        return (r if v in gens else Vector.unit(RXY, 1, 0)), q
+    def recording(basis, cofs, ring_):
+        n = len(basis)
+        rows = original(basis, cofs, ring_)
+        sweeps.append((n, len(basis) - n, len(rows)))
+        return rows
 
-    monkeypatch.setattr(GrobnerBasis, "normal_form", open_basis)
-    with pytest.raises(RuntimeError,
-                       match="basis is not closed under S-vectors"):
-        solver.syzygies()
+    monkeypatch.setattr(groebner._Completion, "run", lambda self: None)
+    monkeypatch.setattr(groebner, "_sweep", recording)
+    g, cofs, rows = extended_buchberger(gens, ring=RXY, rank=1)
+    assert sweeps[0] == (3, 1, 2)
+    assert sweeps[-1] == (2, 0, 1)
+    assert g.gens == (vec(RXY, "y"), vec(RXY, "x^3"))
+    assert len(rows) == 1
+    assert rows == reference_schreyer_rows(g.gens, cofs)
+    syz = SpanSolver(gens, RXY, 1).syzygies()  # raises if uncertified
+    for row in syz:
+        acc = Vector.zero(RXY, 1)
+        for c, gen in zip(row.entries, gens):
+            acc = acc + gen.poly_mul(c)
+        assert acc.is_zero()
 
 
 def test_syzygies_mod_projection():

@@ -1,0 +1,27 @@
+"""The scripts the README documents run against the current engine."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def run_script(name, *args):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    return subprocess.run([sys.executable, str(ROOT / "scripts" / name),
+                           *args], capture_output=True, text=True, env=env,
+                          timeout=120)
+
+
+def test_control_demo_runs():
+    r = run_script("control_demo.py")
+    assert (r.returncode, r.stderr) == (0, "")
+    assert "verdict:" in r.stdout and "FAILED" not in r.stdout
+
+
+def test_torsion_stress_agrees():
+    r = run_script("torsion_stress.py", "--count", "3")
+    assert (r.returncode, r.stderr) == (0, "")
+    assert "agreement: 3/3" in r.stdout.splitlines()

@@ -77,7 +77,7 @@ def _digest(lines):
 
 def _tracked_texts(gens, rank):
     r = gens[0].ring
-    gb, cofs = extended_buchberger(gens, ring=r, rank=rank)
+    gb, cofs, _ = extended_buchberger(gens, ring=r, rank=rank)
     cof_lines = [f"{g} <- [{', '.join(str(c) for c in row)}]"
                  for g, row in zip(gb.gens, cofs)]
     syz = SpanSolver(gens, r, rank).syzygies()

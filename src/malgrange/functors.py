@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from .rings import RingSpec
-from .groebner import PolyMatrix, Vector, solve_mod, span_solver
+from .groebner import PolyMatrix, Vector, buchberger, solve_mod
 from .modules import (Element, FPModule, Morphism, bass_torsion, cokernel,
                       direct_sum, dual, hom_module, hom_pre, hom_post,
                       is_injective, is_surjective, kernel, lift_through)
@@ -470,15 +470,15 @@ def bijection_report(check: str, subject: Dict, cmp_map: Morphism,
 def _image_membership_witness(phi: Morphism, psi: Morphism) -> Optional[str]:
     """A generator of one image missing from the other, or None when equal."""
     t = phi.target
-    sp_phi = span_solver(phi.mat.columns() + t.relations.columns(),
-                         t.ring, t.ngens)
-    sp_psi = span_solver(psi.mat.columns() + t.relations.columns(),
-                         t.ring, t.ngens)
+    gb_phi = buchberger(phi.mat.columns() + t.relations.columns(),
+                        ring=t.ring, rank=t.ngens)
+    gb_psi = buchberger(psi.mat.columns() + t.relations.columns(),
+                        ring=t.ring, rank=t.ngens)
     for j in range(phi.mat.ncols):
-        if not sp_psi.contains(phi.mat.column(j)):
+        if not gb_psi.contains(phi.mat.column(j)):
             return f"defect generator {phi.mat.column(j)} not in torsion"
     for j in range(psi.mat.ncols):
-        if not sp_phi.contains(psi.mat.column(j)):
+        if not gb_phi.contains(psi.mat.column(j)):
             return f"torsion generator {psi.mat.column(j)} not in defect"
     return None
 

@@ -386,68 +386,66 @@ def _s_vector(basis: _IntBasis, i: int, j: int,
     return s, Fraction(1, l), cof
 
 
-def _reduce_to_element(p: dict, scale: Optional[Fraction], cof,
-                       basis: _IntBasis, cofs: Sequence, ring: RingSpec,
-                       zero_rows: Optional[list] = None):
-    """(terms, lead, cof) of the primitive remainder of p against basis,
-    or None when it is zero.  p stands for scale * p and cof are its
-    cofactors when tracked; both are None otherwise.  A zero remainder of
-    a tracked p appends its relation, cof - sum(q_b * cofs[b]), to
-    zero_rows when given."""
-    rem, scale, quotients = _reduce(p, basis, scale)
-    if not rem:
-        if zero_rows is not None and cof is not None:
-            zero_rows.append(_combine_cof(ring, cof, quotients, cofs))
-        return None
-    g, prim = _primitive(rem)
-    if cof is not None:
-        cof = _combine_cof(ring, cof, quotients, cofs, 1 / (scale * g))
-    return prim, next(iter(prim)), cof
-
-
 class _Completion:
-    """One round of Buchberger completion on an integer basis.
+    """Buchberger completion of an integer basis.
+
+    The starting basis is either empty (elements then enter from the
+    input) or an interreduced candidate, which is taken as closed under
+    its own pairs.  Every element added later, from the input, an S-pair
+    or the sweep, goes through ``add``, which queues its pairs with the
+    elements already leading in the same position.  cofs[i] expresses
+    element i over the input (None when not tracked).
 
     Elements are kept primitive rather than monic: that bounds the
     arithmetic (monic scaling lets numerators and denominators compound
-    across reduction steps).  cofs[i] expresses element i over the input
-    (None when not tracked).
+    across reduction steps).
 
     Pending pairs sit in a heap of (_pot_key(position, lcm), i, j, lcm),
     keyed once when pushed; live holds the (i, j) still in the heap.
     """
 
-    def __init__(self, ring: RingSpec, rank: int):
+    def __init__(self, ring: RingSpec, basis: _IntBasis, cofs: List):
         self.ring = ring
-        self.basis = _IntBasis(rank)
-        self.cofs: List[Optional[List[Poly]]] = []
-        self.conc: List[Optional[int]] = []  # sole position used, or None
-        self.same_pos: dict = {}  # position -> elements leading there
+        self.basis = basis
+        self.cofs: List[Optional[List[Poly]]] = cofs
+        # sole position each element uses, or None
+        self.conc: List[Optional[int]] = [
+            _sole_position(terms, lead[0])
+            for terms, lead in zip(basis.terms, basis.leads)]
         self.pending: List[tuple] = []
         self.live: set = set()
 
-    def add(self, terms: dict, lead: Tuple[int, Monomial], cof,
-            unit: Fraction = _ONE, pairs: bool = True) -> None:
+    def add(self, terms: dict, lead: Tuple[int, Monomial], cof) -> None:
         basis = self.basis
         j = len(basis)
         pos, exps = lead
-        basis.add(terms, lead, unit)
+        for i, e, _, _, _ in basis.by_pos.get(pos, ()):
+            l = mono_lcm(e, exps)
+            heappush(self.pending, (_pot_key(pos, l), i, j, l))
+            self.live.add((i, j))
+        basis.add(terms, lead)
         self.cofs.append(cof)
-        self.conc.append(pos if all(k[0] == pos for k in terms) else None)
-        row = self.same_pos.setdefault(pos, [])
-        if pairs:
-            for i in row:
-                l = mono_lcm(basis.leads[i][1], exps)
-                heappush(self.pending, (_pot_key(pos, l), i, j, l))
-                self.live.add((i, j))
-        row.append(j)
+        self.conc.append(_sole_position(terms, pos))
 
-    def reduce_and_add(self, p: dict, scale: Optional[Fraction],
-                       cof) -> None:
-        found = _reduce_to_element(p, scale, cof, self.basis, self.cofs,
-                                   self.ring)
-        if found is not None:
-            self.add(*found)
+    def reduce(self, p: dict, scale: Optional[Fraction], cof,
+               zero_rows: Optional[list] = None) -> None:
+        """Add the primitive remainder of p against the basis, if nonzero.
+
+        p stands for scale * p and cof are its cofactors when tracked;
+        both are None otherwise.  A zero remainder of a tracked p appends
+        its relation, cof - sum(q_b * cofs[b]), to zero_rows when given.
+        """
+        rem, scale, quotients = _reduce(p, self.basis, scale)
+        if not rem:
+            if zero_rows is not None and cof is not None:
+                zero_rows.append(_combine_cof(self.ring, cof, quotients,
+                                              self.cofs))
+            return
+        g, prim = _primitive(rem)
+        if cof is not None:
+            cof = _combine_cof(self.ring, cof, quotients, self.cofs,
+                               1 / (scale * g))
+        self.add(prim, next(iter(prim)), cof)
 
     def run(self) -> None:
         """Process pending pairs, smallest lcm first, ties by (i, j)."""
@@ -461,15 +459,40 @@ class _Completion:
                     and l == mono_mul(leads[i][1], leads[j][1])):
                 continue
             chained = False
-            for k in self.same_pos[pos]:
-                if (k != i and k != j and mono_divides(leads[k][1], l)
+            for k, e, _, _, _ in basis.by_pos[pos]:
+                if (k != i and k != j and mono_divides(e, l)
                         and (min(i, k), max(i, k)) not in live
                         and (min(j, k), max(j, k)) not in live):
                     chained = True
                     break
             if chained:
                 continue
-            self.reduce_and_add(*_s_vector(basis, i, j, self.cofs))
+            self.reduce(*_s_vector(basis, i, j, self.cofs))
+
+    def sweep(self) -> List[List[Poly]]:
+        """Final check of the starting basis: reduce every same-position
+        S-vector of it, in (i, j) order and with no criteria, against the
+        basis and the remainders this sweep has added, and add each
+        nonzero remainder (queuing its pairs).
+
+        Returns, when tracked, the relation among the inputs left by each
+        S-vector of elements i < j that reduced to zero, in (i, j) order:
+        Schreyer's rows (Eisenbud, Thm. 15.10), valid only if nothing was
+        added.
+        """
+        basis = self.basis
+        rows: List[List[Poly]] = []
+        n = len(basis)
+        for i in range(n):
+            for j in range(i + 1, n):
+                if basis.leads[i][0] == basis.leads[j][0]:
+                    self.reduce(*_s_vector(basis, i, j, self.cofs), rows)
+        return rows
+
+
+def _sole_position(terms: dict, pos: int) -> Optional[int]:
+    """pos if every term of terms lies in position pos, else None."""
+    return pos if all(k[0] == pos for k in terms) else None
 
 
 def _interreduce(basis: _IntBasis, cofs: Sequence, ring: RingSpec,
@@ -506,32 +529,6 @@ def _interreduce(basis: _IntBasis, cofs: Sequence, ring: RingSpec,
                                1 / (scale * rem[lead]))
         out_cofs.append(cof)
     return reduced, vectors, out_cofs
-
-
-def _sweep(basis: _IntBasis, cofs: List, ring: RingSpec,
-           ) -> List[List[Poly]]:
-    """Final check of a candidate basis: reduce every same-position
-    S-vector against the basis and the remainders found so far, and append
-    each nonzero remainder (primitive) to basis and its cofactors to cofs.
-
-    Returns, when tracked, the relation among the inputs left by each
-    S-vector of elements i < j that reduced to zero, in (i, j) order:
-    Schreyer's rows (Eisenbud, Thm. 15.10), valid only if nothing was
-    appended.
-    """
-    rows: List[List[Poly]] = []
-    n = len(basis)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if basis.leads[i][0] != basis.leads[j][0]:
-                continue
-            found = _reduce_to_element(*_s_vector(basis, i, j, cofs), basis,
-                                       cofs, ring, rows)
-            if found is not None:
-                terms, lead, cof = found
-                basis.add(terms, lead)
-                cofs.append(cof)
-    return rows
 
 
 @dataclass(frozen=True)
@@ -579,8 +576,9 @@ def buchberger(gens: Sequence[Vector], *, ring: Optional[RingSpec] = None,
     criterion is unsound for modules), together with the chain criterion.
     The basis is kept as primitive integer term dicts for the whole
     completion and every S-vector goes through the same reducer as
-    ``divide``.  A final sweep re-checks every S-vector of the candidate
-    basis and restarts the completion from any nonzero remainder.
+    ``divide``.  A final sweep re-checks every same-position S-vector of
+    the candidate basis; a nonzero remainder joins the candidate's own
+    completion, which resumes until a sweep adds nothing.
 
     The result is cached under the exact input (see ``cached``).
     """
@@ -611,40 +609,31 @@ def _buchberger_core(gens: Sequence[Vector], ring: Optional[RingSpec],
                      ) -> Tuple[GrobnerBasis, Optional[list], Optional[list]]:
     m = len(gens)
     seeds = [(i, v) for i, v in enumerate(gens) if not v.is_zero()]
-    if not seeds:
-        if ring is None or rank is None:
-            raise ValueError("empty input needs explicit ring and rank")
-        return (GrobnerBasis(ring, rank, ()), [] if track else None,
-                [] if track else None)
-    ring = seeds[0][1].ring
-    rank = seeds[0][1].rank
+    if seeds:
+        ring, rank = seeds[0][1].ring, seeds[0][1].rank
+    elif ring is None or rank is None:
+        raise ValueError("empty input needs explicit ring and rank")
     for _, v in seeds:
         if v.rank != rank:
             raise ValueError("rank mismatch")
 
-    state = _Completion(ring, rank)
+    state = _Completion(ring, _IntBasis(rank), [])
     for i, v in seeds:
         unit, p = _scaled_ints(v)
         if track:
             cof = [Poly.one(ring) if k == i else Poly.zero(ring)
                    for k in range(m)]
-            state.reduce_and_add(p, unit, cof)
+            state.reduce(p, unit, cof)
         else:
-            state.reduce_and_add(p, None, None)
+            state.reduce(p, None, None)
     while True:
         state.run()
         reduced, vectors, cofs = _interreduce(state.basis, state.cofs, ring)
-        n = len(reduced)
-        rows = _sweep(reduced, cofs, ring)
-        if len(reduced) == n:
+        state = _Completion(ring, reduced, cofs)
+        rows = state.sweep()
+        if len(reduced) == len(vectors):  # the sweep added nothing
             return (GrobnerBasis(ring, rank, tuple(vectors), reduced),
                     cofs if track else None, rows if track else None)
-        # restart from the candidate; only pairs with the new remainders
-        # are queued
-        state = _Completion(ring, rank)
-        for k in range(len(reduced)):
-            state.add(reduced.terms[k], reduced.leads[k], cofs[k],
-                      reduced.units[k], pairs=k >= n)
 
 
 # -- syzygies and membership ------------------------------------------------------
@@ -680,11 +669,6 @@ class SpanSolver:
         if not r.is_zero():
             return None
         return list(self._gb_combination(q).entries)
-
-    def contains(self, v: Vector) -> bool:
-        if v.rank != self.rank:
-            raise ValueError("rank mismatch")
-        return self._gb.contains(v)
 
     def _gb_combination(self, over_gb: List[Poly]) -> Vector:
         """Push a coefficient vector over the basis down to the gens."""

@@ -4,7 +4,7 @@ import pytest
 
 from malgrange.rings import ring
 from malgrange.parsing import parse_poly
-from malgrange.groebner import PolyMatrix, SpanSolver
+from malgrange.groebner import PolyMatrix, buchberger
 from malgrange.modules import (FPModule, Morphism, bass_torsion, direct_sum,
                                hom_module, image, is_injective,
                                is_isomorphism, is_surjective, kernel,
@@ -369,10 +369,10 @@ def test_main_theorem_functoriality():
         phi = h.decode(rng.choice(h.generators()))
         ka = defect(stable_hom(a))[1]
         kb = defect(stable_hom(b))[1]
-        span = SpanSolver(kb.mat.columns() + b.relations.columns(),
-                          b.ring, b.ngens)
+        gb = buchberger(kb.mat.columns() + b.relations.columns(),
+                        ring=b.ring, rank=b.ngens)
         for j in range(ka.mat.ncols):
-            assert span.contains(phi.mat.mul_vec(ka.mat.column(j)))
+            assert gb.contains(phi.mat.mul_vec(ka.mat.column(j)))
 
 
 def test_adjunction_spot_checks():

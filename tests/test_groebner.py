@@ -334,23 +334,32 @@ def test_gb_permutation_invariance():
 
 
 def test_final_sweep_restarts_on_a_nonzero_s_vector(monkeypatch):
-    # x^2 - y and x*y - 1 are interreduced but not a Groebner basis: with
-    # every S-pair left unprocessed, the final sweep finds y^2 - x and the
-    # restarted completion must end at the reduced basis, with cofactors
-    # that still certify each element
-    gens = [vec(RXY, "x^2 - y"), vec(RXY, "x*y - 1")]
-    expected = buchberger(gens, ring=RXY, rank=1)
-    assert vec(RXY, "y^2 - x") in expected.gens
+    # with every S-pair left unprocessed, the final sweep must find the
+    # missing element and the resumed completion must end at the reduced
+    # basis, with cofactors that still certify each element.
+    # x^2 - y and x*y - 1 are interreduced but not a Groebner basis: the
+    # sweep finds y^2 - x.  [x, 1] and [y, 0] leave [0, y], which leads in
+    # a position where no other element leads, so it queues no pair: only
+    # a second sweep, not an empty pair queue, may end the completion
+    cases = [(1, [vec(RXY, "x^2 - y"), vec(RXY, "x*y - 1")],
+              vec(RXY, "y^2 - x")),
+             (2, [vec(RXY, "x", "1"), vec(RXY, "y", "0")],
+              vec(RXY, "0", "y"))]
+    expected = [buchberger(gens, ring=RXY, rank=rank)
+                for rank, gens, _ in cases]
+    assert str(expected[1]) == "{[0, y]; [y, 0]; [x, 1]}"
     monkeypatch.setattr(groebner._Completion, "run", lambda self: None)
     groebner._CACHE.clear()  # recompute instead of returning expected
-    assert buchberger(gens, ring=RXY, rank=1).gens == expected.gens
-    g, cofs, _ = extended_buchberger(gens, ring=RXY, rank=1)
-    assert g.gens == expected.gens
-    for v, row in zip(g.gens, cofs):
-        acc = Vector.zero(RXY, 1)
-        for c, gen in zip(row, gens):
-            acc = acc + gen.poly_mul(c)
-        assert acc == v
+    for (rank, gens, found), want in zip(cases, expected):
+        assert found in want.gens
+        assert buchberger(gens, ring=RXY, rank=rank).gens == want.gens
+        g, cofs, _ = extended_buchberger(gens, ring=RXY, rank=rank)
+        assert g.gens == want.gens
+        for v, row in zip(g.gens, cofs):
+            acc = Vector.zero(RXY, rank)
+            for c, gen in zip(row, gens):
+                acc = acc + gen.poly_mul(c)
+            assert acc == v
 
 
 # -- syzygies ------------------------------------------------------------------
@@ -446,21 +455,21 @@ def test_a_generator_outside_the_basis_span_is_an_error(monkeypatch):
 def test_schreyer_rows_come_from_the_final_sweep_only(monkeypatch):
     # with every S-pair left unprocessed, the first sweep runs over a
     # three-element candidate: two S-vectors reduce to zero and one does
-    # not, so the completion restarts.  The rows of that sweep are
+    # not, so the completion resumes.  The rows of that sweep are
     # relations too, but not Schreyer's rows of the final basis: only the
     # last sweep's rows may come back
     gens = [vec(RXY, "x^3 + x^2*y"), vec(RXY, "-x*y + y"), vec(RXY, "y^2")]
     sweeps = []
-    original = groebner._sweep
+    original = groebner._Completion.sweep
 
-    def recording(basis, cofs, ring_):
-        n = len(basis)
-        rows = original(basis, cofs, ring_)
-        sweeps.append((n, len(basis) - n, len(rows)))
+    def recording(self):
+        n = len(self.basis)
+        rows = original(self)
+        sweeps.append((n, len(self.basis) - n, len(rows)))
         return rows
 
     monkeypatch.setattr(groebner._Completion, "run", lambda self: None)
-    monkeypatch.setattr(groebner, "_sweep", recording)
+    monkeypatch.setattr(groebner._Completion, "sweep", recording)
     g, cofs, rows = extended_buchberger(gens, ring=RXY, rank=1)
     assert sweeps[0] == (3, 1, 2)
     assert sweeps[-1] == (2, 0, 1)
@@ -494,7 +503,7 @@ def test_solve_mod_finds_witness():
     assert sol is not None
     # residual v - a*c must lie in the column span of b
     residual = v - a.column(0).poly_mul(sol[0])
-    assert SpanSolver(b.columns(), RX, 1).contains(residual)
+    assert buchberger(b.columns(), ring=RX, rank=1).contains(residual)
     assert solve_mod(vec(RX, "1"), a, b) is None
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from malgrange.rings import Poly, ring
 from malgrange.parsing import parse_poly
-from malgrange.groebner import PolyMatrix, SpanSolver, Vector
+from malgrange.groebner import PolyMatrix, Vector, buchberger
 from malgrange.modules import (Element, FPModule, Morphism, annihilator,
                                bass_torsion, cokernel, direct_sum, dual,
                                eval_map, hom_module, hom_pre, hom_post,
@@ -117,9 +117,9 @@ def test_kernel_of_map_to_quotient():
     k, iota = kernel(scalar_mor(R1X, MOD_X2, [["x"]]))
     # image of iota is x*R inside R
     cols = [iota.mat.column(j) for j in range(iota.mat.ncols)]
-    solver = SpanSolver(cols, RX, 1)
-    assert solver.contains(Vector(RX, [parse_poly("x", RX)]))
-    assert not solver.contains(Vector(RX, [parse_poly("1", RX)]))
+    gb = buchberger(cols, ring=RX, rank=1)
+    assert gb.contains(Vector(RX, [parse_poly("x", RX)]))
+    assert not gb.contains(Vector(RX, [parse_poly("1", RX)]))
 
 
 def test_kernel_of_projection():
@@ -315,9 +315,9 @@ def test_torsion_of_mixed_module():
 def test_torsion_of_bivariate_quotient_is_everything():
     t, iota = bass_torsion(MOD_XY)
     cols = [iota.mat.column(j) for j in range(iota.mat.ncols)]
-    solver = SpanSolver(
-        cols + MOD_XY.relations.columns(), RXY, MOD_XY.ngens)
-    assert solver.contains(Vector(RXY, [Poly.one(RXY)]))
+    gb = buchberger(cols + MOD_XY.relations.columns(), ring=RXY,
+                    rank=MOD_XY.ngens)
+    assert gb.contains(Vector(RXY, [Poly.one(RXY)]))
 
 
 def test_torsion_witnesses_have_annihilators():

@@ -183,6 +183,19 @@ class _IntBasis:
     def __len__(self) -> int:
         return len(self.terms)
 
+    def padded(self, rank: int) -> "_IntBasis":
+        """The same elements with zero entries appended up to rank.
+
+        Appended positions come last, so every (position, monomial) key
+        stays as it is.  The lists are new: adding to the result leaves
+        self, which a cached ``GrobnerBasis`` shares, unchanged.
+        """
+        out = _IntBasis(rank)
+        out.terms, out.leads = list(self.terms), list(self.leads)
+        out.units, out.invs = list(self.units), list(self.invs)
+        out.by_pos = {pos: list(els) for pos, els in self.by_pos.items()}
+        return out
+
     def add(self, terms: dict, lead: Tuple[int, Monomial],
             unit: Fraction = _ONE) -> None:
         b = terms[lead]
@@ -390,18 +403,26 @@ class _Completion:
     """Buchberger completion of an integer basis.
 
     The starting basis is either empty (elements then enter from the
-    input) or an interreduced candidate, which is taken as closed under
-    its own pairs.  Every element added later, from the input, an S-pair
-    or the sweep, goes through ``add``, which queues its pairs with the
-    elements already leading in the same position.  cofs[i] expresses
-    element i over the input (None when not tracked).
+    input), an interreduced candidate, or a copy of a reduced basis that
+    the input extends (``colon_ideal``); the latter two are taken as
+    closed under their own pairs.  Every element added later, from the
+    input, an S-pair or the sweep, goes through ``add``, which queues its
+    pairs with the elements already leading in the same position.  cofs[i]
+    expresses element i over the input (None when not tracked).
 
     Elements are kept primitive rather than monic: that bounds the
     arithmetic (monic scaling lets numerators and denominators compound
     across reduction steps).
 
-    Pending pairs sit in a heap of (_pot_key(position, lcm), i, j, lcm),
-    keyed once when pushed; live holds the (i, j) still in the heap.
+    Pending pairs sit in a heap of (key, i, j, lcm), keyed once when
+    pushed; live holds the (i, j) still in the heap.  The key is
+    _pot_key(position, lcm) when tracked, and (degree of lcm,
+    _pot_key(position, lcm)) when not: position first lets a pair of
+    high degree in a later position run before the low-degree pairs that
+    make its result redundant, which a starting basis with elements of
+    high degree makes common.  Untracked results are reduced bases, the
+    same in any pair order; tracked cofactors and Schreyer's rows depend
+    on the order, so theirs stays.
     """
 
     def __init__(self, ring: RingSpec, basis: _IntBasis, cofs: List):
@@ -421,7 +442,10 @@ class _Completion:
         pos, exps = lead
         for i, e, _, _, _ in basis.by_pos.get(pos, ()):
             l = mono_lcm(e, exps)
-            heappush(self.pending, (_pot_key(pos, l), i, j, l))
+            key = _pot_key(pos, l)
+            if cof is None:  # untracked: lowest lcm degree first
+                key = (sum(l), key)
+            heappush(self.pending, (key, i, j, l))
             self.live.add((i, j))
         basis.add(terms, lead)
         self.cofs.append(cof)
@@ -448,7 +472,7 @@ class _Completion:
         self.add(prim, next(iter(prim)), cof)
 
     def run(self) -> None:
-        """Process pending pairs, smallest lcm first, ties by (i, j)."""
+        """Process pending pairs, smallest key first, ties by (i, j)."""
         basis, leads, conc = self.basis, self.basis.leads, self.conc
         pending, live = self.pending, self.live
         while pending:
@@ -569,9 +593,9 @@ def buchberger(gens: Sequence[Vector], *, ring: Optional[RingSpec] = None,
                rank: Optional[int] = None) -> GrobnerBasis:
     """Reduced Groebner basis of the submodule generated by gens.
 
-    Normal pair-selection strategy: pending pairs sit in a heap keyed once
-    by the module term of their lcm, smallest first, ties broken by the
-    basis indices (i, j).  The coprime-lead shortcut is applied only to
+    Pending pairs sit in a heap keyed once by the degree of their lcm and
+    then its module term, smallest first, ties broken by the basis
+    indices (i, j).  The coprime-lead shortcut is applied only to
     pairs concentrated in one common position (the unrestricted product
     criterion is unsound for modules), together with the chain criterion.
     The basis is kept as primitive integer term dicts for the whole
@@ -583,12 +607,19 @@ def buchberger(gens: Sequence[Vector], *, ring: Optional[RingSpec] = None,
     The result is cached under the exact input (see ``cached``).
     """
     gens = tuple(gens)
-    for v in gens:  # the ring and rank the completion takes from its input
-        if not v.is_zero():
-            ring, rank = v.ring, v.rank
-            break
-    return cached(("gb", ring, rank, gens),
+    return cached(_gb_key(gens, ring, rank),
                   lambda: _buchberger_core(gens, ring, rank, track=False)[0])
+
+
+def _gb_key(gens: Tuple[Vector, ...], ring: Optional[RingSpec],
+            rank: Optional[int]) -> tuple:
+    """The cache key of the reduced basis of gens: ring and rank are those
+    the completion takes from its first nonzero input, else the given
+    ones."""
+    for v in gens:
+        if not v.is_zero():
+            return ("gb", v.ring, v.rank, gens)
+    return ("gb", ring, rank, gens)
 
 
 def extended_buchberger(gens: Sequence[Vector], *,
@@ -606,7 +637,14 @@ def extended_buchberger(gens: Sequence[Vector], *,
 
 def _buchberger_core(gens: Sequence[Vector], ring: Optional[RingSpec],
                      rank: Optional[int], track: bool,
+                     start: Optional[GrobnerBasis] = None,
                      ) -> Tuple[GrobnerBasis, Optional[list], Optional[list]]:
+    """The completion behind ``buchberger`` and ``extended_buchberger``.
+
+    start, when given (untracked only), is a reduced basis of rank at most
+    rank: padded with zeros, it is the starting basis, closed under its
+    own pairs, and gens only extend it.
+    """
     m = len(gens)
     seeds = [(i, v) for i, v in enumerate(gens) if not v.is_zero()]
     if seeds:
@@ -617,7 +655,11 @@ def _buchberger_core(gens: Sequence[Vector], ring: Optional[RingSpec],
         if v.rank != rank:
             raise ValueError("rank mismatch")
 
-    state = _Completion(ring, _IntBasis(rank), [])
+    if start is None:
+        state = _Completion(ring, _IntBasis(rank), [])
+    else:
+        state = _Completion(ring, start._basis.padded(rank),
+                            [None] * len(start.gens))
     for i, v in seeds:
         unit, p = _scaled_ints(v)
         if track:
@@ -723,10 +765,19 @@ class SpanSolver:
 
 def span_solver(gens: Sequence[Vector], ring: RingSpec,
                 rank: int) -> SpanSolver:
-    """The ``SpanSolver`` of gens, built once per exact input (``cached``)."""
+    """The ``SpanSolver`` of gens, built once per exact input (``cached``).
+
+    Its reduced basis is also stored as ``buchberger(gens)``, so the same
+    presentation is never completed a second time untracked.
+    """
     gens = tuple(gens)
-    return cached(("span", ring, rank, gens),
-                  lambda: SpanSolver(gens, ring, rank))
+
+    def build() -> SpanSolver:
+        solver = SpanSolver(gens, ring, rank)
+        cached(_gb_key(gens, ring, rank), lambda: solver._gb)
+        return solver
+
+    return cached(("span", ring, rank, gens), build)
 
 
 def syzygy_basis(gens: Sequence[Vector], ring: RingSpec,
@@ -923,18 +974,29 @@ def colon_ideal(v: Vector, b: PolyMatrix) -> List[Poly]:
     has the lowest position-over-term priority.  Basis elements supported
     entirely on the tag position are exactly the multipliers sending v
     into the span, and they form the reduced basis of that ideal.
+
+    The completion starts from the reduced basis of the columns of b
+    (``buchberger``, cached: for an annihilator it is the module's own
+    relation basis) with a zero appended to each element.  That basis is
+    closed under its own pairs, so only [v; 1] enters, and the final sweep
+    still checks every same-position pair of the candidate.  The result is
+    cached as ``buchberger`` of the rank-(k+1) generators would be.
     """
     if v.rank != b.nrows:
         raise ValueError("rank mismatch")
     ring = v.ring
     k = v.rank
-    one = Poly.one(ring)
-    zero = Poly.zero(ring)
-    gens = [Vector(ring, tuple(v.entries) + (one,))]
-    for j in range(b.ncols):
-        col = b.column(j)
-        gens.append(Vector(ring, tuple(col.entries) + (zero,)))
-    gb = buchberger(gens, ring=ring, rank=k + 1)
+    columns = b.columns()
+    top = Vector(ring, v.entries + (Poly.one(ring),))
+    zero = (Poly.zero(ring),)
+    gens = (top,) + tuple(Vector(ring, col.entries + zero) for col in columns)
+
+    def build() -> GrobnerBasis:
+        start = buchberger(columns, ring=ring, rank=k)
+        return _buchberger_core([top], ring, k + 1, track=False,
+                                start=start)[0]
+
+    gb = cached(_gb_key(gens, ring, k + 1), build)
     return [w.entries[k] for w in gb.gens
             if all(w.entries[i].is_zero() for i in range(k))]
 

@@ -7,12 +7,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import malgrange.groebner as groebner
+from malgrange import corpus
 from malgrange.groebner import (GrobnerBasis, PolyMatrix, SpanSolver, Vector,
-                                buchberger, divide, extended_buchberger,
+                                buchberger, colon_ideal, divide,
+                                extended_buchberger,
                                 span_solver, syzygies, syzygies_mod,
                                 solve_mod)
 from malgrange.rings import (GREVLEX, Poly, mono_div, mono_divides, mono_mul,
                              ring)
+from malgrange.modules import AnnihilatorIdeal, module_annihilator
 from malgrange.parsing import parse_poly
 
 RX = ring("x")
@@ -507,6 +510,152 @@ def test_solve_mod_finds_witness():
     assert solve_mod(vec(RX, "1"), a, b) is None
 
 
+# -- colon ideals ------------------------------------------------------------------
+
+def _elimination_gens(v, b):
+    """[v; 1] and the columns [b_j; 0]: the rank-(k+1) input whose reduced
+    basis ``colon_ideal`` reads the ideal from."""
+    one, zero = Poly.one(v.ring), Poly.zero(v.ring)
+    return ([Vector(v.ring, v.entries + (one,))]
+            + [Vector(v.ring, c.entries + (zero,)) for c in b.columns()])
+
+
+def _tag_only(gb, k):
+    return [w.entries[k] for w in gb.gens
+            if all(w.entries[i].is_zero() for i in range(k))]
+
+
+def _colon_case(r, rng, shape):
+    """(v, b) over r: b has random, no or only zero columns, or v is drawn
+    inside the span of b's columns."""
+    rank = rng.randint(1, 2)
+    deg = 1 if r is R3 else 2
+    ncols = rng.randint(1, 3)
+    cols = [rand_vector(r, rng, rank, deg=deg) for _ in range(ncols)]
+    if shape == "no columns":
+        cols = []
+    elif shape == "zero columns":
+        cols = [Vector.zero(r, rank)] * ncols
+    b = PolyMatrix.from_columns(r, rank, cols)
+    if shape == "v in span":
+        v = Vector.zero(r, rank)
+        for c in cols:
+            v = v + c.poly_mul(rand_vector(r, rng, 1, deg=1).entries[0])
+    else:
+        v = rand_vector(r, rng, rank, deg=deg)
+    return v, b
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**30), st.sampled_from([RX, RXY, R3]),
+       st.sampled_from(["random", "no columns", "zero columns", "v in span"]))
+def test_colon_ideal_matches_the_elimination_from_scratch(seed, r, shape):
+    v, b = _colon_case(r, random.Random(seed), shape)
+    k = v.rank
+    groebner._CACHE.clear()
+    got = colon_ideal(v, b)
+    gens = _elimination_gens(v, b)
+    # the seeded result is stored under the key of the plain completion:
+    # asking for that completion is a hit and stores nothing new
+    stored = len(groebner._CACHE)
+    seeded = buchberger(gens, ring=r, rank=k + 1)
+    assert len(groebner._CACHE) == stored
+    groebner._CACHE.clear()  # the reference must not read it back
+    scratch = buchberger(gens, ring=r, rank=k + 1)
+    assert seeded is not scratch
+    assert seeded.gens == scratch.gens
+    assert got == _tag_only(scratch, k)
+    # the definition: each generator g sends v into the span of b
+    span = buchberger(b.columns(), ring=r, rank=k)
+    assert all(span.contains(v.poly_mul(g)) for g in got)
+    if shape in ("no columns", "zero columns") and not v.is_zero():
+        assert got == []
+    if shape == "v in span":
+        assert got == [Poly.one(r)]
+
+
+@pytest.mark.parametrize("name", ["random-x-1", "random-xy-0"])
+def test_module_annihilator_matches_the_elimination_from_scratch(name):
+    m = dict(corpus.main_theorem_modules())[name]
+    got = module_annihilator(m)
+    n = m.ngens
+    stacked = Vector(m.ring, [Poly.one(m.ring) if i == j else
+                              Poly.zero(m.ring)
+                              for j in range(n) for i in range(n)])
+    big = PolyMatrix.block_diag(m.ring, [m.relations] * n)
+    groebner._CACHE.clear()
+    scratch = buchberger(_elimination_gens(stacked, big), ring=m.ring,
+                         rank=n * n + 1)
+    assert got.gens == AnnihilatorIdeal(m.ring,
+                                        _tag_only(scratch, n * n)).gens
+    assert not got.is_zero()
+    # the definition: each generator f kills every generator of m
+    for f in got.gens:
+        for i in range(n):
+            assert m.gb.contains(Vector.unit(m.ring, n, i).poly_mul(f))
+
+
+def test_a_seeded_colon_ideal_ends_with_a_full_final_sweep(monkeypatch):
+    # the starting basis is taken as closed under its own pairs, yet the
+    # last sweep still reduces every same-position pair of the candidate,
+    # the seed's own elements included, and adds nothing
+    b = PolyMatrix.from_columns(RXY, 2, [vec(RXY, "x^2 - y", "x"),
+                                         vec(RXY, "x*y", "y^2 - 1")])
+    v = vec(RXY, "x", "y")
+    groebner._CACHE.clear()
+    buchberger(b.columns(), ring=RXY, rank=2)  # the seed, cached
+    sweeps = []
+    original_sweep, original_s = groebner._Completion.sweep, groebner._s_vector
+
+    def recording(self):
+        n = len(self.basis)
+        sweeps.append((n, []))
+        rows = original_sweep(self)
+        sweeps[-1] += (len(self.basis) - n,)
+        return rows
+
+    def counting(basis, i, j, cofs):
+        if sweeps and len(sweeps[-1]) == 2:  # inside a sweep
+            sweeps[-1][1].append((i, j))
+        return original_s(basis, i, j, cofs)
+
+    monkeypatch.setattr(groebner._Completion, "sweep", recording)
+    monkeypatch.setattr(groebner, "_s_vector", counting)
+    colon_ideal(v, b)
+    gb = buchberger(_elimination_gens(v, b))  # the stored result
+    pos = [w.leading()[0] for w in gb.gens]
+    same = [(i, j) for i in range(len(pos)) for j in range(i + 1, len(pos))
+            if pos[i] == pos[j]]
+    assert same and sweeps[-1] == (len(gb.gens), same, 0)
+
+
+def test_a_seeded_colon_ideal_leaves_the_cached_basis_unchanged():
+    # the completion starts from the cached relation basis of b; it must
+    # extend a copy, never the integer basis that cached object shares.
+    # The completion ends with [x, 0, 1 - y^2] and [y, 0, ...], which
+    # lead in position 0 like elements of that basis, so appending to it
+    # would show in the fields below
+    groebner._CACHE.clear()
+    b = PolyMatrix.from_columns(RXY, 2, [vec(RXY, "x^2 - y", "x"),
+                                         vec(RXY, "x*y", "y^2 - 1")])
+    v = vec(RXY, "x", "y")
+    base = buchberger(b.columns(), ring=RXY, rank=2)
+    probes = [v, vec(RXY, "x^3", "0"), vec(RXY, "x*y^2", "x*y"),
+              vec(RXY, "y^3 + x", "x^2*y")]
+
+    def state():
+        basis = base._basis
+        return (len(basis), basis.rank,
+                {pos: len(els) for pos, els in basis.by_pos.items()},
+                [base.normal_form(p) for p in probes])
+
+    before = state()
+    ideal = colon_ideal(v, b)
+    assert buchberger(b.columns(), ring=RXY, rank=2) is base  # it was seeded
+    assert ideal == [parse_poly("x^2*y^2 - x^2*y - y^3 - x^2 + y", RXY)]
+    assert state() == before
+
+
 # -- matrices ------------------------------------------------------------------
 
 def test_matrix_algebra():
@@ -565,6 +714,19 @@ def test_repeated_span_solver_returns_the_cached_solver():
     assert span_solver(tuple(gens), RXY, 2) is s
     # direct construction never goes through the cache
     assert SpanSolver(gens, RXY, 2) is not s
+
+
+def test_a_span_solver_stores_its_basis_for_buchberger():
+    # one certified basis per presentation: the solver's reduced basis is
+    # what buchberger returns for the same generators, ring and rank taken
+    # from the first nonzero generator as buchberger takes them
+    groebner._CACHE.clear()
+    gens = [Vector.zero(RXY, 2), vec(RXY, "x", "y"), vec(RXY, "y", "0")]
+    solver = span_solver(gens, RXY, 2)
+    assert buchberger(gens) is solver._gb
+    zero = [Vector.zero(RX, 2)]
+    solver = span_solver(zero, RX, 2)
+    assert buchberger(zero, ring=RX, rank=2) is solver._gb
 
 
 def test_cache_evicts_the_least_recently_used_entry(monkeypatch):

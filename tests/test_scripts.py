@@ -25,3 +25,9 @@ def test_torsion_stress_agrees():
     r = run_script("torsion_stress.py", "--count", "3")
     assert (r.returncode, r.stderr) == (0, "")
     assert "agreement: 3/3" in r.stdout.splitlines()
+
+
+def test_check_digests_passes_on_one_workload():
+    r = run_script("check_digests.py", "--workload", "torsion-xy")
+    assert (r.returncode, r.stderr) == (0, "")
+    assert r.stdout.splitlines()[-1] == "digests: 64/64 match"

@@ -15,8 +15,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .rings import Poly, RingSpec
 from .groebner import PolyMatrix, Vector, solve_mod
-from .modules import (Element, FPModule, Morphism, annihilator, bass_torsion,
-                      direct_power, hom_module, kernel)
+from .modules import (Element, FPModule, Morphism, _flatten, annihilator,
+                      bass_torsion, direct_power, hom_module, kernel)
 from .functors import (BijectionReport, MainTheoremReport, bijection_report,
                        module_dict, verify_main_theorem)
 
@@ -80,11 +80,8 @@ def malgrange_check(sys: ControlSystem, v: FPModule) -> BijectionReport:
     vq = direct_power(v, sys.n_unknowns)
     cols = []
     for gen in h.generators():
-        phi = h.decode(gen)
-        flat = []
-        for j in range(sys.n_unknowns):
-            flat.extend(phi.mat.column(j).entries)
-        coeffs = solve_mod(Vector(ring, flat), emb.mat, vq.relations)
+        flat = _flatten(h.decode(gen).mat)
+        coeffs = solve_mod(flat, emb.mat, vq.relations)
         if coeffs is None:
             raise ValueError("solution tuple escaped the solution module")
         cols.append(Vector(ring, coeffs))

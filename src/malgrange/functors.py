@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from .rings import RingSpec
+from .rings import Poly, RingSpec
 from .groebner import PolyMatrix, Vector, buchberger, solve_mod
 from .modules import (Element, FPModule, Morphism, bass_torsion, cokernel,
                       direct_sum, dual, hom_module, hom_pre, hom_post,
@@ -70,16 +70,21 @@ class ContraFPFunctor:
     __repr__ = __str__
 
 
+def _factor_through(f: Morphism, g: Morphism) -> Optional[List[Poly]]:
+    """Coefficients, over the generators of Hom(f.target, g.target), of a
+    t with g = t o f, or None when g does not factor through f."""
+    h = hom_module(f.source, g.target)
+    pre = hom_pre(f, g.target)
+    return solve_mod(h.encode(g).vec, pre.mat, h.relations)
+
+
 def _solve_witness(src: FPFunctor, tgt: FPFunctor, b: Morphism,
                    ) -> Optional[Morphism]:
     """a: X_tgt -> X_src with f_src o b = a o f_tgt, if one exists."""
-    h2 = hom_module(tgt.y, src.x)
-    h3 = hom_module(tgt.x, src.x)
-    d = hom_pre(tgt.f, src.x)
-    want = h2.encode(src.f.compose(b))
-    coeffs = solve_mod(want.vec, d.mat, h2.relations)
+    coeffs = _factor_through(tgt.f, src.f.compose(b))
     if coeffs is None:
         return None
+    h3 = hom_module(tgt.x, src.x)
     return h3.decode(Element(h3, Vector(b.source.ring, coeffs)))
 
 
@@ -135,10 +140,7 @@ class FunMorphism:
 
     def is_zero(self) -> bool:
         """Zero as a transformation: b factors through f_tgt."""
-        h1 = hom_module(self.tgt.y, self.src.y)
-        e = hom_pre(self.tgt.f, self.src.y)
-        want = h1.encode(self.b)
-        return solve_mod(want.vec, e.mat, h1.relations) is not None
+        return _factor_through(self.tgt.f, self.b) is not None
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, FunMorphism):
@@ -177,10 +179,7 @@ def forgetful(ring: RingSpec) -> FPFunctor:
 
 def is_zero_functor(fun: FPFunctor) -> bool:
     """F = 0 iff f: Y -> X is a split mono (Hom(X,-) -> Hom(Y,-) epi)."""
-    hyy = hom_module(fun.y, fun.y)
-    e = hom_pre(fun.f, fun.y)
-    ident = hyy.encode(Morphism.identity(fun.y))
-    return solve_mod(ident.vec, e.mat, hyy.relations) is not None
+    return _factor_through(fun.f, Morphism.identity(fun.y)) is not None
 
 
 def tensor_functor(b: FPModule) -> FPFunctor:

@@ -141,50 +141,68 @@ def _primitive(terms: dict) -> Tuple[int, dict]:
     return g, {k: c // g for k, c in terms.items()}
 
 
-def _vector(ring: RingSpec, rank: int, terms: dict, unit) -> Vector:
-    """The vector unit * terms."""
-    rows: List[List[Tuple[Monomial, Fraction]]] = [[] for _ in range(rank)]
+def _polys(ring: RingSpec, terms: dict, unit, start: int,
+           count: int) -> List[Poly]:
+    """unit * terms at positions start .. start+count-1, one polynomial per
+    position; terms at other positions are left out."""
+    rows: List[List[Tuple[Monomial, Fraction]]] = [[] for _ in range(count)]
     for (pos, exps), c in terms.items():
-        rows[pos].append((exps, unit * c))
-    return Vector(ring, (Poly(ring, r) for r in rows))
+        if start <= pos < start + count:
+            rows[pos - start].append((exps, unit * c))
+    return [Poly(ring, r) for r in rows]
+
+
+def _vector(ring: RingSpec, rank: int, terms: dict, unit) -> Vector:
+    """The vector unit * terms, tag positions left out."""
+    return Vector(ring, _polys(ring, terms, unit, 0, rank))
 
 
 class _IntBasis:
     """Divisors converted once to primitive integer term dicts.
 
-    Element i is the vector units[i] * terms[i]; terms[i] is keyed by
-    (position, monomial) and leads[i] is its leading key.  invs[i] is one
-    over the element's leading coefficient.  by_pos lists, per position,
-    the elements leading there in the order they were added, as
-    (i, lead monomial, integer lead coefficient, other terms, invs[i]).
+    Element i is terms[i], keyed by (position, monomial), and leads[i] is
+    its leading key, in a position below rank.  A tagged basis also uses
+    the tags positions rank .. rank+tags-1, where no element leads:
+    element i is then [v_i; c_i], a vector followed by its coefficients
+    over some fixed list of tags vectors w (v_i = sum(c_i[t] * w[t])).
+    Every rational multiple of such an element is one too, and reducing
+    by the basis carries the coefficients along with the vector.  by_pos
+    lists, per position, the elements leading there in the order they
+    were added, as (i, lead monomial, integer lead coefficient, other
+    terms).
     """
 
-    __slots__ = ("rank", "terms", "leads", "units", "invs", "by_pos")
+    __slots__ = ("rank", "tags", "terms", "leads", "by_pos")
 
-    def __init__(self, rank: int):
+    def __init__(self, rank: int, tags: int = 0):
         self.rank = rank
+        self.tags = tags
         self.terms: List[dict] = []
         self.leads: List[Tuple[int, Monomial]] = []
-        self.units: List[Fraction] = []
-        self.invs: List[Fraction] = []
         self.by_pos: dict = {}
 
     @staticmethod
-    def of(vectors: Sequence[Vector], rank: int) -> "_IntBasis":
-        basis = _IntBasis(rank)
-        for v in vectors:
+    def of(vectors: Sequence[Vector], rank: int,
+           rows: Optional[Sequence[Sequence[Poly]]] = None,
+           tags: int = 0) -> "_IntBasis":
+        """The basis of vectors, each tagged with rows[i] (tags entries)
+        when rows are given."""
+        basis = _IntBasis(rank, tags)
+        for i, v in enumerate(vectors):
             if v.rank != rank:
                 raise ValueError("vector rank mismatch")
             pos, exps, _ = v.leading()
-            unit, terms = _scaled_ints(v)
-            basis.add(terms, (pos, exps), unit)
+            if rows is not None:
+                v = Vector(v.ring, v.entries + tuple(rows[i]))
+            basis.add(_scaled_ints(v)[1], (pos, exps))
         return basis
 
     def __len__(self) -> int:
         return len(self.terms)
 
     def padded(self, rank: int) -> "_IntBasis":
-        """The same elements with zero entries appended up to rank.
+        """The same elements, untagged, with zero entries appended up to
+        rank.
 
         Appended positions come last, so every (position, monomial) key
         stays as it is.  The lists are new: adding to the result leaves
@@ -192,27 +210,20 @@ class _IntBasis:
         """
         out = _IntBasis(rank)
         out.terms, out.leads = list(self.terms), list(self.leads)
-        out.units, out.invs = list(self.units), list(self.invs)
         out.by_pos = {pos: list(els) for pos, els in self.by_pos.items()}
         return out
 
-    def add(self, terms: dict, lead: Tuple[int, Monomial],
-            unit: Fraction = _ONE) -> None:
-        b = terms[lead]
-        inv = 1 / (unit * b)
+    def add(self, terms: dict, lead: Tuple[int, Monomial]) -> None:
         tail = tuple((pos, exps, c) for (pos, exps), c in terms.items()
                      if (pos, exps) != lead)
         self.by_pos.setdefault(lead[0], []).append(
-            (len(self.terms), lead[1], b, tail, inv))
+            (len(self.terms), lead[1], terms[lead], tail))
         self.terms.append(terms)
         self.leads.append(lead)
-        self.units.append(unit)
-        self.invs.append(inv)
 
 
-def _reduce(p: dict, basis: _IntBasis, scale: Optional[Fraction] = None,
-            skip: int = -1,
-            ) -> Tuple[dict, Optional[Fraction], Optional[List[dict]]]:
+def _reduce(p: dict, basis: _IntBasis, scale: Fraction = _ONE,
+            skip: int = -1) -> Tuple[dict, Fraction]:
     """Reduce the integer term dict p (consumed) against basis.
 
     The leading term is reduced first, by the first element of basis
@@ -220,17 +231,16 @@ def _reduce(p: dict, basis: _IntBasis, scale: Optional[Fraction] = None,
     divides moves to the remainder.  The leading term is found with a
     min-heap keyed (position, -degree, reversed exponents), which pops the
     largest term first; a key whose term cancelled stays in the heap and
-    is dropped when popped.
+    is dropped when popped.  Tag positions come after every vector
+    position and no element leads there, so tag terms only ride along to
+    the remainder, and every divisor choice is the one the vector part
+    alone would get.
 
-    Without scale, returns (rem, None, None): the remainder up to a
-    nonzero rational factor.  With scale, p stands for scale * p and the
-    quotients are tracked: returns (rem, s, q) with
-    scale * p == sum(q[i][m] * x^m * basis[i]) + s * rem exactly.
-    Either way rem lists its terms leading term first.
+    p stands for scale * p.  Returns (rem, s): scale * p minus a
+    combination of basis elements is exactly s * rem.  rem lists its terms
+    leading term first, so its tag terms come last.
     """
     by_pos = basis.by_pos
-    track = scale is not None
-    quotients = [{} for _ in range(len(basis))] if track else None
     heap = [(pos, -sum(exps), exps[::-1], (pos, exps)) for pos, exps in p]
     heapify(heap)
     rem: dict = {}
@@ -241,23 +251,19 @@ def _reduce(p: dict, basis: _IntBasis, scale: Optional[Fraction] = None,
         if not a:
             continue
         pos, exps = t
-        for i, gexps, b, tail, inv in by_pos.get(pos, ()):
+        for i, gexps, b, tail in by_pos.get(pos, ()):
             if mono_divides(gexps, exps) and i != skip:
                 break
         else:
             rem[t] = a
             continue
         shift = mono_div(exps, gexps)
-        if track:
-            # leads strictly decrease, so each shift occurs once per divisor
-            quotients[i][shift] = scale * a * inv
         d = gcd(a, b)
         ap, bp = a // d, b // d
         if bp != 1:
             p = {k: bp * c for k, c in p.items()}
             rem = {k: bp * c for k, c in rem.items()}
-            if track:
-                scale /= bp
+            scale /= bp
         for tpos, texps, tc in tail:
             m = mono_mul(texps, shift)
             k = (tpos, m)
@@ -277,13 +283,8 @@ def _reduce(p: dict, basis: _IntBasis, scale: Optional[Fraction] = None,
             if content > 1:
                 p = {k: c // content for k, c in p.items()}
                 rem = {k: c // content for k, c in rem.items()}
-                if track:
-                    scale *= content
-    return rem, scale, quotients
-
-
-def _quotient_polys(ring: RingSpec, quotients: List[dict]) -> List[Poly]:
-    return [Poly(ring, list(q.items())) for q in quotients]
+                scale *= content
+    return rem, scale
 
 
 def divide(v: Vector, basis: Union[Sequence[Vector], _IntBasis],
@@ -295,20 +296,25 @@ def divide(v: Vector, basis: Union[Sequence[Vector], _IntBasis],
     applicable reducers the first in the given sequence wins.
 
     This is the rational face of the one integer reducer (``_reduce``)
-    that Buchberger completion also runs on: dividend and divisors become
-    primitive integer term dicts times a rational unit, so the per-term
-    arithmetic is plain integer work, and the emitted quotients and
-    remainder are the exact rationals of the textbook division.  basis
-    may also be an ``_IntBasis`` already converted.
+    that Buchberger completion also runs on.  Divisor b_i enters tagged
+    as [b_i; e_i] and v as [v; 0], each a primitive integer term dict;
+    what is left is [r; -q], so the quotients are the negated tag part of
+    the remainder, and r and q are the exact rationals of the textbook
+    division.  basis may also be an ``_IntBasis`` already tagged; q are
+    then the coefficients over the vectors its tags stand for
+    (``SpanSolver`` tags its reduced basis with the cofactor rows, so its
+    q are over its generators).
     """
     if not isinstance(basis, _IntBasis):
-        basis = _IntBasis.of(basis, v.rank)
+        n = len(basis)
+        basis = _IntBasis.of(basis, v.rank, [Vector.unit(v.ring, n, i).entries
+                                             for i in range(n)], n)
     elif basis.rank != v.rank:
         raise ValueError("vector rank mismatch")
     unit, p = _scaled_ints(v)
-    rem, scale, quotients = _reduce(p, basis, unit)
+    rem, scale = _reduce(p, basis, unit)
     return (_vector(v.ring, v.rank, rem, scale),
-            _quotient_polys(v.ring, quotients))
+            _polys(v.ring, rem, -scale, v.rank, basis.tags))
 
 
 # -- one cache of certified results per exact presentation -----------------------
@@ -351,31 +357,9 @@ def _primitive_scale(v: Vector) -> Fraction:
     return -1 / unit if v.leading()[2] < 0 else 1 / unit
 
 
-def _push_down(ring: RingSpec, coeffs: Sequence[Poly],
-               rows: Sequence[Sequence[Poly]], count: int) -> List[Poly]:
-    """sum(coeffs[b] * rows[b]) entry by entry: coefficients over a basis
-    pushed through its cofactor rows to the count generators."""
-    pairs = list(zip(coeffs, rows))
-    return [sum_of_products(ring, [(row[k], c) for c, row in pairs])
-            for k in range(count)]
-
-
-def _combine_cof(ring: RingSpec, cof: List[Poly], quotients: List[dict],
-                 cof_rows: Sequence[List[Poly]],
-                 unit: Fraction = _ONE) -> List[Poly]:
-    """Cofactors of unit * (v - sum(q_b * basis_b)), given the cofactors
-    of v and of the basis and the quotient dicts q from ``_reduce``."""
-    pushed = _push_down(ring, _quotient_polys(ring, quotients), cof_rows,
-                        len(cof))
-    return [c - p if unit == 1 else (c - p).scale(unit)
-            for c, p in zip(cof, pushed)]
-
-
-def _s_vector(basis: _IntBasis, i: int, j: int,
-              cofs: Sequence[Optional[List[Poly]]]):
-    """(S, scale, cof): scale * S is the S-vector of elements i and j of
-    basis, which lead in one position, with both leads scaled to 1, and
-    cof are its cofactors; scale and cof are None when cofs[i] is."""
+def _s_vector(basis: _IntBasis, i: int, j: int) -> Tuple[dict, Fraction]:
+    """(S, scale): scale * S is the S-vector of elements i and j of basis,
+    which lead in one position, with both leads scaled to 1."""
     ti, tj = basis.terms[i], basis.terms[j]
     (_, ei), (_, ej) = basis.leads[i], basis.leads[j]
     bi, bj = ti[basis.leads[i]], tj[basis.leads[j]]
@@ -391,12 +375,7 @@ def _s_vector(basis: _IntBasis, i: int, j: int,
             s[k] = c
         else:
             s.pop(k, None)
-    if cofs[i] is None:
-        return s, None, None
-    ii, ij = basis.invs[i], basis.invs[j]
-    cof = [x.mul_term(ii, mi) - y.mul_term(ij, mj)
-           for x, y in zip(cofs[i], cofs[j])]
-    return s, Fraction(1, l), cof
+    return s, Fraction(1, l)
 
 
 class _Completion:
@@ -407,8 +386,9 @@ class _Completion:
     the input extends (``colon_ideal``); the latter two are taken as
     closed under their own pairs.  Every element added later, from the
     input, an S-pair or the sweep, goes through ``add``, which queues its
-    pairs with the elements already leading in the same position.  cofs[i]
-    expresses element i over the input (None when not tracked).
+    pairs with the elements already leading in the same position.  When
+    cofactors are tracked the basis is tagged over the input (see
+    ``_IntBasis``), so each element carries its own cofactors.
 
     Elements are kept primitive rather than monic: that bounds the
     arithmetic (monic scaling lets numerators and denominators compound
@@ -425,51 +405,46 @@ class _Completion:
     on the order, so theirs stays.
     """
 
-    def __init__(self, ring: RingSpec, basis: _IntBasis, cofs: List):
-        self.ring = ring
+    def __init__(self, basis: _IntBasis):
         self.basis = basis
-        self.cofs: List[Optional[List[Poly]]] = cofs
-        # sole position each element uses, or None
+        # sole vector position each element uses, or None
         self.conc: List[Optional[int]] = [
-            _sole_position(terms, lead[0])
+            _sole_position(terms, lead[0], basis.rank)
             for terms, lead in zip(basis.terms, basis.leads)]
         self.pending: List[tuple] = []
         self.live: set = set()
 
-    def add(self, terms: dict, lead: Tuple[int, Monomial], cof) -> None:
+    def add(self, terms: dict, lead: Tuple[int, Monomial]) -> None:
         basis = self.basis
         j = len(basis)
         pos, exps = lead
-        for i, e, _, _, _ in basis.by_pos.get(pos, ()):
+        for i, e, _, _ in basis.by_pos.get(pos, ()):
             l = mono_lcm(e, exps)
             key = _pot_key(pos, l)
-            if cof is None:  # untracked: lowest lcm degree first
+            if not basis.tags:  # untracked: lowest lcm degree first
                 key = (sum(l), key)
             heappush(self.pending, (key, i, j, l))
             self.live.add((i, j))
         basis.add(terms, lead)
-        self.cofs.append(cof)
-        self.conc.append(_sole_position(terms, pos))
+        self.conc.append(_sole_position(terms, pos, basis.rank))
 
-    def reduce(self, p: dict, scale: Optional[Fraction], cof,
+    def reduce(self, p: dict, scale: Fraction = _ONE,
                zero_rows: Optional[list] = None) -> None:
-        """Add the primitive remainder of p against the basis, if nonzero.
+        """Add the primitive remainder of p against the basis, unless its
+        vector part is zero.
 
-        p stands for scale * p and cof are its cofactors when tracked;
-        both are None otherwise.  A zero remainder of a tracked p appends
-        its relation, cof - sum(q_b * cofs[b]), to zero_rows when given.
+        p stands for scale * p.  A remainder rem with nothing left below
+        the tag positions is appended to zero_rows, when given, as (rem,
+        s) with s the reducer's scale: s times its tag part is the
+        relation among the inputs that p left (empty when untracked).
         """
-        rem, scale, quotients = _reduce(p, self.basis, scale)
-        if not rem:
-            if zero_rows is not None and cof is not None:
-                zero_rows.append(_combine_cof(self.ring, cof, quotients,
-                                              self.cofs))
+        rem, scale = _reduce(p, self.basis, scale)
+        if not rem or next(iter(rem))[0] >= self.basis.rank:
+            if zero_rows is not None:
+                zero_rows.append((rem, scale))
             return
-        g, prim = _primitive(rem)
-        if cof is not None:
-            cof = _combine_cof(self.ring, cof, quotients, self.cofs,
-                               1 / (scale * g))
-        self.add(prim, next(iter(prim)), cof)
+        _, prim = _primitive(rem)
+        self.add(prim, next(iter(prim)))
 
     def run(self) -> None:
         """Process pending pairs, smallest key first, ties by (i, j)."""
@@ -483,7 +458,7 @@ class _Completion:
                     and l == mono_mul(leads[i][1], leads[j][1])):
                 continue
             chained = False
-            for k, e, _, _, _ in basis.by_pos[pos]:
+            for k, e, _, _ in basis.by_pos[pos]:
                 if (k != i and k != j and mono_divides(e, l)
                         and (min(i, k), max(i, k)) not in live
                         and (min(j, k), max(j, k)) not in live):
@@ -491,76 +466,72 @@ class _Completion:
                     break
             if chained:
                 continue
-            self.reduce(*_s_vector(basis, i, j, self.cofs))
+            self.reduce(*_s_vector(basis, i, j))
 
-    def sweep(self) -> List[List[Poly]]:
+    def sweep(self) -> List[Tuple[dict, Fraction]]:
         """Final check of the starting basis: reduce every same-position
         S-vector of it, in (i, j) order and with no criteria, against the
         basis and the remainders this sweep has added, and add each
-        nonzero remainder (queuing its pairs).
+        remainder whose vector part is nonzero (queuing its pairs).
 
-        Returns, when tracked, the relation among the inputs left by each
-        S-vector of elements i < j that reduced to zero, in (i, j) order:
-        Schreyer's rows (Eisenbud, Thm. 15.10), valid only if nothing was
-        added.
+        Returns the (rem, s) that ``reduce`` left for each S-vector of
+        elements i < j whose vector part reduced to zero, in (i, j) order.
+        When tracked, s times the tag part of rem is the relation among
+        the inputs that S-vector left: Schreyer's rows (Eisenbud, Thm.
+        15.10), valid only if nothing was added.
         """
         basis = self.basis
-        rows: List[List[Poly]] = []
+        rows: List[Tuple[dict, Fraction]] = []
         n = len(basis)
         for i in range(n):
             for j in range(i + 1, n):
                 if basis.leads[i][0] == basis.leads[j][0]:
-                    self.reduce(*_s_vector(basis, i, j, self.cofs), rows)
+                    self.reduce(*_s_vector(basis, i, j), rows)
         return rows
 
 
-def _sole_position(terms: dict, pos: int) -> Optional[int]:
-    """pos if every term of terms lies in position pos, else None."""
-    return pos if all(k[0] == pos for k in terms) else None
+def _sole_position(terms: dict, pos: int, rank: int) -> Optional[int]:
+    """pos if every term of terms below the tag positions (rank and up)
+    lies in position pos, else None."""
+    return pos if all(k[0] == pos or k[0] >= rank for k in terms) else None
 
 
-def _interreduce(basis: _IntBasis, cofs: Sequence, ring: RingSpec,
-                 ) -> Tuple[_IntBasis, List[Vector], List]:
+def _interreduce(basis: _IntBasis, ring: RingSpec,
+                 ) -> Tuple[_IntBasis, List[Vector], List[List[Poly]]]:
     """Minimalize, tail-reduce, and normalize to the unique reduced basis.
 
-    Returns the integer basis of the monic result (ascending leads), the
-    monic vectors and their cofactors (None entries when not tracked).
+    Returns the integer basis of the result (ascending leads, tagged as
+    basis is), the monic vectors and their cofactor rows A: each
+    element's tag part, scaled as its vector is (empty rows when
+    untagged).
     """
     ranked = sorted(range(len(basis)),
                     key=lambda i: _pot_key(*basis.leads[i]))
-    minimal = _IntBasis(basis.rank)
-    min_cofs = []
+    minimal = _IntBasis(basis.rank, basis.tags)
     for i in ranked:
         pos, exps = basis.leads[i]
         if any(mono_divides(e, exps)
-               for _, e, _, _, _ in minimal.by_pos.get(pos, ())):
+               for _, e, _, _ in minimal.by_pos.get(pos, ())):
             continue
-        minimal.add(basis.terms[i], basis.leads[i], basis.units[i])
-        min_cofs.append(cofs[i])
-    reduced = _IntBasis(basis.rank)
-    vectors, out_cofs = [], []
+        minimal.add(basis.terms[i], basis.leads[i])
+    reduced = _IntBasis(basis.rank, basis.tags)
+    vectors, cofs = [], []
     for i, lead in enumerate(minimal.leads):
-        cof = min_cofs[i]
-        rem, scale, quotients = _reduce(
-            dict(minimal.terms[i]), minimal,
-            None if cof is None else minimal.units[i], skip=i)
+        rem, _ = _reduce(dict(minimal.terms[i]), minimal, skip=i)
         _, prim = _primitive(rem)
         unit = Fraction(1, prim[lead])
-        reduced.add(prim, lead, unit)
+        reduced.add(prim, lead)
         vectors.append(_vector(ring, basis.rank, prim, unit))
-        if cof is not None:
-            cof = _combine_cof(ring, cof, quotients, min_cofs,
-                               1 / (scale * rem[lead]))
-        out_cofs.append(cof)
-    return reduced, vectors, out_cofs
+        cofs.append(_polys(ring, prim, unit, basis.rank, basis.tags))
+    return reduced, vectors, cofs
 
 
 @dataclass(frozen=True)
 class GrobnerBasis:
     """Reduced Groebner basis: monic, pairwise irreducible, sorted ascending.
 
-    Keeps the integer form of its elements, converted once, for
-    ``normal_form``.
+    Keeps the integer form of its elements, converted once, untagged and
+    primitive on the vector, for ``reduce``.
     """
 
     ring: RingSpec
@@ -575,12 +546,18 @@ class GrobnerBasis:
                                _IntBasis.of(self.gens, self.rank))
 
     def normal_form(self, v: Vector) -> Tuple[Vector, List[Poly]]:
+        """``divide`` by gens: the remainder and the quotients."""
         if v.rank != self.rank:
             raise ValueError("rank mismatch")
-        return divide(v, self._basis)
+        return divide(v, self.gens)
 
     def reduce(self, v: Vector) -> Vector:
-        return self.normal_form(v)[0]
+        """The remainder of ``normal_form``, with no quotients computed."""
+        if v.rank != self.rank:
+            raise ValueError("rank mismatch")
+        unit, p = _scaled_ints(v)
+        rem, scale = _reduce(p, self._basis, unit)
+        return _vector(v.ring, v.rank, rem, scale)
 
     def contains(self, v: Vector) -> bool:
         return self.reduce(v).is_zero()
@@ -631,7 +608,11 @@ def extended_buchberger(gens: Sequence[Vector], *,
     G[a] = sum(A[a][i] * gens[i]); zero input vectors get zero columns.
     S[k] = x^u A[a] - x^v A[b] - sum(q_c * A[c]) for the k-th pair a < b
     leading in one position, where x^u G[a] - x^v G[b] = sum(q_c * G[c])
-    in the final sweep: Schreyer's relations among gens, not certified."""
+    in the final sweep: Schreyer's relations among gens, not certified.
+
+    The completion runs on the tagged vectors [gens[i]; e_i] (see
+    ``_IntBasis``): A is the tag part of the reduced basis, and S the tag
+    part of each S-vector the final sweep reduces to zero."""
     return _buchberger_core(gens, ring, rank, track=True)
 
 
@@ -640,6 +621,10 @@ def _buchberger_core(gens: Sequence[Vector], ring: Optional[RingSpec],
                      start: Optional[GrobnerBasis] = None,
                      ) -> Tuple[GrobnerBasis, Optional[list], Optional[list]]:
     """The completion behind ``buchberger`` and ``extended_buchberger``.
+
+    Tracked, the basis is tagged with one position per input, rank + i
+    for input i, which enters as [gens[i]; e_i] scaled to one integer
+    term dict.
 
     start, when given (untracked only), is a reduced basis of rank at most
     rank: padded with zeros, it is the starting basis, closed under its
@@ -656,26 +641,27 @@ def _buchberger_core(gens: Sequence[Vector], ring: Optional[RingSpec],
             raise ValueError("rank mismatch")
 
     if start is None:
-        state = _Completion(ring, _IntBasis(rank), [])
+        state = _Completion(_IntBasis(rank, m if track else 0))
     else:
-        state = _Completion(ring, start._basis.padded(rank),
-                            [None] * len(start.gens))
+        state = _Completion(start._basis.padded(rank))
+    constant = (0,) * ring.nvars
     for i, v in seeds:
         unit, p = _scaled_ints(v)
-        if track:
-            cof = [Poly.one(ring) if k == i else Poly.zero(ring)
-                   for k in range(m)]
-            state.reduce(p, unit, cof)
-        else:
-            state.reduce(p, None, None)
+        if track:  # denominator * [v; e_i], in integers
+            p = {k: unit.numerator * c for k, c in p.items()}
+            p[(rank + i, constant)] = unit.denominator
+        state.reduce(p)
     while True:
         state.run()
-        reduced, vectors, cofs = _interreduce(state.basis, state.cofs, ring)
-        state = _Completion(ring, reduced, cofs)
+        reduced, vectors, cofs = _interreduce(state.basis, ring)
+        state = _Completion(reduced)
         rows = state.sweep()
-        if len(reduced) == len(vectors):  # the sweep added nothing
-            return (GrobnerBasis(ring, rank, tuple(vectors), reduced),
-                    cofs if track else None, rows if track else None)
+        if len(reduced) != len(vectors):  # the sweep added an element
+            continue
+        if not track:
+            return GrobnerBasis(ring, rank, tuple(vectors), reduced), None, None
+        return (GrobnerBasis(ring, rank, tuple(vectors)), cofs,
+                [_polys(ring, rem, s, rank, m) for rem, s in rows])
 
 
 # -- syzygies and membership ------------------------------------------------------
@@ -683,12 +669,14 @@ def _buchberger_core(gens: Sequence[Vector], ring: Optional[RingSpec],
 class SpanSolver:
     """Answers membership and syzygy questions for a fixed generator list.
 
-    Keeps the reduced basis of the span together with the cofactor rows
-    expressing each basis vector over the generators; membership
-    certificates are division quotients pushed through the cofactors, and
-    syzygies come from Schreyer's construction (one row per generator
-    re-expressed through the basis, plus one row per same-position S-pair
-    of the basis, as the final sweep of ``extended_buchberger`` left it).
+    Keeps the reduced basis of the span tagged with its cofactor rows:
+    element b is [G_b; A_b], with G_b = sum(A_b[i] * gens[i]) (see
+    ``_IntBasis``).  ``divide`` by it leaves [r; -c] from [v; 0], with
+    v = sum(c[i] * gens[i]) + r, so membership certificates are read off
+    the tag part.  Syzygies come from Schreyer's construction: one row
+    per generator, lifted the same way, plus one row per same-position
+    S-pair of the basis, as the final sweep of ``extended_buchberger``
+    left it.
     """
 
     def __init__(self, gens: Sequence[Vector], ring: RingSpec, rank: int):
@@ -699,23 +687,17 @@ class SpanSolver:
         for g in gens:
             if g.rank != rank:
                 raise ValueError("rank mismatch")
-        self._gb, self._cofs, self._schreyer = extended_buchberger(
+        self._gb, cofs, self._schreyer = extended_buchberger(
             gens, ring=ring, rank=rank)
+        self._tagged = _IntBasis.of(self._gb.gens, rank, cofs, self.count)
         self._syz: Optional[List[Vector]] = None
 
     def solve(self, v: Vector) -> Optional[List[Poly]]:
         """Coefficients c with sum(c[i] * gens[i]) = v, or None."""
         if v.rank != self.rank:
             raise ValueError("rank mismatch")
-        r, q = self._gb.normal_form(v)
-        if not r.is_zero():
-            return None
-        return list(self._gb_combination(q).entries)
-
-    def _gb_combination(self, over_gb: List[Poly]) -> Vector:
-        """Push a coefficient vector over the basis down to the gens."""
-        return Vector(self.ring, _push_down(self.ring, over_gb, self._cofs,
-                                            self.count))
+        r, c = divide(v, self._tagged)
+        return c if r.is_zero() else None
 
     def syzygies(self) -> List[Vector]:
         """Certified generators of {(a_1..a_m) : sum(a_i * gens[i]) = 0}.
@@ -733,22 +715,21 @@ class SpanSolver:
         Schreyer's construction: the rows below generate all relations
         (any syzygy s splits as s(I - BA) + (s B)A with B the division
         coefficients of the generators over the basis and A the tracked
-        cofactors).  The rows e_i - B_i A are built here; the S-pair rows
-        come from the final sweep of ``extended_buchberger``.  Every row is
-        re-multiplied against every generator, then returned certified but
-        not recompleted: callers that need a canonical presentation run
-        Buchberger after projecting to the block they keep, where the
-        rank is smaller and completion stays cheap.
+        cofactors).  Row e_i - B_i A is what [gens[i]; e_i] leaves against
+        the tagged basis, whose vector part must reduce to zero; the
+        S-pair rows come from the final sweep of ``extended_buchberger``.
+        Every row is re-multiplied against every generator, then returned
+        certified but not recompleted: callers that need a canonical
+        presentation run Buchberger after projecting to the block they
+        keep, where the rank is smaller and completion stays cheap.
         """
         rows: List[Vector] = []
-        # each generator re-expressed through the basis: e_i - B_i A
         for i, f in enumerate(self.gens):
-            r, q = self._gb.normal_form(f)
+            r, c = divide(f, self._tagged)
             if not r.is_zero():
                 raise RuntimeError("generator escaped its own span")
-            combo = self._gb_combination(q)
-            unit = Vector.unit(self.ring, self.count, i)
-            rows.append(unit - combo)
+            rows.append(Vector.unit(self.ring, self.count, i)
+                        - Vector(self.ring, c))
         rows.extend(Vector(self.ring, row) for row in self._schreyer)
         out = []
         for v in rows:

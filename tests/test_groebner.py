@@ -417,26 +417,100 @@ def test_span_solver_certificates():
     assert solver.solve(vec(RXY, "1", "0")) is None
 
 
+def reference_lift(v, basis, cofs, count):
+    """Coefficients of v over the count generators as ``SpanSolver`` once
+    computed them: ``reference_divide`` by the reduced basis, its
+    quotients pushed through the cofactor rows with ``Poly`` arithmetic.
+    None when a remainder is left."""
+    rem, q = reference_divide(v, basis)
+    if not rem.is_zero():
+        return None
+    row = [Poly.zero(v.ring)] * count
+    for coeff, cof in zip(q, cofs):
+        row = [x + coeff * c for x, c in zip(row, cof)]
+    return row
+
+
+def reference_syzygies(gens, basis, cofs):
+    """Schreyer's generators of the syzygies of gens, built by the
+    reference routines: e_i - B_i A for each generator, then the S-pair
+    rows; zero rows dropped, each row scaled to coprime integer
+    coefficients with a positive leading coefficient."""
+    r_, count = gens[0].ring, len(gens)
+    rows = []
+    for i, g in enumerate(gens):
+        lifted = reference_lift(g, basis, cofs, count)
+        assert lifted is not None
+        rows.append([(Poly.one(r_) if k == i else Poly.zero(r_)) - c
+                     for k, c in enumerate(lifted)])
+    rows += reference_schreyer_rows(basis, cofs)
+    out = []
+    for entries in rows:
+        row = Vector(r_, entries)
+        if row.is_zero():
+            continue
+        unit, _ = _reference_scaled_ints(
+            (k, c) for k, poly in enumerate(row.entries) for _, c in poly.terms)
+        sign = -1 if reference_leading(row)[2] < 0 else 1
+        out.append(row.scale(sign / unit))
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**30), st.sampled_from([RX, RXY, R3]))
+def test_span_solver_matches_the_reference_lift(seed, r):
+    # entries of degree 1 over R3 (up to 2 otherwise), rank + 1 generators,
+    # as in test_sweep_rows_match_reference_schreyer_rows
+    rng = random.Random(seed)
+    rank = rng.randint(1, 3)
+    deg = 1 if r is R3 else 2
+    gens = [rand_vector(r, rng, rank, deg=rng.randint(1, deg))
+            for _ in range(rank + 1)]
+    solver = SpanSolver(gens, r, rank)
+    g, cofs, _ = extended_buchberger(gens, ring=r, rank=rank)
+    basis = list(g.gens)
+    # random combinations of the generators: exactly the reference's
+    # coefficients
+    for _ in range(3):
+        combo = Vector.zero(r, rank)
+        for gen in gens:
+            combo = combo + gen.poly_mul(
+                rand_vector(r, rng, 1, deg=deg).entries[0])
+        want = reference_lift(combo, basis, cofs, len(gens))
+        assert want is not None
+        assert solver.solve(combo) == want
+    # arbitrary vectors: None exactly for non-members
+    span = buchberger(gens, ring=r, rank=rank)
+    for _ in range(3):
+        v = rand_vector(r, rng, rank, deg=deg)
+        got = solver.solve(v)
+        assert (got is None) == (not span.contains(v))
+        assert got == reference_lift(v, basis, cofs, len(gens))
+    assert solver.syzygies() == reference_syzygies(gens, basis, cofs)
+
+
 # The syzygy certificates must be live: a corrupted row or a generator
 # outside the basis span is an error, never a returned relation.  Closure
 # under S-vectors is the final sweep's job (see
 # test_schreyer_rows_come_from_the_final_sweep_only).
 
 def test_a_corrupted_syzygy_row_is_not_certified(monkeypatch):
+    # the first-kind rows e_i - B_i A are read off the tag part that
+    # dividing each generator by the solver's tagged basis leaves
     gens = [vec(RXY, "x"), vec(RXY, "y")]
     assert SpanSolver(gens, RXY, 1).syzygies()  # uncorrupted: certified
     solver = SpanSolver(gens, RXY, 1)
-    original = SpanSolver._gb_combination
+    original = groebner.divide
     seen = []
 
-    def corrupted(self, over_gb):
-        row = original(self, over_gb)
-        seen.append(row)
-        if len(seen) == 1:  # the first row gains a term on generator 2
-            row = row + Vector.unit(RXY, 2, 1)
-        return row
+    def corrupted(v, basis):
+        r, tag = original(v, basis)
+        seen.append(tag)
+        if len(seen) == 1:  # the first tag part gains a term on generator 2
+            tag = [tag[0], tag[1] + Poly.one(RXY)]
+        return r, tag
 
-    monkeypatch.setattr(SpanSolver, "_gb_combination", corrupted)
+    monkeypatch.setattr(groebner, "divide", corrupted)
     with pytest.raises(RuntimeError, match="uncertified syzygy"):
         solver.syzygies()
     assert seen
@@ -445,12 +519,12 @@ def test_a_corrupted_syzygy_row_is_not_certified(monkeypatch):
 def test_a_generator_outside_the_basis_span_is_an_error(monkeypatch):
     gens = [vec(RXY, "x"), vec(RXY, "y")]
     solver = SpanSolver(gens, RXY, 1)
-    original = GrobnerBasis.normal_form
+    original = groebner.divide
 
-    def leaking(self, v):  # every vector reported as its own remainder
-        return v, original(self, v)[1]
+    def leaking(v, basis):  # every lift leaves its vector part unreduced
+        return v, original(v, basis)[1]
 
-    monkeypatch.setattr(GrobnerBasis, "normal_form", leaking)
+    monkeypatch.setattr(groebner, "divide", leaking)
     with pytest.raises(RuntimeError, match="generator escaped its own span"):
         solver.syzygies()
 
@@ -614,10 +688,10 @@ def test_a_seeded_colon_ideal_ends_with_a_full_final_sweep(monkeypatch):
         sweeps[-1] += (len(self.basis) - n,)
         return rows
 
-    def counting(basis, i, j, cofs):
+    def counting(basis, i, j):
         if sweeps and len(sweeps[-1]) == 2:  # inside a sweep
             sweeps[-1][1].append((i, j))
-        return original_s(basis, i, j, cofs)
+        return original_s(basis, i, j)
 
     monkeypatch.setattr(groebner._Completion, "sweep", recording)
     monkeypatch.setattr(groebner, "_s_vector", counting)

@@ -9,9 +9,11 @@ Reduced bases, span solvers and Hom modules are kept in one bounded LRU
 cache keyed by the exact presentation (``cached``): an equal input returns
 the object built, and certified, the first time.
 
-Module monomials are (position, monomial) pairs.  The order is
-position-over-term with e1 > e2 > ... over grevlex, which makes the
-elimination-style syzygy and lifting computations below correct.
+The order is position-over-term with e1 > e2 > ... over grevlex, which
+makes the elimination-style syzygy and lifting computations below correct.
+Inside the integer layer each module term x^e * e_pos is one int (see
+``_Layout``), ordered as the terms are; ``Vector`` and ``Poly`` keep
+exponent tuples.
 """
 
 from __future__ import annotations
@@ -20,19 +22,85 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
+from itertools import repeat
 from math import gcd
+from operator import and_, lshift, rshift
 from typing import (Callable, Iterable, List, Optional, Sequence, Tuple,
                     TypeVar, Union)
 
-from .rings import (GREVLEX, Monomial, Poly, RingSpec, mono_div,
-                    mono_divides, mono_lcm, mono_mul, scaled_ints,
-                    sum_of_products)
+from .rings import Monomial, Poly, RingSpec, scaled_ints, sum_of_products
 
 
-def _pot_key(pos: int, exps: Monomial):
-    """Sort key of the module term exps * e_pos: positions rank
-    e1 > e2 > ..., ties broken by grevlex; larger key = larger term."""
-    return (-pos, GREVLEX.key(exps))
+class _Layout:
+    """A packing of module terms over nvars variables into ints.
+
+    The term x^e * e_pos is the int holding, from the most significant end,
+    pos, then top - deg(e), then e[nvars-1], ..., e[0].  Every field below
+    the position is width bits wide and its top bit is a guard, clear in
+    every packed term; top = 2^(width-1) - 1 bounds the degree, and with it
+    every exponent.  The layout holds every term of degree at most 2 *
+    degree, and a width of at least 8.
+
+    A smaller int is a larger term: positions rank e1 > e2 > ..., then
+    larger degree first, then the smaller last exponent (grevlex).  For t
+    and g in one position, t - g has every guard clear exactly when g
+    divides t, and it is then the quotient: adding it to the key of a term
+    multiplies that term by t / g, as long as the product's degree stays at
+    most top (``_IntBasis.fit`` keeps it so).
+    """
+
+    __slots__ = ("nvars", "width", "top", "mask", "shifts", "deg_shift",
+                 "pos_shift", "guards")
+
+    def __init__(self, nvars: int, degree: int):
+        width = max(8, (2 * degree).bit_length() + 1)
+        self.nvars = nvars
+        self.width = width
+        self.top = (1 << (width - 1)) - 1
+        self.mask = (1 << width) - 1
+        self.shifts = tuple(range(0, nvars * width, width))
+        self.deg_shift = nvars * width
+        self.pos_shift = (nvars + 1) * width
+        self.guards = sum(1 << (s + width - 1) for s in self.shifts)
+
+    def pack(self, pos: int, exps: Monomial) -> int:
+        return ((pos << self.pos_shift)
+                + ((self.top - sum(exps)) << self.deg_shift)
+                + sum(map(lshift, exps, self.shifts)))
+
+    def exps(self, key: int) -> Monomial:
+        return tuple(map(and_, map(rshift, repeat(key), self.shifts),
+                         repeat(self.mask)))
+
+    def unpack(self, key: int) -> Tuple[int, Monomial]:
+        return key >> self.pos_shift, self.exps(key)
+
+    def degree(self, key: int) -> int:
+        return self.top - ((key >> self.deg_shift) & self.mask)
+
+    def max_degree(self, keys: Iterable[int]) -> int:
+        # below the position field, a larger degree is a smaller int
+        return self.degree(min(map(and_, keys,
+                                   repeat((1 << self.pos_shift) - 1))))
+
+    def divides(self, g: int, t: int) -> bool:
+        """Whether the term g divides the term t, both in one position."""
+        return not (t - g) & self.guards
+
+    def lcm_exps(self, a: int, b: int) -> Monomial:
+        """The exponents of the lcm of the terms a and b, which may have a
+        degree past top."""
+        return tuple(map(max, self.exps(a), self.exps(b)))
+
+    def repack(self, key: int, old: "_Layout") -> int:
+        """key, packed by old, packed by this layout."""
+        return self.pack(*old.unpack(key))
+
+
+def _degree(v: "Vector") -> int:
+    """The largest total degree of a term of v, 0 when v is zero: each
+    entry lists a term of its largest degree first."""
+    return max((sum(p.terms[0][0]) for p in v.entries if p.terms), default=0)
 
 
 class Vector:
@@ -123,10 +191,12 @@ class Vector:
 _ONE = Fraction(1)
 
 
-def _scaled_ints(v: Vector) -> Tuple[Fraction, dict]:
-    """(s, D) with D a primitive integer term dict keyed by (position,
-    monomial) and s * D == v."""
-    return scaled_ints([((pos, exps), c) for pos, poly in enumerate(v.entries)
+def _scaled_ints(v: Vector, layout: _Layout) -> Tuple[Fraction, dict]:
+    """(s, D) with D a primitive integer term dict keyed by the terms
+    packed by layout and s * D == v.  D lists v's terms largest first."""
+    pack = layout.pack
+    return scaled_ints([(pack(pos, exps), c)
+                        for pos, poly in enumerate(v.entries)
                         for exps, c in poly.terms])
 
 
@@ -141,60 +211,75 @@ def _primitive(terms: dict) -> Tuple[int, dict]:
     return g, {k: c // g for k, c in terms.items()}
 
 
-def _polys(ring: RingSpec, terms: dict, unit, start: int,
+def _polys(layout: _Layout, ring: RingSpec, terms: dict, unit, start: int,
            count: int) -> List[Poly]:
     """unit * terms at positions start .. start+count-1, one polynomial per
-    position; terms at other positions are left out."""
+    position; terms at other positions are left out.  terms lists its
+    terms largest first, as the reducer leaves them."""
     rows: List[List[Tuple[Monomial, Fraction]]] = [[] for _ in range(count)]
-    for (pos, exps), c in terms.items():
-        if start <= pos < start + count:
+    lo, hi = start << layout.pos_shift, (start + count) << layout.pos_shift
+    for k, c in terms.items():
+        if lo <= k < hi:
+            pos, exps = layout.unpack(k)
             rows[pos - start].append((exps, unit * c))
-    return [Poly(ring, r) for r in rows]
+    return [Poly(ring, r, _canonical=True) for r in rows]
 
 
-def _vector(ring: RingSpec, rank: int, terms: dict, unit) -> Vector:
+def _vector(layout: _Layout, ring: RingSpec, rank: int, terms: dict,
+            unit) -> Vector:
     """The vector unit * terms, tag positions left out."""
-    return Vector(ring, _polys(ring, terms, unit, 0, rank))
+    return Vector(ring, _polys(layout, ring, terms, unit, 0, rank))
 
 
 class _IntBasis:
     """Divisors converted once to primitive integer term dicts.
 
-    Element i is terms[i], keyed by (position, monomial), and leads[i] is
-    its leading key, in a position below rank.  A tagged basis also uses
-    the tags positions rank .. rank+tags-1, where no element leads:
-    element i is then [v_i; c_i], a vector followed by its coefficients
-    over some fixed list of tags vectors w (v_i = sum(c_i[t] * w[t])).
-    Every rational multiple of such an element is one too, and reducing
-    by the basis carries the coefficients along with the vector.  by_pos
-    lists, per position, the elements leading there in the order they
-    were added, as (i, lead monomial, integer lead coefficient, other
-    terms).
+    Element i is terms[i], keyed by its terms packed by layout, and
+    leads[i] is its leading (smallest) key, in a position below rank.  A
+    tagged basis also uses the tags positions rank .. rank+tags-1, where no
+    element leads: element i is then [v_i; c_i], a vector followed by its
+    coefficients over some fixed list of tags vectors w (v_i = sum(c_i[t] *
+    w[t])).  Every rational multiple of such an element is one too, and
+    reducing by the basis carries the coefficients along with the vector.
+    by_pos lists, per position, the elements leading there in the order
+    they were added, as (i, lead key, integer lead coefficient, other
+    (key, coefficient) terms).  excess is the largest amount by which the
+    degree of a term of an element exceeds that of its lead (tag terms
+    included), or 0.
     """
 
-    __slots__ = ("rank", "tags", "terms", "leads", "by_pos")
+    __slots__ = ("layout", "rank", "tags", "excess", "terms", "leads",
+                 "by_pos")
 
-    def __init__(self, rank: int, tags: int = 0):
+    def __init__(self, layout: _Layout, rank: int, tags: int = 0):
+        self.layout = layout
         self.rank = rank
         self.tags = tags
+        self.excess = 0
         self.terms: List[dict] = []
-        self.leads: List[Tuple[int, Monomial]] = []
+        self.leads: List[int] = []
         self.by_pos: dict = {}
 
     @staticmethod
-    def of(vectors: Sequence[Vector], rank: int,
+    def of(ring: RingSpec, vectors: Sequence[Vector], rank: int,
            rows: Optional[Sequence[Sequence[Poly]]] = None,
            tags: int = 0) -> "_IntBasis":
-        """The basis of vectors, each tagged with rows[i] (tags entries)
-        when rows are given."""
-        basis = _IntBasis(rank, tags)
-        for i, v in enumerate(vectors):
+        """The basis of vectors, each nonzero, each tagged with rows[i]
+        (tags entries) when rows are given."""
+        for v in vectors:
             if v.rank != rank:
                 raise ValueError("vector rank mismatch")
-            pos, exps, _ = v.leading()
-            if rows is not None:
-                v = Vector(v.ring, v.entries + tuple(rows[i]))
-            basis.add(_scaled_ints(v)[1], (pos, exps))
+        if rows is not None:
+            vectors = [Vector(ring, v.entries + tuple(row))
+                       for v, row in zip(vectors, rows)]
+        basis = _IntBasis(_Layout(ring.nvars, max(map(_degree, vectors),
+                                                  default=0)), rank, tags)
+        for v in vectors:
+            terms = _scaled_ints(v, basis.layout)[1]
+            lead = next(iter(terms), None)
+            if lead is None or lead >> basis.layout.pos_shift >= rank:
+                raise ValueError("zero vector has no leading term")
+            basis.add(terms, lead)
         return basis
 
     def __len__(self) -> int:
@@ -204,73 +289,99 @@ class _IntBasis:
         """The same elements, untagged, with zero entries appended up to
         rank.
 
-        Appended positions come last, so every (position, monomial) key
-        stays as it is.  The lists are new: adding to the result leaves
-        self, which a cached ``GrobnerBasis`` shares, unchanged.
+        Appended positions come last, so every key stays as it is.  The
+        lists are new: adding to the result, or widening it, leaves self,
+        which a cached ``GrobnerBasis`` shares, unchanged.
         """
-        out = _IntBasis(rank)
+        out = _IntBasis(self.layout, rank)
+        out.excess = self.excess
         out.terms, out.leads = list(self.terms), list(self.leads)
         out.by_pos = {pos: list(els) for pos, els in self.by_pos.items()}
         return out
 
-    def add(self, terms: dict, lead: Tuple[int, Monomial]) -> None:
-        tail = tuple((pos, exps, c) for (pos, exps), c in terms.items()
-                     if (pos, exps) != lead)
-        self.by_pos.setdefault(lead[0], []).append(
-            (len(self.terms), lead[1], terms[lead], tail))
+    def add(self, terms: dict, lead: int) -> None:
+        layout = self.layout
+        tail = tuple((k, c) for k, c in terms.items() if k != lead)
+        self.by_pos.setdefault(lead >> layout.pos_shift, []).append(
+            (len(self.terms), lead, terms[lead], tail))
         self.terms.append(terms)
         self.leads.append(lead)
+        self.excess = max(self.excess, layout.max_degree(terms)
+                          - layout.degree(lead))
+
+    def fit(self, degree: int) -> Optional[_Layout]:
+        """Make reducing a dividend of degree at most degree safe.
+
+        Reducing a term of degree d in a vector position by an element
+        makes terms of degree at most d + excess, in later positions only
+        when above d, so every term the reduction meets has degree at most
+        degree + rank * excess.  If that passes layout.top, every element is
+        re-packed by a wider layout, as new dicts, and the old layout is
+        returned; else None.
+        """
+        need = degree + self.rank * self.excess
+        old = self.layout
+        if need <= old.top:
+            return None
+        new = self.layout = _Layout(old.nvars, need)
+        elements = list(zip(self.terms, self.leads))
+        self.terms, self.leads, self.by_pos = [], [], {}
+        for terms, lead in elements:
+            self.add({new.repack(k, old): c for k, c in terms.items()},
+                     new.repack(lead, old))
+        return old
 
 
 def _reduce(p: dict, basis: _IntBasis, scale: Fraction = _ONE,
             skip: int = -1) -> Tuple[dict, Fraction]:
     """Reduce the integer term dict p (consumed) against basis.
 
-    The leading term is reduced first, by the first element of basis
-    (other than element skip) whose lead divides it; a term no lead
-    divides moves to the remainder.  The leading term is found with a
-    min-heap keyed (position, -degree, reversed exponents), which pops the
-    largest term first; a key whose term cancelled stays in the heap and
-    is dropped when popped.  Tag positions come after every vector
-    position and no element leads there, so tag terms only ride along to
-    the remainder, and every divisor choice is the one the vector part
-    alone would get.
+    p is keyed by basis.layout, and basis must fit p's degree (see
+    ``_IntBasis.fit``).  The leading term is reduced first, by the first
+    element of basis (other than element skip) whose lead divides it; a
+    term no lead divides moves to the remainder.  The leading term is the
+    smallest key, found with a min-heap of the keys; a key whose term
+    cancelled stays in the heap and is dropped when popped.  A lead g
+    divides the term t when t - g, which is then the quotient, has no guard
+    bit set, and multiplying a tail term by it is one addition.  Tag
+    positions come after every vector position and no element leads there,
+    so tag terms only ride along to the remainder, and every divisor choice
+    is the one the vector part alone would get.
 
     p stands for scale * p.  Returns (rem, s): scale * p minus a
     combination of basis elements is exactly s * rem.  rem lists its terms
     leading term first, so its tag terms come last.
     """
     by_pos = basis.by_pos
-    heap = [(pos, -sum(exps), exps[::-1], (pos, exps)) for pos, exps in p]
+    pos_shift, guards = basis.layout.pos_shift, basis.layout.guards
+    heap = list(p)
     heapify(heap)
     rem: dict = {}
     steps = 0
     while heap:
-        t = heappop(heap)[3]
+        t = heappop(heap)
         a = p.pop(t, 0)
         if not a:
             continue
-        pos, exps = t
-        for i, gexps, b, tail in by_pos.get(pos, ()):
-            if mono_divides(gexps, exps) and i != skip:
+        for i, g, b, tail in by_pos.get(t >> pos_shift, ()):
+            shift = t - g
+            if not shift & guards and i != skip:
                 break
         else:
             rem[t] = a
             continue
-        shift = mono_div(exps, gexps)
         d = gcd(a, b)
         ap, bp = a // d, b // d
         if bp != 1:
             p = {k: bp * c for k, c in p.items()}
             rem = {k: bp * c for k, c in rem.items()}
             scale /= bp
-        for tpos, texps, tc in tail:
-            m = mono_mul(texps, shift)
-            k = (tpos, m)
+        for k, tc in tail:
+            k += shift
             c = p.get(k)
             if c is None:
                 p[k] = -ap * tc
-                heappush(heap, (tpos, -sum(m), m[::-1], k))
+                heappush(heap, k)
             else:
                 c -= ap * tc
                 if c:
@@ -285,6 +396,15 @@ def _reduce(p: dict, basis: _IntBasis, scale: Fraction = _ONE,
                 rem = {k: c // content for k, c in rem.items()}
                 scale *= content
     return rem, scale
+
+
+def _remainder(v: Vector, basis: _IntBasis) -> Tuple[dict, Fraction]:
+    """(rem, s) of ``_reduce`` for v: v minus a combination of basis
+    elements is s * rem, keyed by basis.layout, which is widened first if
+    v's degree needs it."""
+    basis.fit(_degree(v))
+    unit, p = _scaled_ints(v, basis.layout)
+    return _reduce(p, basis, unit)
 
 
 def divide(v: Vector, basis: Union[Sequence[Vector], _IntBasis],
@@ -307,14 +427,14 @@ def divide(v: Vector, basis: Union[Sequence[Vector], _IntBasis],
     """
     if not isinstance(basis, _IntBasis):
         n = len(basis)
-        basis = _IntBasis.of(basis, v.rank, [Vector.unit(v.ring, n, i).entries
-                                             for i in range(n)], n)
+        basis = _IntBasis.of(v.ring, basis, v.rank,
+                             [Vector.unit(v.ring, n, i).entries
+                              for i in range(n)], n)
     elif basis.rank != v.rank:
         raise ValueError("vector rank mismatch")
-    unit, p = _scaled_ints(v)
-    rem, scale = _reduce(p, basis, unit)
-    return (_vector(v.ring, v.rank, rem, scale),
-            _polys(v.ring, rem, -scale, v.rank, basis.tags))
+    rem, scale = _remainder(v, basis)
+    return (_vector(basis.layout, v.ring, v.rank, rem, scale),
+            _polys(basis.layout, v.ring, rem, -scale, v.rank, basis.tags))
 
 
 # -- one cache of certified results per exact presentation -----------------------
@@ -351,25 +471,21 @@ def cached(key: tuple, build: Callable[[], _T]) -> _T:
 
 # -- Buchberger completion -------------------------------------------------------
 
-def _primitive_scale(v: Vector) -> Fraction:
-    """Unit c such that c*v has coprime integer coefficients, positive lead."""
-    unit, _ = _scaled_ints(v)
-    return -1 / unit if v.leading()[2] < 0 else 1 / unit
-
-
 def _s_vector(basis: _IntBasis, i: int, j: int) -> Tuple[dict, Fraction]:
     """(S, scale): scale * S is the S-vector of elements i and j of basis,
-    which lead in one position, with both leads scaled to 1."""
+    which lead in one position, with both leads scaled to 1.  basis must
+    fit the degree of their lcm plus its excess (see ``_IntBasis.fit``)."""
+    layout = basis.layout
     ti, tj = basis.terms[i], basis.terms[j]
-    (_, ei), (_, ej) = basis.leads[i], basis.leads[j]
-    bi, bj = ti[basis.leads[i]], tj[basis.leads[j]]
+    li, lj = basis.leads[i], basis.leads[j]
+    bi, bj = ti[li], tj[lj]
     l = bi * bj // gcd(bi, bj)
-    m = mono_lcm(ei, ej)
-    mi, mj = mono_div(m, ei), mono_div(m, ej)
+    m = layout.pack(li >> layout.pos_shift, layout.lcm_exps(li, lj))
+    si, sj = m - li, m - lj
     ci, cj = l // bi, l // bj
-    s = {(pos, mono_mul(exps, mi)): ci * c for (pos, exps), c in ti.items()}
-    for (pos, exps), c in tj.items():
-        k = (pos, mono_mul(exps, mj))
+    s = {k + si: ci * c for k, c in ti.items()}
+    for k, c in tj.items():
+        k += sj
         c = s.get(k, 0) - cj * c
         if c:
             s[k] = c
@@ -395,38 +511,62 @@ class _Completion:
     across reduction steps).
 
     Pending pairs sit in a heap of (key, i, j, lcm), keyed once when
-    pushed; live holds the (i, j) still in the heap.  The key is
-    _pot_key(position, lcm) when tracked, and (degree of lcm,
-    _pot_key(position, lcm)) when not: position first lets a pair of
-    high degree in a later position run before the low-degree pairs that
-    make its result redundant, which a starting basis with elements of
-    high degree makes common.  Untracked results are reduced bases, the
-    same in any pair order; tracked cofactors and Schreyer's rows depend
-    on the order, so theirs stays.
+    pushed, with lcm the packed lcm of the two leads; live holds the (i, j)
+    still in the heap.  The key is -lcm when tracked, smallest term first
+    with positions from the last, and (degree of lcm, -lcm) when not:
+    position first lets a pair of high degree in a later position run
+    before the low-degree pairs that make its result redundant, which a
+    starting basis with elements of high degree makes common.  Untracked
+    results are reduced bases, the same in any pair order; tracked
+    cofactors and Schreyer's rows depend on the order, so theirs stays.
+
+    Every S-vector, and every dividend given to ``reduce``, must fit the
+    basis's layout (``fit``): a widened basis re-keys the pending pairs.
     """
 
     def __init__(self, basis: _IntBasis):
         self.basis = basis
         # sole vector position each element uses, or None
+        pos_shift = basis.layout.pos_shift
         self.conc: List[Optional[int]] = [
-            _sole_position(terms, lead[0], basis.rank)
+            _sole_position(terms, lead >> pos_shift, basis)
             for terms, lead in zip(basis.terms, basis.leads)]
         self.pending: List[tuple] = []
         self.live: set = set()
 
-    def add(self, terms: dict, lead: Tuple[int, Monomial]) -> None:
+    def _pair(self, lcm: int, i: int, j: int) -> tuple:
+        if self.basis.tags:
+            return -lcm, i, j, lcm
+        # untracked: lowest lcm degree first
+        return (self.basis.layout.degree(lcm), -lcm), i, j, lcm
+
+    def fit(self, degree: int) -> None:
+        """``_IntBasis.fit`` for the basis, re-keying the pending pairs if
+        it widens; the pair order is unchanged, as both layouts order the
+        terms alike."""
+        old = self.basis.fit(degree)
+        if old is not None:
+            new = self.basis.layout
+            self.pending[:] = [self._pair(new.repack(l, old), i, j)
+                               for _, i, j, l in self.pending]
+            heapify(self.pending)
+
+    def add(self, terms: dict, lead: int) -> None:
         basis = self.basis
         j = len(basis)
-        pos, exps = lead
-        for i, e, _, _ in basis.by_pos.get(pos, ()):
-            l = mono_lcm(e, exps)
-            key = _pot_key(pos, l)
-            if not basis.tags:  # untracked: lowest lcm degree first
-                key = (sum(l), key)
-            heappush(self.pending, (key, i, j, l))
-            self.live.add((i, j))
+        pos = lead >> basis.layout.pos_shift
+        lcms = [(i, basis.layout.lcm_exps(e, lead))
+                for i, e, _, _ in basis.by_pos.get(pos, ())]
         basis.add(terms, lead)
-        self.conc.append(_sole_position(terms, pos, basis.rank))
+        self.conc.append(_sole_position(terms, pos, basis))
+        if not lcms:
+            return
+        # the S-vectors of the new pairs must fit before their lcm is packed
+        self.fit(max(sum(l) for _, l in lcms) + basis.excess)
+        pack = basis.layout.pack
+        for i, l in lcms:
+            heappush(self.pending, self._pair(pack(pos, l), i, j))
+            self.live.add((i, j))
 
     def reduce(self, p: dict, scale: Fraction = _ONE,
                zero_rows: Optional[list] = None) -> None:
@@ -438,8 +578,9 @@ class _Completion:
         s) with s the reducer's scale: s times its tag part is the
         relation among the inputs that p left (empty when untracked).
         """
-        rem, scale = _reduce(p, self.basis, scale)
-        if not rem or next(iter(rem))[0] >= self.basis.rank:
+        basis = self.basis
+        rem, scale = _reduce(p, basis, scale)
+        if not rem or next(iter(rem)) >> basis.layout.pos_shift >= basis.rank:
             if zero_rows is not None:
                 zero_rows.append((rem, scale))
             return
@@ -448,24 +589,27 @@ class _Completion:
 
     def run(self) -> None:
         """Process pending pairs, smallest key first, ties by (i, j)."""
-        basis, leads, conc = self.basis, self.basis.leads, self.conc
+        basis, conc = self.basis, self.conc
         pending, live = self.pending, self.live
         while pending:
             _, i, j, l = heappop(pending)
             live.discard((i, j))
-            pos = leads[i][0]
-            if (conc[i] == pos and conc[j] == pos
-                    and l == mono_mul(leads[i][1], leads[j][1])):
-                continue
+            layout, leads = basis.layout, basis.leads
+            pos = l >> layout.pos_shift
+            degree = layout.degree(l)
+            if (conc[i] == pos and conc[j] == pos and degree
+                    == layout.degree(leads[i]) + layout.degree(leads[j])):
+                continue  # coprime leads
             chained = False
             for k, e, _, _ in basis.by_pos[pos]:
-                if (k != i and k != j and mono_divides(e, l)
+                if (k != i and k != j and layout.divides(e, l)
                         and (min(i, k), max(i, k)) not in live
                         and (min(j, k), max(j, k)) not in live):
                     chained = True
                     break
             if chained:
                 continue
+            self.fit(degree + basis.excess)
             self.reduce(*_s_vector(basis, i, j))
 
     def sweep(self) -> List[Tuple[dict, Fraction]]:
@@ -478,22 +622,31 @@ class _Completion:
         elements i < j whose vector part reduced to zero, in (i, j) order.
         When tracked, s times the tag part of rem is the relation among
         the inputs that S-vector left: Schreyer's rows (Eisenbud, Thm.
-        15.10), valid only if nothing was added.
+        15.10), valid only if nothing was added.  The basis is fitted to
+        every pair first, so unless something was added every rem is keyed
+        by the layout the basis ends with.
         """
         basis = self.basis
+        layout = basis.layout
+        pairs = [(i, j, sum(layout.lcm_exps(basis.leads[i], basis.leads[j])))
+                 for i in range(len(basis)) for j in range(i + 1, len(basis))
+                 if basis.leads[i] >> layout.pos_shift
+                 == basis.leads[j] >> layout.pos_shift]
+        if pairs:
+            self.fit(max(d for _, _, d in pairs) + basis.excess)
         rows: List[Tuple[dict, Fraction]] = []
-        n = len(basis)
-        for i in range(n):
-            for j in range(i + 1, n):
-                if basis.leads[i][0] == basis.leads[j][0]:
-                    self.reduce(*_s_vector(basis, i, j), rows)
+        for i, j, d in pairs:
+            self.fit(d + basis.excess)  # an added element may raise excess
+            self.reduce(*_s_vector(basis, i, j), rows)
         return rows
 
 
-def _sole_position(terms: dict, pos: int, rank: int) -> Optional[int]:
-    """pos if every term of terms below the tag positions (rank and up)
-    lies in position pos, else None."""
-    return pos if all(k[0] == pos or k[0] >= rank for k in terms) else None
+def _sole_position(terms: dict, pos: int, basis: _IntBasis) -> Optional[int]:
+    """pos if every term of terms below the tag positions (basis.rank and
+    up) lies in position pos, else None."""
+    pos_shift, rank = basis.layout.pos_shift, basis.rank
+    return pos if all(k >> pos_shift == pos or k >> pos_shift >= rank
+                      for k in terms) else None
 
 
 def _interreduce(basis: _IntBasis, ring: RingSpec,
@@ -505,24 +658,30 @@ def _interreduce(basis: _IntBasis, ring: RingSpec,
     element's tag part, scaled as its vector is (empty rows when
     untagged).
     """
-    ranked = sorted(range(len(basis)),
-                    key=lambda i: _pot_key(*basis.leads[i]))
-    minimal = _IntBasis(basis.rank, basis.tags)
+    layout = basis.layout
+    # ascending leads are descending keys; the sort is stable
+    ranked = sorted(range(len(basis)), key=basis.leads.__getitem__,
+                    reverse=True)
+    minimal = _IntBasis(layout, basis.rank, basis.tags)
     for i in ranked:
-        pos, exps = basis.leads[i]
-        if any(mono_divides(e, exps)
-               for _, e, _, _ in minimal.by_pos.get(pos, ())):
+        lead = basis.leads[i]
+        if any(layout.divides(e, lead) for _, e, _, _
+               in minimal.by_pos.get(lead >> layout.pos_shift, ())):
             continue
-        minimal.add(basis.terms[i], basis.leads[i])
-    reduced = _IntBasis(basis.rank, basis.tags)
+        minimal.add(basis.terms[i], lead)
+    # an element's degree is at most its lead's plus the excess
+    minimal.fit(max(map(layout.degree, minimal.leads), default=0)
+                + minimal.excess)
+    layout = minimal.layout
+    reduced = _IntBasis(layout, basis.rank, basis.tags)
     vectors, cofs = [], []
     for i, lead in enumerate(minimal.leads):
         rem, _ = _reduce(dict(minimal.terms[i]), minimal, skip=i)
         _, prim = _primitive(rem)
         unit = Fraction(1, prim[lead])
         reduced.add(prim, lead)
-        vectors.append(_vector(ring, basis.rank, prim, unit))
-        cofs.append(_polys(ring, prim, unit, basis.rank, basis.tags))
+        vectors.append(_vector(layout, ring, basis.rank, prim, unit))
+        cofs.append(_polys(layout, ring, prim, unit, basis.rank, basis.tags))
     return reduced, vectors, cofs
 
 
@@ -531,7 +690,7 @@ class GrobnerBasis:
     """Reduced Groebner basis: monic, pairwise irreducible, sorted ascending.
 
     Keeps the integer form of its elements, converted once, untagged and
-    primitive on the vector, for ``reduce``.
+    primitive on the vector, for ``reduce`` and ``contains``.
     """
 
     ring: RingSpec
@@ -543,7 +702,7 @@ class GrobnerBasis:
     def __post_init__(self):
         if self._basis is None:
             object.__setattr__(self, "_basis",
-                               _IntBasis.of(self.gens, self.rank))
+                               _IntBasis.of(self.ring, self.gens, self.rank))
 
     def normal_form(self, v: Vector) -> Tuple[Vector, List[Poly]]:
         """``divide`` by gens: the remainder and the quotients."""
@@ -555,12 +714,14 @@ class GrobnerBasis:
         """The remainder of ``normal_form``, with no quotients computed."""
         if v.rank != self.rank:
             raise ValueError("rank mismatch")
-        unit, p = _scaled_ints(v)
-        rem, scale = _reduce(p, self._basis, unit)
-        return _vector(v.ring, v.rank, rem, scale)
+        rem, scale = _remainder(v, self._basis)
+        return _vector(self._basis.layout, v.ring, v.rank, rem, scale)
 
     def contains(self, v: Vector) -> bool:
-        return self.reduce(v).is_zero()
+        """Whether ``reduce`` leaves zero, read off the integer remainder."""
+        if v.rank != self.rank:
+            raise ValueError("rank mismatch")
+        return not _remainder(v, self._basis)[0]
 
     def __str__(self) -> str:
         return "{" + "; ".join(str(g) for g in self.gens) + "}"
@@ -641,15 +802,19 @@ def _buchberger_core(gens: Sequence[Vector], ring: Optional[RingSpec],
             raise ValueError("rank mismatch")
 
     if start is None:
-        state = _Completion(_IntBasis(rank, m if track else 0))
+        layout = _Layout(ring.nvars, max((_degree(v) for _, v in seeds),
+                                         default=0))
+        state = _Completion(_IntBasis(layout, rank, m if track else 0))
     else:
         state = _Completion(start._basis.padded(rank))
     constant = (0,) * ring.nvars
     for i, v in seeds:
-        unit, p = _scaled_ints(v)
+        state.fit(_degree(v))
+        layout = state.basis.layout
+        unit, p = _scaled_ints(v, layout)
         if track:  # denominator * [v; e_i], in integers
             p = {k: unit.numerator * c for k, c in p.items()}
-            p[(rank + i, constant)] = unit.denominator
+            p[layout.pack(rank + i, constant)] = unit.denominator
         state.reduce(p)
     while True:
         state.run()
@@ -661,7 +826,8 @@ def _buchberger_core(gens: Sequence[Vector], ring: Optional[RingSpec],
         if not track:
             return GrobnerBasis(ring, rank, tuple(vectors), reduced), None, None
         return (GrobnerBasis(ring, rank, tuple(vectors)), cofs,
-                [_polys(ring, rem, s, rank, m) for rem, s in rows])
+                [_polys(reduced.layout, ring, rem, s, rank, m)
+                 for rem, s in rows])
 
 
 # -- syzygies and membership ------------------------------------------------------
@@ -689,7 +855,8 @@ class SpanSolver:
                 raise ValueError("rank mismatch")
         self._gb, cofs, self._schreyer = extended_buchberger(
             gens, ring=ring, rank=rank)
-        self._tagged = _IntBasis.of(self._gb.gens, rank, cofs, self.count)
+        self._tagged = _IntBasis.of(ring, self._gb.gens, rank, cofs,
+                                    self.count)
         self._syz: Optional[List[Vector]] = None
 
     def solve(self, v: Vector) -> Optional[List[Poly]]:
@@ -719,9 +886,9 @@ class SpanSolver:
         the tagged basis, whose vector part must reduce to zero; the
         S-pair rows come from the final sweep of ``extended_buchberger``.
         Every row is re-multiplied against every generator, then returned
-        certified but not recompleted: callers that need a canonical
-        presentation run Buchberger after projecting to the block they
-        keep, where the rank is smaller and completion stays cheap.
+        primitive, certified but not recompleted: callers that need a
+        canonical presentation run Buchberger after projecting to the block
+        they keep, where the rank is smaller and completion stays cheap.
         """
         rows: List[Vector] = []
         for i, f in enumerate(self.gens):
@@ -740,7 +907,15 @@ class SpanSolver:
                                                in zip(v.entries, self.gens)]
                                    ).terms for p in range(self.rank)):
                 raise RuntimeError("uncertified syzygy")
-            out.append(v.scale(_primitive_scale(v)))
+            # returned primitive, lead positive: one Fraction per integer
+            _, ints = scaled_ints([((pos, exps), c)
+                                   for pos, p in enumerate(v.entries)
+                                   for exps, c in p.terms])
+            sign = -1 if next(iter(ints.values())) < 0 else 1
+            out.append(Vector(self.ring, (
+                Poly(self.ring, [(exps, Fraction(sign * ints[pos, exps]))
+                                 for exps, _ in p.terms], _canonical=True)
+                for pos, p in enumerate(v.entries))))
         return out
 
 

@@ -235,6 +235,111 @@ def test_leading_is_the_largest_term(seed, r, zeros):
     assert v.leading() == reference_leading(v)
 
 
+# -- packed terms ----------------------------------------------------------------
+
+# exponents at and past the narrowest field (7 value bits), and far past it
+_EXPONENTS = st.one_of(st.integers(0, 3), st.integers(120, 260),
+                       st.integers(0, 2**21))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([RX, RXY, R3]), st.data())
+def test_packed_terms_order_multiply_and_divide_as_tuples(r, data):
+    monomials = st.tuples(*[_EXPONENTS] * r.nvars)
+    terms = data.draw(st.lists(st.tuples(st.integers(0, 6), monomials),
+                               min_size=2, max_size=6))
+    factor = data.draw(monomials)
+    zero = (0,) * r.nvars
+    # sized, as the reducer's layouts are, from the degrees present: here
+    # every product below
+    layout = groebner._Layout(r.nvars, max(sum(mono_mul(e, factor))
+                                           for _, e in terms))
+    pack = layout.pack
+    keys = [pack(pos, e) for pos, e in terms]
+    for (pos, e), k in zip(terms, keys):
+        assert layout.unpack(k) == (pos, e)
+        assert layout.degree(k) == sum(e)
+        # multiplying by a monomial adds its packed quotient over 1
+        assert (pack(pos, mono_mul(e, factor))
+                == k + pack(0, factor) - pack(0, zero))
+    for (pa, ea), ka in zip(terms, keys):
+        for (pb, eb), kb in zip(terms, keys):
+            # a smaller key is a larger term
+            assert (ka < kb) == (reference_key(pa, ea) > reference_key(pb, eb))
+            assert (ka == kb) == ((pa, ea) == (pb, eb))
+            if pa == pb:
+                assert layout.divides(ka, kb) == mono_divides(ea, eb)
+                if mono_divides(ea, eb):  # the borrow-free difference
+                    assert kb - ka == pack(0, mono_div(eb, ea)) - pack(0, zero)
+    # a wider layout keeps every term, and their order
+    wider = groebner._Layout(r.nvars, 2 * layout.top)
+    assert wider.width > layout.width
+    widened = [wider.repack(k, layout) for k in keys]
+    assert widened == [wider.pack(pos, e) for pos, e in terms]
+    assert sorted(range(len(keys)), key=widened.__getitem__) == \
+        sorted(range(len(keys)), key=keys.__getitem__)
+
+
+def _widenings(monkeypatch):
+    """The (old width, new width, tags) of every basis widened from now."""
+    seen = []
+    original = groebner._IntBasis.fit
+
+    def fit(self, degree):
+        old = original(self, degree)
+        if old is not None:
+            seen.append((old.width, self.layout.width, self.tags))
+        return old
+
+    monkeypatch.setattr(groebner._IntBasis, "fit", fit)
+    return seen
+
+
+def test_a_dividend_past_the_field_width_widens_the_basis(monkeypatch):
+    # low-degree divisors pack in the narrowest layout; the dividend's
+    # degree, 2^20 + 5, needs fields 23 bits wide, and its quotients and
+    # remainder keep that degree
+    n = 2**20
+    gens = [vec(RXY, "x*y - 1", "x^2"), vec(RXY, "0", "y^3 + x")]
+    v = vec(RXY, f"x^{n}*y^2 + y", f"x^{n}*y^5 + 3*x*y")
+    want = reference_divide(v, gens)
+    assert max(p.total_degree() for p in want[0].entries) >= n
+    widened = _widenings(monkeypatch)
+    assert divide(v, gens) == want
+    g = GrobnerBasis(RXY, 2, tuple(gens))
+    assert g.reduce(v) == want[0]
+    assert not g.contains(v)
+    member = gens[0].poly_mul(parse_poly(f"x^{n}", RXY))
+    assert reference_divide(member, gens)[0].is_zero()
+    assert g.contains(member)
+    assert g.normal_form(member) == reference_divide(member, gens)
+    # the tagged bases of divide and normal_form, and g's own basis once
+    assert [(old, tags) for old, _, tags in widened] == [(8, 2), (8, 0),
+                                                        (8, 2)]
+    assert all(new > 22 for _, new, _ in widened)
+
+
+def test_cofactor_rows_past_the_field_width_widen_the_completion(
+        monkeypatch):
+    # the inputs' degree (61) sizes the first layout; the cofactors reach
+    # degree 89 while no element of the basis passes 31, and the S-vectors
+    # of the tagged completion carry them past that layout
+    gens = [vec(RXY, "x^61 + 1"), vec(RXY, "x^60 + y")]
+    widened = _widenings(monkeypatch)
+    g, cofs, rows = extended_buchberger(gens, ring=RXY, rank=1)
+    assert any(tags == 2 for _, _, tags in widened)
+    assert max(c.total_degree() for row in cofs for c in row if c.terms) > \
+        max(v.entries[0].total_degree() for v in g.gens)
+    assert rows and rows == reference_schreyer_rows(g.gens, cofs)
+    for v, row in zip(g.gens, cofs):
+        acc = Vector.zero(RXY, 1)
+        for c, gen in zip(row, gens):
+            acc = acc + gen.poly_mul(c)
+        assert acc == v
+    groebner._CACHE.clear()
+    assert buchberger(gens).gens == g.gens
+
+
 def test_normal_form_idempotent_and_membership():
     g = buchberger([vec(RXY, "x^2 - y"), vec(RXY, "x*y - 1")],
                    ring=RXY, rank=1)

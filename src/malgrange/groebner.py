@@ -331,6 +331,12 @@ class _IntBasis:
                      new.repack(lead, old))
         return old
 
+    def pack(self, v: Vector) -> Tuple[Fraction, dict]:
+        """``_scaled_ints`` of v by layout, widened first if v's degree
+        needs it, so the result can be reduced against this basis."""
+        self.fit(_degree(v))
+        return _scaled_ints(v, self.layout)
+
 
 def _reduce(p: dict, basis: _IntBasis, scale: Fraction = _ONE,
             skip: int = -1) -> Tuple[dict, Fraction]:
@@ -402,8 +408,7 @@ def _remainder(v: Vector, basis: _IntBasis) -> Tuple[dict, Fraction]:
     """(rem, s) of ``_reduce`` for v: v minus a combination of basis
     elements is s * rem, keyed by basis.layout, which is widened first if
     v's degree needs it."""
-    basis.fit(_degree(v))
-    unit, p = _scaled_ints(v, basis.layout)
+    unit, p = basis.pack(v)
     return _reduce(p, basis, unit)
 
 
@@ -473,14 +478,17 @@ def cached(key: tuple, build: Callable[[], _T]) -> _T:
 
 def _s_vector(basis: _IntBasis, i: int, j: int) -> Tuple[dict, Fraction]:
     """(S, scale): scale * S is the S-vector of elements i and j of basis,
-    which lead in one position, with both leads scaled to 1.  basis must
-    fit the degree of their lcm plus its excess (see ``_IntBasis.fit``)."""
+    which lead in one position, with both leads scaled to 1.  basis is
+    widened first if reducing S needs it (see ``_IntBasis.fit``): S has
+    the degree of the lcm plus at most basis.excess."""
+    lcm = basis.layout.lcm_exps(basis.leads[i], basis.leads[j])
+    basis.fit(sum(lcm) + basis.excess)
     layout = basis.layout
     ti, tj = basis.terms[i], basis.terms[j]
     li, lj = basis.leads[i], basis.leads[j]
     bi, bj = ti[li], tj[lj]
     l = bi * bj // gcd(bi, bj)
-    m = layout.pack(li >> layout.pos_shift, layout.lcm_exps(li, lj))
+    m = layout.pack(li >> layout.pos_shift, lcm)
     si, sj = m - li, m - lj
     ci, cj = l // bi, l // bj
     s = {k + si: ci * c for k, c in ti.items()}
@@ -520,12 +528,16 @@ class _Completion:
     results are reduced bases, the same in any pair order; tracked
     cofactors and Schreyer's rows depend on the order, so theirs stays.
 
-    Every S-vector, and every dividend given to ``reduce``, must fit the
-    basis's layout (``fit``): a widened basis re-keys the pending pairs.
+    The basis is widened where something is packed for it (an input by
+    ``_IntBasis.pack``, an lcm by ``add``, an S-vector by ``_s_vector``;
+    see ``_IntBasis.fit``).  keyed is the layout the pending pairs are
+    packed by; after a widening ``_sync`` re-keys them before the heap is
+    used again.
     """
 
     def __init__(self, basis: _IntBasis):
         self.basis = basis
+        self.keyed = basis.layout
         # sole vector position each element uses, or None
         pos_shift = basis.layout.pos_shift
         self.conc: List[Optional[int]] = [
@@ -540,13 +552,13 @@ class _Completion:
         # untracked: lowest lcm degree first
         return (self.basis.layout.degree(lcm), -lcm), i, j, lcm
 
-    def fit(self, degree: int) -> None:
-        """``_IntBasis.fit`` for the basis, re-keying the pending pairs if
-        it widens; the pair order is unchanged, as both layouts order the
-        terms alike."""
-        old = self.basis.fit(degree)
-        if old is not None:
-            new = self.basis.layout
+    def _sync(self) -> None:
+        """Re-key the pending pairs by the basis's layout if it was widened
+        since they were keyed; the pair order is unchanged, as both layouts
+        order the terms alike."""
+        old, new = self.keyed, self.basis.layout
+        if new is not old:
+            self.keyed = new
             self.pending[:] = [self._pair(new.repack(l, old), i, j)
                                for _, i, j, l in self.pending]
             heapify(self.pending)
@@ -561,8 +573,8 @@ class _Completion:
         self.conc.append(_sole_position(terms, pos, basis))
         if not lcms:
             return
-        # the S-vectors of the new pairs must fit before their lcm is packed
-        self.fit(max(sum(l) for _, l in lcms) + basis.excess)
+        basis.fit(max(sum(l) for _, l in lcms))  # so that every lcm packs
+        self._sync()
         pack = basis.layout.pack
         for i, l in lcms:
             heappush(self.pending, self._pair(pack(pos, l), i, j))
@@ -574,15 +586,16 @@ class _Completion:
         vector part is zero.
 
         p stands for scale * p.  A remainder rem with nothing left below
-        the tag positions is appended to zero_rows, when given, as (rem,
-        s) with s the reducer's scale: s times its tag part is the
-        relation among the inputs that p left (empty when untracked).
+        the tag positions is appended to zero_rows, when given, as
+        (layout, rem, s) with layout the one rem is keyed by and s the
+        reducer's scale: s times its tag part is the relation among the
+        inputs that p left (empty when untracked).
         """
         basis = self.basis
         rem, scale = _reduce(p, basis, scale)
         if not rem or next(iter(rem)) >> basis.layout.pos_shift >= basis.rank:
             if zero_rows is not None:
-                zero_rows.append((rem, scale))
+                zero_rows.append((basis.layout, rem, scale))
             return
         _, prim = _primitive(rem)
         self.add(prim, next(iter(prim)))
@@ -592,6 +605,7 @@ class _Completion:
         basis, conc = self.basis, self.conc
         pending, live = self.pending, self.live
         while pending:
+            self._sync()
             _, i, j, l = heappop(pending)
             live.discard((i, j))
             layout, leads = basis.layout, basis.leads
@@ -609,34 +623,27 @@ class _Completion:
                     break
             if chained:
                 continue
-            self.fit(degree + basis.excess)
             self.reduce(*_s_vector(basis, i, j))
 
-    def sweep(self) -> List[Tuple[dict, Fraction]]:
+    def sweep(self) -> List[Tuple[_Layout, dict, Fraction]]:
         """Final check of the starting basis: reduce every same-position
         S-vector of it, in (i, j) order and with no criteria, against the
         basis and the remainders this sweep has added, and add each
         remainder whose vector part is nonzero (queuing its pairs).
 
-        Returns the (rem, s) that ``reduce`` left for each S-vector of
-        elements i < j whose vector part reduced to zero, in (i, j) order.
-        When tracked, s times the tag part of rem is the relation among
-        the inputs that S-vector left: Schreyer's rows (Eisenbud, Thm.
-        15.10), valid only if nothing was added.  The basis is fitted to
-        every pair first, so unless something was added every rem is keyed
-        by the layout the basis ends with.
+        Returns the (layout, rem, s) that ``reduce`` left for each
+        S-vector of elements i < j whose vector part reduced to zero, in
+        (i, j) order.  When tracked, s times the tag part of rem is the
+        relation among the inputs that S-vector left: Schreyer's rows
+        (Eisenbud, Thm. 15.10), valid only if nothing was added.
         """
         basis = self.basis
-        layout = basis.layout
-        pairs = [(i, j, sum(layout.lcm_exps(basis.leads[i], basis.leads[j])))
-                 for i in range(len(basis)) for j in range(i + 1, len(basis))
-                 if basis.leads[i] >> layout.pos_shift
-                 == basis.leads[j] >> layout.pos_shift]
-        if pairs:
-            self.fit(max(d for _, _, d in pairs) + basis.excess)
-        rows: List[Tuple[dict, Fraction]] = []
-        for i, j, d in pairs:
-            self.fit(d + basis.excess)  # an added element may raise excess
+        pos_shift = basis.layout.pos_shift
+        pairs = [(i, j) for i in range(len(basis))
+                 for j in range(i + 1, len(basis))
+                 if basis.leads[i] >> pos_shift == basis.leads[j] >> pos_shift]
+        rows: List[Tuple[_Layout, dict, Fraction]] = []
+        for i, j in pairs:
             self.reduce(*_s_vector(basis, i, j), rows)
         return rows
 
@@ -809,12 +816,10 @@ def _buchberger_core(gens: Sequence[Vector], ring: Optional[RingSpec],
         state = _Completion(start._basis.padded(rank))
     constant = (0,) * ring.nvars
     for i, v in seeds:
-        state.fit(_degree(v))
-        layout = state.basis.layout
-        unit, p = _scaled_ints(v, layout)
+        unit, p = state.basis.pack(v)
         if track:  # denominator * [v; e_i], in integers
             p = {k: unit.numerator * c for k, c in p.items()}
-            p[layout.pack(rank + i, constant)] = unit.denominator
+            p[state.basis.layout.pack(rank + i, constant)] = unit.denominator
         state.reduce(p)
     while True:
         state.run()
@@ -826,8 +831,8 @@ def _buchberger_core(gens: Sequence[Vector], ring: Optional[RingSpec],
         if not track:
             return GrobnerBasis(ring, rank, tuple(vectors), reduced), None, None
         return (GrobnerBasis(ring, rank, tuple(vectors)), cofs,
-                [_polys(reduced.layout, ring, rem, s, rank, m)
-                 for rem, s in rows])
+                [_polys(layout, ring, rem, s, rank, m)
+                 for layout, rem, s in rows])
 
 
 # -- syzygies and membership ------------------------------------------------------

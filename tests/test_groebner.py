@@ -340,6 +340,59 @@ def test_cofactor_rows_past_the_field_width_widen_the_completion(
     assert buchberger(gens).gens == g.gens
 
 
+def test_widening_before_every_s_vector_changes_no_result(monkeypatch):
+    # a widening re-keys the pending pairs, and a row the final sweep
+    # keeps is keyed by the layout of its own S-vector; widen the basis
+    # before every S-vector, so that pairs are popped after a widening and
+    # each row has a different layout: the pairs must come in the same
+    # order and every result must stay the same
+    gens = [vec(RXY, "x^2 - y", "x"), vec(RXY, "x*y", "y^2 - 1"),
+            vec(RXY, "y^2", "x + 1")]
+    original = groebner._s_vector
+    pairs, widen = [], []
+
+    def recording(basis, i, j):
+        pairs.append((i, j))
+        if widen:
+            basis.fit(basis.layout.top + 1)
+        return original(basis, i, j)
+
+    def complete():
+        pairs.clear()
+        groebner._CACHE.clear()
+        return extended_buchberger(gens, ring=RXY, rank=2), buchberger(gens)
+
+    monkeypatch.setattr(groebner, "_s_vector", recording)
+    want, want_pairs = complete(), list(pairs)
+    assert len(want[0][2]) >= 2
+    widen.append(True)
+    widened = _widenings(monkeypatch)
+    (g, cofs, rows), gb = complete()
+    assert pairs == want_pairs
+    assert len(widened) == len(pairs)
+    assert ((g, cofs, rows), gb) == want
+    assert rows == reference_schreyer_rows(g.gens, cofs)
+
+
+def test_an_s_vector_past_the_field_width_widens_the_basis():
+    # both leads and their lcm (degree 120) fit 8-bit fields, but the tail
+    # of the first element exceeds its lead's degree by 60, so the
+    # S-vector [0, y^180] does not
+    layout = groebner._Layout(RXY.nvars, 0)
+    assert layout.top == 127
+    basis = groebner._IntBasis(layout, 2)
+    gens = [vec(RXY, "x^60", "y^120"), vec(RXY, "y^60", "0")]
+    for v in gens:
+        terms = groebner._scaled_ints(v, layout)[1]
+        basis.add(terms, min(terms))
+    s, scale = groebner._s_vector(basis, 0, 1)
+    assert basis.layout.top > 180
+    want = (gens[0].poly_mul(parse_poly("y^60", RXY))
+            - gens[1].poly_mul(parse_poly("x^60", RXY)))
+    assert want == vec(RXY, "0", "y^180")
+    assert groebner._vector(basis.layout, RXY, 2, s, scale) == want
+
+
 def test_normal_form_idempotent_and_membership():
     g = buchberger([vec(RXY, "x^2 - y"), vec(RXY, "x*y - 1")],
                    ring=RXY, rank=1)

@@ -520,13 +520,11 @@ class _Completion:
 
     Pending pairs sit in a heap of (key, i, j, lcm), keyed once when
     pushed, with lcm the packed lcm of the two leads; live holds the (i, j)
-    still in the heap.  The key is -lcm when tracked, smallest term first
-    with positions from the last, and (degree of lcm, -lcm) when not:
-    position first lets a pair of high degree in a later position run
-    before the low-degree pairs that make its result redundant, which a
-    starting basis with elements of high degree makes common.  Untracked
-    results are reduced bases, the same in any pair order; tracked
-    cofactors and Schreyer's rows depend on the order, so theirs stays.
+    still in the heap.  The key is (degree of lcm, -lcm), lowest degree
+    first, whether cofactors are tracked or not: a pair of high degree
+    then runs after the low-degree pairs that make its result redundant.
+    The reduced basis is the same in any pair order; tracked cofactors
+    and Schreyer's rows are fixed by this one.
 
     The basis is widened where something is packed for it (an input by
     ``_IntBasis.pack``, an lcm by ``add``, an S-vector by ``_s_vector``;
@@ -547,9 +545,6 @@ class _Completion:
         self.live: set = set()
 
     def _pair(self, lcm: int, i: int, j: int) -> tuple:
-        if self.basis.tags:
-            return -lcm, i, j, lcm
-        # untracked: lowest lcm degree first
         return (self.basis.layout.degree(lcm), -lcm), i, j, lcm
 
     def _sync(self) -> None:
@@ -740,9 +735,10 @@ def buchberger(gens: Sequence[Vector], *, ring: Optional[RingSpec] = None,
 
     Pending pairs sit in a heap keyed once by the degree of their lcm and
     then its module term, smallest first, ties broken by the basis
-    indices (i, j).  The coprime-lead shortcut is applied only to
-    pairs concentrated in one common position (the unrestricted product
-    criterion is unsound for modules), together with the chain criterion.
+    indices (i, j); ``extended_buchberger`` takes them in the same order.
+    The coprime-lead shortcut is applied only to pairs concentrated in
+    one common position (the unrestricted product criterion is unsound
+    for modules), together with the chain criterion.
     The basis is kept as primitive integer term dicts for the whole
     completion and every S-vector goes through the same reducer as
     ``divide``.  A final sweep re-checks every same-position S-vector of

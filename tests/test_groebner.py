@@ -647,6 +647,28 @@ def test_span_solver_matches_the_reference_lift(seed, r):
     assert solver.syzygies() == reference_syzygies(gens, basis, cofs)
 
 
+def _tracked_cost_draw(extra_randint):
+    # four rank-3 generators over R3 whose tracked completion, with pairs
+    # taken position first, built cofactor rows of 31 957 and 65 898 terms
+    rng = random.Random(296 * 7919)
+    rank = rng.randint(1, 3)
+    count = rank + (rng.randint(1, 1) if extra_randint else 1)
+    return [rand_vector(R3, rng, rank, deg=rng.randint(1, 2))
+            for _ in range(count)], rank
+
+
+@pytest.mark.parametrize("extra_randint", [True, False],
+                         ids=["first-draw", "second-draw"])
+def test_tracked_completion_keeps_its_cofactors_small(extra_randint):
+    gens, rank = _tracked_cost_draw(extra_randint)
+    g, cofs, rows = extended_buchberger(gens, ring=R3, rank=rank)
+    assert sum(len(c.terms) for row in cofs for c in row) < 10_000
+    if extra_randint:
+        assert rows == reference_schreyer_rows(g.gens, cofs)
+        assert (SpanSolver(gens, R3, rank).syzygies()
+                == reference_syzygies(gens, list(g.gens), cofs))
+
+
 # The syzygy certificates must be live: a corrupted row or a generator
 # outside the basis span is an error, never a returned relation.  Closure
 # under S-vectors is the final sweep's job (see

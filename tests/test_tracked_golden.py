@@ -33,25 +33,40 @@ def _xyz_matrix():
     return PolyMatrix(rxyz, 2, 3, rows).columns()
 
 
-def _tied_pairs():
-    # two pending pairs of this input share their position and lcm, so
-    # its cofactors depend on the (i, j) tie-break of the pair queue
+def _vectors(rows):
     rxyz = ring("x", "y", "z")
-    rows = [["3*y + 3", "3*x*y", "4*x + 4*z"],
-            ["0", "1/3*z^2", "0"],
-            ["4*x^2", "-7/2*z^2 + 2*x", "-7/2*z^2"],
-            ["-2*x*y - 2*z^2 + 4/3*y - 4*z", "2*x*y - y*z + 3*z^2", "0"]]
     return [Vector(rxyz, [parse_poly(t, rxyz) for t in row]) for row in rows]
+
+
+def _tied_pairs():
+    # many pending pairs of this input share their key, but its rows do
+    # not depend on how those ties are broken
+    return _vectors([["3*y + 3", "3*x*y", "4*x + 4*z"],
+                     ["0", "1/3*z^2", "0"],
+                     ["4*x^2", "-7/2*z^2 + 2*x", "-7/2*z^2"],
+                     ["-2*x*y - 2*z^2 + 4/3*y - 4*z", "2*x*y - y*z + 3*z^2",
+                      "0"]])
+
+
+def _tie_break():
+    # pending pairs of this input share their key, and its cofactors and
+    # syzygies change if the (i, j) tie-break of the pair queue is reversed
+    return _vectors([["2*y - 3*z", "1", "-2*x + 1"],
+                     ["-2*y^2 - y*z + 3*y", "0", "-3"],
+                     ["-1", "-2*y*z + 2", "-3"],
+                     ["x*z - 2", "-2*y*z + 3", "-1"]])
 
 
 CASES = _xy_presentations() + [
     ("xyz-2x3-deg1", _xyz_matrix(), 2),
     ("xyz-tied-pairs", _tied_pairs(), 3),
+    ("xyz-tie-break", _tie_break(), 3),
 ]
 
 # sha256 of the text forms below, recorded before the pair queue and the
-# reducer were rebuilt (xyz-tied-pairs: before the order was fixed to
-# POT/grevlex)
+# reducer were rebuilt; xyz-tied-pairs re-recorded and xyz-tie-break
+# recorded when tracked completions took the untracked pair order
+# (lowest lcm degree first)
 GOLDEN = {
     "random-xy-0": (
         "17f98b4ac7faa6b6892dd3c58c267a5b28e5b56a6b831a5825bb7124c6000adc",
@@ -66,8 +81,11 @@ GOLDEN = {
         "50014546391b0a2795712e38f7e4c1ec54370fe0caa0d22e32b033bbfd41c5e2",
         "99f6f10700d6b419b141721437db66d90247633eba556dab3aac870ca34a9b4e"),
     "xyz-tied-pairs": (
-        "0133e0e3f39843e9cc110ec32a08e151c9c87a9b0d0ed84bd2ed79300c03cc01",
-        "21bd78ff8eac07427c8f04679c1581ccf20af09e73a76393b6a7a58a9c474b33"),
+        "95c19efdd986210e758d26b2aabe1229ae6bdb164c3c70bb831b94dafc009b23",
+        "a1c141ba6461f90c1ef3e22f2806f67291a5edbe72eb277283e2a9964564aff3"),
+    "xyz-tie-break": (
+        "6fda6abd1ceef8f5bbe61f54724cdaf25b8a46b0d75b05c4a81fa4128e121880",
+        "2553d9690444a104a02218d460828409ad7bf499cb99d035087f37b761b45a8b"),
 }
 
 

@@ -14,9 +14,10 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .rings import Poly, RingSpec
-from .groebner import PolyMatrix, Vector, solve_mod
+from .groebner import PolyMatrix, Vector
 from .modules import (Element, FPModule, Morphism, _flatten, annihilator,
-                      bass_torsion, direct_power, hom_module, kernel)
+                      bass_torsion, direct_power, hom_module, kernel,
+                      lift_through)
 from .functors import (BijectionReport, MainTheoremReport, bijection_report,
                        module_dict, verify_main_theorem)
 
@@ -73,19 +74,13 @@ def solution_module(sys: ControlSystem, v: FPModule,
 
 def malgrange_check(sys: ControlSystem, v: FPModule) -> BijectionReport:
     """Assert Hom(M, V) = Sol(V) via the map phi -> (phi(e_1)..phi(e_q))."""
-    m = malgrange_module(sys)
-    h = hom_module(m, v)
-    sol, emb = solution_module(sys, v)
-    ring = sys.ring
-    vq = direct_power(v, sys.n_unknowns)
-    cols = []
-    for gen in h.generators():
-        flat = _flatten(h.decode(gen).mat)
-        coeffs = solve_mod(flat, emb.mat, vq.relations)
-        if coeffs is None:
-            raise ValueError("solution tuple escaped the solution module")
-        cols.append(Vector(ring, coeffs))
-    cmp_map = Morphism(h, sol, PolyMatrix.from_columns(ring, sol.ngens, cols))
+    h = hom_module(malgrange_module(sys), v)
+    _, emb = solution_module(sys, v)
+    vq = emb.target
+    cols = [_flatten(h.decode(gen).mat) for gen in h.generators()]
+    tuples = Morphism(h, vq, PolyMatrix.from_columns(sys.ring, vq.ngens, cols),
+                      _checked=True)
+    cmp_map = lift_through(emb, tuples)
     return bijection_report("malgrange",
                             {"system": str(sys.mat), "probe": module_dict(v)},
                             cmp_map, "hom_generators", "solution_generators")

@@ -11,6 +11,7 @@ from typing import List, Tuple
 
 from .rings import Poly, RingSpec, ring
 from .groebner import PolyMatrix
+from .parsing import parse_poly
 from .modules import FPModule, direct_sum
 from .functors import (FPFunctor, representable, stable_hom, tensor_functor)
 from .control import ControlSystem
@@ -55,11 +56,15 @@ def random_cokernel(r: RingSpec, rng: random.Random, nrows: int = 2,
     return FPModule(r, nrows, PolyMatrix(r, nrows, ncols, rows))
 
 
+def _matrix(r: RingSpec, rows: List[List[str]]) -> PolyMatrix:
+    """Matrix over r from text rows of polynomials."""
+    return PolyMatrix(r, len(rows), len(rows[0]),
+                      [[parse_poly(s, r) for s in row] for row in rows])
+
+
 def _coker(r: RingSpec, rows: List[List[str]]) -> FPModule:
     """Module from text rows of relations (rows are relation vectors)."""
-    from .parsing import parse_poly
-    mat = PolyMatrix(r, len(rows), len(rows[0]),
-                     [[parse_poly(s, r) for s in row] for row in rows])
+    mat = _matrix(r, rows)
     return FPModule(r, mat.ncols, mat.transpose())
 
 
@@ -106,18 +111,14 @@ def univariate_modules() -> List[Tuple[str, FPModule]]:
 def control_corpus() -> List[Tuple[str, ControlSystem]]:
     rd = ring("d")
     rdd = ring("d1", "d2")
-    from .parsing import parse_poly
-
-    def mat(r, rows):
-        return PolyMatrix(r, len(rows), len(rows[0]),
-                          [[parse_poly(s, r) for s in row] for row in rows])
-
     return [
-        ("integrator", ControlSystem(rd, ["x", "u"], mat(rd, [["d", "-1"]]))),
-        ("free-drift", ControlSystem(rd, ["x"], mat(rd, [["d"]]))),
+        ("integrator", ControlSystem(rd, ["x", "u"],
+                                     _matrix(rd, [["d", "-1"]]))),
+        ("free-drift", ControlSystem(rd, ["x"], _matrix(rd, [["d"]]))),
         ("divergence", ControlSystem(rdd, ["y1", "y2"],
-                                     mat(rdd, [["d1", "d2"]]))),
-        ("gradient", ControlSystem(rdd, ["y"], mat(rdd, [["d1"], ["d2"]]))),
+                                     _matrix(rdd, [["d1", "d2"]]))),
+        ("gradient", ControlSystem(rdd, ["y"],
+                                   _matrix(rdd, [["d1"], ["d2"]]))),
     ]
 
 
@@ -128,9 +129,7 @@ def malgrange_pairs() -> List[Tuple[str, ControlSystem, str, FPModule]]:
     rx = univariate_ring()
     systems = dict(control_corpus())
     # the single scalar operator a = x, probed at R/(x^2)
-    from .parsing import parse_poly
-    scalar = ControlSystem(
-        rx, ["w"], PolyMatrix(rx, 1, 1, [[parse_poly("x", rx)]]))
+    scalar = ControlSystem(rx, ["w"], _matrix(rx, [["x"]]))
 
     probes_d = [
         ("R", FPModule.free(rd, 1)),

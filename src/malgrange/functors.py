@@ -361,18 +361,11 @@ def defect_via_nat(fun: FPFunctor) -> NatModule:
 def defect_comparison(fun: FPFunctor) -> Morphism:
     """Canonical map defect_via_nat(F) -> defect(F).W; always bijective."""
     n = defect_via_nat(fun)
-    w, emb = defect(fun)
-    ring = fun.y.ring
-    cols = []
-    for gen in n.generators():
-        alpha = n.decode(gen)
-        y_elem = alpha.b.mat.column(0)
-        coeffs = solve_mod(y_elem, emb.mat, fun.y.relations)
-        if coeffs is None:
-            raise ValueError("defect comparison failed to corestrict")
-        cols.append(Vector(ring, coeffs))
-    mat = PolyMatrix.from_columns(ring, w.ngens, cols)
-    return Morphism(n, w, mat)
+    _, emb = defect(fun)
+    cols = [n.decode(gen).b.mat.column(0) for gen in n.generators()]
+    into_y = Morphism(n, fun.y, PolyMatrix.from_columns(
+        fun.y.ring, fun.y.ngens, cols), _checked=True)
+    return lift_through(emb, into_y)
 
 
 def cdefect(fun: ContraFPFunctor) -> FPModule:

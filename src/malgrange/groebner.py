@@ -26,7 +26,7 @@ from itertools import repeat
 from math import gcd
 from operator import and_, lshift, rshift
 from typing import (Callable, Iterable, List, Optional, Sequence, Tuple,
-                    TypeVar, Union)
+                    TypeVar)
 
 from .rings import Monomial, Poly, RingSpec, scaled_ints, sum_of_products
 
@@ -412,8 +412,7 @@ def _remainder(v: Vector, basis: _IntBasis) -> Tuple[dict, Fraction]:
     return _reduce(p, basis, unit)
 
 
-def divide(v: Vector, basis: Union[Sequence[Vector], _IntBasis],
-           ) -> Tuple[Vector, List[Poly]]:
+def divide(v: Vector, basis: Sequence[Vector]) -> Tuple[Vector, List[Poly]]:
     """Multivariate division: v = sum(q[i] * basis[i]) + r.
 
     No term of r is divisible (same position) by any basis leading term.
@@ -425,21 +424,15 @@ def divide(v: Vector, basis: Union[Sequence[Vector], _IntBasis],
     as [b_i; e_i] and v as [v; 0], each a primitive integer term dict;
     what is left is [r; -q], so the quotients are the negated tag part of
     the remainder, and r and q are the exact rationals of the textbook
-    division.  basis may also be an ``_IntBasis`` already tagged; q are
-    then the coefficients over the vectors its tags stand for
-    (``SpanSolver`` tags its reduced basis with the cofactor rows, so its
-    q are over its generators).
+    division.
     """
-    if not isinstance(basis, _IntBasis):
-        n = len(basis)
-        basis = _IntBasis.of(v.ring, basis, v.rank,
-                             [Vector.unit(v.ring, n, i).entries
-                              for i in range(n)], n)
-    elif basis.rank != v.rank:
-        raise ValueError("vector rank mismatch")
-    rem, scale = _remainder(v, basis)
-    return (_vector(basis.layout, v.ring, v.rank, rem, scale),
-            _polys(basis.layout, v.ring, rem, -scale, v.rank, basis.tags))
+    n = len(basis)
+    tagged = _IntBasis.of(v.ring, basis, v.rank,
+                          [Vector.unit(v.ring, n, i).entries
+                           for i in range(n)], n)
+    rem, scale = _remainder(v, tagged)
+    return (_vector(tagged.layout, v.ring, v.rank, rem, scale),
+            _polys(tagged.layout, v.ring, rem, -scale, v.rank, n))
 
 
 # -- one cache of certified results per exact presentation -----------------------
@@ -536,11 +529,6 @@ class _Completion:
     def __init__(self, basis: _IntBasis):
         self.basis = basis
         self.keyed = basis.layout
-        # sole vector position each element uses, or None
-        pos_shift = basis.layout.pos_shift
-        self.conc: List[Optional[int]] = [
-            _sole_position(terms, lead >> pos_shift, basis)
-            for terms, lead in zip(basis.terms, basis.leads)]
         self.pending: List[tuple] = []
         self.live: set = set()
 
@@ -565,7 +553,6 @@ class _Completion:
         lcms = [(i, basis.layout.lcm_exps(e, lead))
                 for i, e, _, _ in basis.by_pos.get(pos, ())]
         basis.add(terms, lead)
-        self.conc.append(_sole_position(terms, pos, basis))
         if not lcms:
             return
         basis.fit(max(sum(l) for _, l in lcms))  # so that every lcm packs
@@ -596,19 +583,21 @@ class _Completion:
         self.add(prim, next(iter(prim)))
 
     def run(self) -> None:
-        """Process pending pairs, smallest key first, ties by (i, j)."""
-        basis, conc = self.basis, self.conc
+        """Process pending pairs, smallest key first, ties by (i, j).
+
+        The chain criterion is the only one: a pair (i, j) is skipped when
+        another element k leading in the same position divides its lcm and
+        neither (i, k) nor (j, k) is still pending.  Every other pair's
+        S-vector is reduced.
+        """
+        basis = self.basis
         pending, live = self.pending, self.live
         while pending:
             self._sync()
             _, i, j, l = heappop(pending)
             live.discard((i, j))
-            layout, leads = basis.layout, basis.leads
+            layout = basis.layout
             pos = l >> layout.pos_shift
-            degree = layout.degree(l)
-            if (conc[i] == pos and conc[j] == pos and degree
-                    == layout.degree(leads[i]) + layout.degree(leads[j])):
-                continue  # coprime leads
             chained = False
             for k, e, _, _ in basis.by_pos[pos]:
                 if (k != i and k != j and layout.divides(e, l)
@@ -641,14 +630,6 @@ class _Completion:
         for i, j in pairs:
             self.reduce(*_s_vector(basis, i, j), rows)
         return rows
-
-
-def _sole_position(terms: dict, pos: int, basis: _IntBasis) -> Optional[int]:
-    """pos if every term of terms below the tag positions (basis.rank and
-    up) lies in position pos, else None."""
-    pos_shift, rank = basis.layout.pos_shift, basis.rank
-    return pos if all(k >> pos_shift == pos or k >> pos_shift >= rank
-                      for k in terms) else None
 
 
 def _interreduce(basis: _IntBasis, ring: RingSpec,
@@ -736,14 +717,13 @@ def buchberger(gens: Sequence[Vector], *, ring: Optional[RingSpec] = None,
     Pending pairs sit in a heap keyed once by the degree of their lcm and
     then its module term, smallest first, ties broken by the basis
     indices (i, j); ``extended_buchberger`` takes them in the same order.
-    The coprime-lead shortcut is applied only to pairs concentrated in
-    one common position (the unrestricted product criterion is unsound
-    for modules), together with the chain criterion.
-    The basis is kept as primitive integer term dicts for the whole
-    completion and every S-vector goes through the same reducer as
-    ``divide``.  A final sweep re-checks every same-position S-vector of
-    the candidate basis; a nonzero remainder joins the candidate's own
-    completion, which resumes until a sweep adds nothing.
+    The chain criterion is the only pair criterion (see
+    ``_Completion.run``).  The basis is kept as primitive integer term
+    dicts for the whole completion and every S-vector goes through the
+    same reducer as ``divide``.  A final sweep re-checks every
+    same-position S-vector of the candidate basis; a nonzero remainder
+    joins the candidate's own completion, which resumes until a sweep
+    adds nothing.
 
     The result is cached under the exact input (see ``cached``).
     """
@@ -787,8 +767,8 @@ def _buchberger_core(gens: Sequence[Vector], ring: Optional[RingSpec],
     """The completion behind ``buchberger`` and ``extended_buchberger``.
 
     Tracked, the basis is tagged with one position per input, rank + i
-    for input i, which enters as [gens[i]; e_i] scaled to one integer
-    term dict.
+    for input i, which enters as the vector [gens[i]; e_i], packed as
+    ``_IntBasis.of`` packs a tagged element.
 
     start, when given (untracked only), is a reduced basis of rank at most
     rank: padded with zeros, it is the starting basis, closed under its
@@ -810,13 +790,10 @@ def _buchberger_core(gens: Sequence[Vector], ring: Optional[RingSpec],
         state = _Completion(_IntBasis(layout, rank, m if track else 0))
     else:
         state = _Completion(start._basis.padded(rank))
-    constant = (0,) * ring.nvars
     for i, v in seeds:
-        unit, p = state.basis.pack(v)
-        if track:  # denominator * [v; e_i], in integers
-            p = {k: unit.numerator * c for k, c in p.items()}
-            p[state.basis.layout.pack(rank + i, constant)] = unit.denominator
-        state.reduce(p)
+        if track:
+            v = Vector(ring, v.entries + Vector.unit(ring, m, i).entries)
+        state.reduce(state.basis.pack(v)[1])
     while True:
         state.run()
         reduced, vectors, cofs = _interreduce(state.basis, ring)
@@ -838,12 +815,13 @@ class SpanSolver:
 
     Keeps the reduced basis of the span tagged with its cofactor rows:
     element b is [G_b; A_b], with G_b = sum(A_b[i] * gens[i]) (see
-    ``_IntBasis``).  ``divide`` by it leaves [r; -c] from [v; 0], with
-    v = sum(c[i] * gens[i]) + r, so membership certificates are read off
-    the tag part.  Syzygies come from Schreyer's construction: one row
-    per generator, lifted the same way, plus one row per same-position
-    S-pair of the basis, as the final sweep of ``extended_buchberger``
-    left it.
+    ``_IntBasis``).  Reducing a tagged vector [u; t] against it leaves
+    [r; c] with u - r = sum((t - c)[i] * gens[i]), and both answers are
+    read off that tag part (``_tag_part``): [-v; 0] leaves [r; c] with
+    v = sum(c[i] * gens[i]) - r, the certificate of membership when r is
+    zero, and Schreyer's construction takes one syzygy row per generator
+    the same way, plus one row per same-position S-pair of the basis, as
+    the final sweep of ``extended_buchberger`` left it.
     """
 
     def __init__(self, gens: Sequence[Vector], ring: RingSpec, rank: int):
@@ -860,12 +838,23 @@ class SpanSolver:
                                     self.count)
         self._syz: Optional[List[Vector]] = None
 
+    def _tag_part(self, v: Vector) -> Optional[List[Poly]]:
+        """The tag part of what v, a vector of rank rank followed by count
+        tag entries, leaves against the tagged basis, or None when the
+        vector part it leaves is not zero."""
+        basis = self._tagged
+        rem, scale = _remainder(v, basis)
+        if rem and next(iter(rem)) >> basis.layout.pos_shift < self.rank:
+            return None
+        return _polys(basis.layout, self.ring, rem, scale, self.rank,
+                      self.count)
+
     def solve(self, v: Vector) -> Optional[List[Poly]]:
         """Coefficients c with sum(c[i] * gens[i]) = v, or None."""
         if v.rank != self.rank:
             raise ValueError("rank mismatch")
-        r, c = divide(v, self._tagged)
-        return c if r.is_zero() else None
+        zero = Vector.zero(self.ring, self.count)
+        return self._tag_part(Vector(self.ring, (-v).entries + zero.entries))
 
     def syzygies(self) -> List[Vector]:
         """Certified generators of {(a_1..a_m) : sum(a_i * gens[i]) = 0}.
@@ -883,21 +872,22 @@ class SpanSolver:
         Schreyer's construction: the rows below generate all relations
         (any syzygy s splits as s(I - BA) + (s B)A with B the division
         coefficients of the generators over the basis and A the tracked
-        cofactors).  Row e_i - B_i A is what [gens[i]; e_i] leaves against
-        the tagged basis, whose vector part must reduce to zero; the
-        S-pair rows come from the final sweep of ``extended_buchberger``.
-        Every row is re-multiplied against every generator, then returned
-        primitive, certified but not recompleted: callers that need a
-        canonical presentation run Buchberger after projecting to the block
-        they keep, where the rank is smaller and completion stays cheap.
+        cofactors).  Row i, e_i - B_i A, is the tag part that [gens[i];
+        e_i] leaves against the tagged basis, whose vector part must reduce
+        to zero; the S-pair rows come from the final sweep of
+        ``extended_buchberger``.  Every row is re-multiplied against every
+        generator, then returned primitive, certified but not recompleted:
+        callers that need a canonical presentation run Buchberger after
+        projecting to the block they keep, where the rank is smaller and
+        completion stays cheap.
         """
         rows: List[Vector] = []
         for i, f in enumerate(self.gens):
-            r, c = divide(f, self._tagged)
-            if not r.is_zero():
+            unit = Vector.unit(self.ring, self.count, i)
+            tag = self._tag_part(Vector(self.ring, f.entries + unit.entries))
+            if tag is None:
                 raise RuntimeError("generator escaped its own span")
-            rows.append(Vector.unit(self.ring, self.count, i)
-                        - Vector(self.ring, c))
+            rows.append(Vector(self.ring, tag))
         rows.extend(Vector(self.ring, row) for row in self._schreyer)
         out = []
         for v in rows:

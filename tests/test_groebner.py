@@ -675,22 +675,22 @@ def test_tracked_completion_keeps_its_cofactors_small(extra_randint):
 # test_schreyer_rows_come_from_the_final_sweep_only).
 
 def test_a_corrupted_syzygy_row_is_not_certified(monkeypatch):
-    # the first-kind rows e_i - B_i A are read off the tag part that
-    # dividing each generator by the solver's tagged basis leaves
+    # the first-kind rows e_i - B_i A are the tag parts that each
+    # [g_i; e_i] leaves against the solver's tagged basis
     gens = [vec(RXY, "x"), vec(RXY, "y")]
     assert SpanSolver(gens, RXY, 1).syzygies()  # uncorrupted: certified
     solver = SpanSolver(gens, RXY, 1)
-    original = groebner.divide
+    original = SpanSolver._tag_part
     seen = []
 
-    def corrupted(v, basis):
-        r, tag = original(v, basis)
+    def corrupted(self, v):
+        tag = original(self, v)
         seen.append(tag)
         if len(seen) == 1:  # the first tag part gains a term on generator 2
             tag = [tag[0], tag[1] + Poly.one(RXY)]
-        return r, tag
+        return tag
 
-    monkeypatch.setattr(groebner, "divide", corrupted)
+    monkeypatch.setattr(SpanSolver, "_tag_part", corrupted)
     with pytest.raises(RuntimeError, match="uncertified syzygy"):
         solver.syzygies()
     assert seen
@@ -699,12 +699,13 @@ def test_a_corrupted_syzygy_row_is_not_certified(monkeypatch):
 def test_a_generator_outside_the_basis_span_is_an_error(monkeypatch):
     gens = [vec(RXY, "x"), vec(RXY, "y")]
     solver = SpanSolver(gens, RXY, 1)
-    original = groebner.divide
+    original = groebner._remainder
 
-    def leaking(v, basis):  # every lift leaves its vector part unreduced
-        return v, original(v, basis)[1]
+    def leaking(v, basis):  # every lift leaves a term in position 0
+        rem, scale = original(v, basis)
+        return {basis.layout.pack(0, (0, 0)): 1, **rem}, scale
 
-    monkeypatch.setattr(groebner, "divide", leaking)
+    monkeypatch.setattr(groebner, "_remainder", leaking)
     with pytest.raises(RuntimeError, match="generator escaped its own span"):
         solver.syzygies()
 

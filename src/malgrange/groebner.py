@@ -495,6 +495,11 @@ def _s_vector(basis: _IntBasis, i: int, j: int) -> Tuple[dict, Fraction]:
     return s, Fraction(1, l)
 
 
+def _pair(sugar: int, lcm: int, i: int, j: int) -> tuple:
+    """A pending pair of ``_Completion``: (key, i, j, lcm)."""
+    return (sugar, -lcm), i, j, lcm
+
+
 class _Completion:
     """Buchberger completion of an integer basis.
 
@@ -513,11 +518,18 @@ class _Completion:
 
     Pending pairs sit in a heap of (key, i, j, lcm), keyed once when
     pushed, with lcm the packed lcm of the two leads; live holds the (i, j)
-    still in the heap.  The key is (degree of lcm, -lcm), lowest degree
-    first, whether cofactors are tracked or not: a pair of high degree
-    then runs after the low-degree pairs that make its result redundant.
-    The reduced basis is the same in any pair order; tracked cofactors
-    and Schreyer's rows are fixed by this one.
+    still in the heap.  The key is (sugar, -lcm), lowest sugar first,
+    whether cofactors are tracked or not (the sugar strategy: Giovini,
+    Mora, Niesi, Robbiano and Traverso, "One sugar cube, please", ISSAC
+    1991).  sugar[i] is element i's sugar degree: for an input, an element
+    of the starting basis or one the sweep adds, the largest total degree
+    of its vector part (tag positions left out); for the remainder of an
+    S-pair, the pair's sugar, max(sugar[i] + deg(lcm) - deg(lead i),
+    sugar[j] + deg(lcm) - deg(lead j)).  Sugar is the degree the pair
+    would have in a homogenized input, so pairs run in the order that
+    suits homogeneous input even when the input is not.  The reduced
+    basis is the same in any pair order; tracked cofactors and Schreyer's
+    rows are fixed by this one.
 
     The basis is widened where something is packed for it (an input by
     ``_IntBasis.pack``, an lcm by ``add``, an S-vector by ``_s_vector``;
@@ -529,43 +541,52 @@ class _Completion:
     def __init__(self, basis: _IntBasis):
         self.basis = basis
         self.keyed = basis.layout
+        self.sugar = [self._own_sugar(t) for t in basis.terms]
         self.pending: List[tuple] = []
         self.live: set = set()
 
-    def _pair(self, lcm: int, i: int, j: int) -> tuple:
-        return (self.basis.layout.degree(lcm), -lcm), i, j, lcm
+    def _own_sugar(self, terms: dict) -> int:
+        layout = self.basis.layout
+        end = self.basis.rank << layout.pos_shift  # tag keys are not below
+        return layout.max_degree(k for k in terms if k < end)
 
     def _sync(self) -> None:
         """Re-key the pending pairs by the basis's layout if it was widened
-        since they were keyed; the pair order is unchanged, as both layouts
-        order the terms alike."""
+        since they were keyed; the pair order is unchanged, as sugar does
+        not depend on the layout and both layouts order the terms alike."""
         old, new = self.keyed, self.basis.layout
         if new is not old:
             self.keyed = new
-            self.pending[:] = [self._pair(new.repack(l, old), i, j)
-                               for _, i, j, l in self.pending]
+            self.pending[:] = [_pair(sugar, new.repack(l, old), i, j)
+                               for (sugar, _), i, j, l in self.pending]
             heapify(self.pending)
 
-    def add(self, terms: dict, lead: int) -> None:
+    def add(self, terms: dict, lead: int, sugar: Optional[int] = None) -> None:
+        """Add an element and queue its pairs; sugar is its own (see
+        ``_own_sugar``) unless given."""
         basis = self.basis
         j = len(basis)
         pos = lead >> basis.layout.pos_shift
         lcms = [(i, basis.layout.lcm_exps(e, lead))
                 for i, e, _, _ in basis.by_pos.get(pos, ())]
+        self.sugar.append(self._own_sugar(terms) if sugar is None else sugar)
         basis.add(terms, lead)
         if not lcms:
             return
         basis.fit(max(sum(l) for _, l in lcms))  # so that every lcm packs
         self._sync()
-        pack = basis.layout.pack
+        layout, sugars, leads = basis.layout, self.sugar, basis.leads
+        gap_j = sugars[j] - layout.degree(leads[j])
         for i, l in lcms:
-            heappush(self.pending, self._pair(pack(pos, l), i, j))
+            sugar = sum(l) + max(sugars[i] - layout.degree(leads[i]), gap_j)
+            heappush(self.pending, _pair(sugar, layout.pack(pos, l), i, j))
             self.live.add((i, j))
 
     def reduce(self, p: dict, scale: Fraction = _ONE,
-               zero_rows: Optional[list] = None) -> None:
-        """Add the primitive remainder of p against the basis, unless its
-        vector part is zero.
+               zero_rows: Optional[list] = None,
+               sugar: Optional[int] = None) -> None:
+        """Add the primitive remainder of p against the basis, with the
+        given sugar (else its own), unless its vector part is zero.
 
         p stands for scale * p.  A remainder rem with nothing left below
         the tag positions is appended to zero_rows, when given, as
@@ -580,10 +601,12 @@ class _Completion:
                 zero_rows.append((basis.layout, rem, scale))
             return
         _, prim = _primitive(rem)
-        self.add(prim, next(iter(prim)))
+        self.add(prim, next(iter(prim)), sugar)
 
     def run(self) -> None:
-        """Process pending pairs, smallest key first, ties by (i, j).
+        """Process pending pairs, smallest key first, ties by (i, j):
+        lowest sugar, then the smaller lcm.  The remainder of a pair's
+        S-vector joins the basis with the pair's sugar.
 
         The chain criterion is the only one: a pair (i, j) is skipped when
         another element k leading in the same position divides its lcm and
@@ -594,7 +617,7 @@ class _Completion:
         pending, live = self.pending, self.live
         while pending:
             self._sync()
-            _, i, j, l = heappop(pending)
+            (sugar, _), i, j, l = heappop(pending)
             live.discard((i, j))
             layout = basis.layout
             pos = l >> layout.pos_shift
@@ -607,7 +630,7 @@ class _Completion:
                     break
             if chained:
                 continue
-            self.reduce(*_s_vector(basis, i, j))
+            self.reduce(*_s_vector(basis, i, j), sugar=sugar)
 
     def sweep(self) -> List[Tuple[_Layout, dict, Fraction]]:
         """Final check of the starting basis: reduce every same-position
@@ -714,9 +737,13 @@ def buchberger(gens: Sequence[Vector], *, ring: Optional[RingSpec] = None,
                rank: Optional[int] = None) -> GrobnerBasis:
     """Reduced Groebner basis of the submodule generated by gens.
 
-    Pending pairs sit in a heap keyed once by the degree of their lcm and
-    then its module term, smallest first, ties broken by the basis
+    Pending pairs sit in a heap keyed once by their sugar degree and then
+    their lcm's module term, smallest first, ties broken by the basis
     indices (i, j); ``extended_buchberger`` takes them in the same order.
+    An input, or an element the final sweep adds, has the largest total
+    degree of its vector as its sugar; a pair's sugar is the larger of
+    each element's sugar plus the degree of its multiplier into the lcm,
+    and an S-vector's remainder inherits it (see ``_Completion``).
     The chain criterion is the only pair criterion (see
     ``_Completion.run``).  The basis is kept as primitive integer term
     dicts for the whole completion and every S-vector goes through the

@@ -1,4 +1,5 @@
 import random
+import signal
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
@@ -205,17 +206,47 @@ def test_divide_matches_reference_reducer(seed, r):
     assert g.normal_form(v) == reference_divide(v, basis)
 
 
+def _differential_draw(r, rng):
+    """rank + 1 generators of rank 1-3 over r, entries of degree up to 2.
+
+    Over R3 such draws had a heavy tail of many-second completions while
+    pairs were taken by lcm degree; under sugar the slowest known draws
+    take a fraction of a second (see test_heavy_draws_complete_quickly)."""
+    rank = rng.randint(1, 3)
+    return [rand_vector(r, rng, rank, deg=rng.randint(1, 2))
+            for _ in range(rank + 1)], rank
+
+
 @settings(max_examples=120, deadline=None)
 @given(st.integers(0, 2**30), st.sampled_from([RX, RXY, R3]))
 def test_sweep_rows_match_reference_schreyer_rows(seed, r):
-    # entries of degree 1 over R3 (up to 2 otherwise) and rank + 1
-    # generators: larger draws have a heavy tail of many-second completions
-    rng = random.Random(seed)
-    rank = rng.randint(1, 3)
-    deg = 1 if r is R3 else 2
-    gens = [rand_vector(r, rng, rank, deg=rng.randint(1, deg))
-            for _ in range(rank + 1)]
+    gens, rank = _differential_draw(r, random.Random(seed))
     g, cofs, rows = extended_buchberger(gens, ring=r, rank=rank)
+    assert rows == reference_schreyer_rows(g.gens, cofs)
+
+
+def _alarm(signum, frame):
+    raise TimeoutError("completion ran past its alarm")
+
+
+# draws of _differential_draw over R3 that took over 120 s in buchberger
+# or extended_buchberger with pairs taken by lcm degree
+HEAVY_SEEDS = [1940, 3355, 5329, 8028, 11597]
+
+
+@pytest.mark.parametrize("seed", HEAVY_SEEDS)
+def test_heavy_draws_complete_quickly(seed):
+    gens, rank = _differential_draw(R3, random.Random(seed))
+    previous = signal.signal(signal.SIGALRM, _alarm)
+    signal.alarm(10)  # a regression fails here instead of hanging
+    try:
+        groebner._CACHE.clear()
+        untracked = buchberger(gens, ring=R3, rank=rank)
+        g, cofs, rows = extended_buchberger(gens, ring=R3, rank=rank)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert g.gens == untracked.gens
     assert rows == reference_schreyer_rows(g.gens, cofs)
 
 
@@ -617,13 +648,8 @@ def reference_syzygies(gens, basis, cofs):
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 2**30), st.sampled_from([RX, RXY, R3]))
 def test_span_solver_matches_the_reference_lift(seed, r):
-    # entries of degree 1 over R3 (up to 2 otherwise), rank + 1 generators,
-    # as in test_sweep_rows_match_reference_schreyer_rows
     rng = random.Random(seed)
-    rank = rng.randint(1, 3)
-    deg = 1 if r is R3 else 2
-    gens = [rand_vector(r, rng, rank, deg=rng.randint(1, deg))
-            for _ in range(rank + 1)]
+    gens, rank = _differential_draw(r, rng)
     solver = SpanSolver(gens, r, rank)
     g, cofs, _ = extended_buchberger(gens, ring=r, rank=rank)
     basis = list(g.gens)
@@ -633,14 +659,14 @@ def test_span_solver_matches_the_reference_lift(seed, r):
         combo = Vector.zero(r, rank)
         for gen in gens:
             combo = combo + gen.poly_mul(
-                rand_vector(r, rng, 1, deg=deg).entries[0])
+                rand_vector(r, rng, 1).entries[0])
         want = reference_lift(combo, basis, cofs, len(gens))
         assert want is not None
         assert solver.solve(combo) == want
     # arbitrary vectors: None exactly for non-members
     span = buchberger(gens, ring=r, rank=rank)
     for _ in range(3):
-        v = rand_vector(r, rng, rank, deg=deg)
+        v = rand_vector(r, rng, rank)
         got = solver.solve(v)
         assert (got is None) == (not span.contains(v))
         assert got == reference_lift(v, basis, cofs, len(gens))
@@ -648,8 +674,9 @@ def test_span_solver_matches_the_reference_lift(seed, r):
 
 
 def _tracked_cost_draw(extra_randint):
-    # four rank-3 generators over R3 whose tracked completion, with pairs
-    # taken position first, built cofactor rows of 31 957 and 65 898 terms
+    # four rank-3 generators over R3 whose tracked completion built
+    # cofactor rows of 31 957 and 65 898 terms with pairs taken position
+    # first, 1 136 and 3 654 by lcm degree, and 932 and 3 162 by sugar
     rng = random.Random(296 * 7919)
     rank = rng.randint(1, 3)
     count = rank + (rng.randint(1, 1) if extra_randint else 1)

@@ -49,8 +49,9 @@ def _tied_pairs():
 
 
 def _tie_break():
-    # pending pairs of this input share their key, and its cofactors and
-    # syzygies change if the (i, j) tie-break of the pair queue is reversed
+    # pending pairs of this input share their key; its cofactors and
+    # syzygies changed with a reversed (i, j) tie-break when pairs were
+    # keyed by lcm degree, but no longer do under the sugar key
     return _vectors([["2*y - 3*z", "1", "-2*x + 1"],
                      ["-2*y^2 - y*z + 3*y", "0", "-3"],
                      ["-1", "-2*y*z + 2", "-3"],
@@ -66,14 +67,15 @@ CASES = _xy_presentations() + [
 # sha256 of the text forms below, recorded before the pair queue and the
 # reducer were rebuilt; xyz-tied-pairs re-recorded and xyz-tie-break
 # recorded when tracked completions took the untracked pair order
-# (lowest lcm degree first)
+# (lowest lcm degree first); random-xy-0, random-xy-1, xyz-tied-pairs and
+# xyz-tie-break re-recorded when every completion took pairs by sugar
 GOLDEN = {
     "random-xy-0": (
-        "17f98b4ac7faa6b6892dd3c58c267a5b28e5b56a6b831a5825bb7124c6000adc",
-        "495da68d7000ae708028913b6d4a129bd3198e8f970ede895924a6ac526ea797"),
+        "1e9ea34c796061623a35cfed567c79a915cc9010049d6214d01740c9980788e8",
+        "440668077dbff1508d668ff7e63d05d31331e6394df1b7346640e4eb9dfb9a47"),
     "random-xy-1": (
-        "902ae710ef7ecc9298488df4f1402227dfafdfdc173596b5228fff7dc180bdf6",
-        "1d96bd6f10d88fddd60a8fbec080b811350f6be04e12ef12fe4ddebbc6f00fa0"),
+        "cf2cd986659c6cacb6df25c1fc982b762e14cc361d3949048c6a864d7f0a828f",
+        "0b2ee3a47dfb9653aedafb767f2462d25603e918780fc298ca02f777dee532ab"),
     "random-xy-2": (
         "403b7bbb5cffa10fcdf81c0020c295a775acefd8a5085fa434721542f59f1e6e",
         "70bd243a02a7d5e98670f34b4f3882ade2eface0baeaef24f647f7c1c6981dad"),
@@ -81,11 +83,11 @@ GOLDEN = {
         "50014546391b0a2795712e38f7e4c1ec54370fe0caa0d22e32b033bbfd41c5e2",
         "99f6f10700d6b419b141721437db66d90247633eba556dab3aac870ca34a9b4e"),
     "xyz-tied-pairs": (
-        "95c19efdd986210e758d26b2aabe1229ae6bdb164c3c70bb831b94dafc009b23",
-        "a1c141ba6461f90c1ef3e22f2806f67291a5edbe72eb277283e2a9964564aff3"),
+        "6d2c6f737aff17ea606d349c85574f1e509ef656645ea699c140ca997bb7560f",
+        "a55a7847f2ea10c43e48bdcb17ea22bd41a0cd45ef1e3a978e13d97be469e254"),
     "xyz-tie-break": (
-        "6fda6abd1ceef8f5bbe61f54724cdaf25b8a46b0d75b05c4a81fa4128e121880",
-        "2553d9690444a104a02218d460828409ad7bf499cb99d035087f37b761b45a8b"),
+        "54d3e4a1500e47077e83b447456fd98bca2b2c773dfa1b35f723ecd44c8588ee",
+        "645fedd90da63ce0592315b553a2b3e00dc8f90ffa5f761bca91d0e8b3635606"),
 }
 
 

@@ -2,7 +2,9 @@
 """Stress the torsion = defect identity on seeded random presentations.
 
 Draws random cokernels, times bass_torsion against the full functor-side
-verification, and reports agreement plus timing percentiles.
+verification, and reports agreement plus timing percentiles.  bass_torsion
+is cached per presentation, so the "full check" time reads the torsion
+embedding from the cache and covers the defect side and the comparison.
 """
 
 import argparse

@@ -23,7 +23,8 @@ from . import corpus
 from .control import autonomy_report, malgrange_check
 from .functors import (module_dict, stable_hom, verify_adjunction,
                        verify_main_theorem)
-from .modules import FPModule, annihilator, bass_torsion, hom_module
+from .modules import (FPModule, annihilator, bass_torsion, hom_module,
+                      nonzero_columns)
 from .parsing import ParseError
 from .session import COMMANDS, Session, parse_session
 
@@ -86,9 +87,7 @@ def _run_analyze(session: Session, out: _Printer, results: List[Dict]) -> int:
 def _run_torsion(session: Session, out: _Printer, results: List[Dict]) -> int:
     for (name,) in _targets(session, "torsion"):
         m = session.module_of(name)
-        t, iota = bass_torsion(m)
-        gens = [iota.mat.column(j) for j in range(iota.mat.ncols)
-                if not m.element(iota.mat.column(j)).is_zero()]
+        gens = nonzero_columns(bass_torsion(m)[1])
         out.add(f"torsion {name}: generators: {len(gens)}")
         entries = []
         for col in gens:

@@ -17,7 +17,7 @@ from .rings import Poly, RingSpec
 from .groebner import PolyMatrix, Vector
 from .modules import (Element, FPModule, Morphism, _flatten, annihilator,
                       bass_torsion, direct_power, hom_module, kernel,
-                      lift_through)
+                      lift_through, nonzero_columns)
 from .functors import (BijectionReport, MainTheoremReport, bijection_report,
                        module_dict, verify_main_theorem)
 
@@ -173,17 +173,13 @@ def autonomy_report(sys: ControlSystem) -> AnalysisReport:
     """Autonomy generators with annihilator witnesses, plus the runtime
     torsion/defect cross-check."""
     m = malgrange_module(sys)
-    t, iota = bass_torsion(m)
     gens: List[AutonomyGenerator] = []
-    for j in range(iota.mat.ncols):
-        elem = Element(m, iota.mat.column(j))
-        if elem.is_zero():
-            continue
-        ann = annihilator(elem)
+    for col in nonzero_columns(bass_torsion(m)[1]):
+        elem = Element(m, col)
         gens.append(AutonomyGenerator(
             combination=_combination(sys, elem.vec),
             element=str(elem.vec),
-            witnesses=tuple(str(g) for g in ann.gens),
+            witnesses=tuple(str(g) for g in annihilator(elem).gens),
         ))
     return AnalysisReport(
         system=str(sys.mat),

@@ -22,7 +22,8 @@ from .rings import Poly, RingSpec
 from .groebner import PolyMatrix, Vector, buchberger, solve_mod
 from .modules import (Element, FPModule, Morphism, bass_torsion, cokernel,
                       direct_sum, dual, hom_module, hom_pre, hom_post,
-                      is_injective, is_surjective, kernel, lift_through)
+                      is_injective, is_surjective, kernel, lift_through,
+                      nonzero_columns)
 
 
 class FPFunctor:
@@ -268,12 +269,11 @@ class NatModule(FPModule):
     def __init__(self, fsrc: FPFunctor, ftgt: FPFunctor):
         f_f, f_g = fsrc.f, ftgt.f
         h1 = hom_module(ftgt.y, fsrc.y)
-        h2 = hom_module(ftgt.y, fsrc.x)
         c = hom_post(ftgt.y, f_f)
         d = hom_pre(f_g, fsrc.x)
         e = hom_pre(f_g, fsrc.y)
         _, pi2 = cokernel(d)
-        k, emb = kernel(pi2.compose(c))
+        _, emb = kernel(pi2.compose(c))
         e_tilde = lift_through(emb, e)
         n, _ = cokernel(e_tilde)
         super().__init__(h1.ring, n.ngens, n.relations)
@@ -475,27 +475,16 @@ def _image_membership_witness(phi: Morphism, psi: Morphism) -> Optional[str]:
     return None
 
 
-def _nonzero_columns(into: Morphism) -> Tuple[str, ...]:
-    """Printable generator columns, skipping ones that are zero classes."""
-    cod = into.target
-    out = []
-    for j in range(into.mat.ncols):
-        col = into.mat.column(j)
-        if not cod.element(col).is_zero():
-            out.append(str(col))
-    return tuple(out)
-
-
 def verify_main_theorem(a: FPModule) -> MainTheoremReport:
     """Check that the defect of the stabilized Hom functor of A coincides
     with the torsion submodule of A, as submodules of A."""
-    w, emb = defect(stable_hom(a))
-    t, iota = bass_torsion(a)
+    _, emb = defect(stable_hom(a))
+    _, iota = bass_torsion(a)
     witness = _image_membership_witness(emb, iota)
     return MainTheoremReport(
         module=module_dict(a),
-        defect_generators=_nonzero_columns(emb),
-        torsion_generators=_nonzero_columns(iota),
+        defect_generators=tuple(map(str, nonzero_columns(emb))),
+        torsion_generators=tuple(map(str, nonzero_columns(iota))),
         equal=witness is None,
         witness=witness,
     )

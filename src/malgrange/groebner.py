@@ -5,9 +5,9 @@ reduced basis, syzygy computation, and membership solving.  All kernel,
 cokernel, and equality decisions elsewhere in the engine reduce to these
 operations.
 
-Reduced bases, span solvers and Hom modules are kept in one bounded LRU
-cache keyed by the exact presentation (``cached``): an equal input returns
-the object built, and certified, the first time.
+Reduced bases, span solvers, Hom modules and torsion embeddings are kept
+in one bounded LRU cache keyed by the exact presentation (``cached``): an
+equal input returns the object built, and certified, the first time.
 
 The order is position-over-term with e1 > e2 > ... over grevlex, which
 makes the elimination-style syzygy and lifting computations below correct.
@@ -453,8 +453,8 @@ def cached(key: tuple, build: Callable[[], _T]) -> _T:
     hit needs an input equal term by term, with exact ``Fraction``
     coefficients, to the one the value was built and certified from; a
     hash collision alone never matches.  A build that raises stores
-    nothing.  Shared by reduced bases (``buchberger``), span solvers
-    (``span_solver``) and Hom modules (``modules.hom_module``).
+    nothing.  Shared by reduced bases (``buchberger``, ``colon_ideal``),
+    span solvers, Hom modules and torsion embeddings (``modules``).
     """
     value = _CACHE.get(key, _MISSING)
     if value is _MISSING:
@@ -1140,21 +1140,22 @@ def syzygies_mod(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
     return PolyMatrix.from_columns(ring, a.ncols, list(gb.gens))
 
 
-def colon_ideal(v: Vector, b: PolyMatrix) -> List[Poly]:
-    """Generators of the ideal {r in R : r*v lies in the column span of b}.
+def colon_ideal(v: Vector, b: PolyMatrix) -> GrobnerBasis:
+    """Rank-1 reduced basis of the ideal {r in R : r*v lies in span(b)}.
 
     Elimination at rank k+1: complete the module generated by [v; 1] and
     the columns [b_j; 0], where the tag position comes last and therefore
-    has the lowest position-over-term priority.  Basis elements supported
-    entirely on the tag position are exactly the multipliers sending v
-    into the span, and they form the reduced basis of that ideal.
+    has the lowest position-over-term priority.  The basis elements leading
+    in the tag position are exactly the multipliers sending v into the
+    span, and they are the reduced basis of the ideal (the Elimination
+    Theorem, in position-over-term module form): nothing is re-completed.
 
     The completion starts from the reduced basis of the columns of b
     (``buchberger``, cached: for an annihilator it is the module's own
     relation basis) with a zero appended to each element.  That basis is
     closed under its own pairs, so only [v; 1] enters, and the final sweep
-    still checks every same-position pair of the candidate.  The result is
-    cached as ``buchberger`` of the rank-(k+1) generators would be.
+    still checks every same-position pair of the candidate.  The rank-(k+1)
+    basis is cached as ``buchberger`` of its generators would be.
     """
     if v.rank != b.nrows:
         raise ValueError("rank mismatch")
@@ -1171,8 +1172,9 @@ def colon_ideal(v: Vector, b: PolyMatrix) -> List[Poly]:
                                 start=start)[0]
 
     gb = cached(_gb_key(gens, ring, k + 1), build)
-    return [w.entries[k] for w in gb.gens
-            if all(w.entries[i].is_zero() for i in range(k))]
+    return GrobnerBasis(ring, 1, tuple(Vector(ring, w.entries[k:])
+                                       for w in gb.gens
+                                       if w.leading()[0] == k))
 
 
 def solve_mod(v: Vector, a: PolyMatrix, b: PolyMatrix) -> Optional[List[Poly]]:

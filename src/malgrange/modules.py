@@ -13,7 +13,7 @@ primitives of the Groebner layer.
 from __future__ import annotations
 
 from itertools import product as iter_product
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 from .rings import Poly, RingSpec, mono_divides
 from .groebner import (GrobnerBasis, PolyMatrix, Vector, buchberger, cached,
@@ -396,8 +396,15 @@ def eval_map(m: FPModule) -> Morphism:
 
 
 def bass_torsion(m: FPModule) -> Tuple[FPModule, Morphism]:
-    """(T, iota): the kernel of the evaluation map M -> M**."""
-    return kernel(eval_map(m))
+    """(T, iota) = ker(M -> M**), built once per presentation (``cached``)."""
+    key = ("torsion", m.ring, m.ngens, m.relations)
+    return cached(key, lambda: kernel(eval_map(m)))
+
+
+def nonzero_columns(phi: Morphism) -> List[Vector]:
+    """The columns of phi whose classes in phi.target are nonzero."""
+    gb = phi.target.gb
+    return [col for col in phi.mat.columns() if not gb.contains(col)]
 
 
 class AnnihilatorIdeal:
@@ -405,13 +412,14 @@ class AnnihilatorIdeal:
 
     __slots__ = ("ring", "gens", "_gb")
 
-    def __init__(self, ring: RingSpec, gens: Sequence[Poly]):
-        self.ring = ring
+    def __init__(self, basis: GrobnerBasis):
+        if basis.rank != 1:
+            raise ValueError("an ideal is a rank-1 basis")
+        self.ring = basis.ring
         # canonical presentation: the reduced basis of the ideal, listed
         # with largest leading monomial first
-        self._gb = buchberger([Vector(ring, [g]) for g in gens],
-                              ring=ring, rank=1)
-        self.gens = tuple(v.entries[0] for v in reversed(self._gb.gens))
+        self._gb = basis
+        self.gens = tuple(v.entries[0] for v in reversed(basis.gens))
 
     @property
     def witness(self) -> Optional[Poly]:
@@ -432,15 +440,12 @@ class AnnihilatorIdeal:
 
 def annihilator(e: Element) -> AnnihilatorIdeal:
     """The ideal of r in R with r * e = 0 in the parent module."""
-    m = e.module
-    return AnnihilatorIdeal(m.ring, colon_ideal(e.vec, m.relations))
+    return AnnihilatorIdeal(colon_ideal(e.vec, e.module.relations))
 
 
 def module_annihilator(m: FPModule) -> AnnihilatorIdeal:
     """The ideal {f in R : f * M = 0}."""
     ring = m.ring
-    if m.ngens == 0:
-        return AnnihilatorIdeal(ring, [Poly.one(ring)])
     # f kills M iff f * vec(Id) lies in the span of one relation block per
     # generator: a colon ideal in rank ngens^2
     entries = []
@@ -449,7 +454,7 @@ def module_annihilator(m: FPModule) -> AnnihilatorIdeal:
             entries.append(Poly.one(ring) if i == j else Poly.zero(ring))
     stacked = Vector(ring, entries)
     big = PolyMatrix.block_diag(ring, [m.relations] * m.ngens)
-    return AnnihilatorIdeal(ring, colon_ideal(stacked, big))
+    return AnnihilatorIdeal(colon_ideal(stacked, big))
 
 
 # -- lifting, injectivity and surjectivity ------------------------------------------

@@ -80,8 +80,9 @@ def mono_degree(a: Monomial) -> int:
 
 
 class MonomialOrder:
-    """The graded reverse lexicographic order, the one monomial order of
-    the engine, given by a sort key: larger key = larger monomial."""
+    """The graded reverse lexicographic order as a sort key (larger key =
+    larger monomial).  The engine does not call it; tests use it as the
+    reference for ``_descending`` and ``groebner._Layout``."""
 
     __slots__ = ()
 

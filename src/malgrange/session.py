@@ -25,7 +25,7 @@ from typing import Dict, List, Tuple
 from .rings import Poly, RingSpec
 from .groebner import PolyMatrix
 from .modules import FPModule
-from .control import ControlSystem
+from .control import ControlSystem, malgrange_module
 from .parsing import ParseError, TokenStream, parse_poly_tokens, tokenize
 
 COMMANDS = ("analyze", "torsion", "defect", "hom", "verify", "gb")
@@ -48,12 +48,11 @@ class Session:
         """The module a name denotes: bound module, or the system's module."""
         if name in self.modules:
             return self.modules[name]
-        from .control import malgrange_module
         return malgrange_module(self.systems[name])
 
 
 def _parse_matrix(ts: TokenStream, ring: RingSpec) -> PolyMatrix:
-    start = ts.expect_punct("[")
+    ts.expect_punct("[")
     rows: List[List[Poly]] = []
     while True:
         row_tok = ts.expect_punct("[")

@@ -6,13 +6,14 @@ import pytest
 from malgrange.rings import Poly, ring
 from malgrange.parsing import parse_poly
 from malgrange.groebner import PolyMatrix, Vector, buchberger
-from malgrange.modules import (Element, FPModule, Morphism, annihilator,
-                               bass_torsion, cokernel, direct_sum, dual,
-                               eval_map, hom_module, hom_pre, hom_post,
-                               image, is_injective, is_isomorphism,
-                               is_surjective, kernel, lift_through,
-                               module_annihilator, q_dimension,
-                               tensor_modules)
+from malgrange import groebner
+from malgrange.modules import (AnnihilatorIdeal, Element, FPModule, Morphism,
+                               annihilator, bass_torsion, cokernel,
+                               direct_sum, dual, eval_map, hom_module,
+                               hom_pre, hom_post, image, is_injective,
+                               is_isomorphism, is_surjective, kernel,
+                               lift_through, module_annihilator,
+                               nonzero_columns, q_dimension, tensor_modules)
 from malgrange import corpus
 
 RX = ring("x")
@@ -338,6 +339,19 @@ def test_radical_law_on_corpus():
         assert t2.is_zero(), name
 
 
+def test_bass_torsion_is_built_once_per_presentation():
+    groebner._CACHE.clear()
+    iota = bass_torsion(coker_of(RX, [["x", "0"]]))[1]
+    assert bass_torsion(coker_of(RX, [["x", "0"]]))[1] is iota
+    assert bass_torsion(coker_of(RX, [["x^2", "0"]]))[1] is not iota
+
+
+def test_nonzero_columns_skip_zero_classes():
+    phi = scalar_mor(FPModule.free(RX, 4), MOD_X2, [["x^2", "x", "0", "1"]])
+    assert nonzero_columns(phi) == [Vector(RX, [parse_poly("x", RX)]),
+                                    Vector(RX, [Poly.one(RX)])]
+
+
 # -- annihilators ------------------------------------------------------------------
 
 def test_annihilator_examples():
@@ -360,6 +374,19 @@ def test_module_annihilator_of_sum():
     ann = module_annihilator(m)
     assert ann.contains(parse_poly("x^2", RX))
     assert not ann.contains(parse_poly("x", RX))
+
+
+@pytest.mark.parametrize("r", [RX, RXY], ids=["x", "xy"])
+def test_module_annihilator_of_the_zero_module_is_the_unit_ideal(r):
+    ann = module_annihilator(FPModule.zero(r))
+    assert ann.gens == (Poly.one(r),)
+    assert str(ann) == "(1)"
+
+
+def test_annihilator_ideal_takes_a_rank_one_basis():
+    gb = buchberger([Vector(RX, [parse_poly("x", RX), Poly.zero(RX)])])
+    with pytest.raises(ValueError, match="rank-1"):
+        AnnihilatorIdeal(gb)
 
 
 # -- q_dimension --------------------------------------------------------------------

@@ -1,0 +1,66 @@
+"""No engine function assigns a local name that it never reads."""
+
+import ast
+from pathlib import Path
+
+import malgrange
+
+SOURCES = sorted(Path(malgrange.__file__).parent.glob("*.py"))
+_FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+_SCOPES = _FUNCTIONS + (ast.Lambda, ast.ClassDef)
+
+
+def _own_nodes(fn):
+    """The nodes of fn's body outside its nested functions and classes."""
+    stack = list(fn.body)
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, _SCOPES):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def _unused_locals(tree: ast.AST):
+    """(line, function, name) of every local assigned and never read; a
+    read in a nested function counts, and ``_`` is exempt."""
+    for fn in ast.walk(tree):
+        if not isinstance(fn, _FUNCTIONS):
+            continue
+        outer, stored = set(), {}
+        for node in _own_nodes(fn):
+            if isinstance(node, (ast.Global, ast.Nonlocal)):
+                outer.update(node.names)
+            elif (isinstance(node, ast.Name)
+                  and isinstance(node.ctx, ast.Store)):
+                stored.setdefault(node.id, node.lineno)
+        read = {node.id for node in ast.walk(fn)
+                if isinstance(node, ast.Name)
+                and isinstance(node.ctx, ast.Load)}
+        for name, line in sorted(stored.items(), key=lambda kv: kv[1]):
+            if name != "_" and name not in read and name not in outer:
+                yield line, fn.name, name
+
+
+def test_an_unused_local_is_found():
+    tree = ast.parse("def f(a):\n"
+                     "    b, _ = a\n"
+                     "    c = 1\n"
+                     "    for d in a:\n"
+                     "        pass\n"
+                     "    def g():\n"
+                     "        nonlocal c\n"
+                     "        c = 2\n"
+                     "        e = 3\n"
+                     "    return c, g\n")
+    assert list(_unused_locals(tree)) == [(2, "f", "b"), (4, "f", "d"),
+                                          (9, "g", "e")]
+
+
+def test_engine_functions_read_every_local_they_assign():
+    assert SOURCES
+    unused = [f"{path.name}:{line}: {fn} assigns {name!r} and never reads it"
+              for path in SOURCES
+              for line, fn, name in _unused_locals(
+                  ast.parse(path.read_text(encoding="utf-8"),
+                            filename=str(path)))]
+    assert unused == []

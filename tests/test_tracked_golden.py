@@ -58,17 +58,29 @@ def _tie_break():
                      ["x*z - 2", "-2*y*z + 3", "-1"]])
 
 
+def _draw_19():
+    # _differential_draw(R3, random.Random(19)) of tests/test_groebner.py,
+    # written out; its cofactors and syzygies change when the (i, j)
+    # tie-break of the sugar key is reversed
+    return _vectors([["0", "y", "-x + 1"],
+                     ["3*x - 3*y", "-2", "0"],
+                     ["3*y*z - 3", "3*x*y + 3*x*z - z", "0"],
+                     ["x", "-3*z", "3*z - 3"]])
+
+
 CASES = _xy_presentations() + [
     ("xyz-2x3-deg1", _xyz_matrix(), 2),
     ("xyz-tied-pairs", _tied_pairs(), 3),
     ("xyz-tie-break", _tie_break(), 3),
+    ("xyz-draw-19", _draw_19(), 3),
 ]
 
 # sha256 of the text forms below, recorded before the pair queue and the
 # reducer were rebuilt; xyz-tied-pairs re-recorded and xyz-tie-break
 # recorded when tracked completions took the untracked pair order
 # (lowest lcm degree first); random-xy-0, random-xy-1, xyz-tied-pairs and
-# xyz-tie-break re-recorded when every completion took pairs by sugar
+# xyz-tie-break re-recorded when every completion took pairs by sugar;
+# xyz-draw-19 added under sugar, the others left as they were
 GOLDEN = {
     "random-xy-0": (
         "1e9ea34c796061623a35cfed567c79a915cc9010049d6214d01740c9980788e8",
@@ -88,6 +100,9 @@ GOLDEN = {
     "xyz-tie-break": (
         "54d3e4a1500e47077e83b447456fd98bca2b2c773dfa1b35f723ecd44c8588ee",
         "645fedd90da63ce0592315b553a2b3e00dc8f90ffa5f761bca91d0e8b3635606"),
+    "xyz-draw-19": (
+        "1d1e664d2fb77e7c592d6f034fa71c78132d5c52c304e77e976b7532ba19960c",
+        "765a89b24add61976da80c3caa68b7db33ba9ccf6bac4d833afc4ac27d30373b"),
 }
 
 

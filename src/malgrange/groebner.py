@@ -504,9 +504,10 @@ class _Completion:
     """Buchberger completion of an integer basis.
 
     The starting basis is either empty (elements then enter from the
-    input), an interreduced candidate, or a copy of a reduced basis that
-    the input extends (``colon_ideal``); the latter two are taken as
-    closed under their own pairs.  Every element added later, from the
+    input), an interreduced candidate, a copy of a reduced basis that the
+    input extends (``_seeded_completion``), or a basis tagged with the
+    identity (``TaggedBasis``); all but the first are taken as closed
+    under their own pairs.  Every element added later, from the
     input, an S-pair or the sweep, goes through ``add``, which queues its
     pairs with the elements already leading in the same position.  When
     cofactors are tracked the basis is tagged over the input (see
@@ -789,17 +790,12 @@ def extended_buchberger(gens: Sequence[Vector], *,
 
 def _buchberger_core(gens: Sequence[Vector], ring: Optional[RingSpec],
                      rank: Optional[int], track: bool,
-                     start: Optional[GrobnerBasis] = None,
                      ) -> Tuple[GrobnerBasis, Optional[list], Optional[list]]:
     """The completion behind ``buchberger`` and ``extended_buchberger``.
 
     Tracked, the basis is tagged with one position per input, rank + i
     for input i, which enters as the vector [gens[i]; e_i], packed as
     ``_IntBasis.of`` packs a tagged element.
-
-    start, when given (untracked only), is a reduced basis of rank at most
-    rank: padded with zeros, it is the starting basis, closed under its
-    own pairs, and gens only extend it.
     """
     m = len(gens)
     seeds = [(i, v) for i, v in enumerate(gens) if not v.is_zero()]
@@ -811,31 +807,47 @@ def _buchberger_core(gens: Sequence[Vector], ring: Optional[RingSpec],
         if v.rank != rank:
             raise ValueError("rank mismatch")
 
-    if start is None:
-        layout = _Layout(ring.nvars, max((_degree(v) for _, v in seeds),
-                                         default=0))
-        state = _Completion(_IntBasis(layout, rank, m if track else 0))
-    else:
-        state = _Completion(start._basis.padded(rank))
+    layout = _Layout(ring.nvars, max((_degree(v) for _, v in seeds),
+                                     default=0))
+    state = _Completion(_IntBasis(layout, rank, m if track else 0))
     for i, v in seeds:
         if track:
             v = Vector(ring, v.entries + Vector.unit(ring, m, i).entries)
         state.reduce(state.basis.pack(v)[1])
+    reduced, vectors, cofs, rows = _complete(state, ring)
+    if not track:
+        return GrobnerBasis(ring, rank, tuple(vectors), reduced), None, None
+    return (GrobnerBasis(ring, rank, tuple(vectors)), cofs,
+            [_polys(layout, ring, rem, s, rank, m) for layout, rem, s in rows])
+
+
+def _complete(state: _Completion, ring: RingSpec,
+              ) -> Tuple[_IntBasis, List[Vector], List[List[Poly]], list]:
+    """Run state to its reduced basis: process the pending pairs,
+    interreduce, and sweep the candidate, resuming the candidate's own
+    completion while a sweep adds an element.  Returns ``_interreduce``'s
+    (basis, vectors, cofactor rows) and the rows of the final sweep."""
     while True:
         state.run()
         reduced, vectors, cofs = _interreduce(state.basis, ring)
         state = _Completion(reduced)
         rows = state.sweep()
-        if len(reduced) != len(vectors):  # the sweep added an element
-            continue
-        if not track:
-            return GrobnerBasis(ring, rank, tuple(vectors), reduced), None, None
-        return (GrobnerBasis(ring, rank, tuple(vectors)), cofs,
-                [_polys(layout, ring, rem, s, rank, m)
-                 for layout, rem, s in rows])
+        if len(reduced) == len(vectors):  # the sweep added nothing
+            return reduced, vectors, cofs, rows
 
 
 # -- syzygies and membership ------------------------------------------------------
+
+def _tag_part(v: Vector, basis: _IntBasis,
+              ring: RingSpec) -> Optional[List[Poly]]:
+    """The tag part of what v, a vector of rank basis.rank followed by
+    basis.tags tag entries, leaves against the tagged basis, or None when
+    the vector part it leaves is not zero."""
+    rem, scale = _remainder(v, basis)
+    if rem and next(iter(rem)) >> basis.layout.pos_shift < basis.rank:
+        return None
+    return _polys(basis.layout, ring, rem, scale, basis.rank, basis.tags)
+
 
 class SpanSolver:
     """Answers membership and syzygy questions for a fixed generator list.
@@ -866,15 +878,8 @@ class SpanSolver:
         self._syz: Optional[List[Vector]] = None
 
     def _tag_part(self, v: Vector) -> Optional[List[Poly]]:
-        """The tag part of what v, a vector of rank rank followed by count
-        tag entries, leaves against the tagged basis, or None when the
-        vector part it leaves is not zero."""
-        basis = self._tagged
-        rem, scale = _remainder(v, basis)
-        if rem and next(iter(rem)) >> basis.layout.pos_shift < self.rank:
-            return None
-        return _polys(basis.layout, self.ring, rem, scale, self.rank,
-                      self.count)
+        """``_tag_part`` of v against the tagged basis."""
+        return _tag_part(v, self._tagged, self.ring)
 
     def solve(self, v: Vector) -> Optional[List[Poly]]:
         """Coefficients c with sum(c[i] * gens[i]) = v, or None."""
@@ -952,6 +957,93 @@ def span_solver(gens: Sequence[Vector], ring: RingSpec,
         return solver
 
     return cached(("span", ring, rank, gens), build)
+
+
+class TaggedBasis:
+    """A Groebner basis G_1..G_g of a submodule of R^k, tagged with the
+    identity.
+
+    Element i is [G_i; e_i] (see ``_IntBasis``), so the tag part of what a
+    vector leaves against it counts the multiples of each G_i the
+    division took: no cofactors are tracked, and ``extended_buchberger``
+    never runs.  Reducing [-v; 0] leaves [r; q] with v = sum(q[i] * G_i)
+    - r; q is ``quotient(v)`` when r is zero.
+
+    Building it runs the final sweep of a ``_Completion`` on this basis.
+    The sweep must add nothing, which certifies that G is a Groebner
+    basis; the tag part of each same-position S-vector it reduces to zero
+    is one of Schreyer's rows, and these rows generate the relations among
+    G (Eisenbud, *Commutative Algebra*, Thm. 15.10).  Each row is
+    multiplied out again and must give zero.
+    """
+
+    def __init__(self, g: "PolyMatrix"):
+        ring, rank, count = g.ring, g.nrows, g.ncols
+        self.mat = g  # shared through tagged_basis: read-only
+        basis = _IntBasis.of(ring, g.columns(), rank,
+                             PolyMatrix.identity(ring, count).rows, count)
+        rows = _Completion(basis).sweep()
+        if len(basis) != count:
+            raise RuntimeError("a tagged basis is not a Groebner basis")
+        self._tagged = basis
+        self._schreyer = [Vector(ring, _polys(layout, ring, rem, s, rank,
+                                              count))
+                          for layout, rem, s in rows]
+        self._relations: dict = {}  # b -> relations(b)
+        zero = Vector.zero(ring, rank)
+        for row in self._schreyer:
+            if g.mul_vec(row) != zero:
+                raise RuntimeError("uncertified syzygy")
+
+    def quotient(self, v: Vector) -> Optional[List[Poly]]:
+        """q with sum(q[i] * G_i) = v, read off one division of v by G, or
+        None when v lies outside the span of G."""
+        zero = Vector.zero(self.mat.ring, self.mat.ncols)
+        return _tag_part(Vector(v.ring, (-v).entries + zero.entries),
+                         self._tagged, v.ring)
+
+    def relations(self, b: "PolyMatrix") -> "PolyMatrix":
+        """``syzygies_mod(G, b)`` for b whose columns lie in the span of G:
+        columns generating {c : sum(c[i] * G_i) lies in span(b)}.
+
+        Schreyer's rows and the quotient q_j of each column b_j generate
+        it: if G c = b d, then c - sum(d[j] * q_j) is a relation among G.
+        Every quotient row is multiplied out again and must give its
+        column; ``buchberger`` of all the rows gives the reduced basis,
+        which is also stored as ``buchberger`` of its own elements (the
+        relation basis of the kernel module).  The span of G and b is then
+        that of G, so ``buchberger`` of G's columns and b's is stored as
+        ``buchberger`` of G's.  Computed once per b.
+        """
+        out = self._relations.get(b)
+        if out is None:
+            out = self._relations[b] = self._certified_relations(b)
+        return out
+
+    def _certified_relations(self, b: "PolyMatrix") -> "PolyMatrix":
+        g = self.mat
+        ring, rank, count = g.ring, g.nrows, g.ncols
+        rows = list(self._schreyer)
+        for col in b.columns():
+            q = self.quotient(col)
+            if q is None:
+                raise RuntimeError("a column lies outside the tagged span")
+            row = Vector(ring, q)
+            if g.mul_vec(row) != col:
+                raise RuntimeError("uncertified syzygy")
+            rows.append(row)
+        gens = tuple(g.columns())
+        cached(_gb_key(gens + tuple(b.columns()), ring, rank),
+               lambda: buchberger(gens, ring=ring, rank=rank))
+        gb = buchberger(rows, ring=ring, rank=count)
+        cached(_gb_key(gb.gens, ring, count), lambda: gb)
+        return PolyMatrix.from_columns(ring, count, list(gb.gens))
+
+
+def tagged_basis(g: "PolyMatrix") -> TaggedBasis:
+    """The ``TaggedBasis`` of g's columns, a Groebner basis, built once
+    per exact g (``cached``)."""
+    return cached(("tagged", g), lambda: TaggedBasis(g))
 
 
 def syzygy_basis(gens: Sequence[Vector], ring: RingSpec,
@@ -1126,55 +1218,94 @@ class PolyMatrix:
 def syzygies_mod(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
     """Columns generating {c : a*c lies in the column span of b}.
 
-    Computed as the projection of the syzygies of [a | b] to the a-block,
-    re-completed so the output is canonical.
+    They are the reduced basis of that submodule, read off one seeded
+    elimination (``_eliminate``): no cofactors are tracked and nothing is
+    re-completed.  Each column c is multiplied out again, and a*c must
+    reduce to zero against the basis of b.  The result is computed once
+    per exact (a, b) (``cached``), and its columns are also stored as
+    ``buchberger`` of themselves.
     """
     if a.nrows != b.nrows:
         raise ValueError("row count mismatch")
     ring = a.ring
     if a.ncols == 0:
         return PolyMatrix.zeros(ring, 0, 0)
-    solver = span_solver(a.columns() + b.columns(), ring, a.nrows)
-    projected = [s.slice(0, a.ncols) for s in solver.syzygies()]
-    gb = buchberger(projected, ring=ring, rank=a.ncols)
-    return PolyMatrix.from_columns(ring, a.ncols, list(gb.gens))
+
+    def build() -> PolyMatrix:
+        gb = _eliminate(ring, tuple(a.columns()), b)
+        span = buchberger(b.columns(), ring=ring, rank=b.nrows)
+        for c in gb.gens:
+            if not span.contains(a.mul_vec(c)):
+                raise RuntimeError("uncertified syzygy")
+        cached(_gb_key(gb.gens, ring, a.ncols), lambda: gb)
+        return PolyMatrix.from_columns(ring, a.ncols, list(gb.gens))
+
+    return cached(("syzygies_mod", a, b), build)
 
 
 def colon_ideal(v: Vector, b: PolyMatrix) -> GrobnerBasis:
-    """Rank-1 reduced basis of the ideal {r in R : r*v lies in span(b)}.
-
-    Elimination at rank k+1: complete the module generated by [v; 1] and
-    the columns [b_j; 0], where the tag position comes last and therefore
-    has the lowest position-over-term priority.  The basis elements leading
-    in the tag position are exactly the multipliers sending v into the
-    span, and they are the reduced basis of the ideal (the Elimination
-    Theorem, in position-over-term module form): nothing is re-completed.
-
-    The completion starts from the reduced basis of the columns of b
-    (``buchberger``, cached: for an annihilator it is the module's own
-    relation basis) with a zero appended to each element.  That basis is
-    closed under its own pairs, so only [v; 1] enters, and the final sweep
-    still checks every same-position pair of the candidate.  The rank-(k+1)
-    basis is cached as ``buchberger`` of its generators would be.
-    """
+    """Rank-1 reduced basis of the ideal {r in R : r*v lies in span(b)}:
+    the one-column case of ``syzygies_mod``'s elimination (``_eliminate``),
+    with its check of every generator; the ideal is not multiplied out
+    again."""
     if v.rank != b.nrows:
         raise ValueError("rank mismatch")
-    ring = v.ring
-    k = v.rank
-    columns = b.columns()
-    top = Vector(ring, v.entries + (Poly.one(ring),))
-    zero = (Poly.zero(ring),)
-    gens = (top,) + tuple(Vector(ring, col.entries + zero) for col in columns)
+    return _eliminate(v.ring, (v,), b)
 
-    def build() -> GrobnerBasis:
-        start = buchberger(columns, ring=ring, rank=k)
-        return _buchberger_core([top], ring, k + 1, track=False,
-                                start=start)[0]
 
-    gb = cached(_gb_key(gens, ring, k + 1), build)
-    return GrobnerBasis(ring, 1, tuple(Vector(ring, w.entries[k:])
-                                       for w in gb.gens
-                                       if w.leading()[0] == k))
+def _eliminate(ring: RingSpec, columns: Tuple[Vector, ...],
+               b: PolyMatrix) -> GrobnerBasis:
+    """Rank-n reduced basis of {c : sum(c[i] * columns[i]) lies in the
+    span of b}, with n = len(columns) and each column of rank k.
+
+    Elimination at rank k+n: complete the module generated by the
+    vectors [columns[i]; e_i] and [b_j; 0].  The last n positions have
+    the lowest position-over-term priority, so the basis elements leading
+    there are the [0; c] of the module, and their c are the reduced basis
+    sought (the Elimination Theorem, in position-over-term module form):
+    nothing is re-completed.  The completion is seeded with the reduced
+    basis of b's columns (``buchberger``, cached: for an annihilator it is
+    the module's own relation basis; see ``_seeded_completion``), and the
+    rank-(k+n) basis is cached as ``buchberger`` of its generators would
+    be.
+    """
+    k, n = b.nrows, len(columns)
+    zero = (Poly.zero(ring),) * n
+    gens = (tuple(Vector(ring, c.entries + Vector.unit(ring, n, i).entries)
+                  for i, c in enumerate(columns))
+            + tuple(Vector(ring, c.entries + zero) for c in b.columns()))
+    full = cached(_gb_key(gens, ring, k + n), lambda: _seeded_completion(
+        gens, n, buchberger(b.columns(), ring=ring, rank=k)))
+    return GrobnerBasis(ring, n, tuple(Vector(ring, w.entries[k:])
+                                       for w in full.gens
+                                       if w.leading()[0] >= k))
+
+
+def _seeded_completion(gens: Tuple[Vector, ...], count: int,
+                       start: GrobnerBasis) -> GrobnerBasis:
+    """The reduced basis of the module generated by gens, with start the
+    reduced basis of gens[count:] (their appended zeros left out).
+
+    The completion starts from a copy of start's integer basis, padded
+    with zeros (``_IntBasis.padded``) and taken as closed under its own
+    pairs, so only gens[:count] enter.  Minimalization may drop a starting
+    element, and the final sweep certifies only that the result is a
+    Groebner basis of what it generates.  So afterwards every nonzero
+    element of gens must reduce to zero against the result, which then
+    spans the module gens generate.  The check takes gens rather than
+    start's own elements: it trusts nothing of start, and relation columns
+    are often of lower degree than their reduced basis.
+    """
+    ring, rank = gens[0].ring, gens[0].rank
+    state = _Completion(start._basis.padded(rank))
+    for v in gens[:count]:
+        state.reduce(state.basis.pack(v)[1])
+    reduced, vectors, _, _ = _complete(state, ring)
+    gb = GrobnerBasis(ring, rank, tuple(vectors), reduced)
+    for v in gens:
+        if not v.is_zero() and not gb.contains(v):
+            raise RuntimeError("an input escaped its elimination basis")
+    return gb
 
 
 def solve_mod(v: Vector, a: PolyMatrix, b: PolyMatrix) -> Optional[List[Poly]]:

@@ -17,7 +17,7 @@ from typing import List, Optional, Tuple
 
 from .rings import Poly, RingSpec, mono_divides
 from .groebner import (GrobnerBasis, PolyMatrix, Vector, buchberger, cached,
-                       colon_ideal, solve_mod, syzygies_mod)
+                       colon_ideal, solve_mod, syzygies_mod, tagged_basis)
 
 
 class FPModule:
@@ -219,10 +219,18 @@ class Morphism:
 # -- kernels, cokernels, images ---------------------------------------------------
 
 def kernel(phi: Morphism) -> Tuple[FPModule, Morphism]:
-    """(K, iota) with K -> source exact onto {v : phi(v) = 0}."""
+    """(K, iota) with K -> source exact onto {v : phi(v) = 0}.
+
+    K's generators G are ``syzygies_mod(phi.mat, target relations)``, the
+    reduced basis of the preimage of the target's relations.  That
+    preimage contains the source's relations B, as phi is well defined,
+    so K's relations, ``syzygies_mod(G, B)``, are read off G's
+    identity-tagged basis (``tagged_basis``): Schreyer's rows of G and
+    the quotients of B by G.
+    """
     m = phi.source
     gens = syzygies_mod(phi.mat, phi.target.relations)
-    rels = syzygies_mod(gens, m.relations)
+    rels = tagged_basis(gens).relations(m.relations)
     k = FPModule(m.ring, gens.ncols, rels)
     return k, Morphism(k, m, gens, _checked=True)
 
@@ -292,7 +300,7 @@ class HomModule(FPModule):
     any well-defined morphism.
     """
 
-    __slots__ = ("dom", "cod", "_emb")
+    __slots__ = ("dom", "cod", "_emb", "_span")
 
     def __init__(self, dom: FPModule, cod: FPModule):
         ring = dom.ring
@@ -308,6 +316,7 @@ class HomModule(FPModule):
         self.dom = dom
         self.cod = cod
         self._emb = emb.mat
+        self._span = tagged_basis(emb.mat)  # built by kernel: a cache hit
 
     def decode(self, e: Element) -> Morphism:
         if e.module != self:
@@ -317,11 +326,13 @@ class HomModule(FPModule):
         return Morphism(self.dom, self.cod, mat, _checked=True)
 
     def encode(self, phi: Morphism) -> Element:
+        """The class of phi: the quotient of its flattened matrix by the
+        embedding's columns G, read off G's identity-tagged basis.  G is
+        the reduced basis of the flattened matrices of well-defined maps,
+        so the quotient exists exactly when phi is well defined."""
         if phi.source != self.dom or phi.target != self.cod:
             raise ValueError("morphism does not match this Hom module")
-        flat = _flatten(phi.mat)
-        power_m = direct_power(self.cod, self.dom.ngens)
-        coeffs = solve_mod(flat, self._emb, power_m.relations)
+        coeffs = self._span.quotient(_flatten(phi.mat))
         if coeffs is None:
             raise ValueError("morphism failed to encode into Hom module")
         return Element(self, Vector(self.ring, coeffs))

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from malgrange import parsing
+from malgrange import groebner, parsing
 from malgrange.cli import _Printer, main, run
 from malgrange.parsing import (MAX_COEFFICIENT_BITS, MAX_NESTING,
                                MAX_PRODUCT_WORK, ParseError, parse_poly)
@@ -51,6 +51,38 @@ def test_analyze_autonomous_system(tmp_path):
     assert r.stdout == ("analyze S: controllable: no, autonomy: 1\n"
                         "  generator x: witness d\n"
                         "  torsion = defect: ok\n")
+
+
+# A = P*C over Q[x,y,z], P 2x2 and C 2x3 of degree 1 (the shape of the
+# benchmark's analyze-xyz inputs): torsion planted by det P
+PLANTED_XYZ = (
+    "ring Q[x, y, z];\n"
+    "system S = [[-2*x*y - x*z + 2*z^2 + x - 2, "
+    "x*y + x*z + 2*y^2 + 3*y*z - 2*z - 1, "
+    "2*x*y + y^2 + y*z - 2*x + y + z], "
+    "[2*x*y + 4*x*z - 3*y*z + z^2 - y - 5*z, -x*y - x*z - 2*y^2 + y - z, "
+    "-2*x*y - 6*x*z - y^2 - y*z - y - z]] vars u1, u2, u3;\n")
+
+
+def test_analyze_completes_no_basis_with_tracked_cofactors(
+        tmp_path, monkeypatch, capsys):
+    # every kernel under the double dual is an elimination plus an
+    # identity-tagged basis: no cofactors are tracked.  A count, not a
+    # time, so it holds on any machine
+    calls = []
+    original = groebner.extended_buchberger
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(groebner, "extended_buchberger", counting)
+    groebner._CACHE.clear()
+    assert main(["analyze", session_file(tmp_path, PLANTED_XYZ)]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("analyze S: controllable: no, autonomy: 3\n")
+    assert out.endswith("  torsion = defect: ok\n")
+    assert calls == []
 
 
 def test_torsion_of_mixed_module(tmp_path):

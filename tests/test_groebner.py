@@ -9,11 +9,10 @@ from hypothesis import given, settings, strategies as st
 
 import malgrange.groebner as groebner
 from malgrange import corpus
-from malgrange.groebner import (GrobnerBasis, PolyMatrix, SpanSolver, Vector,
-                                buchberger, colon_ideal, divide,
-                                extended_buchberger,
-                                span_solver, syzygies, syzygies_mod,
-                                solve_mod)
+from malgrange.groebner import (GrobnerBasis, PolyMatrix, SpanSolver,
+                                TaggedBasis, Vector, buchberger, colon_ideal,
+                                divide, extended_buchberger, span_solver,
+                                syzygies, syzygies_mod, solve_mod)
 from malgrange.rings import (GREVLEX, Poly, mono_div, mono_divides, mono_mul,
                              ring)
 from malgrange.modules import AnnihilatorIdeal, module_annihilator
@@ -780,6 +779,87 @@ def test_syzygies_mod_projection():
     assert not gb.contains(vec(RX, "1"))
 
 
+def reference_syzygies_mod(a, b):
+    """The tracked route to ``syzygies_mod``: the certified syzygies of
+    [a | b] (a ``SpanSolver`` built directly, not through the cache),
+    projected to the a-block and completed."""
+    solver = SpanSolver(a.columns() + b.columns(), a.ring, a.nrows)
+    projected = [s.slice(0, a.ncols) for s in solver.syzygies()]
+    return buchberger(projected, ring=a.ring, rank=a.ncols)
+
+
+def _syzygy_case(r, rng, shape):
+    """(a, b) over r: random columns, or b with no or only zero columns, a
+    with a zero column, or a and b with no rows."""
+    rank = 0 if shape == "no rows" else rng.randint(1, 2)
+    deg = 1 if r is R3 else 2
+    a_cols = [rand_vector(r, rng, rank, deg=deg)
+              for _ in range(rng.randint(1, 3))]
+    b_cols = [rand_vector(r, rng, rank, deg=deg)
+              for _ in range(rng.randint(1, 3))]
+    if shape == "zero column of a":
+        a_cols[rng.randrange(len(a_cols))] = Vector.zero(r, rank)
+    elif shape == "b with no columns":
+        b_cols = []
+    elif shape == "b with zero columns":
+        b_cols = [Vector.zero(r, rank)] * len(b_cols)
+    return (PolyMatrix.from_columns(r, rank, a_cols),
+            PolyMatrix.from_columns(r, rank, b_cols))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**30), st.sampled_from([RX, RXY, R3]),
+       st.sampled_from(["random", "b with no columns", "b with zero columns",
+                        "zero column of a", "no rows"]))
+def test_syzygies_mod_matches_the_tracked_route(seed, r, shape):
+    a, b = _syzygy_case(r, random.Random(seed), shape)
+    groebner._CACHE.clear()
+    got = syzygies_mod(a, b)
+    groebner._CACHE.clear()  # the reference must not read it back
+    assert got.columns() == list(reference_syzygies_mod(a, b).gens)
+    # the definition: each column c sends a into the span of b
+    span = buchberger(b.columns(), ring=r, rank=a.nrows)
+    assert all(span.contains(a.mul_vec(c)) for c in got.columns())
+    if shape == "no rows":  # every c: the unit vectors, ascending
+        n = a.ncols
+        assert got.columns() == [Vector.unit(r, n, n - 1 - i)
+                                 for i in range(n)]
+
+
+def test_syzygies_mod_runs_no_tracked_completion(monkeypatch):
+    calls = []
+    original = groebner.extended_buchberger
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(groebner, "extended_buchberger", counting)
+    groebner._CACHE.clear()
+    a = PolyMatrix.from_columns(RXY, 2, [vec(RXY, "x", "y"),
+                                         vec(RXY, "y^2", "x - 1")])
+    b = PolyMatrix.from_columns(RXY, 2, [vec(RXY, "x^2 - y", "x")])
+    assert syzygies_mod(a, b).ncols > 0
+    assert calls == []
+
+
+def test_a_corrupted_elimination_row_is_not_certified(monkeypatch):
+    # c with x*c in (x^2) is (x); a row x + 1 must not come back
+    a = PolyMatrix(RX, 1, 1, [[parse_poly("x", RX)]])
+    b = PolyMatrix(RX, 1, 1, [[parse_poly("x^2", RX)]])
+    original = groebner._eliminate
+
+    def corrupted(ring, columns, b):
+        gb = original(ring, columns, b)
+        first = gb.gens[0] + Vector.unit(ring, gb.rank, 0)
+        return GrobnerBasis(ring, gb.rank, (first,) + gb.gens[1:])
+
+    groebner._CACHE.clear()
+    monkeypatch.setattr(groebner, "_eliminate", corrupted)
+    with pytest.raises(RuntimeError, match="uncertified syzygy"):
+        syzygies_mod(a, b)
+
+
 def test_solve_mod_finds_witness():
     a = PolyMatrix(RX, 1, 1, [[parse_poly("x", RX)]])
     b = PolyMatrix(RX, 1, 1, [[parse_poly("x^3", RX)]])
@@ -943,6 +1023,102 @@ def test_a_seeded_colon_ideal_leaves_the_cached_basis_unchanged():
     assert buchberger(b.columns(), ring=RXY, rank=2) is base  # it was seeded
     assert ideal.gens == (vec(RXY, "x^2*y^2 - x^2*y - y^3 - x^2 + y"),)
     assert state() == before
+
+
+_DROPPING_SEED = [vec(RXY, "x^2 - y", "x"), vec(RXY, "x*y", "y^2 - 1")]
+
+
+@pytest.mark.parametrize("v", [("x", "y"), ("1", "0"), ("y", "x")])
+@pytest.mark.parametrize("seed_cached", [True, False],
+                         ids=["seed cached", "seed uncached"])
+def test_an_elimination_that_loses_an_input_is_an_error(monkeypatch, v,
+                                                        seed_cached):
+    # with every S-pair left unprocessed, minimalization drops elements of
+    # the seed, and the final sweep then certifies the basis of a smaller
+    # module: for [x, y] the ideal would be (x^2*y^4 - ...) instead of
+    # (x^2*y^2 - ...).  [v; 1] itself still reduces to zero; the
+    # columns [b_j; 0] do not
+    b = PolyMatrix.from_columns(RXY, 2, _DROPPING_SEED)
+    groebner._CACHE.clear()
+    if seed_cached:  # the seed was completed before pairs were disabled
+        buchberger(b.columns(), ring=RXY, rank=2)
+    monkeypatch.setattr(groebner._Completion, "run", lambda self: None)
+    with pytest.raises(RuntimeError, match="escaped its elimination basis"):
+        colon_ideal(vec(RXY, *v), b)
+
+
+def test_an_elimination_checks_every_generator(monkeypatch):
+    # the same check, seen from inside: after the completion, each
+    # nonzero generator of the rank-(k+1) module is reduced against the
+    # final basis, zero columns of b left out
+    b = PolyMatrix.from_columns(RXY, 2, _DROPPING_SEED + [Vector.zero(RXY, 2)])
+    v = vec(RXY, "x", "y")
+    groebner._CACHE.clear()
+    checked = []
+    original = GrobnerBasis.contains
+
+    def recording(self, w):
+        checked.append(w)
+        return original(self, w)
+
+    monkeypatch.setattr(GrobnerBasis, "contains", recording)
+    colon_ideal(v, b)
+    assert checked == _elimination_gens(v, b)[:3]
+
+
+# -- tagged bases -----------------------------------------------------------------
+
+_XY = PolyMatrix.from_columns(RXY, 1, [vec(RXY, "y"), vec(RXY, "x")])
+
+
+def test_a_tagged_basis_reads_relations_off_its_own_basis():
+    basis = TaggedBasis(_XY)
+    # one same-position pair: Schreyer's row x*e_1 - y*e_2 (up to sign)
+    b = PolyMatrix.from_columns(RXY, 1, [vec(RXY, "x*y + x"),
+                                         Vector.zero(RXY, 1)])
+    assert basis.quotient(vec(RXY, "x*y + x")) is not None
+    assert basis.quotient(vec(RXY, "1")) is None
+    groebner._CACHE.clear()
+    rels = basis.relations(b)
+    groebner._CACHE.clear()
+    assert rels == syzygies_mod(_XY, b)
+
+
+def test_a_corrupted_schreyer_row_is_not_certified(monkeypatch):
+    original = groebner._Completion.sweep
+
+    def corrupted(self):  # the first row gains a term on generator 2
+        rows = original(self)
+        layout, rem, s = rows[0]
+        tag = layout.pack(self.basis.rank + 1, (0, 0))
+        rows[0] = (layout, {**rem, tag: rem.get(tag, 0) + 1}, s)
+        return rows
+
+    monkeypatch.setattr(groebner._Completion, "sweep", corrupted)
+    with pytest.raises(RuntimeError, match="uncertified syzygy"):
+        TaggedBasis(_XY)
+
+
+def test_a_corrupted_quotient_row_is_not_certified(monkeypatch):
+    basis = TaggedBasis(_XY)
+    b = PolyMatrix.from_columns(RXY, 1, [vec(RXY, "x*y + x")])
+    original = TaggedBasis.quotient
+
+    def corrupted(self, v):  # one more multiple of the first generator
+        q = original(self, v)
+        return [q[0] + Poly.one(RXY)] + q[1:]
+
+    monkeypatch.setattr(TaggedBasis, "quotient", corrupted)
+    with pytest.raises(RuntimeError, match="uncertified syzygy"):
+        basis.relations(b)
+
+
+def test_a_tagged_basis_must_be_a_groebner_basis():
+    # the S-vector of x*y and x^2 + y leaves y^2, which the sweep would add
+    not_closed = PolyMatrix.from_columns(RXY, 1, [vec(RXY, "x*y"),
+                                                  vec(RXY, "x^2 + y")])
+    with pytest.raises(RuntimeError, match="not a Groebner basis"):
+        TaggedBasis(not_closed)
 
 
 # -- matrices ------------------------------------------------------------------

@@ -2,10 +2,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from malgrange.rings import Poly, ring
 from malgrange.parsing import parse_poly
-from malgrange.groebner import PolyMatrix, Vector, buchberger
+from malgrange.groebner import (PolyMatrix, SpanSolver, Vector, buchberger,
+                                solve_mod, syzygies_mod)
 from malgrange import groebner
 from malgrange.modules import (AnnihilatorIdeal, Element, FPModule, Morphism,
                                annihilator, bass_torsion, cokernel,
@@ -18,6 +20,7 @@ from malgrange import corpus
 
 RX = ring("x")
 RXY = ring("x", "y")
+R3 = ring("x", "y", "z")
 
 
 def mat(r, rows):
@@ -147,6 +150,88 @@ def test_kernel_universal_property_seeded():
         assert iota.compose(lift) == psi
         found += 1
     assert found == 20
+
+
+def _rand_poly(r, rng, deg):
+    """A sum of up to three random terms of degree at most deg."""
+    p = Poly.zero(r)
+    for _ in range(rng.randint(0, 3)):
+        exps = [0] * r.nvars
+        for _ in range(rng.randint(0, deg)):
+            exps[rng.randrange(r.nvars)] += 1
+        p = p + Poly.term(r, Fraction(rng.randint(-3, 3)), tuple(exps))
+    return p
+
+
+def _rand_matrix(r, rng, nrows, ncols, deg):
+    return PolyMatrix(r, nrows, ncols, [[_rand_poly(r, rng, deg)
+                                         for _ in range(ncols)]
+                                        for _ in range(nrows)])
+
+
+def _rand_module(r, rng, deg):
+    """A cokernel of one or two generators and at most two relations."""
+    ngens = rng.randint(1, 2)
+    return FPModule(r, ngens, _rand_matrix(r, rng, ngens, rng.randint(0, 2),
+                                           deg))
+
+
+def _rand_morphism(r, rng, deg):
+    """phi: M -> N with random N and matrix; M's relations are random
+    combinations of the preimage of N's relations (and a zero column), so
+    phi is well defined and M's relations are not only Schreyer's."""
+    target = _rand_module(r, rng, deg)
+    mat = _rand_matrix(r, rng, target.ngens, rng.randint(1, 2), deg)
+    pre = syzygies_mod(mat, target.relations).columns()
+    rels = [Vector.zero(r, mat.ncols)]
+    for _ in range(rng.randint(0, 2)):
+        rel = Vector.zero(r, mat.ncols)
+        for col in pre:
+            rel = rel + col.poly_mul(_rand_poly(r, rng, 1))
+        rels.append(rel)
+    source = FPModule(r, mat.ncols,
+                      PolyMatrix.from_columns(r, mat.ncols, rels))
+    return Morphism(source, target, mat)  # checked: raises if ill-defined
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**30), st.sampled_from([RX, RXY, R3]))
+def test_kernel_relations_match_both_syzygy_routes(seed, r):
+    # the kernel's relations come off its generators' identity-tagged
+    # basis; the elimination and the tracked solver of [gens | relations]
+    # must give the same reduced basis
+    phi = _rand_morphism(r, random.Random(seed), 1 if r is R3 else 2)
+    groebner._CACHE.clear()
+    k, iota = kernel(phi)
+    rels = phi.source.relations
+    groebner._CACHE.clear()
+    assert k.relations == syzygies_mod(iota.mat, rels)
+    if iota.mat.ncols:
+        solver = SpanSolver(iota.mat.columns() + rels.columns(), r,
+                            iota.mat.nrows)
+        projected = [row.slice(0, iota.mat.ncols)
+                     for row in solver.syzygies()]
+        tracked = buchberger(projected, ring=r, rank=iota.mat.ncols)
+        assert k.relations.columns() == list(tracked.gens)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2**30), st.sampled_from([RX, RXY, R3]))
+def test_encode_inverts_decode_on_every_hom_generator(seed, r):
+    # encode divides by the embedding's tagged basis; the tracked solver
+    # of [embedding | relations of cod^m] must give the same class
+    rng = random.Random(seed)
+    deg = 1 if r is R3 else 2
+    dom, cod = _rand_module(r, rng, deg), _rand_module(r, rng, deg)
+    groebner._CACHE.clear()
+    h = hom_module(dom, cod)
+    power = PolyMatrix.block_diag(r, [cod.relations] * dom.ngens)
+    for g in h.generators():
+        phi = h.decode(g)
+        assert h.encode(phi) == g
+        flat = Vector(r, [phi.mat.rows[i][k] for k in range(dom.ngens)
+                          for i in range(cod.ngens)])
+        assert Element(h, Vector(r, solve_mod(flat, h._emb, power))) == g
 
 
 def test_cokernel_examples():

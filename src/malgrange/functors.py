@@ -19,7 +19,8 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from .rings import Poly, RingSpec
-from .groebner import PolyMatrix, Vector, buchberger, solve_mod
+from .groebner import (GrobnerBasis, PolyMatrix, Vector, buchberger,
+                       solve_mod)
 from .modules import (Element, FPModule, Morphism, bass_torsion, cokernel,
                       direct_sum, dual, hom_module, hom_pre, hom_post,
                       is_injective, is_surjective, kernel, lift_through,
@@ -459,13 +460,24 @@ def bijection_report(check: str, subject: Dict, cmp_map: Morphism,
     )
 
 
+def _image_basis(phi: Morphism) -> GrobnerBasis:
+    """Reduced basis of the span of phi's columns and its target's
+    relations.  The columns of a kernel embedding are already that basis
+    (see ``kernel``): when every relation reduces to zero against the
+    basis of the columns alone, a cache hit there, that basis is the
+    answer; otherwise both are completed together."""
+    t = phi.target
+    cols = phi.mat.columns()
+    gb = buchberger(cols, ring=t.ring, rank=t.ngens)
+    if all(gb.contains(r) for r in t.relations.columns()):
+        return gb
+    return buchberger(cols + t.relations.columns(), ring=t.ring,
+                      rank=t.ngens)
+
+
 def _image_membership_witness(phi: Morphism, psi: Morphism) -> Optional[str]:
     """A generator of one image missing from the other, or None when equal."""
-    t = phi.target
-    gb_phi = buchberger(phi.mat.columns() + t.relations.columns(),
-                        ring=t.ring, rank=t.ngens)
-    gb_psi = buchberger(psi.mat.columns() + t.relations.columns(),
-                        ring=t.ring, rank=t.ngens)
+    gb_phi, gb_psi = _image_basis(phi), _image_basis(psi)
     for j in range(phi.mat.ncols):
         if not gb_psi.contains(phi.mat.column(j)):
             return f"defect generator {phi.mat.column(j)} not in torsion"

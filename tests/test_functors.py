@@ -18,6 +18,7 @@ from malgrange.functors import (ContraFPFunctor, FPFunctor, FunMorphism,
                                 stable_hom, stable_map, tensor_eval_map,
                                 tensor_functor, verify_adjunction,
                                 verify_main_theorem, zero_functor)
+from malgrange.functors import _image_basis
 from malgrange import corpus
 
 RX = ring("x")
@@ -348,6 +349,19 @@ def test_main_theorem_mixed_module():
     assert rep.equal
     assert rep.defect_generators == ("[0, 1]",)
     assert rep.torsion_generators == ("[0, 1]",)
+
+
+def test_image_basis_spans_columns_and_relations():
+    # a kernel embedding's columns already span its target's relations;
+    # x^3 into R/(x^2) does not, and then both are completed together
+    _, iota = bass_torsion(MIXED)
+    into = Morphism(R1, MOD_X2, mat(RX, [["x^3"]]))
+    for phi in (iota, into):
+        t = phi.target
+        both = buchberger(phi.mat.columns() + t.relations.columns(),
+                          ring=t.ring, rank=t.ngens)
+        assert _image_basis(phi).gens == both.gens
+    assert [str(v) for v in _image_basis(into).gens] == ["[x^2]"]
 
 
 def test_main_theorem_report_serialization():

@@ -1080,6 +1080,7 @@ def test_a_tagged_basis_reads_relations_off_its_own_basis():
     assert basis.quotient(vec(RXY, "1")) is None
     groebner._CACHE.clear()
     rels = basis.relations(b)
+    assert TaggedBasis(_XY).relations(b) is rels  # once per exact (G, b)
     groebner._CACHE.clear()
     assert rels == syzygies_mod(_XY, b)
 
@@ -1109,8 +1110,14 @@ def test_a_corrupted_quotient_row_is_not_certified(monkeypatch):
         return [q[0] + Poly.one(RXY)] + q[1:]
 
     monkeypatch.setattr(TaggedBasis, "quotient", corrupted)
+    groebner._CACHE.clear()  # relations are cached per exact (G, b)
     with pytest.raises(RuntimeError, match="uncertified syzygy"):
         basis.relations(b)
+
+
+def test_a_tagged_quotient_checks_the_rank():
+    with pytest.raises(ValueError, match="rank mismatch"):
+        TaggedBasis(_XY).quotient(vec(RXY, "y", "x"))
 
 
 def test_a_tagged_basis_must_be_a_groebner_basis():

@@ -20,7 +20,7 @@ from typing import Dict, List, Optional, Tuple
 
 from .rings import Poly, RingSpec
 from .groebner import (GrobnerBasis, PolyMatrix, Vector, buchberger,
-                       solve_mod)
+                       solve_mod, tagged_basis)
 from .modules import (Element, FPModule, Morphism, bass_torsion, cokernel,
                       direct_sum, dual, hom_module, hom_pre, hom_post,
                       is_injective, is_surjective, kernel, lift_through,
@@ -265,7 +265,7 @@ class NatModule(FPModule):
     transformations quotiented out.
     """
 
-    __slots__ = ("fsrc", "ftgt", "_h1", "_into_h1")
+    __slots__ = ("fsrc", "ftgt", "_h1", "_into_h1", "_span")
 
     def __init__(self, fsrc: FPFunctor, ftgt: FPFunctor):
         f_f, f_g = fsrc.f, ftgt.f
@@ -282,6 +282,8 @@ class NatModule(FPModule):
         self.ftgt = ftgt
         self._h1 = h1
         self._into_h1 = emb.mat
+        # built by lift_through above: a cache hit
+        self._span = tagged_basis(emb.mat)
 
     def decode(self, elem: Element) -> FunMorphism:
         if elem.module != self:
@@ -291,8 +293,11 @@ class NatModule(FPModule):
         return FunMorphism(self.fsrc, self.ftgt, b)
 
     def encode(self, alpha: FunMorphism) -> Element:
+        """The class of alpha: the quotient of its class in Hom(Y_G, Y_F)
+        by the kernel embedding's columns, read off their identity-tagged
+        basis as in ``lift_through``."""
         h1_elem = self._h1.encode(alpha.b)
-        coeffs = solve_mod(h1_elem.vec, self._into_h1, self._h1.relations)
+        coeffs = self._span.quotient(h1_elem.vec)
         if coeffs is None:
             raise ValueError("transformation failed to encode")
         return Element(self, Vector(self.ring, coeffs))

@@ -960,6 +960,11 @@ def span_solver(gens: Sequence[Vector], ring: RingSpec,
     return cached(("span", ring, rank, gens), build)
 
 
+class NotGroebnerError(RuntimeError):
+    """G given to ``TaggedBasis`` is not a Groebner basis: the final sweep
+    added an element."""
+
+
 class TaggedBasis:
     """A Groebner basis G_1..G_g of a submodule of R^k, tagged with the
     identity.
@@ -972,10 +977,11 @@ class TaggedBasis:
 
     Building it runs the final sweep of a ``_Completion`` on this basis.
     The sweep must add nothing, which certifies that G is a Groebner
-    basis; the tag part of each same-position S-vector it reduces to zero
-    is one of Schreyer's rows, and these rows generate the relations among
-    G (Eisenbud, *Commutative Algebra*, Thm. 15.10).  Each row is
-    multiplied out again and must give zero.
+    basis (``NotGroebnerError`` otherwise); the tag part of each
+    same-position S-vector it reduces to zero is one of Schreyer's rows,
+    and these rows generate the relations among G (Eisenbud, *Commutative
+    Algebra*, Thm. 15.10).  Each row is multiplied out again and must give
+    zero.
     """
 
     def __init__(self, g: "PolyMatrix"):
@@ -985,7 +991,7 @@ class TaggedBasis:
                              PolyMatrix.identity(ring, count).rows, count)
         rows = _Completion(basis).sweep()
         if len(basis) != count:
-            raise RuntimeError("a tagged basis is not a Groebner basis")
+            raise NotGroebnerError("a tagged basis is not a Groebner basis")
         self._tagged = basis
         self._schreyer = [Vector(ring, _polys(layout, ring, rem, s, rank,
                                               count))

@@ -13,25 +13,45 @@ primitives of the Groebner layer.
 from __future__ import annotations
 
 from itertools import product as iter_product
-from typing import List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple, Union
 
 from .rings import Poly, RingSpec, mono_divides
-from .groebner import (GrobnerBasis, PolyMatrix, Vector, buchberger, cached,
-                       colon_ideal, solve_mod, syzygies_mod, tagged_basis)
+from .groebner import (GrobnerBasis, NotGroebnerError, PolyMatrix, Vector,
+                       buchberger, cached, colon_ideal, syzygies_mod,
+                       tagged_basis)
 
 
 class FPModule:
-    """Module presented by generators e_1..e_m and relation columns."""
+    """Module presented by generators e_1..e_m and relation columns.
 
-    __slots__ = ("ring", "ngens", "relations", "_gb")
+    The relations may be given as a zero-argument builder instead of a
+    matrix: it runs when ``relations`` is first read, and its matrix is
+    checked then, as a given matrix is checked here.
+    """
 
-    def __init__(self, ring: RingSpec, ngens: int, relations: PolyMatrix):
-        if relations.ring != ring or relations.nrows != ngens:
-            raise ValueError("relation matrix must have one row per generator")
+    __slots__ = ("ring", "ngens", "_relations", "_gb")
+
+    def __init__(self, ring: RingSpec, ngens: int,
+                 relations: Union[PolyMatrix, Callable[[], PolyMatrix]]):
         self.ring = ring
         self.ngens = ngens
-        self.relations = relations
+        self._relations = relations
+        if isinstance(relations, PolyMatrix):
+            self._check(relations)
         self._gb: Optional[GrobnerBasis] = None
+
+    def _check(self, relations: PolyMatrix) -> None:
+        if relations.ring != self.ring or relations.nrows != self.ngens:
+            raise ValueError("relation matrix must have one row per generator")
+
+    @property
+    def relations(self) -> PolyMatrix:
+        rels = self._relations
+        if not isinstance(rels, PolyMatrix):
+            rels = rels()
+            self._check(rels)
+            self._relations = rels
+        return rels
 
     @staticmethod
     def free(ring: RingSpec, rank: int) -> "FPModule":
@@ -222,16 +242,18 @@ def kernel(phi: Morphism) -> Tuple[FPModule, Morphism]:
     """(K, iota) with K -> source exact onto {v : phi(v) = 0}.
 
     K's generators G are ``syzygies_mod(phi.mat, target relations)``, the
-    reduced basis of the preimage of the target's relations.  That
-    preimage contains the source's relations B, as phi is well defined,
-    so K's relations, ``syzygies_mod(G, B)``, are read off G's
+    reduced basis of the preimage of the target's relations, and iota is
+    G.  That preimage contains the source's relations B, as phi is well
+    defined, so K's relations, ``syzygies_mod(G, B)``, are read off G's
     identity-tagged basis (``tagged_basis``): Schreyer's rows of G and
-    the quotients of B by G.
+    the quotients of B by G.  They are built when ``K.relations`` is
+    first read; a caller that compares images in the source never pays
+    for them.
     """
     m = phi.source
     gens = syzygies_mod(phi.mat, phi.target.relations)
-    rels = tagged_basis(gens).relations(m.relations)
-    k = FPModule(m.ring, gens.ncols, rels)
+    k = FPModule(m.ring, gens.ncols,
+                 lambda: tagged_basis(gens).relations(m.relations))
     return k, Morphism(k, m, gens, _checked=True)
 
 
@@ -316,7 +338,8 @@ class HomModule(FPModule):
         self.dom = dom
         self.cod = cod
         self._emb = emb.mat
-        self._span = tagged_basis(emb.mat)  # built by kernel: a cache hit
+        # built when k.relations was read above: a cache hit
+        self._span = tagged_basis(emb.mat)
 
     def decode(self, e: Element) -> Morphism:
         if e.module != self:
@@ -471,12 +494,30 @@ def module_annihilator(m: FPModule) -> AnnihilatorIdeal:
 # -- lifting, injectivity and surjectivity ------------------------------------------
 
 def lift_through(iota: Morphism, phi: Morphism) -> Morphism:
-    """psi with iota o psi = phi, assuming im(phi) lies in im(iota)."""
+    """psi with iota o psi = phi, for iota a kernel embedding (``kernel``).
+
+    iota's columns G must be a Groebner basis whose span contains the
+    target's relations, as a kernel embedding's columns are.  Then phi
+    factors through iota exactly when each column of phi lies in the span
+    of G, and the column of psi is its quotient, read off G's
+    identity-tagged basis (``tagged_basis``) with no tracked completion.
+    Raises ValueError when iota breaks that precondition or phi does not
+    factor.
+    """
     if iota.target != phi.target:
         raise ValueError("lift requires a common target")
+    try:
+        span = tagged_basis(iota.mat)
+    except NotGroebnerError:
+        span = None
+    if span is None or any(span.quotient(r) is None
+                           for r in iota.target.relations.columns()):
+        raise ValueError("lift requires a kernel embedding: its columns a "
+                         "Groebner basis whose span holds the target's "
+                         "relations")
     cols = []
     for j in range(phi.source.ngens):
-        c = solve_mod(phi.mat.column(j), iota.mat, iota.target.relations)
+        c = span.quotient(phi.mat.column(j))
         if c is None:
             raise ValueError("morphism does not factor through the image")
         cols.append(Vector(iota.source.ring, c))
@@ -485,8 +526,11 @@ def lift_through(iota: Morphism, phi: Morphism) -> Morphism:
 
 
 def is_injective(phi: Morphism) -> bool:
-    k, _ = kernel(phi)
-    return k.is_zero()
+    """True when phi has zero kernel: every generator of the preimage of
+    the target's relations (``syzygies_mod``) lies in the span of the
+    source's relations.  No presentation of the kernel is built."""
+    return all(phi.source.gb.contains(c) for c in
+               syzygies_mod(phi.mat, phi.target.relations).columns())
 
 
 def is_surjective(phi: Morphism) -> bool:

@@ -92,6 +92,23 @@ def test_torsion_of_mixed_module(tmp_path):
                         "  generator [1, 0]: annihilator d\n")
 
 
+def test_torsion_command_presents_no_torsion_kernel(tmp_path, capsys):
+    # torsion generators and annihilators are read off the embedding in M;
+    # the kernel's own relations are built only when read, so never here
+    text = "ring Q[x, y]; module M = coker [[x, y], [0, x^2]];"
+    groebner._CACHE.clear()
+    assert main(["torsion", session_file(tmp_path, text)]) == 0
+    assert capsys.readouterr().out == (
+        "torsion M: generators: 2\n"
+        "  generator [0, 1]: annihilator x^2\n"
+        "  generator [1, 0]: annihilator x^3\n")
+    torsion = [(key[3], value[1]) for key, value in groebner._CACHE.items()
+               if key[0] == "torsion"]
+    assert len(torsion) == 1
+    for relations, iota in torsion:
+        assert ("relations", iota.mat, relations) not in groebner._CACHE
+
+
 def test_defect_command(tmp_path):
     r = invoke(["defect", session_file(tmp_path, MIXED_MODULE)])
     assert r.returncode == 0

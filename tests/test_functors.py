@@ -1,12 +1,13 @@
 import random
+import traceback
 
 import pytest
 
 from malgrange.rings import ring
 from malgrange.parsing import parse_poly
-from malgrange.groebner import PolyMatrix, buchberger
-from malgrange.modules import (FPModule, Morphism, bass_torsion, direct_sum,
-                               hom_module, image, is_injective,
+from malgrange.groebner import PolyMatrix, Vector, buchberger, solve_mod
+from malgrange.modules import (Element, FPModule, Morphism, bass_torsion,
+                               direct_sum, hom_module, image, is_injective,
                                is_isomorphism, is_surjective, kernel,
                                cokernel, q_dimension, tensor_modules)
 from malgrange.functors import (ContraFPFunctor, FPFunctor, FunMorphism,
@@ -19,7 +20,8 @@ from malgrange.functors import (ContraFPFunctor, FPFunctor, FunMorphism,
                                 tensor_functor, verify_adjunction,
                                 verify_main_theorem, zero_functor)
 from malgrange.functors import _image_basis
-from malgrange import corpus
+from malgrange import corpus, groebner
+from malgrange.cli import main
 
 RX = ring("x")
 RXY = ring("x", "y")
@@ -145,6 +147,18 @@ def test_nat_contains_identity_for_corpus_functors():
         n = nat_hom(f, f)
         e = n.encode(FunMorphism.identity(f))
         assert n.decode(e) == FunMorphism.identity(f), name
+
+
+def test_nat_encode_inverts_decode_on_every_generator():
+    # encode divides by the kernel embedding's tagged basis; the tracked
+    # solver of [embedding | relations of Hom(Y_G, Y_F)] gives the same class
+    for name, f in corpus.corpus_functors():
+        n = nat_hom(f, f)
+        for g in n.generators():
+            assert n.encode(n.decode(g)) == g, name
+            h1_vec = n._h1.encode(n.decode(g).b).vec
+            coeffs = solve_mod(h1_vec, n._into_h1, n._h1.relations)
+            assert Element(n, Vector(f.y.ring, coeffs)) == g, name
 
 
 def test_nat_from_stable_hom_to_forgetful_is_torsion():
@@ -349,6 +363,40 @@ def test_main_theorem_mixed_module():
     assert rep.equal
     assert rep.defect_generators == ("[0, 1]",)
     assert rep.torsion_generators == ("[0, 1]",)
+
+
+def test_main_theorem_presents_neither_kernel():
+    # the theorem compares the two kernels' images in A; neither kernel's
+    # own relations are built
+    a = dict(corpus.main_theorem_modules())["random-xy-0"]
+    groebner._CACHE.clear()
+    assert verify_main_theorem(a).equal
+    d, emb = defect(stable_hom(a))
+    t, iota = bass_torsion(a)
+    keys = [("relations", emb.mat, a.relations),
+            ("relations", iota.mat, a.relations)]
+    assert not any(key in groebner._CACHE for key in keys)
+    d.relations, t.relations  # forced, they land under those keys
+    assert all(key in groebner._CACHE for key in keys)
+
+
+def test_verify_all_tracks_cofactors_only_to_factor_maps(monkeypatch,
+                                                         capsys):
+    # lifts through kernel embeddings and Nat encodings divide by a tagged
+    # basis; only _factor_through still solves with tracked cofactors
+    callers = []
+    original = groebner.extended_buchberger
+
+    def counting(*args, **kwargs):
+        callers.append({f.name for f in traceback.extract_stack()})
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(groebner, "extended_buchberger", counting)
+    groebner._CACHE.clear()
+    assert main(["verify", "--all", "--seed", "1"]) == 0
+    capsys.readouterr()
+    assert callers
+    assert all("_factor_through" in names for names in callers)
 
 
 def test_image_basis_spans_columns_and_relations():

@@ -43,6 +43,8 @@ R2X = FPModule.free(RX, 2)
 MOD_X = coker_of(RX, [["x"]])
 MOD_X2 = coker_of(RX, [["x^2"]])
 MOD_XY = coker_of(RXY, [["x"], ["y"]])
+R1XY = FPModule.free(RXY, 1)
+R2XY = FPModule.free(RXY, 2)
 IDEAL_XY = coker_of(RXY, [["y", "-x"]])
 
 
@@ -213,6 +215,112 @@ def test_kernel_relations_match_both_syzygy_routes(seed, r):
                      for row in solver.syzygies()]
         tracked = buchberger(projected, ring=r, rank=iota.mat.ncols)
         assert k.relations.columns() == list(tracked.gens)
+
+
+def test_kernel_relations_are_built_on_first_read():
+    # the builder runs once, on the first read, and stores its matrix
+    # under the tagged basis' own key
+    for seed in range(100):
+        phi = _rand_morphism(RXY, random.Random(seed), 2)
+        groebner._CACHE.clear()
+        k, iota = kernel(phi)
+        key = ("relations", iota.mat, phi.source.relations)
+        assert key not in groebner._CACHE
+        rels = k.relations
+        assert key in groebner._CACHE and k.relations is rels
+        groebner._CACHE.clear()
+        assert rels == groebner.tagged_basis(iota.mat).relations(
+            phi.source.relations)
+
+
+def test_a_lazy_relation_matrix_is_checked_when_read():
+    wrong = FPModule(RXY, 2, lambda: PolyMatrix.zeros(RXY, 3, 1))
+    assert wrong.ngens == 2
+    with pytest.raises(ValueError, match="one row per generator"):
+        wrong.relations
+    with pytest.raises(ValueError, match="one row per generator"):
+        wrong.relations  # the builder stays until a matrix passes
+    other_ring = FPModule(RXY, 1, lambda: PolyMatrix.zeros(RX, 1, 1))
+    with pytest.raises(ValueError, match="one row per generator"):
+        other_ring.relations
+    with pytest.raises(AttributeError):
+        MOD_X.relations = MOD_X2.relations
+
+
+def test_is_injective_agrees_with_the_kernel_module():
+    verdicts = set()
+    for seed in range(200):
+        phi = _rand_morphism(RXY, random.Random(seed), 2)
+        groebner._CACHE.clear()
+        injective = is_injective(phi)
+        groebner._CACHE.clear()
+        assert injective == kernel(phi)[0].is_zero(), seed
+        verdicts.add(injective)
+    assert verdicts == {True, False}
+
+
+def test_lifts_through_kernel_embeddings_compose_back():
+    rng = random.Random(23)
+    lifted = refused = 0
+    for seed in range(60):
+        phi = _rand_morphism(RXY, random.Random(seed), 2)
+        k, iota = kernel(phi)
+        free = FPModule.free(RXY, rng.randint(1, 2))
+        # a map that factors through iota by construction
+        into_k = _rand_matrix(RXY, rng, k.ngens, free.ngens, 1)
+        chi = Morphism(free, phi.source, iota.mat * into_k)
+        psi = lift_through(iota, chi)
+        assert iota.compose(psi) == chi
+        # an arbitrary map factors exactly when phi kills it
+        chi = Morphism(free, phi.source,
+                       _rand_matrix(RXY, rng, phi.source.ngens, free.ngens,
+                                    1))
+        try:
+            psi = lift_through(iota, chi)
+        except ValueError as exc:
+            assert "does not factor" in str(exc)
+            assert not phi.compose(chi).is_zero()
+            refused += 1
+        else:
+            assert iota.compose(psi) == chi
+            lifted += 1
+    assert lifted and refused
+
+
+def test_lift_through_requires_a_groebner_basis():
+    # x*y and x^2 + y are not a Groebner basis: their S-vector leaves y^2
+    iota = Morphism(R2XY, R1XY, mat(RXY, [["x*y", "x^2 + y"]]))
+    phi = Morphism(R1XY, R1XY, mat(RXY, [["y^2"]]))
+    with pytest.raises(ValueError, match="requires a kernel embedding"):
+        lift_through(iota, phi)
+
+
+def test_lift_through_requires_the_target_relations_in_its_span():
+    # x^3 spans a Groebner basis, but not the relation x^2 of R/(x^2);
+    # the zero class x^2 factors, and a quotient by x^3 alone would say
+    # it does not
+    iota = Morphism(R1X, MOD_X2, mat(RX, [["x^3"]]))
+    phi = Morphism(R1X, MOD_X2, mat(RX, [["x^2"]]))
+    with pytest.raises(ValueError, match="requires a kernel embedding"):
+        lift_through(iota, phi)
+
+
+def test_lift_through_still_raises_certification_failures(monkeypatch):
+    _, iota = kernel(Morphism(R1XY, MOD_XY, mat(RXY, [["1"]])))
+    phi = Morphism(R1XY, R1XY, mat(RXY, [["x*y"]]))
+    original = groebner._Completion.sweep
+
+    def corrupted(self):  # the first Schreyer row gains a term
+        rows = original(self)
+        layout, rem, s = rows[0]
+        tag = layout.pack(self.basis.rank + 1, (0, 0))
+        rows[0] = (layout, {**rem, tag: rem.get(tag, 0) + 1}, s)
+        return rows
+
+    groebner._CACHE.clear()
+    monkeypatch.setattr(groebner._Completion, "sweep", corrupted)
+    with pytest.raises(RuntimeError, match="uncertified syzygy"):
+        lift_through(iota, phi)
 
 
 @settings(max_examples=25, deadline=None)

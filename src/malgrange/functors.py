@@ -74,7 +74,8 @@ class ContraFPFunctor:
 
 def _factor_through(f: Morphism, g: Morphism) -> Optional[List[Poly]]:
     """Coefficients, over the generators of Hom(f.target, g.target), of a
-    t with g = t o f, or None when g does not factor through f."""
+    t with g = t o f, or None when g does not factor through f: read off
+    the elimination basis that the kernel of Hom(f, g.target) reads."""
     h = hom_module(f.source, g.target)
     pre = hom_pre(f, g.target)
     return solve_mod(h.encode(g).vec, pre.mat, h.relations)

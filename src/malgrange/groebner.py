@@ -5,7 +5,7 @@ reduced basis, syzygy computation, and membership solving.  All kernel,
 cokernel, and equality decisions elsewhere in the engine reduce to these
 operations.
 
-Reduced bases, span solvers, Hom modules and torsion embeddings are kept
+Reduced bases, eliminations, Hom modules and torsion embeddings are kept
 in one bounded LRU cache keyed by the exact presentation (``cached``): an
 equal input returns the object built, and certified, the first time.
 
@@ -453,8 +453,8 @@ def cached(key: tuple, build: Callable[[], _T]) -> _T:
     hit needs an input equal term by term, with exact ``Fraction``
     coefficients, to the one the value was built and certified from; a
     hash collision alone never matches.  A build that raises stores
-    nothing.  Shared by reduced bases (``buchberger``, ``colon_ideal``,
-    ``syzygies_mod``), span solvers, tagged bases and their relations, Hom
+    nothing.  Shared by reduced bases (``buchberger``, ``syzygies_mod``),
+    eliminations (``_elimination``), tagged bases and their relations, Hom
     modules and torsion embeddings (``modules``).
     """
     value = _CACHE.get(key, _MISSING)
@@ -851,7 +851,9 @@ def _tag_part(v: Vector, basis: _IntBasis,
 
 
 class SpanSolver:
-    """Answers membership and syzygy questions for a fixed generator list.
+    """Membership and syzygies of a fixed generator list, with tracked
+    cofactors: public, and the reference that tests compare ``solve_mod``
+    and ``syzygies`` against; no engine path builds one.
 
     Keeps the reduced basis of the span tagged with its cofactor rows:
     element b is [G_b; A_b], with G_b = sum(A_b[i] * gens[i]) (see
@@ -859,16 +861,17 @@ class SpanSolver:
     [r; c] with u - r = sum((t - c)[i] * gens[i]), and both answers are
     read off that tag part (``_tag_part``): [-v; 0] leaves [r; c] with
     v = sum(c[i] * gens[i]) - r, the certificate of membership when r is
-    zero, and Schreyer's construction takes one syzygy row per generator
-    the same way, plus one row per same-position S-pair of the basis, as
-    the final sweep of ``extended_buchberger`` left it.
+    zero (``solve`` returns c unchecked), and Schreyer's construction
+    takes one syzygy row per generator the same way, plus one row per
+    same-position S-pair of the basis, as the final sweep of
+    ``extended_buchberger`` left it.
     """
 
     def __init__(self, gens: Sequence[Vector], ring: RingSpec, rank: int):
         self.ring = ring
         self.rank = rank
         self.count = len(gens)
-        self.gens = tuple(gens)  # shared through span_solver: read-only
+        self.gens = tuple(gens)
         for g in gens:
             if g.rank != rank:
                 raise ValueError("rank mismatch")
@@ -941,23 +944,6 @@ class SpanSolver:
                                  for exps, _ in p.terms], _canonical=True)
                 for pos, p in enumerate(v.entries))))
         return out
-
-
-def span_solver(gens: Sequence[Vector], ring: RingSpec,
-                rank: int) -> SpanSolver:
-    """The ``SpanSolver`` of gens, built once per exact input (``cached``).
-
-    Its reduced basis is also stored as ``buchberger(gens)``, so the same
-    presentation is never completed a second time untracked.
-    """
-    gens = tuple(gens)
-
-    def build() -> SpanSolver:
-        solver = SpanSolver(gens, ring, rank)
-        cached(_gb_key(gens, ring, rank), lambda: solver._gb)
-        return solver
-
-    return cached(("span", ring, rank, gens), build)
 
 
 class NotGroebnerError(RuntimeError):
@@ -1055,16 +1041,16 @@ def tagged_basis(g: "PolyMatrix") -> TaggedBasis:
 
 def syzygy_basis(gens: Sequence[Vector], ring: RingSpec,
                  rank: int) -> List[Vector]:
-    if not gens:
-        return []
-    return span_solver(gens, ring, rank).syzygies()
+    """The columns of ``syzygies``."""
+    return syzygies(gens, ring, rank).columns()
 
 
 def syzygies(gens: Sequence[Vector], ring: RingSpec,
              rank: int) -> "PolyMatrix":
-    """Matrix whose columns generate the relations among gens."""
-    cols = syzygy_basis(gens, ring, rank)
-    return PolyMatrix.from_columns(ring, len(gens), cols)
+    """Matrix whose columns generate the relations among gens: the reduced
+    basis ``syzygies_mod`` gives for gens modulo no columns."""
+    return syzygies_mod(PolyMatrix.from_columns(ring, rank, gens),
+                        PolyMatrix.zeros(ring, rank, 0))
 
 
 # -- polynomial matrices -----------------------------------------------------------
@@ -1235,11 +1221,9 @@ def syzygies_mod(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
     if a.nrows != b.nrows:
         raise ValueError("row count mismatch")
     ring = a.ring
-    if a.ncols == 0:
-        return PolyMatrix.zeros(ring, 0, 0)
 
     def build() -> PolyMatrix:
-        gb = _eliminate(ring, tuple(a.columns()), b)
+        gb = _eliminate(a, b)
         span = buchberger(b.columns(), ring=ring, rank=b.nrows)
         for c in gb.gens:
             if not span.contains(a.mul_vec(c)):
@@ -1252,46 +1236,50 @@ def syzygies_mod(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
 
 def colon_ideal(v: Vector, b: PolyMatrix) -> GrobnerBasis:
     """Rank-1 reduced basis of the ideal {r in R : r*v lies in span(b)}:
-    the one-column case of ``syzygies_mod``'s elimination (``_eliminate``),
-    with its check of every generator; the ideal is not multiplied out
-    again."""
+    the one-column case of ``_eliminate``, not multiplied out again."""
     if v.rank != b.nrows:
         raise ValueError("rank mismatch")
-    return _eliminate(v.ring, (v,), b)
+    return _eliminate(PolyMatrix.from_columns(v.ring, v.rank, [v]), b)
 
 
-def _eliminate(ring: RingSpec, columns: Tuple[Vector, ...],
-               b: PolyMatrix) -> GrobnerBasis:
-    """Rank-n reduced basis of {c : sum(c[i] * columns[i]) lies in the
-    span of b}, with n = len(columns) and each column of rank k.
+def _eliminate(a: PolyMatrix, b: PolyMatrix) -> GrobnerBasis:
+    """Rank-n reduced basis of {c : a*c lies in the span of b}, a of shape
+    k x n: the c of the elements [0; c] of ``_elimination(a, b)``, those
+    leading in its last n positions, which have the lowest priority in
+    position over term (the Elimination Theorem, in module form): nothing
+    is re-completed."""
+    k = a.nrows
+    return GrobnerBasis(a.ring, a.ncols,
+                        tuple(Vector(a.ring, w.entries[k:])
+                              for w in _elimination(a, b).gens
+                              if w.leading()[0] >= k))
 
-    Elimination at rank k+n: complete the module generated by the
-    vectors [columns[i]; e_i] and [b_j; 0].  The last n positions have
-    the lowest position-over-term priority, so the basis elements leading
-    there are the [0; c] of the module, and their c are the reduced basis
-    sought (the Elimination Theorem, in position-over-term module form):
-    nothing is re-completed.  The completion is seeded with the reduced
-    basis of b's columns (``buchberger``, cached: for an annihilator it is
-    the module's own relation basis; see ``_seeded_completion``), and the
-    rank-(k+n) basis is cached as ``buchberger`` of its generators would
-    be.
-    """
-    k, n = b.nrows, len(columns)
-    zero = (Poly.zero(ring),) * n
-    gens = (tuple(Vector(ring, c.entries + Vector.unit(ring, n, i).entries)
-                  for i, c in enumerate(columns))
-            + tuple(Vector(ring, c.entries + zero) for c in b.columns()))
-    full = cached(_gb_key(gens, ring, k + n), lambda: _seeded_completion(
-        gens, n, buchberger(b.columns(), ring=ring, rank=k)))
-    return GrobnerBasis(ring, n, tuple(Vector(ring, w.entries[k:])
-                                       for w in full.gens
-                                       if w.leading()[0] >= k))
+
+def _elimination(a: PolyMatrix, b: PolyMatrix) -> GrobnerBasis:
+    """The rank-(k+n) reduced basis of the module generated by the vectors
+    [a_i; e_i] and [b_j; 0], a_i and b_j the columns of a and b, that
+    ``syzygies_mod``, ``colon_ideal`` and ``solve_mod`` read.  The
+    completion is seeded with the reduced basis of b's columns
+    (``buchberger``, cached: for an annihilator it is the module's own
+    relation basis; see ``_seeded_completion``).  Cached per exact (a, b),
+    so that a hit builds no stacked vector, and under the key
+    ``buchberger`` of the stacked vectors uses."""
+    ring, k, n = a.ring, a.nrows, a.ncols
+
+    def build() -> GrobnerBasis:
+        top = PolyMatrix.vstack(a, PolyMatrix.identity(ring, n))
+        low = PolyMatrix.vstack(b, PolyMatrix.zeros(ring, n, b.ncols))
+        gens = tuple(top.columns() + low.columns())
+        return cached(_gb_key(gens, ring, k + n), lambda: _seeded_completion(
+            gens, n, buchberger(b.columns(), ring=ring, rank=k)))
+
+    return cached(("elimination", a, b), build)
 
 
 def _seeded_completion(gens: Tuple[Vector, ...], count: int,
                        start: GrobnerBasis) -> GrobnerBasis:
     """The reduced basis of the module generated by gens, with start the
-    reduced basis of gens[count:] (their appended zeros left out).
+    reduced basis of gens[count:] (their count appended zeros left out).
 
     The completion starts from a copy of start's integer basis, padded
     with zeros (``_IntBasis.padded``) and taken as closed under its own
@@ -1303,7 +1291,7 @@ def _seeded_completion(gens: Tuple[Vector, ...], count: int,
     start's own elements: it trusts nothing of start, and relation columns
     are often of lower degree than their reduced basis.
     """
-    ring, rank = gens[0].ring, gens[0].rank
+    ring, rank = start.ring, start.rank + count
     state = _Completion(start._basis.padded(rank))
     for v in gens[:count]:
         state.reduce(state.basis.pack(v)[1])
@@ -1316,11 +1304,21 @@ def _seeded_completion(gens: Tuple[Vector, ...], count: int,
 
 
 def solve_mod(v: Vector, a: PolyMatrix, b: PolyMatrix) -> Optional[List[Poly]]:
-    """Coefficients c with a*c = v modulo the column span of b, or None."""
+    """Coefficients c with a*c = v modulo the column span of b, or None.
+
+    [v; 0] leaves its normal form [r; t] against ``_elimination(a, b)``:
+    r is zero exactly when a c exists, and then c = -t.  v - a*c must
+    reduce to zero against the basis of b."""
     if a.nrows != b.nrows or v.rank != a.nrows:
         raise ValueError("shape mismatch")
-    solver = span_solver(a.columns() + b.columns(), a.ring, a.nrows)
-    sol = solver.solve(v)
-    if sol is None:
+    ring, k, n = a.ring, a.nrows, a.ncols
+    basis = _elimination(a, b)._basis
+    rem, scale = _remainder(Vector(ring, v.entries + (Poly.zero(ring),) * n),
+                            basis)
+    if rem and next(iter(rem)) >> basis.layout.pos_shift < k:
         return None
-    return sol[:a.ncols]
+    c = _polys(basis.layout, ring, rem, -scale, k, n)
+    if not buchberger(b.columns(), ring=ring, rank=k).contains(
+            v - a.mul_vec(Vector(ring, c))):
+        raise RuntimeError("uncertified solution")
+    return c

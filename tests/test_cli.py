@@ -85,6 +85,24 @@ def test_analyze_completes_no_basis_with_tracked_cofactors(
     assert calls == []
 
 
+def test_torsion_completes_no_basis_with_tracked_cofactors(
+        tmp_path, monkeypatch, capsys):
+    # torsion generators and their annihilators are eliminations
+    calls = []
+    original = groebner.extended_buchberger
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(groebner, "extended_buchberger", counting)
+    groebner._CACHE.clear()
+    text = "ring Q[x, y]; module M = coker [[x, y], [0, x^2]];"
+    assert main(["torsion", session_file(tmp_path, text)]) == 0
+    assert capsys.readouterr().out.startswith("torsion M: generators: 2\n")
+    assert calls == []
+
+
 def test_torsion_of_mixed_module(tmp_path):
     r = invoke(["torsion", session_file(tmp_path, MIXED_MODULE)])
     assert r.returncode == 0

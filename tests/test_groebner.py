@@ -11,8 +11,8 @@ import malgrange.groebner as groebner
 from malgrange import corpus
 from malgrange.groebner import (GrobnerBasis, PolyMatrix, SpanSolver,
                                 TaggedBasis, Vector, buchberger, colon_ideal,
-                                divide, extended_buchberger, span_solver,
-                                syzygies, syzygies_mod, solve_mod)
+                                divide, extended_buchberger, syzygies,
+                                syzygies_mod, solve_mod, tagged_basis)
 from malgrange.rings import (GREVLEX, Poly, mono_div, mono_divides, mono_mul,
                              ring)
 from malgrange.modules import AnnihilatorIdeal, module_annihilator
@@ -849,10 +849,10 @@ def test_a_corrupted_elimination_row_is_not_certified(monkeypatch):
     b = PolyMatrix(RX, 1, 1, [[parse_poly("x^2", RX)]])
     original = groebner._eliminate
 
-    def corrupted(ring, columns, b):
-        gb = original(ring, columns, b)
-        first = gb.gens[0] + Vector.unit(ring, gb.rank, 0)
-        return GrobnerBasis(ring, gb.rank, (first,) + gb.gens[1:])
+    def corrupted(a, b):
+        gb = original(a, b)
+        first = gb.gens[0] + Vector.unit(RX, gb.rank, 0)
+        return GrobnerBasis(RX, gb.rank, (first,) + gb.gens[1:])
 
     groebner._CACHE.clear()
     monkeypatch.setattr(groebner, "_eliminate", corrupted)
@@ -870,6 +870,104 @@ def test_solve_mod_finds_witness():
     residual = v - a.column(0).poly_mul(sol[0])
     assert buchberger(b.columns(), ring=RX, rank=1).contains(residual)
     assert solve_mod(vec(RX, "1"), a, b) is None
+
+
+def _solve_case(r, rng, shape, solvable):
+    """(v, a, b) over r: v = a*c0 + b*d0 when solvable, else a random
+    vector; a or b may have no columns."""
+    rank = rng.randint(1, 2)
+    deg = 1 if r is R3 else 2
+    a_cols = [rand_vector(r, rng, rank, deg=deg)
+              for _ in range(rng.randint(1, 3))]
+    b_cols = [rand_vector(r, rng, rank, deg=deg)
+              for _ in range(rng.randint(1, 3))]
+    if shape == "a with no columns":
+        a_cols = []
+    elif shape == "b with no columns":
+        b_cols = []
+    v = Vector.zero(r, rank)
+    for col in a_cols + b_cols:
+        v = v + col.poly_mul(rand_vector(r, rng, 1, deg=1).entries[0])
+    if not solvable:
+        v = rand_vector(r, rng, rank, deg=deg)
+    return (v, PolyMatrix.from_columns(r, rank, a_cols),
+            PolyMatrix.from_columns(r, rank, b_cols))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**30), st.sampled_from([RX, RXY, R3]),
+       st.sampled_from(["random", "a with no columns", "b with no columns"]),
+       st.booleans())
+def test_solve_mod_matches_the_tracked_solver(seed, r, shape, solvable):
+    # solve_mod reads the elimination basis of (a, b); a SpanSolver of
+    # [a | b], built directly, answers the same question with tracked
+    # cofactors.  Their c may differ, never whether one exists
+    v, a, b = _solve_case(r, random.Random(seed), shape, solvable)
+    groebner._CACHE.clear()
+    got = solve_mod(v, a, b)
+    want = SpanSolver(a.columns() + b.columns(), r, a.nrows).solve(v)
+    assert (got is None) == (want is None)
+    if solvable:
+        assert got is not None
+    if got is not None:
+        assert len(got) == a.ncols
+        span = buchberger(b.columns(), ring=r, rank=a.nrows)
+        assert span.contains(v - a.mul_vec(Vector(r, got)))
+
+
+def test_a_corrupted_elimination_basis_gives_no_solution(monkeypatch):
+    # x*c = x^2 mod (x^3) is read off the basis {[0; x^2], [x; 1]} as
+    # c = x; with [x; 2] in its place the reading is 2x, and x^2 - 2x^2
+    # is not in (x^3): that answer must not come back
+    a = PolyMatrix(RX, 1, 1, [[parse_poly("x", RX)]])
+    b = PolyMatrix(RX, 1, 1, [[parse_poly("x^3", RX)]])
+    v = vec(RX, "x^2")
+    groebner._CACHE.clear()
+    assert solve_mod(v, a, b) == [parse_poly("x", RX)]
+    original = groebner._elimination
+
+    def corrupted(a, b):
+        gb = original(a, b)
+        assert gb.gens == (vec(RX, "0", "x^2"), vec(RX, "x", "1"))
+        return GrobnerBasis(RX, gb.rank, (gb.gens[0], vec(RX, "x", "2")))
+
+    monkeypatch.setattr(groebner, "_elimination", corrupted)
+    with pytest.raises(RuntimeError, match="uncertified solution"):
+        solve_mod(v, a, b)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**30), st.sampled_from([RX, RXY, R3]))
+def test_syzygies_match_the_tracked_solver(seed, r):
+    # syzygies is syzygies_mod modulo nothing; the tracked route completes
+    # the rows of a SpanSolver built directly
+    gens, rank = _differential_draw(r, random.Random(seed))
+    groebner._CACHE.clear()
+    got = syzygies(gens, r, rank)
+    groebner._CACHE.clear()  # the reference must not read it back
+    none = PolyMatrix.zeros(r, rank, 0)
+    want = reference_syzygies_mod(PolyMatrix.from_columns(r, rank, gens),
+                                  none)
+    # the reduced basis itself, so buchberger of it is it again
+    assert got.columns() == list(want.gens)
+
+
+def test_solve_mod_and_syzygies_run_no_tracked_completion(monkeypatch):
+    calls = []
+    original = groebner.extended_buchberger
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(groebner, "extended_buchberger", counting)
+    groebner._CACHE.clear()
+    a = PolyMatrix.from_columns(RXY, 2, [vec(RXY, "x", "y"),
+                                         vec(RXY, "y^2", "x - 1")])
+    b = PolyMatrix.from_columns(RXY, 2, [vec(RXY, "x^2 - y", "x")])
+    assert solve_mod(a.column(0), a, b) is not None
+    assert syzygies(a.columns() + b.columns(), RXY, 2).ncols > 0
+    assert calls == []
 
 
 # -- colon ideals ------------------------------------------------------------------
@@ -1180,27 +1278,6 @@ def test_zero_inputs_are_keyed_on_the_explicit_rank():
     assert buchberger([zero], ring=RX, rank=2) is g2
 
 
-def test_repeated_span_solver_returns_the_cached_solver():
-    gens = [vec(RXY, "x", "y"), vec(RXY, "y", "0")]
-    s = span_solver(gens, RXY, 2)
-    assert span_solver(tuple(gens), RXY, 2) is s
-    # direct construction never goes through the cache
-    assert SpanSolver(gens, RXY, 2) is not s
-
-
-def test_a_span_solver_stores_its_basis_for_buchberger():
-    # one certified basis per presentation: the solver's reduced basis is
-    # what buchberger returns for the same generators, ring and rank taken
-    # from the first nonzero generator as buchberger takes them
-    groebner._CACHE.clear()
-    gens = [Vector.zero(RXY, 2), vec(RXY, "x", "y"), vec(RXY, "y", "0")]
-    solver = span_solver(gens, RXY, 2)
-    assert buchberger(gens) is solver._gb
-    zero = [Vector.zero(RX, 2)]
-    solver = span_solver(zero, RX, 2)
-    assert buchberger(zero, ring=RX, rank=2) is solver._gb
-
-
 def test_cache_evicts_the_least_recently_used_entry(monkeypatch):
     monkeypatch.setattr(groebner, "CACHE_ENTRIES", 3)
     groebner._CACHE.clear()
@@ -1219,13 +1296,13 @@ def test_cache_evicts_the_least_recently_used_entry(monkeypatch):
 
 def test_mutating_returned_syzygies_does_not_change_the_solver():
     gens = [vec(RXY, "x"), vec(RXY, "y"), vec(RXY, "x + y")]
-    solver = span_solver(gens, RXY, 1)
+    solver = SpanSolver(gens, RXY, 1)
     rows = solver.syzygies()
     expected = list(rows)
     rows.clear()
     again = solver.syzygies()
     assert again == expected and again is not rows
-    assert span_solver(gens, RXY, 1).syzygies() == expected
+    assert SpanSolver(gens, RXY, 1).syzygies() == expected
 
 
 def test_a_call_that_raises_caches_nothing():
@@ -1233,6 +1310,9 @@ def test_a_call_that_raises_caches_nothing():
     bad = [vec(RXY, "x"), vec(RXY, "y", "1")]
     with pytest.raises(ValueError):
         buchberger(bad)
-    with pytest.raises(ValueError):
-        span_solver(bad, RXY, 1)
+    # x^2 + y and x*y leave y^2: not a Groebner basis
+    not_groebner = PolyMatrix.from_columns(RXY, 1, [vec(RXY, "x^2 + y"),
+                                                    vec(RXY, "x*y")])
+    with pytest.raises(groebner.NotGroebnerError):
+        tagged_basis(not_groebner)
     assert len(groebner._CACHE) == 0

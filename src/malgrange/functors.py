@@ -20,7 +20,7 @@ from typing import Dict, List, Optional, Tuple
 
 from .rings import Poly, RingSpec
 from .groebner import (GrobnerBasis, PolyMatrix, Vector, buchberger,
-                       solve_mod, tagged_basis)
+                       solve_mod)
 from .modules import (Element, FPModule, Morphism, bass_torsion, cokernel,
                       direct_sum, dual, hom_module, hom_pre, hom_post,
                       is_injective, is_surjective, kernel, lift_through,
@@ -283,8 +283,9 @@ class NatModule(FPModule):
         self.ftgt = ftgt
         self._h1 = h1
         self._into_h1 = emb.mat
-        # built by lift_through above: a cache hit
-        self._span = tagged_basis(emb.mat)
+        # read by lift_through above: a cache hit
+        self._span = buchberger(emb.mat.columns(), ring=h1.ring,
+                                rank=emb.mat.nrows)
 
     def decode(self, elem: Element) -> FunMorphism:
         if elem.module != self:
@@ -295,8 +296,8 @@ class NatModule(FPModule):
 
     def encode(self, alpha: FunMorphism) -> Element:
         """The class of alpha: the quotient of its class in Hom(Y_G, Y_F)
-        by the kernel embedding's columns, read off their identity-tagged
-        basis as in ``lift_through``."""
+        by the kernel embedding's columns, read off ``buchberger`` of them
+        as in ``lift_through``."""
         h1_elem = self._h1.encode(alpha.b)
         coeffs = self._span.quotient(h1_elem.vec)
         if coeffs is None:

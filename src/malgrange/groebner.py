@@ -454,7 +454,7 @@ def cached(key: tuple, build: Callable[[], _T]) -> _T:
     coefficients, to the one the value was built and certified from; a
     hash collision alone never matches.  A build that raises stores
     nothing.  Shared by reduced bases (``buchberger``, ``syzygies_mod``),
-    eliminations (``_elimination``), tagged bases and their relations, Hom
+    eliminations (``_elimination``), kernel relations (``relations``), Hom
     modules and torsion embeddings (``modules``).
     """
     value = _CACHE.get(key, _MISSING)
@@ -507,7 +507,7 @@ class _Completion:
     The starting basis is either empty (elements then enter from the
     input), an interreduced candidate, a copy of a reduced basis that the
     input extends (``_seeded_completion``), or a basis tagged with the
-    identity (``TaggedBasis``); all but the first are taken as closed
+    identity (``GrobnerBasis``); all but the first are taken as closed
     under their own pairs.  Every element added later, from the
     input, an S-pair or the sweep, goes through ``add``, which queues its
     pairs with the elements already leading in the same position.  When
@@ -698,7 +698,16 @@ class GrobnerBasis:
     """Reduced Groebner basis: monic, pairwise irreducible, sorted ascending.
 
     Keeps the integer form of its elements, converted once, untagged and
-    primitive on the vector, for ``reduce`` and ``contains``.
+    primitive on the vector, for ``reduce`` and ``contains``; ``quotient``
+    and ``relations`` build, on first use, the identity-tagged basis:
+    element i is [G_i; e_i] (see ``_IntBasis``), so the tag part of what a
+    vector leaves against it counts the multiples of each G_i the division
+    took.  Building it runs the final sweep of a ``_Completion`` on it,
+    which must add nothing (certifying that gens are a Groebner basis);
+    the tag part of each same-position S-vector it reduces to zero is one
+    of Schreyer's rows, which generate the relations among gens (Eisenbud,
+    *Commutative Algebra*, Thm. 15.10), and each must multiply out to
+    zero.  Either failure raises ``RuntimeError`` and keeps nothing.
     """
 
     ring: RingSpec
@@ -706,30 +715,65 @@ class GrobnerBasis:
     gens: Tuple[Vector, ...]
     _basis: Optional[_IntBasis] = field(default=None, repr=False,
                                         compare=False)
+    _tagged: Optional[Tuple[_IntBasis, Tuple[Vector, ...]]] = field(
+        default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self._basis is None:
             object.__setattr__(self, "_basis",
                                _IntBasis.of(self.ring, self.gens, self.rank))
 
-    def normal_form(self, v: Vector) -> Tuple[Vector, List[Poly]]:
-        """``divide`` by gens: the remainder and the quotients."""
+    def _check(self, v: Vector) -> None:
         if v.rank != self.rank:
             raise ValueError("rank mismatch")
+        if v.ring != self.ring:
+            raise ValueError("ring mismatch")
+
+    def normal_form(self, v: Vector) -> Tuple[Vector, List[Poly]]:
+        """``divide`` by gens: the remainder and the quotients."""
+        self._check(v)
         return divide(v, self.gens)
 
     def reduce(self, v: Vector) -> Vector:
         """The remainder of ``normal_form``, with no quotients computed."""
-        if v.rank != self.rank:
-            raise ValueError("rank mismatch")
+        self._check(v)
         rem, scale = _remainder(v, self._basis)
         return _vector(self._basis.layout, v.ring, v.rank, rem, scale)
 
     def contains(self, v: Vector) -> bool:
         """Whether ``reduce`` leaves zero, read off the integer remainder."""
-        if v.rank != self.rank:
-            raise ValueError("rank mismatch")
+        self._check(v)
         return not _remainder(v, self._basis)[0]
+
+    def quotient(self, v: Vector) -> Optional[List[Poly]]:
+        """q with sum(q[i] * gens[i]) = v, read off one division of v by
+        gens, or None when v lies outside their span: reducing [-v; 0]
+        against the identity-tagged basis leaves [r; q] with
+        v = sum(q[i] * gens[i]) - r."""
+        self._check(v)
+        tagged = Vector(self.ring, (-v).entries
+                        + Vector.zero(self.ring, len(self.gens)).entries)
+        return _tag_part(tagged, self._identity_tagged()[0], self.ring,
+                         self.rank)
+
+    def _identity_tagged(self) -> Tuple[_IntBasis, Tuple[Vector, ...]]:
+        """The identity-tagged basis and Schreyer's rows, built and
+        certified on first use (see the class docstring)."""
+        if self._tagged is None:
+            ring, rank, count = self.ring, self.rank, len(self.gens)
+            basis = _IntBasis.of(ring, self.gens, rank,
+                                 PolyMatrix.identity(ring, count).rows, count)
+            rows = _Completion(basis).sweep()
+            if len(basis) != count:
+                raise RuntimeError("the basis is not a Groebner basis")
+            schreyer = tuple(Vector(ring, _polys(layout, ring, rem, s, rank,
+                                                 count))
+                             for layout, rem, s in rows)
+            g = PolyMatrix.from_columns(ring, rank, self.gens)
+            if not all(g.mul_vec(row).is_zero() for row in schreyer):
+                raise RuntimeError("uncertified syzygy")
+            object.__setattr__(self, "_tagged", (basis, schreyer))
+        return self._tagged
 
     def __str__(self) -> str:
         return "{" + "; ".join(str(g) for g in self.gens) + "}"
@@ -839,15 +883,17 @@ def _complete(state: _Completion, ring: RingSpec,
 
 # -- syzygies and membership ------------------------------------------------------
 
-def _tag_part(v: Vector, basis: _IntBasis,
-              ring: RingSpec) -> Optional[List[Poly]]:
-    """The tag part of what v, a vector of rank basis.rank followed by
-    basis.tags tag entries, leaves against the tagged basis, or None when
-    the vector part it leaves is not zero."""
+def _tag_part(v: Vector, basis: _IntBasis, ring: RingSpec,
+              start: int) -> Optional[List[Poly]]:
+    """The entries from position start on of what v leaves against basis,
+    or None when an entry before start is not zero.  start is the first
+    tag position: basis.rank for a tagged basis, k for the elimination
+    basis of a k-row matrix (``_elimination``)."""
     rem, scale = _remainder(v, basis)
-    if rem and next(iter(rem)) >> basis.layout.pos_shift < basis.rank:
+    if rem and next(iter(rem)) >> basis.layout.pos_shift < start:
         return None
-    return _polys(basis.layout, ring, rem, scale, basis.rank, basis.tags)
+    return _polys(basis.layout, ring, rem, scale, start,
+                  basis.rank + basis.tags - start)
 
 
 class SpanSolver:
@@ -883,7 +929,7 @@ class SpanSolver:
 
     def _tag_part(self, v: Vector) -> Optional[List[Poly]]:
         """``_tag_part`` of v against the tagged basis."""
-        return _tag_part(v, self._tagged, self.ring)
+        return _tag_part(v, self._tagged, self.ring, self.rank)
 
     def solve(self, v: Vector) -> Optional[List[Poly]]:
         """Coefficients c with sum(c[i] * gens[i]) = v, or None."""
@@ -946,97 +992,46 @@ class SpanSolver:
         return out
 
 
-class NotGroebnerError(RuntimeError):
-    """G given to ``TaggedBasis`` is not a Groebner basis: the final sweep
-    added an element."""
+def relations(g: "PolyMatrix", b: "PolyMatrix") -> "PolyMatrix":
+    """``syzygies_mod(g, b)`` for b whose columns lie in the span of g's
+    columns G: columns generating {c : sum(c[i] * G_i) lies in span(b)}.
 
+    Read off ``buchberger`` of G, which must be G (ValueError otherwise),
+    as it is for a kernel embedding, where ``syzygies_mod`` stored it.
+    Schreyer's rows of G and the quotient q_j of each column b_j generate
+    the answer: if G c = b d, then c - sum(d[j] * q_j) is a relation among
+    G.  Every quotient row is multiplied out again and must give its
+    column; ``buchberger`` of all the rows gives the reduced basis, also
+    stored as ``buchberger`` of its own elements (the relation basis of
+    the kernel module).  Computed once per exact (g, b) (``cached``).
 
-class TaggedBasis:
-    """A Groebner basis G_1..G_g of a submodule of R^k, tagged with the
-    identity.
-
-    Element i is [G_i; e_i] (see ``_IntBasis``), so the tag part of what a
-    vector leaves against it counts the multiples of each G_i the
-    division took: no cofactors are tracked, and ``extended_buchberger``
-    never runs.  Reducing [-v; 0] leaves [r; q] with v = sum(q[i] * G_i)
-    - r; q is ``quotient(v)`` when r is zero.
-
-    Building it runs the final sweep of a ``_Completion`` on this basis.
-    The sweep must add nothing, which certifies that G is a Groebner
-    basis (``NotGroebnerError`` otherwise); the tag part of each
-    same-position S-vector it reduces to zero is one of Schreyer's rows,
-    and these rows generate the relations among G (Eisenbud, *Commutative
-    Algebra*, Thm. 15.10).  Each row is multiplied out again and must give
-    zero.
+    It answers what ``syzygies_mod(g, b)`` answers without a second
+    elimination: on the kernels of ``verify --all`` that elimination, at
+    rank k+g, takes about twice as long as the sweep, the quotients and
+    the completion of the rows here.
     """
+    ring, count = g.ring, g.ncols
 
-    def __init__(self, g: "PolyMatrix"):
-        ring, rank, count = g.ring, g.nrows, g.ncols
-        self.mat = g  # shared through tagged_basis: read-only
-        basis = _IntBasis.of(ring, g.columns(), rank,
-                             PolyMatrix.identity(ring, count).rows, count)
-        rows = _Completion(basis).sweep()
-        if len(basis) != count:
-            raise NotGroebnerError("a tagged basis is not a Groebner basis")
-        self._tagged = basis
-        self._schreyer = [Vector(ring, _polys(layout, ring, rem, s, rank,
-                                              count))
-                          for layout, rem, s in rows]
-        zero = Vector.zero(ring, rank)
-        for row in self._schreyer:
-            if g.mul_vec(row) != zero:
+    def build() -> PolyMatrix:
+        cols = g.columns()
+        span = buchberger(cols, ring=ring, rank=g.nrows)
+        if span.gens != tuple(cols):
+            raise ValueError("relations need the reduced basis of a span, "
+                             "in its order")
+        rows = list(span._identity_tagged()[1])
+        for col in b.columns():
+            q = span.quotient(col)
+            if q is None:
+                raise RuntimeError("a column lies outside the span")
+            row = Vector(ring, q)
+            if g.mul_vec(row) != col:
                 raise RuntimeError("uncertified syzygy")
+            rows.append(row)
+        gb = buchberger(rows, ring=ring, rank=count)
+        cached(_gb_key(gb.gens, ring, count), lambda: gb)
+        return PolyMatrix.from_columns(ring, count, list(gb.gens))
 
-    def quotient(self, v: Vector) -> Optional[List[Poly]]:
-        """q with sum(q[i] * G_i) = v, read off one division of v by G, or
-        None when v lies outside the span of G."""
-        if v.rank != self.mat.nrows:
-            raise ValueError("rank mismatch")
-        zero = Vector.zero(self.mat.ring, self.mat.ncols)
-        return _tag_part(Vector(v.ring, (-v).entries + zero.entries),
-                         self._tagged, v.ring)
-
-    def relations(self, b: "PolyMatrix") -> "PolyMatrix":
-        """``syzygies_mod(G, b)`` for b whose columns lie in the span of G:
-        columns generating {c : sum(c[i] * G_i) lies in span(b)}.
-
-        Schreyer's rows and the quotient q_j of each column b_j generate
-        it: if G c = b d, then c - sum(d[j] * q_j) is a relation among G.
-        Every quotient row is multiplied out again and must give its
-        column; ``buchberger`` of all the rows gives the reduced basis,
-        which is also stored as ``buchberger`` of its own elements (the
-        relation basis of the kernel module).  Computed once per exact
-        (G, b) (``cached``).
-
-        It answers what ``syzygies_mod(G, b)`` answers without a second
-        elimination: on the kernels of ``verify --all`` that elimination,
-        at rank k+g, takes about twice as long as the sweep, the
-        quotients and the completion of the rows here.
-        """
-        g = self.mat
-        ring, count = g.ring, g.ncols
-
-        def build() -> PolyMatrix:
-            rows = list(self._schreyer)
-            for col in b.columns():
-                q = self.quotient(col)
-                if q is None:
-                    raise RuntimeError("a column lies outside the tagged span")
-                row = Vector(ring, q)
-                if g.mul_vec(row) != col:
-                    raise RuntimeError("uncertified syzygy")
-                rows.append(row)
-            gb = buchberger(rows, ring=ring, rank=count)
-            cached(_gb_key(gb.gens, ring, count), lambda: gb)
-            return PolyMatrix.from_columns(ring, count, list(gb.gens))
-
-        return cached(("relations", g, b), build)
-
-
-def tagged_basis(g: "PolyMatrix") -> TaggedBasis:
-    """The ``TaggedBasis`` of g's columns, a Groebner basis, built once
-    per exact g (``cached``)."""
-    return cached(("tagged", g), lambda: TaggedBasis(g))
+    return cached(("relations", g, b), build)
 
 
 def syzygy_basis(gens: Sequence[Vector], ring: RingSpec,
@@ -1306,18 +1301,16 @@ def _seeded_completion(gens: Tuple[Vector, ...], count: int,
 def solve_mod(v: Vector, a: PolyMatrix, b: PolyMatrix) -> Optional[List[Poly]]:
     """Coefficients c with a*c = v modulo the column span of b, or None.
 
-    [v; 0] leaves its normal form [r; t] against ``_elimination(a, b)``:
-    r is zero exactly when a c exists, and then c = -t.  v - a*c must
+    [-v; 0] leaves its normal form [r; c] against ``_elimination(a, b)``
+    (``_tag_part``): r is zero exactly when a c exists.  v - a*c must
     reduce to zero against the basis of b."""
     if a.nrows != b.nrows or v.rank != a.nrows:
         raise ValueError("shape mismatch")
     ring, k, n = a.ring, a.nrows, a.ncols
-    basis = _elimination(a, b)._basis
-    rem, scale = _remainder(Vector(ring, v.entries + (Poly.zero(ring),) * n),
-                            basis)
-    if rem and next(iter(rem)) >> basis.layout.pos_shift < k:
+    c = _tag_part(Vector(ring, (-v).entries + (Poly.zero(ring),) * n),
+                  _elimination(a, b)._basis, ring, k)
+    if c is None:
         return None
-    c = _polys(basis.layout, ring, rem, -scale, k, n)
     if not buchberger(b.columns(), ring=ring, rank=k).contains(
             v - a.mul_vec(Vector(ring, c))):
         raise RuntimeError("uncertified solution")

@@ -16,9 +16,8 @@ from itertools import product as iter_product
 from typing import Callable, List, Optional, Tuple, Union
 
 from .rings import Poly, RingSpec, mono_divides
-from .groebner import (GrobnerBasis, NotGroebnerError, PolyMatrix, Vector,
-                       buchberger, cached, colon_ideal, syzygies_mod,
-                       tagged_basis)
+from .groebner import (GrobnerBasis, PolyMatrix, Vector, buchberger, cached,
+                       colon_ideal, relations, syzygies_mod)
 
 
 class FPModule:
@@ -244,16 +243,16 @@ def kernel(phi: Morphism) -> Tuple[FPModule, Morphism]:
     K's generators G are ``syzygies_mod(phi.mat, target relations)``, the
     reduced basis of the preimage of the target's relations, and iota is
     G.  That preimage contains the source's relations B, as phi is well
-    defined, so K's relations, ``syzygies_mod(G, B)``, are read off G's
-    identity-tagged basis (``tagged_basis``): Schreyer's rows of G and
-    the quotients of B by G.  They are built when ``K.relations`` is
+    defined, so K's relations, ``syzygies_mod(G, B)``, are read off
+    ``buchberger`` of G, which is G (``relations``): Schreyer's rows of G
+    and the quotients of B by G.  They are built when ``K.relations`` is
     first read; a caller that compares images in the source never pays
     for them.
     """
     m = phi.source
     gens = syzygies_mod(phi.mat, phi.target.relations)
     k = FPModule(m.ring, gens.ncols,
-                 lambda: tagged_basis(gens).relations(m.relations))
+                 lambda: relations(gens, m.relations))
     return k, Morphism(k, m, gens, _checked=True)
 
 
@@ -338,8 +337,9 @@ class HomModule(FPModule):
         self.dom = dom
         self.cod = cod
         self._emb = emb.mat
-        # built when k.relations was read above: a cache hit
-        self._span = tagged_basis(emb.mat)
+        # stored by syzygies_mod and tagged when k.relations was read above
+        self._span = buchberger(emb.mat.columns(), ring=ring,
+                                rank=emb.mat.nrows)
 
     def decode(self, e: Element) -> Morphism:
         if e.module != self:
@@ -350,7 +350,7 @@ class HomModule(FPModule):
 
     def encode(self, phi: Morphism) -> Element:
         """The class of phi: the quotient of its flattened matrix by the
-        embedding's columns G, read off G's identity-tagged basis.  G is
+        embedding's columns G, read off ``buchberger`` of G, which is G:
         the reduced basis of the flattened matrices of well-defined maps,
         so the quotient exists exactly when phi is well defined."""
         if phi.source != self.dom or phi.target != self.cod:
@@ -496,25 +496,22 @@ def module_annihilator(m: FPModule) -> AnnihilatorIdeal:
 def lift_through(iota: Morphism, phi: Morphism) -> Morphism:
     """psi with iota o psi = phi, for iota a kernel embedding (``kernel``).
 
-    iota's columns G must be a Groebner basis whose span contains the
-    target's relations, as a kernel embedding's columns are.  Then phi
-    factors through iota exactly when each column of phi lies in the span
-    of G, and the column of psi is its quotient, read off G's
-    identity-tagged basis (``tagged_basis``) with no tracked completion.
-    Raises ValueError when iota breaks that precondition or phi does not
-    factor.
+    As for a kernel embedding, ``buchberger`` of iota's columns G (then a
+    cache hit) must be G itself, in its order, and contain the target's
+    relations.  Then phi factors through iota exactly when each column of
+    phi lies in the span of G, and the column of psi is its quotient
+    (``GrobnerBasis.quotient``).  Raises ValueError when iota breaks that
+    precondition or phi does not factor.
     """
     if iota.target != phi.target:
         raise ValueError("lift requires a common target")
-    try:
-        span = tagged_basis(iota.mat)
-    except NotGroebnerError:
-        span = None
-    if span is None or any(span.quotient(r) is None
-                           for r in iota.target.relations.columns()):
-        raise ValueError("lift requires a kernel embedding: its columns a "
-                         "Groebner basis whose span holds the target's "
-                         "relations")
+    gens = tuple(iota.mat.columns())
+    span = buchberger(gens, ring=iota.target.ring, rank=iota.target.ngens)
+    if span.gens != gens or not all(
+            map(span.contains, iota.target.relations.columns())):
+        raise ValueError("lift requires a kernel embedding: its columns the "
+                         "reduced Groebner basis of a span that holds the "
+                         "target's relations")
     cols = []
     for j in range(phi.source.ngens):
         c = span.quotient(phi.mat.column(j))

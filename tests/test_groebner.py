@@ -10,9 +10,9 @@ from hypothesis import given, settings, strategies as st
 import malgrange.groebner as groebner
 from malgrange import corpus
 from malgrange.groebner import (GrobnerBasis, PolyMatrix, SpanSolver,
-                                TaggedBasis, Vector, buchberger, colon_ideal,
-                                divide, extended_buchberger, syzygies,
-                                syzygies_mod, solve_mod, tagged_basis)
+                                Vector, buchberger, colon_ideal, divide,
+                                extended_buchberger, relations, syzygies,
+                                syzygies_mod, solve_mod)
 from malgrange.rings import (GREVLEX, Poly, mono_div, mono_divides, mono_mul,
                              ring)
 from malgrange.modules import AnnihilatorIdeal, module_annihilator
@@ -1164,26 +1164,34 @@ def test_an_elimination_checks_every_generator(monkeypatch):
     assert checked == _elimination_gens(v, b)[:3]
 
 
-# -- tagged bases -----------------------------------------------------------------
+# -- identity-tagged bases ---------------------------------------------------------
 
 _XY = PolyMatrix.from_columns(RXY, 1, [vec(RXY, "y"), vec(RXY, "x")])
-
-
-def test_a_tagged_basis_reads_relations_off_its_own_basis():
-    basis = TaggedBasis(_XY)
-    # one same-position pair: Schreyer's row x*e_1 - y*e_2 (up to sign)
-    b = PolyMatrix.from_columns(RXY, 1, [vec(RXY, "x*y + x"),
+# one same-position pair: Schreyer's row x*e_1 - y*e_2 (up to sign)
+_XY_B = PolyMatrix.from_columns(RXY, 1, [vec(RXY, "x*y + x"),
                                          Vector.zero(RXY, 1)])
-    assert basis.quotient(vec(RXY, "x*y + x")) is not None
+
+
+def _xy_basis() -> GrobnerBasis:
+    return buchberger(_XY.columns(), ring=RXY, rank=1)
+
+
+def test_relations_are_read_off_the_reduced_basis():
+    basis = _xy_basis()
+    assert basis.gens == tuple(_XY.columns())  # the columns' own basis
+    q = basis.quotient(vec(RXY, "x*y + x"))
+    assert [str(p) for p in q] == ["x", "1"]
     assert basis.quotient(vec(RXY, "1")) is None
     groebner._CACHE.clear()
-    rels = basis.relations(b)
-    assert TaggedBasis(_XY).relations(b) is rels  # once per exact (G, b)
+    rels = relations(_XY, _XY_B)
+    assert relations(_XY, _XY_B) is rels  # once per exact (G, b)
+    # stored as its own basis
+    assert buchberger(rels.columns()).gens == tuple(rels.columns())
     groebner._CACHE.clear()
-    assert rels == syzygies_mod(_XY, b)
+    assert rels == syzygies_mod(_XY, _XY_B)
 
 
-def test_a_corrupted_schreyer_row_is_not_certified(monkeypatch):
+def _corrupt_first_schreyer_row(monkeypatch):
     original = groebner._Completion.sweep
 
     def corrupted(self):  # the first row gains a term on generator 2
@@ -1194,36 +1202,63 @@ def test_a_corrupted_schreyer_row_is_not_certified(monkeypatch):
         return rows
 
     monkeypatch.setattr(groebner._Completion, "sweep", corrupted)
+
+
+def test_a_corrupted_schreyer_row_is_not_certified(monkeypatch):
+    basis = GrobnerBasis(RXY, 1, tuple(_XY.columns()))  # nothing built yet
+    _corrupt_first_schreyer_row(monkeypatch)
+    for _ in range(2):  # nothing uncertified is kept on the basis
+        with pytest.raises(RuntimeError, match="uncertified syzygy"):
+            basis.quotient(vec(RXY, "x"))
+    groebner._CACHE.clear()
     with pytest.raises(RuntimeError, match="uncertified syzygy"):
-        TaggedBasis(_XY)
+        relations(_XY, _XY_B)
 
 
 def test_a_corrupted_quotient_row_is_not_certified(monkeypatch):
-    basis = TaggedBasis(_XY)
     b = PolyMatrix.from_columns(RXY, 1, [vec(RXY, "x*y + x")])
-    original = TaggedBasis.quotient
+    original = GrobnerBasis.quotient
 
     def corrupted(self, v):  # one more multiple of the first generator
         q = original(self, v)
         return [q[0] + Poly.one(RXY)] + q[1:]
 
-    monkeypatch.setattr(TaggedBasis, "quotient", corrupted)
+    monkeypatch.setattr(GrobnerBasis, "quotient", corrupted)
     groebner._CACHE.clear()  # relations are cached per exact (G, b)
     with pytest.raises(RuntimeError, match="uncertified syzygy"):
-        basis.relations(b)
+        relations(_XY, b)
 
 
-def test_a_tagged_quotient_checks_the_rank():
+def test_a_quotient_checks_the_rank():
     with pytest.raises(ValueError, match="rank mismatch"):
-        TaggedBasis(_XY).quotient(vec(RXY, "y", "x"))
+        _xy_basis().quotient(vec(RXY, "y", "x"))
 
 
-def test_a_tagged_basis_must_be_a_groebner_basis():
+def test_a_basis_refuses_a_vector_of_another_ring():
+    # same rank, other ring: the answers would be read off foreign terms
+    g = buchberger([vec(RXY, "x"), vec(RXY, "y")])
+    for v in (vec(ring("a", "b"), "a"), vec(ring("x", "y", "z"), "z + x")):
+        for method in (g.reduce, g.contains, g.normal_form, g.quotient):
+            with pytest.raises(ValueError, match="ring mismatch"):
+                method(v)
+
+
+def test_a_quotient_needs_a_groebner_basis():
     # the S-vector of x*y and x^2 + y leaves y^2, which the sweep would add
-    not_closed = PolyMatrix.from_columns(RXY, 1, [vec(RXY, "x*y"),
-                                                  vec(RXY, "x^2 + y")])
+    not_closed = GrobnerBasis(RXY, 1, (vec(RXY, "x*y"), vec(RXY, "x^2 + y")))
     with pytest.raises(RuntimeError, match="not a Groebner basis"):
-        TaggedBasis(not_closed)
+        not_closed.quotient(vec(RXY, "x*y"))
+
+
+def test_relations_need_the_reduced_basis_in_its_order():
+    # x and y are a Groebner basis, but their reduced basis lists y first
+    # (and a quotient by it would be read in the wrong order)
+    swapped = PolyMatrix.from_columns(RXY, 1, [vec(RXY, "x"), vec(RXY, "y")])
+    non_monic = PolyMatrix.from_columns(RXY, 1, [vec(RXY, "y"),
+                                                 vec(RXY, "2*x")])
+    for g in (swapped, non_monic):
+        with pytest.raises(ValueError, match="reduced basis"):
+            relations(g, PolyMatrix.zeros(RXY, 1, 0))
 
 
 # -- matrices ------------------------------------------------------------------
@@ -1311,8 +1346,14 @@ def test_a_call_that_raises_caches_nothing():
     with pytest.raises(ValueError):
         buchberger(bad)
     # x^2 + y and x*y leave y^2: not a Groebner basis
-    not_groebner = PolyMatrix.from_columns(RXY, 1, [vec(RXY, "x^2 + y"),
-                                                    vec(RXY, "x*y")])
-    with pytest.raises(groebner.NotGroebnerError):
-        tagged_basis(not_groebner)
+    not_groebner = GrobnerBasis(RXY, 1, (vec(RXY, "x^2 + y"),
+                                         vec(RXY, "x*y")))
+    for _ in range(2):  # nor is anything kept on the basis
+        with pytest.raises(RuntimeError, match="not a Groebner basis"):
+            not_groebner.quotient(vec(RXY, "x"))
     assert len(groebner._CACHE) == 0
+    # a column outside the span: the basis of the span stays, the
+    # relations are not stored
+    with pytest.raises(RuntimeError, match="outside the span"):
+        relations(_XY, PolyMatrix.from_columns(RXY, 1, [vec(RXY, "1")]))
+    assert [key[0] for key in groebner._CACHE] == ["gb"]

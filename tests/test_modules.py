@@ -11,7 +11,7 @@ from malgrange.groebner import (PolyMatrix, SpanSolver, Vector, buchberger,
 from malgrange import groebner
 from malgrange.modules import (AnnihilatorIdeal, Element, FPModule, Morphism,
                                annihilator, bass_torsion, cokernel,
-                               direct_sum, dual, eval_map, hom_module,
+                               direct_power, direct_sum, dual, eval_map, hom_module,
                                hom_pre, hom_post, image, is_injective,
                                is_isomorphism, is_surjective, kernel,
                                lift_through, module_annihilator,
@@ -229,8 +229,7 @@ def test_kernel_relations_are_built_on_first_read():
         rels = k.relations
         assert key in groebner._CACHE and k.relations is rels
         groebner._CACHE.clear()
-        assert rels == groebner.tagged_basis(iota.mat).relations(
-            phi.source.relations)
+        assert rels == groebner.relations(iota.mat, phi.source.relations)
 
 
 def test_a_lazy_relation_matrix_is_checked_when_read():
@@ -321,6 +320,52 @@ def test_lift_through_still_raises_certification_failures(monkeypatch):
     monkeypatch.setattr(groebner._Completion, "sweep", corrupted)
     with pytest.raises(RuntimeError, match="uncertified syzygy"):
         lift_through(iota, phi)
+
+
+def test_lift_through_requires_the_reduced_basis_in_its_order():
+    # x and y span a Groebner basis whose reduced basis lists y first; 2*y
+    # is not monic.  Both factor through the span, but a kernel embedding
+    # is the reduced basis itself
+    phi = Morphism(R1XY, R1XY, mat(RXY, [["x*y"]]))
+    for row in (["x", "y"], ["2*y", "x"]):
+        iota = Morphism(R2XY, R1XY, mat(RXY, [row]))
+        with pytest.raises(ValueError, match="requires a kernel embedding"):
+            lift_through(iota, phi)
+    iota = Morphism(R2XY, R1XY, mat(RXY, [["y", "x"]]))
+    assert iota.compose(lift_through(iota, phi)) == phi
+
+
+def test_one_basis_answers_every_quotient_of_a_kernel_embedding(
+        monkeypatch):
+    # kernel, HomModule.encode and lift_through on one embedding G all
+    # divide by buchberger(G.columns()), the basis syzygies_mod stored
+    askers = []
+    original = groebner.GrobnerBasis.quotient
+
+    def recording(self, v):
+        askers.append(self)
+        return original(self, v)
+
+    monkeypatch.setattr(groebner.GrobnerBasis, "quotient", recording)
+    groebner._CACHE.clear()
+    h = hom_module(MOD_XY, MOD_XY)  # builds kernel(rho) and its relations
+    iota = Morphism(h, direct_power(MOD_XY, MOD_XY.ngens), h._emb)
+    identity = Morphism(MOD_XY, MOD_XY, mat(RXY, [["1"]]))
+    assert h.decode(h.encode(identity)) == identity
+    psi = lift_through(iota, iota)
+    assert iota.compose(psi) == iota
+    span = buchberger(h._emb.columns(), ring=RXY, rank=h._emb.nrows)
+    assert span.gens == tuple(h._emb.columns())
+    assert askers and all(a is span for a in askers)
+    assert not any(key[0] == "tagged" for key in groebner._CACHE)
+
+
+def test_an_element_of_another_ring_is_refused():
+    # same rank, other ring: the normal form would read foreign terms
+    with pytest.raises(ValueError, match="ring mismatch"):
+        MOD_X.element(Vector(RXY, [parse_poly("x", RXY)]))
+    with pytest.raises(ValueError, match="ring mismatch"):
+        R1X.element(Vector(RXY, [parse_poly("y", RXY)]))
 
 
 @settings(max_examples=25, deadline=None)

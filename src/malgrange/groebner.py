@@ -19,7 +19,6 @@ exponent tuples.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, field
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import repeat
@@ -218,10 +217,11 @@ def _polys(layout: _Layout, ring: RingSpec, terms: dict, unit, start: int,
     terms largest first, as the reducer leaves them."""
     rows: List[List[Tuple[Monomial, Fraction]]] = [[] for _ in range(count)]
     lo, hi = start << layout.pos_shift, (start + count) << layout.pos_shift
+    num, den = unit.numerator, unit.denominator
     for k, c in terms.items():
         if lo <= k < hi:
             pos, exps = layout.unpack(k)
-            rows[pos - start].append((exps, unit * c))
+            rows[pos - start].append((exps, Fraction(num * c, den)))
     return [Poly(ring, r, _canonical=True) for r in rows]
 
 
@@ -229,6 +229,14 @@ def _vector(layout: _Layout, ring: RingSpec, rank: int, terms: dict,
             unit) -> Vector:
     """The vector unit * terms, tag positions left out."""
     return Vector(ring, _polys(layout, ring, terms, unit, 0, rank))
+
+
+def _monic(basis: "_IntBasis", ring: RingSpec) -> Tuple[Vector, ...]:
+    """The vector part of each element of basis, scaled to lead
+    coefficient 1, read by the layout basis has now."""
+    layout, rank = basis.layout, basis.rank
+    return tuple(_vector(layout, ring, rank, terms, Fraction(1, terms[lead]))
+                 for terms, lead in zip(basis.terms, basis.leads))
 
 
 class _IntBasis:
@@ -658,13 +666,14 @@ class _Completion:
 
 
 def _interreduce(basis: _IntBasis, ring: RingSpec,
-                 ) -> Tuple[_IntBasis, List[Vector], List[List[Poly]]]:
-    """Minimalize, tail-reduce, and normalize to the unique reduced basis.
+                 ) -> Tuple[_IntBasis, Optional[List[List[Poly]]]]:
+    """Minimalize and tail-reduce to the unique reduced basis.
 
-    Returns the integer basis of the result (ascending leads, tagged as
-    basis is), the monic vectors and their cofactor rows A: each
-    element's tag part, scaled as its vector is (empty rows when
-    untagged).
+    Returns the integer basis of the result: ascending leads, tagged as
+    basis is, each element primitive with a positive lead, so that
+    ``_monic`` reads the reduced basis off it.  When basis is tagged, also
+    the cofactor rows A: each element's tag part, scaled as ``_monic``
+    scales its vector; else None.
     """
     layout = basis.layout
     # ascending leads are descending keys; the sort is stable
@@ -682,46 +691,74 @@ def _interreduce(basis: _IntBasis, ring: RingSpec,
                 + minimal.excess)
     layout = minimal.layout
     reduced = _IntBasis(layout, basis.rank, basis.tags)
-    vectors, cofs = [], []
     for i, lead in enumerate(minimal.leads):
         rem, _ = _reduce(dict(minimal.terms[i]), minimal, skip=i)
-        _, prim = _primitive(rem)
-        unit = Fraction(1, prim[lead])
-        reduced.add(prim, lead)
-        vectors.append(_vector(layout, ring, basis.rank, prim, unit))
-        cofs.append(_polys(layout, ring, prim, unit, basis.rank, basis.tags))
-    return reduced, vectors, cofs
+        reduced.add(_primitive(rem)[1], lead)
+    if not basis.tags:
+        return reduced, None
+    return reduced, [_polys(layout, ring, terms, Fraction(1, terms[lead]),
+                            basis.rank, basis.tags)
+                     for terms, lead in zip(reduced.terms, reduced.leads)]
 
 
-@dataclass(frozen=True)
 class GrobnerBasis:
     """Reduced Groebner basis: monic, pairwise irreducible, sorted ascending.
 
-    Keeps the integer form of its elements, converted once, untagged and
-    primitive on the vector, for ``reduce`` and ``contains``; ``quotient``
-    and ``relations`` build, on first use, the identity-tagged basis:
-    element i is [G_i; e_i] (see ``_IntBasis``), so the tag part of what a
-    vector leaves against it counts the multiples of each G_i the division
-    took.  Building it runs the final sweep of a ``_Completion`` on it,
-    which must add nothing (certifying that gens are a Groebner basis);
-    the tag part of each same-position S-vector it reduces to zero is one
-    of Schreyer's rows, which generate the relations among gens (Eisenbud,
-    *Commutative Algebra*, Thm. 15.10), and each must multiply out to
-    zero.  Either failure raises ``RuntimeError`` and keeps nothing.
+    Keeps the integer form of its elements, untagged and primitive on the
+    vector, for ``reduce`` and ``contains``.  A completion hands over that
+    form (``_of``) and gens, the monic vectors, are built from it on first
+    read; ``GrobnerBasis(ring, rank, gens)`` packs the given gens once.
+    ``quotient`` and ``relations`` build, on first use, the
+    identity-tagged basis: element i is [G_i; e_i] (see ``_IntBasis``),
+    so the tag part of what a vector leaves against it counts the
+    multiples of each G_i the division took.  Building it runs the final
+    sweep of a ``_Completion`` on it, which must add nothing (certifying
+    that gens are a Groebner basis); the tag part of each same-position
+    S-vector it reduces to zero is one of Schreyer's rows, which generate
+    the relations among gens (Eisenbud, *Commutative Algebra*, Thm.
+    15.10), and each must multiply out to zero.  Either failure raises
+    ``RuntimeError`` and keeps nothing.
     """
 
-    ring: RingSpec
-    rank: int
-    gens: Tuple[Vector, ...]
-    _basis: Optional[_IntBasis] = field(default=None, repr=False,
-                                        compare=False)
-    _tagged: Optional[Tuple[_IntBasis, Tuple[Vector, ...]]] = field(
-        default=None, init=False, repr=False, compare=False)
+    __slots__ = ("ring", "rank", "_gens", "_basis", "_tagged")
 
-    def __post_init__(self):
-        if self._basis is None:
-            object.__setattr__(self, "_basis",
-                               _IntBasis.of(self.ring, self.gens, self.rank))
+    def __init__(self, ring: RingSpec, rank: int, gens: Sequence[Vector]):
+        gens = tuple(gens)
+        self._set(ring, rank, gens, _IntBasis.of(ring, gens, rank))
+
+    @classmethod
+    def _of(cls, ring: RingSpec, rank: int,
+            basis: _IntBasis) -> "GrobnerBasis":
+        """The reduced basis whose integer form is basis, untagged, each
+        element primitive with a positive lead (``_interreduce``)."""
+        gb = cls.__new__(cls)
+        gb._set(ring, rank, None, basis)
+        return gb
+
+    def _set(self, ring: RingSpec, rank: int,
+             gens: Optional[Tuple[Vector, ...]], basis: _IntBasis) -> None:
+        for name, value in (("ring", ring), ("rank", rank), ("_gens", gens),
+                            ("_basis", basis), ("_tagged", None)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, *_):
+        raise AttributeError("GrobnerBasis is immutable")
+
+    @property
+    def gens(self) -> Tuple[Vector, ...]:
+        if self._gens is None:
+            object.__setattr__(self, "_gens", _monic(self._basis, self.ring))
+        return self._gens
+
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, GrobnerBasis) and self.ring == other.ring
+                and self.rank == other.rank and self.gens == other.gens)
+
+    def __hash__(self) -> int:
+        return hash((self.ring, self.rank, self.gens))
+
+    def __repr__(self) -> str:
+        return f"GrobnerBasis({self.ring}, {self.rank}, {self})"
 
     def _check(self, v: Vector) -> None:
         if v.rank != self.rank:
@@ -760,9 +797,20 @@ class GrobnerBasis:
         """The identity-tagged basis and Schreyer's rows, built and
         certified on first use (see the class docstring)."""
         if self._tagged is None:
-            ring, rank, count = self.ring, self.rank, len(self.gens)
-            basis = _IntBasis.of(ring, self.gens, rank,
-                                 PolyMatrix.identity(ring, count).rows, count)
+            ring, rank, gens, own = (self.ring, self.rank, self.gens,
+                                     self._basis)
+            count, layout = len(gens), own.layout
+            basis = _IntBasis(layout, rank, count)
+            one = (0,) * ring.nvars
+            for i, (g, terms, lead) in enumerate(zip(gens, own.terms,
+                                                     own.leads)):
+                # g = u * terms, so [g; e_i] is u * [terms; e_i / u]; its
+                # tag term 1 / u is the lead coefficient for a monic g,
+                # else a fraction whose denominator scales the whole
+                tag = terms[lead] / g.leading()[2]
+                scaled = {k: tag.denominator * c for k, c in terms.items()}
+                scaled[layout.pack(rank + i, one)] = tag.numerator
+                basis.add(scaled, lead)
             rows = _Completion(basis).sweep()
             if len(basis) != count:
                 raise RuntimeError("the basis is not a Groebner basis")
@@ -859,26 +907,27 @@ def _buchberger_core(gens: Sequence[Vector], ring: Optional[RingSpec],
         if track:
             v = Vector(ring, v.entries + Vector.unit(ring, m, i).entries)
         state.reduce(state.basis.pack(v)[1])
-    reduced, vectors, cofs, rows = _complete(state, ring)
+    reduced, cofs, rows = _complete(state, ring)
     if not track:
-        return GrobnerBasis(ring, rank, tuple(vectors), reduced), None, None
-    return (GrobnerBasis(ring, rank, tuple(vectors)), cofs,
+        return GrobnerBasis._of(ring, rank, reduced), None, None
+    return (GrobnerBasis(ring, rank, _monic(reduced, ring)), cofs,
             [_polys(layout, ring, rem, s, rank, m) for layout, rem, s in rows])
 
 
 def _complete(state: _Completion, ring: RingSpec,
-              ) -> Tuple[_IntBasis, List[Vector], List[List[Poly]], list]:
+              ) -> Tuple[_IntBasis, Optional[List[List[Poly]]], list]:
     """Run state to its reduced basis: process the pending pairs,
     interreduce, and sweep the candidate, resuming the candidate's own
     completion while a sweep adds an element.  Returns ``_interreduce``'s
-    (basis, vectors, cofactor rows) and the rows of the final sweep."""
+    (basis, cofactor rows) and the rows of the final sweep."""
     while True:
         state.run()
-        reduced, vectors, cofs = _interreduce(state.basis, ring)
+        reduced, cofs = _interreduce(state.basis, ring)
+        count = len(reduced)
         state = _Completion(reduced)
         rows = state.sweep()
-        if len(reduced) == len(vectors):  # the sweep added nothing
-            return reduced, vectors, cofs, rows
+        if len(reduced) == count:  # the sweep added nothing
+            return reduced, cofs, rows
 
 
 # -- syzygies and membership ------------------------------------------------------
@@ -1063,6 +1112,10 @@ class PolyMatrix:
         rows = tuple(tuple(row) for row in rows)
         if len(rows) != nrows or any(len(r) != ncols for r in rows):
             raise ValueError("matrix shape mismatch")
+        for row in rows:  # entries mostly share the ring object itself
+            for p in row:
+                if p.ring is not ring and p.ring != ring:
+                    raise ValueError("ring mismatch")
         object.__setattr__(self, "rows", rows)
 
     def __setattr__(self, *_):
@@ -1176,13 +1229,17 @@ class PolyMatrix:
 
     @staticmethod
     def kron(a: "PolyMatrix", b: "PolyMatrix") -> "PolyMatrix":
+        if a.ring != b.ring:
+            raise ValueError("ring mismatch")
+        z = Poly.zero(a.ring)
         rows = []
         for i in range(a.nrows):
             for k in range(b.nrows):
                 row = []
                 for j in range(a.ncols):
                     for l in range(b.ncols):
-                        row.append(a.rows[i][j] * b.rows[k][l])
+                        x, y = a.rows[i][j], b.rows[k][l]
+                        row.append(x * y if x.terms and y.terms else z)
                 rows.append(tuple(row))
         return PolyMatrix(a.ring, a.nrows * b.nrows, a.ncols * b.ncols,
                           tuple(rows))
@@ -1242,12 +1299,21 @@ def _eliminate(a: PolyMatrix, b: PolyMatrix) -> GrobnerBasis:
     k x n: the c of the elements [0; c] of ``_elimination(a, b)``, those
     leading in its last n positions, which have the lowest priority in
     position over term (the Elimination Theorem, in module form): nothing
-    is re-completed."""
+    is re-completed.
+
+    The projection stays packed: such an element has no term before
+    position k, so taking k << pos_shift off each key moves it to [c],
+    and the other elements are never read."""
     k = a.nrows
-    return GrobnerBasis(a.ring, a.ncols,
-                        tuple(Vector(a.ring, w.entries[k:])
-                              for w in _elimination(a, b).gens
-                              if w.leading()[0] >= k))
+    full = _elimination(a, b)._basis
+    layout = full.layout
+    shift = k << layout.pos_shift
+    basis = _IntBasis(layout, a.ncols)
+    for terms, lead in zip(full.terms, full.leads):
+        if lead >= shift:
+            basis.add({key - shift: c for key, c in terms.items()},
+                      lead - shift)
+    return GrobnerBasis._of(a.ring, a.ncols, basis)
 
 
 def _elimination(a: PolyMatrix, b: PolyMatrix) -> GrobnerBasis:
@@ -1290,8 +1356,7 @@ def _seeded_completion(gens: Tuple[Vector, ...], count: int,
     state = _Completion(start._basis.padded(rank))
     for v in gens[:count]:
         state.reduce(state.basis.pack(v)[1])
-    reduced, vectors, _, _ = _complete(state, ring)
-    gb = GrobnerBasis(ring, rank, tuple(vectors), reduced)
+    gb = GrobnerBasis._of(ring, rank, _complete(state, ring)[0])
     for v in gens:
         if not v.is_zero() and not gb.contains(v):
             raise RuntimeError("an input escaped its elimination basis")

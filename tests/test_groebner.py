@@ -1261,6 +1261,101 @@ def test_relations_need_the_reduced_basis_in_its_order():
             relations(g, PolyMatrix.zeros(RXY, 1, 0))
 
 
+# -- the integer form a basis keeps ----------------------------------------------
+
+def _unpacked(basis):
+    """basis's leads and term lists, keys unpacked to (position, exponents),
+    so that bases packed by different layouts compare."""
+    unpack = basis.layout.unpack
+    return ([unpack(lead) for lead in basis.leads],
+            [[(unpack(k), c) for k, c in terms.items()]
+             for terms in basis.terms])
+
+
+def _eager_gens(gb):
+    """gb's elements converted now, each by the ring's own constructor,
+    divided by its lead coefficient."""
+    basis, r = gb._basis, gb.ring
+    out = []
+    for terms, lead in zip(basis.terms, basis.leads):
+        entries = [[] for _ in range(basis.rank)]
+        for k, c in terms.items():
+            pos, exps = basis.layout.unpack(k)
+            entries[pos].append((exps, Fraction(c, terms[lead])))
+        out.append(Vector(r, [Poly(r, e) for e in entries]))
+    return tuple(out)
+
+
+def _repacked_identity_tagged(gb):
+    count = len(gb.gens)
+    return groebner._IntBasis.of(gb.ring, gb.gens, gb.rank,
+                                 PolyMatrix.identity(gb.ring, count).rows,
+                                 count)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**30), st.sampled_from([RX, RXY, R3]),
+       st.booleans())
+def test_the_integer_form_matches_the_rational_one(seed, r, widen):
+    # the projection of an elimination is taken on packed keys, its gens
+    # are built when first read, by the layout the basis has then, and
+    # the identity-tagged basis is built from the integer form: each must
+    # agree with packing the rational vectors anew
+    rng = random.Random(seed)
+    a, b = _syzygy_case(r, rng, "random")
+    k = a.nrows
+    groebner._CACHE.clear()
+    full = groebner._elimination(a, b)
+    proj = groebner._eliminate(a, b)
+    eager = _eager_gens(proj)
+    if widen:  # a dividend past the layout re-packs the basis first
+        top = proj._basis.layout.top
+        big = Vector.unit(r, a.ncols, 0).poly_mul(
+            parse_poly(f"x^{top + 1}", r))
+        proj.contains(big)
+        assert proj._basis.layout.top > top
+    assert proj._gens is None
+    assert proj.gens == eager
+    projected = [Vector(r, w.entries[k:]) for w in full.gens
+                 if w.leading()[0] >= k]
+    assert proj.gens == tuple(projected)
+    if projected:
+        want = groebner._IntBasis.of(r, projected, a.ncols)
+        assert _unpacked(proj._basis) == _unpacked(want)
+    # monic, as a completion leaves them, and scaled by test-chosen
+    # rationals, as a basis built from given gens may be
+    scales = [Fraction(rng.choice([-3, -1, 1, 2, 5]), rng.randint(1, 4))
+              for _ in proj.gens]
+    for gb in (proj, GrobnerBasis(r, a.ncols, tuple(
+            g.scale(c) for g, c in zip(proj.gens, scales)))):
+        got = gb._identity_tagged()[0]
+        assert _unpacked(got) == _unpacked(_repacked_identity_tagged(gb))
+
+
+def test_syzygies_mod_converts_only_the_projection(monkeypatch):
+    # the elements of the elimination basis that lead before position k
+    # are never read as vectors: the projection is taken on packed keys
+    a = PolyMatrix.from_columns(RXY, 2, [vec(RXY, "x", "y"),
+                                         vec(RXY, "y^2", "x - 1")])
+    b = PolyMatrix.from_columns(RXY, 2, [vec(RXY, "x^2 - y", "x")])
+    converted = []
+    original = groebner._vector
+
+    def recording(*args):
+        v = original(*args)
+        converted.append(v)
+        return v
+
+    groebner._CACHE.clear()
+    monkeypatch.setattr(groebner, "_vector", recording)
+    assert syzygies_mod(a, b).ncols > 0
+    monkeypatch.undo()
+    outside = [w for w in groebner._elimination(a, b).gens
+               if w.leading()[0] < a.nrows]
+    assert outside
+    assert not [w for w in outside if w in converted]
+
+
 # -- matrices ------------------------------------------------------------------
 
 def test_matrix_algebra():
@@ -1272,6 +1367,29 @@ def test_matrix_algebra():
     assert m.transpose().transpose() == m
     kron = PolyMatrix.kron(ident, m)
     assert kron.nrows == 4 and kron.ncols == 4
+
+
+def test_kron_has_every_product_of_entries():
+    m = PolyMatrix(RXY, 2, 2, [[parse_poly(t, RXY) for t in row] for row
+                               in (("x - 1", "0"), ("1/2*y", "x*y"))])
+    for a, b in ((PolyMatrix.identity(RXY, 3), m),
+                 (m, PolyMatrix.identity(RXY, 2)), (m, m)):
+        kron = PolyMatrix.kron(a, b)
+        assert [list(row) for row in kron.rows] == [
+            [a.at(i, j) * b.at(k, l) for j in range(a.ncols)
+             for l in range(b.ncols)]
+            for i in range(a.nrows) for k in range(b.nrows)]
+
+
+def test_a_matrix_refuses_an_entry_of_another_ring():
+    v = vec(ring("a", "b"), "a")
+    with pytest.raises(ValueError, match="ring mismatch"):
+        PolyMatrix.from_columns(RXY, 1, [v])
+    with pytest.raises(ValueError, match="ring mismatch"):
+        PolyMatrix(RXY, 1, 1, [[parse_poly("x", RX)]])
+    # an equal ring built anew is the same ring
+    assert PolyMatrix.from_columns(ring("x", "y"), 1, [vec(RXY, "x")]).rows \
+        == ((parse_poly("x", RXY),),)
 
 
 def test_matrix_str_roundtrip():

@@ -21,7 +21,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from itertools import repeat
+from itertools import chain, repeat
 from math import gcd
 from operator import and_, lshift, rshift
 from typing import (Callable, Iterable, List, Optional, Sequence, Tuple,
@@ -95,17 +95,24 @@ class _Layout:
         """key, packed by old, packed by this layout."""
         return self.pack(*old.unpack(key))
 
+    def shift(self, exps: Monomial) -> int:
+        """What adding to a key multiplies its term by x^exps, as long as
+        the product's degree stays at most top."""
+        return (sum(map(lshift, exps, self.shifts))
+                - (sum(exps) << self.deg_shift))
 
-def _degree(v: "Vector") -> int:
-    """The largest total degree of a term of v, 0 when v is zero: each
-    entry lists a term of its largest degree first."""
-    return max((sum(p.terms[0][0]) for p in v.entries if p.terms), default=0)
+
+def _degree(polys: Iterable[Poly]) -> int:
+    """The largest total degree of a term of the polys, 0 when all are
+    zero: each lists a term of its largest degree first."""
+    return max((sum(p.terms[0][0]) for p in polys if p.terms), default=0)
 
 
 class Vector:
-    """Element of the free module R^k, stored as a k-tuple of polynomials."""
+    """Element of the free module R^k, stored as a k-tuple of polynomials;
+    its hash is kept in ``_hash`` on first use, as ``Poly``'s is."""
 
-    __slots__ = ("ring", "entries")
+    __slots__ = ("ring", "entries", "_hash")
 
     def __init__(self, ring: RingSpec, entries: Iterable[Poly]):
         object.__setattr__(self, "ring", ring)
@@ -176,7 +183,12 @@ class Vector:
                 and self.entries == other.entries)
 
     def __hash__(self) -> int:
-        return hash((self.ring, self.entries))
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash((self.ring, self.entries))
+            object.__setattr__(self, "_hash", h)
+            return h
 
     def __str__(self) -> str:
         return "[" + ", ".join(str(p) for p in self.entries) + "]"
@@ -280,8 +292,8 @@ class _IntBasis:
         if rows is not None:
             vectors = [Vector(ring, v.entries + tuple(row))
                        for v, row in zip(vectors, rows)]
-        basis = _IntBasis(_Layout(ring.nvars, max(map(_degree, vectors),
-                                                  default=0)), rank, tags)
+        basis = _IntBasis(_Layout(ring.nvars, max(
+            (_degree(v.entries) for v in vectors), default=0)), rank, tags)
         for v in vectors:
             terms = _scaled_ints(v, basis.layout)[1]
             lead = next(iter(terms), None)
@@ -342,7 +354,7 @@ class _IntBasis:
     def pack(self, v: Vector) -> Tuple[Fraction, dict]:
         """``_scaled_ints`` of v by layout, widened first if v's degree
         needs it, so the result can be reduced against this basis."""
-        self.fit(_degree(v))
+        self.fit(_degree(v.entries))
         return _scaled_ints(v, self.layout)
 
 
@@ -418,6 +430,78 @@ def _remainder(v: Vector, basis: _IntBasis) -> Tuple[dict, Fraction]:
     v's degree needs it."""
     unit, p = basis.pack(v)
     return _reduce(p, basis, unit)
+
+
+class _Packed:
+    """A matrix a packed once by a layout, for products in the integer
+    layer: a is unit times the integer matrix A whose column j lists its
+    terms as (key, coefficient) in cols[j].
+
+    Multiplying A by an integer vector adds, for each term x^e of its entry
+    j, ``layout.shift(e)`` to the key of each term of A's column j: no term
+    is unpacked and no ``Fraction`` is built.  Every product must have
+    degree at most layout.top.  The certificates below (syzygy columns,
+    ``Morphism`` relations, quotient rows, Schreyer's rows and
+    ``solve_mod``'s solution) are all formed this way, then reduced or
+    compared exactly.
+    """
+
+    __slots__ = ("layout", "unit", "cols")
+
+    def __init__(self, a: "PolyMatrix", layout: _Layout):
+        pack = layout.pack
+        self.layout = layout
+        self.unit, ints = scaled_ints([((j, pack(i, exps)), c)
+                                       for i, row in enumerate(a.rows)
+                                       for j, p in enumerate(row)
+                                       for exps, c in p.terms])
+        self.cols: List[List[Tuple[int, int]]] = [[] for _ in range(a.ncols)]
+        for (j, key), c in ints.items():
+            self.cols[j].append((key, c))
+
+    def times(self, terms: Iterable[Tuple[int, int]], old: _Layout,
+              start: int = 0, factor: int = 1,
+              acc: Optional[dict] = None) -> dict:
+        """acc (else an empty dict) plus factor * A * c, keyed by layout.
+
+        c is the integer vector read off terms: each (key, coefficient),
+        with key packing x^e * e_(start + j) by old, is the term
+        coefficient * x^e of c's entry j.  Coefficients that cancel stay
+        as zeros."""
+        layout, pos_shift = self.layout, old.pos_shift
+        if old.width == layout.width:  # one packing: the low bits are x^e
+            low, base = (1 << pos_shift) - 1, layout.top << layout.deg_shift
+            factors = [((k >> pos_shift) - start, (k & low) - base, c)
+                       for k, c in terms]
+        else:
+            factors = [((k >> pos_shift) - start, layout.shift(old.exps(k)),
+                        c) for k, c in terms]
+        acc = {} if acc is None else acc
+        get, cols = acc.get, self.cols
+        for j, shift, c in factors:
+            c *= factor
+            for key, a in cols[j]:
+                key += shift
+                acc[key] = get(key, 0) + c * a
+        return acc
+
+    def residual(self, v: Vector, unit: Fraction,
+                 terms: Iterable[Tuple[int, int]], old: _Layout,
+                 start: int = 0) -> dict:
+        """A nonzero multiple of v - a * (unit * c), keyed by layout, with c
+        read off terms as ``times`` reads it."""
+        v_unit, ints = _scaled_ints(v, self.layout)
+        r = self.unit * unit / v_unit
+        return self.times(terms, old, start, -r.numerator,
+                          {k: r.denominator * c for k, c in ints.items()})
+
+
+def _packed_for(a: "PolyMatrix", degree: int, target: _IntBasis) -> _Packed:
+    """a packed by target's layout, widened first so that a product of a
+    by a vector of degree at most degree packs and reduces against target
+    (``_IntBasis.fit``)."""
+    target.fit(_degree(chain.from_iterable(a.rows)) + degree)
+    return _Packed(a, target.layout)
 
 
 def divide(v: Vector, basis: Sequence[Vector]) -> Tuple[Vector, List[Poly]]:
@@ -782,6 +866,25 @@ class GrobnerBasis:
         self._check(v)
         return not _remainder(v, self._basis)[0]
 
+    def first_product_outside(self, a: "PolyMatrix",
+                              c: "PolyMatrix") -> Optional[int]:
+        """The index j of the first column c_j of c with a * c_j outside
+        the span, or None: each product is formed in the integer layer,
+        with a and c each packed once (``_Packed``), and reduced."""
+        if a.nrows != self.rank or a.ncols != c.nrows:
+            raise ValueError("shape mismatch")
+        if a.ring != self.ring or c.ring != self.ring:
+            raise ValueError("ring mismatch")
+        if not c.ncols:
+            return None
+        target = self._basis
+        packed = _packed_for(a, _degree(chain.from_iterable(c.rows)), target)
+        layout = target.layout
+        for j, col in enumerate(_Packed(c, layout).cols):
+            if _reduce(packed.times(col, layout), target)[0]:
+                return j
+        return None
+
     def quotient(self, v: Vector) -> Optional[List[Poly]]:
         """q with sum(q[i] * gens[i]) = v, read off one division of v by
         gens, or None when v lies outside their span: reducing [-v; 0]
@@ -789,7 +892,7 @@ class GrobnerBasis:
         v = sum(q[i] * gens[i]) - r."""
         self._check(v)
         tagged = Vector(self.ring, (-v).entries
-                        + Vector.zero(self.ring, len(self.gens)).entries)
+                        + Vector.zero(self.ring, len(self._basis)).entries)
         return _tag_part(tagged, self._identity_tagged()[0], self.ring,
                          self.rank)
 
@@ -817,8 +920,14 @@ class GrobnerBasis:
             schreyer = tuple(Vector(ring, _polys(layout, ring, rem, s, rank,
                                                  count))
                              for layout, rem, s in rows)
-            g = PolyMatrix.from_columns(ring, rank, self.gens)
-            if not all(g.mul_vec(row).is_zero() for row in schreyer):
+            # every row times gens, from its integer tag part
+            degree = max((layout.max_degree(rem) for layout, rem, _ in rows
+                          if rem), default=0)
+            g = PolyMatrix.from_columns(ring, rank, gens)
+            packed = _Packed(g, _Layout(ring.nvars, _degree(
+                chain.from_iterable(g.rows)) + degree))
+            if any(any(packed.times(rem.items(), layout, rank).values())
+                   for layout, rem, _ in rows):
                 raise RuntimeError("uncertified syzygy")
             object.__setattr__(self, "_tagged", (basis, schreyer))
         return self._tagged
@@ -900,7 +1009,7 @@ def _buchberger_core(gens: Sequence[Vector], ring: Optional[RingSpec],
         if v.rank != rank:
             raise ValueError("rank mismatch")
 
-    layout = _Layout(ring.nvars, max((_degree(v) for _, v in seeds),
+    layout = _Layout(ring.nvars, max((_degree(v.entries) for _, v in seeds),
                                      default=0))
     state = _Completion(_IntBasis(layout, rank, m if track else 0))
     for i, v in seeds:
@@ -932,16 +1041,26 @@ def _complete(state: _Completion, ring: RingSpec,
 
 # -- syzygies and membership ------------------------------------------------------
 
-def _tag_part(v: Vector, basis: _IntBasis, ring: RingSpec,
-              start: int) -> Optional[List[Poly]]:
-    """The entries from position start on of what v leaves against basis,
-    or None when an entry before start is not zero.  start is the first
-    tag position: basis.rank for a tagged basis, k for the elimination
-    basis of a k-row matrix (``_elimination``)."""
+def _tag_remainder(v: Vector, basis: _IntBasis,
+                   start: int) -> Optional[Tuple[dict, Fraction]]:
+    """(rem, s) of ``_remainder`` for v, or None when rem has a term before
+    position start.  start is the first tag position: basis.rank for a
+    tagged basis, k for the elimination basis of a k-row matrix
+    (``_elimination``)."""
     rem, scale = _remainder(v, basis)
     if rem and next(iter(rem)) >> basis.layout.pos_shift < start:
         return None
-    return _polys(basis.layout, ring, rem, scale, start,
+    return rem, scale
+
+
+def _tag_part(v: Vector, basis: _IntBasis, ring: RingSpec,
+              start: int) -> Optional[List[Poly]]:
+    """The entries from position start on of what v leaves against basis,
+    or None when an entry before start is not zero (``_tag_remainder``)."""
+    left = _tag_remainder(v, basis, start)
+    if left is None:
+        return None
+    return _polys(basis.layout, ring, left[0], left[1], start,
                   basis.rank + basis.tags - start)
 
 
@@ -1049,10 +1168,11 @@ def relations(g: "PolyMatrix", b: "PolyMatrix") -> "PolyMatrix":
     as it is for a kernel embedding, where ``syzygies_mod`` stored it.
     Schreyer's rows of G and the quotient q_j of each column b_j generate
     the answer: if G c = b d, then c - sum(d[j] * q_j) is a relation among
-    G.  Every quotient row is multiplied out again and must give its
-    column; ``buchberger`` of all the rows gives the reduced basis, also
-    stored as ``buchberger`` of its own elements (the relation basis of
-    the kernel module).  Computed once per exact (g, b) (``cached``).
+    G.  Every quotient row is multiplied out again (``_Packed``, g packed
+    once) and must give its column exactly; ``buchberger`` of all the rows
+    gives the reduced basis, also stored as ``buchberger`` of its own
+    elements (the relation basis of the kernel module).  Computed once per
+    exact (g, b) (``cached``).
 
     It answers what ``syzygies_mod(g, b)`` answers without a second
     elimination: on the kernels of ``verify --all`` that elimination, at
@@ -1068,12 +1188,21 @@ def relations(g: "PolyMatrix", b: "PolyMatrix") -> "PolyMatrix":
             raise ValueError("relations need the reduced basis of a span, "
                              "in its order")
         rows = list(span._identity_tagged()[1])
+        quotients = []
         for col in b.columns():
             q = span.quotient(col)
             if q is None:
                 raise RuntimeError("a column lies outside the span")
-            row = Vector(ring, q)
-            if g.mul_vec(row) != col:
+            quotients.append((col, Vector(ring, q)))
+        degree = max((_degree(row.entries) for _, row in quotients),
+                     default=0)
+        layout = _Layout(ring.nvars, max(
+            _degree(chain.from_iterable(b.rows)),
+            _degree(chain.from_iterable(g.rows)) + degree))
+        packed = _Packed(g, layout)
+        for col, row in quotients:
+            unit, ints = _scaled_ints(row, layout)
+            if any(packed.residual(col, unit, ints.items(), layout).values()):
                 raise RuntimeError("uncertified syzygy")
             rows.append(row)
         gb = buchberger(rows, ring=ring, rank=count)
@@ -1100,9 +1229,10 @@ def syzygies(gens: Sequence[Vector], ring: RingSpec,
 # -- polynomial matrices -----------------------------------------------------------
 
 class PolyMatrix:
-    """Immutable matrix over the polynomial ring; rows-major storage."""
+    """Immutable matrix over the polynomial ring; rows-major storage.  Its
+    hash is kept in ``_hash`` on first use, as ``Poly``'s is."""
 
-    __slots__ = ("ring", "nrows", "ncols", "rows")
+    __slots__ = ("ring", "nrows", "ncols", "rows", "_hash")
 
     def __init__(self, ring: RingSpec, nrows: int, ncols: int,
                  rows: Iterable[Iterable[Poly]]):
@@ -1250,7 +1380,12 @@ class PolyMatrix:
                 and self.rows == other.rows)
 
     def __hash__(self) -> int:
-        return hash((self.ring, self.nrows, self.ncols, self.rows))
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash((self.ring, self.nrows, self.ncols, self.rows))
+            object.__setattr__(self, "_hash", h)
+            return h
 
     def __str__(self) -> str:
         return ("[" + ", ".join("[" + ", ".join(str(p) for p in row) + "]"
@@ -1265,10 +1400,11 @@ def syzygies_mod(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
 
     They are the reduced basis of that submodule, read off one seeded
     elimination (``_eliminate``): no cofactors are tracked and nothing is
-    re-completed.  Each column c is multiplied out again, and a*c must
-    reduce to zero against the basis of b.  The result is computed once
-    per exact (a, b) (``cached``), and its columns are also stored as
-    ``buchberger`` of themselves.
+    re-completed.  Each column c is multiplied out again from its integer
+    form, a packed once (``_Packed``), and a*c must reduce to zero against
+    the basis of b.  The result is computed once per exact (a, b)
+    (``cached``), and its columns are also stored as ``buchberger`` of
+    themselves.
     """
     if a.nrows != b.nrows:
         raise ValueError("row count mismatch")
@@ -1276,9 +1412,12 @@ def syzygies_mod(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
 
     def build() -> PolyMatrix:
         gb = _eliminate(a, b)
-        span = buchberger(b.columns(), ring=ring, rank=b.nrows)
-        for c in gb.gens:
-            if not span.contains(a.mul_vec(c)):
+        own = gb._basis
+        target = buchberger(b.columns(), ring=ring, rank=b.nrows)._basis
+        packed = _packed_for(a, max(map(own.layout.max_degree, own.terms),
+                                    default=0), target)
+        for terms in own.terms:
+            if _reduce(packed.times(terms.items(), own.layout), target)[0]:
                 raise RuntimeError("uncertified syzygy")
         cached(_gb_key(gb.gens, ring, a.ncols), lambda: gb)
         return PolyMatrix.from_columns(ring, a.ncols, list(gb.gens))
@@ -1303,8 +1442,11 @@ def _eliminate(a: PolyMatrix, b: PolyMatrix) -> GrobnerBasis:
 
     The projection stays packed: such an element has no term before
     position k, so taking k << pos_shift off each key moves it to [c],
-    and the other elements are never read."""
+    and the other elements are never read.  For k = 0 it is the identity,
+    and the elimination basis itself is returned."""
     k = a.nrows
+    if not k:
+        return _elimination(a, b)
     full = _elimination(a, b)._basis
     layout = full.layout
     shift = k << layout.pos_shift
@@ -1350,33 +1492,52 @@ def _seeded_completion(gens: Tuple[Vector, ...], count: int,
     element of gens must reduce to zero against the result, which then
     spans the module gens generate.  The check takes gens rather than
     start's own elements: it trusts nothing of start, and relation columns
-    are often of lower degree than their reduced basis.
+    are often of lower degree than their reduced basis.  Each of gens is
+    packed once: gens[:count] when they enter, a copy of which is checked,
+    re-keyed only if the basis was widened since; the others at the check.
     """
     ring, rank = start.ring, start.rank + count
     state = _Completion(start._basis.padded(rank))
+    entered = []
     for v in gens[:count]:
-        state.reduce(state.basis.pack(v)[1])
-    gb = GrobnerBasis._of(ring, rank, _complete(state, ring)[0])
-    for v in gens:
-        if not v.is_zero() and not gb.contains(v):
+        p = state.basis.pack(v)[1]
+        entered.append((state.basis.layout, dict(p)))
+        state.reduce(p)
+    final = _complete(state, ring)[0]
+    for old, p in entered:
+        final.fit(old.max_degree(p) if p else 0)
+        new = final.layout
+        if new.width != old.width:
+            p = {new.repack(k, old): c for k, c in p.items()}
+        if _reduce(p, final)[0]:
             raise RuntimeError("an input escaped its elimination basis")
-    return gb
+    for v in gens[count:]:
+        if not v.is_zero() and _remainder(v, final)[0]:
+            raise RuntimeError("an input escaped its elimination basis")
+    return GrobnerBasis._of(ring, rank, final)
 
 
 def solve_mod(v: Vector, a: PolyMatrix, b: PolyMatrix) -> Optional[List[Poly]]:
     """Coefficients c with a*c = v modulo the column span of b, or None.
 
     [-v; 0] leaves its normal form [r; c] against ``_elimination(a, b)``
-    (``_tag_part``): r is zero exactly when a c exists.  v - a*c must
+    (``_tag_remainder``): r is zero exactly when a c exists.  v - a*c,
+    formed from c's integer form with a packed once (``_Packed``), must
     reduce to zero against the basis of b."""
     if a.nrows != b.nrows or v.rank != a.nrows:
         raise ValueError("shape mismatch")
     ring, k, n = a.ring, a.nrows, a.ncols
-    c = _tag_part(Vector(ring, (-v).entries + (Poly.zero(ring),) * n),
-                  _elimination(a, b)._basis, ring, k)
-    if c is None:
+    elim = _elimination(a, b)._basis
+    left = _tag_remainder(Vector(ring, (-v).entries + (Poly.zero(ring),) * n),
+                          elim, k)
+    if left is None:
         return None
-    if not buchberger(b.columns(), ring=ring, rank=k).contains(
-            v - a.mul_vec(Vector(ring, c))):
+    rem, scale = left
+    old = elim.layout
+    target = buchberger(b.columns(), ring=ring, rank=k)._basis
+    target.fit(_degree(v.entries))
+    packed = _packed_for(a, old.max_degree(rem) if rem else 0, target)
+    residual = packed.residual(v, scale, rem.items(), old, k)
+    if _reduce(residual, target)[0]:
         raise RuntimeError("uncertified solution")
-    return c
+    return _polys(old, ring, rem, scale, k, n)

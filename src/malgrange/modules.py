@@ -153,7 +153,8 @@ class Morphism:
     """Module map source -> target given by a matrix acting on column vectors.
 
     The constructor verifies that every relation of the source is sent into
-    the relation span of the target, so instances are always well defined.
+    the relation span of the target (``GrobnerBasis.first_product_outside``),
+    so instances are always well defined.
     """
 
     __slots__ = ("source", "target", "mat")
@@ -165,12 +166,11 @@ class Morphism:
         if mat.ring != source.ring or source.ring != target.ring:
             raise ValueError("morphism ring mismatch")
         if not _checked:
-            for j in range(source.relations.ncols):
-                img = mat.mul_vec(source.relations.column(j))
-                if not target.gb.contains(img):
-                    raise ValueError(
-                        "matrix does not define a morphism: relation "
-                        f"{j} is not sent into the target relations")
+            j = target.gb.first_product_outside(mat, source.relations)
+            if j is not None:
+                raise ValueError(
+                    "matrix does not define a morphism: relation "
+                    f"{j} is not sent into the target relations")
         self.source = source
         self.target = target
         self.mat = mat

@@ -21,9 +21,22 @@ _ONE = Fraction(1)
 
 @dataclass(frozen=True)
 class RingSpec:
-    """The commutative polynomial ring over Q in the named variables."""
+    """The commutative polynomial ring over Q in the named variables.
+
+    Equal when the names are; most comparisons are of one ring object with
+    itself, so identity is tested first."""
 
     var_names: Tuple[str, ...]
+
+    def __eq__(self, other) -> bool:
+        if self is other:
+            return True
+        if not isinstance(other, RingSpec):
+            return NotImplemented
+        return self.var_names == other.var_names
+
+    def __hash__(self) -> int:
+        return hash(self.var_names)
 
     def __post_init__(self):
         if len(self.var_names) < 1:
@@ -127,9 +140,13 @@ def scaled_ints(terms: Sequence[Tuple[_K, Fraction]],
 # -- polynomials ---------------------------------------------------------------
 
 class Poly:
-    """Immutable polynomial in canonical (grevlex-descending) form."""
+    """Immutable polynomial in canonical (grevlex-descending) form.
 
-    __slots__ = ("ring", "terms")
+    The hash is computed on first use and kept in ``_hash``: cache keys
+    hold polynomials, and hashing their ``Fraction`` terms again at every
+    lookup would cost more than the lookup."""
+
+    __slots__ = ("ring", "terms", "_hash")
 
     ring: RingSpec
     terms: Tuple[Tuple[Monomial, Fraction], ...]
@@ -232,6 +249,12 @@ class Poly:
 
     def __mul__(self, other: "Poly") -> "Poly":
         self._check(other)
+        if len(other.terms) == 1:
+            m, c = other.terms[0]
+            return self.mul_term(c, m)
+        if len(self.terms) == 1:
+            m, c = self.terms[0]
+            return other.mul_term(c, m)
         return sum_of_products(self.ring, ((self, other),))
 
     def scale(self, c) -> "Poly":
@@ -272,7 +295,12 @@ class Poly:
                 and self.terms == other.terms)
 
     def __hash__(self) -> int:
-        return hash((self.ring, self.terms))
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash((self.ring, self.terms))
+            object.__setattr__(self, "_hash", h)
+            return h
 
     def __str__(self) -> str:
         return format_poly(self)

@@ -1147,21 +1147,30 @@ def test_an_elimination_that_loses_an_input_is_an_error(monkeypatch, v,
 
 def test_an_elimination_checks_every_generator(monkeypatch):
     # the same check, seen from inside: after the completion, each
-    # nonzero generator of the rank-(k+1) module is reduced against the
-    # final basis, zero columns of b left out
+    # nonzero generator of the rank-(k+1) module is reduced, in its packed
+    # form, against the final basis, zero columns of b left out.  The
+    # checks are the last reductions against that basis; before them only
+    # the final sweep's S-vectors are reduced against it
     b = PolyMatrix.from_columns(RXY, 2, _DROPPING_SEED + [Vector.zero(RXY, 2)])
     v = vec(RXY, "x", "y")
     groebner._CACHE.clear()
-    checked = []
-    original = GrobnerBasis.contains
+    reduced = []
+    original = groebner._reduce
 
-    def recording(self, w):
-        checked.append(w)
-        return original(self, w)
+    def recording(p, basis, *args, **kwargs):
+        reduced.append((dict(p), basis))
+        return original(p, basis, *args, **kwargs)
 
-    monkeypatch.setattr(GrobnerBasis, "contains", recording)
+    monkeypatch.setattr(groebner, "_reduce", recording)
     colon_ideal(v, b)
-    assert checked == _elimination_gens(v, b)[:3]
+    monkeypatch.undo()
+    a = PolyMatrix.from_columns(RXY, 2, [v])
+    final = groebner._elimination(a, b)._basis  # a cache hit
+    against_final = [p for p, basis in reduced if basis is final]
+    gens = _elimination_gens(v, b)
+    assert gens[3].is_zero()
+    assert against_final[-3:] == [groebner._scaled_ints(w, final.layout)[1]
+                                  for w in gens[:3]]
 
 
 # -- identity-tagged bases ---------------------------------------------------------
@@ -1354,6 +1363,150 @@ def test_syzygies_mod_converts_only_the_projection(monkeypatch):
                if w.leading()[0] < a.nrows]
     assert outside
     assert not [w for w in outside if w in converted]
+
+
+def test_an_elimination_with_no_rows_is_its_own_projection():
+    # with k = 0 the projection is the identity: the elimination basis
+    # itself comes back, so its gens are built once for both readers
+    a = PolyMatrix.from_columns(RXY, 0, [Vector.zero(RXY, 0)] * 2)
+    b = PolyMatrix.zeros(RXY, 0, 1)
+    groebner._CACHE.clear()
+    proj = groebner._eliminate(a, b)
+    assert proj is groebner._elimination(a, b)
+    assert proj.rank == 2 and len(proj.gens) == 2
+
+
+# -- products in the integer layer -------------------------------------------------
+
+def _rational_poly(r, rng, deg):
+    """Up to three terms of degree at most deg, with coefficients of both
+    signs, some with denominators other than 1."""
+    p = Poly.zero(r)
+    for _ in range(rng.randint(0, 3)):
+        exps = [0] * r.nvars
+        for _ in range(rng.randint(0, deg)):
+            exps[rng.randrange(r.nvars)] += 1
+        c = Fraction(rng.choice([-5, -3, -1, 1, 2, 7]),
+                     rng.choice([1, 1, 2, 3, 6]))
+        p = p + Poly.term(r, c, tuple(exps))
+    return p
+
+
+def _proportional(p, q):
+    """Whether the integer term dicts p and q, zero coefficients left out,
+    are nonzero multiples of each other, or both zero."""
+    p = {k: c for k, c in p.items() if c}
+    q = {k: c for k, c in q.items() if c}
+    if p.keys() != q.keys():
+        return False
+    if not p:
+        return True
+    k0 = next(iter(p))
+    return all(p[k] * q[k0] == q[k] * p[k0] for k in p)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2**30), st.sampled_from([RX, RXY, R3]),
+       st.booleans())
+def test_a_packed_product_matches_mul_vec(seed, r, widen):
+    # a packed by the target's layout times c's integer form, c read at
+    # positions start.. of a vector packed by a layout of its own, is
+    # a.mul_vec(c) packed, up to its unit; widen draws an entry of degree
+    # past the target's layout, so packing a re-packs the target first
+    rng = random.Random(seed)
+    k, n, start = rng.randint(1, 3), rng.randint(1, 3), rng.randint(0, 2)
+    rows = [[_rational_poly(r, rng, 2) for _ in range(n)] for _ in range(k)]
+    target = buchberger([rand_vector(r, rng, k, deg=2) for _ in range(2)],
+                        ring=r, rank=k)._basis
+    top = target.layout.top
+    if widen:
+        i, j = rng.randrange(k), rng.randrange(n)
+        rows[i][j] = rows[i][j] + Poly.term(r, Fraction(-3, 2),
+                                            (top + 1,) + (0,) * (r.nvars - 1))
+    a = PolyMatrix(r, k, n, rows)
+    c = Vector(r, [_rational_poly(r, rng, 2) for _ in range(n)])
+    v = rand_vector(r, rng, k, deg=3)
+    zero = Poly.zero(r)
+    own = groebner._Layout(r.nvars, 2)
+    c_unit, c_ints = groebner._scaled_ints(
+        Vector(r, (zero,) * start + c.entries), own)
+    degree = own.max_degree(c_ints) if c_ints else 0
+    packed = groebner._packed_for(a, degree, target)
+    assert packed.layout is target.layout
+    assert (target.layout.top > top) == widen
+    got = packed.times(c_ints.items(), own, start)
+    product = a.mul_vec(c)
+    unit, want = groebner._scaled_ints(product, packed.layout)
+    assert ({key: packed.unit * c_unit * x for key, x in got.items() if x}
+            == {key: unit * x for key, x in want.items()})
+    residual = packed.residual(v, c_unit, c_ints.items(), own, start)
+    assert _proportional(residual, groebner._scaled_ints(
+        v - product, packed.layout)[1])
+    # the same product read from a copy of c packed by the target's layout
+    _, same = groebner._scaled_ints(c, packed.layout)
+    assert _proportional(packed.times(same.items(), packed.layout), want)
+
+
+def test_a_certified_product_names_the_first_column_outside():
+    span = buchberger([vec(RXY, "x", "0"), vec(RXY, "0", "y")])
+    a = PolyMatrix.from_columns(RXY, 2, [vec(RXY, "1", "0"),
+                                         vec(RXY, "0", "1")])
+    inside, outside = vec(RXY, "x^2", "x*y"), vec(RXY, "y", "0")
+    for cols, want in (([inside, inside], None), ([inside, outside], 1),
+                       ([outside, inside], 0), ([], None)):
+        c = PolyMatrix.from_columns(RXY, 2, cols)
+        assert span.first_product_outside(a, c) == want
+    with pytest.raises(ValueError, match="shape mismatch"):
+        span.first_product_outside(a, PolyMatrix.zeros(RXY, 1, 1))
+    with pytest.raises(ValueError, match="ring mismatch"):
+        span.first_product_outside(
+            a, PolyMatrix.zeros(ring("x", "z"), 2, 1))
+
+
+# -- kept hashes -------------------------------------------------------------------
+
+def _two_routes():
+    """Pairs of equal, distinct values built along different routes."""
+    x, y = Poly.variable(RXY, 0), Poly.variable(RXY, 1)
+    v1 = vec(RXY, "x*y - 1/2", "y")
+    v2 = Vector(RXY, [x * y - Poly.constant(RXY, Fraction(1, 2)),
+                      Poly.one(RXY) * y])
+    m1 = PolyMatrix.from_columns(RXY, 2, [v1, vec(RXY, "0", "x")])
+    m2 = PolyMatrix(RXY, 2, 2, [[v2.entries[0], Poly.zero(RXY)],
+                                [y, x]]).transpose().transpose()
+    return [(v1, v2), (m1, m2)]
+
+
+@pytest.mark.parametrize("first", [0, 1])
+def test_equal_vectors_and_matrices_hash_alike(first):
+    for pair in _two_routes():
+        assert pair[0] == pair[1] and pair[0] is not pair[1]
+        h = hash(pair[first])
+        assert pair[first]._hash == h
+        with pytest.raises(AttributeError):
+            pair[1 - first]._hash  # not kept until asked for
+        assert pair[0] == pair[1]
+        assert hash(pair[1 - first]) == h
+        assert pair[0] == pair[1]
+        for value in pair:
+            with pytest.raises(AttributeError):
+                value._hash = 0
+
+
+def test_an_equal_distinct_key_hits_the_cache():
+    (v1, v2), (m1, m2) = _two_routes()
+    groebner._CACHE.clear()
+    built = []
+
+    def build():
+        built.append(1)
+        return object()
+
+    value = groebner.cached(("test", v1, m1), build)
+    assert groebner.cached(("test", v2, m2), build) is value
+    assert built == [1]
+    gb = buchberger([v1, v2.scale(2)])
+    assert buchberger([v2, v1.scale(2)]) is gb  # equal, never hashed
 
 
 # -- matrices ------------------------------------------------------------------

@@ -112,6 +112,15 @@ def test_ill_defined_morphism_rejected():
         Morphism(MOD_X, R1X, mat(RX, [["1"]]))
 
 
+def test_an_ill_defined_morphism_names_its_first_failing_relation():
+    # R/(x, y) -> R/(x) by 1: the relation x is sent into (x), y is not
+    with pytest.raises(ValueError, match="relation 1 is not sent"):
+        Morphism(MOD_XY, coker_of(RXY, [["x"]]), mat(RXY, [["1"]]))
+    with pytest.raises(ValueError, match="relation 0 is not sent"):
+        Morphism(MOD_XY, coker_of(RXY, [["y^2"]]), mat(RXY, [["y"]]))
+    Morphism(MOD_XY, coker_of(RXY, [["y"], ["x"]]), mat(RXY, [["1"]]))
+
+
 # -- kernel / cokernel / image ---------------------------------------------------
 
 def test_kernel_of_injective_scalar():

@@ -238,3 +238,49 @@ def test_power_of_one_term_is_closed_form():
     assert f ** 0 == Poly.one(RXY)
     assert f ** 5 == f * f * f * f * f
     assert (f ** 5).terms == (((5, 10), Fraction(-32, 243)),)
+
+
+def test_a_one_term_factor_multiplies_term_by_term():
+    # either operand with one term takes mul_term; the product is the one
+    # sum_of_products gives, canonical and with exact coefficients
+    rng = random.Random(17)
+    for _ in range(60):
+        r = (RX, RXY, RXYZ)[rng.randrange(3)]
+        f = rand_poly(r, rng)
+        exps = tuple(rng.randint(0, 3) for _ in range(r.nvars))
+        t = Poly.term(r, Fraction(rng.choice([-3, -1, 1, 2]),
+                                  rng.randint(1, 4)), exps)
+        for a, b in ((f, t), (t, f), (t, t)):
+            got = a * b
+            assert got.terms == sum_of_products(r, [(a, b)]).terms
+            assert got.terms == reference_sum_of_products([(a, b)])
+
+
+def test_rings_compare_by_names_and_by_identity_first():
+    a, b = ring("x", "y"), ring("x", "y")
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert a != ring("y", "x") and a != ring("x")
+    assert a != ("x", "y") and a.__eq__(("x", "y")) is NotImplemented
+    assert {a: 1}[b] == 1
+
+
+def test_a_hash_is_kept_once_computed():
+    # the same value built along two routes: equal and of one hash whether
+    # either, both or neither has kept its hash yet
+    for first in (0, 1):
+        pair = [parse_poly("x^2*y - 1/2", RXY),
+                Poly(RXY, [((0, 0), Fraction(-1, 2)), ((2, 1), 1)])]
+        assert pair[0] == pair[1] and pair[0] is not pair[1]
+        h = hash(pair[first])
+        assert pair[first]._hash == h
+        with pytest.raises(AttributeError):
+            pair[1 - first]._hash  # not kept until asked for
+        assert pair[0] == pair[1]
+        assert hash(pair[1 - first]) == h and pair[1 - first]._hash == h
+        assert pair[0] == pair[1]
+    f = Poly.variable(RXY, 0)
+    with pytest.raises(AttributeError):
+        f._hash = 0
+    hash(f)
+    with pytest.raises(AttributeError):
+        f._hash = 0

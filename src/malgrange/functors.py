@@ -266,7 +266,7 @@ class NatModule(FPModule):
     transformations quotiented out.
     """
 
-    __slots__ = ("fsrc", "ftgt", "_h1", "_into_h1", "_span")
+    __slots__ = ("fsrc", "ftgt", "_h1", "_into_h1")
 
     def __init__(self, fsrc: FPFunctor, ftgt: FPFunctor):
         f_f, f_g = fsrc.f, ftgt.f
@@ -283,9 +283,6 @@ class NatModule(FPModule):
         self.ftgt = ftgt
         self._h1 = h1
         self._into_h1 = emb.mat
-        # read by lift_through above: a cache hit
-        self._span = buchberger(emb.mat.columns(), ring=h1.ring,
-                                rank=emb.mat.nrows)
 
     def decode(self, elem: Element) -> FunMorphism:
         if elem.module != self:
@@ -295,11 +292,11 @@ class NatModule(FPModule):
         return FunMorphism(self.fsrc, self.ftgt, b)
 
     def encode(self, alpha: FunMorphism) -> Element:
-        """The class of alpha: the quotient of its class in Hom(Y_G, Y_F)
-        by the kernel embedding's columns, read off ``buchberger`` of them
-        as in ``lift_through``."""
+        """The class of alpha: its class in Hom(Y_G, Y_F) lifted through
+        the kernel embedding modulo that module's relations (``solve_mod``,
+        certified, as in ``lift_through``)."""
         h1_elem = self._h1.encode(alpha.b)
-        coeffs = self._span.quotient(h1_elem.vec)
+        coeffs = solve_mod(h1_elem.vec, self._into_h1, self._h1.relations)
         if coeffs is None:
             raise ValueError("transformation failed to encode")
         return Element(self, Vector(self.ring, coeffs))

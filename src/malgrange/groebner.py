@@ -441,9 +441,8 @@ class _Packed:
     j, ``layout.shift(e)`` to the key of each term of A's column j: no term
     is unpacked and no ``Fraction`` is built.  Every product must have
     degree at most layout.top.  The certificates below (syzygy columns,
-    ``Morphism`` relations, quotient rows, Schreyer's rows and
-    ``solve_mod``'s solution) are all formed this way, then reduced or
-    compared exactly.
+    ``Morphism`` relations and ``solve_mod``'s solutions) are all formed
+    this way, then reduced exactly.
     """
 
     __slots__ = ("layout", "unit", "cols")
@@ -545,9 +544,9 @@ def cached(key: tuple, build: Callable[[], _T]) -> _T:
     hit needs an input equal term by term, with exact ``Fraction``
     coefficients, to the one the value was built and certified from; a
     hash collision alone never matches.  A build that raises stores
-    nothing.  Shared by reduced bases (``buchberger``, ``syzygies_mod``),
-    eliminations (``_elimination``), kernel relations (``relations``), Hom
-    modules and torsion embeddings (``modules``).
+    nothing.  Shared by reduced bases (``buchberger``), eliminations
+    (``_elimination``) and the kernels read off them (``syzygies_mod``),
+    Hom modules and torsion embeddings (``modules``).
     """
     value = _CACHE.get(key, _MISSING)
     if value is _MISSING:
@@ -597,10 +596,9 @@ class _Completion:
     """Buchberger completion of an integer basis.
 
     The starting basis is either empty (elements then enter from the
-    input), an interreduced candidate, a copy of a reduced basis that the
-    input extends (``_seeded_completion``), or a basis tagged with the
-    identity (``GrobnerBasis``); all but the first are taken as closed
-    under their own pairs.  Every element added later, from the
+    input), an interreduced candidate, or a copy of a reduced basis that
+    the input extends (``_seeded_completion``); the last two are taken as
+    closed under their own pairs.  Every element added later, from the
     input, an S-pair or the sweep, goes through ``add``, which queues its
     pairs with the elements already leading in the same position.  When
     cofactors are tracked the basis is tagged over the input (see
@@ -792,19 +790,11 @@ class GrobnerBasis:
     vector, for ``reduce`` and ``contains``.  A completion hands over that
     form (``_of``) and gens, the monic vectors, are built from it on first
     read; ``GrobnerBasis(ring, rank, gens)`` packs the given gens once.
-    ``quotient`` and ``relations`` build, on first use, the
-    identity-tagged basis: element i is [G_i; e_i] (see ``_IntBasis``),
-    so the tag part of what a vector leaves against it counts the
-    multiples of each G_i the division took.  Building it runs the final
-    sweep of a ``_Completion`` on it, which must add nothing (certifying
-    that gens are a Groebner basis); the tag part of each same-position
-    S-vector it reduces to zero is one of Schreyer's rows, which generate
-    the relations among gens (Eisenbud, *Commutative Algebra*, Thm.
-    15.10), and each must multiply out to zero.  Either failure raises
-    ``RuntimeError`` and keeps nothing.
+    It answers membership; kernels and lifts are read off an elimination
+    basis (``syzygies_mod``, ``solve_mod``).
     """
 
-    __slots__ = ("ring", "rank", "_gens", "_basis", "_tagged")
+    __slots__ = ("ring", "rank", "_gens", "_basis")
 
     def __init__(self, ring: RingSpec, rank: int, gens: Sequence[Vector]):
         gens = tuple(gens)
@@ -822,7 +812,7 @@ class GrobnerBasis:
     def _set(self, ring: RingSpec, rank: int,
              gens: Optional[Tuple[Vector, ...]], basis: _IntBasis) -> None:
         for name, value in (("ring", ring), ("rank", rank), ("_gens", gens),
-                            ("_basis", basis), ("_tagged", None)):
+                            ("_basis", basis)):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, *_):
@@ -884,53 +874,6 @@ class GrobnerBasis:
             if _reduce(packed.times(col, layout), target)[0]:
                 return j
         return None
-
-    def quotient(self, v: Vector) -> Optional[List[Poly]]:
-        """q with sum(q[i] * gens[i]) = v, read off one division of v by
-        gens, or None when v lies outside their span: reducing [-v; 0]
-        against the identity-tagged basis leaves [r; q] with
-        v = sum(q[i] * gens[i]) - r."""
-        self._check(v)
-        tagged = Vector(self.ring, (-v).entries
-                        + Vector.zero(self.ring, len(self._basis)).entries)
-        return _tag_part(tagged, self._identity_tagged()[0], self.ring,
-                         self.rank)
-
-    def _identity_tagged(self) -> Tuple[_IntBasis, Tuple[Vector, ...]]:
-        """The identity-tagged basis and Schreyer's rows, built and
-        certified on first use (see the class docstring)."""
-        if self._tagged is None:
-            ring, rank, gens, own = (self.ring, self.rank, self.gens,
-                                     self._basis)
-            count, layout = len(gens), own.layout
-            basis = _IntBasis(layout, rank, count)
-            one = (0,) * ring.nvars
-            for i, (g, terms, lead) in enumerate(zip(gens, own.terms,
-                                                     own.leads)):
-                # g = u * terms, so [g; e_i] is u * [terms; e_i / u]; its
-                # tag term 1 / u is the lead coefficient for a monic g,
-                # else a fraction whose denominator scales the whole
-                tag = terms[lead] / g.leading()[2]
-                scaled = {k: tag.denominator * c for k, c in terms.items()}
-                scaled[layout.pack(rank + i, one)] = tag.numerator
-                basis.add(scaled, lead)
-            rows = _Completion(basis).sweep()
-            if len(basis) != count:
-                raise RuntimeError("the basis is not a Groebner basis")
-            schreyer = tuple(Vector(ring, _polys(layout, ring, rem, s, rank,
-                                                 count))
-                             for layout, rem, s in rows)
-            # every row times gens, from its integer tag part
-            degree = max((layout.max_degree(rem) for layout, rem, _ in rows
-                          if rem), default=0)
-            g = PolyMatrix.from_columns(ring, rank, gens)
-            packed = _Packed(g, _Layout(ring.nvars, _degree(
-                chain.from_iterable(g.rows)) + degree))
-            if any(any(packed.times(rem.items(), layout, rank).values())
-                   for layout, rem, _ in rows):
-                raise RuntimeError("uncertified syzygy")
-            object.__setattr__(self, "_tagged", (basis, schreyer))
-        return self._tagged
 
     def __str__(self) -> str:
         return "{" + "; ".join(str(g) for g in self.gens) + "}"
@@ -1158,58 +1101,6 @@ class SpanSolver:
                                  for exps, _ in p.terms], _canonical=True)
                 for pos, p in enumerate(v.entries))))
         return out
-
-
-def relations(g: "PolyMatrix", b: "PolyMatrix") -> "PolyMatrix":
-    """``syzygies_mod(g, b)`` for b whose columns lie in the span of g's
-    columns G: columns generating {c : sum(c[i] * G_i) lies in span(b)}.
-
-    Read off ``buchberger`` of G, which must be G (ValueError otherwise),
-    as it is for a kernel embedding, where ``syzygies_mod`` stored it.
-    Schreyer's rows of G and the quotient q_j of each column b_j generate
-    the answer: if G c = b d, then c - sum(d[j] * q_j) is a relation among
-    G.  Every quotient row is multiplied out again (``_Packed``, g packed
-    once) and must give its column exactly; ``buchberger`` of all the rows
-    gives the reduced basis, also stored as ``buchberger`` of its own
-    elements (the relation basis of the kernel module).  Computed once per
-    exact (g, b) (``cached``).
-
-    It answers what ``syzygies_mod(g, b)`` answers without a second
-    elimination: on the kernels of ``verify --all`` that elimination, at
-    rank k+g, takes about twice as long as the sweep, the quotients and
-    the completion of the rows here.
-    """
-    ring, count = g.ring, g.ncols
-
-    def build() -> PolyMatrix:
-        cols = g.columns()
-        span = buchberger(cols, ring=ring, rank=g.nrows)
-        if span.gens != tuple(cols):
-            raise ValueError("relations need the reduced basis of a span, "
-                             "in its order")
-        rows = list(span._identity_tagged()[1])
-        quotients = []
-        for col in b.columns():
-            q = span.quotient(col)
-            if q is None:
-                raise RuntimeError("a column lies outside the span")
-            quotients.append((col, Vector(ring, q)))
-        degree = max((_degree(row.entries) for _, row in quotients),
-                     default=0)
-        layout = _Layout(ring.nvars, max(
-            _degree(chain.from_iterable(b.rows)),
-            _degree(chain.from_iterable(g.rows)) + degree))
-        packed = _Packed(g, layout)
-        for col, row in quotients:
-            unit, ints = _scaled_ints(row, layout)
-            if any(packed.residual(col, unit, ints.items(), layout).values()):
-                raise RuntimeError("uncertified syzygy")
-            rows.append(row)
-        gb = buchberger(rows, ring=ring, rank=count)
-        cached(_gb_key(gb.gens, ring, count), lambda: gb)
-        return PolyMatrix.from_columns(ring, count, list(gb.gens))
-
-    return cached(("relations", g, b), build)
 
 
 def syzygy_basis(gens: Sequence[Vector], ring: RingSpec,

@@ -17,7 +17,7 @@ from typing import Callable, List, Optional, Tuple, Union
 
 from .rings import Poly, RingSpec, mono_divides
 from .groebner import (GrobnerBasis, PolyMatrix, Vector, buchberger, cached,
-                       colon_ideal, relations, syzygies_mod)
+                       colon_ideal, solve_mod, syzygies_mod)
 
 
 class FPModule:
@@ -242,17 +242,16 @@ def kernel(phi: Morphism) -> Tuple[FPModule, Morphism]:
 
     K's generators G are ``syzygies_mod(phi.mat, target relations)``, the
     reduced basis of the preimage of the target's relations, and iota is
-    G.  That preimage contains the source's relations B, as phi is well
-    defined, so K's relations, ``syzygies_mod(G, B)``, are read off
-    ``buchberger`` of G, which is G (``relations``): Schreyer's rows of G
-    and the quotients of B by G.  They are built when ``K.relations`` is
-    first read; a caller that compares images in the source never pays
-    for them.
+    G.  K's relations are ``syzygies_mod(G, B)``, B the source's
+    relations: read off ``_elimination(G, B)``, the basis that lifts
+    through iota read too (``lift_through``).  They are built when
+    ``K.relations`` is first read; a caller that compares images in the
+    source never pays for them.
     """
     m = phi.source
     gens = syzygies_mod(phi.mat, phi.target.relations)
     k = FPModule(m.ring, gens.ncols,
-                 lambda: relations(gens, m.relations))
+                 lambda: syzygies_mod(gens, m.relations))
     return k, Morphism(k, m, gens, _checked=True)
 
 
@@ -321,7 +320,7 @@ class HomModule(FPModule):
     any well-defined morphism.
     """
 
-    __slots__ = ("dom", "cod", "_emb", "_span")
+    __slots__ = ("dom", "cod", "_emb")
 
     def __init__(self, dom: FPModule, cod: FPModule):
         ring = dom.ring
@@ -336,26 +335,23 @@ class HomModule(FPModule):
         super().__init__(ring, k.ngens, k.relations)
         self.dom = dom
         self.cod = cod
-        self._emb = emb.mat
-        # stored by syzygies_mod and tagged when k.relations was read above
-        self._span = buchberger(emb.mat.columns(), ring=ring,
-                                rank=emb.mat.nrows)
+        self._emb = emb
 
     def decode(self, e: Element) -> Morphism:
         if e.module != self:
             raise ValueError("element not in this Hom module")
-        flat = self._emb.mul_vec(e.vec)
+        flat = self._emb.mat.mul_vec(e.vec)
         mat = _unflatten(self.ring, self.cod.ngens, self.dom.ngens, flat)
         return Morphism(self.dom, self.cod, mat, _checked=True)
 
     def encode(self, phi: Morphism) -> Element:
-        """The class of phi: the quotient of its flattened matrix by the
-        embedding's columns G, read off ``buchberger`` of G, which is G:
-        the reduced basis of the flattened matrices of well-defined maps,
-        so the quotient exists exactly when phi is well defined."""
+        """The class of phi: its flattened matrix lifted through the
+        embedding modulo cod^m's relations (``solve_mod``, certified, as in
+        ``lift_through``), which exists exactly when phi is well defined."""
         if phi.source != self.dom or phi.target != self.cod:
             raise ValueError("morphism does not match this Hom module")
-        coeffs = self._span.quotient(_flatten(phi.mat))
+        coeffs = solve_mod(_flatten(phi.mat), self._emb.mat,
+                           self._emb.target.relations)
         if coeffs is None:
             raise ValueError("morphism failed to encode into Hom module")
         return Element(self, Vector(self.ring, coeffs))
@@ -494,27 +490,21 @@ def module_annihilator(m: FPModule) -> AnnihilatorIdeal:
 # -- lifting, injectivity and surjectivity ------------------------------------------
 
 def lift_through(iota: Morphism, phi: Morphism) -> Morphism:
-    """psi with iota o psi = phi, for iota a kernel embedding (``kernel``).
+    """psi with iota o psi = phi, for any iota into phi's target.
 
-    As for a kernel embedding, ``buchberger`` of iota's columns G (then a
-    cache hit) must be G itself, in its order, and contain the target's
-    relations.  Then phi factors through iota exactly when each column of
-    phi lies in the span of G, and the column of psi is its quotient
-    (``GrobnerBasis.quotient``).  Raises ValueError when iota breaks that
-    precondition or phi does not factor.
+    Column j of psi is c with iota.mat * c = phi_j modulo the target's
+    relations (``solve_mod``, certified): read off the elimination basis
+    whose projection is K's relations when iota is a kernel embedding
+    (``kernel``).  Raises ValueError when a column does not factor
+    through iota, or when the lifts do not define a morphism phi.source
+    -> iota.source (``Morphism``), as may happen when iota is not
+    injective.
     """
     if iota.target != phi.target:
         raise ValueError("lift requires a common target")
-    gens = tuple(iota.mat.columns())
-    span = buchberger(gens, ring=iota.target.ring, rank=iota.target.ngens)
-    if span.gens != gens or not all(
-            map(span.contains, iota.target.relations.columns())):
-        raise ValueError("lift requires a kernel embedding: its columns the "
-                         "reduced Groebner basis of a span that holds the "
-                         "target's relations")
     cols = []
-    for j in range(phi.source.ngens):
-        c = span.quotient(phi.mat.column(j))
+    for col in phi.mat.columns():
+        c = solve_mod(col, iota.mat, iota.target.relations)
         if c is None:
             raise ValueError("morphism does not factor through the image")
         cols.append(Vector(iota.source.ring, c))

@@ -66,9 +66,9 @@ PLANTED_XYZ = (
 
 def test_analyze_completes_no_basis_with_tracked_cofactors(
         tmp_path, monkeypatch, capsys):
-    # every kernel under the double dual is an elimination plus an
-    # identity-tagged basis: no cofactors are tracked.  A count, not a
-    # time, so it holds on any machine
+    # every kernel and lift under the double dual is read off an
+    # elimination basis: no cofactors are tracked.  A count, not a time,
+    # so it holds on any machine
     calls = []
     original = groebner.extended_buchberger
 
@@ -124,7 +124,7 @@ def test_torsion_command_presents_no_torsion_kernel(tmp_path, capsys):
                if key[0] == "torsion"]
     assert len(torsion) == 1
     for relations, iota in torsion:
-        assert ("relations", iota.mat, relations) not in groebner._CACHE
+        assert ("syzygies_mod", iota.mat, relations) not in groebner._CACHE
 
 
 def test_defect_command(tmp_path):

@@ -150,8 +150,9 @@ def test_nat_contains_identity_for_corpus_functors():
 
 
 def test_nat_encode_inverts_decode_on_every_generator():
-    # encode divides by the kernel embedding's tagged basis; the tracked
-    # solver of [embedding | relations of Hom(Y_G, Y_F)] gives the same class
+    # encode lifts through the kernel embedding modulo the relations of
+    # Hom(Y_G, Y_F); the tracked solver of [embedding | those relations]
+    # gives the same class
     for name, f in corpus.corpus_functors():
         n = nat_hom(f, f)
         into, rels = n._into_h1, n._h1.relations
@@ -376,17 +377,16 @@ def test_main_theorem_presents_neither_kernel():
     assert verify_main_theorem(a).equal
     d, emb = defect(stable_hom(a))
     t, iota = bass_torsion(a)
-    keys = [("relations", emb.mat, a.relations),
-            ("relations", iota.mat, a.relations)]
+    keys = [("syzygies_mod", emb.mat, a.relations),
+            ("syzygies_mod", iota.mat, a.relations)]
     assert not any(key in groebner._CACHE for key in keys)
     d.relations, t.relations  # forced, they land under those keys
     assert all(key in groebner._CACHE for key in keys)
 
 
 def test_verify_all_completes_no_tracked_basis(monkeypatch, capsys):
-    # lifts through kernel embeddings and Nat encodings divide by a tagged
-    # basis, and _factor_through reads an elimination basis: no cofactors
-    # are tracked
+    # lifts, Hom and Nat encodings and _factor_through all read an
+    # elimination basis: no cofactors are tracked
     callers = []
     original = groebner.extended_buchberger
 

@@ -11,7 +11,7 @@ import malgrange.groebner as groebner
 from malgrange import corpus
 from malgrange.groebner import (GrobnerBasis, PolyMatrix, SpanSolver,
                                 Vector, buchberger, colon_ideal, divide,
-                                extended_buchberger, relations, syzygies,
+                                extended_buchberger, syzygies,
                                 syzygies_mod, solve_mod)
 from malgrange.rings import (GREVLEX, Poly, mono_div, mono_divides, mono_mul,
                              ring)
@@ -1173,101 +1173,13 @@ def test_an_elimination_checks_every_generator(monkeypatch):
                                   for w in gens[:3]]
 
 
-# -- identity-tagged bases ---------------------------------------------------------
-
-_XY = PolyMatrix.from_columns(RXY, 1, [vec(RXY, "y"), vec(RXY, "x")])
-# one same-position pair: Schreyer's row x*e_1 - y*e_2 (up to sign)
-_XY_B = PolyMatrix.from_columns(RXY, 1, [vec(RXY, "x*y + x"),
-                                         Vector.zero(RXY, 1)])
-
-
-def _xy_basis() -> GrobnerBasis:
-    return buchberger(_XY.columns(), ring=RXY, rank=1)
-
-
-def test_relations_are_read_off_the_reduced_basis():
-    basis = _xy_basis()
-    assert basis.gens == tuple(_XY.columns())  # the columns' own basis
-    q = basis.quotient(vec(RXY, "x*y + x"))
-    assert [str(p) for p in q] == ["x", "1"]
-    assert basis.quotient(vec(RXY, "1")) is None
-    groebner._CACHE.clear()
-    rels = relations(_XY, _XY_B)
-    assert relations(_XY, _XY_B) is rels  # once per exact (G, b)
-    # stored as its own basis
-    assert buchberger(rels.columns()).gens == tuple(rels.columns())
-    groebner._CACHE.clear()
-    assert rels == syzygies_mod(_XY, _XY_B)
-
-
-def _corrupt_first_schreyer_row(monkeypatch):
-    original = groebner._Completion.sweep
-
-    def corrupted(self):  # the first row gains a term on generator 2
-        rows = original(self)
-        layout, rem, s = rows[0]
-        tag = layout.pack(self.basis.rank + 1, (0, 0))
-        rows[0] = (layout, {**rem, tag: rem.get(tag, 0) + 1}, s)
-        return rows
-
-    monkeypatch.setattr(groebner._Completion, "sweep", corrupted)
-
-
-def test_a_corrupted_schreyer_row_is_not_certified(monkeypatch):
-    basis = GrobnerBasis(RXY, 1, tuple(_XY.columns()))  # nothing built yet
-    _corrupt_first_schreyer_row(monkeypatch)
-    for _ in range(2):  # nothing uncertified is kept on the basis
-        with pytest.raises(RuntimeError, match="uncertified syzygy"):
-            basis.quotient(vec(RXY, "x"))
-    groebner._CACHE.clear()
-    with pytest.raises(RuntimeError, match="uncertified syzygy"):
-        relations(_XY, _XY_B)
-
-
-def test_a_corrupted_quotient_row_is_not_certified(monkeypatch):
-    b = PolyMatrix.from_columns(RXY, 1, [vec(RXY, "x*y + x")])
-    original = GrobnerBasis.quotient
-
-    def corrupted(self, v):  # one more multiple of the first generator
-        q = original(self, v)
-        return [q[0] + Poly.one(RXY)] + q[1:]
-
-    monkeypatch.setattr(GrobnerBasis, "quotient", corrupted)
-    groebner._CACHE.clear()  # relations are cached per exact (G, b)
-    with pytest.raises(RuntimeError, match="uncertified syzygy"):
-        relations(_XY, b)
-
-
-def test_a_quotient_checks_the_rank():
-    with pytest.raises(ValueError, match="rank mismatch"):
-        _xy_basis().quotient(vec(RXY, "y", "x"))
-
-
 def test_a_basis_refuses_a_vector_of_another_ring():
     # same rank, other ring: the answers would be read off foreign terms
     g = buchberger([vec(RXY, "x"), vec(RXY, "y")])
     for v in (vec(ring("a", "b"), "a"), vec(ring("x", "y", "z"), "z + x")):
-        for method in (g.reduce, g.contains, g.normal_form, g.quotient):
+        for method in (g.reduce, g.contains, g.normal_form):
             with pytest.raises(ValueError, match="ring mismatch"):
                 method(v)
-
-
-def test_a_quotient_needs_a_groebner_basis():
-    # the S-vector of x*y and x^2 + y leaves y^2, which the sweep would add
-    not_closed = GrobnerBasis(RXY, 1, (vec(RXY, "x*y"), vec(RXY, "x^2 + y")))
-    with pytest.raises(RuntimeError, match="not a Groebner basis"):
-        not_closed.quotient(vec(RXY, "x*y"))
-
-
-def test_relations_need_the_reduced_basis_in_its_order():
-    # x and y are a Groebner basis, but their reduced basis lists y first
-    # (and a quotient by it would be read in the wrong order)
-    swapped = PolyMatrix.from_columns(RXY, 1, [vec(RXY, "x"), vec(RXY, "y")])
-    non_monic = PolyMatrix.from_columns(RXY, 1, [vec(RXY, "y"),
-                                                 vec(RXY, "2*x")])
-    for g in (swapped, non_monic):
-        with pytest.raises(ValueError, match="reduced basis"):
-            relations(g, PolyMatrix.zeros(RXY, 1, 0))
 
 
 # -- the integer form a basis keeps ----------------------------------------------
@@ -1295,21 +1207,13 @@ def _eager_gens(gb):
     return tuple(out)
 
 
-def _repacked_identity_tagged(gb):
-    count = len(gb.gens)
-    return groebner._IntBasis.of(gb.ring, gb.gens, gb.rank,
-                                 PolyMatrix.identity(gb.ring, count).rows,
-                                 count)
-
-
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 2**30), st.sampled_from([RX, RXY, R3]),
        st.booleans())
 def test_the_integer_form_matches_the_rational_one(seed, r, widen):
-    # the projection of an elimination is taken on packed keys, its gens
-    # are built when first read, by the layout the basis has then, and
-    # the identity-tagged basis is built from the integer form: each must
-    # agree with packing the rational vectors anew
+    # the projection of an elimination is taken on packed keys and its
+    # gens are built when first read, by the layout the basis has then:
+    # each must agree with packing the rational vectors anew
     rng = random.Random(seed)
     a, b = _syzygy_case(r, rng, "random")
     k = a.nrows
@@ -1319,9 +1223,11 @@ def test_the_integer_form_matches_the_rational_one(seed, r, widen):
     eager = _eager_gens(proj)
     if widen:  # a dividend past the layout re-packs the basis first
         top = proj._basis.layout.top
-        big = Vector.unit(r, a.ncols, 0).poly_mul(
-            parse_poly(f"x^{top + 1}", r))
-        proj.contains(big)
+        # a multiple of an element, which reduces to zero in a step or
+        # two; the normal form of x^(top+1) * e_1 itself can take minutes
+        first = eager[0] if eager else Vector.unit(r, a.ncols, 0)
+        big = first.poly_mul(parse_poly(f"x^{top + 1}", r))
+        assert proj.contains(big) == bool(eager)
         assert proj._basis.layout.top > top
     assert proj._gens is None
     assert proj.gens == eager
@@ -1331,14 +1237,6 @@ def test_the_integer_form_matches_the_rational_one(seed, r, widen):
     if projected:
         want = groebner._IntBasis.of(r, projected, a.ncols)
         assert _unpacked(proj._basis) == _unpacked(want)
-    # monic, as a completion leaves them, and scaled by test-chosen
-    # rationals, as a basis built from given gens may be
-    scales = [Fraction(rng.choice([-3, -1, 1, 2, 5]), rng.randint(1, 4))
-              for _ in proj.gens]
-    for gb in (proj, GrobnerBasis(r, a.ncols, tuple(
-            g.scale(c) for g, c in zip(proj.gens, scales)))):
-        got = gb._identity_tagged()[0]
-        assert _unpacked(got) == _unpacked(_repacked_identity_tagged(gb))
 
 
 def test_syzygies_mod_converts_only_the_projection(monkeypatch):
@@ -1616,15 +1514,4 @@ def test_a_call_that_raises_caches_nothing():
     bad = [vec(RXY, "x"), vec(RXY, "y", "1")]
     with pytest.raises(ValueError):
         buchberger(bad)
-    # x^2 + y and x*y leave y^2: not a Groebner basis
-    not_groebner = GrobnerBasis(RXY, 1, (vec(RXY, "x^2 + y"),
-                                         vec(RXY, "x*y")))
-    for _ in range(2):  # nor is anything kept on the basis
-        with pytest.raises(RuntimeError, match="not a Groebner basis"):
-            not_groebner.quotient(vec(RXY, "x"))
     assert len(groebner._CACHE) == 0
-    # a column outside the span: the basis of the span stays, the
-    # relations are not stored
-    with pytest.raises(RuntimeError, match="outside the span"):
-        relations(_XY, PolyMatrix.from_columns(RXY, 1, [vec(RXY, "1")]))
-    assert [key[0] for key in groebner._CACHE] == ["gb"]

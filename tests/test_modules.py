@@ -9,9 +9,10 @@ from malgrange.parsing import parse_poly
 from malgrange.groebner import (PolyMatrix, SpanSolver, Vector, buchberger,
                                 syzygies_mod)
 from malgrange import groebner
-from malgrange.modules import (AnnihilatorIdeal, Element, FPModule, Morphism,
-                               annihilator, bass_torsion, cokernel,
-                               direct_power, direct_sum, dual, eval_map, hom_module,
+from malgrange.functors import FunMorphism, nat_hom
+from malgrange.modules import (AnnihilatorIdeal, Element, FPModule, HomModule,
+                               Morphism, annihilator, bass_torsion, cokernel,
+                               direct_sum, dual, eval_map, hom_module,
                                hom_pre, hom_post, image, is_injective,
                                is_isomorphism, is_surjective, kernel,
                                lift_through, module_annihilator,
@@ -208,8 +209,8 @@ def _rand_morphism(r, rng, deg):
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 2**30), st.sampled_from([RX, RXY, R3]))
 def test_kernel_relations_match_both_syzygy_routes(seed, r):
-    # the kernel's relations come off its generators' identity-tagged
-    # basis; the elimination and the tracked solver of [gens | relations]
+    # the kernel's relations are read off the elimination of [gens |
+    # relations] on first read; the tracked solver of [gens | relations]
     # must give the same reduced basis
     phi = _rand_morphism(r, random.Random(seed), 1 if r is R3 else 2)
     groebner._CACHE.clear()
@@ -228,17 +229,17 @@ def test_kernel_relations_match_both_syzygy_routes(seed, r):
 
 def test_kernel_relations_are_built_on_first_read():
     # the builder runs once, on the first read, and stores its matrix
-    # under the tagged basis' own key
+    # under syzygies_mod's own key
     for seed in range(100):
         phi = _rand_morphism(RXY, random.Random(seed), 2)
         groebner._CACHE.clear()
         k, iota = kernel(phi)
-        key = ("relations", iota.mat, phi.source.relations)
+        key = ("syzygies_mod", iota.mat, phi.source.relations)
         assert key not in groebner._CACHE
         rels = k.relations
         assert key in groebner._CACHE and k.relations is rels
         groebner._CACHE.clear()
-        assert rels == groebner.relations(iota.mat, phi.source.relations)
+        assert rels == syzygies_mod(iota.mat, phi.source.relations)
 
 
 def test_a_lazy_relation_matrix_is_checked_when_read():
@@ -295,78 +296,108 @@ def test_lifts_through_kernel_embeddings_compose_back():
     assert lifted and refused
 
 
-def test_lift_through_requires_a_groebner_basis():
+def test_lift_through_a_span_that_is_not_a_groebner_basis():
     # x*y and x^2 + y are not a Groebner basis: their S-vector leaves y^2
     iota = Morphism(R2XY, R1XY, mat(RXY, [["x*y", "x^2 + y"]]))
     phi = Morphism(R1XY, R1XY, mat(RXY, [["y^2"]]))
-    with pytest.raises(ValueError, match="requires a kernel embedding"):
-        lift_through(iota, phi)
+    psi = lift_through(iota, phi)
+    assert psi.mat == mat(RXY, [["-x"], ["y"]])
+    assert iota.compose(psi) == phi
 
 
-def test_lift_through_requires_the_target_relations_in_its_span():
-    # x^3 spans a Groebner basis, but not the relation x^2 of R/(x^2);
-    # the zero class x^2 factors, and a quotient by x^3 alone would say
-    # it does not
+def test_lift_through_a_span_without_the_target_relations():
+    # x^3 does not span the relation x^2 of R/(x^2), but the zero class
+    # x^2 factors all the same: lifts are taken modulo the relations
     iota = Morphism(R1X, MOD_X2, mat(RX, [["x^3"]]))
     phi = Morphism(R1X, MOD_X2, mat(RX, [["x^2"]]))
-    with pytest.raises(ValueError, match="requires a kernel embedding"):
+    assert iota.compose(lift_through(iota, phi)) == phi
+
+
+def test_lift_through_a_span_in_any_order():
+    # x and y span a Groebner basis whose reduced basis lists y first, and
+    # 2*y is not monic: neither is a kernel embedding, and both lift, as
+    # the reduced basis [y, x] does
+    phi = Morphism(R1XY, R1XY, mat(RXY, [["x*y"]]))
+    for row in (["x", "y"], ["2*y", "x"], ["y", "x"]):
+        iota = Morphism(R2XY, R1XY, mat(RXY, [row]))
+        assert iota.compose(lift_through(iota, phi)) == phi
+
+
+def test_a_lift_through_a_map_that_is_not_injective_may_be_refused():
+    # x lifts through [x, x]: R^2 -> R/(y), but each lift sends the
+    # relation y of R/(y) to a nonzero element of R^2
+    mod_y = coker_of(RXY, [["y"]])
+    iota = Morphism(R2XY, mod_y, mat(RXY, [["x", "x"]]))
+    phi = Morphism(mod_y, mod_y, mat(RXY, [["x"]]))
+    with pytest.raises(ValueError, match="does not define a morphism"):
         lift_through(iota, phi)
+
+
+def _corrupt_every_solution(monkeypatch):
+    """Each solution read off an elimination basis gains a constant on its
+    first entry."""
+    original = groebner._tag_remainder
+
+    def corrupted(v, basis, start):
+        left = original(v, basis, start)
+        if left is None:
+            return None
+        rem, scale = left
+        one = basis.layout.pack(start, (0,) * basis.layout.nvars)
+        return {**rem, one: rem.get(one, 0) + 1}, scale
+
+    monkeypatch.setattr(groebner, "_tag_remainder", corrupted)
 
 
 def test_lift_through_still_raises_certification_failures(monkeypatch):
     _, iota = kernel(Morphism(R1XY, MOD_XY, mat(RXY, [["1"]])))
     phi = Morphism(R1XY, R1XY, mat(RXY, [["x*y"]]))
-    original = groebner._Completion.sweep
-
-    def corrupted(self):  # the first Schreyer row gains a term
-        rows = original(self)
-        layout, rem, s = rows[0]
-        tag = layout.pack(self.basis.rank + 1, (0, 0))
-        rows[0] = (layout, {**rem, tag: rem.get(tag, 0) + 1}, s)
-        return rows
-
     groebner._CACHE.clear()
-    monkeypatch.setattr(groebner._Completion, "sweep", corrupted)
-    with pytest.raises(RuntimeError, match="uncertified syzygy"):
+    _corrupt_every_solution(monkeypatch)
+    with pytest.raises(RuntimeError, match="uncertified solution"):
         lift_through(iota, phi)
 
 
-def test_lift_through_requires_the_reduced_basis_in_its_order():
-    # x and y span a Groebner basis whose reduced basis lists y first; 2*y
-    # is not monic.  Both factor through the span, but a kernel embedding
-    # is the reduced basis itself
-    phi = Morphism(R1XY, R1XY, mat(RXY, [["x*y"]]))
-    for row in (["x", "y"], ["2*y", "x"]):
-        iota = Morphism(R2XY, R1XY, mat(RXY, [row]))
-        with pytest.raises(ValueError, match="requires a kernel embedding"):
-            lift_through(iota, phi)
-    iota = Morphism(R2XY, R1XY, mat(RXY, [["y", "x"]]))
-    assert iota.compose(lift_through(iota, phi)) == phi
+def test_every_encode_is_certified(monkeypatch):
+    groebner._CACHE.clear()
+    h = hom_module(MOD_XY, MOD_XY)
+    identity = Morphism.identity(MOD_XY)
+    fun = dict(corpus.corpus_functors())["stable(R+R/(x))"]
+    n = nat_hom(fun, fun)
+    alpha = FunMorphism.identity(fun)
+    h1_elem = n._h1.encode(alpha.b)
+    _corrupt_every_solution(monkeypatch)
+    with pytest.raises(RuntimeError, match="uncertified solution"):
+        h.encode(identity)
+    # Nat's own lift, past the encode into Hom(Y_G, Y_F)
+    monkeypatch.setattr(HomModule, "encode", lambda self, phi: h1_elem)
+    with pytest.raises(RuntimeError, match="uncertified solution"):
+        n.encode(alpha)
 
 
 def test_one_basis_answers_every_quotient_of_a_kernel_embedding(
         monkeypatch):
-    # kernel, HomModule.encode and lift_through on one embedding G all
-    # divide by buchberger(G.columns()), the basis syzygies_mod stored
-    askers = []
-    original = groebner.GrobnerBasis.quotient
+    # K's relations, HomModule.encode and lift_through on one embedding
+    # all read the elimination basis of [G | target relations]
+    builds = []
+    original = groebner.cached
 
-    def recording(self, v):
-        askers.append(self)
-        return original(self, v)
+    def recording(key, build):
+        def traced():
+            builds.append(key)
+            return build()
+        return original(key, traced)
 
-    monkeypatch.setattr(groebner.GrobnerBasis, "quotient", recording)
+    monkeypatch.setattr(groebner, "cached", recording)
     groebner._CACHE.clear()
     h = hom_module(MOD_XY, MOD_XY)  # builds kernel(rho) and its relations
-    iota = Morphism(h, direct_power(MOD_XY, MOD_XY.ngens), h._emb)
+    emb = h._emb
     identity = Morphism(MOD_XY, MOD_XY, mat(RXY, [["1"]]))
     assert h.decode(h.encode(identity)) == identity
-    psi = lift_through(iota, iota)
-    assert iota.compose(psi) == iota
-    span = buchberger(h._emb.columns(), ring=RXY, rank=h._emb.nrows)
-    assert span.gens == tuple(h._emb.columns())
-    assert askers and all(a is span for a in askers)
-    assert not any(key[0] == "tagged" for key in groebner._CACHE)
+    assert emb.compose(lift_through(emb, emb)) == emb
+    assert [key for key in builds if key[0] == "elimination"
+            and key[1] == emb.mat] == [("elimination", emb.mat,
+                                        emb.target.relations)]
 
 
 def test_an_element_of_another_ring_is_refused():
@@ -380,21 +411,23 @@ def test_an_element_of_another_ring_is_refused():
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 2**30), st.sampled_from([RX, RXY, R3]))
 def test_encode_inverts_decode_on_every_hom_generator(seed, r):
-    # encode divides by the embedding's tagged basis; the tracked solver
-    # of [embedding | relations of cod^m] must give the same class
+    # encode lifts through the embedding modulo the relations of cod^m;
+    # the tracked solver of [embedding | relations of cod^m] must give the
+    # same class
     rng = random.Random(seed)
     deg = 1 if r is R3 else 2
     dom, cod = _rand_module(r, rng, deg), _rand_module(r, rng, deg)
     groebner._CACHE.clear()
     h = hom_module(dom, cod)
     power = PolyMatrix.block_diag(r, [cod.relations] * dom.ngens)
-    solver = SpanSolver(h._emb.columns() + power.columns(), r, h._emb.nrows)
+    emb = h._emb.mat
+    solver = SpanSolver(emb.columns() + power.columns(), r, emb.nrows)
     for g in h.generators():
         phi = h.decode(g)
         assert h.encode(phi) == g
         flat = Vector(r, [phi.mat.rows[i][k] for k in range(dom.ngens)
                           for i in range(cod.ngens)])
-        coeffs = solver.solve(flat)[:h._emb.ncols]
+        coeffs = solver.solve(flat)[:emb.ncols]
         assert Element(h, Vector(r, coeffs)) == g
 
 

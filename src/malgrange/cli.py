@@ -4,7 +4,7 @@ Commands: analyze, torsion, defect, hom, verify, gb.  A session file
 supplies the ring, bindings, and optionally embedded commands; when the
 session embeds commands of the requested kind only those run, otherwise
 the command applies to every eligible binding in declaration order.
-``verify --all`` runs the bundled-corpus suites and needs no session.
+``verify --all`` runs the bundled-corpus suites and takes no session file.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or parse error.
 Output is byte-deterministic for a fixed session and flag set.
@@ -13,7 +13,6 @@ Output is byte-deterministic for a fixed session and flag set.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import random
 import sys
@@ -226,6 +225,7 @@ def run(session: Optional[Session], command: str, *, json_out: bool = False,
                    "gb": _run_gb}[command]
         code = handler(session, out, results)
     if json_out:
+        import json  # kept off the start-up path: only --json needs it
         payload = {"format": 1, "command": command, "results": results,
                    "exit": code}
         return code, json.dumps(payload, indent=2) + "\n"
@@ -259,6 +259,13 @@ def main(argv: Optional[List[str]] = None) -> int:
         args = parser.parse_intermixed_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    if args.all_corpus and args.command != "verify":
+        print("error: --all applies only to 'verify'", file=sys.stderr)
+        return 2
+    if args.all_corpus and args.session_file is not None:
+        print("error: 'verify --all' takes no session file",
+              file=sys.stderr)
+        return 2
 
     color = _color_enabled(sys.stdout)
     if color is None:
@@ -284,7 +291,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         except ParseError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-    elif not (args.command == "verify" and args.all_corpus):
+    elif not args.all_corpus:
         print("error: a session file is required "
               "(only 'verify --all' runs without one)", file=sys.stderr)
         return 2

@@ -10,8 +10,7 @@ re-checks the torsion/defect identity at runtime.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .rings import Poly, RingSpec
 from .groebner import PolyMatrix, Vector
@@ -121,8 +120,7 @@ def _combination(sys: ControlSystem, vec: Vector) -> str:
     return out
 
 
-@dataclass(frozen=True)
-class AutonomyGenerator:
+class AutonomyGenerator(NamedTuple):
     """One autonomous observable: a combination of unknowns together with
     the operators annihilating it."""
 
@@ -142,8 +140,7 @@ class AutonomyGenerator:
         }
 
 
-@dataclass(frozen=True)
-class AnalysisReport:
+class AnalysisReport(NamedTuple):
     """Full controllability analysis of one system."""
 
     system: str

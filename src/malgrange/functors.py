@@ -15,8 +15,7 @@ convention that presentations are chosen data.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .rings import Poly, RingSpec
 from .groebner import (GrobnerBasis, PolyMatrix, Vector, buchberger,
@@ -384,8 +383,7 @@ def module_dict(m: FPModule) -> Dict:
     return {"ngens": m.ngens, "relations": str(m.relations)}
 
 
-@dataclass(frozen=True)
-class MainTheoremReport:
+class MainTheoremReport(NamedTuple):
     """Outcome of checking defect(stable_hom(A)) = bass_torsion(A) in A."""
 
     module: Dict
@@ -411,8 +409,7 @@ class MainTheoremReport:
         return out
 
 
-@dataclass(frozen=True)
-class BijectionReport:
+class BijectionReport(NamedTuple):
     """Outcome of checking that a comparison map is bijective.
 
     ``subject`` holds the entries naming what was compared, in output

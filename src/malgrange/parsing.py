@@ -9,10 +9,9 @@ Implicit multiplication is a syntax error.  Positions are reported as
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import List, Optional
+from typing import List, NamedTuple, Optional
 
 from .rings import Poly, RingSpec
 
@@ -25,8 +24,7 @@ class ParseError(ValueError):
         self.col = col
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str   # INT, IDENT, PUNCT, EOF
     text: str
     line: int

@@ -7,7 +7,6 @@ distinct.  Structural equality is therefore semantic equality.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from math import gcd, lcm
@@ -19,14 +18,26 @@ _K = TypeVar("_K", bound=Hashable)
 _ONE = Fraction(1)
 
 
-@dataclass(frozen=True)
 class RingSpec:
     """The commutative polynomial ring over Q in the named variables.
 
     Equal when the names are; most comparisons are of one ring object with
     itself, so identity is tested first."""
 
-    var_names: Tuple[str, ...]
+    __slots__ = ("var_names",)
+
+    def __init__(self, var_names: Tuple[str, ...]):
+        if len(var_names) < 1:
+            raise ValueError("ring needs at least one variable")
+        if len(set(var_names)) != len(var_names):
+            raise ValueError("variable names must be pairwise distinct")
+        for name in var_names:
+            if not name or not name.isidentifier():
+                raise ValueError(f"bad variable name: {name!r}")
+        object.__setattr__(self, "var_names", var_names)
+
+    def __setattr__(self, *_):
+        raise AttributeError("RingSpec is immutable")
 
     def __eq__(self, other) -> bool:
         if self is other:
@@ -38,14 +49,12 @@ class RingSpec:
     def __hash__(self) -> int:
         return hash(self.var_names)
 
-    def __post_init__(self):
-        if len(self.var_names) < 1:
-            raise ValueError("ring needs at least one variable")
-        if len(set(self.var_names)) != len(self.var_names):
-            raise ValueError("variable names must be pairwise distinct")
-        for name in self.var_names:
-            if not name or not name.isidentifier():
-                raise ValueError(f"bad variable name: {name!r}")
+    def __repr__(self) -> str:
+        return f"RingSpec(var_names={self.var_names!r})"
+
+    def __reduce__(self):
+        # copy and pickle rebuild through __init__, which __setattr__ allows
+        return RingSpec, (self.var_names,)
 
     @property
     def nvars(self) -> int:

@@ -19,7 +19,6 @@ store relations as columns, so module matrices are transposed on entry.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
 from .rings import Poly, RingSpec
@@ -33,13 +32,13 @@ COMMANDS = ("analyze", "torsion", "defect", "hom", "verify", "gb")
 _KEYWORDS = ("system", "module") + COMMANDS
 
 
-@dataclass
 class Session:
-    ring: RingSpec
-    systems: Dict[str, ControlSystem] = field(default_factory=dict)
-    modules: Dict[str, FPModule] = field(default_factory=dict)
-    bindings: List[Tuple[str, str]] = field(default_factory=list)
-    commands: List[Tuple[str, Tuple[str, ...]]] = field(default_factory=list)
+    def __init__(self, ring: RingSpec):
+        self.ring = ring
+        self.systems: Dict[str, ControlSystem] = {}
+        self.modules: Dict[str, FPModule] = {}
+        self.bindings: List[Tuple[str, str]] = []
+        self.commands: List[Tuple[str, Tuple[str, ...]]] = []
 
     def is_bound(self, name: str) -> bool:
         return name in self.systems or name in self.modules

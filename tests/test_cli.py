@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+import malgrange
 from malgrange import groebner, parsing
 from malgrange.cli import _Printer, main, run
 from malgrange.parsing import (MAX_COEFFICIENT_BITS, MAX_NESTING,
@@ -177,6 +178,26 @@ def test_corpus_verify_exits_zero():
     r = invoke(["verify", "--all"])
     assert r.returncode == 0
     assert r.stdout.rstrip().endswith("33 checks, 0 failures")
+
+
+def test_verify_all_takes_no_session_file(tmp_path):
+    # refused before the file is read: a valid, a malformed and a missing
+    # file all give the same usage error
+    valid, malformed = tmp_path / "valid.mg", tmp_path / "malformed.mg"
+    valid.write_text(INTEGRATOR + " verify;")
+    malformed.write_text("ring Q[]")
+    for path in (valid, malformed, "/nonexistent/session.mg"):
+        r = invoke(["verify", "--all", str(path)])
+        assert r.returncode == 2 and r.stdout == ""
+        assert r.stderr == "error: 'verify --all' takes no session file\n"
+
+
+def test_all_applies_only_to_verify(tmp_path):
+    for args in (["torsion", "--all", session_file(tmp_path, MIXED_MODULE)],
+                 ["analyze", "--all"]):
+        r = invoke(args)
+        assert r.returncode == 2 and r.stdout == ""
+        assert r.stderr == "error: --all applies only to 'verify'\n"
 
 
 def test_missing_session_file_is_usage_error():
@@ -479,3 +500,19 @@ def test_json_output_never_colored():
     code, out = run(s, "analyze", json_out=True, color=True)
     assert "\x1b[" not in out
     json.loads(out)
+
+
+# -- start-up -----------------------------------------------------------------------
+
+
+def test_cli_import_stays_light():
+    # every invocation pays this import before its verdict; -S keeps
+    # site-installed .pth hooks out of the check
+    src = os.path.dirname(os.path.dirname(malgrange.__file__))
+    code = (f"import sys; sys.path.insert(0, {src!r}); import malgrange.cli; "
+            "print(sorted({'dataclasses', 'inspect', 'ast', 'json'}"
+            " & set(sys.modules)))")
+    r = subprocess.run([sys.executable, "-S", "-c", code],
+                       capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout == "[]\n"

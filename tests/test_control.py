@@ -7,9 +7,10 @@ from malgrange.parsing import parse_poly
 from malgrange.groebner import PolyMatrix
 from malgrange.modules import (FPModule, Morphism, bass_torsion, cokernel,
                                hom_module, is_isomorphism, q_dimension)
-from malgrange.control import (ControlSystem, autonomy, autonomy_report,
-                               is_controllable, malgrange_check,
-                               malgrange_module, solution_module)
+from malgrange.control import (AutonomyGenerator, ControlSystem, autonomy,
+                               autonomy_report, is_controllable,
+                               malgrange_check, malgrange_module,
+                               solution_module)
 from malgrange import corpus
 
 RD = ring("d")
@@ -137,6 +138,35 @@ def test_free_drift_is_fully_autonomous():
     gen = rep.generators[0]
     assert gen.combination == "x"
     assert gen.witness == "d"
+
+
+def test_analysis_report_serialization():
+    rep = autonomy_report(FREE_DRIFT)
+    module = {"ngens": 1, "relations": "[[d]]"}
+    check = {"check": "main-theorem", "module": module,
+             "defect_generators": ["[1]"], "torsion_generators": ["[1]"],
+             "equal": True}
+    assert rep.to_dict() == {
+        "check": "analysis", "system": "[[d]]", "unknowns": ["x"],
+        "malgrange": module,
+        "autonomy": [{"combination": "x", "element": "[1]",
+                      "annihilators": ["d"]}],
+        "controllable": False, "theorem_check": check}
+    assert repr(rep.generators[0]) == (
+        "AutonomyGenerator(combination='x', element='[1]', "
+        "witnesses=('d',))")
+    assert repr(rep) == (
+        "AnalysisReport(system='[[d]]', unknowns=('x',), "
+        "malgrange={'ngens': 1, 'relations': '[[d]]'}, "
+        f"generators=({rep.generators[0]!r},), controllable=False, "
+        f"theorem_check={rep.theorem_check!r})")
+    assert rep.ok
+    assert not rep._replace(
+        theorem_check=rep.theorem_check._replace(equal=False)).ok
+    assert AutonomyGenerator("x", "[1]", ()).witness is None
+    for obj, name in ((rep, "controllable"), (rep.generators[0], "element")):
+        with pytest.raises(AttributeError):
+            setattr(obj, name, None)
 
 
 def test_divergence_is_controllable():

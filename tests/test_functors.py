@@ -10,7 +10,8 @@ from malgrange.modules import (Element, FPModule, Morphism, bass_torsion,
                                direct_sum, hom_module, image, is_injective,
                                is_isomorphism, is_surjective, kernel,
                                cokernel, q_dimension, tensor_modules)
-from malgrange.functors import (ContraFPFunctor, FPFunctor, FunMorphism,
+from malgrange.functors import (BijectionReport, ContraFPFunctor, FPFunctor,
+                                FunMorphism, MainTheoremReport,
                                 cdefect, cokernel_fun, contra_representable,
                                 contra_stable_hom, defect, defect_comparison,
                                 defect_via_nat, eval_functor,
@@ -415,10 +416,21 @@ def test_image_basis_spans_columns_and_relations():
 
 
 def test_main_theorem_report_serialization():
-    d = verify_main_theorem(MOD_X).to_dict()
-    assert d["check"] == "main-theorem"
-    assert d["equal"] is True
-    assert "witness" not in d
+    rep = verify_main_theorem(MOD_X)
+    module = {"ngens": 1, "relations": "[[x]]"}
+    assert rep.to_dict() == {"check": "main-theorem", "module": module,
+                             "defect_generators": ["[1]"],
+                             "torsion_generators": ["[1]"], "equal": True}
+    assert repr(rep) == (
+        "MainTheoremReport(module={'ngens': 1, 'relations': '[[x]]'}, "
+        "defect_generators=('[1]',), torsion_generators=('[1]',), "
+        "equal=True, witness=None)")
+    assert rep.ok and rep.witness is None
+    with pytest.raises(AttributeError):
+        rep.equal = False
+    failed = MainTheoremReport(module, (), ("[1]",), False, "[1]")
+    assert not failed.ok
+    assert failed.to_dict()["witness"] == "[1]"
 
 
 def test_main_theorem_functoriality():
@@ -454,6 +466,24 @@ def test_adjunction_spot_checks():
 
 
 def test_adjunction_report_serialization():
-    d = verify_adjunction(representable(MOD_X), MOD_X).to_dict()
-    assert d["check"] == "adjunction"
-    assert d["bijective"] is True
+    rep = verify_adjunction(representable(MOD_X), MOD_X)
+    module = {"ngens": 1, "relations": "[[x]]"}
+    functor = {"f": "[]", "Y": module, "X": {"ngens": 0, "relations": "[]"}}
+    assert rep.to_dict() == {
+        "check": "adjunction", "functor": functor, "module": module,
+        "nat_generators": 1, "hom_generators": 1, "injective": True,
+        "surjective": True, "bijective": True}
+    assert repr(rep) == (
+        "BijectionReport(check='adjunction', subject={'functor': "
+        "{'f': '[]', 'Y': {'ngens': 1, 'relations': '[[x]]'}, "
+        "'X': {'ngens': 0, 'relations': '[]'}}, "
+        "'module': {'ngens': 1, 'relations': '[[x]]'}}, "
+        "source_key='nat_generators', source_ngens=1, "
+        "target_key='hom_generators', target_ngens=1, injective=True, "
+        "surjective=True)")
+    assert rep.bijective and rep.ok
+    with pytest.raises(AttributeError):
+        rep.injective = False
+    half = BijectionReport("adjunction", {}, "a", 1, "b", 1, True, False)
+    assert not half.bijective and not half.ok
+    assert half.to_dict()["bijective"] is False

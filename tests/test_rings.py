@@ -1,4 +1,7 @@
+import copy
+import pickle
 import random
+import re
 from fractions import Fraction
 from math import gcd
 
@@ -6,7 +9,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from malgrange import rings
-from malgrange.rings import (GREVLEX, Poly, format_poly, mono_degree,
+from malgrange.rings import (GREVLEX, Poly, RingSpec, format_poly, mono_degree,
                              mono_divides, mono_div, mono_lcm, mono_mul,
                              ring, scaled_ints, sum_of_products)
 from malgrange.parsing import ParseError, parse_poly
@@ -262,6 +265,24 @@ def test_rings_compare_by_names_and_by_identity_first():
     assert a != ring("y", "x") and a != ring("x")
     assert a != ("x", "y") and a.__eq__(("x", "y")) is NotImplemented
     assert {a: 1}[b] == 1
+
+
+def test_a_ring_is_immutable_and_checks_its_names():
+    r = ring("x", "y")
+    assert r == RingSpec(("x", "y")) and hash(r) == hash(RingSpec(("x", "y")))
+    assert repr(r) == "RingSpec(var_names=('x', 'y'))" and str(r) == "Q[x,y]"
+    with pytest.raises(AttributeError):
+        r.var_names = ("z",)
+    with pytest.raises(AttributeError):
+        r.other = 0
+    assert r.var_names == ("x", "y")
+    assert copy.deepcopy(r) == pickle.loads(pickle.dumps(r)) == r
+    for names, msg in [((), "ring needs at least one variable"),
+                       (("x", "x"), "variable names must be pairwise distinct"),
+                       (("x", "2y"), "bad variable name: '2y'"),
+                       (("",), "bad variable name: ''")]:
+        with pytest.raises(ValueError, match=f"^{re.escape(msg)}$"):
+            RingSpec(names)
 
 
 def test_a_hash_is_kept_once_computed():

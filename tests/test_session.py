@@ -4,13 +4,23 @@ from malgrange.rings import ring
 from malgrange.parsing import ParseError, parse_poly
 from malgrange.groebner import PolyMatrix
 from malgrange.modules import FPModule, Morphism, is_isomorphism
-from malgrange.session import parse_session
+from malgrange.session import Session, parse_session
 
 
 def err_at(text):
     with pytest.raises(ParseError) as exc:
         parse_session(text)
     return exc.value.line, exc.value.col
+
+
+def test_sessions_share_no_container():
+    a, b = Session(ring("d")), Session(ring("d"))
+    a.systems["S"] = a.modules["M"] = None
+    a.bindings.append(("module", "M"))
+    a.commands.append(("torsion", ("M",)))
+    for name in ("systems", "modules", "bindings", "commands"):
+        assert getattr(a, name) and not getattr(b, name), name
+    assert not parse_session("ring Q[d];").bindings
 
 
 # -- well-formed sessions -----------------------------------------------------------

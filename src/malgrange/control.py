@@ -14,7 +14,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .rings import Poly, RingSpec
 from .groebner import PolyMatrix, Vector
-from .modules import (Element, FPModule, Morphism, _flatten, annihilator,
+from .modules import (Element, FPModule, Morphism, annihilator,
                       bass_torsion, direct_power, hom_module, kernel,
                       lift_through, nonzero_columns)
 from .functors import (BijectionReport, MainTheoremReport, bijection_report,
@@ -75,10 +75,7 @@ def malgrange_check(sys: ControlSystem, v: FPModule) -> BijectionReport:
     """Assert Hom(M, V) = Sol(V) via the map phi -> (phi(e_1)..phi(e_q))."""
     h = hom_module(malgrange_module(sys), v)
     _, emb = solution_module(sys, v)
-    vq = emb.target
-    cols = [_flatten(h.decode(gen).mat) for gen in h.generators()]
-    tuples = Morphism(h, vq, PolyMatrix.from_columns(sys.ring, vq.ngens, cols),
-                      _checked=True)
+    tuples = Morphism(h, emb.target, h.emb.mat, _checked=True)
     cmp_map = lift_through(emb, tuples)
     return bijection_report("malgrange",
                             {"system": str(sys.mat), "probe": module_dict(v)},

@@ -15,15 +15,15 @@ convention that presentations are chosen data.
 
 from __future__ import annotations
 
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import Dict, NamedTuple, Optional, Tuple
 
-from .rings import Poly, RingSpec
-from .groebner import (GrobnerBasis, PolyMatrix, Vector, buchberger,
+from .rings import RingSpec
+from .groebner import (GrobnerBasis, PolyMatrix, buchberger,
                        solve_mod)
-from .modules import (Element, FPModule, Morphism, bass_torsion, cokernel,
-                      direct_sum, dual, hom_module, hom_pre, hom_post,
-                      is_injective, is_surjective, kernel, lift_through,
-                      nonzero_columns)
+from .modules import (Element, FPModule, Morphism, _flatten, bass_torsion,
+                      cokernel, direct_sum, dual, hom_module, hom_pre,
+                      hom_post, is_injective, is_surjective, kernel,
+                      lift_through, nonzero_columns)
 
 
 class FPFunctor:
@@ -71,13 +71,14 @@ class ContraFPFunctor:
     __repr__ = __str__
 
 
-def _factor_through(f: Morphism, g: Morphism) -> Optional[List[Poly]]:
+def _factor_through(f: Morphism, g: Morphism) -> Optional[PolyMatrix]:
     """Coefficients, over the generators of Hom(f.target, g.target), of a
-    t with g = t o f, or None when g does not factor through f: read off
-    the elimination basis that the kernel of Hom(f, g.target) reads."""
+    t with g = t o f, as one column, or None when g does not factor
+    through f: read off the elimination basis that the kernel of Hom(f,
+    g.target) reads."""
     h = hom_module(f.source, g.target)
     pre = hom_pre(f, g.target)
-    return solve_mod(h.encode(g).vec, pre.mat, h.relations)
+    return solve_mod(h.classes(_flatten(g.mat)), pre.mat, h.relations)
 
 
 def _solve_witness(src: FPFunctor, tgt: FPFunctor, b: Morphism,
@@ -87,7 +88,7 @@ def _solve_witness(src: FPFunctor, tgt: FPFunctor, b: Morphism,
     if coeffs is None:
         return None
     h3 = hom_module(tgt.x, src.x)
-    return h3.decode(Element(h3, Vector(b.source.ring, coeffs)))
+    return h3.decode(Element(h3, coeffs.column(0)))
 
 
 class FunMorphism:
@@ -198,12 +199,8 @@ def stable_hom(a: FPModule) -> FPFunctor:
     Presented by the stacked generators of the dual module: f: A -> R^t,
     x |-> (lambda_1(x), .., lambda_t(x)).
     """
-    ring = a.ring
-    d = dual(a)
-    lambdas = d.decoded_generators()
-    rows = [lam.mat.rows[0] for lam in lambdas]
-    mat = PolyMatrix(ring, len(rows), a.ngens, rows)
-    return FPFunctor(Morphism(a, FPModule.free(ring, len(rows)), mat))
+    mat = dual(a).emb.mat.transpose()  # row i is lambda_i (see eval_map)
+    return FPFunctor(Morphism(a, FPModule.free(a.ring, mat.nrows), mat))
 
 
 def stable_map(a: FPModule) -> FunMorphism:
@@ -294,14 +291,13 @@ class NatModule(FPModule):
         """The class of alpha: its class in Hom(Y_G, Y_F) lifted through
         the kernel embedding modulo that module's relations (``solve_mod``,
         certified, as in ``lift_through``)."""
-        h1_elem = self._h1.encode(alpha.b)
-        coeffs = solve_mod(h1_elem.vec, self._into_h1, self._h1.relations)
+        h1_vec = self._h1.encode(alpha.b).vec
+        coeffs = solve_mod(PolyMatrix.from_columns(self.ring, h1_vec.rank,
+                                                   [h1_vec]),
+                           self._into_h1, self._h1.relations)
         if coeffs is None:
             raise ValueError("transformation failed to encode")
-        return Element(self, Vector(self.ring, coeffs))
-
-    def decoded_generators(self) -> List[FunMorphism]:
-        return [self.decode(g) for g in self.generators()]
+        return Element(self, coeffs.column(0))
 
 
 def nat_hom(fsrc: FPFunctor, ftgt: FPFunctor) -> NatModule:
@@ -508,13 +504,9 @@ def verify_adjunction(fun: FPFunctor, a: FPModule) -> BijectionReport:
     n = nat_hom(fun, representable(a))
     w, emb = defect(fun)
     h = hom_module(a, w)
-    ring = a.ring
-    cols = []
-    for gen in n.generators():
-        alpha = n.decode(gen)
-        corestricted = lift_through(emb, alpha.b)
-        cols.append(h.encode(corestricted).vec)
-    mat = PolyMatrix.from_columns(ring, h.ngens, cols)
+    flat = [_flatten(lift_through(emb, n.decode(gen).b).mat).column(0)
+            for gen in n.generators()]
+    mat = h.classes(PolyMatrix.from_columns(a.ring, a.ngens * w.ngens, flat))
     subject = {"functor": {"f": str(fun.f.mat), "Y": module_dict(fun.y),
                            "X": module_dict(fun.x)},
                "module": module_dict(a)}

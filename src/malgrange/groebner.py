@@ -1103,12 +1103,6 @@ class SpanSolver:
         return out
 
 
-def syzygy_basis(gens: Sequence[Vector], ring: RingSpec,
-                 rank: int) -> List[Vector]:
-    """The columns of ``syzygies``."""
-    return syzygies(gens, ring, rank).columns()
-
-
 def syzygies(gens: Sequence[Vector], ring: RingSpec,
              rank: int) -> "PolyMatrix":
     """Matrix whose columns generate the relations among gens: the reduced
@@ -1408,27 +1402,40 @@ def _seeded_completion(gens: Tuple[Vector, ...], count: int,
     return GrobnerBasis._of(ring, rank, final)
 
 
-def solve_mod(v: Vector, a: PolyMatrix, b: PolyMatrix) -> Optional[List[Poly]]:
-    """Coefficients c with a*c = v modulo the column span of b, or None.
+def solve_mod(v: PolyMatrix, a: PolyMatrix,
+              b: PolyMatrix) -> Optional[PolyMatrix]:
+    """Matrix c with a*c = v modulo the column span of b, or None when a
+    column of v has no such c_j.
 
-    [-v; 0] leaves its normal form [r; c] against ``_elimination(a, b)``
-    (``_tag_remainder``): r is zero exactly when a c exists.  v - a*c,
-    formed from c's integer form with a packed once (``_Packed``), must
-    reduce to zero against the basis of b."""
-    if a.nrows != b.nrows or v.rank != a.nrows:
+    [-v_j; 0] leaves its normal form [r; c_j] against ``_elimination(a,
+    b)`` (``_tag_remainder``): r is zero exactly when c_j exists.  Every
+    v_j - a*c_j, formed from c_j's integer form with a packed once
+    (``_Packed``), must reduce to zero against the basis of b.  Each c_j is
+    read by the layout of its own remainder: a later column may widen the
+    shared basis."""
+    if a.nrows != b.nrows or v.nrows != a.nrows:
         raise ValueError("shape mismatch")
     ring, k, n = a.ring, a.nrows, a.ncols
+    if not v.ncols:
+        return PolyMatrix.zeros(ring, n, 0)
     elim = _elimination(a, b)._basis
-    left = _tag_remainder(Vector(ring, (-v).entries + (Poly.zero(ring),) * n),
-                          elim, k)
-    if left is None:
-        return None
-    rem, scale = left
-    old = elim.layout
+    zeros = (Poly.zero(ring),) * n
+    cols = v.columns()
+    lefts = []
+    for col in cols:
+        left = _tag_remainder(Vector(ring, (-col).entries + zeros), elim, k)
+        if left is None:
+            return None
+        lefts.append((elim.layout, *left))
     target = buchberger(b.columns(), ring=ring, rank=k)._basis
-    target.fit(_degree(v.entries))
-    packed = _packed_for(a, old.max_degree(rem) if rem else 0, target)
-    residual = packed.residual(v, scale, rem.items(), old, k)
-    if _reduce(residual, target)[0]:
-        raise RuntimeError("uncertified solution")
-    return _polys(old, ring, rem, scale, k, n)
+    target.fit(_degree(chain.from_iterable(v.rows)))
+    packed = _packed_for(a, max((old.max_degree(rem)
+                                 for old, rem, _ in lefts if rem), default=0),
+                         target)
+    out = []
+    for col, (old, rem, scale) in zip(cols, lefts):
+        if _reduce(packed.residual(col, scale, rem.items(), old, k),
+                   target)[0]:
+            raise RuntimeError("uncertified solution")
+        out.append(Vector(ring, _polys(old, ring, rem, scale, k, n)))
+    return PolyMatrix.from_columns(ring, n, out)

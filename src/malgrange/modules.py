@@ -298,13 +298,12 @@ def direct_power(m: FPModule, k: int) -> FPModule:
 
 # -- Hom modules -------------------------------------------------------------------
 
-def _flatten(mat: PolyMatrix) -> Vector:
-    """Column-major flattening; column k occupies slots k*nrows..(k+1)*nrows."""
-    entries = []
-    for k in range(mat.ncols):
-        for i in range(mat.nrows):
-            entries.append(mat.rows[i][k])
-    return Vector(mat.ring, entries)
+def _flatten(mat: PolyMatrix) -> PolyMatrix:
+    """Column-major flattening into one column; column k of mat occupies
+    rows k*nrows..(k+1)*nrows."""
+    return PolyMatrix(mat.ring, mat.nrows * mat.ncols, 1,
+                      ((mat.rows[i][k],) for k in range(mat.ncols)
+                       for i in range(mat.nrows)))
 
 
 def _unflatten(ring: RingSpec, nrows: int, ncols: int, v: Vector) -> PolyMatrix:
@@ -316,11 +315,13 @@ def _unflatten(ring: RingSpec, nrows: int, ncols: int, v: Vector) -> PolyMatrix:
 class HomModule(FPModule):
     """Hom(M, N) presented as the kernel of N^m -> N^p, Phi |-> Phi o rel_M.
 
-    Generators decode to actual morphisms M -> N; encode inverts this for
-    any well-defined morphism.
+    emb maps the generators to flattened matrices M -> N (``_flatten``), in
+    N^m; decode reads one morphism off it.  classes lifts flattened
+    morphisms back, and encode inverts decode for any well-defined
+    morphism.
     """
 
-    __slots__ = ("dom", "cod", "_emb")
+    __slots__ = ("dom", "cod", "emb")
 
     def __init__(self, dom: FPModule, cod: FPModule):
         ring = dom.ring
@@ -335,29 +336,33 @@ class HomModule(FPModule):
         super().__init__(ring, k.ngens, k.relations)
         self.dom = dom
         self.cod = cod
-        self._emb = emb
+        self.emb = emb
 
     def decode(self, e: Element) -> Morphism:
         if e.module != self:
             raise ValueError("element not in this Hom module")
-        flat = self._emb.mat.mul_vec(e.vec)
+        flat = self.emb.mat.mul_vec(e.vec)
         mat = _unflatten(self.ring, self.cod.ngens, self.dom.ngens, flat)
         return Morphism(self.dom, self.cod, mat, _checked=True)
 
-    def encode(self, phi: Morphism) -> Element:
-        """The class of phi: its flattened matrix lifted through the
-        embedding modulo cod^m's relations (``solve_mod``, certified, as in
-        ``lift_through``), which exists exactly when phi is well defined."""
-        if phi.source != self.dom or phi.target != self.cod:
-            raise ValueError("morphism does not match this Hom module")
-        coeffs = solve_mod(_flatten(phi.mat), self._emb.mat,
-                           self._emb.target.relations)
+    def classes(self, flat: PolyMatrix) -> PolyMatrix:
+        """The classes of the columns of flat, flattened matrices dom ->
+        cod, as normal forms: all lifted through the embedding modulo
+        cod^m's relations by one ``solve_mod`` (certified, as in
+        ``lift_through``).  A lift exists exactly when each column is a
+        well-defined morphism."""
+        coeffs = solve_mod(flat, self.emb.mat, self.emb.target.relations)
         if coeffs is None:
             raise ValueError("morphism failed to encode into Hom module")
-        return Element(self, Vector(self.ring, coeffs))
+        return PolyMatrix.from_columns(self.ring, self.ngens,
+                                       [self.gb.reduce(c)
+                                        for c in coeffs.columns()])
 
-    def decoded_generators(self) -> List[Morphism]:
-        return [self.decode(g) for g in self.generators()]
+    def encode(self, phi: Morphism) -> Element:
+        """The class of phi (``classes`` of its flattened matrix)."""
+        if phi.source != self.dom or phi.target != self.cod:
+            raise ValueError("morphism does not match this Hom module")
+        return Element(self, self.classes(_flatten(phi.mat)).column(0))
 
 
 def hom_module(dom: FPModule, cod: FPModule) -> HomModule:
@@ -370,23 +375,25 @@ def hom_module(dom: FPModule, cod: FPModule) -> HomModule:
 
 
 def hom_pre(f: Morphism, cod: FPModule) -> Morphism:
-    """Hom(f, cod): Hom(target, cod) -> Hom(source, cod), phi -> phi o f."""
+    """Hom(f, cod): Hom(target, cod) -> Hom(source, cod), phi -> phi o f.
+
+    On flattened matrices phi -> phi o f is vec(phi f) = (f^T (x) I) vec(phi),
+    so the generators' images are that Kronecker product times the
+    embedding of Hom(target, cod), lifted at once (``HomModule.classes``)."""
     h_t = hom_module(f.target, cod)
     h_s = hom_module(f.source, cod)
-    cols = [h_s.encode(h_t.decode(g).compose(f)).vec
-            for g in h_t.generators()]
-    mat = PolyMatrix.from_columns(f.source.ring, h_s.ngens, cols)
-    return Morphism(h_t, h_s, mat, _checked=True)
+    act = PolyMatrix.kron(f.mat.transpose(),
+                          PolyMatrix.identity(f.mat.ring, cod.ngens))
+    return Morphism(h_t, h_s, h_s.classes(act * h_t.emb.mat), _checked=True)
 
 
 def hom_post(dom: FPModule, f: Morphism) -> Morphism:
-    """Hom(dom, f): Hom(dom, source) -> Hom(dom, target), phi -> f o phi."""
+    """Hom(dom, f): Hom(dom, source) -> Hom(dom, target), phi -> f o phi:
+    vec(f phi) = (I (x) f) vec(phi), as in ``hom_pre``."""
     h_s = hom_module(dom, f.source)
     h_t = hom_module(dom, f.target)
-    cols = [h_t.encode(f.compose(h_s.decode(g))).vec
-            for g in h_s.generators()]
-    mat = PolyMatrix.from_columns(dom.ring, h_t.ngens, cols)
-    return Morphism(h_s, h_t, mat, _checked=True)
+    act = PolyMatrix.kron(PolyMatrix.identity(f.mat.ring, dom.ngens), f.mat)
+    return Morphism(h_s, h_t, h_t.classes(act * h_s.emb.mat), _checked=True)
 
 
 def dual(m: FPModule) -> HomModule:
@@ -411,18 +418,17 @@ def tensor_modules(a: FPModule, b: FPModule) -> FPModule:
 # -- torsion via the double dual ---------------------------------------------------
 
 def eval_map(m: FPModule) -> Morphism:
-    """Canonical M -> M**, generator e_j to evaluation-at-e_j."""
+    """Canonical M -> M**, generator e_j to evaluation-at-e_j.
+
+    The dual's embedding E (m x t) sends its relations to zero exactly, so
+    its column i is the i-th generator lambda_i of M* itself, and row j is
+    evaluation at e_j.  All m evaluations are checked as one morphism M* ->
+    R^m, then lifted into M** at once (``HomModule.classes``)."""
     d = dual(m)
     dd = dual(d)
-    lambdas = d.decoded_generators()
-    free1 = FPModule.free(m.ring, 1)
-    cols = []
-    for j in range(m.ngens):
-        row = [[lam.mat.rows[0][j] for lam in lambdas]]
-        mu = Morphism(d, free1, PolyMatrix(m.ring, 1, d.ngens, row))
-        cols.append(dd.encode(mu).vec)
-    mat = PolyMatrix.from_columns(m.ring, dd.ngens, cols)
-    return Morphism(m, dd, mat)
+    e = d.emb.mat
+    Morphism(d, FPModule.free(m.ring, m.ngens), e)  # raises if ill defined
+    return Morphism(m, dd, dd.classes(e.transpose()))
 
 
 def bass_torsion(m: FPModule) -> Tuple[FPModule, Morphism]:
@@ -492,8 +498,8 @@ def module_annihilator(m: FPModule) -> AnnihilatorIdeal:
 def lift_through(iota: Morphism, phi: Morphism) -> Morphism:
     """psi with iota o psi = phi, for any iota into phi's target.
 
-    Column j of psi is c with iota.mat * c = phi_j modulo the target's
-    relations (``solve_mod``, certified): read off the elimination basis
+    psi is c with iota.mat * c = phi.mat modulo the target's relations
+    (one ``solve_mod``, certified): read off the elimination basis
     whose projection is K's relations when iota is a kernel embedding
     (``kernel``).  Raises ValueError when a column does not factor
     through iota, or when the lifts do not define a morphism phi.source
@@ -502,13 +508,9 @@ def lift_through(iota: Morphism, phi: Morphism) -> Morphism:
     """
     if iota.target != phi.target:
         raise ValueError("lift requires a common target")
-    cols = []
-    for col in phi.mat.columns():
-        c = solve_mod(col, iota.mat, iota.target.relations)
-        if c is None:
-            raise ValueError("morphism does not factor through the image")
-        cols.append(Vector(iota.source.ring, c))
-    mat = PolyMatrix.from_columns(iota.source.ring, iota.source.ngens, cols)
+    mat = solve_mod(phi.mat, iota.mat, iota.target.relations)
+    if mat is None:
+        raise ValueError("morphism does not factor through the image")
     return Morphism(phi.source, iota.source, mat)
 
 

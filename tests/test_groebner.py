@@ -864,17 +864,26 @@ def test_solve_mod_finds_witness():
     a = PolyMatrix(RX, 1, 1, [[parse_poly("x", RX)]])
     b = PolyMatrix(RX, 1, 1, [[parse_poly("x^3", RX)]])
     v = vec(RX, "x^2")
-    sol = solve_mod(v, a, b)
-    assert sol is not None
+    sol = solve_mod(PolyMatrix.from_columns(RX, 1, [v]), a, b)
+    assert (sol.nrows, sol.ncols) == (1, 1)
     # residual v - a*c must lie in the column span of b
-    residual = v - a.column(0).poly_mul(sol[0])
+    residual = v - a.column(0).poly_mul(sol.at(0, 0))
     assert buchberger(b.columns(), ring=RX, rank=1).contains(residual)
-    assert solve_mod(vec(RX, "1"), a, b) is None
+    # one column without a solution is enough for None
+    assert solve_mod(PolyMatrix.from_columns(RX, 1, [v, vec(RX, "1")]),
+                     a, b) is None
+    # no columns: the n x 0 matrix, and nothing is built
+    a2 = PolyMatrix.hstack(a, a)
+    groebner._CACHE.clear()
+    assert solve_mod(PolyMatrix.zeros(RX, 1, 0), a2, b) == PolyMatrix.zeros(
+        RX, 2, 0)
+    assert not groebner._CACHE
 
 
 def _solve_case(r, rng, shape, solvable):
-    """(v, a, b) over r: v = a*c0 + b*d0 when solvable, else a random
-    vector; a or b may have no columns."""
+    """(v, a, b) over r, v with 0 to 3 columns: each is a*c0 + b*d0 when
+    solvable, else that or a random vector by a coin flip; a or b may
+    have no columns."""
     rank = rng.randint(1, 2)
     deg = 1 if r is R3 else 2
     a_cols = [rand_vector(r, rng, rank, deg=deg)
@@ -885,12 +894,16 @@ def _solve_case(r, rng, shape, solvable):
         a_cols = []
     elif shape == "b with no columns":
         b_cols = []
-    v = Vector.zero(r, rank)
-    for col in a_cols + b_cols:
-        v = v + col.poly_mul(rand_vector(r, rng, 1, deg=1).entries[0])
-    if not solvable:
-        v = rand_vector(r, rng, rank, deg=deg)
-    return (v, PolyMatrix.from_columns(r, rank, a_cols),
+    vs = []
+    for _ in range(rng.randint(0, 3)):
+        v = Vector.zero(r, rank)
+        for col in a_cols + b_cols:
+            v = v + col.poly_mul(rand_vector(r, rng, 1, deg=1).entries[0])
+        if not solvable and rng.random() < 0.5:
+            v = rand_vector(r, rng, rank, deg=deg)
+        vs.append(v)
+    return (PolyMatrix.from_columns(r, rank, vs),
+            PolyMatrix.from_columns(r, rank, a_cols),
             PolyMatrix.from_columns(r, rank, b_cols))
 
 
@@ -900,19 +913,22 @@ def _solve_case(r, rng, shape, solvable):
        st.booleans())
 def test_solve_mod_matches_the_tracked_solver(seed, r, shape, solvable):
     # solve_mod reads the elimination basis of (a, b); a SpanSolver of
-    # [a | b], built directly, answers the same question with tracked
-    # cofactors.  Their c may differ, never whether one exists
+    # [a | b], built directly, answers the same question for each column
+    # with tracked cofactors.  Their c_j may differ, never whether every
+    # column has one
     v, a, b = _solve_case(r, random.Random(seed), shape, solvable)
     groebner._CACHE.clear()
     got = solve_mod(v, a, b)
-    want = SpanSolver(a.columns() + b.columns(), r, a.nrows).solve(v)
-    assert (got is None) == (want is None)
+    solver = SpanSolver(a.columns() + b.columns(), r, a.nrows)
+    wants = [solver.solve(col) for col in v.columns()]
+    assert (got is None) == any(want is None for want in wants)
     if solvable:
         assert got is not None
     if got is not None:
-        assert len(got) == a.ncols
+        assert (got.nrows, got.ncols) == (a.ncols, v.ncols)
         span = buchberger(b.columns(), ring=r, rank=a.nrows)
-        assert span.contains(v - a.mul_vec(Vector(r, got)))
+        for j in range(v.ncols):
+            assert span.contains(v.column(j) - a.mul_vec(got.column(j)))
 
 
 def test_a_corrupted_elimination_basis_gives_no_solution(monkeypatch):
@@ -921,9 +937,9 @@ def test_a_corrupted_elimination_basis_gives_no_solution(monkeypatch):
     # is not in (x^3): that answer must not come back
     a = PolyMatrix(RX, 1, 1, [[parse_poly("x", RX)]])
     b = PolyMatrix(RX, 1, 1, [[parse_poly("x^3", RX)]])
-    v = vec(RX, "x^2")
+    v = PolyMatrix(RX, 1, 1, [[parse_poly("x^2", RX)]])
     groebner._CACHE.clear()
-    assert solve_mod(v, a, b) == [parse_poly("x", RX)]
+    assert solve_mod(v, a, b) == PolyMatrix(RX, 1, 1, [[parse_poly("x", RX)]])
     original = groebner._elimination
 
     def corrupted(a, b):
@@ -965,7 +981,7 @@ def test_solve_mod_and_syzygies_run_no_tracked_completion(monkeypatch):
     a = PolyMatrix.from_columns(RXY, 2, [vec(RXY, "x", "y"),
                                          vec(RXY, "y^2", "x - 1")])
     b = PolyMatrix.from_columns(RXY, 2, [vec(RXY, "x^2 - y", "x")])
-    assert solve_mod(a.column(0), a, b) is not None
+    assert solve_mod(a, a, b) is not None
     assert syzygies(a.columns() + b.columns(), RXY, 2).ncols > 0
     assert calls == []
 

@@ -6,10 +6,10 @@ from hypothesis import given, settings, strategies as st
 
 from malgrange.rings import Poly, ring
 from malgrange.parsing import parse_poly
-from malgrange.groebner import (PolyMatrix, SpanSolver, Vector, buchberger,
-                                syzygies_mod)
+from malgrange.groebner import (GrobnerBasis, PolyMatrix, SpanSolver,
+                                Vector, buchberger, syzygies_mod)
 from malgrange import groebner
-from malgrange.functors import FunMorphism, nat_hom
+from malgrange.functors import FunMorphism, nat_hom, stable_hom
 from malgrange.modules import (AnnihilatorIdeal, Element, FPModule, HomModule,
                                Morphism, annihilator, bass_torsion, cokernel,
                                direct_sum, dual, eval_map, hom_module,
@@ -391,7 +391,7 @@ def test_one_basis_answers_every_quotient_of_a_kernel_embedding(
     monkeypatch.setattr(groebner, "cached", recording)
     groebner._CACHE.clear()
     h = hom_module(MOD_XY, MOD_XY)  # builds kernel(rho) and its relations
-    emb = h._emb
+    emb = h.emb
     identity = Morphism(MOD_XY, MOD_XY, mat(RXY, [["1"]]))
     assert h.decode(h.encode(identity)) == identity
     assert emb.compose(lift_through(emb, emb)) == emb
@@ -420,7 +420,7 @@ def test_encode_inverts_decode_on_every_hom_generator(seed, r):
     groebner._CACHE.clear()
     h = hom_module(dom, cod)
     power = PolyMatrix.block_diag(r, [cod.relations] * dom.ngens)
-    emb = h._emb.mat
+    emb = h.emb.mat
     solver = SpanSolver(emb.columns() + power.columns(), r, emb.nrows)
     for g in h.generators():
         phi = h.decode(g)
@@ -516,6 +516,91 @@ def test_hom_pre_post_functoriality():
         lhs = h3.decode(h3.element(post.mat.mul_vec(g.vec)))
         rhs = f.compose(h2.decode(g))
         assert lhs == rhs
+
+
+# Hom maps as they were first defined, one generator at a time: decode,
+# compose, encode.  The engine reads them off the embeddings instead.
+
+def _reference_hom_pre(f, cod):
+    h_t, h_s = hom_module(f.target, cod), hom_module(f.source, cod)
+    return PolyMatrix.from_columns(
+        f.source.ring, h_s.ngens,
+        [h_s.encode(h_t.decode(g).compose(f)).vec for g in h_t.generators()])
+
+
+def _reference_hom_post(dom, f):
+    h_s, h_t = hom_module(dom, f.source), hom_module(dom, f.target)
+    return PolyMatrix.from_columns(
+        dom.ring, h_t.ngens,
+        [h_t.encode(f.compose(h_s.decode(g))).vec for g in h_s.generators()])
+
+
+def _dual_rows(m):
+    """The decoded generators of M*, one 1 x m row each."""
+    d = dual(m)
+    return [d.decode(g).mat.rows[0] for g in d.generators()]
+
+
+def _reference_eval_map(m):
+    d, dd = dual(m), dual(dual(m))
+    rows = _dual_rows(m)
+    free1 = FPModule.free(m.ring, 1)
+    cols = []
+    for j in range(m.ngens):
+        mu = Morphism(d, free1, PolyMatrix(m.ring, 1, d.ngens,
+                                           [[row[j] for row in rows]]))
+        cols.append(dd.encode(mu).vec)
+    return PolyMatrix.from_columns(m.ring, dd.ngens, cols)
+
+
+def _differential_modules():
+    """The corpus modules, then seeded random cokernels over Q[x] and
+    Q[x,y]."""
+    mods = [m for _, m in corpus.main_theorem_modules()]
+    rng = random.Random(2417)
+    for _ in range(4):
+        for r in (RX, RXY):
+            mods.append(corpus.random_cokernel(r, rng, rng.randint(1, 2),
+                                               rng.randint(1, 3)))
+    return mods
+
+
+def test_eval_map_and_stable_hom_equal_their_per_generator_definitions():
+    for m in _differential_modules():
+        assert eval_map(m).mat == _reference_eval_map(m)
+        rows = _dual_rows(m)
+        assert stable_hom(m).f.mat == PolyMatrix(m.ring, len(rows), m.ngens,
+                                                 rows)
+
+
+def test_hom_pre_and_hom_post_equal_their_per_generator_definitions():
+    pairs = []
+    for r in (RX, RXY):
+        mods = [m for m in _differential_modules() if m.ring == r]
+        pairs += zip(mods, mods[1:])
+    assert len(pairs) >= 12
+    for a, b in pairs:
+        h = hom_module(a, b)
+        for g in h.generators()[:2]:
+            f = h.decode(g)
+            for c in (a, b):
+                assert hom_pre(f, c).mat == _reference_hom_pre(f, c)
+                assert hom_post(c, f).mat == _reference_hom_post(c, f)
+
+
+def test_eval_map_checks_every_evaluation(monkeypatch):
+    # the m evaluations M* -> R are checked together, as one morphism
+    # M* -> R^m whose matrix is the dual's embedding
+    e = dual(IDEAL_XY).emb.mat
+    eval_map(IDEAL_XY)
+    original = GrobnerBasis.first_product_outside
+
+    def failing(self, a, c):
+        return 0 if a == e else original(self, a, c)
+
+    monkeypatch.setattr(GrobnerBasis, "first_product_outside", failing)
+    with pytest.raises(ValueError, match="matrix does not define a morphism"):
+        eval_map(IDEAL_XY)
 
 
 # -- tensor ----------------------------------------------------------------------

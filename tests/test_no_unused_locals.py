@@ -1,4 +1,5 @@
-"""No engine function assigns a local name that it never reads."""
+"""No engine function assigns a local name that it never reads, and no
+engine module imports a name that it never reads."""
 
 import ast
 from pathlib import Path
@@ -41,6 +42,20 @@ def _unused_locals(tree: ast.AST):
                 yield line, fn.name, name
 
 
+def _unused_imports(tree: ast.Module):
+    """(line, name) of every name a module-level ``from ... import`` binds
+    and the module never reads, ``from __future__`` exempt; a read
+    anywhere in the module counts."""
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                name = alias.asname or alias.name
+                if name not in read:
+                    yield node.lineno, name
+
+
 def test_an_unused_local_is_found():
     tree = ast.parse("def f(a):\n"
                      "    b, _ = a\n"
@@ -61,6 +76,25 @@ def test_engine_functions_read_every_local_they_assign():
     unused = [f"{path.name}:{line}: {fn} assigns {name!r} and never reads it"
               for path in SOURCES
               for line, fn, name in _unused_locals(
+                  ast.parse(path.read_text(encoding="utf-8"),
+                            filename=str(path)))]
+    assert unused == []
+
+
+def test_an_unused_import_is_found():
+    tree = ast.parse("from __future__ import annotations\n"
+                     "from typing import List, Optional\n"
+                     "from .a import b as c, d\n"
+                     "def g(x: Optional[int]):\n"
+                     "    return d\n")
+    assert list(_unused_imports(tree)) == [(2, "List"), (3, "c")]
+
+
+def test_engine_modules_read_every_name_they_import():
+    # the package's __init__ imports names to re-export them
+    unused = [f"{path.name}:{line}: imports {name!r} and never reads it"
+              for path in SOURCES if path.name != "__init__.py"
+              for line, name in _unused_imports(
                   ast.parse(path.read_text(encoding="utf-8"),
                             filename=str(path)))]
     assert unused == []

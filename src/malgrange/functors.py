@@ -270,8 +270,8 @@ class NatModule(FPModule):
         c = hom_post(ftgt.y, f_f)
         d = hom_pre(f_g, fsrc.x)
         e = hom_pre(f_g, fsrc.y)
-        _, pi2 = cokernel(d)
-        _, emb = kernel(pi2.compose(c))
+        coker_d, _ = cokernel(d)
+        _, emb = kernel(Morphism(h1, coker_d, c.mat, _checked=True))
         e_tilde = lift_through(emb, e)
         n, _ = cokernel(e_tilde)
         super().__init__(h1.ring, n.ngens, n.relations)
@@ -359,13 +359,11 @@ def defect_via_nat(fun: FPFunctor) -> NatModule:
 
 
 def defect_comparison(fun: FPFunctor) -> Morphism:
-    """Canonical map defect_via_nat(F) -> defect(F).W; always bijective."""
+    """Canonical map defect_via_nat(F) -> defect(F).W, the carriers R -> Y
+    as one map lifted through Ker f; always bijective."""
     n = defect_via_nat(fun)
     _, emb = defect(fun)
-    cols = [n.decode(gen).b.mat.column(0) for gen in n.generators()]
-    into_y = Morphism(n, fun.y, PolyMatrix.from_columns(
-        fun.y.ring, fun.y.ngens, cols), _checked=True)
-    return lift_through(emb, into_y)
+    return lift_through(emb, Morphism(n, fun.y, n._h1.emb.mat * n._into_h1))
 
 
 def cdefect(fun: ContraFPFunctor) -> FPModule:
@@ -500,15 +498,15 @@ def verify_main_theorem(a: FPModule) -> MainTheoremReport:
 
 
 def verify_adjunction(fun: FPFunctor, a: FPModule) -> BijectionReport:
-    """Check Nat(F, Hom(A,-)) = Hom(A, Ker f_F) via the corestriction map."""
+    """Check Nat(F, Hom(A,-)) = Hom(A, Ker f_F) via the corestriction map:
+    as X = 0 for Hom(A,-), Nat's carriers are one map into Hom(A, Y_F),
+    lifted through the injective Hom(A, Ker f_F) -> Hom(A, Y_F)."""
     n = nat_hom(fun, representable(a))
-    w, emb = defect(fun)
-    h = hom_module(a, w)
-    flat = [_flatten(lift_through(emb, n.decode(gen).b).mat).column(0)
-            for gen in n.generators()]
-    mat = h.classes(PolyMatrix.from_columns(a.ring, a.ngens * w.ngens, flat))
+    _, emb = defect(fun)
+    carriers = Morphism(n, n._h1, n._into_h1)
+    cmp_map = lift_through(hom_post(a, emb), carriers)
     subject = {"functor": {"f": str(fun.f.mat), "Y": module_dict(fun.y),
                            "X": module_dict(fun.x)},
                "module": module_dict(a)}
-    return bijection_report("adjunction", subject, Morphism(n, h, mat),
+    return bijection_report("adjunction", subject, cmp_map,
                             "nat_generators", "hom_generators")

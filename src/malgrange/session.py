@@ -77,7 +77,7 @@ def _parse_name_list(ts: TokenStream, what: str) -> List[str]:
     return names
 
 
-def _require_bound(ts: TokenStream, session: Session, tok) -> str:
+def _require_bound(session: Session, tok) -> str:
     if not session.is_bound(tok.text):
         raise ParseError(f"unknown identifier {tok.text!r}",
                          tok.line, tok.col)
@@ -149,7 +149,7 @@ def parse_session(text: str) -> Session:
             session.commands.append(("verify", ()))
         elif tok.text == "analyze":
             arg = ts.expect_ident("system name")
-            _require_bound(ts, session, arg)
+            _require_bound(session, arg)
             if arg.text not in session.systems:
                 raise ParseError(f"'analyze' expects a system, "
                                  f"{arg.text!r} is a module",
@@ -157,13 +157,13 @@ def parse_session(text: str) -> Session:
             session.commands.append(("analyze", (arg.text,)))
         elif tok.text == "hom":
             a = ts.expect_ident("name")
-            _require_bound(ts, session, a)
+            _require_bound(session, a)
             b = ts.expect_ident("name")
-            _require_bound(ts, session, b)
+            _require_bound(session, b)
             session.commands.append(("hom", (a.text, b.text)))
         else:  # torsion, defect, gb
             arg = ts.expect_ident("name")
-            _require_bound(ts, session, arg)
+            _require_bound(session, arg)
             session.commands.append((tok.text, (arg.text,)))
         ts.expect_punct(";")
     return session

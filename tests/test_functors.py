@@ -5,8 +5,10 @@ import pytest
 
 from malgrange.rings import ring
 from malgrange.parsing import parse_poly
-from malgrange.groebner import PolyMatrix, SpanSolver, Vector, buchberger
-from malgrange.modules import (Element, FPModule, Morphism, bass_torsion,
+from malgrange.groebner import (GrobnerBasis, PolyMatrix, SpanSolver, Vector,
+                               buchberger)
+from malgrange.modules import (Element, FPModule, Morphism, _flatten,
+                               bass_torsion, lift_through,
                                direct_sum, hom_module, image, is_injective,
                                is_isomorphism, is_surjective, kernel,
                                cokernel, q_dimension, tensor_modules)
@@ -20,8 +22,8 @@ from malgrange.functors import (BijectionReport, ContraFPFunctor, FPFunctor,
                                 stable_hom, stable_map, tensor_eval_map,
                                 tensor_functor, verify_adjunction,
                                 verify_main_theorem, zero_functor)
-from malgrange.functors import _image_basis
-from malgrange import corpus, groebner
+from malgrange.functors import NatModule, _image_basis, bijection_report
+from malgrange import corpus, functors, groebner
 from malgrange.cli import main
 
 RX = ring("x")
@@ -487,3 +489,121 @@ def test_adjunction_report_serialization():
     half = BijectionReport("adjunction", {}, "a", 1, "b", 1, True, False)
     assert not half.bijective and not half.ok
     assert half.to_dict()["bijective"] is False
+
+
+# -- Nat comparisons: one lift against the per-generator definitions ---------------
+
+
+def _reference_adjunction_map(fun, a):
+    """Nat(F, Hom(A,-)) -> Hom(A, Ker f_F) one generator at a time: decode
+    the transformation, lift its carrier through Ker f_F, and take the
+    class of the flattened lift in Hom(A, Ker f_F)."""
+    n = nat_hom(fun, representable(a))
+    w, emb = defect(fun)
+    h = hom_module(a, w)
+    flat = [_flatten(lift_through(emb, n.decode(gen).b).mat).column(0)
+            for gen in n.generators()]
+    return Morphism(n, h, h.classes(
+        PolyMatrix.from_columns(a.ring, a.ngens * w.ngens, flat)))
+
+
+def _reference_defect_comparison(fun):
+    """Nat(F, Hom(R,-)) -> Ker f_F from the decoded carriers' columns."""
+    n = defect_via_nat(fun)
+    _, emb = defect(fun)
+    cols = [n.decode(gen).b.mat.column(0) for gen in n.generators()]
+    return lift_through(emb, Morphism(n, fun.y, PolyMatrix.from_columns(
+        fun.y.ring, fun.y.ngens, cols)))
+
+
+def _nat_comparison_cases(r):
+    """(functor, module) pairs over r: the corpus adjunction pairs, each
+    corpus functor with its own Y, and the representable, tensor and
+    stable Hom functors of seeded random cokernels, each with another
+    draw."""
+    cases = [(fun, a) for _, fun, _, a in corpus.adjunction_pairs()
+             if a.ring == r]
+    cases += [(fun, fun.y) for _, fun in corpus.corpus_functors()
+              if fun.y.ring == r]
+    rng = random.Random(2511 + r.nvars)
+    for _ in range(2):
+        b = corpus.random_cokernel(r, rng, 2, rng.randint(1, 3))
+        a = corpus.random_cokernel(r, rng, rng.randint(1, 2),
+                                   rng.randint(1, 2))
+        cases += [(make(b), a)
+                  for make in (representable, tensor_functor, stable_hom)]
+    return cases
+
+
+@pytest.mark.parametrize("r", [RX, RXY], ids=["x", "xy"])
+def test_nat_comparisons_equal_their_per_generator_definitions(r, monkeypatch):
+    maps = []
+
+    def capture(check, subject, cmp_map, *keys):
+        maps.append(cmp_map)
+        return bijection_report(check, subject, cmp_map, *keys)
+
+    monkeypatch.setattr(functors, "bijection_report", capture)
+    cases = _nat_comparison_cases(r)
+    assert len(cases) >= 10
+    for fun, a in cases:
+        rep = verify_adjunction(fun, a)
+        ref = _reference_adjunction_map(fun, a)
+        assert maps.pop() == ref, (fun, a)
+        assert rep == bijection_report("adjunction", rep.subject, ref,
+                                       "nat_generators", "hom_generators")
+        new, ref = defect_comparison(fun), _reference_defect_comparison(fun)
+        assert new == ref, fun
+        assert (bijection_report("defect", {}, new, "nat", "w")
+                == bijection_report("defect", {}, ref, "nat", "w"))
+
+
+def test_nat_comparisons_make_one_lift_and_decode_nothing(monkeypatch):
+    # the carriers are read off the Nat module's embedding: no generator
+    # is decoded into a transformation, and its compatibility witness
+    # is never solved
+    def refuse(*args, **kwargs):
+        raise AssertionError("a Nat generator was decoded")
+
+    monkeypatch.setattr(NatModule, "decode", refuse)
+    monkeypatch.setattr(FunMorphism, "__init__", refuse)
+    monkeypatch.setattr(Element, "__init__", refuse)
+    callers = []
+    original = functors.lift_through
+
+    def counting(iota, phi):
+        callers.append(traceback.extract_stack(limit=2)[0].name)
+        return original(iota, phi)
+
+    monkeypatch.setattr(functors, "lift_through", counting)
+    for _, fun, _, a in corpus.adjunction_pairs():
+        callers.clear()
+        assert verify_adjunction(fun, a).bijective
+        assert callers.count("verify_adjunction") == 1
+    for _, fun in corpus.corpus_functors():
+        callers.clear()
+        assert is_isomorphism(defect_comparison(fun))
+        assert callers.count("defect_comparison") == 1
+
+
+def test_nat_carrier_maps_are_checked_morphisms(monkeypatch):
+    # the carriers' matrix is checked as a map out of the Nat module
+    # before it is lifted: into Hom(A, Y) for the adjunction, into Y for
+    # the defect
+    checked = []
+    original = GrobnerBasis.first_product_outside
+
+    def recording(self, a, c):
+        checked.append(a)
+        return original(self, a, c)
+
+    monkeypatch.setattr(GrobnerBasis, "first_product_outside", recording)
+    for _, fun, _, a in corpus.adjunction_pairs():
+        checked.clear()
+        verify_adjunction(fun, a)
+        assert nat_hom(fun, representable(a))._into_h1 in checked
+    for _, fun in corpus.corpus_functors():
+        checked.clear()
+        defect_comparison(fun)
+        n = defect_via_nat(fun)
+        assert n._h1.emb.mat * n._into_h1 in checked

@@ -1,5 +1,5 @@
-"""No engine function assigns a local name that it never reads, and no
-engine module imports a name that it never reads."""
+"""No engine function assigns a local name or takes a parameter that it
+never reads, and no engine module imports a name that it never reads."""
 
 import ast
 from pathlib import Path
@@ -9,6 +9,7 @@ import malgrange
 SOURCES = sorted(Path(malgrange.__file__).parent.glob("*.py"))
 _FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 _SCOPES = _FUNCTIONS + (ast.Lambda, ast.ClassDef)
+_EXEMPT_PARAMS = {"self", "cls", "_"}
 
 
 def _own_nodes(fn):
@@ -34,12 +35,32 @@ def _unused_locals(tree: ast.AST):
             elif (isinstance(node, ast.Name)
                   and isinstance(node.ctx, ast.Store)):
                 stored.setdefault(node.id, node.lineno)
-        read = {node.id for node in ast.walk(fn)
-                if isinstance(node, ast.Name)
-                and isinstance(node.ctx, ast.Load)}
+        read = _reads(fn)
         for name, line in sorted(stored.items(), key=lambda kv: kv[1]):
             if name != "_" and name not in read and name not in outer:
                 yield line, fn.name, name
+
+
+def _reads(node: ast.AST):
+    """Every name read anywhere under node, nested scopes included."""
+    return {n.id for n in ast.walk(node)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+
+
+def _unused_params(tree: ast.AST):
+    """(line, function, name) of every parameter a function never reads; a
+    read in a nested function counts, and ``self``, ``cls`` and ``_`` (also
+    as ``*_``) are exempt."""
+    for fn in ast.walk(tree):
+        if not isinstance(fn, _FUNCTIONS):
+            continue
+        args = fn.args
+        params = args.posonlyargs + args.args + args.kwonlyargs
+        params += [p for p in (args.vararg, args.kwarg) if p is not None]
+        read = _reads(fn)
+        for p in params:
+            if p.arg not in _EXEMPT_PARAMS and p.arg not in read:
+                yield p.lineno, fn.name, p.arg
 
 
 def _unused_imports(tree: ast.Module):
@@ -76,6 +97,31 @@ def test_engine_functions_read_every_local_they_assign():
     unused = [f"{path.name}:{line}: {fn} assigns {name!r} and never reads it"
               for path in SOURCES
               for line, fn, name in _unused_locals(
+                  ast.parse(path.read_text(encoding="utf-8"),
+                            filename=str(path)))]
+    assert unused == []
+
+
+def test_an_unused_parameter_is_found():
+    tree = ast.parse("def f(a, b, /, c=1, *args, d, **kw):\n"
+                     "    def g(e, _):\n"
+                     "        return a\n"
+                     "    return g, kw\n"
+                     "class C:\n"
+                     "    def m(self, *_, x):\n"
+                     "        return 1\n"
+                     "    @classmethod\n"
+                     "    def k(cls):\n"
+                     "        return 2\n")
+    assert sorted(_unused_params(tree)) == [
+        (1, "f", "args"), (1, "f", "b"), (1, "f", "c"), (1, "f", "d"),
+        (2, "g", "e"), (6, "m", "x")]
+
+
+def test_engine_functions_read_every_parameter():
+    unused = [f"{path.name}:{line}: {fn} never reads its parameter {name!r}"
+              for path in SOURCES
+              for line, fn, name in _unused_params(
                   ast.parse(path.read_text(encoding="utf-8"),
                             filename=str(path)))]
     assert unused == []

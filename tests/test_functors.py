@@ -563,7 +563,7 @@ def test_nat_comparisons_make_one_lift_and_decode_nothing(monkeypatch):
     # is decoded into a transformation, and its compatibility witness
     # is never solved
     def refuse(*args, **kwargs):
-        raise AssertionError("a Nat generator was decoded")
+        raise AssertionError("a Nat generator took the per-generator route")
 
     monkeypatch.setattr(NatModule, "decode", refuse)
     monkeypatch.setattr(FunMorphism, "__init__", refuse)

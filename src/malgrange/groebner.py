@@ -243,14 +243,6 @@ def _vector(layout: _Layout, ring: RingSpec, rank: int, terms: dict,
     return Vector(ring, _polys(layout, ring, terms, unit, 0, rank))
 
 
-def _monic(basis: "_IntBasis", ring: RingSpec) -> Tuple[Vector, ...]:
-    """The vector part of each element of basis, scaled to lead
-    coefficient 1, read by the layout basis has now."""
-    layout, rank = basis.layout, basis.rank
-    return tuple(_vector(layout, ring, rank, terms, Fraction(1, terms[lead]))
-                 for terms, lead in zip(basis.terms, basis.leads))
-
-
 class _IntBasis:
     """Divisors converted once to primitive integer term dicts.
 
@@ -350,6 +342,21 @@ class _IntBasis:
             self.add({new.repack(k, old): c for k, c in terms.items()},
                      new.repack(lead, old))
         return old
+
+    def vector_part(self) -> "_IntBasis":
+        """The untagged basis, in the same layout, of each element's vector
+        part made primitive."""
+        out = _IntBasis(self.layout, self.rank)
+        end = self.rank << self.layout.pos_shift
+        for terms, lead in zip(self.terms, self.leads):
+            out.add(_primitive({k: c for k, c in terms.items() if k < end})[1],
+                    lead)
+        return out
+
+    def escapes(self, rem: dict) -> bool:
+        """Whether the remainder rem has a term in a vector position."""
+        return (bool(rem)
+                and next(iter(rem)) >> self.layout.pos_shift < self.rank)
 
     def pack(self, v: Vector) -> Tuple[Fraction, dict]:
         """``_scaled_ints`` of v by layout, widened first if v's degree
@@ -595,10 +602,10 @@ def _pair(sugar: int, lcm: int, i: int, j: int) -> tuple:
 class _Completion:
     """Buchberger completion of an integer basis.
 
-    The starting basis is either empty (elements then enter from the
-    input), an interreduced candidate, or a copy of a reduced basis that
-    the input extends (``_seeded_completion``); the last two are taken as
-    closed under their own pairs.  Every element added later, from the
+    Built by ``_complete`` only.  The starting basis is either empty
+    (elements then enter from the input), an interreduced candidate, or a
+    copy of a reduced basis that the input extends; the last two are taken
+    as closed under their own pairs.  Every element added later, from the
     input, an S-pair or the sweep, goes through ``add``, which queues its
     pairs with the elements already leading in the same position.  When
     cofactors are tracked the basis is tagged over the input (see
@@ -688,7 +695,7 @@ class _Completion:
         """
         basis = self.basis
         rem, scale = _reduce(p, basis, scale)
-        if not rem or next(iter(rem)) >> basis.layout.pos_shift >= basis.rank:
+        if not basis.escapes(rem):
             if zero_rows is not None:
                 zero_rows.append((basis.layout, rem, scale))
             return
@@ -753,9 +760,9 @@ def _interreduce(basis: _IntBasis, ring: RingSpec,
 
     Returns the integer basis of the result: ascending leads, tagged as
     basis is, each element primitive with a positive lead, so that
-    ``_monic`` reads the reduced basis off it.  When basis is tagged, also
-    the cofactor rows A: each element's tag part, scaled as ``_monic``
-    scales its vector; else None.
+    ``GrobnerBasis.gens`` reads the reduced basis off it.  When basis is
+    tagged, also the cofactor rows A: each element's tag part, scaled as
+    ``gens`` scales its vector; else None.
     """
     layout = basis.layout
     # ascending leads are descending keys; the sort is stable
@@ -820,8 +827,12 @@ class GrobnerBasis:
 
     @property
     def gens(self) -> Tuple[Vector, ...]:
-        if self._gens is None:
-            object.__setattr__(self, "_gens", _monic(self._basis, self.ring))
+        if self._gens is None:  # monic, read by the current layout
+            b = self._basis
+            object.__setattr__(self, "_gens", tuple(
+                _vector(b.layout, self.ring, self.rank, terms,
+                        Fraction(1, terms[lead]))
+                for terms, lead in zip(b.terms, b.leads)))
         return self._gens
 
     def __eq__(self, other) -> bool:
@@ -883,26 +894,25 @@ def buchberger(gens: Sequence[Vector], *, ring: Optional[RingSpec] = None,
                rank: Optional[int] = None) -> GrobnerBasis:
     """Reduced Groebner basis of the submodule generated by gens.
 
-    Pending pairs sit in a heap keyed once by their sugar degree and then
-    their lcm's module term, smallest first, ties broken by the basis
-    indices (i, j); ``extended_buchberger`` takes them in the same order.
-    An input, or an element the final sweep adds, has the largest total
-    degree of its vector as its sugar; a pair's sugar is the larger of
-    each element's sugar plus the degree of its multiplier into the lcm,
-    and an S-vector's remainder inherits it (see ``_Completion``).
-    The chain criterion is the only pair criterion (see
-    ``_Completion.run``).  The basis is kept as primitive integer term
-    dicts for the whole completion and every S-vector goes through the
-    same reducer as ``divide``.  A final sweep re-checks every
-    same-position S-vector of the candidate basis; a nonzero remainder
-    joins the candidate's own completion, which resumes until a sweep
-    adds nothing.
+    Completed by ``_complete`` from an empty basis: pairs are taken by
+    sugar degree, then lcm, ties by (i, j), as in ``extended_buchberger``
+    (see ``_Completion``), with the chain criterion as the only criterion,
+    on primitive integer term dicts and the reducer of ``divide``.  A
+    final sweep re-checks every same-position S-vector of the candidate,
+    resuming the completion until a sweep adds nothing; then every
+    nonzero input must reduce to zero against the result, else
+    ``RuntimeError``.
 
     The result is cached under the exact input (see ``cached``).
     """
     gens = tuple(gens)
-    return cached(_gb_key(gens, ring, rank),
-                  lambda: _buchberger_core(gens, ring, rank, track=False)[0])
+
+    def build() -> GrobnerBasis:
+        ring_, rank_, inputs, start = _inputs(gens, ring, rank)
+        return GrobnerBasis._of(ring_, rank_, _complete(
+            start, [v for _, v in inputs], (), ring_)[0])
+
+    return cached(_gb_key(gens, ring, rank), build)
 
 
 def _gb_key(gens: Tuple[Vector, ...], ring: Optional[RingSpec],
@@ -914,6 +924,25 @@ def _gb_key(gens: Tuple[Vector, ...], ring: Optional[RingSpec],
         if not v.is_zero():
             return ("gb", v.ring, v.rank, gens)
     return ("gb", ring, rank, gens)
+
+
+def _inputs(gens: Sequence[Vector], ring: Optional[RingSpec],
+            rank: Optional[int], tags: int = 0) -> tuple:
+    """(ring, rank, inputs, start) of a completion of gens: the ring and
+    rank of its first nonzero vector, else the given ones; (i, gens[i])
+    for each nonzero gens[i], all of that rank; and the empty basis,
+    tagged with tags positions, sized for them."""
+    inputs = [(i, v) for i, v in enumerate(gens) if not v.is_zero()]
+    if inputs:
+        ring, rank = inputs[0][1].ring, inputs[0][1].rank
+    elif ring is None or rank is None:
+        raise ValueError("empty input needs explicit ring and rank")
+    for _, v in inputs:
+        if v.rank != rank:
+            raise ValueError("rank mismatch")
+    layout = _Layout(ring.nvars, max((_degree(v.entries) for _, v in inputs),
+                                     default=0))
+    return ring, rank, inputs, _IntBasis(layout, rank, tags)
 
 
 def extended_buchberger(gens: Sequence[Vector], *,
@@ -928,58 +957,60 @@ def extended_buchberger(gens: Sequence[Vector], *,
     in the final sweep: Schreyer's relations among gens, not certified.
 
     The completion runs on the tagged vectors [gens[i]; e_i] (see
-    ``_IntBasis``): A is the tag part of the reduced basis, and S the tag
-    part of each S-vector the final sweep reduces to zero."""
-    return _buchberger_core(gens, ring, rank, track=True)
-
-
-def _buchberger_core(gens: Sequence[Vector], ring: Optional[RingSpec],
-                     rank: Optional[int], track: bool,
-                     ) -> Tuple[GrobnerBasis, Optional[list], Optional[list]]:
-    """The completion behind ``buchberger`` and ``extended_buchberger``.
-
-    Tracked, the basis is tagged with one position per input, rank + i
-    for input i, which enters as the vector [gens[i]; e_i], packed as
-    ``_IntBasis.of`` packs a tagged element.
-    """
+    ``_IntBasis``), in ``buchberger``'s pair order: A is the tag part of
+    the reduced basis, and S the tag part of each S-vector the final sweep
+    reduces to zero.  Each input is checked on its vector part
+    (``_complete``); A is not multiplied out."""
     m = len(gens)
-    seeds = [(i, v) for i, v in enumerate(gens) if not v.is_zero()]
-    if seeds:
-        ring, rank = seeds[0][1].ring, seeds[0][1].rank
-    elif ring is None or rank is None:
-        raise ValueError("empty input needs explicit ring and rank")
-    for _, v in seeds:
-        if v.rank != rank:
-            raise ValueError("rank mismatch")
-
-    layout = _Layout(ring.nvars, max((_degree(v.entries) for _, v in seeds),
-                                     default=0))
-    state = _Completion(_IntBasis(layout, rank, m if track else 0))
-    for i, v in seeds:
-        if track:
-            v = Vector(ring, v.entries + Vector.unit(ring, m, i).entries)
-        state.reduce(state.basis.pack(v)[1])
-    reduced, cofs, rows = _complete(state, ring)
-    if not track:
-        return GrobnerBasis._of(ring, rank, reduced), None, None
-    return (GrobnerBasis(ring, rank, _monic(reduced, ring)), cofs,
+    ring, rank, inputs, start = _inputs(gens, ring, rank, m)
+    final, cofs, rows = _complete(start, [
+        Vector(ring, v.entries + Vector.unit(ring, m, i).entries)
+        for i, v in inputs], (), ring)
+    return (GrobnerBasis._of(ring, rank, final.vector_part()), cofs,
             [_polys(layout, ring, rem, s, rank, m) for layout, rem, s in rows])
 
 
-def _complete(state: _Completion, ring: RingSpec,
+def _complete(start: _IntBasis, entering: Sequence[Vector],
+              checked: Sequence[Vector], ring: RingSpec,
               ) -> Tuple[_IntBasis, Optional[List[List[Poly]]], list]:
-    """Run state to its reduced basis: process the pending pairs,
-    interreduce, and sweep the candidate, resuming the candidate's own
-    completion while a sweep adds an element.  Returns ``_interreduce``'s
-    (basis, cofactor rows) and the rows of the final sweep."""
+    """The one completion behind every Groebner basis: the reduced basis
+    of what start and entering generate, which must also contain checked.
+
+    start is empty (maybe tagged) or a reduced basis padded with zeros,
+    taken as closed under its own pairs.  Each entering vector, nonzero
+    and tagged as start is, is packed once and reduced in; then pairs are
+    processed, the basis interreduced and swept, resuming while a sweep
+    adds an element.  The sweep certifies only a Groebner basis of what
+    the result generates, which a lost element shrinks, so then every
+    entering and nonzero checked vector must leave no term in a vector
+    position against the result, else ``RuntimeError``.  Returns
+    ``_interreduce``'s (basis, cofactor rows) and the final sweep's rows.
+    """
+    state = _Completion(start)
+    entered = []
+    for v in entering:
+        p = state.basis.pack(v)[1]
+        entered.append((state.basis.layout, dict(p)))
+        state.reduce(p)
     while True:
         state.run()
-        reduced, cofs = _interreduce(state.basis, ring)
-        count = len(reduced)
-        state = _Completion(reduced)
+        final, cofs = _interreduce(state.basis, ring)
+        count = len(final)
+        state = _Completion(final)
         rows = state.sweep()
-        if len(reduced) == count:  # the sweep added nothing
-            return reduced, cofs, rows
+        if len(final) == count:  # the sweep added nothing
+            break
+    for old, p in entered:
+        final.fit(old.max_degree(p))
+        new = final.layout
+        if new.width != old.width:
+            p = {new.repack(k, old): c for k, c in p.items()}
+        if final.escapes(_reduce(p, final)[0]):
+            raise RuntimeError("an input escaped its Groebner basis")
+    for v in checked:
+        if not v.is_zero() and final.escapes(_remainder(v, final)[0]):
+            raise RuntimeError("an input escaped its Groebner basis")
+    return final, cofs, rows
 
 
 # -- syzygies and membership ------------------------------------------------------
@@ -1069,7 +1100,9 @@ class SpanSolver:
         e_i] leaves against the tagged basis, whose vector part must reduce
         to zero; the S-pair rows come from the final sweep of
         ``extended_buchberger``.  Every row is re-multiplied against every
-        generator, then returned primitive, certified but not recompleted:
+        generator in the integer layer, the generators packed once
+        (``_Packed``), and each product must be exactly zero.  The rows are
+        returned primitive, certified but not recompleted:
         callers that need a canonical presentation run Buchberger after
         projecting to the block they keep, where the rank is smaller and
         completion stays cheap.
@@ -1082,24 +1115,19 @@ class SpanSolver:
                 raise RuntimeError("generator escaped its own span")
             rows.append(Vector(self.ring, tag))
         rows.extend(Vector(self.ring, row) for row in self._schreyer)
+        rows = [v for v in rows if not v.is_zero()]
+        # every row times the generators, packed once, must be exactly zero
+        layout = _Layout(self.ring.nvars, _degree(chain.from_iterable(
+            v.entries for v in [*self.gens, *rows])))
+        packed = _Packed(PolyMatrix.from_columns(self.ring, self.rank,
+                                                 self.gens), layout)
         out = []
         for v in rows:
-            if v.is_zero():
-                continue
-            # every row against every generator, one exact sum per position
-            if any(sum_of_products(self.ring, [(c, g.entries[p]) for c, g
-                                               in zip(v.entries, self.gens)]
-                                   ).terms for p in range(self.rank)):
+            _, ints = _scaled_ints(v, layout)
+            if any(packed.times(ints.items(), layout).values()):
                 raise RuntimeError("uncertified syzygy")
-            # returned primitive, lead positive: one Fraction per integer
-            _, ints = scaled_ints([((pos, exps), c)
-                                   for pos, p in enumerate(v.entries)
-                                   for exps, c in p.terms])
-            sign = -1 if next(iter(ints.values())) < 0 else 1
-            out.append(Vector(self.ring, (
-                Poly(self.ring, [(exps, Fraction(sign * ints[pos, exps]))
-                                 for exps, _ in p.terms], _canonical=True)
-                for pos, p in enumerate(v.entries))))
+            out.append(_vector(layout, self.ring, self.count,
+                               _primitive(ints)[1], _ONE))  # lead positive
         return out
 
 
@@ -1347,9 +1375,11 @@ def _elimination(a: PolyMatrix, b: PolyMatrix) -> GrobnerBasis:
     """The rank-(k+n) reduced basis of the module generated by the vectors
     [a_i; e_i] and [b_j; 0], a_i and b_j the columns of a and b, that
     ``syzygies_mod``, ``colon_ideal`` and ``solve_mod`` read.  The
-    completion is seeded with the reduced basis of b's columns
-    (``buchberger``, cached: for an annihilator it is the module's own
-    relation basis; see ``_seeded_completion``).  Cached per exact (a, b),
+    completion (``_complete``) starts from the reduced basis of b's
+    columns (``buchberger``, cached: for an annihilator it is the module's
+    own relation basis), padded with n zeros: only the [a_i; e_i] enter,
+    and every nonzero [b_j; 0] is checked against the result.  Cached per
+    exact (a, b),
     so that a hit builds no stacked vector, and under the key
     ``buchberger`` of the stacked vectors uses."""
     ring, k, n = a.ring, a.nrows, a.ncols
@@ -1358,48 +1388,15 @@ def _elimination(a: PolyMatrix, b: PolyMatrix) -> GrobnerBasis:
         top = PolyMatrix.vstack(a, PolyMatrix.identity(ring, n))
         low = PolyMatrix.vstack(b, PolyMatrix.zeros(ring, n, b.ncols))
         gens = tuple(top.columns() + low.columns())
-        return cached(_gb_key(gens, ring, k + n), lambda: _seeded_completion(
-            gens, n, buchberger(b.columns(), ring=ring, rank=k)))
+
+        def complete() -> GrobnerBasis:
+            start = buchberger(b.columns(), ring=ring, rank=k)._basis
+            return GrobnerBasis._of(ring, k + n, _complete(
+                start.padded(k + n), gens[:n], gens[n:], ring)[0])
+
+        return cached(_gb_key(gens, ring, k + n), complete)
 
     return cached(("elimination", a, b), build)
-
-
-def _seeded_completion(gens: Tuple[Vector, ...], count: int,
-                       start: GrobnerBasis) -> GrobnerBasis:
-    """The reduced basis of the module generated by gens, with start the
-    reduced basis of gens[count:] (their count appended zeros left out).
-
-    The completion starts from a copy of start's integer basis, padded
-    with zeros (``_IntBasis.padded``) and taken as closed under its own
-    pairs, so only gens[:count] enter.  Minimalization may drop a starting
-    element, and the final sweep certifies only that the result is a
-    Groebner basis of what it generates.  So afterwards every nonzero
-    element of gens must reduce to zero against the result, which then
-    spans the module gens generate.  The check takes gens rather than
-    start's own elements: it trusts nothing of start, and relation columns
-    are often of lower degree than their reduced basis.  Each of gens is
-    packed once: gens[:count] when they enter, a copy of which is checked,
-    re-keyed only if the basis was widened since; the others at the check.
-    """
-    ring, rank = start.ring, start.rank + count
-    state = _Completion(start._basis.padded(rank))
-    entered = []
-    for v in gens[:count]:
-        p = state.basis.pack(v)[1]
-        entered.append((state.basis.layout, dict(p)))
-        state.reduce(p)
-    final = _complete(state, ring)[0]
-    for old, p in entered:
-        final.fit(old.max_degree(p) if p else 0)
-        new = final.layout
-        if new.width != old.width:
-            p = {new.repack(k, old): c for k, c in p.items()}
-        if _reduce(p, final)[0]:
-            raise RuntimeError("an input escaped its elimination basis")
-    for v in gens[count:]:
-        if not v.is_zero() and _remainder(v, final)[0]:
-            raise RuntimeError("an input escaped its elimination basis")
-    return GrobnerBasis._of(ring, rank, final)
 
 
 def solve_mod(v: PolyMatrix, a: PolyMatrix,

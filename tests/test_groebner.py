@@ -553,6 +553,21 @@ def test_final_sweep_restarts_on_a_nonzero_s_vector(monkeypatch):
             assert acc == v
 
 
+def test_a_completion_that_loses_an_input_is_an_error(monkeypatch):
+    # with every S-pair left unprocessed, minimalization drops x^2 + y
+    # (x divides its lead) and the sweep, with one element, certifies
+    # {x}: only the input check sees that x^2 + y leaves y against it,
+    # tracked or not
+    gens = [vec(RXY, "x^2 + y"), vec(RXY, "x")]
+    assert str(buchberger(gens)) == "{[y]; [x]}"
+    monkeypatch.setattr(groebner._Completion, "run", lambda self: None)
+    groebner._CACHE.clear()
+    for complete in (buchberger, extended_buchberger):
+        with pytest.raises(RuntimeError,
+                           match="an input escaped its Groebner basis"):
+            complete(gens)
+
+
 # -- syzygies ------------------------------------------------------------------
 
 def test_syzygy_of_two_variables():
@@ -1157,7 +1172,8 @@ def test_an_elimination_that_loses_an_input_is_an_error(monkeypatch, v,
     if seed_cached:  # the seed was completed before pairs were disabled
         buchberger(b.columns(), ring=RXY, rank=2)
     monkeypatch.setattr(groebner._Completion, "run", lambda self: None)
-    with pytest.raises(RuntimeError, match="escaped its elimination basis"):
+    with pytest.raises(RuntimeError,
+                       match="an input escaped its Groebner basis"):
         colon_ideal(vec(RXY, *v), b)
 
 

@@ -1,10 +1,12 @@
 #!/usr/bin/env python3
 """Stress the torsion = defect identity on seeded random presentations.
 
-Draws random cokernels, times bass_torsion against the full functor-side
-verification, and reports agreement plus timing percentiles.  bass_torsion
-is cached per presentation, so the "full check" time reads the torsion
-embedding from the cache and covers the defect side and the comparison.
+Draws random cokernels (``corpus.random_cokernel``'s defaults: two
+generators, three relations, entries of degree at most 2), times
+bass_torsion against the full functor-side verification, and reports
+agreement plus timing percentiles.  bass_torsion is cached per
+presentation, so the "full check" time reads the torsion embedding from
+the cache and covers the defect side and the comparison.
 """
 
 import argparse
@@ -12,7 +14,6 @@ import random
 import statistics
 import sys
 import time
-from dataclasses import dataclass
 
 from malgrange.corpus import random_cokernel
 from malgrange.functors import verify_main_theorem
@@ -20,24 +21,14 @@ from malgrange.modules import bass_torsion, q_dimension
 from malgrange.rings import ring
 
 
-@dataclass(frozen=True)
-class StressConfig:
-    seed: int = 1789
-    count: int = 20
-    nrows: int = 2
-    ncols: int = 3
-    deg: int = 2
-    variables: str = "x,y"
-
-
-def run(cfg: StressConfig) -> int:
-    r = ring(*cfg.variables.split(","))
-    rng = random.Random(cfg.seed)
+def run(seed: int, count: int, variables: str) -> int:
+    r = ring(*variables.split(","))
+    rng = random.Random(seed)
     torsion_times = []
     check_times = []
     failures = 0
-    for i in range(cfg.count):
-        m = random_cokernel(r, rng, cfg.nrows, cfg.ncols, cfg.deg)
+    for i in range(count):
+        m = random_cokernel(r, rng)
         t0 = time.monotonic()
         t, _ = bass_torsion(m)
         t1 = time.monotonic()
@@ -57,24 +48,18 @@ def run(cfg: StressConfig) -> int:
                          ("full check", check_times)):
         print(f"{label}: median {statistics.median(times):.3f}s, "
               f"max {max(times):.3f}s, total {sum(times):.3f}s")
-    print(f"agreement: {cfg.count - failures}/{cfg.count}")
+    print(f"agreement: {count - failures}/{count}")
     return 1 if failures else 0
 
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
-    cfg = StressConfig()
-    ap.add_argument("--seed", type=int, default=cfg.seed)
-    ap.add_argument("--count", type=int, default=cfg.count)
-    ap.add_argument("--nrows", type=int, default=cfg.nrows)
-    ap.add_argument("--ncols", type=int, default=cfg.ncols)
-    ap.add_argument("--deg", type=int, default=cfg.deg)
-    ap.add_argument("--variables", default=cfg.variables,
+    ap.add_argument("--seed", type=int, default=1789)
+    ap.add_argument("--count", type=int, default=20)
+    ap.add_argument("--variables", default="x,y",
                     help="comma-separated ring variable names")
     args = ap.parse_args()
-    return run(StressConfig(seed=args.seed, count=args.count,
-                            nrows=args.nrows, ncols=args.ncols,
-                            deg=args.deg, variables=args.variables))
+    return run(args.seed, args.count, args.variables)
 
 
 if __name__ == "__main__":

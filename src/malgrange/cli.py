@@ -251,7 +251,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="session file (required except for "
                              "'verify --all')")
     parser.add_argument("--json", action="store_true", dest="json_out")
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--seed", type=int, default=None)
     parser.add_argument("--all", action="store_true", dest="all_corpus",
                         help="verify the bundled corpus")
     try:
@@ -261,6 +261,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         return int(exc.code or 0)
     if args.all_corpus and args.command != "verify":
         print("error: --all applies only to 'verify'", file=sys.stderr)
+        return 2
+    if args.seed is not None and not args.all_corpus:
+        print("error: --seed applies only to 'verify --all'",
+              file=sys.stderr)
         return 2
     if args.all_corpus and args.session_file is not None:
         print("error: 'verify --all' takes no session file",
@@ -297,7 +301,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 2
 
     code, output = run(session, args.command, json_out=args.json_out,
-                       seed=args.seed, all_corpus=args.all_corpus,
+                       seed=args.seed or 0, all_corpus=args.all_corpus,
                        color=color)
     sys.stdout.write(output)
     return code

@@ -274,16 +274,12 @@ class _IntBasis:
 
     @staticmethod
     def of(ring: RingSpec, vectors: Sequence[Vector], rank: int,
-           rows: Optional[Sequence[Sequence[Poly]]] = None,
            tags: int = 0) -> "_IntBasis":
-        """The basis of vectors, each nonzero, each tagged with rows[i]
-        (tags entries) when rows are given."""
+        """The basis of vectors, each of rank + tags entries, already
+        tagged when tags > 0, and each nonzero below position rank."""
         for v in vectors:
-            if v.rank != rank:
+            if v.rank != rank + tags:
                 raise ValueError("vector rank mismatch")
-        if rows is not None:
-            vectors = [Vector(ring, v.entries + tuple(row))
-                       for v, row in zip(vectors, rows)]
         basis = _IntBasis(_Layout(ring.nvars, max(
             (_degree(v.entries) for v in vectors), default=0)), rank, tags)
         for v in vectors:
@@ -525,9 +521,9 @@ def divide(v: Vector, basis: Sequence[Vector]) -> Tuple[Vector, List[Poly]]:
     division.
     """
     n = len(basis)
-    tagged = _IntBasis.of(v.ring, basis, v.rank,
-                          [Vector.unit(v.ring, n, i).entries
-                           for i in range(n)], n)
+    tagged = _IntBasis.of(v.ring, [
+        Vector(v.ring, b.entries + Vector.unit(v.ring, n, i).entries)
+        for i, b in enumerate(basis)], v.rank, n)
     rem, scale = _remainder(v, tagged)
     return (_vector(tagged.layout, v.ring, v.rank, rem, scale),
             _polys(tagged.layout, v.ring, rem, -scale, v.rank, n))
@@ -607,9 +603,9 @@ class _Completion:
     copy of a reduced basis that the input extends; the last two are taken
     as closed under their own pairs.  Every element added later, from the
     input, an S-pair or the sweep, goes through ``add``, which queues its
-    pairs with the elements already leading in the same position.  When
-    cofactors are tracked the basis is tagged over the input (see
-    ``_IntBasis``), so each element carries its own cofactors.
+    pairs with the elements already leading in the same position.  A
+    tagged basis (see ``_IntBasis``) is completed as any other: tag terms
+    ride along, and only the tracked reference (``_tracked``) reads them.
 
     Elements are kept primitive rather than monic: that bounds the
     arithmetic (monic scaling lets numerators and denominators compound
@@ -618,7 +614,7 @@ class _Completion:
     Pending pairs sit in a heap of (key, i, j, lcm), keyed once when
     pushed, with lcm the packed lcm of the two leads; live holds the (i, j)
     still in the heap.  The key is (sugar, -lcm), lowest sugar first,
-    whether cofactors are tracked or not (the sugar strategy: Giovini,
+    whether the basis is tagged or not (the sugar strategy: Giovini,
     Mora, Niesi, Robbiano and Traverso, "One sugar cube, please", ISSAC
     1991).  sugar[i] is element i's sugar degree: for an input, an element
     of the starting basis or one the sweep adds, the largest total degree
@@ -682,25 +678,24 @@ class _Completion:
             self.live.add((i, j))
 
     def reduce(self, p: dict, scale: Fraction = _ONE,
-               zero_rows: Optional[list] = None,
-               sugar: Optional[int] = None) -> None:
+               sugar: Optional[int] = None,
+               ) -> Optional[Tuple[_Layout, dict, Fraction]]:
         """Add the primitive remainder of p against the basis, with the
         given sugar (else its own), unless its vector part is zero.
 
         p stands for scale * p.  A remainder rem with nothing left below
-        the tag positions is appended to zero_rows, when given, as
-        (layout, rem, s) with layout the one rem is keyed by and s the
-        reducer's scale: s times its tag part is the relation among the
-        inputs that p left (empty when untracked).
+        the tag positions is returned as (layout, rem, s), with layout the
+        one rem is keyed by and s the reducer's scale: s times its tag part
+        is the relation among the inputs that p left (empty when
+        untagged).  Else None.
         """
         basis = self.basis
         rem, scale = _reduce(p, basis, scale)
         if not basis.escapes(rem):
-            if zero_rows is not None:
-                zero_rows.append((basis.layout, rem, scale))
-            return
+            return basis.layout, rem, scale
         _, prim = _primitive(rem)
         self.add(prim, next(iter(prim)), sugar)
+        return None
 
     def run(self) -> None:
         """Process pending pairs, smallest key first, ties by (i, j):
@@ -737,10 +732,10 @@ class _Completion:
         basis and the remainders this sweep has added, and add each
         remainder whose vector part is nonzero (queuing its pairs).
 
-        Returns the (layout, rem, s) that ``reduce`` left for each
+        Returns the (layout, rem, s) that ``reduce`` returned for each
         S-vector of elements i < j whose vector part reduced to zero, in
-        (i, j) order.  When tracked, s times the tag part of rem is the
-        relation among the inputs that S-vector left: Schreyer's rows
+        (i, j) order.  For a tagged basis, s times the tag part of rem is
+        the relation among the inputs that S-vector left: Schreyer's rows
         (Eisenbud, Thm. 15.10), valid only if nothing was added.
         """
         basis = self.basis
@@ -748,21 +743,17 @@ class _Completion:
         pairs = [(i, j) for i in range(len(basis))
                  for j in range(i + 1, len(basis))
                  if basis.leads[i] >> pos_shift == basis.leads[j] >> pos_shift]
-        rows: List[Tuple[_Layout, dict, Fraction]] = []
-        for i, j in pairs:
-            self.reduce(*_s_vector(basis, i, j), rows)
-        return rows
+        rows = [self.reduce(*_s_vector(basis, i, j)) for i, j in pairs]
+        return [row for row in rows if row is not None]
 
 
-def _interreduce(basis: _IntBasis, ring: RingSpec,
-                 ) -> Tuple[_IntBasis, Optional[List[List[Poly]]]]:
+def _interreduce(basis: _IntBasis) -> _IntBasis:
     """Minimalize and tail-reduce to the unique reduced basis.
 
     Returns the integer basis of the result: ascending leads, tagged as
     basis is, each element primitive with a positive lead, so that
-    ``GrobnerBasis.gens`` reads the reduced basis off it.  When basis is
-    tagged, also the cofactor rows A: each element's tag part, scaled as
-    ``gens`` scales its vector; else None.
+    ``GrobnerBasis.gens`` reads the reduced basis off it.  Tag terms ride
+    along unread.
     """
     layout = basis.layout
     # ascending leads are descending keys; the sort is stable
@@ -783,11 +774,7 @@ def _interreduce(basis: _IntBasis, ring: RingSpec,
     for i, lead in enumerate(minimal.leads):
         rem, _ = _reduce(dict(minimal.terms[i]), minimal, skip=i)
         reduced.add(_primitive(rem)[1], lead)
-    if not basis.tags:
-        return reduced, None
-    return reduced, [_polys(layout, ring, terms, Fraction(1, terms[lead]),
-                            basis.rank, basis.tags)
-                     for terms, lead in zip(reduced.terms, reduced.leads)]
+    return reduced
 
 
 class GrobnerBasis:
@@ -910,7 +897,7 @@ def buchberger(gens: Sequence[Vector], *, ring: Optional[RingSpec] = None,
     def build() -> GrobnerBasis:
         ring_, rank_, inputs, start = _inputs(gens, ring, rank)
         return GrobnerBasis._of(ring_, rank_, _complete(
-            start, [v for _, v in inputs], (), ring_)[0])
+            start, [v for _, v in inputs], ())[0])
 
     return cached(_gb_key(gens, ring, rank), build)
 
@@ -956,23 +943,35 @@ def extended_buchberger(gens: Sequence[Vector], *,
     leading in one position, where x^u G[a] - x^v G[b] = sum(q_c * G[c])
     in the final sweep: Schreyer's relations among gens, not certified.
 
-    The completion runs on the tagged vectors [gens[i]; e_i] (see
-    ``_IntBasis``), in ``buchberger``'s pair order: A is the tag part of
-    the reduced basis, and S the tag part of each S-vector the final sweep
-    reduces to zero.  Each input is checked on its vector part
-    (``_complete``); A is not multiplied out."""
+    All three are read off ``_tracked``: G is the vector part of its
+    tagged basis [G; A], A[a] the tag part of element a, scaled as
+    ``GrobnerBasis.gens`` scales G[a], and S its Schreyer rows.  A is not
+    multiplied out."""
+    ring, rank, tagged, schreyer = _tracked(gens, ring, rank)
+    cofs = [_polys(tagged.layout, ring, terms, Fraction(1, terms[lead]),
+                   rank, tagged.tags)
+            for terms, lead in zip(tagged.terms, tagged.leads)]
+    return GrobnerBasis._of(ring, rank, tagged.vector_part()), cofs, schreyer
+
+
+def _tracked(gens: Sequence[Vector], ring: Optional[RingSpec],
+             rank: Optional[int]) -> tuple:
+    """(ring, rank, [G; A], S), the completion behind ``extended_buchberger``
+    and ``SpanSolver``: each nonzero gens[i] enters ``_complete`` as
+    [gens[i]; e_i] (see ``_IntBasis``), and S[k] is the tag part, scaled
+    by the reducer, of the k-th S-vector the final sweep reduced to zero
+    (``_Completion.sweep``)."""
     m = len(gens)
     ring, rank, inputs, start = _inputs(gens, ring, rank, m)
-    final, cofs, rows = _complete(start, [
+    basis, rows = _complete(start, [
         Vector(ring, v.entries + Vector.unit(ring, m, i).entries)
-        for i, v in inputs], (), ring)
-    return (GrobnerBasis._of(ring, rank, final.vector_part()), cofs,
-            [_polys(layout, ring, rem, s, rank, m) for layout, rem, s in rows])
+        for i, v in inputs], ())
+    return ring, rank, basis, [_polys(layout, ring, rem, s, rank, m)
+                               for layout, rem, s in rows]
 
 
 def _complete(start: _IntBasis, entering: Sequence[Vector],
-              checked: Sequence[Vector], ring: RingSpec,
-              ) -> Tuple[_IntBasis, Optional[List[List[Poly]]], list]:
+              checked: Sequence[Vector]) -> Tuple[_IntBasis, list]:
     """The one completion behind every Groebner basis: the reduced basis
     of what start and entering generate, which must also contain checked.
 
@@ -984,7 +983,8 @@ def _complete(start: _IntBasis, entering: Sequence[Vector],
     the result generates, which a lost element shrinks, so then every
     entering and nonzero checked vector must leave no term in a vector
     position against the result, else ``RuntimeError``.  Returns
-    ``_interreduce``'s (basis, cofactor rows) and the final sweep's rows.
+    ``_interreduce``'s basis and the rows of the final sweep
+    (``_Completion.sweep``); neither reads a tag term.
     """
     state = _Completion(start)
     entered = []
@@ -994,7 +994,7 @@ def _complete(start: _IntBasis, entering: Sequence[Vector],
         state.reduce(p)
     while True:
         state.run()
-        final, cofs = _interreduce(state.basis, ring)
+        final = _interreduce(state.basis)
         count = len(final)
         state = _Completion(final)
         rows = state.sweep()
@@ -1010,7 +1010,7 @@ def _complete(start: _IntBasis, entering: Sequence[Vector],
     for v in checked:
         if not v.is_zero() and final.escapes(_remainder(v, final)[0]):
             raise RuntimeError("an input escaped its Groebner basis")
-    return final, cofs, rows
+    return final, rows
 
 
 # -- syzygies and membership ------------------------------------------------------
@@ -1027,32 +1027,20 @@ def _tag_remainder(v: Vector, basis: _IntBasis,
     return rem, scale
 
 
-def _tag_part(v: Vector, basis: _IntBasis, ring: RingSpec,
-              start: int) -> Optional[List[Poly]]:
-    """The entries from position start on of what v leaves against basis,
-    or None when an entry before start is not zero (``_tag_remainder``)."""
-    left = _tag_remainder(v, basis, start)
-    if left is None:
-        return None
-    return _polys(basis.layout, ring, left[0], left[1], start,
-                  basis.rank + basis.tags - start)
-
-
 class SpanSolver:
     """Membership and syzygies of a fixed generator list, with tracked
     cofactors: public, and the reference that tests compare ``solve_mod``
     and ``syzygies`` against; no engine path builds one.
 
-    Keeps the reduced basis of the span tagged with its cofactor rows:
-    element b is [G_b; A_b], with G_b = sum(A_b[i] * gens[i]) (see
-    ``_IntBasis``).  Reducing a tagged vector [u; t] against it leaves
-    [r; c] with u - r = sum((t - c)[i] * gens[i]), and both answers are
-    read off that tag part (``_tag_part``): [-v; 0] leaves [r; c] with
+    Keeps the tagged basis its completion built (``_tracked``): element b
+    is [G_b; A_b], with G_b = sum(A_b[i] * gens[i]) (see ``_IntBasis``).
+    Reducing a tagged vector [u; t] against it leaves [r; c] with
+    u - r = sum((t - c)[i] * gens[i]), and both answers are read off that
+    tag part (``_tag_part``): [-v; 0] leaves [r; c] with
     v = sum(c[i] * gens[i]) - r, the certificate of membership when r is
     zero (``solve`` returns c unchecked), and Schreyer's construction
     takes one syzygy row per generator the same way, plus one row per
-    same-position S-pair of the basis, as the final sweep of
-    ``extended_buchberger`` left it.
+    same-position S-pair of the basis, as the final sweep left it.
     """
 
     def __init__(self, gens: Sequence[Vector], ring: RingSpec, rank: int):
@@ -1063,15 +1051,17 @@ class SpanSolver:
         for g in gens:
             if g.rank != rank:
                 raise ValueError("rank mismatch")
-        self._gb, cofs, self._schreyer = extended_buchberger(
-            gens, ring=ring, rank=rank)
-        self._tagged = _IntBasis.of(ring, self._gb.gens, rank, cofs,
-                                    self.count)
+        _, _, self._tagged, self._schreyer = _tracked(gens, ring, rank)
         self._syz: Optional[List[Vector]] = None
 
     def _tag_part(self, v: Vector) -> Optional[List[Poly]]:
-        """``_tag_part`` of v against the tagged basis."""
-        return _tag_part(v, self._tagged, self.ring, self.rank)
+        """The tag part of what v leaves against the tagged basis, or None
+        when its vector part is not zero (``_tag_remainder``)."""
+        left = _tag_remainder(v, self._tagged, self.rank)
+        if left is None:
+            return None
+        return _polys(self._tagged.layout, self.ring, *left, self.rank,
+                      self.count)
 
     def solve(self, v: Vector) -> Optional[List[Poly]]:
         """Coefficients c with sum(c[i] * gens[i]) = v, or None."""
@@ -1098,8 +1088,8 @@ class SpanSolver:
         coefficients of the generators over the basis and A the tracked
         cofactors).  Row i, e_i - B_i A, is the tag part that [gens[i];
         e_i] leaves against the tagged basis, whose vector part must reduce
-        to zero; the S-pair rows come from the final sweep of
-        ``extended_buchberger``.  Every row is re-multiplied against every
+        to zero; the S-pair rows come from the final sweep of its
+        completion (``_tracked``).  Every row is re-multiplied against every
         generator in the integer layer, the generators packed once
         (``_Packed``), and each product must be exactly zero.  The rows are
         returned primitive, certified but not recompleted:
@@ -1392,7 +1382,7 @@ def _elimination(a: PolyMatrix, b: PolyMatrix) -> GrobnerBasis:
         def complete() -> GrobnerBasis:
             start = buchberger(b.columns(), ring=ring, rank=k)._basis
             return GrobnerBasis._of(ring, k + n, _complete(
-                start.padded(k + n), gens[:n], gens[n:], ring)[0])
+                start.padded(k + n), gens[:n], gens[n:])[0])
 
         return cached(_gb_key(gens, ring, k + n), complete)
 

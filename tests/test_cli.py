@@ -200,6 +200,17 @@ def test_all_applies_only_to_verify(tmp_path):
         assert r.stderr == "error: --all applies only to 'verify'\n"
 
 
+def test_seed_applies_only_to_verify_all(tmp_path):
+    # an explicit --seed 0 is seen too: the parser's default is None
+    path = session_file(tmp_path, MIXED_MODULE)
+    for args in (["torsion", path, "--seed", "3"],
+                 ["verify", path, "--seed", "0"],
+                 ["analyze", "--seed", "1"]):
+        r = invoke(args)
+        assert r.returncode == 2 and r.stdout == ""
+        assert r.stderr == "error: --seed applies only to 'verify --all'\n"
+
+
 def test_missing_session_file_is_usage_error():
     r = invoke(["analyze"])
     assert r.returncode == 2

@@ -54,9 +54,15 @@ def test_division_pot_irreducible():
     assert r == vec(RXY, "y", "0")
 
 
-def test_division_rank_mismatch():
-    with pytest.raises(ValueError):
-        divide(vec(RX, "x", "1"), [vec(RX, "x")])
+@pytest.mark.parametrize("divisors,match", [
+    ([("x",)], "rank mismatch"),
+    ([("x", "0"), ("0", "0")], "zero vector has no leading term"),
+], ids=["rank-mismatch", "zero-divisor"])
+def test_division_rank_mismatch(divisors, match):
+    # divide tags its divisors [b_i; e_i] itself: a divisor of another
+    # rank, or a zero one that would lead in a tag position, is an error
+    with pytest.raises(ValueError, match=match):
+        divide(vec(RX, "x", "1"), [vec(RX, *b) for b in divisors])
 
 
 def test_division_identity_seeded():
@@ -618,6 +624,24 @@ def test_span_solver_certificates():
         acc = acc + g.poly_mul(c)
     assert acc == target
     assert solver.solve(vec(RXY, "1", "0")) is None
+
+
+def test_span_solver_keeps_the_basis_its_completion_tagged(monkeypatch):
+    # the solver reduces against the tagged basis [G; A] the completion
+    # built; packing G and A into a second basis would call _IntBasis.of
+    gens = [vec(RXY, "x^2", "0"), vec(RXY, "0", "y"), vec(RXY, "x", "y")]
+    calls = []
+    original = groebner._IntBasis.of
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(groebner._IntBasis, "of", staticmethod(counting))
+    solver = SpanSolver(gens, RXY, 2)
+    assert calls == []
+    assert solver.solve(gens[2]) is not None and solver.syzygies()
+    assert calls == []
 
 
 def reference_lift(v, basis, cofs, count):

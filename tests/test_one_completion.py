@@ -1,7 +1,8 @@
 """Every Groebner basis the engine computes comes from one completion
 routine, ``groebner._complete``, which checks its inputs against the
 result: no other function in ``groebner.py`` constructs a
-``_Completion``."""
+``_Completion``.  That shared completion never reads a cofactor: only the
+tracked reference turns tag terms into polynomials (``_polys``)."""
 
 import ast
 from pathlib import Path
@@ -10,11 +11,12 @@ import malgrange.groebner as groebner
 
 SOURCE = Path(groebner.__file__)
 ROUTINE = "_complete"
+COFACTOR_FREE = {"_Completion", "_complete", "_interreduce"}
 
 
-def _constructing_functions(tree: ast.Module):
+def _calling_functions(tree: ast.Module, callee: str):
     """The name of the outermost function or class around each call of
-    ``_Completion``, in source order; "<module>" at module level."""
+    callee, in source order; "<module>" at module level."""
     sites = []
     for top in tree.body:
         owner = (top.name if isinstance(top, (ast.FunctionDef,
@@ -23,9 +25,13 @@ def _constructing_functions(tree: ast.Module):
         for node in ast.walk(top):
             if (isinstance(node, ast.Call)
                     and isinstance(node.func, ast.Name)
-                    and node.func.id == "_Completion"):
+                    and node.func.id == callee):
                 sites.append(owner)
     return sites
+
+
+def _engine_tree() -> ast.Module:
+    return ast.parse(SOURCE.read_text(encoding="utf-8"), filename=str(SOURCE))
 
 
 def test_a_second_entry_is_found():
@@ -38,13 +44,32 @@ def test_a_second_entry_is_found():
                      "        return _Completion(b)\n"
                      "    return inner\n"
                      "X = _Completion(None)\n")
-    assert _constructing_functions(tree) == ["_complete", "other",
-                                             "<module>"]
+    assert _calling_functions(tree, "_Completion") == ["_complete", "other",
+                                                       "<module>"]
 
 
 def test_only_the_one_routine_starts_a_completion():
-    tree = ast.parse(SOURCE.read_text(encoding="utf-8"), filename=str(SOURCE))
-    sites = _constructing_functions(tree)
+    sites = _calling_functions(_engine_tree(), "_Completion")
     assert sites, "no completion is started at all"
     assert set(sites) == {ROUTINE}, (
         f"_Completion is constructed outside {ROUTINE}: {sites}")
+
+
+def test_a_cofactor_read_in_a_method_is_found():
+    tree = ast.parse("class _Completion:\n"
+                     "    def sweep(self):\n"
+                     "        return _polys(self)\n"
+                     "def _interreduce(b):\n"
+                     "    return [_polys(t) for t in b]\n"
+                     "def _tracked(b):\n"
+                     "    return _polys(b)\n")
+    sites = _calling_functions(tree, "_polys")
+    assert sites == ["_Completion", "_interreduce", "_tracked"]
+    assert COFACTOR_FREE & set(sites) == {"_Completion", "_interreduce"}
+
+
+def test_the_shared_completion_reads_no_cofactor():
+    sites = _calling_functions(_engine_tree(), "_polys")
+    assert sites, "no tag part is read at all"
+    assert not COFACTOR_FREE & set(sites), (
+        f"the shared completion reads tag terms: {sites}")

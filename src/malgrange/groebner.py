@@ -95,12 +95,6 @@ class _Layout:
         """key, packed by old, packed by this layout."""
         return self.pack(*old.unpack(key))
 
-    def shift(self, exps: Monomial) -> int:
-        """What adding to a key multiplies its term by x^exps, as long as
-        the product's degree stays at most top."""
-        return (sum(map(lshift, exps, self.shifts))
-                - (sum(exps) << self.deg_shift))
-
 
 def _degree(polys: Iterable[Poly]) -> int:
     """The largest total degree of a term of the polys, 0 when all are
@@ -440,12 +434,12 @@ class _Packed:
     layer: a is unit times the integer matrix A whose column j lists its
     terms as (key, coefficient) in cols[j].
 
-    Multiplying A by an integer vector adds, for each term x^e of its entry
-    j, ``layout.shift(e)`` to the key of each term of A's column j: no term
-    is unpacked and no ``Fraction`` is built.  Every product must have
-    degree at most layout.top.  The certificates below (syzygy columns,
-    ``Morphism`` relations and ``solve_mod``'s solutions) are all formed
-    this way, then reduced exactly.
+    Multiplying A by an integer vector packed by the same layout adds, for
+    each term x^e of its entry j, the low bits of that term's key (x^e,
+    less the degree field's base) to the key of each term of A's column j:
+    no term is unpacked and no ``Fraction`` is built.  Every product must
+    have degree at most layout.top.  The engine's one product certificate,
+    ``GrobnerBasis.first_product_outside``, forms its products this way.
     """
 
     __slots__ = ("layout", "unit", "cols")
@@ -461,49 +455,23 @@ class _Packed:
         for (j, key), c in ints.items():
             self.cols[j].append((key, c))
 
-    def times(self, terms: Iterable[Tuple[int, int]], old: _Layout,
-              start: int = 0, factor: int = 1,
-              acc: Optional[dict] = None) -> dict:
-        """acc (else an empty dict) plus factor * A * c, keyed by layout.
+    def times(self, terms: Iterable[Tuple[int, int]]) -> dict:
+        """A * c, keyed by layout.
 
         c is the integer vector read off terms: each (key, coefficient),
-        with key packing x^e * e_(start + j) by old, is the term
-        coefficient * x^e of c's entry j.  Coefficients that cancel stay
-        as zeros."""
-        layout, pos_shift = self.layout, old.pos_shift
-        if old.width == layout.width:  # one packing: the low bits are x^e
-            low, base = (1 << pos_shift) - 1, layout.top << layout.deg_shift
-            factors = [((k >> pos_shift) - start, (k & low) - base, c)
-                       for k, c in terms]
-        else:
-            factors = [((k >> pos_shift) - start, layout.shift(old.exps(k)),
-                        c) for k, c in terms]
-        acc = {} if acc is None else acc
+        with key packing x^e * e_j by layout, is the term coefficient * x^e
+        of c's entry j.  Coefficients that cancel stay as zeros."""
+        layout = self.layout
+        pos_shift = layout.pos_shift
+        low, base = (1 << pos_shift) - 1, layout.top << layout.deg_shift
+        acc: dict = {}
         get, cols = acc.get, self.cols
-        for j, shift, c in factors:
-            c *= factor
-            for key, a in cols[j]:
+        for k, c in terms:
+            shift = (k & low) - base
+            for key, a in cols[k >> pos_shift]:
                 key += shift
                 acc[key] = get(key, 0) + c * a
         return acc
-
-    def residual(self, v: Vector, unit: Fraction,
-                 terms: Iterable[Tuple[int, int]], old: _Layout,
-                 start: int = 0) -> dict:
-        """A nonzero multiple of v - a * (unit * c), keyed by layout, with c
-        read off terms as ``times`` reads it."""
-        v_unit, ints = _scaled_ints(v, self.layout)
-        r = self.unit * unit / v_unit
-        return self.times(terms, old, start, -r.numerator,
-                          {k: r.denominator * c for k, c in ints.items()})
-
-
-def _packed_for(a: "PolyMatrix", degree: int, target: _IntBasis) -> _Packed:
-    """a packed by target's layout, widened first so that a product of a
-    by a vector of degree at most degree packs and reduces against target
-    (``_IntBasis.fit``)."""
-    target.fit(_degree(chain.from_iterable(a.rows)) + degree)
-    return _Packed(a, target.layout)
 
 
 def divide(v: Vector, basis: Sequence[Vector]) -> Tuple[Vector, List[Poly]]:
@@ -857,8 +825,14 @@ class GrobnerBasis:
     def first_product_outside(self, a: "PolyMatrix",
                               c: "PolyMatrix") -> Optional[int]:
         """The index j of the first column c_j of c with a * c_j outside
-        the span, or None: each product is formed in the integer layer,
-        with a and c each packed once (``_Packed``), and reduced."""
+        the span, or None.
+
+        The engine's one product certificate: ``Morphism`` relations,
+        syzygy columns (``syzygies_mod``, ``SpanSolver``, against the zero
+        span) and lifts (``solve_mod``) are all checked here.  The basis is
+        first widened for deg a + deg c (``_IntBasis.fit``); a and c are
+        then each packed once by its layout (``_Packed``), and each product
+        is formed in the integer layer and reduced exactly."""
         if a.nrows != self.rank or a.ncols != c.nrows:
             raise ValueError("shape mismatch")
         if a.ring != self.ring or c.ring != self.ring:
@@ -866,10 +840,11 @@ class GrobnerBasis:
         if not c.ncols:
             return None
         target = self._basis
-        packed = _packed_for(a, _degree(chain.from_iterable(c.rows)), target)
-        layout = target.layout
-        for j, col in enumerate(_Packed(c, layout).cols):
-            if _reduce(packed.times(col, layout), target)[0]:
+        target.fit(_degree(chain.from_iterable(a.rows))
+                   + _degree(chain.from_iterable(c.rows)))
+        packed = _Packed(a, target.layout)
+        for j, col in enumerate(_Packed(c, target.layout).cols):
+            if _reduce(packed.times(col), target)[0]:
                 return j
         return None
 
@@ -1089,13 +1064,13 @@ class SpanSolver:
         cofactors).  Row i, e_i - B_i A, is the tag part that [gens[i];
         e_i] leaves against the tagged basis, whose vector part must reduce
         to zero; the S-pair rows come from the final sweep of its
-        completion (``_tracked``).  Every row is re-multiplied against every
-        generator in the integer layer, the generators packed once
-        (``_Packed``), and each product must be exactly zero.  The rows are
-        returned primitive, certified but not recompleted:
-        callers that need a canonical presentation run Buchberger after
-        projecting to the block they keep, where the rank is smaller and
-        completion stays cheap.
+        completion (``_tracked``).  The rows are made primitive, then
+        certified against the zero span
+        (``GrobnerBasis.first_product_outside``), so each product with the
+        generators must be exactly zero.  They are returned certified but
+        not recompleted: callers that need a canonical presentation run
+        Buchberger after projecting to the block they keep, where the rank
+        is smaller and completion stays cheap.
         """
         rows: List[Vector] = []
         for i, f in enumerate(self.gens):
@@ -1106,18 +1081,17 @@ class SpanSolver:
             rows.append(Vector(self.ring, tag))
         rows.extend(Vector(self.ring, row) for row in self._schreyer)
         rows = [v for v in rows if not v.is_zero()]
-        # every row times the generators, packed once, must be exactly zero
         layout = _Layout(self.ring.nvars, _degree(chain.from_iterable(
-            v.entries for v in [*self.gens, *rows])))
-        packed = _Packed(PolyMatrix.from_columns(self.ring, self.rank,
-                                                 self.gens), layout)
-        out = []
-        for v in rows:
-            _, ints = _scaled_ints(v, layout)
-            if any(packed.times(ints.items(), layout).values()):
-                raise RuntimeError("uncertified syzygy")
-            out.append(_vector(layout, self.ring, self.count,
-                               _primitive(ints)[1], _ONE))  # lead positive
+            v.entries for v in rows)))
+        out = [_vector(layout, self.ring, self.count,  # lead positive
+                       _primitive(_scaled_ints(v, layout)[1])[1], _ONE)
+               for v in rows]
+        zero = buchberger((), ring=self.ring, rank=self.rank)
+        if zero.first_product_outside(
+                PolyMatrix.from_columns(self.ring, self.rank, self.gens),
+                PolyMatrix.from_columns(self.ring, self.count,
+                                        out)) is not None:
+            raise RuntimeError("uncertified syzygy")
         return out
 
 
@@ -1303,9 +1277,9 @@ def syzygies_mod(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
 
     They are the reduced basis of that submodule, read off one seeded
     elimination (``_eliminate``): no cofactors are tracked and nothing is
-    re-completed.  Each column c is multiplied out again from its integer
-    form, a packed once (``_Packed``), and a*c must reduce to zero against
-    the basis of b.  The result is computed once per exact (a, b)
+    re-completed.  Every column c is multiplied out again and a*c must lie
+    in the span of b (``GrobnerBasis.first_product_outside``), else
+    ``RuntimeError``.  The result is computed once per exact (a, b)
     (``cached``), and its columns are also stored as ``buchberger`` of
     themselves.
     """
@@ -1315,15 +1289,12 @@ def syzygies_mod(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
 
     def build() -> PolyMatrix:
         gb = _eliminate(a, b)
-        own = gb._basis
-        target = buchberger(b.columns(), ring=ring, rank=b.nrows)._basis
-        packed = _packed_for(a, max(map(own.layout.max_degree, own.terms),
-                                    default=0), target)
-        for terms in own.terms:
-            if _reduce(packed.times(terms.items(), own.layout), target)[0]:
-                raise RuntimeError("uncertified syzygy")
+        c = PolyMatrix.from_columns(ring, a.ncols, gb.gens)
+        if buchberger(b.columns(), ring=ring, rank=b.nrows
+                      ).first_product_outside(a, c) is not None:
+            raise RuntimeError("uncertified syzygy")
         cached(_gb_key(gb.gens, ring, a.ncols), lambda: gb)
-        return PolyMatrix.from_columns(ring, a.ncols, list(gb.gens))
+        return c
 
     return cached(("syzygies_mod", a, b), build)
 
@@ -1395,34 +1366,28 @@ def solve_mod(v: PolyMatrix, a: PolyMatrix,
     column of v has no such c_j.
 
     [-v_j; 0] leaves its normal form [r; c_j] against ``_elimination(a,
-    b)`` (``_tag_remainder``): r is zero exactly when c_j exists.  Every
-    v_j - a*c_j, formed from c_j's integer form with a packed once
-    (``_Packed``), must reduce to zero against the basis of b.  Each c_j is
-    read by the layout of its own remainder: a later column may widen the
-    shared basis."""
+    b)`` (``_tag_remainder``): r is zero exactly when c_j exists.  That
+    basis is widened once, up front, for the degree of v, so every c_j is
+    read by one layout.  Then every a*c_j - v_j, column j of [a | v] times
+    [c; -I], must lie in the span of b
+    (``GrobnerBasis.first_product_outside``), else ``RuntimeError``."""
     if a.nrows != b.nrows or v.nrows != a.nrows:
         raise ValueError("shape mismatch")
     ring, k, n = a.ring, a.nrows, a.ncols
     if not v.ncols:
         return PolyMatrix.zeros(ring, n, 0)
     elim = _elimination(a, b)._basis
+    elim.fit(_degree(chain.from_iterable(v.rows)))
     zeros = (Poly.zero(ring),) * n
-    cols = v.columns()
-    lefts = []
-    for col in cols:
+    out = []
+    for col in v.columns():
         left = _tag_remainder(Vector(ring, (-col).entries + zeros), elim, k)
         if left is None:
             return None
-        lefts.append((elim.layout, *left))
-    target = buchberger(b.columns(), ring=ring, rank=k)._basis
-    target.fit(_degree(chain.from_iterable(v.rows)))
-    packed = _packed_for(a, max((old.max_degree(rem)
-                                 for old, rem, _ in lefts if rem), default=0),
-                         target)
-    out = []
-    for col, (old, rem, scale) in zip(cols, lefts):
-        if _reduce(packed.residual(col, scale, rem.items(), old, k),
-                   target)[0]:
-            raise RuntimeError("uncertified solution")
-        out.append(Vector(ring, _polys(old, ring, rem, scale, k, n)))
-    return PolyMatrix.from_columns(ring, n, out)
+        out.append(Vector(ring, _polys(elim.layout, ring, *left, k, n)))
+    c = PolyMatrix.from_columns(ring, n, out)
+    span = buchberger(b.columns(), ring=ring, rank=k)
+    if span.first_product_outside(PolyMatrix.hstack(a, v), PolyMatrix.vstack(
+            c, -PolyMatrix.identity(ring, v.ncols))) is not None:
+        raise RuntimeError("uncertified solution")
+    return c

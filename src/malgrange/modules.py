@@ -153,8 +153,9 @@ class Morphism:
     """Module map source -> target given by a matrix acting on column vectors.
 
     The constructor verifies that every relation of the source is sent into
-    the relation span of the target (``GrobnerBasis.first_product_outside``),
-    so instances are always well defined.
+    the relation span of the target with the engine's one product
+    certificate (``GrobnerBasis.first_product_outside``), so instances are
+    always well defined.
     """
 
     __slots__ = ("source", "target", "mat")

@@ -15,7 +15,8 @@ from malgrange.groebner import (GrobnerBasis, PolyMatrix, SpanSolver,
                                 syzygies_mod, solve_mod)
 from malgrange.rings import (GREVLEX, Poly, mono_div, mono_divides, mono_mul,
                              ring)
-from malgrange.modules import AnnihilatorIdeal, module_annihilator
+from malgrange.modules import (AnnihilatorIdeal, FPModule, Morphism,
+                               module_annihilator)
 from malgrange.parsing import parse_poly
 
 RX = ring("x")
@@ -991,6 +992,30 @@ def test_a_corrupted_elimination_basis_gives_no_solution(monkeypatch):
         solve_mod(v, a, b)
 
 
+
+def test_a_wide_column_is_solved_as_it_is_alone():
+    # v's second column has degree past the top of the elimination basis,
+    # which solve_mod widens once, before any column is read: every
+    # column is then read by one layout, and each is the column that
+    # solving it alone gives
+    a = PolyMatrix(RXY, 1, 2, [[parse_poly("x", RXY), parse_poly("y", RXY)]])
+    b = PolyMatrix(RXY, 1, 1, [[parse_poly("x^2 - y", RXY)]])
+    c = PolyMatrix(RXY, 2, 2, [[parse_poly(t, RXY) for t in row] for row in
+                               (["1", "x^200"], ["y", "x*y^150"])])
+    v = a * c
+    groebner._CACHE.clear()
+    top = groebner._elimination(a, b)._basis.layout.top
+    assert groebner._degree(v.column(1).entries) > top
+    got = solve_mod(v, a, b)
+    assert groebner._elimination(a, b)._basis.layout.top > top
+    alone = []
+    for col in v.columns():
+        groebner._CACHE.clear()
+        alone.append(solve_mod(PolyMatrix.from_columns(RXY, 1, [col]), a, b))
+    assert None not in alone
+    assert got == PolyMatrix.hstack(*alone)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 2**30), st.sampled_from([RX, RXY, R3]))
 def test_syzygies_match_the_tracked_solver(seed, r):
@@ -1346,59 +1371,39 @@ def _rational_poly(r, rng, deg):
     return p
 
 
-def _proportional(p, q):
-    """Whether the integer term dicts p and q, zero coefficients left out,
-    are nonzero multiples of each other, or both zero."""
-    p = {k: c for k, c in p.items() if c}
-    q = {k: c for k, c in q.items() if c}
-    if p.keys() != q.keys():
-        return False
-    if not p:
-        return True
-    k0 = next(iter(p))
-    return all(p[k] * q[k0] == q[k] * p[k0] for k in p)
-
-
 @settings(max_examples=80, deadline=None)
 @given(st.integers(0, 2**30), st.sampled_from([RX, RXY, R3]),
        st.booleans())
 def test_a_packed_product_matches_mul_vec(seed, r, widen):
-    # a packed by the target's layout times c's integer form, c read at
-    # positions start.. of a vector packed by a layout of its own, is
-    # a.mul_vec(c) packed, up to its unit; widen draws an entry of degree
-    # past the target's layout, so packing a re-packs the target first
+    # a and c packed by one layout: A times c's integer form is
+    # a.mul_vec(c) packed, up to the units.  first_product_outside packs
+    # both by its span's layout; widen draws an entry of a of degree past
+    # that layout's top, so the span is widened first, and either way its
+    # answer is whether the span contains the product
     rng = random.Random(seed)
-    k, n, start = rng.randint(1, 3), rng.randint(1, 3), rng.randint(0, 2)
+    k, n = rng.randint(1, 3), rng.randint(1, 3)
     rows = [[_rational_poly(r, rng, 2) for _ in range(n)] for _ in range(k)]
-    target = buchberger([rand_vector(r, rng, k, deg=2) for _ in range(2)],
-                        ring=r, rank=k)._basis
-    top = target.layout.top
+    span = buchberger([rand_vector(r, rng, k, deg=2) for _ in range(2)],
+                      ring=r, rank=k)
+    top = span._basis.layout.top
     if widen:
         i, j = rng.randrange(k), rng.randrange(n)
         rows[i][j] = rows[i][j] + Poly.term(r, Fraction(-3, 2),
                                             (top + 1,) + (0,) * (r.nvars - 1))
     a = PolyMatrix(r, k, n, rows)
     c = Vector(r, [_rational_poly(r, rng, 2) for _ in range(n)])
-    v = rand_vector(r, rng, k, deg=3)
-    zero = Poly.zero(r)
-    own = groebner._Layout(r.nvars, 2)
-    c_unit, c_ints = groebner._scaled_ints(
-        Vector(r, (zero,) * start + c.entries), own)
-    degree = own.max_degree(c_ints) if c_ints else 0
-    packed = groebner._packed_for(a, degree, target)
-    assert packed.layout is target.layout
-    assert (target.layout.top > top) == widen
-    got = packed.times(c_ints.items(), own, start)
     product = a.mul_vec(c)
-    unit, want = groebner._scaled_ints(product, packed.layout)
+    layout = groebner._Layout(r.nvars, groebner._degree(
+        e for row in rows for e in row) + groebner._degree(c.entries))
+    packed = groebner._Packed(a, layout)
+    c_unit, c_ints = groebner._scaled_ints(c, layout)
+    got = packed.times(c_ints.items())
+    unit, want = groebner._scaled_ints(product, layout)
     assert ({key: packed.unit * c_unit * x for key, x in got.items() if x}
             == {key: unit * x for key, x in want.items()})
-    residual = packed.residual(v, c_unit, c_ints.items(), own, start)
-    assert _proportional(residual, groebner._scaled_ints(
-        v - product, packed.layout)[1])
-    # the same product read from a copy of c packed by the target's layout
-    _, same = groebner._scaled_ints(c, packed.layout)
-    assert _proportional(packed.times(same.items(), packed.layout), want)
+    outside = span.first_product_outside(a, PolyMatrix.from_columns(r, n, [c]))
+    assert (span._basis.layout.top > top) == widen
+    assert (outside is None) == span.contains(product)
 
 
 def test_a_certified_product_names_the_first_column_outside():
@@ -1415,6 +1420,34 @@ def test_a_certified_product_names_the_first_column_outside():
     with pytest.raises(ValueError, match="ring mismatch"):
         span.first_product_outside(
             a, PolyMatrix.zeros(ring("x", "z"), 2, 1))
+
+
+
+def test_every_product_site_raises_its_own_message(monkeypatch):
+    # syzygy columns, lifts, SpanSolver rows and Morphism relations are
+    # all certified by first_product_outside: when it reports column 0,
+    # each site refuses its answer with its own message
+    a = PolyMatrix(RXY, 1, 2, [[parse_poly("x", RXY), parse_poly("y", RXY)]])
+    b = PolyMatrix.zeros(RXY, 1, 0)
+    v = PolyMatrix(RXY, 1, 1, [[parse_poly("x*y", RXY)]])
+    mod_x = FPModule(RXY, 1, PolyMatrix(RXY, 1, 1, [[parse_poly("x", RXY)]]))
+    identity = PolyMatrix.identity(RXY, 1)
+    groebner._CACHE.clear()
+    assert syzygies_mod(a, b).ncols == 1
+    assert solve_mod(v, a, b) is not None
+    assert SpanSolver(a.columns(), RXY, 1).syzygies()
+    Morphism(mod_x, mod_x, identity)
+    groebner._CACHE.clear()
+    monkeypatch.setattr(GrobnerBasis, "first_product_outside",
+                        lambda self, a, c: 0)
+    with pytest.raises(RuntimeError, match="uncertified syzygy"):
+        syzygies_mod(a, b)
+    with pytest.raises(RuntimeError, match="uncertified solution"):
+        solve_mod(v, a, b)
+    with pytest.raises(RuntimeError, match="uncertified syzygy"):
+        SpanSolver(a.columns(), RXY, 1).syzygies()
+    with pytest.raises(ValueError, match="does not define a morphism"):
+        Morphism(mod_x, mod_x, identity)
 
 
 # -- kept hashes -------------------------------------------------------------------

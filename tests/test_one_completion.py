@@ -2,7 +2,10 @@
 routine, ``groebner._complete``, which checks its inputs against the
 result: no other function in ``groebner.py`` constructs a
 ``_Completion``.  That shared completion never reads a cofactor: only the
-tracked reference turns tag terms into polynomials (``_polys``)."""
+tracked reference turns tag terms into polynomials (``_polys``).  Every
+product is certified by one routine too: only
+``GrobnerBasis.first_product_outside`` packs a matrix for a product
+(``_Packed``)."""
 
 import ast
 from pathlib import Path
@@ -12,21 +15,30 @@ import malgrange.groebner as groebner
 SOURCE = Path(groebner.__file__)
 ROUTINE = "_complete"
 COFACTOR_FREE = {"_Completion", "_complete", "_interreduce"}
+CERTIFICATE = "GrobnerBasis.first_product_outside"
 
 
-def _calling_functions(tree: ast.Module, callee: str):
+def _calling_functions(tree: ast.Module, callee: str,
+                       methods: bool = False):
     """The name of the outermost function or class around each call of
-    callee, in source order; "<module>" at module level."""
+    callee, in source order; "<module>" at module level.  With methods, a
+    call inside a method of a top-level class is named Class.method."""
     sites = []
     for top in tree.body:
         owner = (top.name if isinstance(top, (ast.FunctionDef,
                                               ast.ClassDef))
                  else "<module>")
-        for node in ast.walk(top):
-            if (isinstance(node, ast.Call)
-                    and isinstance(node.func, ast.Name)
-                    and node.func.id == callee):
-                sites.append(owner)
+        scopes = [(owner, top)]
+        if methods and isinstance(top, ast.ClassDef):
+            scopes = [(f"{owner}.{node.name}"
+                       if isinstance(node, ast.FunctionDef) else owner, node)
+                      for node in top.body]
+        for name, scope in scopes:
+            for node in ast.walk(scope):
+                if (isinstance(node, ast.Call)
+                        and isinstance(node.func, ast.Name)
+                        and node.func.id == callee):
+                    sites.append(name)
     return sites
 
 
@@ -73,3 +85,27 @@ def test_the_shared_completion_reads_no_cofactor():
     assert sites, "no tag part is read at all"
     assert not COFACTOR_FREE & set(sites), (
         f"the shared completion reads tag terms: {sites}")
+
+
+def test_a_packing_in_a_method_is_named_by_its_method():
+    tree = ast.parse("class GrobnerBasis:\n"
+                     "    K = _Packed(None)\n"
+                     "    def first_product_outside(self, a, c):\n"
+                     "        return _Packed(a), _Packed(c)\n"
+                     "class SpanSolver:\n"
+                     "    def _certified_syzygies(self):\n"
+                     "        return _Packed(self)\n"
+                     "def _packed_for(a):\n"
+                     "    return _Packed(a)\n")
+    assert _calling_functions(tree, "_Packed", methods=True) == [
+        "GrobnerBasis", CERTIFICATE, CERTIFICATE,
+        "SpanSolver._certified_syzygies", "_packed_for"]
+    assert _calling_functions(tree, "_Packed") == [
+        "GrobnerBasis"] * 3 + ["SpanSolver", "_packed_for"]
+
+
+def test_only_the_one_certificate_packs_a_product():
+    sites = _calling_functions(_engine_tree(), "_Packed", methods=True)
+    assert sites, "no product is packed at all"
+    assert set(sites) == {CERTIFICATE}, (
+        f"_Packed is constructed outside {CERTIFICATE}: {sites}")

@@ -23,7 +23,7 @@ from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import chain, repeat
 from math import gcd
-from operator import and_, lshift, rshift
+from operator import and_, lshift, neg, rshift
 from typing import (Callable, Iterable, List, Optional, Sequence, Tuple,
                     TypeVar)
 
@@ -558,9 +558,17 @@ def _s_vector(basis: _IntBasis, i: int, j: int) -> Tuple[dict, Fraction]:
     return s, Fraction(1, l)
 
 
-def _pair(sugar: int, lcm: int, i: int, j: int) -> tuple:
-    """A pending pair of ``_Completion``: (key, i, j, lcm)."""
-    return (sugar, -lcm), i, j, lcm
+def _pair(sugar: int, pos: int, lcm: Monomial, i: int, j: int) -> tuple:
+    """A pending pair of ``_Completion``: (key, i, j, pos, lcm), with lcm
+    the exponents of the lcm of the two leads, in position pos.
+
+    The key (sugar, -pos, deg lcm, -lcm[n-1], ..., -lcm[0]) orders pairs
+    exactly as (sugar, -layout.pack(pos, lcm)) does under every layout
+    that holds the lcm: a larger packed term has a later position, then a
+    smaller degree, then larger exponents from the last (see ``_Layout``).
+    So no key depends on the layout, and none changes when the basis
+    widens."""
+    return (sugar, -pos, sum(lcm), *map(neg, reversed(lcm))), i, j, pos, lcm
 
 
 class _Completion:
@@ -579,9 +587,10 @@ class _Completion:
     arithmetic (monic scaling lets numerators and denominators compound
     across reduction steps).
 
-    Pending pairs sit in a heap of (key, i, j, lcm), keyed once when
-    pushed, with lcm the packed lcm of the two leads; live holds the (i, j)
-    still in the heap.  The key is (sugar, -lcm), lowest sugar first,
+    Pending pairs sit in a heap of ``_pair`` entries, keyed once when
+    pushed, each with the exponents of the lcm of its two leads; live
+    holds the (i, j) still in the heap.  The key orders by sugar, lowest
+    first, then as the packed lcm would, larger first (see ``_pair``),
     whether the basis is tagged or not (the sugar strategy: Giovini,
     Mora, Niesi, Robbiano and Traverso, "One sugar cube, please", ISSAC
     1991).  sugar[i] is element i's sugar degree: for an input, an element
@@ -595,15 +604,13 @@ class _Completion:
     rows are fixed by this one.
 
     The basis is widened where something is packed for it (an input by
-    ``_IntBasis.pack``, an lcm by ``add``, an S-vector by ``_s_vector``;
-    see ``_IntBasis.fit``).  keyed is the layout the pending pairs are
-    packed by; after a widening ``_sync`` re-keys them before the heap is
-    used again.
+    ``_IntBasis.pack``, a popped pair's lcm and S-vector by ``run``; see
+    ``_IntBasis.fit``).  No pending key is packed, so a widening leaves
+    the heap as it is.
     """
 
     def __init__(self, basis: _IntBasis):
         self.basis = basis
-        self.keyed = basis.layout
         self.sugar = [self._own_sugar(t) for t in basis.terms]
         self.pending: List[tuple] = []
         self.live: set = set()
@@ -613,37 +620,21 @@ class _Completion:
         end = self.basis.rank << layout.pos_shift  # tag keys are not below
         return layout.max_degree(k for k in terms if k < end)
 
-    def _sync(self) -> None:
-        """Re-key the pending pairs by the basis's layout if it was widened
-        since they were keyed; the pair order is unchanged, as sugar does
-        not depend on the layout and both layouts order the terms alike."""
-        old, new = self.keyed, self.basis.layout
-        if new is not old:
-            self.keyed = new
-            self.pending[:] = [_pair(sugar, new.repack(l, old), i, j)
-                               for (sugar, _), i, j, l in self.pending]
-            heapify(self.pending)
-
     def add(self, terms: dict, lead: int, sugar: Optional[int] = None) -> None:
         """Add an element and queue its pairs; sugar is its own (see
         ``_own_sugar``) unless given."""
-        basis = self.basis
+        basis, sugars = self.basis, self.sugar
+        layout = basis.layout
         j = len(basis)
-        pos = lead >> basis.layout.pos_shift
-        lcms = [(i, basis.layout.lcm_exps(e, lead))
-                for i, e, _, _ in basis.by_pos.get(pos, ())]
-        self.sugar.append(self._own_sugar(terms) if sugar is None else sugar)
-        basis.add(terms, lead)
-        if not lcms:
-            return
-        basis.fit(max(sum(l) for _, l in lcms))  # so that every lcm packs
-        self._sync()
-        layout, sugars, leads = basis.layout, self.sugar, basis.leads
-        gap_j = sugars[j] - layout.degree(leads[j])
-        for i, l in lcms:
-            sugar = sum(l) + max(sugars[i] - layout.degree(leads[i]), gap_j)
-            heappush(self.pending, _pair(sugar, layout.pack(pos, l), i, j))
+        pos = lead >> layout.pos_shift
+        sugars.append(self._own_sugar(terms) if sugar is None else sugar)
+        gap_j = sugars[j] - layout.degree(lead)
+        for i, e, _, _ in basis.by_pos.get(pos, ()):
+            l = layout.lcm_exps(e, lead)
+            sugar = sum(l) + max(sugars[i] - layout.degree(e), gap_j)
+            heappush(self.pending, _pair(sugar, pos, l, i, j))
             self.live.add((i, j))
+        basis.add(terms, lead)
 
     def reduce(self, p: dict, scale: Fraction = _ONE,
                sugar: Optional[int] = None,
@@ -678,21 +669,21 @@ class _Completion:
         basis = self.basis
         pending, live = self.pending, self.live
         while pending:
-            self._sync()
-            (sugar, _), i, j, l = heappop(pending)
+            key, i, j, pos, l = heappop(pending)
             live.discard((i, j))
+            basis.fit(sum(l) + basis.excess)  # the lcm and its S-vector
             layout = basis.layout
-            pos = l >> layout.pos_shift
+            m = layout.pack(pos, l)
             chained = False
             for k, e, _, _ in basis.by_pos[pos]:
-                if (k != i and k != j and layout.divides(e, l)
+                if (k != i and k != j and layout.divides(e, m)
                         and (min(i, k), max(i, k)) not in live
                         and (min(j, k), max(j, k)) not in live):
                     chained = True
                     break
             if chained:
                 continue
-            self.reduce(*_s_vector(basis, i, j), sugar=sugar)
+            self.reduce(*_s_vector(basis, i, j), sugar=key[0])
 
     def sweep(self) -> List[Tuple[_Layout, dict, Fraction]]:
         """Final check of the starting basis: reduce every same-position

@@ -378,11 +378,12 @@ def test_cofactor_rows_past_the_field_width_widen_the_completion(
 
 
 def test_widening_before_every_s_vector_changes_no_result(monkeypatch):
-    # a widening re-keys the pending pairs, and a row the final sweep
-    # keeps is keyed by the layout of its own S-vector; widen the basis
-    # before every S-vector, so that pairs are popped after a widening and
-    # each row has a different layout: the pairs must come in the same
-    # order and every result must stay the same
+    # a pending pair's lcm is packed by whatever layout the basis has
+    # when the pair is popped, and a row the final sweep keeps is keyed by
+    # the layout of its own S-vector; widen the basis before every
+    # S-vector, so that pairs are popped after a widening and each row has
+    # a different layout: the pairs must come in the same order and every
+    # result must stay the same
     gens = [vec(RXY, "x^2 - y", "x"), vec(RXY, "x*y", "y^2 - 1"),
             vec(RXY, "y^2", "x + 1")]
     original = groebner._s_vector
@@ -428,6 +429,44 @@ def test_an_s_vector_past_the_field_width_widens_the_basis():
             - gens[1].poly_mul(parse_poly("x^60", RXY)))
     assert want == vec(RXY, "0", "y^180")
     assert groebner._vector(basis.layout, RXY, 2, s, scale) == want
+
+
+def test_a_pair_key_orders_as_its_packed_lcm():
+    # under any layout that holds it, the packed lcm orders pairs of one
+    # sugar; the exponent key must order them the same way, layout-free
+    rng = random.Random(3030)
+    for nvars in (1, 2, 3):
+        narrow, wide = groebner._Layout(nvars, 0), groebner._Layout(nvars, 500)
+        assert narrow.top >= 3 * 40 and wide.top > narrow.top
+        for _ in range(200):
+            a, b = [(rng.randint(0, 6), rng.randint(0, 3),
+                     tuple(rng.randint(0, 40) for _ in range(nvars)))
+                    for _ in range(2)]
+            keys = [groebner._pair(sugar, pos, lcm, 0, 1)[0]
+                    for sugar, pos, lcm in (a, b)]
+            for layout in (narrow, wide):
+                packed = [(sugar, -layout.pack(pos, lcm))
+                          for sugar, pos, lcm in (a, b)]
+                assert ((keys[0] > keys[1]) - (keys[0] < keys[1])
+                        == (packed[0] > packed[1]) - (packed[0] < packed[1]))
+
+
+def test_a_pair_is_pushed_unpacked_and_packed_when_popped():
+    # the lcm x^100*y^100 of the two leads has degree 200, past the top
+    # (127) of the layout both vectors pack in: queuing the pair must
+    # leave the basis as it is, and only popping it widens
+    gens = [vec(RXY, "x^100"), vec(RXY, "y^100 + x")]
+    layout = groebner._Layout(RXY.nvars, 0)
+    assert layout.top == 127
+    state = groebner._Completion(groebner._IntBasis(layout, 1))
+    for v in gens:
+        terms = groebner._scaled_ints(v, layout)[1]
+        state.add(terms, next(iter(terms)))
+    assert state.pending and state.basis.layout.top == 127
+    state.run()
+    assert state.basis.layout.top >= 200
+    got = groebner.GrobnerBasis._of(RXY, 1, groebner._interreduce(state.basis))
+    assert got == buchberger(gens)
 
 
 def test_normal_form_idempotent_and_membership():

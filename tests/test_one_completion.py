@@ -5,7 +5,9 @@ result: no other function in ``groebner.py`` constructs a
 tracked reference turns tag terms into polynomials (``_polys``).  Every
 product is certified by one routine too: only
 ``GrobnerBasis.first_product_outside`` packs a matrix for a product
-(``_Packed``)."""
+(``_Packed``).  The completion's pending pairs are keyed without a layout
+(``_pair``): no ``_Completion`` method re-keys them or rebuilds their
+heap."""
 
 import ast
 from pathlib import Path
@@ -21,8 +23,9 @@ CERTIFICATE = "GrobnerBasis.first_product_outside"
 def _calling_functions(tree: ast.Module, callee: str,
                        methods: bool = False):
     """The name of the outermost function or class around each call of
-    callee, in source order; "<module>" at module level.  With methods, a
-    call inside a method of a top-level class is named Class.method."""
+    callee, by name or as an attribute (x.callee), in source order;
+    "<module>" at module level.  With methods, a call inside a method of
+    a top-level class is named Class.method."""
     sites = []
     for top in tree.body:
         owner = (top.name if isinstance(top, (ast.FunctionDef,
@@ -35,9 +38,9 @@ def _calling_functions(tree: ast.Module, callee: str,
                       for node in top.body]
         for name, scope in scopes:
             for node in ast.walk(scope):
-                if (isinstance(node, ast.Call)
-                        and isinstance(node.func, ast.Name)
-                        and node.func.id == callee):
+                if isinstance(node, ast.Call) and callee in (
+                        getattr(node.func, "id", None),
+                        getattr(node.func, "attr", None)):
                     sites.append(name)
     return sites
 
@@ -109,3 +112,29 @@ def test_only_the_one_certificate_packs_a_product():
     assert sites, "no product is packed at all"
     assert set(sites) == {CERTIFICATE}, (
         f"_Packed is constructed outside {CERTIFICATE}: {sites}")
+
+
+def test_an_attribute_call_in_a_method_is_found():
+    tree = ast.parse("import heapq\n"
+                     "class _Completion:\n"
+                     "    def _sync(self, old):\n"
+                     "        keys = [self.new.repack(k, old) for k in []]\n"
+                     "        heapq.heapify(keys)\n"
+                     "    def run(self):\n"
+                     "        heapify(self.pending)\n"
+                     "        return self.repack\n"
+                     "def _complete(layout, old, k):\n"
+                     "    return layout.repack(k, old)\n")
+    assert _calling_functions(tree, "repack", methods=True) == [
+        "_Completion._sync", "_complete"]
+    assert _calling_functions(tree, "heapify", methods=True) == [
+        "_Completion._sync", "_Completion.run"]
+
+
+def test_no_completion_method_re_keys_its_pairs():
+    tree = _engine_tree()
+    for callee in ("heapify", "repack"):
+        sites = _calling_functions(tree, callee, methods=True)
+        assert sites, f"{callee} is not called at all"
+        rekeying = [s for s in sites if s.split(".")[0] == "_Completion"]
+        assert not rekeying, f"_Completion calls {callee}: {rekeying}"

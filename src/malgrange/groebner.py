@@ -333,6 +333,12 @@ class _IntBasis:
                      new.repack(lead, old))
         return old
 
+    def lcm_key(self, pos: int, lcm: Monomial) -> int:
+        """x^lcm * e_pos packed by layout, once widened (``fit``) for the
+        S-vector of a pair with that lcm: degree at most sum(lcm) + excess."""
+        self.fit(sum(lcm) + self.excess)
+        return self.layout.pack(pos, lcm)
+
     def vector_part(self) -> "_IntBasis":
         """The untagged basis, in the same layout, of each element's vector
         part made primitive."""
@@ -350,7 +356,10 @@ class _IntBasis:
 
     def pack(self, v: Vector) -> Tuple[Fraction, dict]:
         """``_scaled_ints`` of v by layout, widened first if v's degree
-        needs it, so the result can be reduced against this basis."""
+        needs it, so the result can be reduced against this basis.  v packs
+        as if zero-padded to rank + tags entries, and may not be longer."""
+        if v.rank > self.rank + self.tags:
+            raise ValueError("vector rank mismatch")
         self.fit(_degree(v.entries))
         return _scaled_ints(v, self.layout)
 
@@ -532,19 +541,15 @@ def cached(key: tuple, build: Callable[[], _T]) -> _T:
 
 # -- Buchberger completion -------------------------------------------------------
 
-def _s_vector(basis: _IntBasis, i: int, j: int) -> Tuple[dict, Fraction]:
+def _s_vector(basis: _IntBasis, i: int, j: int,
+              m: int) -> Tuple[dict, Fraction]:
     """(S, scale): scale * S is the S-vector of elements i and j of basis,
-    which lead in one position, with both leads scaled to 1.  basis is
-    widened first if reducing S needs it (see ``_IntBasis.fit``): S has
-    the degree of the lcm plus at most basis.excess."""
-    lcm = basis.layout.lcm_exps(basis.leads[i], basis.leads[j])
-    basis.fit(sum(lcm) + basis.excess)
-    layout = basis.layout
+    which lead in one position, with both leads scaled to 1; m is their
+    lcm, packed by ``_IntBasis.lcm_key``."""
     ti, tj = basis.terms[i], basis.terms[j]
     li, lj = basis.leads[i], basis.leads[j]
     bi, bj = ti[li], tj[lj]
     l = bi * bj // gcd(bi, bj)
-    m = layout.pack(li >> layout.pos_shift, lcm)
     si, sj = m - li, m - lj
     ci, cj = l // bi, l // bj
     s = {k + si: ci * c for k, c in ti.items()}
@@ -604,7 +609,7 @@ class _Completion:
     rows are fixed by this one.
 
     The basis is widened where something is packed for it (an input by
-    ``_IntBasis.pack``, a popped pair's lcm and S-vector by ``run``; see
+    ``_IntBasis.pack``, a pair's lcm and S-vector by ``lcm_key``; see
     ``_IntBasis.fit``).  No pending key is packed, so a widening leaves
     the heap as it is.
     """
@@ -671,19 +676,15 @@ class _Completion:
         while pending:
             key, i, j, pos, l = heappop(pending)
             live.discard((i, j))
-            basis.fit(sum(l) + basis.excess)  # the lcm and its S-vector
+            m = basis.lcm_key(pos, l)
             layout = basis.layout
-            m = layout.pack(pos, l)
-            chained = False
             for k, e, _, _ in basis.by_pos[pos]:
                 if (k != i and k != j and layout.divides(e, m)
                         and (min(i, k), max(i, k)) not in live
                         and (min(j, k), max(j, k)) not in live):
-                    chained = True
-                    break
-            if chained:
-                continue
-            self.reduce(*_s_vector(basis, i, j), sugar=key[0])
+                    break  # the chain criterion skips the pair
+            else:
+                self.reduce(*_s_vector(basis, i, j, m), sugar=key[0])
 
     def sweep(self) -> List[Tuple[_Layout, dict, Fraction]]:
         """Final check of the starting basis: reduce every same-position
@@ -698,11 +699,12 @@ class _Completion:
         (Eisenbud, Thm. 15.10), valid only if nothing was added.
         """
         basis = self.basis
-        pos_shift = basis.layout.pos_shift
-        pairs = [(i, j) for i in range(len(basis))
-                 for j in range(i + 1, len(basis))
-                 if basis.leads[i] >> pos_shift == basis.leads[j] >> pos_shift]
-        rows = [self.reduce(*_s_vector(basis, i, j)) for i, j in pairs]
+        layout, leads = basis.layout, list(enumerate(basis.leads))
+        pairs = [(i, j, e >> layout.pos_shift, layout.lcm_exps(e, f))
+                 for i, e in leads for j, f in leads[i + 1:]
+                 if e >> layout.pos_shift == f >> layout.pos_shift]
+        rows = [self.reduce(*_s_vector(basis, i, j, basis.lcm_key(pos, l)))
+                for i, j, pos, l in pairs]
         return [row for row in rows if row is not None]
 
 
@@ -947,10 +949,11 @@ def _complete(start: _IntBasis, entering: Sequence[Vector],
     processed, the basis interreduced and swept, resuming while a sweep
     adds an element.  The sweep certifies only a Groebner basis of what
     the result generates, which a lost element shrinks, so then every
-    entering and nonzero checked vector must leave no term in a vector
-    position against the result, else ``RuntimeError``.  Returns
-    ``_interreduce``'s basis and the rows of the final sweep
-    (``_Completion.sweep``); neither reads a tag term.
+    entering and nonzero checked vector (the latter maybe shorter, see
+    ``_IntBasis.pack``) must leave no term in a vector position against
+    the result, else ``RuntimeError``.  Returns ``_interreduce``'s basis
+    and the rows of the final sweep (``_Completion.sweep``); neither reads
+    a tag term.
     """
     state = _Completion(start)
     entered = []
@@ -1002,9 +1005,9 @@ class SpanSolver:
     is [G_b; A_b], with G_b = sum(A_b[i] * gens[i]) (see ``_IntBasis``).
     Reducing a tagged vector [u; t] against it leaves [r; c] with
     u - r = sum((t - c)[i] * gens[i]), and both answers are read off that
-    tag part (``_tag_part``): [-v; 0] leaves [r; c] with
-    v = sum(c[i] * gens[i]) - r, the certificate of membership when r is
-    zero (``solve`` returns c unchecked), and Schreyer's construction
+    tag part (``_tag_part``): -v, packed at its own rank, leaves [r; c]
+    with v = sum(c[i] * gens[i]) - r, the certificate of membership when
+    r is zero (``solve`` returns c unchecked), and Schreyer's construction
     takes one syzygy row per generator the same way, plus one row per
     same-position S-pair of the basis, as the final sweep left it.
     """
@@ -1033,8 +1036,7 @@ class SpanSolver:
         """Coefficients c with sum(c[i] * gens[i]) = v, or None."""
         if v.rank != self.rank:
             raise ValueError("rank mismatch")
-        zero = Vector.zero(self.ring, self.count)
-        return self._tag_part(Vector(self.ring, (-v).entries + zero.entries))
+        return self._tag_part(-v)
 
     def syzygies(self) -> List[Vector]:
         """Certified generators of {(a_1..a_m) : sum(a_i * gens[i]) = 0}.
@@ -1326,27 +1328,22 @@ def _eliminate(a: PolyMatrix, b: PolyMatrix) -> GrobnerBasis:
 def _elimination(a: PolyMatrix, b: PolyMatrix) -> GrobnerBasis:
     """The rank-(k+n) reduced basis of the module generated by the vectors
     [a_i; e_i] and [b_j; 0], a_i and b_j the columns of a and b, that
-    ``syzygies_mod``, ``colon_ideal`` and ``solve_mod`` read.  The
-    completion (``_complete``) starts from the reduced basis of b's
-    columns (``buchberger``, cached: for an annihilator it is the module's
-    own relation basis), padded with n zeros: only the [a_i; e_i] enter,
-    and every nonzero [b_j; 0] is checked against the result.  Cached per
-    exact (a, b),
-    so that a hit builds no stacked vector, and under the key
-    ``buchberger`` of the stacked vectors uses."""
+    ``syzygies_mod``, ``colon_ideal`` and ``solve_mod`` read: for n = 0,
+    the reduced basis of b's columns itself (``buchberger``, cached: for
+    an annihilator, the module's own relation basis).  Else it is cached
+    per exact (a, b), and completed (``_complete``) from that basis padded
+    with n zeros: only the [a_i; e_i] enter, and each nonzero b_j is
+    checked, at its own rank k, against the result."""
     ring, k, n = a.ring, a.nrows, a.ncols
+    if not n:
+        return buchberger(b.columns(), ring=ring, rank=k)
 
     def build() -> GrobnerBasis:
+        cols = b.columns()
+        start = buchberger(cols, ring=ring, rank=k)._basis.padded(k + n)
         top = PolyMatrix.vstack(a, PolyMatrix.identity(ring, n))
-        low = PolyMatrix.vstack(b, PolyMatrix.zeros(ring, n, b.ncols))
-        gens = tuple(top.columns() + low.columns())
-
-        def complete() -> GrobnerBasis:
-            start = buchberger(b.columns(), ring=ring, rank=k)._basis
-            return GrobnerBasis._of(ring, k + n, _complete(
-                start.padded(k + n), gens[:n], gens[n:])[0])
-
-        return cached(_gb_key(gens, ring, k + n), complete)
+        return GrobnerBasis._of(ring, k + n, _complete(
+            start, top.columns(), cols)[0])
 
     return cached(("elimination", a, b), build)
 
@@ -1356,9 +1353,9 @@ def solve_mod(v: PolyMatrix, a: PolyMatrix,
     """Matrix c with a*c = v modulo the column span of b, or None when a
     column of v has no such c_j.
 
-    [-v_j; 0] leaves its normal form [r; c_j] against ``_elimination(a,
-    b)`` (``_tag_remainder``): r is zero exactly when c_j exists.  That
-    basis is widened once, up front, for the degree of v, so every c_j is
+    v_j leaves its normal form [r; -c_j] against ``_elimination(a, b)``
+    (``_tag_remainder``): r is zero exactly when c_j exists.  That basis
+    is widened once, up front, for the degree of v, so every c_j is
     read by one layout.  Then every a*c_j - v_j, column j of [a | v] times
     [c; -I], must lie in the span of b
     (``GrobnerBasis.first_product_outside``), else ``RuntimeError``."""
@@ -1369,13 +1366,13 @@ def solve_mod(v: PolyMatrix, a: PolyMatrix,
         return PolyMatrix.zeros(ring, n, 0)
     elim = _elimination(a, b)._basis
     elim.fit(_degree(chain.from_iterable(v.rows)))
-    zeros = (Poly.zero(ring),) * n
     out = []
     for col in v.columns():
-        left = _tag_remainder(Vector(ring, (-col).entries + zeros), elim, k)
+        left = _tag_remainder(col, elim, k)
         if left is None:
             return None
-        out.append(Vector(ring, _polys(elim.layout, ring, *left, k, n)))
+        rem, scale = left
+        out.append(Vector(ring, _polys(elim.layout, ring, rem, -scale, k, n)))
     c = PolyMatrix.from_columns(ring, n, out)
     span = buchberger(b.columns(), ring=ring, rank=k)
     if span.first_product_outside(PolyMatrix.hstack(a, v), PolyMatrix.vstack(

@@ -389,11 +389,13 @@ def test_widening_before_every_s_vector_changes_no_result(monkeypatch):
     original = groebner._s_vector
     pairs, widen = [], []
 
-    def recording(basis, i, j):
+    def recording(basis, i, j, m):
         pairs.append((i, j))
-        if widen:
-            basis.fit(basis.layout.top + 1)
-        return original(basis, i, j)
+        if widen:  # m is packed by the layout the basis had until now
+            old = basis.layout
+            basis.fit(old.top + 1)
+            m = basis.layout.repack(m, old)
+        return original(basis, i, j, m)
 
     def complete():
         pairs.clear()
@@ -415,7 +417,7 @@ def test_widening_before_every_s_vector_changes_no_result(monkeypatch):
 def test_an_s_vector_past_the_field_width_widens_the_basis():
     # both leads and their lcm (degree 120) fit 8-bit fields, but the tail
     # of the first element exceeds its lead's degree by 60, so the
-    # S-vector [0, y^180] does not
+    # S-vector [0, y^180] does not: packing the lcm for it widens first
     layout = groebner._Layout(RXY.nvars, 0)
     assert layout.top == 127
     basis = groebner._IntBasis(layout, 2)
@@ -423,7 +425,8 @@ def test_an_s_vector_past_the_field_width_widens_the_basis():
     for v in gens:
         terms = groebner._scaled_ints(v, layout)[1]
         basis.add(terms, min(terms))
-    s, scale = groebner._s_vector(basis, 0, 1)
+    lcm = layout.lcm_exps(basis.leads[0], basis.leads[1])
+    s, scale = groebner._s_vector(basis, 0, 1, basis.lcm_key(0, lcm))
     assert basis.layout.top > 180
     want = (gens[0].poly_mul(parse_poly("y^60", RXY))
             - gens[1].poly_mul(parse_poly("x^60", RXY)))
@@ -1135,10 +1138,10 @@ def test_colon_ideal_matches_the_elimination_from_scratch(seed, r, shape):
     basis = colon_ideal(v, b)
     got = [w.entries[0] for w in basis.gens]
     gens = _elimination_gens(v, b)
-    # the seeded result is stored under the key of the plain completion:
-    # asking for that completion is a hit and stores nothing new
+    # the seeded result is stored under the elimination's own key:
+    # asking for it again is a hit and stores nothing new
     stored = len(groebner._CACHE)
-    seeded = buchberger(gens, ring=r, rank=k + 1)
+    seeded = groebner._elimination(PolyMatrix.from_columns(r, k, [v]), b)
     assert len(groebner._CACHE) == stored
     groebner._CACHE.clear()  # the reference must not read it back
     scratch = buchberger(gens, ring=r, rank=k + 1)
@@ -1200,15 +1203,16 @@ def test_a_seeded_colon_ideal_ends_with_a_full_final_sweep(monkeypatch):
         sweeps[-1] += (len(self.basis) - n,)
         return rows
 
-    def counting(basis, i, j):
+    def counting(basis, i, j, m):
         if sweeps and len(sweeps[-1]) == 2:  # inside a sweep
             sweeps[-1][1].append((i, j))
-        return original_s(basis, i, j)
+        return original_s(basis, i, j, m)
 
     monkeypatch.setattr(groebner._Completion, "sweep", recording)
     monkeypatch.setattr(groebner, "_s_vector", counting)
     colon_ideal(v, b)
-    gb = buchberger(_elimination_gens(v, b))  # the stored result
+    gb = groebner._elimination(PolyMatrix.from_columns(RXY, 2, [v]),
+                               b)  # the stored result
     pos = [w.leading()[0] for w in gb.gens]
     same = [(i, j) for i in range(len(pos)) for j in range(i + 1, len(pos))
             if pos[i] == pos[j]]
@@ -1291,6 +1295,88 @@ def test_an_elimination_checks_every_generator(monkeypatch):
     assert gens[3].is_zero()
     assert against_final[-3:] == [groebner._scaled_ints(w, final.layout)[1]
                                   for w in gens[:3]]
+
+
+def test_an_elimination_is_stored_under_one_key():
+    # with b's reduced basis already cached, a cold elimination stores
+    # itself under ("elimination", a, b) and nothing else: no plain
+    # completion of the stacked generators is keyed, and no stacked
+    # generator is built for a column of b
+    a = PolyMatrix.from_columns(RXY, 2, [vec(RXY, "x", "y")])
+    b = PolyMatrix.from_columns(RXY, 2, _DROPPING_SEED)
+    groebner._CACHE.clear()
+    buchberger(b.columns(), ring=RXY, rank=2)
+    before = set(groebner._CACHE)
+    elim = groebner._elimination(a, b)
+    assert set(groebner._CACHE) - before == {("elimination", a, b)}
+    assert groebner._CACHE[("elimination", a, b)] is elim
+
+
+def test_no_zero_block_is_built(monkeypatch):
+    # a column of b is checked, and a dividend is reduced, at its own
+    # rank: the only vectors of rank k + n an elimination builds are its
+    # n generators [a_i; e_i], and solve_mod and SpanSolver.solve build
+    # none of the stacked rank
+    a = PolyMatrix.from_columns(RXY, 1, [vec(RXY, "x"), vec(RXY, "y")])
+    b = PolyMatrix.from_columns(RXY, 1, [vec(RXY, "x^2 - y"),
+                                         vec(RXY, "x*y")])
+    v = PolyMatrix.from_columns(RXY, 1, [vec(RXY, "x^2"),
+                                         vec(RXY, "x*y + y")])
+    k, n = a.nrows, a.ncols
+    ranks = []
+    original = Vector.__init__
+
+    def recording(self, ring, entries):
+        original(self, ring, entries)
+        ranks.append(self.rank)
+
+    groebner._CACHE.clear()
+    buchberger(b.columns(), ring=RXY, rank=k)
+    monkeypatch.setattr(Vector, "__init__", recording)
+    groebner._elimination(a, b)
+    assert ranks.count(k + n) == n
+    ranks.clear()
+    got = solve_mod(v, a, b)
+    assert got is not None and ranks and k + n not in ranks
+    gens = _DROPPING_SEED
+    solver = SpanSolver(gens, RXY, 2)
+    ranks.clear()
+    assert solver.solve(gens[0].poly_mul(parse_poly("y", RXY))) is not None
+    assert solver.solve(vec(RXY, "1", "0")) is None
+    assert 2 + len(gens) not in ranks
+
+
+def test_an_elimination_with_no_columns_is_the_span_itself(monkeypatch):
+    # for n = 0 the elimination is b's own reduced basis: syzygies_mod
+    # completes once on a cold cache, and that certified basis is not
+    # completed and swept a second time
+    a = PolyMatrix.zeros(RXY, 2, 0)
+    b = PolyMatrix.from_columns(RXY, 2, _DROPPING_SEED)
+    completions = []
+    original = groebner._complete
+
+    def counting(*args):
+        completions.append(args)
+        return original(*args)
+
+    groebner._CACHE.clear()
+    monkeypatch.setattr(groebner, "_complete", counting)
+    got = syzygies_mod(a, b)
+    assert (got.nrows, got.ncols) == (0, 0)
+    assert len(completions) == 1
+    span = buchberger(b.columns(), ring=RXY, rank=2)
+    assert groebner._elimination(a, b) is span
+    assert len(completions) == 1
+
+
+def test_a_vector_packs_at_its_own_rank():
+    # a position past a vector's rank is zero and packs to nothing; a
+    # vector longer than rank + tags has no packing
+    basis = groebner._IntBasis(groebner._Layout(RXY.nvars, 2), 2, tags=1)
+    assert basis.pack(vec(RXY, "x^2 - y")) == basis.pack(
+        vec(RXY, "x^2 - y", "0", "0"))
+    with pytest.raises(ValueError, match="vector rank mismatch"):
+        basis.pack(vec(RXY, "x", "y", "1", "0"))
 
 
 def test_a_basis_refuses_a_vector_of_another_ring():

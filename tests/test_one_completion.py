@@ -7,7 +7,8 @@ product is certified by one routine too: only
 ``GrobnerBasis.first_product_outside`` packs a matrix for a product
 (``_Packed``).  The completion's pending pairs are keyed without a layout
 (``_pair``): no ``_Completion`` method re-keys them or rebuilds their
-heap."""
+heap, and the lcm of a pair is computed once, then packed by
+``_IntBasis.lcm_key``."""
 
 import ast
 from pathlib import Path
@@ -138,3 +139,14 @@ def test_no_completion_method_re_keys_its_pairs():
         assert sites, f"{callee} is not called at all"
         rekeying = [s for s in sites if s.split(".")[0] == "_Completion"]
         assert not rekeying, f"_Completion calls {callee}: {rekeying}"
+
+
+def test_a_pair_lcm_is_computed_once():
+    # the lcm of a pair is computed when the pair is queued or swept, and
+    # packed, with the basis fitted for its S-vector, by lcm_key alone:
+    # _s_vector takes it packed
+    tree = _engine_tree()
+    assert set(_calling_functions(tree, "lcm_exps", methods=True)) == {
+        "_Completion.add", "_Completion.sweep"}
+    fitting = _calling_functions(tree, "fit", methods=True)
+    assert "_IntBasis.lcm_key" in fitting and "_s_vector" not in fitting

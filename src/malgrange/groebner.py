@@ -301,6 +301,24 @@ class _IntBasis:
         out.by_pos = {pos: list(els) for pos, els in self.by_pos.items()}
         return out
 
+    def trailing(self, start: int) -> "_IntBasis":
+        """The elements leading at position start or later, each with start
+        positions taken off every key, in the same layout and order.
+
+        Under position over term such an element has no term before start,
+        so the projection is exact, and for a reduced basis of N the result
+        is the reduced basis of N ∩ (0^start ⊕ R^(rank−start)) (the
+        Elimination Theorem, in module form; Eisenbud, Commutative Algebra,
+        ch. 15).  The other elements are never read, and the term dicts
+        are new.
+        """
+        shift = start << self.layout.pos_shift
+        out = _IntBasis(self.layout, self.rank - start, self.tags)
+        for terms, lead in zip(self.terms, self.leads):
+            if lead >= shift:
+                out.add({k - shift: c for k, c in terms.items()}, lead - shift)
+        return out
+
     def add(self, terms: dict, lead: int) -> None:
         layout = self.layout
         tail = tuple((k, c) for k, c in terms.items() if k != lead)
@@ -865,7 +883,7 @@ def buchberger(gens: Sequence[Vector], *, ring: Optional[RingSpec] = None,
     def build() -> GrobnerBasis:
         ring_, rank_, inputs, start = _inputs(gens, ring, rank)
         return GrobnerBasis._of(ring_, rank_, _complete(
-            start, [v for _, v in inputs], ())[0])
+            start, [v for _, v in inputs], None)[0])
 
     return cached(_gb_key(gens, ring, rank), build)
 
@@ -933,15 +951,16 @@ def _tracked(gens: Sequence[Vector], ring: Optional[RingSpec],
     ring, rank, inputs, start = _inputs(gens, ring, rank, m)
     basis, rows = _complete(start, [
         Vector(ring, v.entries + Vector.unit(ring, m, i).entries)
-        for i, v in inputs], ())
+        for i, v in inputs], None)
     return ring, rank, basis, [_polys(layout, ring, rem, s, rank, m)
                                for layout, rem, s in rows]
 
 
 def _complete(start: _IntBasis, entering: Sequence[Vector],
-              checked: Sequence[Vector]) -> Tuple[_IntBasis, list]:
+              checked: Optional[_IntBasis]) -> Tuple[_IntBasis, list]:
     """The one completion behind every Groebner basis: the reduced basis
-    of what start and entering generate, which must also contain checked.
+    of what start and entering generate, which must also contain every
+    element of checked.
 
     start is empty (maybe tagged) or a reduced basis padded with zeros,
     taken as closed under its own pairs.  Each entering vector, nonzero
@@ -949,11 +968,12 @@ def _complete(start: _IntBasis, entering: Sequence[Vector],
     processed, the basis interreduced and swept, resuming while a sweep
     adds an element.  The sweep certifies only a Groebner basis of what
     the result generates, which a lost element shrinks, so then every
-    entering and nonzero checked vector (the latter maybe shorter, see
-    ``_IntBasis.pack``) must leave no term in a vector position against
-    the result, else ``RuntimeError``.  Returns ``_interreduce``'s basis
-    and the rows of the final sweep (``_Completion.sweep``); neither reads
-    a tag term.
+    entering vector and every element of checked (an untagged integer
+    basis packed by its own layout, maybe of a smaller rank: zeros
+    appended at the end leave every key as it is) must leave no term in
+    a vector position against the result, else ``RuntimeError``.  Returns
+    ``_interreduce``'s basis and the rows of the final sweep
+    (``_Completion.sweep``); neither reads a tag term.
     """
     state = _Completion(start)
     entered = []
@@ -961,6 +981,8 @@ def _complete(start: _IntBasis, entering: Sequence[Vector],
         p = state.basis.pack(v)[1]
         entered.append((state.basis.layout, dict(p)))
         state.reduce(p)
+    if checked is not None:
+        entered += ((checked.layout, dict(p)) for p in checked.terms)
     while True:
         state.run()
         final = _interreduce(state.basis)
@@ -975,9 +997,6 @@ def _complete(start: _IntBasis, entering: Sequence[Vector],
         if new.width != old.width:
             p = {new.repack(k, old): c for k, c in p.items()}
         if final.escapes(_reduce(p, final)[0]):
-            raise RuntimeError("an input escaped its Groebner basis")
-    for v in checked:
-        if not v.is_zero() and final.escapes(_remainder(v, final)[0]):
             raise RuntimeError("an input escaped its Groebner basis")
     return final, rows
 
@@ -1293,11 +1312,37 @@ def syzygies_mod(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
 
 
 def colon_ideal(v: Vector, b: PolyMatrix) -> GrobnerBasis:
-    """Rank-1 reduced basis of the ideal {r in R : r*v lies in span(b)}:
-    the one-column case of ``_eliminate``, not multiplied out again."""
+    """Rank-1 reduced basis of the ideal {r in R : r*v lies in span(b)},
+    not multiplied out again.
+
+    Let N = span(b) in R^k and j the position of v's first nonzero entry.
+    For j = 0, or v zero, it is the one-column case of ``_eliminate``.
+    Else r*v lies in N exactly when it lies in N_j = N ∩ (0^j ⊕ R^(k−j)),
+    whose reduced basis is the part of b's cached relation basis leading
+    at position j or later (``_IntBasis.trailing``).  For v = c*e_(k−1),
+    c a nonzero constant, the ideal is that part itself, read off a basis
+    ``_complete`` has certified, and nothing is completed.  Otherwise the
+    rank-(k−j+1) module generated by N_j and [v_j .. v_(k−1); 1] is
+    completed from N_j's basis (``_seeded``), [v_j .. v_(k−1); 1] and
+    every element of N_j must reduce to zero against it, and the ideal is
+    read off its elements leading in the last position.  A j > 0 result
+    is cached per exact (v, b)."""
     if v.rank != b.nrows:
         raise ValueError("rank mismatch")
-    return _eliminate(PolyMatrix.from_columns(v.ring, v.rank, [v]), b)
+    ring, k = v.ring, v.rank
+    j = next((i for i, p in enumerate(v.entries) if p.terms), 0)
+    if not j:
+        return _eliminate(PolyMatrix.from_columns(ring, k, [v]), b)
+
+    def build() -> GrobnerBasis:
+        seed = buchberger(b.columns(), ring=ring, rank=k)._basis.trailing(j)
+        tail = v.entries[j:]
+        if j == k - 1 and not tail[0].total_degree():
+            return GrobnerBasis._of(ring, 1, seed)
+        full = _seeded(seed, [Vector(ring, tail + (Poly.one(ring),))], seed)
+        return GrobnerBasis._of(ring, 1, full._basis.trailing(k - j))
+
+    return cached(("colon_ideal", v, b), build)
 
 
 def _eliminate(a: PolyMatrix, b: PolyMatrix) -> GrobnerBasis:
@@ -1305,24 +1350,14 @@ def _eliminate(a: PolyMatrix, b: PolyMatrix) -> GrobnerBasis:
     k x n: the c of the elements [0; c] of ``_elimination(a, b)``, those
     leading in its last n positions, which have the lowest priority in
     position over term (the Elimination Theorem, in module form): nothing
-    is re-completed.
-
-    The projection stays packed: such an element has no term before
-    position k, so taking k << pos_shift off each key moves it to [c],
-    and the other elements are never read.  For k = 0 it is the identity,
-    and the elimination basis itself is returned."""
+    is re-completed.  The projection stays packed
+    (``_IntBasis.trailing``).  For k = 0 it is the identity, and the
+    elimination basis itself is returned."""
     k = a.nrows
     if not k:
         return _elimination(a, b)
-    full = _elimination(a, b)._basis
-    layout = full.layout
-    shift = k << layout.pos_shift
-    basis = _IntBasis(layout, a.ncols)
-    for terms, lead in zip(full.terms, full.leads):
-        if lead >= shift:
-            basis.add({key - shift: c for key, c in terms.items()},
-                      lead - shift)
-    return GrobnerBasis._of(a.ring, a.ncols, basis)
+    return GrobnerBasis._of(a.ring, a.ncols,
+                            _elimination(a, b)._basis.trailing(k))
 
 
 def _elimination(a: PolyMatrix, b: PolyMatrix) -> GrobnerBasis:
@@ -1331,21 +1366,33 @@ def _elimination(a: PolyMatrix, b: PolyMatrix) -> GrobnerBasis:
     ``syzygies_mod``, ``colon_ideal`` and ``solve_mod`` read: for n = 0,
     the reduced basis of b's columns itself (``buchberger``, cached: for
     an annihilator, the module's own relation basis).  Else it is cached
-    per exact (a, b), and completed (``_complete``) from that basis padded
-    with n zeros: only the [a_i; e_i] enter, and each nonzero b_j is
-    checked, at its own rank k, against the result."""
+    per exact (a, b), and completed from that basis (``_seeded``): only
+    the [a_i; e_i] enter, and each nonzero b_j is checked, at its own rank
+    k, against the result."""
     ring, k, n = a.ring, a.nrows, a.ncols
     if not n:
         return buchberger(b.columns(), ring=ring, rank=k)
 
     def build() -> GrobnerBasis:
         cols = b.columns()
-        start = buchberger(cols, ring=ring, rank=k)._basis.padded(k + n)
         top = PolyMatrix.vstack(a, PolyMatrix.identity(ring, n))
-        return GrobnerBasis._of(ring, k + n, _complete(
-            start, top.columns(), cols)[0])
+        return _seeded(buchberger(cols, ring=ring, rank=k)._basis,
+                       top.columns(), _IntBasis.of(
+                           ring, [c for c in cols if not c.is_zero()], k))
 
     return cached(("elimination", a, b), build)
+
+
+def _seeded(seed: _IntBasis, entering: Sequence[Vector],
+            checked: _IntBasis) -> GrobnerBasis:
+    """The reduced basis of the module generated by the reduced basis
+    seed, padded with zeros to the rank of the entering vectors, and the
+    entering vectors, completed (``_complete``) from a copy of seed: only
+    the entering vectors enter, and they and every element of checked
+    must reduce to zero against the result.  entering is not empty."""
+    ring, rank = entering[0].ring, entering[0].rank
+    return GrobnerBasis._of(ring, rank, _complete(
+        seed.padded(rank), entering, checked)[0])
 
 
 def solve_mod(v: PolyMatrix, a: PolyMatrix,

@@ -1109,8 +1109,11 @@ def _tag_only(gb, k):
 
 def _colon_case(r, rng, shape):
     """(v, b) over r: b has random, no or only zero columns, or v is drawn
-    inside the span of b's columns."""
-    rank = rng.randint(1, 2)
+    inside the span of b's columns; or, at rank 2 or 3, v's first entry is
+    zero ("leading zero") or v is a nonzero constant times the last unit
+    vector ("last unit")."""
+    trailing = shape in ("leading zero", "last unit")
+    rank = rng.randint(2, 3) if trailing else rng.randint(1, 2)
     deg = 1 if r is R3 else 2
     ncols = rng.randint(1, 3)
     cols = [rand_vector(r, rng, rank, deg=deg) for _ in range(ncols)]
@@ -1123,6 +1126,12 @@ def _colon_case(r, rng, shape):
         v = Vector.zero(r, rank)
         for c in cols:
             v = v + c.poly_mul(rand_vector(r, rng, 1, deg=1).entries[0])
+    elif shape == "leading zero":
+        v = Vector(r, (Poly.zero(r),)
+                   + rand_vector(r, rng, rank - 1, deg=deg).entries)
+    elif shape == "last unit":
+        c = Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 4))
+        v = Vector.unit(r, rank, rank - 1).scale(c)
     else:
         v = rand_vector(r, rng, rank, deg=deg)
     return v, b
@@ -1130,7 +1139,8 @@ def _colon_case(r, rng, shape):
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 2**30), st.sampled_from([RX, RXY, R3]),
-       st.sampled_from(["random", "no columns", "zero columns", "v in span"]))
+       st.sampled_from(["random", "no columns", "zero columns", "v in span",
+                        "leading zero", "last unit"]))
 def test_colon_ideal_matches_the_elimination_from_scratch(seed, r, shape):
     v, b = _colon_case(r, random.Random(seed), shape)
     k = v.rank
@@ -1138,11 +1148,19 @@ def test_colon_ideal_matches_the_elimination_from_scratch(seed, r, shape):
     basis = colon_ideal(v, b)
     got = [w.entries[0] for w in basis.gens]
     gens = _elimination_gens(v, b)
-    # the seeded result is stored under the elimination's own key:
-    # asking for it again is a hit and stores nothing new
     stored = len(groebner._CACHE)
+    leading_zero = v.entries[0].is_zero() and not v.is_zero()
+    if leading_zero:
+        # such a v reads the trailing part of b's relation basis, and its
+        # ideal is stored under the colon's own key: asking for it again
+        # is a hit and stores nothing new
+        assert colon_ideal(v, b) is basis
+        assert len(groebner._CACHE) == stored
     seeded = groebner._elimination(PolyMatrix.from_columns(r, k, [v]), b)
-    assert len(groebner._CACHE) == stored
+    if not leading_zero:
+        # the seeded result is stored under the elimination's own key:
+        # asking for it again is a hit and stores nothing new
+        assert len(groebner._CACHE) == stored
     groebner._CACHE.clear()  # the reference must not read it back
     scratch = buchberger(gens, ring=r, rank=k + 1)
     assert seeded is not scratch
@@ -1249,7 +1267,54 @@ def test_a_seeded_colon_ideal_leaves_the_cached_basis_unchanged():
 _DROPPING_SEED = [vec(RXY, "x^2 - y", "x"), vec(RXY, "x*y", "y^2 - 1")]
 
 
-@pytest.mark.parametrize("v", [("x", "y"), ("1", "0"), ("y", "x")])
+def _recording_completions(monkeypatch):
+    """The list that each later ``_complete`` call appends its start
+    basis to."""
+    starts = []
+    original = groebner._complete
+
+    def recording(start, *args):
+        starts.append(start)
+        return original(start, *args)
+
+    monkeypatch.setattr(groebner, "_complete", recording)
+    return starts
+
+
+def test_the_ideal_of_a_last_unit_vector_is_read_off(monkeypatch):
+    # r * c*e_(k-1) lies in N exactly when r*e_(k-1) does: with b's
+    # relation basis cached, the ideal is that basis's part leading in
+    # the last position, and nothing is completed
+    b = PolyMatrix.from_columns(RXY, 2, _DROPPING_SEED)
+    groebner._CACHE.clear()
+    span = buchberger(b.columns(), ring=RXY, rank=2)
+    starts = _recording_completions(monkeypatch)
+    ideal = colon_ideal(vec(RXY, "0", "-3/2"), b)
+    assert starts == []
+    last = tuple(Vector(RXY, w.entries[1:]) for w in span.gens
+                 if w.leading()[0] == 1)
+    assert last and ideal.gens == last
+
+
+def test_a_leading_zero_completes_at_the_trailing_rank(monkeypatch):
+    # for v = [0, f] only the part of b's relation basis leading in
+    # position 1 is completed, with [f; 1] entering: rank 2, where the
+    # elimination of [v; 1] and the [b_j; 0] has rank 3
+    b = PolyMatrix.from_columns(RXY, 2, _DROPPING_SEED)
+    v = vec(RXY, "0", "x + y")
+    groebner._CACHE.clear()
+    buchberger(b.columns(), ring=RXY, rank=2)
+    starts = _recording_completions(monkeypatch)
+    ideal = colon_ideal(v, b)
+    assert [start.rank for start in starts] == [2]
+    monkeypatch.undo()
+    groebner._CACHE.clear()
+    scratch = buchberger(_elimination_gens(v, b), ring=RXY, rank=3)
+    assert [w.entries[0] for w in ideal.gens] == _tag_only(scratch, 2)
+
+
+@pytest.mark.parametrize("v", [("x", "y"), ("1", "0"), ("y", "x"),
+                               ("0", "x")])
 @pytest.mark.parametrize("seed_cached", [True, False],
                          ids=["seed cached", "seed uncached"])
 def test_an_elimination_that_loses_an_input_is_an_error(monkeypatch, v,
@@ -1258,7 +1323,8 @@ def test_an_elimination_that_loses_an_input_is_an_error(monkeypatch, v,
     # the seed, and the final sweep then certifies the basis of a smaller
     # module: for [x, y] the ideal would be (x^2*y^4 - ...) instead of
     # (x^2*y^2 - ...).  [v; 1] itself still reduces to zero; the
-    # columns [b_j; 0] do not
+    # columns [b_j; 0] do not, nor, for [0, x], the elements of the
+    # relation basis leading in position 1 that seed its completion
     b = PolyMatrix.from_columns(RXY, 2, _DROPPING_SEED)
     groebner._CACHE.clear()
     if seed_cached:  # the seed was completed before pairs were disabled

@@ -22,9 +22,13 @@ def test_control_demo_runs():
 
 
 def test_torsion_stress_agrees():
+    # a draw agrees when torsion = defect and each torsion generator's
+    # annihilator matches the elimination from scratch and the definition
     r = run_script("torsion_stress.py", "--count", "3")
     assert (r.returncode, r.stderr) == (0, "")
-    assert "agreement: 3/3" in r.stdout.splitlines()
+    last = r.stdout.splitlines()[-1]
+    assert last.startswith("agreement: 3/3, annihilator mismatches: 0 of ")
+    assert int(last.rsplit(" ", 1)[1]) > 0
 
 
 def test_check_digests_passes_on_one_workload():

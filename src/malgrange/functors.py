@@ -18,8 +18,7 @@ from __future__ import annotations
 from typing import Dict, NamedTuple, Optional, Tuple
 
 from .rings import RingSpec
-from .groebner import (GrobnerBasis, PolyMatrix, buchberger,
-                       solve_mod)
+from .groebner import PolyMatrix, buchberger, solve_mod
 from .modules import (Element, FPModule, Morphism, _flatten, bass_torsion,
                       cokernel, direct_sum, dual, hom_module, hom_pre,
                       hom_post, is_injective, is_surjective, kernel,
@@ -455,24 +454,13 @@ def bijection_report(check: str, subject: Dict, cmp_map: Morphism,
     )
 
 
-def _image_basis(phi: Morphism) -> GrobnerBasis:
-    """Reduced basis of the span of phi's columns and its target's
-    relations.  The columns of a kernel embedding are already that basis
-    (see ``kernel``): when every relation reduces to zero against the
-    basis of the columns alone, a cache hit there, that basis is the
-    answer; otherwise both are completed together."""
-    t = phi.target
-    cols = phi.mat.columns()
-    gb = buchberger(cols, ring=t.ring, rank=t.ngens)
-    if all(gb.contains(r) for r in t.relations.columns()):
-        return gb
-    return buchberger(cols + t.relations.columns(), ring=t.ring,
-                      rank=t.ngens)
-
-
 def _image_membership_witness(phi: Morphism, psi: Morphism) -> Optional[str]:
-    """A generator of one image missing from the other, or None when equal."""
-    gb_phi, gb_psi = _image_basis(phi), _image_basis(psi)
+    """A generator of one image missing from the other, or None when equal.
+    phi and psi are kernel embeddings, so each image is the basis of its
+    columns alone (``kernel``), stored by ``syzygies_mod``."""
+    t = phi.target
+    gb_phi, gb_psi = (buchberger(f.mat.columns(), ring=t.ring, rank=t.ngens)
+                      for f in (phi, psi))
     for j in range(phi.mat.ncols):
         if not gb_psi.contains(phi.mat.column(j)):
             return f"defect generator {phi.mat.column(j)} not in torsion"
@@ -484,7 +472,8 @@ def _image_membership_witness(phi: Morphism, psi: Morphism) -> Optional[str]:
 
 def verify_main_theorem(a: FPModule) -> MainTheoremReport:
     """Check that the defect of the stabilized Hom functor of A coincides
-    with the torsion submodule of A, as submodules of A."""
+    with the torsion submodule of A, as submodules of A: the images of two
+    kernel embeddings, neither kernel presented."""
     _, emb = defect(stable_hom(a))
     _, iota = bass_torsion(a)
     witness = _image_membership_witness(emb, iota)

@@ -1401,8 +1401,10 @@ def solve_mod(v: PolyMatrix, a: PolyMatrix,
     column of v has no such c_j.
 
     v_j leaves its normal form [r; -c_j] against ``_elimination(a, b)``
-    (``_tag_remainder``): r is zero exactly when c_j exists.  That basis
-    is widened once, up front, for the degree of v, so every c_j is
+    (``_tag_remainder``): r is zero exactly when c_j exists, and c_j is
+    reduced modulo {c : a*c in span b}, whose reduced basis is that
+    basis's part leading in its last n positions (``_eliminate``).  The
+    basis is widened once, up front, for the degree of v, so every c_j is
     read by one layout.  Then every a*c_j - v_j, column j of [a | v] times
     [c; -I], must lie in the span of b
     (``GrobnerBasis.first_product_outside``), else ``RuntimeError``."""

@@ -243,11 +243,13 @@ def kernel(phi: Morphism) -> Tuple[FPModule, Morphism]:
 
     K's generators G are ``syzygies_mod(phi.mat, target relations)``, the
     reduced basis of the preimage of the target's relations, and iota is
-    G.  K's relations are ``syzygies_mod(G, B)``, B the source's
-    relations: read off ``_elimination(G, B)``, the basis that lifts
-    through iota read too (``lift_through``).  They are built when
-    ``K.relations`` is first read; a caller that compares images in the
-    source never pays for them.
+    G.  As phi is well defined, that preimage holds every relation of the
+    source, so G alone spans iota's image with them: images in the source
+    compare through the basis of G (``_image_membership_witness``).  K's
+    relations are ``syzygies_mod(G, B)``, B the source's relations: read
+    off ``_elimination(G, B)``, the basis that lifts through iota read too
+    (``lift_through``).  They are built when ``K.relations`` is first
+    read; a caller that compares images in the source never pays for them.
     """
     m = phi.source
     gens = syzygies_mod(phi.mat, phi.target.relations)
@@ -351,13 +353,12 @@ class HomModule(FPModule):
         cod, as normal forms: all lifted through the embedding modulo
         cod^m's relations by one ``solve_mod`` (certified, as in
         ``lift_through``).  A lift exists exactly when each column is a
-        well-defined morphism."""
+        well-defined morphism.  The lifts are returned as read: each is
+        reduced modulo this module's relations by ``solve_mod`` itself."""
         coeffs = solve_mod(flat, self.emb.mat, self.emb.target.relations)
         if coeffs is None:
             raise ValueError("morphism failed to encode into Hom module")
-        return PolyMatrix.from_columns(self.ring, self.ngens,
-                                       [self.gb.reduce(c)
-                                        for c in coeffs.columns()])
+        return coeffs
 
     def encode(self, phi: Morphism) -> Element:
         """The class of phi (``classes`` of its flattened matrix)."""

@@ -22,7 +22,7 @@ from malgrange.functors import (BijectionReport, ContraFPFunctor, FPFunctor,
                                 stable_hom, stable_map, tensor_eval_map,
                                 tensor_functor, verify_adjunction,
                                 verify_main_theorem, zero_functor)
-from malgrange.functors import NatModule, _image_basis, bijection_report
+from malgrange.functors import NatModule, bijection_report
 from malgrange import corpus, functors, groebner
 from malgrange.cli import main
 
@@ -404,17 +404,45 @@ def test_verify_all_completes_no_tracked_basis(monkeypatch, capsys):
     assert callers == []
 
 
-def test_image_basis_spans_columns_and_relations():
-    # a kernel embedding's columns already span its target's relations;
-    # x^3 into R/(x^2) does not, and then both are completed together
-    _, iota = bass_torsion(MIXED)
-    into = Morphism(R1, MOD_X2, mat(RX, [["x^3"]]))
-    for phi in (iota, into):
+def test_kernel_columns_span_the_source_relations():
+    # a kernel's columns are the reduced basis of a preimage that contains
+    # every relation of the source: the basis of the columns alone is that
+    # of the columns and the relations together
+    embeddings = [bass_torsion(MIXED)[1]]
+    for _, a in corpus.main_theorem_modules():
+        embeddings += [defect(stable_hom(a))[1], bass_torsion(a)[1]]
+    for phi in embeddings:
         t = phi.target
+        alone = buchberger(phi.mat.columns(), ring=t.ring, rank=t.ngens)
         both = buchberger(phi.mat.columns() + t.relations.columns(),
                           ring=t.ring, rank=t.ngens)
-        assert _image_basis(phi).gens == both.gens
-    assert [str(v) for v in _image_basis(into).gens] == ["[x^2]"]
+        assert alone.gens == both.gens
+
+
+def test_main_theorem_images_compare_through_their_column_bases(monkeypatch):
+    # once both kernels are built, each image is the stored basis of its
+    # columns: the comparison completes nothing, reduces no relation of A
+    # and checks each column of each embedding once
+    def refused(*args):
+        raise AssertionError("the image comparison started a completion")
+
+    original = GrobnerBasis.contains
+    checked = []
+
+    def counting(self, v):
+        checked.append(v)
+        return original(self, v)
+
+    for _, a in corpus.main_theorem_modules():
+        groebner._CACHE.clear()
+        _, emb = defect(stable_hom(a))
+        _, iota = bass_torsion(a)
+        with monkeypatch.context() as patch:
+            patch.setattr(groebner, "_complete", refused)
+            patch.setattr(GrobnerBasis, "contains", counting)
+            checked.clear()
+            assert functors._image_membership_witness(emb, iota) is None
+        assert len(checked) == emb.mat.ncols + iota.mat.ncols
 
 
 def test_main_theorem_report_serialization():

@@ -9,7 +9,8 @@ from malgrange.parsing import parse_poly
 from malgrange.groebner import (GrobnerBasis, PolyMatrix, SpanSolver,
                                 Vector, buchberger, syzygies_mod)
 from malgrange import groebner
-from malgrange.functors import FunMorphism, nat_hom, stable_hom
+from malgrange.functors import (FunMorphism, nat_hom, stable_hom,
+                                verify_adjunction)
 from malgrange.modules import (AnnihilatorIdeal, Element, FPModule, HomModule,
                                Morphism, annihilator, bass_torsion, cokernel,
                                direct_sum, dual, eval_map, hom_module,
@@ -601,6 +602,69 @@ def test_eval_map_checks_every_evaluation(monkeypatch):
     monkeypatch.setattr(GrobnerBasis, "first_product_outside", failing)
     with pytest.raises(ValueError, match="matrix does not define a morphism"):
         eval_map(IDEAL_XY)
+
+
+def _duals_and_double_duals():
+    # the corpus duals have no relations; the dual of R^3/(x, y, z), the
+    # syzygies of (x, y, z), has the Koszul one
+    koszul = coker_of(R3, [["x", "y", "z"]])
+    assert dual(koszul).relations.ncols
+    for m in [m for _, m in corpus.main_theorem_modules()] + [koszul]:
+        for h in (dual(m), dual(dual(m))):
+            h.classes(h.emb.mat)
+        eval_map(m)
+
+
+def _adjunction_homs():
+    for _, fun, _, a in corpus.adjunction_pairs():
+        assert verify_adjunction(fun, a).bijective
+
+
+def _random_pairs():
+    rng = random.Random(5081)
+    for r in (RX, RXY):
+        for _ in range(3):
+            a, b = (corpus.random_cokernel(r, rng, rng.randint(1, 2),
+                                           rng.randint(1, 3))
+                    for _ in range(2))
+            h = hom_module(a, b)
+            h.classes(h.emb.mat)
+            for g in h.generators()[:2]:
+                f = h.decode(g)
+                hom_pre(f, a), hom_post(a, f)
+
+
+@pytest.mark.parametrize("workload", [_duals_and_double_duals,
+                                      _adjunction_homs, _random_pairs],
+                         ids=["duals", "adjunction", "random-pairs"])
+def test_hom_classes_are_read_off_the_elimination_as_they_are(workload,
+                                                              monkeypatch):
+    # solve_mod's lifts are already normal forms modulo the Hom module's
+    # relations: classes reduces nothing, and every column it returns is
+    # its own normal form
+    original_classes, original_reduce = HomModule.classes, GrobnerBasis.reduce
+    inside, seen = [], []
+
+    def refused(self, v):
+        if inside:
+            raise AssertionError("HomModule.classes reduced a column")
+        return original_reduce(self, v)
+
+    def read_as_is(self, flat):
+        inside.append(self)
+        try:
+            out = original_classes(self, flat)
+        finally:
+            inside.pop()
+        assert all(original_reduce(self.gb, c) == c for c in out.columns())
+        seen.append(out.ncols)
+        return out
+
+    monkeypatch.setattr(GrobnerBasis, "reduce", refused)
+    monkeypatch.setattr(HomModule, "classes", read_as_is)
+    groebner._CACHE.clear()
+    workload()
+    assert len(seen) >= 12 and sum(seen) >= 10  # classes ran, on columns
 
 
 # -- tensor ----------------------------------------------------------------------

@@ -22,13 +22,18 @@ def test_control_demo_runs():
 
 
 def test_torsion_stress_agrees():
-    # a draw agrees when torsion = defect and each torsion generator's
-    # annihilator matches the elimination from scratch and the definition
+    # a draw agrees when torsion = defect, each torsion generator's
+    # annihilator matches the elimination from scratch and the definition,
+    # both kernel embeddings' column bases contain the module's relations,
+    # and HomModule.classes results are their own normal forms
     r = run_script("torsion_stress.py", "--count", "3")
     assert (r.returncode, r.stderr) == (0, "")
     last = r.stdout.splitlines()[-1]
-    assert last.startswith("agreement: 3/3, annihilator mismatches: 0 of ")
-    assert int(last.rsplit(" ", 1)[1]) > 0
+    head, _, tail = last.partition("annihilator mismatches: 0 of ")
+    assert head == "agreement: 3/3, "
+    count, _, tail = tail.partition(", ")
+    assert int(count) > 0
+    assert tail == "span mismatches: 0, normal form mismatches: 0"
 
 
 def test_check_digests_passes_on_one_workload():

@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import Dict, NamedTuple, Optional, Tuple
 
 from .rings import RingSpec
-from .groebner import PolyMatrix, buchberger, solve_mod
+from .groebner import PolyMatrix, solve_mod
 from .modules import (Element, FPModule, Morphism, _flatten, bass_torsion,
                       cokernel, direct_sum, dual, hom_module, hom_pre,
                       hom_post, is_injective, is_surjective, kernel,
@@ -457,10 +457,9 @@ def bijection_report(check: str, subject: Dict, cmp_map: Morphism,
 def _image_membership_witness(phi: Morphism, psi: Morphism) -> Optional[str]:
     """A generator of one image missing from the other, or None when equal.
     phi and psi are kernel embeddings, so each image is the basis of its
-    columns alone (``kernel``), stored by ``syzygies_mod``."""
-    t = phi.target
-    gb_phi, gb_psi = (buchberger(f.mat.columns(), ring=t.ring, rank=t.ngens)
-                      for f in (phi, psi))
+    columns alone (``kernel``): the ``span`` its matrix keeps, stored there
+    by ``syzygies_mod``, so no basis is looked up."""
+    gb_phi, gb_psi = phi.mat.span, psi.mat.span
     for j in range(phi.mat.ncols):
         if not gb_psi.contains(phi.mat.column(j)):
             return f"defect generator {phi.mat.column(j)} not in torsion"

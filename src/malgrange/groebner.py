@@ -544,7 +544,9 @@ def cached(key: tuple, build: Callable[[], _T]) -> _T:
     hash collision alone never matches.  A build that raises stores
     nothing.  Shared by reduced bases (``buchberger``), eliminations
     (``_elimination``) and the kernels read off them (``syzygies_mod``),
-    Hom modules and torsion embeddings (``modules``).
+    Hom modules and torsion embeddings (``modules``).  A matrix keeps the
+    basis of its columns itself (``PolyMatrix.span``), so ``_CACHE.clear()``
+    does not make a live matrix forget it.
     """
     value = _CACHE.get(key, _MISSING)
     if value is _MISSING:
@@ -1119,9 +1121,10 @@ def syzygies(gens: Sequence[Vector], ring: RingSpec,
 
 class PolyMatrix:
     """Immutable matrix over the polynomial ring; rows-major storage.  Its
-    hash is kept in ``_hash`` on first use, as ``Poly``'s is."""
+    hash is kept in ``_hash`` on first use, as ``Poly``'s is, and the
+    reduced basis of its columns in ``_span`` (``span``)."""
 
-    __slots__ = ("ring", "nrows", "ncols", "rows", "_hash")
+    __slots__ = ("ring", "nrows", "ncols", "rows", "_hash", "_span")
 
     def __init__(self, ring: RingSpec, nrows: int, ncols: int,
                  rows: Iterable[Iterable[Poly]]):
@@ -1172,6 +1175,19 @@ class PolyMatrix:
 
     def columns(self) -> List[Vector]:
         return [self.column(j) for j in range(self.ncols)]
+
+    @property
+    def span(self) -> GrobnerBasis:
+        """The reduced basis of the column span, a submodule of
+        R^nrows: ``buchberger`` of the columns on first read, then kept
+        by the matrix, so ``_CACHE.clear()`` does not forget it.  The one
+        lookup of a relation matrix's basis in the engine."""
+        try:
+            return self._span
+        except AttributeError:
+            gb = buchberger(self.columns(), ring=self.ring, rank=self.nrows)
+            object.__setattr__(self, "_span", gb)
+            return gb
 
     def transpose(self) -> "PolyMatrix":
         return PolyMatrix(self.ring, self.ncols, self.nrows,
@@ -1290,10 +1306,11 @@ def syzygies_mod(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
     They are the reduced basis of that submodule, read off one seeded
     elimination (``_eliminate``): no cofactors are tracked and nothing is
     re-completed.  Every column c is multiplied out again and a*c must lie
-    in the span of b (``GrobnerBasis.first_product_outside``), else
+    in ``b.span`` (``GrobnerBasis.first_product_outside``), else
     ``RuntimeError``.  The result is computed once per exact (a, b)
-    (``cached``), and its columns are also stored as ``buchberger`` of
-    themselves.
+    (``cached``).  It keeps the basis it was read off as its own ``span``,
+    and that basis is also cached as ``buchberger`` of its columns, for an
+    equal matrix built elsewhere.
     """
     if a.nrows != b.nrows:
         raise ValueError("row count mismatch")
@@ -1302,9 +1319,9 @@ def syzygies_mod(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
     def build() -> PolyMatrix:
         gb = _eliminate(a, b)
         c = PolyMatrix.from_columns(ring, a.ncols, gb.gens)
-        if buchberger(b.columns(), ring=ring, rank=b.nrows
-                      ).first_product_outside(a, c) is not None:
+        if b.span.first_product_outside(a, c) is not None:
             raise RuntimeError("uncertified syzygy")
+        object.__setattr__(c, "_span", gb)
         cached(_gb_key(gb.gens, ring, a.ncols), lambda: gb)
         return c
 
@@ -1318,15 +1335,15 @@ def colon_ideal(v: Vector, b: PolyMatrix) -> GrobnerBasis:
     Let N = span(b) in R^k and j the position of v's first nonzero entry.
     For j = 0, or v zero, it is the one-column case of ``_eliminate``.
     Else r*v lies in N exactly when it lies in N_j = N ∩ (0^j ⊕ R^(k−j)),
-    whose reduced basis is the part of b's cached relation basis leading
-    at position j or later (``_IntBasis.trailing``).  For v = c*e_(k−1),
-    c a nonzero constant, the ideal is that part itself, read off a basis
-    ``_complete`` has certified, and nothing is completed.  Otherwise the
-    rank-(k−j+1) module generated by N_j and [v_j .. v_(k−1); 1] is
-    completed from N_j's basis (``_seeded``), [v_j .. v_(k−1); 1] and
-    every element of N_j must reduce to zero against it, and the ideal is
-    read off its elements leading in the last position.  A j > 0 result
-    is cached per exact (v, b)."""
+    whose reduced basis is the part of ``b.span``, the relation basis b
+    keeps, leading at position j or later (``_IntBasis.trailing``).  For
+    v = c*e_(k−1), c a nonzero constant, the ideal is that part itself,
+    read off a basis ``_complete`` has certified, and nothing is
+    completed.  Otherwise the rank-(k−j+1) module generated by N_j and
+    [v_j .. v_(k−1); 1] is completed from N_j's basis (``_seeded``),
+    [v_j .. v_(k−1); 1] and every element of N_j must reduce to zero
+    against it, and the ideal is read off its elements leading in the
+    last position.  A j > 0 result is cached per exact (v, b)."""
     if v.rank != b.nrows:
         raise ValueError("rank mismatch")
     ring, k = v.ring, v.rank
@@ -1335,7 +1352,7 @@ def colon_ideal(v: Vector, b: PolyMatrix) -> GrobnerBasis:
         return _eliminate(PolyMatrix.from_columns(ring, k, [v]), b)
 
     def build() -> GrobnerBasis:
-        seed = buchberger(b.columns(), ring=ring, rank=k)._basis.trailing(j)
+        seed = b.span._basis.trailing(j)
         tail = v.entries[j:]
         if j == k - 1 and not tail[0].total_degree():
             return GrobnerBasis._of(ring, 1, seed)
@@ -1364,21 +1381,19 @@ def _elimination(a: PolyMatrix, b: PolyMatrix) -> GrobnerBasis:
     """The rank-(k+n) reduced basis of the module generated by the vectors
     [a_i; e_i] and [b_j; 0], a_i and b_j the columns of a and b, that
     ``syzygies_mod``, ``colon_ideal`` and ``solve_mod`` read: for n = 0,
-    the reduced basis of b's columns itself (``buchberger``, cached: for
+    ``b.span`` itself, the reduced basis of b's columns that b keeps (for
     an annihilator, the module's own relation basis).  Else it is cached
-    per exact (a, b), and completed from that basis (``_seeded``): only
+    per exact (a, b), and completed from ``b.span`` (``_seeded``): only
     the [a_i; e_i] enter, and each nonzero b_j is checked, at its own rank
     k, against the result."""
     ring, k, n = a.ring, a.nrows, a.ncols
     if not n:
-        return buchberger(b.columns(), ring=ring, rank=k)
+        return b.span
 
     def build() -> GrobnerBasis:
-        cols = b.columns()
         top = PolyMatrix.vstack(a, PolyMatrix.identity(ring, n))
-        return _seeded(buchberger(cols, ring=ring, rank=k)._basis,
-                       top.columns(), _IntBasis.of(
-                           ring, [c for c in cols if not c.is_zero()], k))
+        return _seeded(b.span._basis, top.columns(), _IntBasis.of(
+            ring, [c for c in b.columns() if not c.is_zero()], k))
 
     return cached(("elimination", a, b), build)
 
@@ -1406,8 +1421,9 @@ def solve_mod(v: PolyMatrix, a: PolyMatrix,
     basis's part leading in its last n positions (``_eliminate``).  The
     basis is widened once, up front, for the degree of v, so every c_j is
     read by one layout.  Then every a*c_j - v_j, column j of [a | v] times
-    [c; -I], must lie in the span of b
-    (``GrobnerBasis.first_product_outside``), else ``RuntimeError``."""
+    [c; -I], must lie in ``b.span``, the basis b keeps
+    (``GrobnerBasis.first_product_outside``), else ``RuntimeError``: no
+    column of b is built again."""
     if a.nrows != b.nrows or v.nrows != a.nrows:
         raise ValueError("shape mismatch")
     ring, k, n = a.ring, a.nrows, a.ncols
@@ -1423,8 +1439,7 @@ def solve_mod(v: PolyMatrix, a: PolyMatrix,
         rem, scale = left
         out.append(Vector(ring, _polys(elim.layout, ring, rem, -scale, k, n)))
     c = PolyMatrix.from_columns(ring, n, out)
-    span = buchberger(b.columns(), ring=ring, rank=k)
-    if span.first_product_outside(PolyMatrix.hstack(a, v), PolyMatrix.vstack(
+    if b.span.first_product_outside(PolyMatrix.hstack(a, v), PolyMatrix.vstack(
             c, -PolyMatrix.identity(ring, v.ncols))) is not None:
         raise RuntimeError("uncertified solution")
     return c

@@ -16,8 +16,8 @@ from itertools import product as iter_product
 from typing import Callable, List, Optional, Tuple, Union
 
 from .rings import Poly, RingSpec, mono_divides
-from .groebner import (GrobnerBasis, PolyMatrix, Vector, buchberger, cached,
-                       colon_ideal, solve_mod, syzygies_mod)
+from .groebner import (GrobnerBasis, PolyMatrix, Vector, cached, colon_ideal,
+                       solve_mod, syzygies_mod)
 
 
 class FPModule:
@@ -28,7 +28,7 @@ class FPModule:
     checked then, as a given matrix is checked here.
     """
 
-    __slots__ = ("ring", "ngens", "_relations", "_gb")
+    __slots__ = ("ring", "ngens", "_relations")
 
     def __init__(self, ring: RingSpec, ngens: int,
                  relations: Union[PolyMatrix, Callable[[], PolyMatrix]]):
@@ -37,7 +37,6 @@ class FPModule:
         self._relations = relations
         if isinstance(relations, PolyMatrix):
             self._check(relations)
-        self._gb: Optional[GrobnerBasis] = None
 
     def _check(self, relations: PolyMatrix) -> None:
         if relations.ring != self.ring or relations.nrows != self.ngens:
@@ -62,10 +61,10 @@ class FPModule:
 
     @property
     def gb(self) -> GrobnerBasis:
-        if self._gb is None:
-            self._gb = buchberger(self.relations.columns(), ring=self.ring,
-                                  rank=self.ngens)
-        return self._gb
+        """The reduced basis of the relations: the relation matrix's
+        ``PolyMatrix.span``, kept by that matrix, not by the module, so
+        ``groebner._CACHE.clear()`` does not forget it."""
+        return self.relations.span
 
     def element(self, vec: Vector) -> "Element":
         return Element(self, vec)

@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -7,10 +8,11 @@ from hypothesis import given, settings, strategies as st
 from malgrange.rings import Poly, ring
 from malgrange.parsing import parse_poly
 from malgrange.groebner import (GrobnerBasis, PolyMatrix, SpanSolver,
-                                Vector, buchberger, syzygies_mod)
+                                Vector, buchberger, solve_mod, syzygies_mod)
 from malgrange import groebner
-from malgrange.functors import (FunMorphism, nat_hom, stable_hom,
-                                verify_adjunction)
+from malgrange import functors
+from malgrange.functors import (FunMorphism, defect, nat_hom, stable_hom,
+                                verify_adjunction, verify_main_theorem)
 from malgrange.modules import (AnnihilatorIdeal, Element, FPModule, HomModule,
                                Morphism, annihilator, bass_torsion, cokernel,
                                direct_sum, dual, eval_map, hom_module,
@@ -665,6 +667,72 @@ def test_hom_classes_are_read_off_the_elimination_as_they_are(workload,
     groebner._CACHE.clear()
     workload()
     assert len(seen) >= 12 and sum(seen) >= 10  # classes ran, on columns
+
+
+def test_a_relation_matrix_is_read_through_the_one_span_it_keeps(monkeypatch):
+    # once syzygies_mod(a, b) has built b's span, b keeps it: a lift modulo
+    # b and a second kernel read off a built elimination rebuild none of
+    # b's columns, and no read of b.span looks the basis up again, not even
+    # after the cache is emptied.  An elimination's own build checks b's
+    # columns, so (a2, b)'s is built first, by a lift, as lift_through
+    # builds a kernel's before its relations are read.
+    b = mat(RXY, [["2*x^2 - y", "x*y", "0"], ["3*x", "y^2 - 1", "x*y"]])
+    a = mat(RXY, [["x", "y"], ["1", "x"]])
+    a2 = mat(RXY, [["y", "x^2"], ["x", "0"]])
+    groebner._CACHE.clear()
+    syzygies_mod(a, b)
+    assert solve_mod(a2 * mat(RXY, [["x"], ["1"]]), a2, b) is not None
+    columns, made = b.columns(), []
+    original_init = Vector.__init__
+
+    def recording(self, *args, **kwargs):
+        original_init(self, *args, **kwargs)
+        made.append(self)
+
+    calls = []
+    original_buchberger = groebner.buchberger
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original_buchberger(*args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(Vector, "__init__", recording)
+        assert solve_mod(a * mat(RXY, [["y"], ["x - 1"]]), a, b) is not None
+        syzygies_mod(a2, b)
+    assert made, "nothing was lifted or read off"
+    rebuilt = [v for v in made if v in columns]
+    assert not rebuilt, f"b's columns were rebuilt: {rebuilt}"
+    with monkeypatch.context() as patch:
+        patch.setattr(groebner, "buchberger", counting)
+        span = b.span
+        groebner._CACHE.clear()
+        assert b.span is span and not calls
+    assert span == buchberger(columns, ring=RXY, rank=2)
+    m = FPModule(RXY, 2, b)
+    assert m.gb is m.relations.span is span
+    assert "_gb" not in FPModule.__slots__
+
+
+def test_main_theorem_images_look_up_no_basis(monkeypatch):
+    # each kernel embedding's matrix keeps the basis syzygies_mod certified
+    # for it, so once verify_main_theorem has built both kernels the image
+    # comparison calls no buchberger
+    def refused(*args, **kwargs):
+        raise AssertionError("the image comparison looked a basis up")
+
+    for _, a in corpus.main_theorem_modules():
+        groebner._CACHE.clear()
+        assert verify_main_theorem(a).equal
+        _, emb = defect(stable_hom(a))
+        _, iota = bass_torsion(a)
+        with monkeypatch.context() as patch:
+            for name, module in list(sys.modules.items()):
+                if name.startswith("malgrange") and hasattr(module,
+                                                            "buchberger"):
+                    patch.setattr(module, "buchberger", refused)
+            assert functors._image_membership_witness(emb, iota) is None
+        assert a.gb is a.relations.span
 
 
 # -- tensor ----------------------------------------------------------------------

@@ -8,7 +8,9 @@ product is certified by one routine too: only
 (``_Packed``).  The completion's pending pairs are keyed without a layout
 (``_pair``): no ``_Completion`` method re-keys them or rebuilds their
 heap, and the lcm of a pair is computed once, then packed by
-``_IntBasis.lcm_key``."""
+``_IntBasis.lcm_key``.  A matrix's columns are completed by one property
+too: only ``PolyMatrix.span`` calls ``buchberger`` on a matrix's
+columns."""
 
 import ast
 from pathlib import Path
@@ -19,14 +21,15 @@ SOURCE = Path(groebner.__file__)
 ROUTINE = "_complete"
 COFACTOR_FREE = {"_Completion", "_complete", "_interreduce"}
 CERTIFICATE = "GrobnerBasis.first_product_outside"
+SPAN = "PolyMatrix.span"
 
 
 def _calling_functions(tree: ast.Module, callee: str,
-                       methods: bool = False):
+                       methods: bool = False, where=lambda call: True):
     """The name of the outermost function or class around each call of
-    callee, by name or as an attribute (x.callee), in source order;
-    "<module>" at module level.  With methods, a call inside a method of
-    a top-level class is named Class.method."""
+    callee, by name or as an attribute (x.callee), for which where(call)
+    holds, in source order; "<module>" at module level.  With methods, a
+    call inside a method of a top-level class is named Class.method."""
     sites = []
     for top in tree.body:
         owner = (top.name if isinstance(top, (ast.FunctionDef,
@@ -41,9 +44,29 @@ def _calling_functions(tree: ast.Module, callee: str,
             for node in ast.walk(scope):
                 if isinstance(node, ast.Call) and callee in (
                         getattr(node.func, "id", None),
-                        getattr(node.func, "attr", None)):
+                        getattr(node.func, "attr", None)) and where(node):
                     sites.append(name)
     return sites
+
+
+def _is_columns(node) -> bool:
+    return (isinstance(node, ast.Call)
+            and getattr(node.func, "attr", None) == "columns")
+
+
+def _columns_lookups(tree: ast.Module):
+    """The sites, by method, of each buchberger call whose first argument
+    is x.columns(), or a name that the tree binds to one."""
+    bound = {t.id for node in ast.walk(tree) if isinstance(node, ast.Assign)
+             and _is_columns(node.value)
+             for t in node.targets if isinstance(t, ast.Name)}
+
+    def on_columns(call: ast.Call) -> bool:
+        first = call.args[0] if call.args else None
+        return _is_columns(first) or getattr(first, "id", None) in bound
+
+    return _calling_functions(tree, "buchberger", methods=True,
+                              where=on_columns)
 
 
 def _engine_tree() -> ast.Module:
@@ -150,3 +173,26 @@ def test_a_pair_lcm_is_computed_once():
         "_Completion.add", "_Completion.sweep"}
     fitting = _calling_functions(tree, "fit", methods=True)
     assert "_IntBasis.lcm_key" in fitting and "_s_vector" not in fitting
+
+
+def test_a_lookup_on_columns_is_found():
+    tree = ast.parse("class PolyMatrix:\n"
+                     "    @property\n"
+                     "    def span(self):\n"
+                     "        return buchberger(self.columns(), rank=1)\n"
+                     "def _elimination(a, b):\n"
+                     "    cols = b.columns()\n"
+                     "    return buchberger(cols), buchberger([a])\n"
+                     "def solve_mod(b):\n"
+                     "    return groebner.buchberger(b.columns())\n")
+    assert _columns_lookups(tree) == [SPAN, "_elimination", "solve_mod"]
+
+
+def test_only_the_span_property_completes_a_matrix_s_columns():
+    sites = []
+    for path in sorted(SOURCE.parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        sites += [f"{path.stem}.{site}" for site in _columns_lookups(tree)]
+    assert sites == [f"groebner.{SPAN}"], (
+        f"buchberger is called on a matrix's columns outside {SPAN}: "
+        f"{sites}")

@@ -6,11 +6,11 @@
 Run from the root of a checkout.  Each of the 64 inputs of each
 ``perfbench`` workload runs through ``malgrange.cli.main`` in this process,
 with the Groebner cache emptied before each input so no input sees another's
-results.  Emptying the cache does not forget a basis a live matrix keeps
-(``PolyMatrix.span``); each input is cold only because it parses new
-matrices of its own.  Its stdout must pass ``perfbench/run.py``'s
-``check_output``: exit code 0, no failed verdict, the workload's own check,
-and the sha256 recorded in ``perfbench/digests.json``.  Nothing under
+results: the cache is the engine's only memo, column bases
+(``PolyMatrix.span``) included, so each input starts cold.  Its stdout must
+pass ``perfbench/run.py``'s ``check_output``: exit code 0, no failed
+verdict, the workload's own check, and the sha256 recorded in
+``perfbench/digests.json``.  Nothing under
 ``perfbench/`` is written.  Exits 1 if any input fails.
 """
 

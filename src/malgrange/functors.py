@@ -457,8 +457,8 @@ def bijection_report(check: str, subject: Dict, cmp_map: Morphism,
 def _image_membership_witness(phi: Morphism, psi: Morphism) -> Optional[str]:
     """A generator of one image missing from the other, or None when equal.
     phi and psi are kernel embeddings, so each image is the basis of its
-    columns alone (``kernel``): the ``span`` its matrix keeps, stored there
-    by ``syzygies_mod``, so no basis is looked up."""
+    columns alone (``kernel``): the ``span`` of its matrix, which
+    ``syzygies_mod`` cached with the matrix, so no basis is completed."""
     gb_phi, gb_psi = phi.mat.span, psi.mat.span
     for j in range(phi.mat.ncols):
         if not gb_psi.contains(phi.mat.column(j)):

@@ -5,7 +5,7 @@ reduced basis, syzygy computation, and membership solving.  All kernel,
 cokernel, and equality decisions elsewhere in the engine reduce to these
 operations.
 
-Reduced bases, eliminations, Hom modules and torsion embeddings are kept
+Column bases, eliminations, Hom modules and torsion embeddings are kept
 in one bounded LRU cache keyed by the exact presentation (``cached``): an
 equal input returns the object built, and certified, the first time.
 
@@ -542,11 +542,11 @@ def cached(key: tuple, build: Callable[[], _T]) -> _T:
     hit needs an input equal term by term, with exact ``Fraction``
     coefficients, to the one the value was built and certified from; a
     hash collision alone never matches.  A build that raises stores
-    nothing.  Shared by reduced bases (``buchberger``), eliminations
-    (``_elimination``) and the kernels read off them (``syzygies_mod``),
-    Hom modules and torsion embeddings (``modules``).  A matrix keeps the
-    basis of its columns itself (``PolyMatrix.span``), so ``_CACHE.clear()``
-    does not make a live matrix forget it.
+    nothing.  Shared by the reduced basis of a matrix's columns
+    (``PolyMatrix.span``), eliminations (``_elimination``) and the kernels
+    read off them (``syzygies_mod``), annihilators (``colon_ideal``), Hom
+    modules and torsion embeddings (``modules``): the one memo of each, so
+    ``_CACHE.clear()`` is a cold start.
     """
     value = _CACHE.get(key, _MISSING)
     if value is _MISSING:
@@ -878,27 +878,12 @@ def buchberger(gens: Sequence[Vector], *, ring: Optional[RingSpec] = None,
     nonzero input must reduce to zero against the result, else
     ``RuntimeError``.
 
-    The result is cached under the exact input (see ``cached``).
+    Nothing is cached: each call completes.  The basis of a matrix's
+    columns is cached by ``PolyMatrix.span``.
     """
-    gens = tuple(gens)
-
-    def build() -> GrobnerBasis:
-        ring_, rank_, inputs, start = _inputs(gens, ring, rank)
-        return GrobnerBasis._of(ring_, rank_, _complete(
-            start, [v for _, v in inputs], None)[0])
-
-    return cached(_gb_key(gens, ring, rank), build)
-
-
-def _gb_key(gens: Tuple[Vector, ...], ring: Optional[RingSpec],
-            rank: Optional[int]) -> tuple:
-    """The cache key of the reduced basis of gens: ring and rank are those
-    the completion takes from its first nonzero input, else the given
-    ones."""
-    for v in gens:
-        if not v.is_zero():
-            return ("gb", v.ring, v.rank, gens)
-    return ("gb", ring, rank, gens)
+    ring_, rank_, inputs, start = _inputs(gens, ring, rank)
+    return GrobnerBasis._of(ring_, rank_, _complete(
+        start, [v for _, v in inputs], None)[0])
 
 
 def _inputs(gens: Sequence[Vector], ring: Optional[RingSpec],
@@ -1100,7 +1085,7 @@ class SpanSolver:
         out = [_vector(layout, self.ring, self.count,  # lead positive
                        _primitive(_scaled_ints(v, layout)[1])[1], _ONE)
                for v in rows]
-        zero = buchberger((), ring=self.ring, rank=self.rank)
+        zero = PolyMatrix.zeros(self.ring, self.rank, 0).span
         if zero.first_product_outside(
                 PolyMatrix.from_columns(self.ring, self.rank, self.gens),
                 PolyMatrix.from_columns(self.ring, self.count,
@@ -1121,10 +1106,10 @@ def syzygies(gens: Sequence[Vector], ring: RingSpec,
 
 class PolyMatrix:
     """Immutable matrix over the polynomial ring; rows-major storage.  Its
-    hash is kept in ``_hash`` on first use, as ``Poly``'s is, and the
-    reduced basis of its columns in ``_span`` (``span``)."""
+    hash is kept in ``_hash`` on first use, as ``Poly``'s is; the reduced
+    basis of its columns is cached under the matrix (``span``)."""
 
-    __slots__ = ("ring", "nrows", "ncols", "rows", "_hash", "_span")
+    __slots__ = ("ring", "nrows", "ncols", "rows", "_hash")
 
     def __init__(self, ring: RingSpec, nrows: int, ncols: int,
                  rows: Iterable[Iterable[Poly]]):
@@ -1179,15 +1164,12 @@ class PolyMatrix:
     @property
     def span(self) -> GrobnerBasis:
         """The reduced basis of the column span, a submodule of
-        R^nrows: ``buchberger`` of the columns on first read, then kept
-        by the matrix, so ``_CACHE.clear()`` does not forget it.  The one
-        lookup of a relation matrix's basis in the engine."""
-        try:
-            return self._span
-        except AttributeError:
-            gb = buchberger(self.columns(), ring=self.ring, rank=self.nrows)
-            object.__setattr__(self, "_span", gb)
-            return gb
+        R^nrows: ``buchberger`` of the columns, cached under ("span",
+        matrix), so an equal matrix built elsewhere reads the same basis
+        (``cached``).  The one lookup of a relation matrix's basis in the
+        engine."""
+        return cached(("span", self), lambda: buchberger(
+            self.columns(), ring=self.ring, rank=self.nrows))
 
     def transpose(self) -> "PolyMatrix":
         return PolyMatrix(self.ring, self.ncols, self.nrows,
@@ -1308,9 +1290,7 @@ def syzygies_mod(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
     re-completed.  Every column c is multiplied out again and a*c must lie
     in ``b.span`` (``GrobnerBasis.first_product_outside``), else
     ``RuntimeError``.  The result is computed once per exact (a, b)
-    (``cached``).  It keeps the basis it was read off as its own ``span``,
-    and that basis is also cached as ``buchberger`` of its columns, for an
-    equal matrix built elsewhere.
+    (``cached``), and the basis it was read off is cached as its ``span``.
     """
     if a.nrows != b.nrows:
         raise ValueError("row count mismatch")
@@ -1321,8 +1301,7 @@ def syzygies_mod(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
         c = PolyMatrix.from_columns(ring, a.ncols, gb.gens)
         if b.span.first_product_outside(a, c) is not None:
             raise RuntimeError("uncertified syzygy")
-        object.__setattr__(c, "_span", gb)
-        cached(_gb_key(gb.gens, ring, a.ncols), lambda: gb)
+        cached(("span", c), lambda: gb)
         return c
 
     return cached(("syzygies_mod", a, b), build)
@@ -1335,8 +1314,8 @@ def colon_ideal(v: Vector, b: PolyMatrix) -> GrobnerBasis:
     Let N = span(b) in R^k and j the position of v's first nonzero entry.
     For j = 0, or v zero, it is the one-column case of ``_eliminate``.
     Else r*v lies in N exactly when it lies in N_j = N ∩ (0^j ⊕ R^(k−j)),
-    whose reduced basis is the part of ``b.span``, the relation basis b
-    keeps, leading at position j or later (``_IntBasis.trailing``).  For
+    whose reduced basis is the part of ``b.span``, b's cached relation
+    basis, leading at position j or later (``_IntBasis.trailing``).  For
     v = c*e_(k−1), c a nonzero constant, the ideal is that part itself,
     read off a basis ``_complete`` has certified, and nothing is
     completed.  Otherwise the rank-(k−j+1) module generated by N_j and
@@ -1381,8 +1360,8 @@ def _elimination(a: PolyMatrix, b: PolyMatrix) -> GrobnerBasis:
     """The rank-(k+n) reduced basis of the module generated by the vectors
     [a_i; e_i] and [b_j; 0], a_i and b_j the columns of a and b, that
     ``syzygies_mod``, ``colon_ideal`` and ``solve_mod`` read: for n = 0,
-    ``b.span`` itself, the reduced basis of b's columns that b keeps (for
-    an annihilator, the module's own relation basis).  Else it is cached
+    ``b.span`` itself, the cached reduced basis of b's columns (for an
+    annihilator, the module's own relation basis).  Else it is cached
     per exact (a, b), and completed from ``b.span`` (``_seeded``): only
     the [a_i; e_i] enter, and each nonzero b_j is checked, at its own rank
     k, against the result."""
@@ -1421,7 +1400,7 @@ def solve_mod(v: PolyMatrix, a: PolyMatrix,
     basis's part leading in its last n positions (``_eliminate``).  The
     basis is widened once, up front, for the degree of v, so every c_j is
     read by one layout.  Then every a*c_j - v_j, column j of [a | v] times
-    [c; -I], must lie in ``b.span``, the basis b keeps
+    [c; -I], must lie in ``b.span``, b's cached basis
     (``GrobnerBasis.first_product_outside``), else ``RuntimeError``: no
     column of b is built again."""
     if a.nrows != b.nrows or v.nrows != a.nrows:

@@ -62,8 +62,8 @@ class FPModule:
     @property
     def gb(self) -> GrobnerBasis:
         """The reduced basis of the relations: the relation matrix's
-        ``PolyMatrix.span``, kept by that matrix, not by the module, so
-        ``groebner._CACHE.clear()`` does not forget it."""
+        ``PolyMatrix.span``, cached under that matrix, not kept by the
+        module."""
         return self.relations.span
 
     def element(self, vec: Vector) -> "Element":
@@ -80,8 +80,7 @@ class FPModule:
 
     def is_zero(self) -> bool:
         """True when every generator is killed by the relations."""
-        return all(self.gb.contains(Vector.unit(self.ring, self.ngens, i))
-                   for i in range(self.ngens))
+        return not nonzero_columns(Morphism.identity(self))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, FPModule) or self.ring != other.ring:
@@ -219,8 +218,7 @@ class Morphism:
 
     def is_zero(self) -> bool:
         """Zero as a map: every generator image dies in the target."""
-        return all(self.target.gb.contains(self.mat.column(j))
-                   for j in range(self.mat.ncols))
+        return not nonzero_columns(self)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Morphism):
@@ -368,11 +366,11 @@ class HomModule(FPModule):
 
 def hom_module(dom: FPModule, cod: FPModule) -> HomModule:
     """Hom(dom, cod), built once per pair of presentations (``cached``)."""
-    # keyed on presentations, not on FPModule equality: zero-normalized module
-    # equality must not alias Hom modules of different generator counts
-    key = ("hom", dom.ring, dom.ngens, dom.relations, cod.ngens,
-           cod.relations)
-    return cached(key, lambda: HomModule(dom, cod))
+    # keyed on relation matrices, which carry the ring and generator count,
+    # not on FPModule equality: zero-normalized module equality must not
+    # alias Hom modules of different generator counts
+    return cached(("hom", dom.relations, cod.relations),
+                  lambda: HomModule(dom, cod))
 
 
 def hom_pre(f: Morphism, cod: FPModule) -> Morphism:
@@ -434,8 +432,7 @@ def eval_map(m: FPModule) -> Morphism:
 
 def bass_torsion(m: FPModule) -> Tuple[FPModule, Morphism]:
     """(T, iota) = ker(M -> M**), built once per presentation (``cached``)."""
-    key = ("torsion", m.ring, m.ngens, m.relations)
-    return cached(key, lambda: kernel(eval_map(m)))
+    return cached(("torsion", m.relations), lambda: kernel(eval_map(m)))
 
 
 def nonzero_columns(phi: Morphism) -> List[Vector]:
@@ -482,16 +479,11 @@ def annihilator(e: Element) -> AnnihilatorIdeal:
 
 def module_annihilator(m: FPModule) -> AnnihilatorIdeal:
     """The ideal {f in R : f * M = 0}."""
-    ring = m.ring
     # f kills M iff f * vec(Id) lies in the span of one relation block per
     # generator: a colon ideal in rank ngens^2
-    entries = []
-    for j in range(m.ngens):
-        for i in range(m.ngens):
-            entries.append(Poly.one(ring) if i == j else Poly.zero(ring))
-    stacked = Vector(ring, entries)
-    big = PolyMatrix.block_diag(ring, [m.relations] * m.ngens)
-    return AnnihilatorIdeal(colon_ideal(stacked, big))
+    return AnnihilatorIdeal(colon_ideal(
+        _flatten(PolyMatrix.identity(m.ring, m.ngens)).column(0),
+        direct_power(m, m.ngens).relations))
 
 
 # -- lifting, injectivity and surjectivity ------------------------------------------
@@ -517,10 +509,9 @@ def lift_through(iota: Morphism, phi: Morphism) -> Morphism:
 
 def is_injective(phi: Morphism) -> bool:
     """True when phi has zero kernel: every generator of the preimage of
-    the target's relations (``syzygies_mod``) lies in the span of the
-    source's relations.  No presentation of the kernel is built."""
-    return all(phi.source.gb.contains(c) for c in
-               syzygies_mod(phi.mat, phi.target.relations).columns())
+    the target's relations (``kernel``) lies in the span of the source's
+    relations.  No presentation of the kernel is built."""
+    return not nonzero_columns(kernel(phi)[1])
 
 
 def is_surjective(phi: Morphism) -> bool:

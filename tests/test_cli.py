@@ -121,7 +121,7 @@ def test_torsion_command_presents_no_torsion_kernel(tmp_path, capsys):
         "torsion M: generators: 2\n"
         "  generator [0, 1]: annihilator x^2\n"
         "  generator [1, 0]: annihilator x^3\n")
-    torsion = [(key[3], value[1]) for key, value in groebner._CACHE.items()
+    torsion = [(key[1], value[1]) for key, value in groebner._CACHE.items()
                if key[0] == "torsion"]
     assert len(torsion) == 1
     for relations, iota in torsion:

@@ -1210,7 +1210,7 @@ def test_a_seeded_colon_ideal_ends_with_a_full_final_sweep(monkeypatch):
                                          vec(RXY, "x*y", "y^2 - 1")])
     v = vec(RXY, "x", "y")
     groebner._CACHE.clear()
-    buchberger(b.columns(), ring=RXY, rank=2)  # the seed, cached
+    b.span  # the seed, cached
     sweeps = []
     original_sweep, original_s = groebner._Completion.sweep, groebner._s_vector
 
@@ -1247,7 +1247,7 @@ def test_a_seeded_colon_ideal_leaves_the_cached_basis_unchanged():
     b = PolyMatrix.from_columns(RXY, 2, [vec(RXY, "x^2 - y", "x"),
                                          vec(RXY, "x*y", "y^2 - 1")])
     v = vec(RXY, "x", "y")
-    base = buchberger(b.columns(), ring=RXY, rank=2)
+    base = b.span
     probes = [v, vec(RXY, "x^3", "0"), vec(RXY, "x*y^2", "x*y"),
               vec(RXY, "y^3 + x", "x^2*y")]
 
@@ -1259,7 +1259,7 @@ def test_a_seeded_colon_ideal_leaves_the_cached_basis_unchanged():
 
     before = state()
     ideal = colon_ideal(v, b)
-    assert buchberger(b.columns(), ring=RXY, rank=2) is base  # it was seeded
+    assert b.span is base  # it was seeded
     assert ideal.gens == (vec(RXY, "x^2*y^2 - x^2*y - y^3 - x^2 + y"),)
     assert state() == before
 
@@ -1287,7 +1287,7 @@ def test_the_ideal_of_a_last_unit_vector_is_read_off(monkeypatch):
     # the last position, and nothing is completed
     b = PolyMatrix.from_columns(RXY, 2, _DROPPING_SEED)
     groebner._CACHE.clear()
-    span = buchberger(b.columns(), ring=RXY, rank=2)
+    span = b.span
     starts = _recording_completions(monkeypatch)
     ideal = colon_ideal(vec(RXY, "0", "-3/2"), b)
     assert starts == []
@@ -1303,7 +1303,7 @@ def test_a_leading_zero_completes_at_the_trailing_rank(monkeypatch):
     b = PolyMatrix.from_columns(RXY, 2, _DROPPING_SEED)
     v = vec(RXY, "0", "x + y")
     groebner._CACHE.clear()
-    buchberger(b.columns(), ring=RXY, rank=2)
+    b.span
     starts = _recording_completions(monkeypatch)
     ideal = colon_ideal(v, b)
     assert [start.rank for start in starts] == [2]
@@ -1328,7 +1328,7 @@ def test_an_elimination_that_loses_an_input_is_an_error(monkeypatch, v,
     b = PolyMatrix.from_columns(RXY, 2, _DROPPING_SEED)
     groebner._CACHE.clear()
     if seed_cached:  # the seed was completed before pairs were disabled
-        buchberger(b.columns(), ring=RXY, rank=2)
+        b.span
     monkeypatch.setattr(groebner._Completion, "run", lambda self: None)
     with pytest.raises(RuntimeError,
                        match="an input escaped its Groebner basis"):
@@ -1371,7 +1371,7 @@ def test_an_elimination_is_stored_under_one_key():
     a = PolyMatrix.from_columns(RXY, 2, [vec(RXY, "x", "y")])
     b = PolyMatrix.from_columns(RXY, 2, _DROPPING_SEED)
     groebner._CACHE.clear()
-    buchberger(b.columns(), ring=RXY, rank=2)
+    b.span
     before = set(groebner._CACHE)
     elim = groebner._elimination(a, b)
     assert set(groebner._CACHE) - before == {("elimination", a, b)}
@@ -1397,7 +1397,7 @@ def test_no_zero_block_is_built(monkeypatch):
         ranks.append(self.rank)
 
     groebner._CACHE.clear()
-    buchberger(b.columns(), ring=RXY, rank=k)
+    b.span
     monkeypatch.setattr(Vector, "__init__", recording)
     groebner._elimination(a, b)
     assert ranks.count(k + n) == n
@@ -1430,7 +1430,7 @@ def test_an_elimination_with_no_columns_is_the_span_itself(monkeypatch):
     got = syzygies_mod(a, b)
     assert (got.nrows, got.ncols) == (0, 0)
     assert len(completions) == 1
-    span = buchberger(b.columns(), ring=RXY, rank=2)
+    span = b.span
     assert groebner._elimination(a, b) is span
     assert len(completions) == 1
 
@@ -1683,8 +1683,9 @@ def test_an_equal_distinct_key_hits_the_cache():
     value = groebner.cached(("test", v1, m1), build)
     assert groebner.cached(("test", v2, m2), build) is value
     assert built == [1]
-    gb = buchberger([v1, v2.scale(2)])
-    assert buchberger([v2, v1.scale(2)]) is gb  # equal, never hashed
+    gb = PolyMatrix.from_columns(RXY, 2, [v1, v2.scale(2)]).span
+    assert PolyMatrix.from_columns(  # equal, never hashed
+        RXY, 2, [v2, v1.scale(2)]).span is gb
 
 
 # -- matrices ------------------------------------------------------------------
@@ -1744,37 +1745,66 @@ def test_gb_membership_of_random_combinations(seed):
 
 # -- the presentation cache ------------------------------------------------------
 
-def test_repeated_buchberger_returns_the_cached_basis():
+def test_a_repeated_span_returns_the_cached_basis():
     gens = [vec(RXY, "x^2 - y", "x"), vec(RXY, "x*y - 1", "0")]
-    g = buchberger(gens, ring=RXY, rank=2)
-    # an equal input, built anew and passed without ring/rank, hits
+    g = PolyMatrix.from_columns(RXY, 2, gens).span
+    # an equal matrix, built anew from new columns, hits
     again = [vec(RXY, "x^2 - y", "x"), vec(RXY, "x*y - 1", "0")]
-    assert buchberger(again) is g
+    assert PolyMatrix.from_columns(RXY, 2, again).span is g
     # a different coefficient is a different key
-    assert buchberger([vec(RXY, "x^2 - 1/2*y", "x"), gens[1]]) is not g
+    assert PolyMatrix.from_columns(RXY, 2, [vec(RXY, "x^2 - 1/2*y", "x"),
+                                            gens[1]]).span is not g
+
+
+def test_repeated_buchberger_completes_again(monkeypatch):
+    # buchberger is the algorithm, not a memo: only span caches
+    gens = [vec(RXY, "x^2 - y", "x"), vec(RXY, "x*y - 1", "0")]
+    starts = _recording_completions(monkeypatch)
+    g = buchberger(gens, ring=RXY, rank=2)
+    again = buchberger([vec(RXY, "x^2 - y", "x"), vec(RXY, "x*y - 1", "0")])
+    assert len(starts) == 2 and again == g and again is not g
 
 
 def test_zero_inputs_are_keyed_on_the_explicit_rank():
-    zero = Vector.zero(RX, 2)
-    g2 = buchberger([zero], ring=RX, rank=2)
-    g3 = buchberger([zero], ring=RX, rank=3)
+    g2 = PolyMatrix.zeros(RX, 2, 1).span
+    g3 = PolyMatrix.zeros(RX, 3, 1).span
     assert (g2.rank, g3.rank) == (2, 3)
-    assert buchberger([zero], ring=RX, rank=2) is g2
+    assert PolyMatrix.zeros(RX, 2, 1).span is g2
+
+
+def test_an_equal_matrix_reads_the_span_without_building_columns(
+        monkeypatch):
+    # the span is keyed by the matrix, so an equal but distinct matrix
+    # finds the basis without turning its columns into vectors
+    _, (m1, m2) = _two_routes()
+    groebner._CACHE.clear()
+    span = m1.span
+    made = []
+    original = Vector.__init__
+
+    def recording(self, *args, **kwargs):
+        original(self, *args, **kwargs)
+        made.append(self)
+
+    monkeypatch.setattr(Vector, "__init__", recording)
+    assert m2 is not m1 and m2.span is span
+    assert made == []
 
 
 def test_cache_evicts_the_least_recently_used_entry(monkeypatch):
     monkeypatch.setattr(groebner, "CACHE_ENTRIES", 3)
     groebner._CACHE.clear()
-    gens = [[vec(RX, f"x^{k} + 1")] for k in range(1, 6)]
-    first = [buchberger(g) for g in gens[:3]]
-    assert buchberger(gens[0]) is first[0]  # now the most recently used
-    buchberger(gens[3])  # evicts gens[1], the least recently used
+    mats = [PolyMatrix.from_columns(RX, 1, [vec(RX, f"x^{k} + 1")])
+            for k in range(1, 6)]
+    first = [m.span for m in mats[:3]]
+    assert mats[0].span is first[0]  # now the most recently used
+    mats[3].span  # evicts mats[1]'s, the least recently used
     assert len(groebner._CACHE) == 3
-    assert buchberger(gens[0]) is first[0]
-    assert buchberger(gens[2]) is first[2]
-    assert buchberger(gens[1]) is not first[1]
-    for g in gens:
-        buchberger(g)
+    assert mats[0].span is first[0]
+    assert mats[2].span is first[2]
+    assert mats[1].span is not first[1]
+    for m in mats:
+        m.span
         assert len(groebner._CACHE) <= 3
 
 

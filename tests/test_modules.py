@@ -672,10 +672,11 @@ def test_hom_classes_are_read_off_the_elimination_as_they_are(workload,
 def test_a_relation_matrix_is_read_through_the_one_span_it_keeps(monkeypatch):
     # once syzygies_mod(a, b) has built b's span, b keeps it: a lift modulo
     # b and a second kernel read off a built elimination rebuild none of
-    # b's columns, and no read of b.span looks the basis up again, not even
-    # after the cache is emptied.  An elimination's own build checks b's
-    # columns, so (a2, b)'s is built first, by a lift, as lift_through
-    # builds a kernel's before its relations are read.
+    # b's columns, and no read of b.span looks the basis up again, until
+    # the cache is emptied: then the next read builds it anew.  An
+    # elimination's own build checks b's columns, so (a2, b)'s is built
+    # first, by a lift, as lift_through builds a kernel's before its
+    # relations are read.
     b = mat(RXY, [["2*x^2 - y", "x*y", "0"], ["3*x", "y^2 - 1", "x*y"]])
     a = mat(RXY, [["x", "y"], ["1", "x"]])
     a2 = mat(RXY, [["y", "x^2"], ["x", "0"]])
@@ -706,12 +707,35 @@ def test_a_relation_matrix_is_read_through_the_one_span_it_keeps(monkeypatch):
     with monkeypatch.context() as patch:
         patch.setattr(groebner, "buchberger", counting)
         span = b.span
-        groebner._CACHE.clear()
         assert b.span is span and not calls
-    assert span == buchberger(columns, ring=RXY, rank=2)
+        groebner._CACHE.clear()
+        again = b.span
+        assert again is not span and len(calls) == 1
+    assert again == span == buchberger(columns, ring=RXY, rank=2)
     m = FPModule(RXY, 2, b)
-    assert m.gb is m.relations.span is span
+    assert m.gb is m.relations.span is again
     assert "_gb" not in FPModule.__slots__
+
+
+def test_an_emptied_cache_is_a_cold_start_for_a_module_basis(monkeypatch):
+    # the relation basis lives in the cache alone: once it is emptied the
+    # next read of m.gb completes the relations again, exactly once
+    m = FPModule(RXY, 2, mat(RXY, [["2*x^2 - y", "x*y", "0"],
+                                   ["3*x", "y^2 - 1", "x*y"]]))
+    before = m.gb
+    groebner._CACHE.clear()
+    completions = []
+    original = groebner._complete
+
+    def counting(*args):
+        completions.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(groebner, "_complete", counting)
+    again = m.gb
+    assert len(completions) == 1
+    assert again == before and again is not before
+    assert m.gb is again and len(completions) == 1
 
 
 def test_main_theorem_images_look_up_no_basis(monkeypatch):

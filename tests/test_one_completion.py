@@ -10,7 +10,9 @@ product is certified by one routine too: only
 heap, and the lcm of a pair is computed once, then packed by
 ``_IntBasis.lcm_key``.  A matrix's columns are completed by one property
 too: only ``PolyMatrix.span`` calls ``buchberger`` on a matrix's
-columns."""
+columns, and that property is the one memo of such a basis: a cache
+entry keyed by the matrix, with no slot on the matrix and no cache entry
+of ``buchberger``'s own."""
 
 import ast
 from pathlib import Path
@@ -196,3 +198,11 @@ def test_only_the_span_property_completes_a_matrix_s_columns():
     assert sites == [f"groebner.{SPAN}"], (
         f"buchberger is called on a matrix's columns outside {SPAN}: "
         f"{sites}")
+
+
+def test_a_column_basis_has_one_memo():
+    assert "_span" not in groebner.PolyMatrix.__slots__
+    assert not hasattr(groebner, "_gb_key")
+    sites = _calling_functions(_engine_tree(), "cached", methods=True)
+    assert SPAN in sites
+    assert "buchberger" not in sites, "buchberger caches its result"

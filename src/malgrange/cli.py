@@ -14,11 +14,9 @@ from __future__ import annotations
 
 import argparse
 import os
-import random
 import sys
 from typing import Dict, List, Optional, Tuple
 
-from . import corpus
 from .control import autonomy_report, malgrange_check
 from .functors import (module_dict, stable_hom, verify_adjunction,
                        verify_main_theorem)
@@ -185,6 +183,9 @@ def _session_verify_entries(session: Session):
 
 
 def _corpus_verify_entries(seed: int):
+    # kept off the start-up path: only verify --all needs them
+    import random
+    from . import corpus
     entries = []
     for name, m in corpus.main_theorem_modules():
         entries.append((f"main-theorem {name}", verify_main_theorem(m)))

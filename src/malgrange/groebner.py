@@ -289,11 +289,11 @@ class _IntBasis:
 
     def padded(self, rank: int) -> "_IntBasis":
         """The same elements, untagged, with zero entries appended up to
-        rank.
+        rank: the seed of ``colon_ideal``'s one seeded completion.
 
         Appended positions come last, so every key stays as it is.  The
-        lists are new: adding to the result, or widening it, leaves self,
-        which a cached ``GrobnerBasis`` shares, unchanged.
+        lists are new: adding to the result, or widening it, leaves self
+        unchanged.
         """
         out = _IntBasis(self.layout, rank)
         out.excess = self.excess
@@ -544,9 +544,10 @@ def cached(key: tuple, build: Callable[[], _T]) -> _T:
     hash collision alone never matches.  A build that raises stores
     nothing.  Shared by the reduced basis of a matrix's columns
     (``PolyMatrix.span``), eliminations (``_elimination``) and the kernels
-    read off them (``syzygies_mod``), annihilators (``colon_ideal``), Hom
-    modules and torsion embeddings (``modules``): the one memo of each, so
-    ``_CACHE.clear()`` is a cold start.
+    read off them (``syzygies_mod``, so also the annihilators
+    ``colon_ideal`` reads off an elimination), Hom modules and torsion
+    embeddings (``modules``): the one memo of each, so ``_CACHE.clear()``
+    is a cold start.
     """
     value = _CACHE.get(key, _MISSING)
     if value is _MISSING:
@@ -601,8 +602,9 @@ class _Completion:
 
     Built by ``_complete`` only.  The starting basis is either empty
     (elements then enter from the input), an interreduced candidate, or a
-    copy of a reduced basis that the input extends; the last two are taken
-    as closed under their own pairs.  Every element added later, from the
+    copy of a reduced basis that the input extends (the seed of
+    ``colon_ideal``'s trailing route); the last two are taken as closed
+    under their own pairs.  Every element added later, from the
     input, an S-pair or the sweep, goes through ``add``, which queues its
     pairs with the elements already leading in the same position.  A
     tagged basis (see ``_IntBasis``) is completed as any other: tag terms
@@ -883,7 +885,7 @@ def buchberger(gens: Sequence[Vector], *, ring: Optional[RingSpec] = None,
     """
     ring_, rank_, inputs, start = _inputs(gens, ring, rank)
     return GrobnerBasis._of(ring_, rank_, _complete(
-        start, [v for _, v in inputs], None)[0])
+        start, [v for _, v in inputs])[0])
 
 
 def _inputs(gens: Sequence[Vector], ring: Optional[RingSpec],
@@ -938,38 +940,35 @@ def _tracked(gens: Sequence[Vector], ring: Optional[RingSpec],
     ring, rank, inputs, start = _inputs(gens, ring, rank, m)
     basis, rows = _complete(start, [
         Vector(ring, v.entries + Vector.unit(ring, m, i).entries)
-        for i, v in inputs], None)
+        for i, v in inputs])
     return ring, rank, basis, [_polys(layout, ring, rem, s, rank, m)
                                for layout, rem, s in rows]
 
 
-def _complete(start: _IntBasis, entering: Sequence[Vector],
-              checked: Optional[_IntBasis]) -> Tuple[_IntBasis, list]:
+def _complete(start: _IntBasis,
+              entering: Sequence[Vector]) -> Tuple[_IntBasis, list]:
     """The one completion behind every Groebner basis: the reduced basis
-    of what start and entering generate, which must also contain every
-    element of checked.
+    of what start and entering generate.
 
     start is empty (maybe tagged) or a reduced basis padded with zeros,
-    taken as closed under its own pairs.  Each entering vector, nonzero
-    and tagged as start is, is packed once and reduced in; then pairs are
-    processed, the basis interreduced and swept, resuming while a sweep
-    adds an element.  The sweep certifies only a Groebner basis of what
-    the result generates, which a lost element shrinks, so then every
-    entering vector and every element of checked (an untagged integer
-    basis packed by its own layout, maybe of a smaller rank: zeros
-    appended at the end leave every key as it is) must leave no term in
-    a vector position against the result, else ``RuntimeError``.  Returns
+    taken as closed under its own pairs.  Each entering vector, nonzero,
+    tagged as start is and of at most its rank (a shorter vector packs as
+    if zero-padded), is packed once and reduced in, in the given order;
+    then pairs are processed, the basis interreduced and swept, resuming
+    while a sweep adds an element.  The sweep certifies only a Groebner
+    basis of what the result generates, which a lost element shrinks, so
+    then every element of start and every entering vector, each packed
+    as it was before the completion, must leave no term in a vector
+    position against the result, else ``RuntimeError``.  Returns
     ``_interreduce``'s basis and the rows of the final sweep
     (``_Completion.sweep``); neither reads a tag term.
     """
     state = _Completion(start)
-    entered = []
+    entered = [(start.layout, dict(p)) for p in start.terms]
     for v in entering:
         p = state.basis.pack(v)[1]
         entered.append((state.basis.layout, dict(p)))
         state.reduce(p)
-    if checked is not None:
-        entered += ((checked.layout, dict(p)) for p in checked.terms)
     while True:
         state.run()
         final = _interreduce(state.basis)
@@ -1285,8 +1284,8 @@ class PolyMatrix:
 def syzygies_mod(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
     """Columns generating {c : a*c lies in the column span of b}.
 
-    They are the reduced basis of that submodule, read off one seeded
-    elimination (``_eliminate``): no cofactors are tracked and nothing is
+    They are the reduced basis of that submodule, read off one elimination
+    (``_eliminate``): no cofactors are tracked and nothing is
     re-completed.  Every column c is multiplied out again and a*c must lie
     in ``b.span`` (``GrobnerBasis.first_product_outside``), else
     ``RuntimeError``.  The result is computed once per exact (a, b)
@@ -1308,37 +1307,35 @@ def syzygies_mod(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
 
 
 def colon_ideal(v: Vector, b: PolyMatrix) -> GrobnerBasis:
-    """Rank-1 reduced basis of the ideal {r in R : r*v lies in span(b)},
-    not multiplied out again.
+    """Rank-1 reduced basis of the ideal {r in R : r*v lies in span(b)}.
 
     Let N = span(b) in R^k and j the position of v's first nonzero entry.
-    For j = 0, or v zero, it is the one-column case of ``_eliminate``.
-    Else r*v lies in N exactly when it lies in N_j = N ∩ (0^j ⊕ R^(k−j)),
-    whose reduced basis is the part of ``b.span``, b's cached relation
-    basis, leading at position j or later (``_IntBasis.trailing``).  For
-    v = c*e_(k−1), c a nonzero constant, the ideal is that part itself,
-    read off a basis ``_complete`` has certified, and nothing is
-    completed.  Otherwise the rank-(k−j+1) module generated by N_j and
-    [v_j .. v_(k−1); 1] is completed from N_j's basis (``_seeded``),
-    [v_j .. v_(k−1); 1] and every element of N_j must reduce to zero
-    against it, and the ideal is read off its elements leading in the
-    last position.  A j > 0 result is cached per exact (v, b)."""
+    For j = 0, or v zero, the ideal is the kernel ``syzygies_mod`` gives
+    for the one-column matrix of v, so its generators are multiplied out
+    again; the cached ``span`` of that kernel is returned.  Else r*v lies
+    in N exactly when it lies in N_j = N ∩ (0^j ⊕ R^(k−j)), whose reduced
+    basis is the part of ``b.span``, b's cached relation basis, leading
+    at position j or later (``_IntBasis.trailing``).  For v = c*e_(k−1),
+    c a nonzero constant, the ideal is that part itself, read off a basis
+    ``_complete`` has certified, and nothing is completed.  Otherwise the
+    rank-(k−j+1) module generated by N_j and [v_j .. v_(k−1); 1] is
+    completed from a copy of N_j's basis, which with [v_j .. v_(k−1); 1]
+    must reduce to zero against the result, and the ideal is read off its
+    elements leading in the last position, not multiplied out.  A j > 0
+    result is a new object on each call."""
     if v.rank != b.nrows:
         raise ValueError("rank mismatch")
     ring, k = v.ring, v.rank
     j = next((i for i, p in enumerate(v.entries) if p.terms), 0)
     if not j:
-        return _eliminate(PolyMatrix.from_columns(ring, k, [v]), b)
-
-    def build() -> GrobnerBasis:
-        seed = b.span._basis.trailing(j)
-        tail = v.entries[j:]
-        if j == k - 1 and not tail[0].total_degree():
-            return GrobnerBasis._of(ring, 1, seed)
-        full = _seeded(seed, [Vector(ring, tail + (Poly.one(ring),))], seed)
-        return GrobnerBasis._of(ring, 1, full._basis.trailing(k - j))
-
-    return cached(("colon_ideal", v, b), build)
+        return syzygies_mod(PolyMatrix.from_columns(ring, k, [v]), b).span
+    seed = b.span._basis.trailing(j)
+    tail = v.entries[j:]
+    if j == k - 1 and not tail[0].total_degree():
+        return GrobnerBasis._of(ring, 1, seed)
+    full = _complete(seed.padded(k - j + 1),
+                     [Vector(ring, tail + (Poly.one(ring),))])[0]
+    return GrobnerBasis._of(ring, 1, full.trailing(k - j))
 
 
 def _eliminate(a: PolyMatrix, b: PolyMatrix) -> GrobnerBasis:
@@ -1348,7 +1345,8 @@ def _eliminate(a: PolyMatrix, b: PolyMatrix) -> GrobnerBasis:
     position over term (the Elimination Theorem, in module form): nothing
     is re-completed.  The projection stays packed
     (``_IntBasis.trailing``).  For k = 0 it is the identity, and the
-    elimination basis itself is returned."""
+    elimination basis itself is returned.  Only ``syzygies_mod`` reads
+    it, and multiplies it out."""
     k = a.nrows
     if not k:
         return _elimination(a, b)
@@ -1359,34 +1357,24 @@ def _eliminate(a: PolyMatrix, b: PolyMatrix) -> GrobnerBasis:
 def _elimination(a: PolyMatrix, b: PolyMatrix) -> GrobnerBasis:
     """The rank-(k+n) reduced basis of the module generated by the vectors
     [a_i; e_i] and [b_j; 0], a_i and b_j the columns of a and b, that
-    ``syzygies_mod``, ``colon_ideal`` and ``solve_mod`` read: for n = 0,
-    ``b.span`` itself, the cached reduced basis of b's columns (for an
-    annihilator, the module's own relation basis).  Else it is cached
-    per exact (a, b), and completed from ``b.span`` (``_seeded``): only
-    the [a_i; e_i] enter, and each nonzero b_j is checked, at its own rank
-    k, against the result."""
+    ``syzygies_mod`` and ``solve_mod`` read: for n = 0, ``b.span`` itself,
+    the cached reduced basis of b's columns.  Else it is cached per exact
+    (a, b), and completed (``_complete``) from an empty basis: each
+    nonzero b_j enters first, at its own rank k, then each [a_i; e_i], and
+    each must reduce to zero against the result.  No ``span`` is read."""
     ring, k, n = a.ring, a.nrows, a.ncols
     if not n:
         return b.span
 
     def build() -> GrobnerBasis:
-        top = PolyMatrix.vstack(a, PolyMatrix.identity(ring, n))
-        return _seeded(b.span._basis, top.columns(), _IntBasis.of(
-            ring, [c for c in b.columns() if not c.is_zero()], k))
+        entering = [c for c in b.columns() if not c.is_zero()]
+        entering += PolyMatrix.vstack(
+            a, PolyMatrix.identity(ring, n)).columns()
+        start = _IntBasis(_Layout(ring.nvars, max(
+            _degree(c.entries) for c in entering)), k + n)
+        return GrobnerBasis._of(ring, k + n, _complete(start, entering)[0])
 
     return cached(("elimination", a, b), build)
-
-
-def _seeded(seed: _IntBasis, entering: Sequence[Vector],
-            checked: _IntBasis) -> GrobnerBasis:
-    """The reduced basis of the module generated by the reduced basis
-    seed, padded with zeros to the rank of the entering vectors, and the
-    entering vectors, completed (``_complete``) from a copy of seed: only
-    the entering vectors enter, and they and every element of checked
-    must reduce to zero against the result.  entering is not empty."""
-    ring, rank = entering[0].ring, entering[0].rank
-    return GrobnerBasis._of(ring, rank, _complete(
-        seed.padded(rank), entering, checked)[0])
 
 
 def solve_mod(v: PolyMatrix, a: PolyMatrix,

@@ -1151,20 +1151,20 @@ def test_colon_ideal_matches_the_elimination_from_scratch(seed, r, shape):
     stored = len(groebner._CACHE)
     leading_zero = v.entries[0].is_zero() and not v.is_zero()
     if leading_zero:
-        # such a v reads the trailing part of b's relation basis, and its
-        # ideal is stored under the colon's own key: asking for it again
-        # is a hit and stores nothing new
-        assert colon_ideal(v, b) is basis
+        # such a v reads the trailing part of b's relation basis, which
+        # is cached, and its ideal is not: asking for it again gives an
+        # equal basis and stores nothing new
+        assert colon_ideal(v, b) == basis
         assert len(groebner._CACHE) == stored
-    seeded = groebner._elimination(PolyMatrix.from_columns(r, k, [v]), b)
+    elim = groebner._elimination(PolyMatrix.from_columns(r, k, [v]), b)
     if not leading_zero:
-        # the seeded result is stored under the elimination's own key:
-        # asking for it again is a hit and stores nothing new
+        # the elimination is stored under its own key: asking for it
+        # again is a hit and stores nothing new
         assert len(groebner._CACHE) == stored
     groebner._CACHE.clear()  # the reference must not read it back
     scratch = buchberger(gens, ring=r, rank=k + 1)
-    assert seeded is not scratch
-    assert seeded.gens == scratch.gens
+    assert elim is not scratch
+    assert elim.gens == scratch.gens
     assert got == _tag_only(scratch, k)
     # the definition: each generator g sends v into the span of b
     span = buchberger(b.columns(), ring=r, rank=k)
@@ -1202,13 +1202,75 @@ def test_module_annihilator_matches_the_elimination_from_scratch(name):
             assert m.gb.contains(Vector.unit(m.ring, n, i).poly_mul(f))
 
 
+_DROPPING_SEED = [vec(RXY, "x^2 - y", "x"), vec(RXY, "x*y", "y^2 - 1")]
+
+
+def test_a_corrupted_annihilator_is_not_certified(monkeypatch):
+    # v's first entry is nonzero: its ideal is the kernel that
+    # syzygies_mod reads off the elimination of v and b, and multiplies
+    # out.  r with r*x in (x^2) is (x); a generator x + 1 must not come
+    # back
+    v = vec(RX, "x")
+    b = PolyMatrix(RX, 1, 1, [[parse_poly("x^2", RX)]])
+    groebner._CACHE.clear()
+    assert colon_ideal(v, b).gens == (vec(RX, "x"),)
+    original = groebner._eliminate
+
+    def corrupted(a, b):
+        gb = original(a, b)
+        first = gb.gens[0] + Vector.unit(RX, gb.rank, 0)
+        return GrobnerBasis(RX, gb.rank, (first,) + gb.gens[1:])
+
+    groebner._CACHE.clear()
+    monkeypatch.setattr(groebner, "_eliminate", corrupted)
+    with pytest.raises(RuntimeError, match="uncertified syzygy"):
+        colon_ideal(v, b)
+
+
+def test_an_elimination_reads_no_span(monkeypatch):
+    # an elimination completes b's columns itself, from an empty basis:
+    # on a cold cache it looks up no column basis, b's or any other
+    a = PolyMatrix.from_columns(RXY, 2, [vec(RXY, "x", "y")])
+    b = PolyMatrix.from_columns(RXY, 2, _DROPPING_SEED + [Vector.zero(RXY, 2)])
+    reads = []
+    original = PolyMatrix.span
+
+    def counting(self):
+        reads.append(self)
+        return original.fget(self)
+
+    groebner._CACHE.clear()
+    monkeypatch.setattr(PolyMatrix, "span", property(counting))
+    elim = groebner._elimination(a, b)
+    assert reads == []
+    monkeypatch.undo()
+    groebner._CACHE.clear()
+    scratch = buchberger(_elimination_gens(a.column(0), b), ring=RXY, rank=3)
+    assert elim.gens == scratch.gens
+
+
+def _final_bases(monkeypatch):
+    """The list that each later ``_complete`` call appends its final
+    basis to."""
+    finals = []
+    original = groebner._complete
+
+    def recording(*args):
+        final, rows = original(*args)
+        finals.append(final)
+        return final, rows
+
+    monkeypatch.setattr(groebner, "_complete", recording)
+    return finals
+
+
 def test_a_seeded_colon_ideal_ends_with_a_full_final_sweep(monkeypatch):
     # the starting basis is taken as closed under its own pairs, yet the
     # last sweep still reduces every same-position pair of the candidate,
-    # the seed's own elements included, and adds nothing
-    b = PolyMatrix.from_columns(RXY, 2, [vec(RXY, "x^2 - y", "x"),
-                                         vec(RXY, "x*y", "y^2 - 1")])
-    v = vec(RXY, "x", "y")
+    # the seed's own elements included, and adds nothing.  For v = [0, f]
+    # the seed is the part of b's relation basis leading in position 1
+    b = PolyMatrix.from_columns(RXY, 2, _DROPPING_SEED)
+    v = vec(RXY, "0", "x + y")
     groebner._CACHE.clear()
     b.span  # the seed, cached
     sweeps = []
@@ -1228,25 +1290,25 @@ def test_a_seeded_colon_ideal_ends_with_a_full_final_sweep(monkeypatch):
 
     monkeypatch.setattr(groebner._Completion, "sweep", recording)
     monkeypatch.setattr(groebner, "_s_vector", counting)
+    finals = _final_bases(monkeypatch)
     colon_ideal(v, b)
-    gb = groebner._elimination(PolyMatrix.from_columns(RXY, 2, [v]),
-                               b)  # the stored result
-    pos = [w.leading()[0] for w in gb.gens]
+    assert len(finals) == 1  # the one seeded completion
+    final = finals[0]
+    pos = [lead >> final.layout.pos_shift for lead in final.leads]
     same = [(i, j) for i in range(len(pos)) for j in range(i + 1, len(pos))
             if pos[i] == pos[j]]
-    assert same and sweeps[-1] == (len(gb.gens), same, 0)
+    assert same and sweeps[-1] == (len(pos), same, 0)
 
 
-def test_a_seeded_colon_ideal_leaves_the_cached_basis_unchanged():
-    # the completion starts from the cached relation basis of b; it must
-    # extend a copy, never the integer basis that cached object shares.
-    # The completion ends with [x, 0, 1 - y^2] and [y, 0, ...], which
-    # lead in position 0 like elements of that basis, so appending to it
-    # would show in the fields below
+def test_a_seeded_colon_ideal_leaves_the_cached_basis_unchanged(monkeypatch):
+    # the completion starts from the part of the cached relation basis of
+    # b leading in position 1; it must extend a copy, never the integer
+    # basis that cached object shares.  The completion ends with [x + y, 1]
+    # and a second element leading in position 0, where elements of that
+    # basis lead too, so appending to it would show in the fields below
     groebner._CACHE.clear()
-    b = PolyMatrix.from_columns(RXY, 2, [vec(RXY, "x^2 - y", "x"),
-                                         vec(RXY, "x*y", "y^2 - 1")])
-    v = vec(RXY, "x", "y")
+    b = PolyMatrix.from_columns(RXY, 2, _DROPPING_SEED)
+    v = vec(RXY, "0", "x + y")
     base = b.span
     probes = [v, vec(RXY, "x^3", "0"), vec(RXY, "x*y^2", "x*y"),
               vec(RXY, "y^3 + x", "x^2*y")]
@@ -1258,13 +1320,14 @@ def test_a_seeded_colon_ideal_leaves_the_cached_basis_unchanged():
                 [base.normal_form(p) for p in probes])
 
     before = state()
+    finals = _final_bases(monkeypatch)
     ideal = colon_ideal(v, b)
     assert b.span is base  # it was seeded
+    final = GrobnerBasis._of(RXY, 2, finals[-1])
+    assert [w.leading()[0] for w in final.gens] == [1, 0, 0]
+    assert final.gens[1] == vec(RXY, "x + y", "1")
     assert ideal.gens == (vec(RXY, "x^2*y^2 - x^2*y - y^3 - x^2 + y"),)
     assert state() == before
-
-
-_DROPPING_SEED = [vec(RXY, "x^2 - y", "x"), vec(RXY, "x*y", "y^2 - 1")]
 
 
 def _recording_completions(monkeypatch):
@@ -1338,9 +1401,10 @@ def test_an_elimination_that_loses_an_input_is_an_error(monkeypatch, v,
 def test_an_elimination_checks_every_generator(monkeypatch):
     # the same check, seen from inside: after the completion, each
     # nonzero generator of the rank-(k+1) module is reduced, in its packed
-    # form, against the final basis, zero columns of b left out.  The
-    # checks are the last reductions against that basis; before them only
-    # the final sweep's S-vectors are reduced against it
+    # form and in entering order (b's columns first, then [v; 1]),
+    # against the final basis, zero columns of b left out.  The checks
+    # are the last reductions against that basis; before them only the
+    # final sweep's S-vectors are reduced against it
     b = PolyMatrix.from_columns(RXY, 2, _DROPPING_SEED + [Vector.zero(RXY, 2)])
     v = vec(RXY, "x", "y")
     groebner._CACHE.clear()
@@ -1360,7 +1424,7 @@ def test_an_elimination_checks_every_generator(monkeypatch):
     gens = _elimination_gens(v, b)
     assert gens[3].is_zero()
     assert against_final[-3:] == [groebner._scaled_ints(w, final.layout)[1]
-                                  for w in gens[:3]]
+                                  for w in gens[1:3] + gens[:1]]
 
 
 def test_an_elimination_is_stored_under_one_key():

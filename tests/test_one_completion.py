@@ -12,9 +12,13 @@ heap, and the lcm of a pair is computed once, then packed by
 too: only ``PolyMatrix.span`` calls ``buchberger`` on a matrix's
 columns, and that property is the one memo of such a basis: a cache
 entry keyed by the matrix, with no slot on the matrix and no cache entry
-of ``buchberger``'s own."""
+of ``buchberger``'s own.  A completion takes its start and its entering
+vectors and nothing else: eliminations start empty, and the one seeded
+completion, from a padded basis, is ``colon_ideal``'s, which keeps no
+memo of its own."""
 
 import ast
+import inspect
 from pathlib import Path
 
 import malgrange.groebner as groebner
@@ -206,3 +210,16 @@ def test_a_column_basis_has_one_memo():
     sites = _calling_functions(_engine_tree(), "cached", methods=True)
     assert SPAN in sites
     assert "buchberger" not in sites, "buchberger caches its result"
+
+
+def test_a_completion_takes_no_second_list():
+    assert list(inspect.signature(groebner._complete).parameters) == [
+        "start", "entering"]
+    assert not hasattr(groebner, "_seeded")
+
+
+def test_only_the_colon_ideal_seeds_a_completion():
+    tree = _engine_tree()
+    assert _calling_functions(tree, "padded", methods=True) == [
+        "colon_ideal"]
+    assert "colon_ideal" not in _calling_functions(tree, "cached")

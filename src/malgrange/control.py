@@ -88,9 +88,10 @@ def autonomy(sys: ControlSystem) -> Tuple[FPModule, Morphism]:
 
 
 def is_controllable(sys: ControlSystem) -> bool:
-    """Controllable = torsion-free Malgrange module."""
-    t, _ = autonomy(sys)
-    return t.is_zero()
+    """Controllable = torsion-free Malgrange module: every generator of
+    the torsion submodule is zero in M, the test ``autonomy_report``
+    makes for ``controllable``, so no relation of T is computed."""
+    return not nonzero_columns(autonomy(sys)[1])
 
 
 def _combination(sys: ControlSystem, vec: Vector) -> str:

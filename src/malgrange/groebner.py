@@ -233,7 +233,7 @@ def _polys(layout: _Layout, ring: RingSpec, terms: dict, unit, start: int,
 
 def _vector(layout: _Layout, ring: RingSpec, rank: int, terms: dict,
             unit) -> Vector:
-    """The vector unit * terms, tag positions left out."""
+    """The vector unit * terms, terms at positions past rank left out."""
     return Vector(ring, _polys(layout, ring, terms, unit, 0, rank))
 
 
@@ -241,55 +241,45 @@ class _IntBasis:
     """Divisors converted once to primitive integer term dicts.
 
     Element i is terms[i], keyed by its terms packed by layout, and
-    leads[i] is its leading (smallest) key, in a position below rank.  A
-    tagged basis also uses the tags positions rank .. rank+tags-1, where no
-    element leads: element i is then [v_i; c_i], a vector followed by its
-    coefficients over some fixed list of tags vectors w (v_i = sum(c_i[t] *
-    w[t])).  Every rational multiple of such an element is one too, and
-    reducing by the basis carries the coefficients along with the vector.
+    leads[i] is its leading (smallest) key, in a position below rank.
     by_pos lists, per position, the elements leading there in the order
     they were added, as (i, lead key, integer lead coefficient, other
     (key, coefficient) terms).  excess is the largest amount by which the
-    degree of a term of an element exceeds that of its lead (tag terms
-    included), or 0.
+    degree of a term of an element exceeds that of its lead, or 0.
     """
 
-    __slots__ = ("layout", "rank", "tags", "excess", "terms", "leads",
-                 "by_pos")
+    __slots__ = ("layout", "rank", "excess", "terms", "leads", "by_pos")
 
-    def __init__(self, layout: _Layout, rank: int, tags: int = 0):
+    def __init__(self, layout: _Layout, rank: int):
         self.layout = layout
         self.rank = rank
-        self.tags = tags
         self.excess = 0
         self.terms: List[dict] = []
         self.leads: List[int] = []
         self.by_pos: dict = {}
 
     @staticmethod
-    def of(ring: RingSpec, vectors: Sequence[Vector], rank: int,
-           tags: int = 0) -> "_IntBasis":
-        """The basis of vectors, each of rank + tags entries, already
-        tagged when tags > 0, and each nonzero below position rank."""
+    def of(ring: RingSpec, vectors: Sequence[Vector],
+           rank: int) -> "_IntBasis":
+        """The basis of vectors, each nonzero and of rank entries."""
         for v in vectors:
-            if v.rank != rank + tags:
+            if v.rank != rank:
                 raise ValueError("vector rank mismatch")
         basis = _IntBasis(_Layout(ring.nvars, max(
-            (_degree(v.entries) for v in vectors), default=0)), rank, tags)
+            (_degree(v.entries) for v in vectors), default=0)), rank)
         for v in vectors:
             terms = _scaled_ints(v, basis.layout)[1]
-            lead = next(iter(terms), None)
-            if lead is None or lead >> basis.layout.pos_shift >= rank:
+            if not terms:
                 raise ValueError("zero vector has no leading term")
-            basis.add(terms, lead)
+            basis.add(terms, next(iter(terms)))
         return basis
 
     def __len__(self) -> int:
         return len(self.terms)
 
     def padded(self, rank: int) -> "_IntBasis":
-        """The same elements, untagged, with zero entries appended up to
-        rank: the seed of ``colon_ideal``'s one seeded completion.
+        """The same elements with zero entries appended up to rank: the
+        seed of ``colon_ideal``'s one seeded completion.
 
         Appended positions come last, so every key stays as it is.  The
         lists are new: adding to the result, or widening it, leaves self
@@ -313,7 +303,7 @@ class _IntBasis:
         are new.
         """
         shift = start << self.layout.pos_shift
-        out = _IntBasis(self.layout, self.rank - start, self.tags)
+        out = _IntBasis(self.layout, self.rank - start)
         for terms, lead in zip(self.terms, self.leads):
             if lead >= shift:
                 out.add({k - shift: c for k, c in terms.items()}, lead - shift)
@@ -332,12 +322,12 @@ class _IntBasis:
     def fit(self, degree: int) -> Optional[_Layout]:
         """Make reducing a dividend of degree at most degree safe.
 
-        Reducing a term of degree d in a vector position by an element
-        makes terms of degree at most d + excess, in later positions only
-        when above d, so every term the reduction meets has degree at most
-        degree + rank * excess.  If that passes layout.top, every element is
-        re-packed by a wider layout, as new dicts, and the old layout is
-        returned; else None.
+        Reducing a term of degree d by an element makes terms of degree at
+        most d + excess, in later positions only when above d, so every
+        term the reduction meets has degree at most degree + rank *
+        excess.  If that passes layout.top, every element is re-packed by a
+        wider layout, as new dicts, and the old layout is returned; else
+        None.
         """
         need = degree + self.rank * self.excess
         old = self.layout
@@ -357,26 +347,11 @@ class _IntBasis:
         self.fit(sum(lcm) + self.excess)
         return self.layout.pack(pos, lcm)
 
-    def vector_part(self) -> "_IntBasis":
-        """The untagged basis, in the same layout, of each element's vector
-        part made primitive."""
-        out = _IntBasis(self.layout, self.rank)
-        end = self.rank << self.layout.pos_shift
-        for terms, lead in zip(self.terms, self.leads):
-            out.add(_primitive({k: c for k, c in terms.items() if k < end})[1],
-                    lead)
-        return out
-
-    def escapes(self, rem: dict) -> bool:
-        """Whether the remainder rem has a term in a vector position."""
-        return (bool(rem)
-                and next(iter(rem)) >> self.layout.pos_shift < self.rank)
-
     def pack(self, v: Vector) -> Tuple[Fraction, dict]:
         """``_scaled_ints`` of v by layout, widened first if v's degree
         needs it, so the result can be reduced against this basis.  v packs
-        as if zero-padded to rank + tags entries, and may not be longer."""
-        if v.rank > self.rank + self.tags:
+        as if zero-padded to rank entries, and may not be longer."""
+        if v.rank > self.rank:
             raise ValueError("vector rank mismatch")
         self.fit(_degree(v.entries))
         return _scaled_ints(v, self.layout)
@@ -393,14 +368,14 @@ def _reduce(p: dict, basis: _IntBasis, scale: Fraction = _ONE,
     smallest key, found with a min-heap of the keys; a key whose term
     cancelled stays in the heap and is dropped when popped.  A lead g
     divides the term t when t - g, which is then the quotient, has no guard
-    bit set, and multiplying a tail term by it is one addition.  Tag
-    positions come after every vector position and no element leads there,
-    so tag terms only ride along to the remainder, and every divisor choice
-    is the one the vector part alone would get.
+    bit set, and multiplying a tail term by it is one addition.  A term in
+    a position where no element leads goes straight to the remainder:
+    ``divide`` and ``solve_mod`` read their quotients and lifts off such
+    positions.
 
     p stands for scale * p.  Returns (rem, s): scale * p minus a
     combination of basis elements is exactly s * rem.  rem lists its terms
-    leading term first, so its tag terms come last.
+    leading term first.
     """
     by_pos = basis.by_pos
     pos_shift, guards = basis.layout.pos_shift, basis.layout.guards
@@ -509,19 +484,22 @@ def divide(v: Vector, basis: Sequence[Vector]) -> Tuple[Vector, List[Poly]]:
     applicable reducers the first in the given sequence wins.
 
     This is the rational face of the one integer reducer (``_reduce``)
-    that Buchberger completion also runs on.  Divisor b_i enters tagged
-    as [b_i; e_i] and v as [v; 0], each a primitive integer term dict;
-    what is left is [r; -q], so the quotients are the negated tag part of
-    the remainder, and r and q are the exact rationals of the textbook
-    division.
+    that Buchberger completion also runs on.  With v of rank k and n
+    divisors, divisor b_i enters as [b_i; e_i] of rank k + n and v as
+    [v; 0], each a primitive integer term dict.  Every b_i is nonzero, so
+    no element leads past position k, and what is left is [r; -q]: the
+    quotients are the negated last n entries of the remainder, and r and
+    q are the exact rationals of the textbook division.
     """
-    n = len(basis)
-    tagged = _IntBasis.of(v.ring, [
+    k, n = v.rank, len(basis)
+    if any(b.is_zero() for b in basis):
+        raise ValueError("zero vector has no leading term")
+    stacked = _IntBasis.of(v.ring, [
         Vector(v.ring, b.entries + Vector.unit(v.ring, n, i).entries)
-        for i, b in enumerate(basis)], v.rank, n)
-    rem, scale = _remainder(v, tagged)
-    return (_vector(tagged.layout, v.ring, v.rank, rem, scale),
-            _polys(tagged.layout, v.ring, rem, -scale, v.rank, n))
+        for i, b in enumerate(basis)], k + n)
+    rem, scale = _remainder(v, stacked)
+    return (_vector(stacked.layout, v.ring, k, rem, scale),
+            _polys(stacked.layout, v.ring, rem, -scale, k, n))
 
 
 # -- one cache of certified results per exact presentation -----------------------
@@ -606,9 +584,7 @@ class _Completion:
     ``colon_ideal``'s trailing route); the last two are taken as closed
     under their own pairs.  Every element added later, from the
     input, an S-pair or the sweep, goes through ``add``, which queues its
-    pairs with the elements already leading in the same position.  A
-    tagged basis (see ``_IntBasis``) is completed as any other: tag terms
-    ride along, and only the tracked reference (``_tracked``) reads them.
+    pairs with the elements already leading in the same position.
 
     Elements are kept primitive rather than monic: that bounds the
     arithmetic (monic scaling lets numerators and denominators compound
@@ -617,18 +593,17 @@ class _Completion:
     Pending pairs sit in a heap of ``_pair`` entries, keyed once when
     pushed, each with the exponents of the lcm of its two leads; live
     holds the (i, j) still in the heap.  The key orders by sugar, lowest
-    first, then as the packed lcm would, larger first (see ``_pair``),
-    whether the basis is tagged or not (the sugar strategy: Giovini,
-    Mora, Niesi, Robbiano and Traverso, "One sugar cube, please", ISSAC
-    1991).  sugar[i] is element i's sugar degree: for an input, an element
-    of the starting basis or one the sweep adds, the largest total degree
-    of its vector part (tag positions left out); for the remainder of an
-    S-pair, the pair's sugar, max(sugar[i] + deg(lcm) - deg(lead i),
-    sugar[j] + deg(lcm) - deg(lead j)).  Sugar is the degree the pair
+    first, then as the packed lcm would, larger first (see ``_pair``):
+    the sugar strategy (Giovini, Mora, Niesi, Robbiano and Traverso, "One
+    sugar cube, please", ISSAC 1991).  sugar[i] is element i's sugar
+    degree: for an input, an element of the starting basis or one the
+    sweep adds, the largest total degree of its terms; for the remainder
+    of an S-pair, the pair's sugar, max(sugar[i] + deg(lcm) - deg(lead
+    i), sugar[j] + deg(lcm) - deg(lead j)).  Sugar is the degree the pair
     would have in a homogenized input, so pairs run in the order that
     suits homogeneous input even when the input is not.  The reduced
-    basis is the same in any pair order; tracked cofactors and Schreyer's
-    rows are fixed by this one.
+    basis is the same in any pair order; the work to reach it is fixed by
+    this one.
 
     The basis is widened where something is packed for it (an input by
     ``_IntBasis.pack``, a pair's lcm and S-vector by ``lcm_key``; see
@@ -643,9 +618,7 @@ class _Completion:
         self.live: set = set()
 
     def _own_sugar(self, terms: dict) -> int:
-        layout = self.basis.layout
-        end = self.basis.rank << layout.pos_shift  # tag keys are not below
-        return layout.max_degree(k for k in terms if k < end)
+        return self.basis.layout.max_degree(terms)
 
     def add(self, terms: dict, lead: int, sugar: Optional[int] = None) -> None:
         """Add an element and queue its pairs; sugar is its own (see
@@ -664,24 +637,14 @@ class _Completion:
         basis.add(terms, lead)
 
     def reduce(self, p: dict, scale: Fraction = _ONE,
-               sugar: Optional[int] = None,
-               ) -> Optional[Tuple[_Layout, dict, Fraction]]:
-        """Add the primitive remainder of p against the basis, with the
-        given sugar (else its own), unless its vector part is zero.
-
-        p stands for scale * p.  A remainder rem with nothing left below
-        the tag positions is returned as (layout, rem, s), with layout the
-        one rem is keyed by and s the reducer's scale: s times its tag part
-        is the relation among the inputs that p left (empty when
-        untagged).  Else None.
-        """
-        basis = self.basis
-        rem, scale = _reduce(p, basis, scale)
-        if not basis.escapes(rem):
-            return basis.layout, rem, scale
-        _, prim = _primitive(rem)
-        self.add(prim, next(iter(prim)), sugar)
-        return None
+               sugar: Optional[int] = None) -> None:
+        """Add the primitive remainder of p (which stands for scale * p)
+        against the basis, with the given sugar (else its own), unless it
+        is zero."""
+        rem, _ = _reduce(p, self.basis, scale)
+        if rem:
+            _, prim = _primitive(rem)
+            self.add(prim, next(iter(prim)), sugar)
 
     def run(self) -> None:
         """Process pending pairs, smallest key first, ties by (i, j):
@@ -708,41 +671,32 @@ class _Completion:
             else:
                 self.reduce(*_s_vector(basis, i, j, m), sugar=key[0])
 
-    def sweep(self) -> List[Tuple[_Layout, dict, Fraction]]:
+    def sweep(self) -> None:
         """Final check of the starting basis: reduce every same-position
         S-vector of it, in (i, j) order and with no criteria, against the
         basis and the remainders this sweep has added, and add each
-        remainder whose vector part is nonzero (queuing its pairs).
-
-        Returns the (layout, rem, s) that ``reduce`` returned for each
-        S-vector of elements i < j whose vector part reduced to zero, in
-        (i, j) order.  For a tagged basis, s times the tag part of rem is
-        the relation among the inputs that S-vector left: Schreyer's rows
-        (Eisenbud, Thm. 15.10), valid only if nothing was added.
-        """
+        nonzero remainder (queuing its pairs)."""
         basis = self.basis
         layout, leads = basis.layout, list(enumerate(basis.leads))
         pairs = [(i, j, e >> layout.pos_shift, layout.lcm_exps(e, f))
                  for i, e in leads for j, f in leads[i + 1:]
                  if e >> layout.pos_shift == f >> layout.pos_shift]
-        rows = [self.reduce(*_s_vector(basis, i, j, basis.lcm_key(pos, l)))
-                for i, j, pos, l in pairs]
-        return [row for row in rows if row is not None]
+        for i, j, pos, l in pairs:
+            self.reduce(*_s_vector(basis, i, j, basis.lcm_key(pos, l)))
 
 
 def _interreduce(basis: _IntBasis) -> _IntBasis:
     """Minimalize and tail-reduce to the unique reduced basis.
 
-    Returns the integer basis of the result: ascending leads, tagged as
-    basis is, each element primitive with a positive lead, so that
-    ``GrobnerBasis.gens`` reads the reduced basis off it.  Tag terms ride
-    along unread.
+    Returns the integer basis of the result: ascending leads, each element
+    primitive with a positive lead, so that ``GrobnerBasis.gens`` reads
+    the reduced basis off it.
     """
     layout = basis.layout
     # ascending leads are descending keys; the sort is stable
     ranked = sorted(range(len(basis)), key=basis.leads.__getitem__,
                     reverse=True)
-    minimal = _IntBasis(layout, basis.rank, basis.tags)
+    minimal = _IntBasis(layout, basis.rank)
     for i in ranked:
         lead = basis.leads[i]
         if any(layout.divides(e, lead) for _, e, _, _
@@ -753,7 +707,7 @@ def _interreduce(basis: _IntBasis) -> _IntBasis:
     minimal.fit(max(map(layout.degree, minimal.leads), default=0)
                 + minimal.excess)
     layout = minimal.layout
-    reduced = _IntBasis(layout, basis.rank, basis.tags)
+    reduced = _IntBasis(layout, basis.rank)
     for i, lead in enumerate(minimal.leads):
         rem, _ = _reduce(dict(minimal.terms[i]), minimal, skip=i)
         reduced.add(_primitive(rem)[1], lead)
@@ -763,8 +717,8 @@ def _interreduce(basis: _IntBasis) -> _IntBasis:
 class GrobnerBasis:
     """Reduced Groebner basis: monic, pairwise irreducible, sorted ascending.
 
-    Keeps the integer form of its elements, untagged and primitive on the
-    vector, for ``reduce`` and ``contains``.  A completion hands over that
+    Keeps the integer form of its elements, each primitive, for
+    ``reduce`` and ``contains``.  A completion hands over that
     form (``_of``) and gens, the monic vectors, are built from it on first
     read; ``GrobnerBasis(ring, rank, gens)`` packs the given gens once.
     It answers membership; kernels and lifts are read off an elimination
@@ -780,8 +734,8 @@ class GrobnerBasis:
     @classmethod
     def _of(cls, ring: RingSpec, rank: int,
             basis: _IntBasis) -> "GrobnerBasis":
-        """The reduced basis whose integer form is basis, untagged, each
-        element primitive with a positive lead (``_interreduce``)."""
+        """The reduced basis whose integer form is basis, each element
+        primitive with a positive lead (``_interreduce``)."""
         gb = cls.__new__(cls)
         gb._set(ring, rank, None, basis)
         return gb
@@ -843,8 +797,8 @@ class GrobnerBasis:
         the span, or None.
 
         The engine's one product certificate: ``Morphism`` relations,
-        syzygy columns (``syzygies_mod``, ``SpanSolver``, against the zero
-        span) and lifts (``solve_mod``) are all checked here.  The basis is
+        syzygy columns (``syzygies_mod``) and lifts (``solve_mod``) are
+        all checked here.  The basis is
         first widened for deg a + deg c (``_IntBasis.fit``); a and c are
         then each packed once by its layout (``_Packed``), and each product
         is formed in the integer layer and reduced exactly."""
@@ -872,9 +826,9 @@ def buchberger(gens: Sequence[Vector], *, ring: Optional[RingSpec] = None,
     """Reduced Groebner basis of the submodule generated by gens.
 
     Completed by ``_complete`` from an empty basis: pairs are taken by
-    sugar degree, then lcm, ties by (i, j), as in ``extended_buchberger``
-    (see ``_Completion``), with the chain criterion as the only criterion,
-    on primitive integer term dicts and the reducer of ``divide``.  A
+    sugar degree, then lcm, ties by (i, j) (see ``_Completion``), with
+    the chain criterion as the only criterion, on primitive integer term
+    dicts and the reducer of ``divide``.  A
     final sweep re-checks every same-position S-vector of the candidate,
     resuming the completion until a sweep adds nothing; then every
     nonzero input must reduce to zero against the result, else
@@ -884,84 +838,69 @@ def buchberger(gens: Sequence[Vector], *, ring: Optional[RingSpec] = None,
     columns is cached by ``PolyMatrix.span``.
     """
     ring_, rank_, inputs, start = _inputs(gens, ring, rank)
-    return GrobnerBasis._of(ring_, rank_, _complete(
-        start, [v for _, v in inputs])[0])
+    return GrobnerBasis._of(ring_, rank_, _complete(start, inputs))
 
 
 def _inputs(gens: Sequence[Vector], ring: Optional[RingSpec],
-            rank: Optional[int], tags: int = 0) -> tuple:
+            rank: Optional[int]) -> tuple:
     """(ring, rank, inputs, start) of a completion of gens: the ring and
-    rank of its first nonzero vector, else the given ones; (i, gens[i])
-    for each nonzero gens[i], all of that rank; and the empty basis,
-    tagged with tags positions, sized for them."""
-    inputs = [(i, v) for i, v in enumerate(gens) if not v.is_zero()]
+    rank of its first nonzero vector, else the given ones; the nonzero
+    gens, all of that rank; and the empty basis, sized for them."""
+    inputs = [v for v in gens if not v.is_zero()]
     if inputs:
-        ring, rank = inputs[0][1].ring, inputs[0][1].rank
+        ring, rank = inputs[0].ring, inputs[0].rank
     elif ring is None or rank is None:
         raise ValueError("empty input needs explicit ring and rank")
-    for _, v in inputs:
+    for v in inputs:
         if v.rank != rank:
             raise ValueError("rank mismatch")
-    layout = _Layout(ring.nvars, max((_degree(v.entries) for _, v in inputs),
+    layout = _Layout(ring.nvars, max((_degree(v.entries) for v in inputs),
                                      default=0))
-    return ring, rank, inputs, _IntBasis(layout, rank, tags)
+    return ring, rank, inputs, _IntBasis(layout, rank)
 
 
 def extended_buchberger(gens: Sequence[Vector], *,
                         ring: Optional[RingSpec] = None,
                         rank: Optional[int] = None,
                         ) -> Tuple[GrobnerBasis, List[List[Poly]],
-                                   List[List[Poly]]]:
-    """(G, A, S) with A[a] the coefficients expressing G[a] over the input:
-    G[a] = sum(A[a][i] * gens[i]); zero input vectors get zero columns.
-    S[k] = x^u A[a] - x^v A[b] - sum(q_c * A[c]) for the k-th pair a < b
-    leading in one position, where x^u G[a] - x^v G[b] = sum(q_c * G[c])
-    in the final sweep: Schreyer's relations among gens, not certified.
+                                   List[Vector]]:
+    """(G, A, S) for the submodule generated by gens: G its reduced basis,
+    equal to ``buchberger``'s; A[a] the coefficients expressing G[a] over
+    the input, G[a] = sum(A[a][i] * gens[i]), zero on every zero input;
+    S the reduced basis of the relations among gens, the certified
+    columns of ``syzygies_mod`` modulo no columns.
 
-    All three are read off ``_tracked``: G is the vector part of its
-    tagged basis [G; A], A[a] the tag part of element a, scaled as
-    ``GrobnerBasis.gens`` scales G[a], and S its Schreyer rows.  A is not
-    multiplied out."""
-    ring, rank, tagged, schreyer = _tracked(gens, ring, rank)
-    cofs = [_polys(tagged.layout, ring, terms, Fraction(1, terms[lead]),
-                   rank, tagged.tags)
-            for terms, lead in zip(tagged.terms, tagged.leads)]
-    return GrobnerBasis._of(ring, rank, tagged.vector_part()), cofs, schreyer
-
-
-def _tracked(gens: Sequence[Vector], ring: Optional[RingSpec],
-             rank: Optional[int]) -> tuple:
-    """(ring, rank, [G; A], S), the completion behind ``extended_buchberger``
-    and ``SpanSolver``: each nonzero gens[i] enters ``_complete`` as
-    [gens[i]; e_i] (see ``_IntBasis``), and S[k] is the tag part, scaled
-    by the reducer, of the k-th S-vector the final sweep reduced to zero
-    (``_Completion.sweep``)."""
-    m = len(gens)
-    ring, rank, inputs, start = _inputs(gens, ring, rank, m)
-    basis, rows = _complete(start, [
-        Vector(ring, v.entries + Vector.unit(ring, m, i).entries)
-        for i, v in inputs])
-    return ring, rank, basis, [_polys(layout, ring, rem, s, rank, m)
-                               for layout, rem, s in rows]
+    All three are read off the one elimination of the [gens[i]; e_i]
+    (``_elimination``).  Under position over term its elements leading in
+    the first rank positions are the [G[a]; A[a]], scaled monic here, and
+    the others the [0; S[k]].  A is not multiplied out.  Public; no
+    engine path calls it."""
+    ring, rank, _, _ = _inputs(gens, ring, rank)
+    a = PolyMatrix.from_columns(ring, rank, gens)
+    none = PolyMatrix.zeros(ring, rank, 0)
+    elim = _elimination(a, none)._basis
+    end = rank << elim.layout.pos_shift
+    rows = [_polys(elim.layout, ring, terms, Fraction(1, terms[lead]), 0,
+                   rank + a.ncols)
+            for terms, lead in zip(elim.terms, elim.leads) if lead < end]
+    gb = GrobnerBasis(ring, rank, [Vector(ring, row[:rank]) for row in rows])
+    return gb, [row[rank:] for row in rows], syzygies_mod(a, none).columns()
 
 
-def _complete(start: _IntBasis,
-              entering: Sequence[Vector]) -> Tuple[_IntBasis, list]:
+def _complete(start: _IntBasis, entering: Sequence[Vector]) -> _IntBasis:
     """The one completion behind every Groebner basis: the reduced basis
     of what start and entering generate.
 
-    start is empty (maybe tagged) or a reduced basis padded with zeros,
-    taken as closed under its own pairs.  Each entering vector, nonzero,
-    tagged as start is and of at most its rank (a shorter vector packs as
-    if zero-padded), is packed once and reduced in, in the given order;
-    then pairs are processed, the basis interreduced and swept, resuming
-    while a sweep adds an element.  The sweep certifies only a Groebner
-    basis of what the result generates, which a lost element shrinks, so
-    then every element of start and every entering vector, each packed
-    as it was before the completion, must leave no term in a vector
-    position against the result, else ``RuntimeError``.  Returns
-    ``_interreduce``'s basis and the rows of the final sweep
-    (``_Completion.sweep``); neither reads a tag term.
+    start is empty or a reduced basis padded with zeros, taken as closed
+    under its own pairs.  Each entering vector, nonzero and of at most
+    start's rank (a shorter vector packs as if zero-padded), is packed
+    once and reduced in, in the given order; then pairs are processed,
+    the basis interreduced and swept, resuming while a sweep adds an
+    element.  The sweep certifies only a Groebner basis of what the
+    result generates, which a lost element shrinks, so then every element
+    of start and every entering vector, each packed as it was before the
+    completion, must reduce to zero against the result, else
+    ``RuntimeError``.  Returns ``_interreduce``'s basis.
     """
     state = _Completion(start)
     entered = [(start.layout, dict(p)) for p in start.terms]
@@ -974,7 +913,7 @@ def _complete(start: _IntBasis,
         final = _interreduce(state.basis)
         count = len(final)
         state = _Completion(final)
-        rows = state.sweep()
+        state.sweep()
         if len(final) == count:  # the sweep added nothing
             break
     for old, p in entered:
@@ -982,39 +921,21 @@ def _complete(start: _IntBasis,
         new = final.layout
         if new.width != old.width:
             p = {new.repack(k, old): c for k, c in p.items()}
-        if final.escapes(_reduce(p, final)[0]):
+        if _reduce(p, final)[0]:
             raise RuntimeError("an input escaped its Groebner basis")
-    return final, rows
+    return final
 
 
 # -- syzygies and membership ------------------------------------------------------
 
-def _tag_remainder(v: Vector, basis: _IntBasis,
-                   start: int) -> Optional[Tuple[dict, Fraction]]:
-    """(rem, s) of ``_remainder`` for v, or None when rem has a term before
-    position start.  start is the first tag position: basis.rank for a
-    tagged basis, k for the elimination basis of a k-row matrix
-    (``_elimination``)."""
-    rem, scale = _remainder(v, basis)
-    if rem and next(iter(rem)) >> basis.layout.pos_shift < start:
-        return None
-    return rem, scale
-
-
 class SpanSolver:
-    """Membership and syzygies of a fixed generator list, with tracked
-    cofactors: public, and the reference that tests compare ``solve_mod``
-    and ``syzygies`` against; no engine path builds one.
+    """Membership and syzygies of a fixed generator list: public, and no
+    engine path builds one.
 
-    Keeps the tagged basis its completion built (``_tracked``): element b
-    is [G_b; A_b], with G_b = sum(A_b[i] * gens[i]) (see ``_IntBasis``).
-    Reducing a tagged vector [u; t] against it leaves [r; c] with
-    u - r = sum((t - c)[i] * gens[i]), and both answers are read off that
-    tag part (``_tag_part``): -v, packed at its own rank, leaves [r; c]
-    with v = sum(c[i] * gens[i]) - r, the certificate of membership when
-    r is zero (``solve`` returns c unchecked), and Schreyer's construction
-    takes one syzygy row per generator the same way, plus one row per
-    same-position S-pair of the basis, as the final sweep left it.
+    Both answers are read off the one elimination of the [gens[i]; e_i],
+    cached per generator list: ``solve`` is ``solve_mod`` modulo no
+    columns, and ``syzygies`` the columns of ``syzygies_mod`` modulo no
+    columns, each multiplied out and certified there.
     """
 
     def __init__(self, gens: Sequence[Vector], ring: RingSpec, rank: int):
@@ -1025,72 +946,22 @@ class SpanSolver:
         for g in gens:
             if g.rank != rank:
                 raise ValueError("rank mismatch")
-        _, _, self._tagged, self._schreyer = _tracked(gens, ring, rank)
-        self._syz: Optional[List[Vector]] = None
-
-    def _tag_part(self, v: Vector) -> Optional[List[Poly]]:
-        """The tag part of what v leaves against the tagged basis, or None
-        when its vector part is not zero (``_tag_remainder``)."""
-        left = _tag_remainder(v, self._tagged, self.rank)
-        if left is None:
-            return None
-        return _polys(self._tagged.layout, self.ring, *left, self.rank,
-                      self.count)
+        self._a = PolyMatrix.from_columns(ring, rank, gens)
+        self._none = PolyMatrix.zeros(ring, rank, 0)
 
     def solve(self, v: Vector) -> Optional[List[Poly]]:
-        """Coefficients c with sum(c[i] * gens[i]) = v, or None."""
+        """Coefficients c with sum(c[i] * gens[i]) = v, or None: the
+        certified lift, reduced modulo the relations among gens."""
         if v.rank != self.rank:
             raise ValueError("rank mismatch")
-        return self._tag_part(-v)
+        c = solve_mod(PolyMatrix.from_columns(self.ring, self.rank, [v]),
+                      self._a, self._none)
+        return None if c is None else list(c.column(0).entries)
 
     def syzygies(self) -> List[Vector]:
-        """Certified generators of {(a_1..a_m) : sum(a_i * gens[i]) = 0}.
-
-        Computed and certified once per solver; each call returns a new
-        list of the same rows.
-        """
-        if self._syz is None:
-            self._syz = self._certified_syzygies()
-        return list(self._syz)
-
-    def _certified_syzygies(self) -> List[Vector]:
-        """The rows of ``syzygies``.
-
-        Schreyer's construction: the rows below generate all relations
-        (any syzygy s splits as s(I - BA) + (s B)A with B the division
-        coefficients of the generators over the basis and A the tracked
-        cofactors).  Row i, e_i - B_i A, is the tag part that [gens[i];
-        e_i] leaves against the tagged basis, whose vector part must reduce
-        to zero; the S-pair rows come from the final sweep of its
-        completion (``_tracked``).  The rows are made primitive, then
-        certified against the zero span
-        (``GrobnerBasis.first_product_outside``), so each product with the
-        generators must be exactly zero.  They are returned certified but
-        not recompleted: callers that need a canonical presentation run
-        Buchberger after projecting to the block they keep, where the rank
-        is smaller and completion stays cheap.
-        """
-        rows: List[Vector] = []
-        for i, f in enumerate(self.gens):
-            unit = Vector.unit(self.ring, self.count, i)
-            tag = self._tag_part(Vector(self.ring, f.entries + unit.entries))
-            if tag is None:
-                raise RuntimeError("generator escaped its own span")
-            rows.append(Vector(self.ring, tag))
-        rows.extend(Vector(self.ring, row) for row in self._schreyer)
-        rows = [v for v in rows if not v.is_zero()]
-        layout = _Layout(self.ring.nvars, _degree(chain.from_iterable(
-            v.entries for v in rows)))
-        out = [_vector(layout, self.ring, self.count,  # lead positive
-                       _primitive(_scaled_ints(v, layout)[1])[1], _ONE)
-               for v in rows]
-        zero = PolyMatrix.zeros(self.ring, self.rank, 0).span
-        if zero.first_product_outside(
-                PolyMatrix.from_columns(self.ring, self.rank, self.gens),
-                PolyMatrix.from_columns(self.ring, self.count,
-                                        out)) is not None:
-            raise RuntimeError("uncertified syzygy")
-        return out
+        """The reduced basis of {(a_1..a_m) : sum(a_i * gens[i]) = 0},
+        certified; each call returns a new list."""
+        return syzygies_mod(self._a, self._none).columns()
 
 
 def syzygies(gens: Sequence[Vector], ring: RingSpec,
@@ -1334,7 +1205,7 @@ def colon_ideal(v: Vector, b: PolyMatrix) -> GrobnerBasis:
     if j == k - 1 and not tail[0].total_degree():
         return GrobnerBasis._of(ring, 1, seed)
     full = _complete(seed.padded(k - j + 1),
-                     [Vector(ring, tail + (Poly.one(ring),))])[0]
+                     [Vector(ring, tail + (Poly.one(ring),))])
     return GrobnerBasis._of(ring, 1, full.trailing(k - j))
 
 
@@ -1372,7 +1243,7 @@ def _elimination(a: PolyMatrix, b: PolyMatrix) -> GrobnerBasis:
             a, PolyMatrix.identity(ring, n)).columns()
         start = _IntBasis(_Layout(ring.nvars, max(
             _degree(c.entries) for c in entering)), k + n)
-        return GrobnerBasis._of(ring, k + n, _complete(start, entering)[0])
+        return GrobnerBasis._of(ring, k + n, _complete(start, entering))
 
     return cached(("elimination", a, b), build)
 
@@ -1383,7 +1254,7 @@ def solve_mod(v: PolyMatrix, a: PolyMatrix,
     column of v has no such c_j.
 
     v_j leaves its normal form [r; -c_j] against ``_elimination(a, b)``
-    (``_tag_remainder``): r is zero exactly when c_j exists, and c_j is
+    (``_remainder``): r is zero exactly when c_j exists, and c_j is
     reduced modulo {c : a*c in span b}, whose reduced basis is that
     basis's part leading in its last n positions (``_eliminate``).  The
     basis is widened once, up front, for the degree of v, so every c_j is
@@ -1400,10 +1271,9 @@ def solve_mod(v: PolyMatrix, a: PolyMatrix,
     elim.fit(_degree(chain.from_iterable(v.rows)))
     out = []
     for col in v.columns():
-        left = _tag_remainder(col, elim, k)
-        if left is None:
+        rem, scale = _remainder(col, elim)
+        if rem and next(iter(rem)) >> elim.layout.pos_shift < k:
             return None
-        rem, scale = left
         out.append(Vector(ring, _polys(elim.layout, ring, rem, -scale, k, n)))
     c = PolyMatrix.from_columns(ring, n, out)
     if b.span.first_product_outside(PolyMatrix.hstack(a, v), PolyMatrix.vstack(

@@ -4,6 +4,7 @@ import pytest
 
 from malgrange.rings import ring
 from malgrange.parsing import parse_poly
+from malgrange import groebner, modules
 from malgrange.groebner import PolyMatrix
 from malgrange.modules import (FPModule, Morphism, bass_torsion, cokernel,
                                hom_module, is_isomorphism, q_dimension)
@@ -167,6 +168,28 @@ def test_analysis_report_serialization():
     for obj, name in ((rep, "controllable"), (rep.generators[0], "element")):
         with pytest.raises(AttributeError):
             setattr(obj, name, None)
+
+
+def test_controllability_computes_no_torsion_relations(monkeypatch):
+    # is_controllable asks whether the torsion generators vanish in M, as
+    # autonomy_report does, and agrees with it; on a cold cache it never
+    # eliminates against the torsion embedding to present T itself
+    original = groebner.syzygies_mod
+    for name, sys in corpus.control_corpus():
+        firsts = []
+
+        def recording(a, b):
+            firsts.append(a)
+            return original(a, b)
+
+        groebner._CACHE.clear()
+        for module in (groebner, modules):
+            monkeypatch.setattr(module, "syzygies_mod", recording)
+        controllable = is_controllable(sys)
+        monkeypatch.undo()
+        iota = autonomy(sys)[1]
+        assert iota.mat not in firsts, name
+        assert controllable == autonomy_report(sys).controllable, name
 
 
 def test_divergence_is_controllable():

@@ -2,7 +2,6 @@ import random
 import signal
 from fractions import Fraction
 from itertools import combinations
-from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,11 +12,14 @@ from malgrange.groebner import (GrobnerBasis, PolyMatrix, SpanSolver,
                                 Vector, buchberger, colon_ideal, divide,
                                 extended_buchberger, syzygies,
                                 syzygies_mod, solve_mod)
-from malgrange.rings import (GREVLEX, Poly, mono_div, mono_divides, mono_mul,
-                             ring)
+from malgrange.rings import Poly, mono_div, mono_divides, mono_mul, ring
 from malgrange.modules import (AnnihilatorIdeal, FPModule, Morphism,
                                module_annihilator)
 from malgrange.parsing import parse_poly
+from reference_engine import (reference_divide,
+                              reference_extended_buchberger, reference_key,
+                              reference_leading, reference_lifts,
+                              reference_solve_mod, reference_syzygies_mod)
 
 RX = ring("x")
 RXY = ring("x", "y")
@@ -60,8 +62,9 @@ def test_division_pot_irreducible():
     ([("x", "0"), ("0", "0")], "zero vector has no leading term"),
 ], ids=["rank-mismatch", "zero-divisor"])
 def test_division_rank_mismatch(divisors, match):
-    # divide tags its divisors [b_i; e_i] itself: a divisor of another
-    # rank, or a zero one that would lead in a tag position, is an error
+    # divide stacks its divisors as [b_i; e_i] itself: a divisor of
+    # another rank, or a zero one, which would lead past v's positions, is
+    # an error
     with pytest.raises(ValueError, match=match):
         divide(vec(RX, "x", "1"), [vec(RX, *b) for b in divisors])
 
@@ -84,114 +87,7 @@ def test_division_identity_seeded():
         assert acc == v
 
 
-# -- reference reducer ---------------------------------------------------------
-
-def _reference_scaled_ints(terms):
-    items = list(terms)
-    denom_lcm = 1
-    for _, c in items:
-        denom_lcm = denom_lcm * c.denominator // gcd(denom_lcm, c.denominator)
-    ints = [(k, c.numerator * (denom_lcm // c.denominator)) for k, c in items]
-    num_gcd = 0
-    for _, n in ints:
-        num_gcd = gcd(num_gcd, n)
-    if num_gcd == 0:
-        return Fraction(1), {}
-    return Fraction(num_gcd, denom_lcm), {k: n // num_gcd for k, n in ints}
-
-
-def reference_key(pos, exps):
-    """POT over grevlex, written out here so that the reference reducer
-    shares only the grevlex rule with the engine: larger key = larger
-    term."""
-    return (-pos, GREVLEX.key(exps))
-
-
-def reference_leading(v):
-    """(position, monomial, coefficient) of v's largest term, by a
-    max-scan over all its terms."""
-    terms = [(pos, exps, c) for pos, poly in enumerate(v.entries)
-             for exps, c in poly.terms]
-    return max(terms, key=lambda t: reference_key(t[0], t[1]))
-
-
-def reference_divide(v, basis):
-    """Division as the engine first shipped it: the leading term of the
-    dividend is found by a max-scan over all its terms at every step, and
-    every divisor is converted on each call."""
-    ring_ = v.ring
-    leads = [reference_leading(g) for g in basis]
-    scale, p = _reference_scaled_ints(
-        ((pos, exps), c)
-        for pos, poly in enumerate(v.entries) for exps, c in poly.terms)
-    divisors = []
-    for g, (gpos, gexps, _) in zip(basis, leads):
-        gscale, gd = _reference_scaled_ints(
-            ((pos, exps), c)
-            for pos, poly in enumerate(g.entries) for exps, c in poly.terms)
-        divisors.append((gscale, gd, gd[(gpos, gexps)]))
-    quotients = [{} for _ in basis]
-    rem_terms = [[] for _ in range(v.rank)]
-    while p:
-        pos, exps = max(p, key=lambda k: reference_key(k[0], k[1]))
-        a = p[(pos, exps)]
-        for i, (gpos, gexps, _) in enumerate(leads):
-            if gpos == pos and mono_divides(gexps, exps):
-                gscale, gd, b = divisors[i]
-                shift = mono_div(exps, gexps)
-                factor = scale * a / (gscale * b)
-                quotients[i][shift] = quotients[i].get(shift, 0) + factor
-                d = gcd(a, b)
-                ap, bp = a // d, b // d
-                if bp != 1:
-                    p = {k: bp * c for k, c in p.items()}
-                    scale /= bp
-                for (gp, ge), gc in gd.items():
-                    kk = (gp, mono_mul(ge, shift))
-                    nv = p.get(kk, 0) - ap * gc
-                    if nv:
-                        p[kk] = nv
-                    else:
-                        p.pop(kk, None)
-                break
-        else:
-            rem_terms[pos].append((exps, scale * a))
-            del p[(pos, exps)]
-    remainder = Vector(ring_, (Poly(ring_, terms) for terms in rem_terms))
-    quots = [Poly(ring_, [(exps, Fraction(c)) for exps, c in q.items()])
-             for q in quotients]
-    return remainder, quots
-
-
 R3 = ring("x", "y", "z")
-
-
-def reference_schreyer_rows(basis, cofs):
-    """Schreyer's rows as ``SpanSolver`` once built them itself: each
-    same-position S-vector of the reduced basis, pairs in (a, b) order, is
-    divided by ``reference_divide``; its quotients become a relation among
-    the basis, pushed through the cofactor rows with ``Poly`` arithmetic."""
-    rows = []
-    for a, b in combinations(range(len(basis)), 2):
-        pa, ea, ca = reference_leading(basis[a])
-        pb, eb, cb = reference_leading(basis[b])
-        if pa != pb:
-            continue
-        lcm = tuple(max(u, v) for u, v in zip(ea, eb))
-        r_ = basis[a].ring
-        ta = Poly.term(r_, 1 / ca, mono_div(lcm, ea))
-        tb = Poly.term(r_, 1 / cb, mono_div(lcm, eb))
-        s = basis[a].poly_mul(ta) - basis[b].poly_mul(tb)
-        rem, q = reference_divide(s, basis)
-        assert rem.is_zero()
-        sigma = [-p for p in q]
-        sigma[a] = sigma[a] + ta
-        sigma[b] = sigma[b] - tb
-        row = [Poly.zero(r_)] * len(cofs[0])
-        for coeff, cof in zip(sigma, cofs):
-            row = [x + coeff * c for x, c in zip(row, cof)]
-        rows.append(row)
-    return rows
 
 
 @settings(max_examples=120, deadline=None)
@@ -223,12 +119,33 @@ def _differential_draw(r, rng):
             for _ in range(rank + 1)], rank
 
 
+def combination(gens, coeffs, rank):
+    """sum(coeffs[i] * gens[i]), a vector of the given rank."""
+    acc = Vector.zero(gens[0].ring, rank)
+    for c, gen in zip(coeffs, gens):
+        acc = acc + gen.poly_mul(c)
+    return acc
+
+
+def assert_extended_contract(gens, rank, result):
+    """(G, A, S) of extended_buchberger: G = A * gens row by row, and
+    gens * S = 0 column by column."""
+    g, cofs, syz = result
+    assert [combination(gens, row, rank) for row in cofs] == list(g.gens)
+    assert all(combination(gens, s.entries, rank).is_zero() for s in syz)
+
+
 @settings(max_examples=120, deadline=None)
 @given(st.integers(0, 2**30), st.sampled_from([RX, RXY, R3]))
-def test_sweep_rows_match_reference_schreyer_rows(seed, r):
+def test_extended_buchberger_matches_the_reference(seed, r):
+    # G, A and S are read off the reduced basis of the elimination of the
+    # [gens[i]; e_i], which is unique: each must equal the reference's
     gens, rank = _differential_draw(r, random.Random(seed))
-    g, cofs, rows = extended_buchberger(gens, ring=r, rank=rank)
-    assert rows == reference_schreyer_rows(g.gens, cofs)
+    result = extended_buchberger(gens, ring=r, rank=rank)
+    assert_extended_contract(gens, rank, result)
+    g, cofs, syz = result
+    assert (list(g.gens), cofs, syz) == reference_extended_buchberger(
+        gens, r, rank)
 
 
 def _alarm(signum, frame):
@@ -248,12 +165,12 @@ def test_heavy_draws_complete_quickly(seed):
     try:
         groebner._CACHE.clear()
         untracked = buchberger(gens, ring=R3, rank=rank)
-        g, cofs, rows = extended_buchberger(gens, ring=R3, rank=rank)
+        result = extended_buchberger(gens, ring=R3, rank=rank)
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
-    assert g.gens == untracked.gens
-    assert rows == reference_schreyer_rows(g.gens, cofs)
+    assert result[0].gens == untracked.gens
+    assert_extended_contract(gens, rank, result)
 
 
 @settings(max_examples=200, deadline=None)
@@ -318,14 +235,14 @@ def test_packed_terms_order_multiply_and_divide_as_tuples(r, data):
 
 
 def _widenings(monkeypatch):
-    """The (old width, new width, tags) of every basis widened from now."""
+    """The (old width, new width, rank) of every basis widened from now."""
     seen = []
     original = groebner._IntBasis.fit
 
     def fit(self, degree):
         old = original(self, degree)
         if old is not None:
-            seen.append((old.width, self.layout.width, self.tags))
+            seen.append((old.width, self.layout.width, self.rank))
         return old
 
     monkeypatch.setattr(groebner._IntBasis, "fit", fit)
@@ -350,9 +267,10 @@ def test_a_dividend_past_the_field_width_widens_the_basis(monkeypatch):
     assert reference_divide(member, gens)[0].is_zero()
     assert g.contains(member)
     assert g.normal_form(member) == reference_divide(member, gens)
-    # the tagged bases of divide and normal_form, and g's own basis once
-    assert [(old, tags) for old, _, tags in widened] == [(8, 2), (8, 0),
-                                                        (8, 2)]
+    # the rank-4 bases [b_i; e_i] of divide and normal_form, and g's own
+    # basis once
+    assert [(old, rank) for old, _, rank in widened] == [(8, 4), (8, 2),
+                                                        (8, 4)]
     assert all(new > 22 for _, new, _ in widened)
 
 
@@ -360,30 +278,27 @@ def test_cofactor_rows_past_the_field_width_widen_the_completion(
         monkeypatch):
     # the inputs' degree (61) sizes the first layout; the cofactors reach
     # degree 89 while no element of the basis passes 31, and the S-vectors
-    # of the tagged completion carry them past that layout
+    # of the rank-3 elimination of the [gens[i]; e_i] carry them past that
+    # layout
     gens = [vec(RXY, "x^61 + 1"), vec(RXY, "x^60 + y")]
     widened = _widenings(monkeypatch)
-    g, cofs, rows = extended_buchberger(gens, ring=RXY, rank=1)
-    assert any(tags == 2 for _, _, tags in widened)
+    result = extended_buchberger(gens, ring=RXY, rank=1)
+    g, cofs, syz = result
+    assert any(rank == 3 for _, _, rank in widened)
     assert max(c.total_degree() for row in cofs for c in row if c.terms) > \
         max(v.entries[0].total_degree() for v in g.gens)
-    assert rows and rows == reference_schreyer_rows(g.gens, cofs)
-    for v, row in zip(g.gens, cofs):
-        acc = Vector.zero(RXY, 1)
-        for c, gen in zip(row, gens):
-            acc = acc + gen.poly_mul(c)
-        assert acc == v
+    assert_extended_contract(gens, 1, result)
+    assert syz and syz == reference_syzygies_mod(
+        PolyMatrix.from_columns(RXY, 1, gens), PolyMatrix.zeros(RXY, 1, 0))
     groebner._CACHE.clear()
     assert buchberger(gens).gens == g.gens
 
 
 def test_widening_before_every_s_vector_changes_no_result(monkeypatch):
     # a pending pair's lcm is packed by whatever layout the basis has
-    # when the pair is popped, and a row the final sweep keeps is keyed by
-    # the layout of its own S-vector; widen the basis before every
-    # S-vector, so that pairs are popped after a widening and each row has
-    # a different layout: the pairs must come in the same order and every
-    # result must stay the same
+    # when the pair is popped; widen the basis before every S-vector, so
+    # that pairs are popped after a widening: the pairs must come in the
+    # same order and every result must stay the same
     gens = [vec(RXY, "x^2 - y", "x"), vec(RXY, "x*y", "y^2 - 1"),
             vec(RXY, "y^2", "x + 1")]
     original = groebner._s_vector
@@ -404,14 +319,12 @@ def test_widening_before_every_s_vector_changes_no_result(monkeypatch):
 
     monkeypatch.setattr(groebner, "_s_vector", recording)
     want, want_pairs = complete(), list(pairs)
-    assert len(want[0][2]) >= 2
     widen.append(True)
     widened = _widenings(monkeypatch)
-    (g, cofs, rows), gb = complete()
+    (g, cofs, syz), gb = complete()
     assert pairs == want_pairs
     assert len(widened) == len(pairs)
-    assert ((g, cofs, rows), gb) == want
-    assert rows == reference_schreyer_rows(g.gens, cofs)
+    assert ((g, cofs, syz), gb) == want
 
 
 def test_an_s_vector_past_the_field_width_widens_the_basis():
@@ -606,7 +519,8 @@ def test_a_completion_that_loses_an_input_is_an_error(monkeypatch):
     # with every S-pair left unprocessed, minimalization drops x^2 + y
     # (x divides its lead) and the sweep, with one element, certifies
     # {x}: only the input check sees that x^2 + y leaves y against it,
-    # tracked or not
+    # and that [x^2 + y; 1, 0] leaves [y; 1, -x] in the elimination that
+    # extended_buchberger reads
     gens = [vec(RXY, "x^2 + y"), vec(RXY, "x")]
     assert str(buchberger(gens)) == "{[y]; [x]}"
     monkeypatch.setattr(groebner._Completion, "run", lambda self: None)
@@ -670,9 +584,16 @@ def test_span_solver_certificates():
 
 
 def test_span_solver_keeps_the_basis_its_completion_tagged(monkeypatch):
-    # the solver reduces against the tagged basis [G; A] the completion
-    # built; packing G and A into a second basis would call _IntBasis.of
+    # the solver reads both answers off the one cached elimination basis
+    # of the [gens[i]; e_i]; packing a second basis would call
+    # _IntBasis.of, and a second solver of the same generators completes
+    # nothing
     gens = [vec(RXY, "x^2", "0"), vec(RXY, "0", "y"), vec(RXY, "x", "y")]
+    a = PolyMatrix.from_columns(RXY, 2, gens)
+    none = PolyMatrix.zeros(RXY, 2, 0)
+    lift = list(reference_lifts(PolyMatrix.from_columns(RXY, 2, gens[2:]), a,
+                                none)[0].entries)
+    syz = reference_syzygies_mod(a, none)
     calls = []
     original = groebner._IntBasis.of
 
@@ -680,84 +601,51 @@ def test_span_solver_keeps_the_basis_its_completion_tagged(monkeypatch):
         calls.append(args)
         return original(*args, **kwargs)
 
+    groebner._CACHE.clear()
     monkeypatch.setattr(groebner._IntBasis, "of", staticmethod(counting))
     solver = SpanSolver(gens, RXY, 2)
+    assert solver.solve(gens[2]) == lift and solver.syzygies() == syz
     assert calls == []
-    assert solver.solve(gens[2]) is not None and solver.syzygies()
-    assert calls == []
-
-
-def reference_lift(v, basis, cofs, count):
-    """Coefficients of v over the count generators as ``SpanSolver`` once
-    computed them: ``reference_divide`` by the reduced basis, its
-    quotients pushed through the cofactor rows with ``Poly`` arithmetic.
-    None when a remainder is left."""
-    rem, q = reference_divide(v, basis)
-    if not rem.is_zero():
-        return None
-    row = [Poly.zero(v.ring)] * count
-    for coeff, cof in zip(q, cofs):
-        row = [x + coeff * c for x, c in zip(row, cof)]
-    return row
-
-
-def reference_syzygies(gens, basis, cofs):
-    """Schreyer's generators of the syzygies of gens, built by the
-    reference routines: e_i - B_i A for each generator, then the S-pair
-    rows; zero rows dropped, each row scaled to coprime integer
-    coefficients with a positive leading coefficient."""
-    r_, count = gens[0].ring, len(gens)
-    rows = []
-    for i, g in enumerate(gens):
-        lifted = reference_lift(g, basis, cofs, count)
-        assert lifted is not None
-        rows.append([(Poly.one(r_) if k == i else Poly.zero(r_)) - c
-                     for k, c in enumerate(lifted)])
-    rows += reference_schreyer_rows(basis, cofs)
-    out = []
-    for entries in rows:
-        row = Vector(r_, entries)
-        if row.is_zero():
-            continue
-        unit, _ = _reference_scaled_ints(
-            (k, c) for k, poly in enumerate(row.entries) for _, c in poly.terms)
-        sign = -1 if reference_leading(row)[2] < 0 else 1
-        out.append(row.scale(sign / unit))
-    return out
+    starts = _recording_completions(monkeypatch)
+    again = SpanSolver(gens, RXY, 2)
+    assert again.solve(gens[2]) == lift and again.syzygies() == syz
+    assert starts == [] and calls == []
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 2**30), st.sampled_from([RX, RXY, R3]))
 def test_span_solver_matches_the_reference_lift(seed, r):
+    # solve is solve_mod modulo no columns: its lift is the normal form
+    # that the reference reads off the elimination of the [gens[i]; e_i],
+    # None exactly for non-members, and multiplies back to its vector
     rng = random.Random(seed)
     gens, rank = _differential_draw(r, rng)
+    groebner._CACHE.clear()
     solver = SpanSolver(gens, r, rank)
-    g, cofs, _ = extended_buchberger(gens, ring=r, rank=rank)
-    basis = list(g.gens)
-    # random combinations of the generators: exactly the reference's
-    # coefficients
-    for _ in range(3):
-        combo = Vector.zero(r, rank)
-        for gen in gens:
-            combo = combo + gen.poly_mul(
-                rand_vector(r, rng, 1).entries[0])
-        want = reference_lift(combo, basis, cofs, len(gens))
-        assert want is not None
-        assert solver.solve(combo) == want
-    # arbitrary vectors: None exactly for non-members
+    a = PolyMatrix.from_columns(r, rank, gens)
+    none = PolyMatrix.zeros(r, rank, 0)
     span = buchberger(gens, ring=r, rank=rank)
-    for _ in range(3):
-        v = rand_vector(r, rng, rank)
-        got = solver.solve(v)
+    combos = []
+    for _ in range(3):  # random combinations of the generators
+        combos.append(combination(
+            gens, [rand_vector(r, rng, 1).entries[0] for _ in gens], rank))
+    vs = combos + [rand_vector(r, rng, rank) for _ in range(3)]
+    lifts = [solver.solve(v) for v in vs]
+    for v, got in zip(vs, lifts):
         assert (got is None) == (not span.contains(v))
-        assert got == reference_lift(v, basis, cofs, len(gens))
-    assert solver.syzygies() == reference_syzygies(gens, basis, cofs)
+        if v in combos:
+            assert got is not None
+        if got is not None:
+            assert combination(gens, got, rank) == v
+    want = reference_lifts(PolyMatrix.from_columns(r, rank, vs), a, none)
+    assert lifts == [None if c is None else list(c.entries) for c in want]
 
 
 def _tracked_cost_draw(extra_randint):
-    # four rank-3 generators over R3 whose tracked completion built
-    # cofactor rows of 31 957 and 65 898 terms with pairs taken position
-    # first, 1 136 and 3 654 by lcm degree, and 932 and 3 162 by sugar
+    # four rank-3 generators over R3 whose cofactor rows had 31 957 and
+    # 65 898 terms when a tracked completion took pairs position first,
+    # 1 136 and 3 654 by lcm degree, and 932 and 3 162 by sugar; read off
+    # the reduced elimination they have 932 and 2 954
     rng = random.Random(296 * 7919)
     rank = rng.randint(1, 3)
     count = rank + (rng.randint(1, 1) if extra_randint else 1)
@@ -768,86 +656,54 @@ def _tracked_cost_draw(extra_randint):
 @pytest.mark.parametrize("extra_randint", [True, False],
                          ids=["first-draw", "second-draw"])
 def test_tracked_completion_keeps_its_cofactors_small(extra_randint):
+    # A is read off the reduced elimination of the [gens[i]; e_i], whose
+    # tails are reduced in the cofactor positions too
     gens, rank = _tracked_cost_draw(extra_randint)
-    g, cofs, rows = extended_buchberger(gens, ring=R3, rank=rank)
-    assert sum(len(c.terms) for row in cofs for c in row) < 10_000
-    if extra_randint:
-        assert rows == reference_schreyer_rows(g.gens, cofs)
-        assert (SpanSolver(gens, R3, rank).syzygies()
-                == reference_syzygies(gens, list(g.gens), cofs))
+    groebner._CACHE.clear()
+    result = extended_buchberger(gens, ring=R3, rank=rank)
+    assert sum(len(c.terms) for row in result[1] for c in row) < 10_000
+    assert_extended_contract(gens, rank, result)
 
 
 # The syzygy certificates must be live: a corrupted row or a generator
-# outside the basis span is an error, never a returned relation.  Closure
-# under S-vectors is the final sweep's job (see
-# test_schreyer_rows_come_from_the_final_sweep_only).
+# outside the basis span is an error, never a returned relation.
 
 def test_a_corrupted_syzygy_row_is_not_certified(monkeypatch):
-    # the first-kind rows e_i - B_i A are the tag parts that each
-    # [g_i; e_i] leaves against the solver's tagged basis
+    # SpanSolver.syzygies reads the kernel of the elimination of the
+    # [gens[i]; e_i]: a row [y + 1, -x] in place of [y, -x] must not come
+    # back
     gens = [vec(RXY, "x"), vec(RXY, "y")]
-    assert SpanSolver(gens, RXY, 1).syzygies()  # uncorrupted: certified
-    solver = SpanSolver(gens, RXY, 1)
-    original = SpanSolver._tag_part
+    groebner._CACHE.clear()
+    assert SpanSolver(gens, RXY, 1).syzygies() == [vec(RXY, "y", "-x")]
+    original = groebner._eliminate
     seen = []
 
-    def corrupted(self, v):
-        tag = original(self, v)
-        seen.append(tag)
-        if len(seen) == 1:  # the first tag part gains a term on generator 2
-            tag = [tag[0], tag[1] + Poly.one(RXY)]
-        return tag
+    def corrupted(a, b):
+        gb = original(a, b)
+        seen.append(gb)
+        first = gb.gens[0] + Vector.unit(RXY, gb.rank, 0)
+        return GrobnerBasis(RXY, gb.rank, (first,) + gb.gens[1:])
 
-    monkeypatch.setattr(SpanSolver, "_tag_part", corrupted)
+    groebner._CACHE.clear()
+    monkeypatch.setattr(groebner, "_eliminate", corrupted)
     with pytest.raises(RuntimeError, match="uncertified syzygy"):
-        solver.syzygies()
+        SpanSolver(gens, RXY, 1).syzygies()
     assert seen
 
 
 def test_a_generator_outside_the_basis_span_is_an_error(monkeypatch):
-    gens = [vec(RXY, "x"), vec(RXY, "y")]
-    solver = SpanSolver(gens, RXY, 1)
-    original = groebner._remainder
-
-    def leaking(v, basis):  # every lift leaves a term in position 0
-        rem, scale = original(v, basis)
-        return {basis.layout.pack(0, (0, 0)): 1, **rem}, scale
-
-    monkeypatch.setattr(groebner, "_remainder", leaking)
-    with pytest.raises(RuntimeError, match="generator escaped its own span"):
-        solver.syzygies()
-
-
-def test_schreyer_rows_come_from_the_final_sweep_only(monkeypatch):
-    # with every S-pair left unprocessed, the first sweep runs over a
-    # three-element candidate: two S-vectors reduce to zero and one does
-    # not, so the completion resumes.  The rows of that sweep are
-    # relations too, but not Schreyer's rows of the final basis: only the
-    # last sweep's rows may come back
-    gens = [vec(RXY, "x^3 + x^2*y"), vec(RXY, "-x*y + y"), vec(RXY, "y^2")]
-    sweeps = []
-    original = groebner._Completion.sweep
-
-    def recording(self):
-        n = len(self.basis)
-        rows = original(self)
-        sweeps.append((n, len(self.basis) - n, len(rows)))
-        return rows
-
+    # with every S-pair left unprocessed, minimalization drops [x^2 + y;
+    # 1, 0] (x divides its lead) from the elimination of the [gens[i];
+    # e_i], and the sweep, with one element, certifies {[x; 0, 1]}: the
+    # input check sees that the first generator leaves [y; 1, -x], and
+    # neither answer comes back
+    gens = [vec(RXY, "x^2 + y"), vec(RXY, "x")]
     monkeypatch.setattr(groebner._Completion, "run", lambda self: None)
-    monkeypatch.setattr(groebner._Completion, "sweep", recording)
-    g, cofs, rows = extended_buchberger(gens, ring=RXY, rank=1)
-    assert sweeps[0] == (3, 1, 2)
-    assert sweeps[-1] == (2, 0, 1)
-    assert g.gens == (vec(RXY, "y"), vec(RXY, "x^3"))
-    assert len(rows) == 1
-    assert rows == reference_schreyer_rows(g.gens, cofs)
-    syz = SpanSolver(gens, RXY, 1).syzygies()  # raises if uncertified
-    for row in syz:
-        acc = Vector.zero(RXY, 1)
-        for c, gen in zip(row.entries, gens):
-            acc = acc + gen.poly_mul(c)
-        assert acc.is_zero()
+    for ask in (lambda s: s.syzygies(), lambda s: s.solve(gens[0])):
+        groebner._CACHE.clear()
+        with pytest.raises(RuntimeError,
+                           match="an input escaped its Groebner basis"):
+            ask(SpanSolver(gens, RXY, 1))
 
 
 def test_syzygies_mod_projection():
@@ -859,15 +715,6 @@ def test_syzygies_mod_projection():
                     ring=RX, rank=1)
     assert gb.contains(vec(RX, "x"))
     assert not gb.contains(vec(RX, "1"))
-
-
-def reference_syzygies_mod(a, b):
-    """The tracked route to ``syzygies_mod``: the certified syzygies of
-    [a | b] (a ``SpanSolver`` built directly, not through the cache),
-    projected to the a-block and completed."""
-    solver = SpanSolver(a.columns() + b.columns(), a.ring, a.nrows)
-    projected = [s.slice(0, a.ncols) for s in solver.syzygies()]
-    return buchberger(projected, ring=a.ring, rank=a.ncols)
 
 
 def _syzygy_case(r, rng, shape):
@@ -894,11 +741,13 @@ def _syzygy_case(r, rng, shape):
        st.sampled_from(["random", "b with no columns", "b with zero columns",
                         "zero column of a", "no rows"]))
 def test_syzygies_mod_matches_the_tracked_route(seed, r, shape):
+    # the tracked route is the reference engine's own elimination of the
+    # [a_i; e_i] and [b_j; 0]: both sides are the reduced basis of one
+    # module, so they are equal
     a, b = _syzygy_case(r, random.Random(seed), shape)
     groebner._CACHE.clear()
     got = syzygies_mod(a, b)
-    groebner._CACHE.clear()  # the reference must not read it back
-    assert got.columns() == list(reference_syzygies_mod(a, b).gens)
+    assert got.columns() == reference_syzygies_mod(a, b)
     # the definition: each column c sends a into the span of b
     span = buchberger(b.columns(), ring=r, rank=a.nrows)
     assert all(span.contains(a.mul_vec(c)) for c in got.columns())
@@ -994,16 +843,14 @@ def _solve_case(r, rng, shape, solvable):
        st.sampled_from(["random", "a with no columns", "b with no columns"]),
        st.booleans())
 def test_solve_mod_matches_the_tracked_solver(seed, r, shape, solvable):
-    # solve_mod reads the elimination basis of (a, b); a SpanSolver of
-    # [a | b], built directly, answers the same question for each column
-    # with tracked cofactors.  Their c_j may differ, never whether every
-    # column has one
+    # solve_mod reads the elimination basis of (a, b); the reference
+    # engine's own elimination of the [a_i; e_i] and [b_j; 0] gives the
+    # same normal form [0; -c_j] for each column, since both bases are
+    # reduced
     v, a, b = _solve_case(r, random.Random(seed), shape, solvable)
     groebner._CACHE.clear()
     got = solve_mod(v, a, b)
-    solver = SpanSolver(a.columns() + b.columns(), r, a.nrows)
-    wants = [solver.solve(col) for col in v.columns()]
-    assert (got is None) == any(want is None for want in wants)
+    assert got == reference_solve_mod(v, a, b)
     if solvable:
         assert got is not None
     if got is not None:
@@ -1061,17 +908,16 @@ def test_a_wide_column_is_solved_as_it_is_alone():
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 2**30), st.sampled_from([RX, RXY, R3]))
 def test_syzygies_match_the_tracked_solver(seed, r):
-    # syzygies is syzygies_mod modulo nothing; the tracked route completes
-    # the rows of a SpanSolver built directly
+    # syzygies is syzygies_mod modulo nothing; the tracked route is the
+    # reference engine's elimination of the [gens[i]; e_i]
     gens, rank = _differential_draw(r, random.Random(seed))
     groebner._CACHE.clear()
     got = syzygies(gens, r, rank)
-    groebner._CACHE.clear()  # the reference must not read it back
     none = PolyMatrix.zeros(r, rank, 0)
     want = reference_syzygies_mod(PolyMatrix.from_columns(r, rank, gens),
                                   none)
-    # the reduced basis itself, so buchberger of it is it again
-    assert got.columns() == list(want.gens)
+    # the reduced basis itself
+    assert got.columns() == want
 
 
 def test_solve_mod_and_syzygies_run_no_tracked_completion(monkeypatch):
@@ -1256,9 +1102,9 @@ def _final_bases(monkeypatch):
     original = groebner._complete
 
     def recording(*args):
-        final, rows = original(*args)
+        final = original(*args)
         finals.append(final)
-        return final, rows
+        return final
 
     monkeypatch.setattr(groebner, "_complete", recording)
     return finals
@@ -1378,19 +1224,22 @@ def test_a_leading_zero_completes_at_the_trailing_rank(monkeypatch):
 
 @pytest.mark.parametrize("v", [("x", "y"), ("1", "0"), ("y", "x"),
                                ("0", "x")])
-@pytest.mark.parametrize("seed_cached", [True, False],
+# the ids name b's relation basis, which seeds only the [0, x] case
+@pytest.mark.parametrize("span_cached", [True, False],
                          ids=["seed cached", "seed uncached"])
 def test_an_elimination_that_loses_an_input_is_an_error(monkeypatch, v,
-                                                        seed_cached):
+                                                        span_cached):
     # with every S-pair left unprocessed, minimalization drops elements of
-    # the seed, and the final sweep then certifies the basis of a smaller
-    # module: for [x, y] the ideal would be (x^2*y^4 - ...) instead of
-    # (x^2*y^2 - ...).  [v; 1] itself still reduces to zero; the
-    # columns [b_j; 0] do not, nor, for [0, x], the elements of the
-    # relation basis leading in position 1 that seed its completion
+    # the candidate basis, and the final sweep then certifies the basis of
+    # a smaller module: for [x, y] the ideal would be (x^2*y^4 - ...)
+    # instead of (x^2*y^2 - ...).  For [x, y], [1, 0] and [y, x] the
+    # elimination of [v; 1] and the columns [b_j; 0] starts empty: [v; 1]
+    # itself still reduces to zero, the [b_j; 0] do not.  For [0, x] the
+    # elements of b's relation basis leading in position 1 seed the
+    # completion, and they do not reduce to zero either
     b = PolyMatrix.from_columns(RXY, 2, _DROPPING_SEED)
     groebner._CACHE.clear()
-    if seed_cached:  # the seed was completed before pairs were disabled
+    if span_cached:  # b's relation basis, completed with pairs enabled
         b.span
     monkeypatch.setattr(groebner._Completion, "run", lambda self: None)
     with pytest.raises(RuntimeError,
@@ -1445,8 +1294,8 @@ def test_an_elimination_is_stored_under_one_key():
 def test_no_zero_block_is_built(monkeypatch):
     # a column of b is checked, and a dividend is reduced, at its own
     # rank: the only vectors of rank k + n an elimination builds are its
-    # n generators [a_i; e_i], and solve_mod and SpanSolver.solve build
-    # none of the stacked rank
+    # n generators [a_i; e_i], and solve_mod on a cached elimination
+    # builds none of the stacked rank
     a = PolyMatrix.from_columns(RXY, 1, [vec(RXY, "x"), vec(RXY, "y")])
     b = PolyMatrix.from_columns(RXY, 1, [vec(RXY, "x^2 - y"),
                                          vec(RXY, "x*y")])
@@ -1468,12 +1317,16 @@ def test_no_zero_block_is_built(monkeypatch):
     ranks.clear()
     got = solve_mod(v, a, b)
     assert got is not None and ranks and k + n not in ranks
+    # SpanSolver.solve is solve_mod modulo no columns: on a cold cache its
+    # elimination builds the len(gens) generators [gens[i]; e_i], and
+    # nothing else of their rank is built
     gens = _DROPPING_SEED
     solver = SpanSolver(gens, RXY, 2)
+    groebner._CACHE.clear()
     ranks.clear()
     assert solver.solve(gens[0].poly_mul(parse_poly("y", RXY))) is not None
     assert solver.solve(vec(RXY, "1", "0")) is None
-    assert 2 + len(gens) not in ranks
+    assert ranks.count(2 + len(gens)) == len(gens)
 
 
 def test_an_elimination_with_no_columns_is_the_span_itself(monkeypatch):
@@ -1501,8 +1354,8 @@ def test_an_elimination_with_no_columns_is_the_span_itself(monkeypatch):
 
 def test_a_vector_packs_at_its_own_rank():
     # a position past a vector's rank is zero and packs to nothing; a
-    # vector longer than rank + tags has no packing
-    basis = groebner._IntBasis(groebner._Layout(RXY.nvars, 2), 2, tags=1)
+    # vector longer than the basis's rank has no packing
+    basis = groebner._IntBasis(groebner._Layout(RXY.nvars, 2), 3)
     assert basis.pack(vec(RXY, "x^2 - y")) == basis.pack(
         vec(RXY, "x^2 - y", "0", "0"))
     with pytest.raises(ValueError, match="vector rank mismatch"):
@@ -1679,7 +1532,7 @@ def test_a_certified_product_names_the_first_column_outside():
 
 
 def test_every_product_site_raises_its_own_message(monkeypatch):
-    # syzygy columns, lifts, SpanSolver rows and Morphism relations are
+    # syzygy columns (SpanSolver's too), lifts and Morphism relations are
     # all certified by first_product_outside: when it reports column 0,
     # each site refuses its answer with its own message
     a = PolyMatrix(RXY, 1, 2, [[parse_poly("x", RXY), parse_poly("y", RXY)]])
@@ -1874,9 +1727,11 @@ def test_cache_evicts_the_least_recently_used_entry(monkeypatch):
 
 def test_mutating_returned_syzygies_does_not_change_the_solver():
     gens = [vec(RXY, "x"), vec(RXY, "y"), vec(RXY, "x + y")]
+    expected = reference_syzygies_mod(PolyMatrix.from_columns(RXY, 1, gens),
+                                      PolyMatrix.zeros(RXY, 1, 0))
     solver = SpanSolver(gens, RXY, 1)
     rows = solver.syzygies()
-    expected = list(rows)
+    assert rows == expected
     rows.clear()
     again = solver.syzygies()
     assert again == expected and again is not rows

@@ -1,8 +1,12 @@
 """Every Groebner basis the engine computes comes from one completion
 routine, ``groebner._complete``, which checks its inputs against the
-result: no other function in ``groebner.py`` constructs a
-``_Completion``.  That shared completion never reads a cofactor: only the
-tracked reference turns tag terms into polynomials (``_polys``).  Every
+result and returns one untagged integer basis: no other function in
+``groebner.py`` constructs a ``_Completion``, and no basis carries tag
+positions or a second, cofactor-tracked completion (``extended_buchberger``
+and ``SpanSolver`` read the one elimination the engine computes).  The
+completion never reads a cofactor: only the readers of a division or an
+elimination turn the positions past its leads into polynomials
+(``_polys``).  Every
 product is certified by one routine too: only
 ``GrobnerBasis.first_product_outside`` packs a matrix for a product
 (``_Packed``).  The completion's pending pairs are keyed without a layout
@@ -22,6 +26,9 @@ import inspect
 from pathlib import Path
 
 import malgrange.groebner as groebner
+from malgrange.groebner import Vector
+from malgrange.parsing import parse_poly
+from malgrange.rings import ring
 
 SOURCE = Path(groebner.__file__)
 ROUTINE = "_complete"
@@ -223,3 +230,17 @@ def test_only_the_colon_ideal_seeds_a_completion():
     assert _calling_functions(tree, "padded", methods=True) == [
         "colon_ideal"]
     assert "colon_ideal" not in _calling_functions(tree, "cached")
+
+
+def test_the_core_keeps_one_untagged_basis():
+    assert "tags" not in groebner._IntBasis.__slots__
+    assert "tags" not in inspect.signature(groebner._IntBasis).parameters
+    for name in ("_tracked", "_tag_remainder"):
+        assert not hasattr(groebner, name), name
+    for name in ("vector_part", "escapes"):
+        assert not hasattr(groebner._IntBasis, name), name
+    rxy = ring("x", "y")
+    start = groebner._IntBasis(groebner._Layout(rxy.nvars, 1), 1)
+    final = groebner._complete(start, [Vector(rxy, [parse_poly("x", rxy)]),
+                                       Vector(rxy, [parse_poly("y", rxy)])])
+    assert isinstance(final, groebner._IntBasis) and len(final) == 2

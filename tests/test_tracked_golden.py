@@ -1,10 +1,11 @@
-"""Pinned tracked output of the Groebner layer.
+"""Pinned cofactor output of the Groebner layer.
 
-The reduced basis does not depend on the order in which S-pairs are
-processed, but the cofactor rows of ``extended_buchberger`` and the rows
-of ``SpanSolver.syzygies`` do.  These digests fix both on seeded inputs,
-so a change to pair selection or to the reducer's choice of divisor shows
-up here even when every basis stays the same.
+``extended_buchberger`` returns G, the cofactor rows A and the relations
+S, and ``SpanSolver.syzygies`` returns S again.  All of them are read off
+the reduced basis of the elimination of the [gens[i]; e_i], which is
+unique, so none depends on the order in which S-pairs are processed.
+These digests fix A and S on seeded inputs, and a change to how they are
+read off shows up here even when every basis of a span stays the same.
 """
 
 import hashlib
@@ -39,8 +40,7 @@ def _vectors(rows):
 
 
 def _tied_pairs():
-    # many pending pairs of this input share their key, but its rows do
-    # not depend on how those ties are broken
+    # many pending pairs of this input share their key
     return _vectors([["3*y + 3", "3*x*y", "4*x + 4*z"],
                      ["0", "1/3*z^2", "0"],
                      ["4*x^2", "-7/2*z^2 + 2*x", "-7/2*z^2"],
@@ -50,8 +50,9 @@ def _tied_pairs():
 
 def _tie_break():
     # pending pairs of this input share their key; its cofactors and
-    # syzygies changed with a reversed (i, j) tie-break when pairs were
-    # keyed by lcm degree, but no longer do under the sugar key
+    # syzygies changed with a reversed (i, j) tie-break when they were
+    # read off a cofactor-tracked completion with pairs keyed by lcm
+    # degree
     return _vectors([["2*y - 3*z", "1", "-2*x + 1"],
                      ["-2*y^2 - y*z + 3*y", "0", "-3"],
                      ["-1", "-2*y*z + 2", "-3"],
@@ -60,8 +61,9 @@ def _tie_break():
 
 def _draw_19():
     # _differential_draw(R3, random.Random(19)) of tests/test_groebner.py,
-    # written out; its cofactors and syzygies change when the (i, j)
-    # tie-break of the sugar key is reversed
+    # written out; its cofactors and syzygies changed with a reversed
+    # (i, j) tie-break of the sugar key when they were read off a
+    # cofactor-tracked completion
     return _vectors([["0", "y", "-x + 1"],
                      ["3*x - 3*y", "-2", "0"],
                      ["3*y*z - 3", "3*x*y + 3*x*z - z", "0"],
@@ -75,34 +77,32 @@ CASES = _xy_presentations() + [
     ("xyz-draw-19", _draw_19(), 3),
 ]
 
-# sha256 of the text forms below, recorded before the pair queue and the
-# reducer were rebuilt; xyz-tied-pairs re-recorded and xyz-tie-break
-# recorded when tracked completions took the untracked pair order
-# (lowest lcm degree first); random-xy-0, random-xy-1, xyz-tied-pairs and
-# xyz-tie-break re-recorded when every completion took pairs by sugar;
-# xyz-draw-19 added under sugar, the others left as they were
+# sha256 of the text forms below, recorded once each (G, A, S) equalled
+# the reference engine's (tests/reference_engine.py,
+# reference_extended_buchberger); the cofactor digests of every case but
+# xyz-tied-pairs are those the cofactor-tracked completion gave before
 GOLDEN = {
     "random-xy-0": (
         "1e9ea34c796061623a35cfed567c79a915cc9010049d6214d01740c9980788e8",
-        "440668077dbff1508d668ff7e63d05d31331e6394df1b7346640e4eb9dfb9a47"),
+        "529bb0e2fb051601897ff259fe1ccb2ce65895918b80b43aa2c10f7cd6ad2a10"),
     "random-xy-1": (
         "cf2cd986659c6cacb6df25c1fc982b762e14cc361d3949048c6a864d7f0a828f",
-        "0b2ee3a47dfb9653aedafb767f2462d25603e918780fc298ca02f777dee532ab"),
+        "4fbaa69c5e0c8dff2ea571e3d9e8af2a5772d5fc6d8ecb41fe3b55ca331c0cfc"),
     "random-xy-2": (
         "403b7bbb5cffa10fcdf81c0020c295a775acefd8a5085fa434721542f59f1e6e",
-        "70bd243a02a7d5e98670f34b4f3882ade2eface0baeaef24f647f7c1c6981dad"),
+        "3722756d1a217c14e2018b5e4c4f27609ead6f8acbef829c6db2df02f43bc737"),
     "xyz-2x3-deg1": (
         "50014546391b0a2795712e38f7e4c1ec54370fe0caa0d22e32b033bbfd41c5e2",
-        "99f6f10700d6b419b141721437db66d90247633eba556dab3aac870ca34a9b4e"),
+        "9defff4d340138271c9e8fca248b9d6018ff39390d9c017f12472d1c3e327a7d"),
     "xyz-tied-pairs": (
-        "6d2c6f737aff17ea606d349c85574f1e509ef656645ea699c140ca997bb7560f",
-        "a55a7847f2ea10c43e48bdcb17ea22bd41a0cd45ef1e3a978e13d97be469e254"),
+        "3e5f3ee454263cad901a8f23b14f898255d50c2b588ef9df237dfd7c6293db79",
+        "5c0dc3b427bf418f5e553416589f8a8f8b0e71c413c5a37f29ccb8d5a0ca3146"),
     "xyz-tie-break": (
         "54d3e4a1500e47077e83b447456fd98bca2b2c773dfa1b35f723ecd44c8588ee",
-        "645fedd90da63ce0592315b553a2b3e00dc8f90ffa5f761bca91d0e8b3635606"),
+        "ae4dc2cdedaba56072211f055eea72cc5b395251b923aafc53ac6f037eeb0f80"),
     "xyz-draw-19": (
         "1d1e664d2fb77e7c592d6f034fa71c78132d5c52c304e77e976b7532ba19960c",
-        "765a89b24add61976da80c3caa68b7db33ba9ccf6bac4d833afc4ac27d30373b"),
+        "67c80e1d0da078b0d57ff80577df70660720d53ae49667edff578ad5b687bf1e"),
 }
 
 

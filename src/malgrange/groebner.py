@@ -193,9 +193,6 @@ class Vector:
 
 # -- division ------------------------------------------------------------------
 
-_ONE = Fraction(1)
-
-
 def _scaled_ints(v: Vector, layout: _Layout) -> Tuple[Fraction, dict]:
     """(s, D) with D a primitive integer term dict keyed by the terms
     packed by layout and s * D == v.  D lists v's terms largest first."""
@@ -205,15 +202,15 @@ def _scaled_ints(v: Vector, layout: _Layout) -> Tuple[Fraction, dict]:
                         for exps, c in poly.terms])
 
 
-def _primitive(terms: dict) -> Tuple[int, dict]:
-    """(g, P) with terms == g * P, P primitive and its first coefficient
+def _primitive(terms: dict) -> dict:
+    """terms divided by their content, so that the first coefficient is
     positive (the reducer lists remainder terms leading term first)."""
     g = gcd(*terms.values())
     if terms[next(iter(terms))] < 0:
         g = -g
     if g == 1:
-        return 1, terms
-    return g, {k: c // g for k, c in terms.items()}
+        return terms
+    return {k: c // g for k, c in terms.items()}
 
 
 def _polys(layout: _Layout, ring: RingSpec, terms: dict, unit, start: int,
@@ -277,33 +274,23 @@ class _IntBasis:
     def __len__(self) -> int:
         return len(self.terms)
 
-    def padded(self, rank: int) -> "_IntBasis":
-        """The same elements with zero entries appended up to rank: the
-        seed of ``colon_ideal``'s one seeded completion.
-
-        Appended positions come last, so every key stays as it is.  The
-        lists are new: adding to the result, or widening it, leaves self
-        unchanged.
-        """
-        out = _IntBasis(self.layout, rank)
-        out.excess = self.excess
-        out.terms, out.leads = list(self.terms), list(self.leads)
-        out.by_pos = {pos: list(els) for pos, els in self.by_pos.items()}
-        return out
-
-    def trailing(self, start: int) -> "_IntBasis":
+    def trailing(self, start: int, rank: int) -> "_IntBasis":
         """The elements leading at position start or later, each with start
-        positions taken off every key, in the same layout and order.
+        positions taken off every key, in the same layout and order, as a
+        basis of the given rank: positions past self.rank − start are
+        empty.
 
         Under position over term such an element has no term before start,
         so the projection is exact, and for a reduced basis of N the result
-        is the reduced basis of N ∩ (0^start ⊕ R^(rank−start)) (the
+        is the reduced basis of N ∩ (0^start ⊕ R^(self.rank−start)) (the
         Elimination Theorem, in module form; Eisenbud, Commutative Algebra,
-        ch. 15).  The other elements are never read, and the term dicts
-        are new.
+        ch. 15), padded with zeros up to rank.  The other elements are
+        never read, and the term dicts and lists are new: adding to the
+        result, or widening it, leaves self unchanged, so the result can
+        seed a completion (``colon_ideal``).
         """
         shift = start << self.layout.pos_shift
-        out = _IntBasis(self.layout, self.rank - start)
+        out = _IntBasis(self.layout, rank)
         for terms, lead in zip(self.terms, self.leads):
             if lead >= shift:
                 out.add({k - shift: c for k, c in terms.items()}, lead - shift)
@@ -357,7 +344,7 @@ class _IntBasis:
         return _scaled_ints(v, self.layout)
 
 
-def _reduce(p: dict, basis: _IntBasis, scale: Fraction = _ONE,
+def _reduce(p: dict, basis: _IntBasis, scale: Fraction = Fraction(1),
             skip: int = -1) -> Tuple[dict, Fraction]:
     """Reduce the integer term dict p (consumed) against basis.
 
@@ -540,11 +527,11 @@ def cached(key: tuple, build: Callable[[], _T]) -> _T:
 
 # -- Buchberger completion -------------------------------------------------------
 
-def _s_vector(basis: _IntBasis, i: int, j: int,
-              m: int) -> Tuple[dict, Fraction]:
-    """(S, scale): scale * S is the S-vector of elements i and j of basis,
-    which lead in one position, with both leads scaled to 1; m is their
-    lcm, packed by ``_IntBasis.lcm_key``."""
+def _s_vector(basis: _IntBasis, i: int, j: int, m: int) -> dict:
+    """An integer multiple of the S-vector of elements i and j of basis,
+    which lead in one position: both leads are scaled to the lcm of their
+    coefficients, so the multiple is that lcm; m is the lcm of the leads,
+    packed by ``_IntBasis.lcm_key``."""
     ti, tj = basis.terms[i], basis.terms[j]
     li, lj = basis.leads[i], basis.leads[j]
     bi, bj = ti[li], tj[lj]
@@ -559,7 +546,7 @@ def _s_vector(basis: _IntBasis, i: int, j: int,
             s[k] = c
         else:
             s.pop(k, None)
-    return s, Fraction(1, l)
+    return s
 
 
 def _pair(sugar: int, pos: int, lcm: Monomial, i: int, j: int) -> tuple:
@@ -579,12 +566,13 @@ class _Completion:
     """Buchberger completion of an integer basis.
 
     Built by ``_complete`` only.  The starting basis is either empty
-    (elements then enter from the input), an interreduced candidate, or a
-    copy of a reduced basis that the input extends (the seed of
-    ``colon_ideal``'s trailing route); the last two are taken as closed
-    under their own pairs.  Every element added later, from the
-    input, an S-pair or the sweep, goes through ``add``, which queues its
-    pairs with the elements already leading in the same position.
+    (elements then enter from the input), an interreduced candidate, or
+    the projection of a reduced basis, one position wider, that the input
+    extends (``_IntBasis.trailing``, the seed of ``colon_ideal``'s
+    trailing route); the last two are taken as closed under their own
+    pairs.  Every element added later, from the input, an S-pair or the
+    sweep, goes through ``add``, which queues its pairs with the elements
+    already leading in the same position.
 
     Elements are kept primitive rather than monic: that bounds the
     arithmetic (monic scaling lets numerators and denominators compound
@@ -636,14 +624,13 @@ class _Completion:
             self.live.add((i, j))
         basis.add(terms, lead)
 
-    def reduce(self, p: dict, scale: Fraction = _ONE,
-               sugar: Optional[int] = None) -> None:
-        """Add the primitive remainder of p (which stands for scale * p)
-        against the basis, with the given sugar (else its own), unless it
-        is zero."""
-        rem, _ = _reduce(p, self.basis, scale)
+    def reduce(self, p: dict, sugar: Optional[int] = None) -> None:
+        """Add the primitive remainder of p against the basis, with the
+        given sugar (else its own), unless it is zero: a nonzero multiple
+        of p has the same primitive remainder."""
+        rem, _ = _reduce(p, self.basis)
         if rem:
-            _, prim = _primitive(rem)
+            prim = _primitive(rem)
             self.add(prim, next(iter(prim)), sugar)
 
     def run(self) -> None:
@@ -669,7 +656,7 @@ class _Completion:
                         and (min(j, k), max(j, k)) not in live):
                     break  # the chain criterion skips the pair
             else:
-                self.reduce(*_s_vector(basis, i, j, m), sugar=key[0])
+                self.reduce(_s_vector(basis, i, j, m), key[0])
 
     def sweep(self) -> None:
         """Final check of the starting basis: reduce every same-position
@@ -682,7 +669,7 @@ class _Completion:
                  for i, e in leads for j, f in leads[i + 1:]
                  if e >> layout.pos_shift == f >> layout.pos_shift]
         for i, j, pos, l in pairs:
-            self.reduce(*_s_vector(basis, i, j, basis.lcm_key(pos, l)))
+            self.reduce(_s_vector(basis, i, j, basis.lcm_key(pos, l)))
 
 
 def _interreduce(basis: _IntBasis) -> _IntBasis:
@@ -710,7 +697,7 @@ def _interreduce(basis: _IntBasis) -> _IntBasis:
     reduced = _IntBasis(layout, basis.rank)
     for i, lead in enumerate(minimal.leads):
         rem, _ = _reduce(dict(minimal.terms[i]), minimal, skip=i)
-        reduced.add(_primitive(rem)[1], lead)
+        reduced.add(_primitive(rem), lead)
     return reduced
 
 
@@ -891,16 +878,17 @@ def _complete(start: _IntBasis, entering: Sequence[Vector]) -> _IntBasis:
     """The one completion behind every Groebner basis: the reduced basis
     of what start and entering generate.
 
-    start is empty or a reduced basis padded with zeros, taken as closed
-    under its own pairs.  Each entering vector, nonzero and of at most
-    start's rank (a shorter vector packs as if zero-padded), is packed
-    once and reduced in, in the given order; then pairs are processed,
-    the basis interreduced and swept, resuming while a sweep adds an
-    element.  The sweep certifies only a Groebner basis of what the
-    result generates, which a lost element shrinks, so then every element
-    of start and every entering vector, each packed as it was before the
-    completion, must reduce to zero against the result, else
-    ``RuntimeError``.  Returns ``_interreduce``'s basis.
+    start is empty or a reduced basis whose last positions may be empty
+    (a projection, ``_IntBasis.trailing``), taken as closed under its own
+    pairs; the completion adds to start itself.  Each entering vector,
+    nonzero and of at most start's rank (a shorter vector packs as if
+    zero-padded), is packed once and reduced in, in the given order; then
+    pairs are processed, the basis interreduced and swept, resuming while
+    a sweep adds an element.  The sweep certifies only a Groebner basis
+    of what the result generates, which a lost element shrinks, so then
+    every element of start and every entering vector, each packed as it
+    was before the completion, must reduce to zero against the result,
+    else ``RuntimeError``.  Returns ``_interreduce``'s basis.
     """
     state = _Completion(start)
     entered = [(start.layout, dict(p)) for p in start.terms]
@@ -1190,23 +1178,23 @@ def colon_ideal(v: Vector, b: PolyMatrix) -> GrobnerBasis:
     c a nonzero constant, the ideal is that part itself, read off a basis
     ``_complete`` has certified, and nothing is completed.  Otherwise the
     rank-(k−j+1) module generated by N_j and [v_j .. v_(k−1); 1] is
-    completed from a copy of N_j's basis, which with [v_j .. v_(k−1); 1]
-    must reduce to zero against the result, and the ideal is read off its
-    elements leading in the last position, not multiplied out.  A j > 0
-    result is a new object on each call."""
+    completed from the projection of N_j's basis, one position wider: new
+    dicts and lists, so the cached basis is never touched.  That seed and
+    [v_j .. v_(k−1); 1] must reduce to zero against the result, and the
+    ideal is read off its elements leading in the last position, not
+    multiplied out.  A j > 0 result is a new object on each call."""
     if v.rank != b.nrows:
         raise ValueError("rank mismatch")
     ring, k = v.ring, v.rank
     j = next((i for i, p in enumerate(v.entries) if p.terms), 0)
     if not j:
         return syzygies_mod(PolyMatrix.from_columns(ring, k, [v]), b).span
-    seed = b.span._basis.trailing(j)
     tail = v.entries[j:]
     if j == k - 1 and not tail[0].total_degree():
-        return GrobnerBasis._of(ring, 1, seed)
-    full = _complete(seed.padded(k - j + 1),
+        return GrobnerBasis._of(ring, 1, b.span._basis.trailing(j, 1))
+    full = _complete(b.span._basis.trailing(j, k - j + 1),
                      [Vector(ring, tail + (Poly.one(ring),))])
-    return GrobnerBasis._of(ring, 1, full.trailing(k - j))
+    return GrobnerBasis._of(ring, 1, full.trailing(k - j, 1))
 
 
 def _eliminate(a: PolyMatrix, b: PolyMatrix) -> GrobnerBasis:
@@ -1222,7 +1210,7 @@ def _eliminate(a: PolyMatrix, b: PolyMatrix) -> GrobnerBasis:
     if not k:
         return _elimination(a, b)
     return GrobnerBasis._of(a.ring, a.ncols,
-                            _elimination(a, b)._basis.trailing(k))
+                            _elimination(a, b)._basis.trailing(k, a.ncols))
 
 
 def _elimination(a: PolyMatrix, b: PolyMatrix) -> GrobnerBasis:

@@ -26,6 +26,11 @@ class FPModule:
     The relations may be given as a zero-argument builder instead of a
     matrix: it runs when ``relations`` is first read, and its matrix is
     checked then, as a given matrix is checked here.
+
+    Equality and hashing are those of the presentation: ring, generator
+    count and relation matrix.  Two presentations of one module, even of
+    the zero module, are unequal; ``is_zero`` decides whether a module
+    vanishes.
     """
 
     __slots__ = ("ring", "ngens", "_relations")
@@ -83,16 +88,11 @@ class FPModule:
         return not nonzero_columns(Morphism.identity(self))
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, FPModule) or self.ring != other.ring:
-            return False
-        if self.ngens == other.ngens and self.relations == other.relations:
-            return True
-        # all presentations of the zero module compare equal
-        return self.is_zero() and other.is_zero()
+        return (isinstance(other, FPModule) and self.ring == other.ring
+                and self.ngens == other.ngens
+                and self.relations == other.relations)
 
     def __hash__(self) -> int:
-        if self.is_zero():
-            return hash((self.ring, "zero-module"))
         return hash((self.ring, self.ngens, self.relations))
 
     def __str__(self) -> str:
@@ -366,9 +366,8 @@ class HomModule(FPModule):
 
 def hom_module(dom: FPModule, cod: FPModule) -> HomModule:
     """Hom(dom, cod), built once per pair of presentations (``cached``)."""
-    # keyed on relation matrices, which carry the ring and generator count,
-    # not on FPModule equality: zero-normalized module equality must not
-    # alias Hom modules of different generator counts
+    # keyed on the relation matrices, which carry the ring and generator
+    # count
     return cached(("hom", dom.relations, cod.relations),
                   lambda: HomModule(dom, cod))
 

@@ -258,7 +258,7 @@ def test_redundant_equation_changes_nothing():
         == [set(g.witnesses) for g in base.generators]
 
 
-def test_analysis_report_serialization():
+def test_analysis_report_is_json_serializable():
     rep = autonomy_report(FREE_DRIFT)
     d = rep.to_dict()
     assert d["check"] == "analysis"

@@ -82,11 +82,38 @@ def test_relation_shape_checked():
 
 
 def test_zero_module_normalization():
+    # module equality is presentation equality: R/(1) and the module on no
+    # generators both vanish, as is_zero says, but they are two
+    # presentations, so they are unequal modules
     killed = coker_of(RX, [["1"]])
     assert killed.is_zero()
-    assert killed == FPModule.zero(RX)
-    assert hash(killed) == hash(FPModule.zero(RX))
+    assert FPModule.zero(RX).is_zero()
+    assert killed != FPModule.zero(RX)
+    assert killed == coker_of(RX, [["1"]])
+    assert hash(killed) == hash(coker_of(RX, [["1"]]))
     assert not MOD_X.is_zero()
+
+
+def test_module_equality_and_hash_build_no_groebner_basis(monkeypatch):
+    # comparing or hashing modules reads their presentations only: on a
+    # cold cache no completion runs, also for two presentations of zero
+    # and for presentations of different sizes
+    modules = [coker_of(RXY, [["x", "y"]]), coker_of(RXY, [["x"], ["y"]]),
+               coker_of(RXY, [["1"]]), FPModule.zero(RXY)]
+    groebner._CACHE.clear()
+    completions = []
+    original = groebner._complete
+
+    def recording(start, entering):
+        completions.append(start)
+        return original(start, entering)
+
+    monkeypatch.setattr(groebner, "_complete", recording)
+    for m in modules:
+        hash(m)
+    equal = [[m == n for n in modules] for m in modules]
+    assert completions == []
+    assert equal == [[m is n for n in modules] for m in modules]
 
 
 # -- morphisms ------------------------------------------------------------------
@@ -920,11 +947,13 @@ def test_q_dimension_cases():
 
 
 def test_hom_modules_of_zero_presentations_stay_distinct():
-    # both present the zero module, so they compare equal as modules, but
-    # Hom must keep each presentation's generator count
+    # both present the zero module, but they are two presentations, so
+    # they are unequal modules, and Hom keeps each presentation's
+    # generator count
     z1 = FPModule(RX, 1, mat(RX, [["1"]]))
     z2 = FPModule(RX, 2, mat(RX, [["1", "0"], ["0", "1"]]))
-    assert z1 == z2
+    assert z1.is_zero() and z2.is_zero()
+    assert z1 != z2
     h1 = hom_module(z1, R1X)
     h2 = hom_module(z2, R1X)
     assert h1 is not h2

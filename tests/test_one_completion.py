@@ -18,8 +18,10 @@ columns, and that property is the one memo of such a basis: a cache
 entry keyed by the matrix, with no slot on the matrix and no cache entry
 of ``buchberger``'s own.  A completion takes its start and its entering
 vectors and nothing else: eliminations start empty, and the one seeded
-completion, from a padded basis, is ``colon_ideal``'s, which keeps no
-memo of its own."""
+completion, from a projection of a relation basis
+(``_IntBasis.trailing``), is ``colon_ideal``'s, which keeps no memo of
+its own.  The core builds nothing it drops: an S-vector and a primitive
+part are each one term dict, with no scale or content beside it."""
 
 import ast
 import inspect
@@ -225,11 +227,49 @@ def test_a_completion_takes_no_second_list():
     assert not hasattr(groebner, "_seeded")
 
 
+def _on_trailing(call: ast.Call) -> bool:
+    first = call.args[0] if call.args else None
+    return (isinstance(first, ast.Call)
+            and getattr(first.func, "attr", None) == "trailing")
+
+
+def test_a_trailing_seed_is_found():
+    tree = ast.parse("def colon_ideal(b, v):\n"
+                     "    return _complete(b.trailing(1, 2), [v])\n"
+                     "def _elimination(start, vs):\n"
+                     "    return _complete(start, vs)\n"
+                     "class X:\n"
+                     "    def seeded(self, b):\n"
+                     "        return groebner._complete(b.trailing(0, 1), [])\n")
+    assert _calling_functions(tree, "_complete", methods=True,
+                              where=_on_trailing) == ["colon_ideal",
+                                                      "X.seeded"]
+
+
 def test_only_the_colon_ideal_seeds_a_completion():
     tree = _engine_tree()
-    assert _calling_functions(tree, "padded", methods=True) == [
-        "colon_ideal"]
+    assert not hasattr(groebner._IntBasis, "padded")
+    assert _calling_functions(tree, "_complete", methods=True,
+                              where=_on_trailing) == ["colon_ideal"]
     assert "colon_ideal" not in _calling_functions(tree, "cached")
+
+
+def test_an_s_vector_and_a_primitive_part_are_one_dict():
+    # 3*y*(x^2 + y) - x*(3*x*y + 2): the leads x^2 and 3*x*y are scaled to
+    # their coefficients' lcm 3, and nothing else comes back
+    rxy = ring("x", "y")
+    basis = groebner._IntBasis.of(rxy, [
+        Vector(rxy, [parse_poly("x^2 + y", rxy)]),
+        Vector(rxy, [parse_poly("3*x*y + 2", rxy)])], 1)
+    lcm = basis.layout.lcm_exps(*basis.leads)
+    s = groebner._s_vector(basis, 0, 1, basis.lcm_key(0, lcm))
+    assert type(s) is dict
+    assert groebner._vector(basis.layout, rxy, 1, s, 1) == Vector(
+        rxy, [parse_poly("3*y^2 - 2*x", rxy)])
+    doubled = groebner._primitive({k: -2 * c for k, c in s.items()})
+    assert type(doubled) is dict and doubled == s
+    assert list(inspect.signature(groebner._Completion.reduce).parameters) == [
+        "self", "p", "sugar"]
 
 
 def test_the_core_keeps_one_untagged_basis():

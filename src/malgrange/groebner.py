@@ -13,7 +13,8 @@ The order is position-over-term with e1 > e2 > ... over grevlex, which
 makes the elimination-style syzygy and lifting computations below correct.
 Inside the integer layer each module term x^e * e_pos is one int (see
 ``_Layout``), ordered as the terms are; ``Vector`` and ``Poly`` keep
-exponent tuples.
+exponent tuples.  Polynomials enter that layer at one place, ``_pack``,
+a whole sequence of columns at a time.
 """
 
 from __future__ import annotations
@@ -24,8 +25,8 @@ from heapq import heapify, heappop, heappush
 from itertools import chain, repeat
 from math import gcd
 from operator import and_, lshift, neg, rshift
-from typing import (Callable, Iterable, List, Optional, Sequence, Tuple,
-                    TypeVar)
+from typing import (Callable, Iterable, Iterator, List, Optional, Sequence,
+                    Tuple, TypeVar)
 
 from .rings import Monomial, Poly, RingSpec, scaled_ints, sum_of_products
 
@@ -169,9 +170,6 @@ class Vector:
                 return pos, m, c
         raise ValueError("zero vector has no leading term")
 
-    def slice(self, start: int, stop: int) -> "Vector":
-        return Vector(self.ring, self.entries[start:stop])
-
     def __eq__(self, other) -> bool:
         return (isinstance(other, Vector) and self.ring == other.ring
                 and self.entries == other.entries)
@@ -193,13 +191,27 @@ class Vector:
 
 # -- division ------------------------------------------------------------------
 
-def _scaled_ints(v: Vector, layout: _Layout) -> Tuple[Fraction, dict]:
-    """(s, D) with D a primitive integer term dict keyed by the terms
-    packed by layout and s * D == v.  D lists v's terms largest first."""
+def _pack(layout: _Layout, columns: Sequence[Sequence[Poly]],
+          ) -> Tuple[Fraction, List[dict]]:
+    """(s, [D_0, D_1, ...]): D_j an integer term dict of column j, entry i
+    at position i, keyed by its terms packed by layout and listing them
+    largest first; s * D_j is column j, with one unit s for all columns,
+    and the D_j together primitive (``scaled_ints``).  The one place
+    where polynomial terms become packed ints."""
     pack = layout.pack
-    return scaled_ints([(pack(pos, exps), c)
-                        for pos, poly in enumerate(v.entries)
-                        for exps, c in poly.terms])
+    unit, ints = scaled_ints([((j, pack(i, exps)), c)
+                              for j, col in enumerate(columns)
+                              for i, p in enumerate(col)
+                              for exps, c in p.terms])
+    out: List[dict] = [{} for _ in columns]
+    for (j, key), c in ints.items():
+        out[j][key] = c
+    return unit, out
+
+
+def _columns(m: "PolyMatrix") -> List[Tuple[Poly, ...]]:
+    """The columns of m as tuples of its entries, no ``Vector`` built."""
+    return [tuple(row[j] for row in m.rows) for j in range(m.ncols)]
 
 
 def _primitive(terms: dict) -> dict:
@@ -258,17 +270,17 @@ class _IntBasis:
     @staticmethod
     def of(ring: RingSpec, vectors: Sequence[Vector],
            rank: int) -> "_IntBasis":
-        """The basis of vectors, each nonzero and of rank entries."""
-        for v in vectors:
-            if v.rank != rank:
-                raise ValueError("vector rank mismatch")
-        basis = _IntBasis(_Layout(ring.nvars, max(
-            (_degree(v.entries) for v in vectors), default=0)), rank)
-        for v in vectors:
-            terms = _scaled_ints(v, basis.layout)[1]
+        """The basis of vectors, each nonzero and of rank entries, each
+        element primitive with a positive lead."""
+        if any(v.rank != rank for v in vectors):
+            raise ValueError("vector rank mismatch")
+        columns = [v.entries for v in vectors]
+        basis = _IntBasis(_Layout(ring.nvars, _degree(
+            chain.from_iterable(columns))), rank)
+        for terms in _pack(basis.layout, columns)[1]:
             if not terms:
                 raise ValueError("zero vector has no leading term")
-            basis.add(terms, next(iter(terms)))
+            basis.add(_primitive(terms), next(iter(terms)))
         return basis
 
     def __len__(self) -> int:
@@ -334,14 +346,27 @@ class _IntBasis:
         self.fit(sum(lcm) + self.excess)
         return self.layout.pack(pos, lcm)
 
-    def pack(self, v: Vector) -> Tuple[Fraction, dict]:
-        """``_scaled_ints`` of v by layout, widened first if v's degree
-        needs it, so the result can be reduced against this basis.  v packs
-        as if zero-padded to rank entries, and may not be longer."""
-        if v.rank > self.rank:
-            raise ValueError("vector rank mismatch")
-        self.fit(_degree(v.entries))
-        return _scaled_ints(v, self.layout)
+    def rekey(self, terms: dict, old: _Layout) -> dict:
+        """terms, keyed by the older layout old, keyed by layout once the
+        basis is fitted for their degree (``fit``): the dict itself when
+        the width is old's."""
+        self.fit(old.max_degree(terms))
+        new = self.layout
+        if new.width == old.width:
+            return terms
+        return {new.repack(k, old): c for k, c in terms.items()}
+
+
+def _fitted(basis: _IntBasis, columns: Sequence[Sequence[Poly]],
+            ) -> Tuple[Fraction, List[dict]]:
+    """``_pack`` of columns by basis.layout, once basis is fitted for
+    their largest degree (``_IntBasis.fit``), so that each can be reduced
+    against it.  A column packs as if zero-padded to basis.rank entries,
+    and may not be longer."""
+    if max(map(len, columns), default=0) > basis.rank:
+        raise ValueError("vector rank mismatch")
+    basis.fit(_degree(chain.from_iterable(columns)))
+    return _pack(basis.layout, columns)
 
 
 def _reduce(p: dict, basis: _IntBasis, scale: Fraction = Fraction(1),
@@ -410,57 +435,38 @@ def _reduce(p: dict, basis: _IntBasis, scale: Fraction = Fraction(1),
     return rem, scale
 
 
-def _remainder(v: Vector, basis: _IntBasis) -> Tuple[dict, Fraction]:
-    """(rem, s) of ``_reduce`` for v: v minus a combination of basis
-    elements is s * rem, keyed by basis.layout, which is widened first if
-    v's degree needs it."""
-    unit, p = basis.pack(v)
-    return _reduce(p, basis, unit)
+def _remainder(columns: Sequence[Sequence[Poly]], basis: _IntBasis,
+               ) -> Iterator[Tuple[dict, Fraction]]:
+    """(rem, s) of ``_reduce`` for each column in turn, each reduced when
+    read: the column minus a combination of basis elements is s * rem,
+    keyed by basis.layout.  The basis is fitted and the columns packed
+    once, before the first (``_fitted``)."""
+    unit, packed = _fitted(basis, columns)
+    for p in packed:
+        yield _reduce(p, basis, unit)
 
 
-class _Packed:
-    """A matrix a packed once by a layout, for products in the integer
-    layer: a is unit times the integer matrix A whose column j lists its
-    terms as (key, coefficient) in cols[j].
+def _times(layout: _Layout, a: Sequence[dict], c: dict) -> dict:
+    """A * c, keyed by layout: A the integer matrix whose column j is a[j]
+    and c an integer column, both packed by layout (``_pack``).
 
-    Multiplying A by an integer vector packed by the same layout adds, for
-    each term x^e of its entry j, the low bits of that term's key (x^e,
-    less the degree field's base) to the key of each term of A's column j:
-    no term is unpacked and no ``Fraction`` is built.  Every product must
-    have degree at most layout.top.  The engine's one product certificate,
+    For each term x^e * e_j of c, the low bits of its key (x^e, less the
+    degree field's base) are added to the key of each term of a[j]: no
+    term is unpacked and no ``Fraction`` is built.  Every product must
+    have degree at most layout.top.  Coefficients that cancel stay as
+    zeros.  The engine's one product certificate,
     ``GrobnerBasis.first_product_outside``, forms its products this way.
     """
-
-    __slots__ = ("layout", "unit", "cols")
-
-    def __init__(self, a: "PolyMatrix", layout: _Layout):
-        pack = layout.pack
-        self.layout = layout
-        self.unit, ints = scaled_ints([((j, pack(i, exps)), c)
-                                       for i, row in enumerate(a.rows)
-                                       for j, p in enumerate(row)
-                                       for exps, c in p.terms])
-        self.cols: List[List[Tuple[int, int]]] = [[] for _ in range(a.ncols)]
-        for (j, key), c in ints.items():
-            self.cols[j].append((key, c))
-
-    def times(self, terms: Iterable[Tuple[int, int]]) -> dict:
-        """A * c, keyed by layout.
-
-        c is the integer vector read off terms: each (key, coefficient),
-        with key packing x^e * e_j by layout, is the term coefficient * x^e
-        of c's entry j.  Coefficients that cancel stay as zeros."""
-        layout = self.layout
-        pos_shift = layout.pos_shift
-        low, base = (1 << pos_shift) - 1, layout.top << layout.deg_shift
-        acc: dict = {}
-        get, cols = acc.get, self.cols
-        for k, c in terms:
-            shift = (k & low) - base
-            for key, a in cols[k >> pos_shift]:
-                key += shift
-                acc[key] = get(key, 0) + c * a
-        return acc
+    pos_shift = layout.pos_shift
+    low, base = (1 << pos_shift) - 1, layout.top << layout.deg_shift
+    acc: dict = {}
+    get = acc.get
+    for k, x in c.items():
+        shift = (k & low) - base
+        for key, y in a[k >> pos_shift].items():
+            key += shift
+            acc[key] = get(key, 0) + x * y
+    return acc
 
 
 def divide(v: Vector, basis: Sequence[Vector]) -> Tuple[Vector, List[Poly]]:
@@ -482,9 +488,9 @@ def divide(v: Vector, basis: Sequence[Vector]) -> Tuple[Vector, List[Poly]]:
     if any(b.is_zero() for b in basis):
         raise ValueError("zero vector has no leading term")
     stacked = _IntBasis.of(v.ring, [
-        Vector(v.ring, b.entries + Vector.unit(v.ring, n, i).entries)
-        for i, b in enumerate(basis)], k + n)
-    rem, scale = _remainder(v, stacked)
+        Vector(v.ring, b.entries + e)
+        for b, e in zip(basis, PolyMatrix.identity(v.ring, n).rows)], k + n)
+    rem, scale = next(_remainder([v.entries], stacked))
     return (_vector(stacked.layout, v.ring, k, rem, scale),
             _polys(stacked.layout, v.ring, rem, -scale, k, n))
 
@@ -593,8 +599,9 @@ class _Completion:
     basis is the same in any pair order; the work to reach it is fixed by
     this one.
 
-    The basis is widened where something is packed for it (an input by
-    ``_IntBasis.pack``, a pair's lcm and S-vector by ``lcm_key``; see
+    The basis is widened where something is packed or read for it (the
+    entering columns by ``_complete``, each entering dict by
+    ``_IntBasis.rekey``, a pair's lcm and S-vector by ``lcm_key``; see
     ``_IntBasis.fit``).  No pending key is packed, so a widening leaves
     the heap as it is.
     """
@@ -770,13 +777,13 @@ class GrobnerBasis:
     def reduce(self, v: Vector) -> Vector:
         """The remainder of ``normal_form``, with no quotients computed."""
         self._check(v)
-        rem, scale = _remainder(v, self._basis)
+        rem, scale = next(_remainder([v.entries], self._basis))
         return _vector(self._basis.layout, v.ring, v.rank, rem, scale)
 
     def contains(self, v: Vector) -> bool:
         """Whether ``reduce`` leaves zero, read off the integer remainder."""
         self._check(v)
-        return not _remainder(v, self._basis)[0]
+        return not next(_remainder([v.entries], self._basis))[0]
 
     def first_product_outside(self, a: "PolyMatrix",
                               c: "PolyMatrix") -> Optional[int]:
@@ -786,9 +793,10 @@ class GrobnerBasis:
         The engine's one product certificate: ``Morphism`` relations,
         syzygy columns (``syzygies_mod``) and lifts (``solve_mod``) are
         all checked here.  The basis is
-        first widened for deg a + deg c (``_IntBasis.fit``); a and c are
-        then each packed once by its layout (``_Packed``), and each product
-        is formed in the integer layer and reduced exactly."""
+        first widened for deg a + deg c (``_IntBasis.fit``); the columns
+        of a and of c are then each packed once by its layout (``_pack``),
+        and each product is formed in the integer layer (``_times``) and
+        reduced exactly."""
         if a.nrows != self.rank or a.ncols != c.nrows:
             raise ValueError("shape mismatch")
         if a.ring != self.ring or c.ring != self.ring:
@@ -798,9 +806,10 @@ class GrobnerBasis:
         target = self._basis
         target.fit(_degree(chain.from_iterable(a.rows))
                    + _degree(chain.from_iterable(c.rows)))
-        packed = _Packed(a, target.layout)
-        for j, col in enumerate(_Packed(c, target.layout).cols):
-            if _reduce(packed.times(col), target)[0]:
+        layout = target.layout
+        a_cols = _pack(layout, _columns(a))[1]
+        for j, col in enumerate(_pack(layout, _columns(c))[1]):
+            if _reduce(_times(layout, a_cols, col), target)[0]:
                 return j
         return None
 
@@ -825,7 +834,8 @@ def buchberger(gens: Sequence[Vector], *, ring: Optional[RingSpec] = None,
     columns is cached by ``PolyMatrix.span``.
     """
     ring_, rank_, inputs, start = _inputs(gens, ring, rank)
-    return GrobnerBasis._of(ring_, rank_, _complete(start, inputs))
+    return GrobnerBasis._of(ring_, rank_, _complete(
+        start, [v.entries for v in inputs]))
 
 
 def _inputs(gens: Sequence[Vector], ring: Optional[RingSpec],
@@ -874,28 +884,32 @@ def extended_buchberger(gens: Sequence[Vector], *,
     return gb, [row[rank:] for row in rows], syzygies_mod(a, none).columns()
 
 
-def _complete(start: _IntBasis, entering: Sequence[Vector]) -> _IntBasis:
+def _complete(start: _IntBasis,
+              entering: Sequence[Sequence[Poly]]) -> _IntBasis:
     """The one completion behind every Groebner basis: the reduced basis
-    of what start and entering generate.
+    of what start and the entering columns generate.
 
     start is empty or a reduced basis whose last positions may be empty
     (a projection, ``_IntBasis.trailing``), taken as closed under its own
-    pairs; the completion adds to start itself.  Each entering vector,
-    nonzero and of at most start's rank (a shorter vector packs as if
-    zero-padded), is packed once and reduced in, in the given order; then
-    pairs are processed, the basis interreduced and swept, resuming while
-    a sweep adds an element.  The sweep certifies only a Groebner basis
-    of what the result generates, which a lost element shrinks, so then
-    every element of start and every entering vector, each packed as it
-    was before the completion, must reduce to zero against the result,
-    else ``RuntimeError``.  Returns ``_interreduce``'s basis.
+    pairs; the completion adds to start itself.  start is fitted for the
+    largest degree of the columns, each of at most start's rank (a
+    shorter column packs as if zero-padded), and they are packed in one
+    call (``_fitted``); each nonzero one is then reduced in, in the given
+    order, and a zero one enters nothing.  Then pairs are processed, the
+    basis interreduced and swept, resuming while a sweep adds an element.
+    The sweep certifies only a Groebner basis of what the result
+    generates, which a lost element shrinks, so then every element of
+    start and every entered column, each as packed before the completion,
+    must reduce to zero against the result, else ``RuntimeError``.
+    Returns ``_interreduce``'s basis.
     """
+    packed = _fitted(start, entering)[1]
+    layout = start.layout
+    entered = [dict(p) for p in chain(start.terms, packed) if p]
     state = _Completion(start)
-    entered = [(start.layout, dict(p)) for p in start.terms]
-    for v in entering:
-        p = state.basis.pack(v)[1]
-        entered.append((state.basis.layout, dict(p)))
-        state.reduce(p)
+    for p in packed:
+        if p:
+            state.reduce(start.rekey(p, layout))
     while True:
         state.run()
         final = _interreduce(state.basis)
@@ -904,12 +918,8 @@ def _complete(start: _IntBasis, entering: Sequence[Vector]) -> _IntBasis:
         state.sweep()
         if len(final) == count:  # the sweep added nothing
             break
-    for old, p in entered:
-        final.fit(old.max_degree(p))
-        new = final.layout
-        if new.width != old.width:
-            p = {new.repack(k, old): c for k, c in p.items()}
-        if _reduce(p, final)[0]:
+    for p in entered:
+        if _reduce(final.rekey(p, layout), final)[0]:
             raise RuntimeError("an input escaped its Groebner basis")
     return final
 
@@ -1193,7 +1203,7 @@ def colon_ideal(v: Vector, b: PolyMatrix) -> GrobnerBasis:
     if j == k - 1 and not tail[0].total_degree():
         return GrobnerBasis._of(ring, 1, b.span._basis.trailing(j, 1))
     full = _complete(b.span._basis.trailing(j, k - j + 1),
-                     [Vector(ring, tail + (Poly.one(ring),))])
+                     [tail + (Poly.one(ring),)])
     return GrobnerBasis._of(ring, 1, full.trailing(k - j, 1))
 
 
@@ -1218,19 +1228,19 @@ def _elimination(a: PolyMatrix, b: PolyMatrix) -> GrobnerBasis:
     [a_i; e_i] and [b_j; 0], a_i and b_j the columns of a and b, that
     ``syzygies_mod`` and ``solve_mod`` read: for n = 0, ``b.span`` itself,
     the cached reduced basis of b's columns.  Else it is cached per exact
-    (a, b), and completed (``_complete``) from an empty basis: each
-    nonzero b_j enters first, at its own rank k, then each [a_i; e_i], and
-    each must reduce to zero against the result.  No ``span`` is read."""
+    (a, b), and completed (``_complete``) from an empty basis: b's
+    columns enter first, at their own rank k, then the columns of [a; I],
+    and each nonzero one must reduce to zero against the result.  No
+    ``span`` is read, and no ``Vector`` is built."""
     ring, k, n = a.ring, a.nrows, a.ncols
     if not n:
         return b.span
 
     def build() -> GrobnerBasis:
-        entering = [c for c in b.columns() if not c.is_zero()]
-        entering += PolyMatrix.vstack(
-            a, PolyMatrix.identity(ring, n)).columns()
-        start = _IntBasis(_Layout(ring.nvars, max(
-            _degree(c.entries) for c in entering)), k + n)
+        entering = _columns(b) + _columns(
+            PolyMatrix.vstack(a, PolyMatrix.identity(ring, n)))
+        start = _IntBasis(_Layout(ring.nvars, _degree(
+            chain.from_iterable(entering))), k + n)
         return GrobnerBasis._of(ring, k + n, _complete(start, entering))
 
     return cached(("elimination", a, b), build)
@@ -1242,11 +1252,13 @@ def solve_mod(v: PolyMatrix, a: PolyMatrix,
     column of v has no such c_j.
 
     v_j leaves its normal form [r; -c_j] against ``_elimination(a, b)``
-    (``_remainder``): r is zero exactly when c_j exists, and c_j is
+    (``_remainder``, which fits the basis once for all of v, so every c_j
+    is read by one layout): r is zero exactly when c_j exists, and c_j is
     reduced modulo {c : a*c in span b}, whose reduced basis is that
-    basis's part leading in its last n positions (``_eliminate``).  The
-    basis is widened once, up front, for the degree of v, so every c_j is
-    read by one layout.  Then every a*c_j - v_j, column j of [a | v] times
+    basis's part leading in its last n positions (``_eliminate``).  Each
+    c_j is read straight into the rows of c, and the columns after the
+    first without one are not reduced.  Then every a*c_j - v_j, column j
+    of [a | v] times
     [c; -I], must lie in ``b.span``, b's cached basis
     (``GrobnerBasis.first_product_outside``), else ``RuntimeError``: no
     column of b is built again."""
@@ -1256,14 +1268,13 @@ def solve_mod(v: PolyMatrix, a: PolyMatrix,
     if not v.ncols:
         return PolyMatrix.zeros(ring, n, 0)
     elim = _elimination(a, b)._basis
-    elim.fit(_degree(chain.from_iterable(v.rows)))
-    out = []
-    for col in v.columns():
-        rem, scale = _remainder(col, elim)
+    rows: List[List[Poly]] = [[] for _ in range(n)]
+    for rem, scale in _remainder(_columns(v), elim):
         if rem and next(iter(rem)) >> elim.layout.pos_shift < k:
             return None
-        out.append(Vector(ring, _polys(elim.layout, ring, rem, -scale, k, n)))
-    c = PolyMatrix.from_columns(ring, n, out)
+        for row, p in zip(rows, _polys(elim.layout, ring, rem, -scale, k, n)):
+            row.append(p)
+    c = PolyMatrix(ring, n, v.ncols, rows)
     if b.span.first_product_outside(PolyMatrix.hstack(a, v), PolyMatrix.vstack(
             c, -PolyMatrix.identity(ring, v.ncols))) is not None:
         raise RuntimeError("uncertified solution")

@@ -7,9 +7,13 @@ over term (e1 > e2 > ...), over grevlex, by a key built here from
 ``GREVLEX.key``, and the leading term of a dict is found by a scan over
 all its terms.  Division is the textbook reducer: the leading term of
 what is left is reduced first, by the first divisor whose lead divides
-it, in exact rational arithmetic.  Completion is plain Buchberger with no
-criterion: every same-position pair is reduced, lowest lcm degree first.
-The result is then minimalized, tail-reduced and made monic, which gives
+it, in exact rational arithmetic.  Completion is Buchberger with the
+chain criterion only (Buchberger, "A criterion for detecting unnecessary
+reductions in the construction of Groebner bases", EUROSAM 1979), in its
+textbook form: a same-position pair is skipped when a third element of that
+position has a lead dividing the pair's lcm and neither of its pairs
+with the two is still pending; every other pair is reduced, lowest lcm
+degree first.  The result is then minimalized, tail-reduced and made monic, which gives
 the unique reduced basis, listed with ascending leads as
 ``GrobnerBasis.gens`` lists it.  Kernels and lifts are read off the
 elimination of the [a_i; e_i] and [b_j; 0] (Eisenbud, Commutative
@@ -146,22 +150,36 @@ def _s_vector(f: Terms, g: Terms) -> Terms:
     return s
 
 
+def _chained(i: int, j: int, leads: List[Term], pending: set) -> bool:
+    """Whether the chain criterion skips the pair (i, j): some element k
+    of the same position, neither i nor j, has a lead dividing the lcm of
+    theirs, and neither (i, k) nor (j, k) is pending."""
+    pos, lcm = leads[i][0], _lcm(leads[i][1], leads[j][1])
+    return any(p == pos and k not in (i, j) and _divides(e, lcm)
+               and (min(i, k), max(i, k)) not in pending
+               and (min(j, k), max(j, k)) not in pending
+               for k, (p, e) in enumerate(leads))
+
+
 def _reduced_basis(gens: Sequence[Terms]) -> List[Terms]:
-    """The reduced basis of what gens generate: plain Buchberger, then
-    minimalized, tail-reduced and monic, with ascending leads."""
+    """The reduced basis of what gens generate: Buchberger with the chain
+    criterion (``_chained``), then minimalized, tail-reduced and monic,
+    with ascending leads."""
     basis = [dict(g) for g in gens if g]
     leads = [_lead(g) for g in basis]
-    pairs = [(i, j) for j in range(len(basis)) for i in range(j)
-             if leads[i][0] == leads[j][0]]
-    while pairs:
-        i, j = min(pairs, key=lambda pair: (
+    pending = {(i, j) for j in range(len(basis)) for i in range(j)
+               if leads[i][0] == leads[j][0]}
+    while pending:
+        i, j = min(pending, key=lambda pair: (
             sum(_lcm(leads[pair[0]][1], leads[pair[1]][1])), pair))
-        pairs.remove((i, j))
+        pending.remove((i, j))
+        if _chained(i, j, leads, pending):
+            continue
         rem, _ = _reduce(_s_vector(basis[i], basis[j]), basis)
         if rem:
             lead = _lead(rem)
-            pairs += [(k, len(basis)) for k, t in enumerate(leads)
-                      if t[0] == lead[0]]
+            pending.update((k, len(basis)) for k, t in enumerate(leads)
+                           if t[0] == lead[0])
             basis.append(rem)
             leads.append(lead)
     basis.sort(key=lambda g: _term_key(_lead(g)))

@@ -26,6 +26,7 @@ from malgrange.functors import (cdefect, contra_stable_hom, defect,
 from malgrange.smith import invariant_factors, smith_torsion_oracle
 from malgrange.control import autonomy_report, is_controllable, malgrange_check
 from malgrange import corpus
+from reference_engine import reference_divide
 
 
 def verdict(num, label, ok):
@@ -150,7 +151,8 @@ def test_criterion_8_engine_soundness():
             acc = acc + g.poly_mul(q)
         ok = ok and acc == v
         done += 1
-    # every S-vector of a returned basis reduces to zero
+    # every S-vector of a returned basis reduces to zero, by the
+    # reference's textbook reducer rather than the engine's own
     rng = random.Random(4002)
     for _ in range(10):
         rank = rng.randint(1, 2)
@@ -164,7 +166,7 @@ def test_criterion_8_engine_soundness():
             l = mono_lcm(ev, ew)
             s = (v.mul_term(1 / cv, mono_div(l, ev))
                  - w.mul_term(1 / cw, mono_div(l, ew)))
-            ok = ok and gb.reduce(s).is_zero()
+            ok = ok and reference_divide(s, gb.gens)[0].is_zero()
     # syzygies multiply to zero exactly
     rng = random.Random(4003)
     for _ in range(10):

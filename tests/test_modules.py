@@ -360,16 +360,17 @@ def test_a_lift_through_a_map_that_is_not_injective_may_be_refused():
 
 def _corrupt_every_solution(monkeypatch):
     """Each solution read off an elimination basis gains a constant on its
-    first entry: a remainder of a vector v against a basis of larger rank
-    gains a constant in position v.rank."""
+    first entry: a remainder of a column of k entries against a basis of
+    larger rank gains a constant in position k."""
     original = groebner._remainder
 
-    def corrupted(v, basis):
-        rem, scale = original(v, basis)
-        if v.rank == basis.rank:
-            return rem, scale
-        one = basis.layout.pack(v.rank, (0,) * basis.layout.nvars)
-        return {**rem, one: rem.get(one, 0) + 1}, scale
+    def corrupted(columns, basis):
+        for col, (rem, scale) in zip(columns, original(columns, basis)):
+            if len(col) == basis.rank:
+                yield rem, scale
+                continue
+            one = basis.layout.pack(len(col), (0,) * basis.layout.nvars)
+            yield {**rem, one: rem.get(one, 0) + 1}, scale
 
     monkeypatch.setattr(groebner, "_remainder", corrupted)
 

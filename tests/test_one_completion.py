@@ -6,10 +6,11 @@ positions or a second, cofactor-tracked completion (``extended_buchberger``
 and ``SpanSolver`` read the one elimination the engine computes).  The
 completion never reads a cofactor: only the readers of a division or an
 elimination turn the positions past its leads into polynomials
-(``_polys``).  Every
-product is certified by one routine too: only
-``GrobnerBasis.first_product_outside`` packs a matrix for a product
-(``_Packed``).  The completion's pending pairs are keyed without a layout
+(``_polys``).  Polynomials enter the integer layer at one place:
+``_pack``, which packs a whole sequence of columns at once, is the only
+function that calls ``scaled_ints``.  Every product is certified by one
+routine too: only ``GrobnerBasis.first_product_outside`` forms a product
+of packed columns (``_times``).  The completion's pending pairs are keyed without a layout
 (``_pair``): no ``_Completion`` method re-keys them or rebuilds their
 heap, and the lcm of a pair is computed once, then packed by
 ``_IntBasis.lcm_key``.  A matrix's columns are completed by one property
@@ -36,6 +37,7 @@ SOURCE = Path(groebner.__file__)
 ROUTINE = "_complete"
 COFACTOR_FREE = {"_Completion", "_complete", "_interreduce"}
 CERTIFICATE = "GrobnerBasis.first_product_outside"
+PACKER = "_pack"
 SPAN = "PolyMatrix.span"
 
 
@@ -131,26 +133,38 @@ def test_the_shared_completion_reads_no_cofactor():
 
 def test_a_packing_in_a_method_is_named_by_its_method():
     tree = ast.parse("class GrobnerBasis:\n"
-                     "    K = _Packed(None)\n"
+                     "    K = _times(None)\n"
                      "    def first_product_outside(self, a, c):\n"
-                     "        return _Packed(a), _Packed(c)\n"
+                     "        return _times(a), _times(c)\n"
                      "class SpanSolver:\n"
                      "    def _certified_syzygies(self):\n"
-                     "        return _Packed(self)\n"
+                     "        return _times(self)\n"
                      "def _packed_for(a):\n"
-                     "    return _Packed(a)\n")
-    assert _calling_functions(tree, "_Packed", methods=True) == [
+                     "    return rings.scaled_ints(a)\n")
+    assert _calling_functions(tree, "_times", methods=True) == [
         "GrobnerBasis", CERTIFICATE, CERTIFICATE,
-        "SpanSolver._certified_syzygies", "_packed_for"]
-    assert _calling_functions(tree, "_Packed") == [
-        "GrobnerBasis"] * 3 + ["SpanSolver", "_packed_for"]
+        "SpanSolver._certified_syzygies"]
+    assert _calling_functions(tree, "_times") == ["GrobnerBasis"] * 3 + [
+        "SpanSolver"]
+    assert _calling_functions(tree, "scaled_ints") == ["_packed_for"]
 
 
 def test_only_the_one_certificate_packs_a_product():
-    sites = _calling_functions(_engine_tree(), "_Packed", methods=True)
-    assert sites, "no product is packed at all"
+    sites = _calling_functions(_engine_tree(), "_times", methods=True)
+    assert sites, "no product is formed at all"
     assert set(sites) == {CERTIFICATE}, (
-        f"_Packed is constructed outside {CERTIFICATE}: {sites}")
+        f"a packed product is formed outside {CERTIFICATE}: {sites}")
+
+
+def test_one_function_packs_polynomial_terms():
+    # every Poly term enters the integer layer through _pack, a whole
+    # sequence of columns at a time: no per-vector or per-matrix packer
+    # is left beside it
+    assert _calling_functions(_engine_tree(), "scaled_ints",
+                              methods=True) == [PACKER]
+    for name in ("_scaled_ints", "_Packed"):
+        assert not hasattr(groebner, name), name
+    assert not hasattr(groebner._IntBasis, "pack")
 
 
 def test_an_attribute_call_in_a_method_is_found():
@@ -281,6 +295,6 @@ def test_the_core_keeps_one_untagged_basis():
         assert not hasattr(groebner._IntBasis, name), name
     rxy = ring("x", "y")
     start = groebner._IntBasis(groebner._Layout(rxy.nvars, 1), 1)
-    final = groebner._complete(start, [Vector(rxy, [parse_poly("x", rxy)]),
-                                       Vector(rxy, [parse_poly("y", rxy)])])
+    final = groebner._complete(start, [(parse_poly("x", rxy),),
+                                       (parse_poly("y", rxy),)])
     assert isinstance(final, groebner._IntBasis) and len(final) == 2

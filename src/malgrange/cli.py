@@ -12,8 +12,8 @@ Output is byte-deterministic for a fixed session and flag set.
 
 from __future__ import annotations
 
-import argparse
 import os
+import re
 import sys
 from typing import Dict, List, Optional, Tuple
 
@@ -242,32 +242,166 @@ def _color_enabled(stream) -> Optional[bool]:
     return None
 
 
+_COMMAND_CHOICES = "{" + ",".join(COMMANDS) + "}"
+_USAGE = ("usage: malgrange [-h] [--json] [--seed SEED] [--all]\n"
+          f"                 {_COMMAND_CHOICES} [session_file]\n")
+_HELP = f"""{_USAGE}
+Exact autonomy/controllability analysis of linear systems over polynomial
+rings.
+
+positional arguments:
+  {_COMMAND_CHOICES}
+  session_file          session file (required except for 'verify --all')
+
+options:
+  -h, --help            show this help message and exit
+  --json
+  --seed SEED
+  --all                 verify the bundled corpus
+"""
+_OPTIONS = ("-h", "--help", "--json", "--seed", "--all")
+# no option looks like a number, so -5 and -.5 are positionals, as in argparse
+_NEGATIVE = re.compile(r"^-\d+$|^-\d*\.\d+$")
+
+
+def _usage_error(message: str):
+    sys.stderr.write(f"{_USAGE}malgrange: error: {message}\n")
+    raise SystemExit(2)
+
+
+def _option(arg: str):
+    """``(option, explicit value or None)`` for an option string, ``None``
+    for a positional, ``("", None)`` for an unknown option.  A long option
+    may be cut to a unique prefix, and ``-h`` may carry letters after it."""
+    if arg[:1] != "-" or arg == "-":
+        return None
+    if arg in _OPTIONS:
+        return arg, None
+    name, eq, value = arg.partition("=")
+    explicit = value if eq else None
+    if eq and name in _OPTIONS:
+        return name, explicit
+    if arg.startswith("--"):
+        hits = [o for o in _OPTIONS if o.startswith(name)]
+        if len(hits) > 1:
+            _usage_error(f"ambiguous option: {arg} could match "
+                         f"{', '.join(hits)}")
+        if hits:
+            return hits[0], explicit
+    elif arg.startswith("-h"):
+        return "-h", arg[2:]
+    if _NEGATIVE.match(arg) or " " in arg:
+        return None
+    return "", None
+
+
+def _check_command(word: str):
+    if word not in COMMANDS:
+        choices = ", ".join(repr(c) for c in COMMANDS)
+        _usage_error(f"argument command: invalid choice: {word!r} "
+                     f"(choose from {choices})")
+
+
+def _kinds(args: List[str]) -> list:
+    """Each string's ``_option``, up to the first ``--``; that one is
+    ``"--"`` and every later string a positional."""
+    if "--" not in args:
+        return [_option(a) for a in args]
+    cut = args.index("--")
+    return ([_option(a) for a in args[:cut]] + ["--"]
+            + [None] * (len(args) - cut - 1))
+
+
+def _parse_args(argv: List[str]) -> Tuple[str, Optional[str], bool,
+                                          Optional[int], bool]:
+    """``(command, session_file, json_out, seed, all_corpus)`` from argv.
+
+    Accepts and rejects what ``argparse``'s intermixed parsing of the same
+    arguments did: options may come before, between or after the
+    positionals and act left to right, so ``-h`` prints help unless an
+    earlier option is in error.  ``--`` ends the options, except where it
+    comes before every positional: argparse's first pass dropped it there
+    and its second pass re-read the rest, which then must give the
+    positionals in one run.  Where argparse releases differ, ``-hx`` and
+    ``-h=h`` act as on 3.10-3.12 and ``--seed=--`` is an error as on 3.13.
+    Help and usage errors raise ``SystemExit`` with 0 and 2.
+    """
+    json_out = all_corpus = False
+    seed = None
+    words: List[str] = []
+    extras: List[str] = []
+    args = argv
+    kinds = _kinds(args)
+    reread = closed = False
+    i = 0
+    while i < len(args):
+        arg, kind = args[i], kinds[i]
+        i += 1
+        if kind == "--":
+            if not words and not reread:
+                reread = True
+                args, kinds, i = args[i:], _kinds(args[i:]), 0
+            elif closed:
+                extras.append(arg)
+            continue
+        if kind is None:
+            (extras if closed else words).append(arg)
+            if reread and len(words) == 1:
+                _check_command(words[0])
+            continue
+        closed = reread and bool(words)
+        name, explicit = kind
+        if name in ("-h", "--help"):
+            if explicit is not None and (name == "--help" or not explicit
+                                         or explicit.strip("h")):
+                _usage_error("argument -h/--help: ignored explicit "
+                             f"argument {explicit!r}")
+            sys.stdout.write(_HELP)
+            raise SystemExit(0)
+        if name == "--seed":
+            if explicit is None:
+                if i == len(args) or kinds[i] is not None:
+                    _usage_error("argument --seed: expected one argument")
+                explicit = args[i]
+                i += 1
+            try:
+                seed = int(explicit)
+            except ValueError:
+                _usage_error(f"argument --seed: invalid int value: "
+                             f"{explicit!r}")
+        elif name:
+            if explicit is not None:
+                _usage_error(f"argument {name}: ignored explicit argument "
+                             f"{explicit!r}")
+            json_out = json_out or name == "--json"
+            all_corpus = all_corpus or name == "--all"
+        else:
+            extras.append(arg)
+    if not words:
+        _usage_error("the following arguments are required: command")
+    _check_command(words[0])
+    extras += words[2:]
+    if extras:
+        _usage_error(f"unrecognized arguments: {' '.join(extras)}")
+    # argparse dropped a '--' from each positional's strings
+    session_file = words[1] if len(words) > 1 and words[1] != "--" else None
+    return words[0], session_file, json_out, seed, all_corpus
+
+
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="malgrange",
-        description="Exact autonomy/controllability analysis of linear "
-                    "systems over polynomial rings.")
-    parser.add_argument("command", choices=COMMANDS)
-    parser.add_argument("session_file", nargs="?",
-                        help="session file (required except for "
-                             "'verify --all')")
-    parser.add_argument("--json", action="store_true", dest="json_out")
-    parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--all", action="store_true", dest="all_corpus",
-                        help="verify the bundled corpus")
     try:
-        # intermixed: flags may appear before or after the session file
-        args = parser.parse_intermixed_args(argv)
+        command, session_file, json_out, seed, all_corpus = _parse_args(
+            sys.argv[1:] if argv is None else argv)
     except SystemExit as exc:
-        return int(exc.code or 0)
-    if args.all_corpus and args.command != "verify":
+        return int(exc.code)
+    if all_corpus and command != "verify":
         print("error: --all applies only to 'verify'", file=sys.stderr)
         return 2
-    if args.seed is not None and not args.all_corpus:
+    if seed is not None and not all_corpus:
         print("error: --seed applies only to 'verify --all'",
               file=sys.stderr)
         return 2
-    if args.all_corpus and args.session_file is not None:
+    if all_corpus and session_file is not None:
         print("error: 'verify --all' takes no session file",
               file=sys.stderr)
         return 2
@@ -279,16 +413,16 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 2
 
     session = None
-    if args.session_file is not None:
+    if session_file is not None:
         try:
-            with open(args.session_file, "r", encoding="utf-8") as fh:
+            with open(session_file, "r", encoding="utf-8") as fh:
                 text = fh.read()
         except OSError as exc:
-            print(f"error: cannot read {args.session_file}: {exc}",
+            print(f"error: cannot read {session_file}: {exc}",
                   file=sys.stderr)
             return 2
         except UnicodeDecodeError:
-            print(f"error: cannot read {args.session_file}: "
+            print(f"error: cannot read {session_file}: "
                   "not valid UTF-8", file=sys.stderr)
             return 2
         try:
@@ -296,13 +430,13 @@ def main(argv: Optional[List[str]] = None) -> int:
         except ParseError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-    elif not args.all_corpus:
+    elif not all_corpus:
         print("error: a session file is required "
               "(only 'verify --all' runs without one)", file=sys.stderr)
         return 2
 
-    code, output = run(session, args.command, json_out=args.json_out,
-                       seed=args.seed or 0, all_corpus=args.all_corpus,
+    code, output = run(session, command, json_out=json_out,
+                       seed=seed or 0, all_corpus=all_corpus,
                        color=color)
     sys.stdout.write(output)
     return code

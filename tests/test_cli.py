@@ -521,8 +521,9 @@ def test_cli_import_stays_light():
     # site-installed .pth hooks out of the check
     src = os.path.dirname(os.path.dirname(malgrange.__file__))
     code = (f"import sys; sys.path.insert(0, {src!r}); import malgrange.cli; "
-            "print(sorted({'dataclasses', 'inspect', 'ast', 'json', 'random',"
-            " 'malgrange.corpus'} & set(sys.modules)))")
+            "print(sorted({'argparse', 'gettext', 'dataclasses', 'inspect',"
+            " 'ast', 'json', 'random', 'malgrange.corpus'}"
+            " & set(sys.modules)))")
     r = subprocess.run([sys.executable, "-S", "-c", code],
                        capture_output=True, text=True)
     assert r.returncode == 0, r.stderr

@@ -17,14 +17,14 @@ def main() -> int:
         print(f"{name}: A = {sys_.mat}, unknowns {', '.join(sys_.unknowns)}")
         print(f"  Malgrange module: {m.ngens} generator(s), "
               f"relations {m.relations}")
-        if rep.generators:
-            for gen in rep.generators:
-                ann = ", ".join(gen.witnesses)
-                print(f"  autonomous observable {gen.combination}: "
+        if rep["autonomy"]:
+            for gen in rep["autonomy"]:
+                ann = ", ".join(gen["annihilators"])
+                print(f"  autonomous observable {gen['combination']}: "
                       f"annihilated by {ann}")
         else:
             print("  no autonomous observables")
-        flavor = "controllable" if rep.controllable else "not controllable"
+        flavor = "controllable" if rep["controllable"] else "not controllable"
         check = "ok" if rep.ok else "FAILED"
         print(f"  verdict: {flavor}; torsion = defect: {check}")
         print()

@@ -27,18 +27,17 @@ from .modules import (AnnihilatorIdeal, Element, FPModule, Morphism,
                       module_annihilator, q_dimension, tensor_modules)
 from .smith import (invariant_factors, smith_diagonal,
                     smith_invariant_factors, smith_torsion_oracle)
-from .functors import (BijectionReport, ContraFPFunctor, FPFunctor,
-                       FunMorphism, MainTheoremReport, cdefect,
-                       cokernel_fun, contra_representable,
+from .functors import (ContraFPFunctor, FPFunctor, FunMorphism, Report,
+                       cdefect, cokernel_fun, contra_representable,
                        contra_stable_hom, defect, defect_via_nat,
                        eval_functor, eval_functor_map, forgetful,
                        is_zero_functor, kernel_fun, nat_hom, representable,
                        stable_hom, stable_map, tensor_eval_map,
                        tensor_functor, verify_adjunction,
                        verify_main_theorem, zero_functor)
-from .control import (AnalysisReport, AutonomyGenerator, ControlSystem,
-                      autonomy, autonomy_report, is_controllable,
-                      malgrange_check, malgrange_module, solution_module)
+from .control import (ControlSystem, autonomy, autonomy_report,
+                      is_controllable, malgrange_check, malgrange_module,
+                      solution_module)
 from .parsing import ParseError, parse_poly
 from .session import Session, parse_session
 
@@ -55,16 +54,14 @@ __all__ = [
     "lift_through", "module_annihilator", "q_dimension", "tensor_modules",
     "invariant_factors", "smith_diagonal", "smith_invariant_factors",
     "smith_torsion_oracle",
-    "BijectionReport", "ContraFPFunctor", "FPFunctor", "FunMorphism",
-    "MainTheoremReport", "cdefect", "cokernel_fun", "contra_representable",
-    "contra_stable_hom", "defect", "defect_via_nat", "eval_functor",
-    "eval_functor_map", "forgetful", "is_zero_functor", "kernel_fun",
-    "nat_hom", "representable", "stable_hom", "stable_map",
-    "tensor_eval_map", "tensor_functor", "verify_adjunction",
-    "verify_main_theorem", "zero_functor",
-    "AnalysisReport", "AutonomyGenerator", "ControlSystem", "autonomy",
-    "autonomy_report", "is_controllable", "malgrange_check",
-    "malgrange_module", "solution_module",
+    "ContraFPFunctor", "FPFunctor", "FunMorphism", "Report", "cdefect",
+    "cokernel_fun", "contra_representable", "contra_stable_hom", "defect",
+    "defect_via_nat", "eval_functor", "eval_functor_map", "forgetful",
+    "is_zero_functor", "kernel_fun", "nat_hom", "representable",
+    "stable_hom", "stable_map", "tensor_eval_map", "tensor_functor",
+    "verify_adjunction", "verify_main_theorem", "zero_functor",
+    "ControlSystem", "autonomy", "autonomy_report", "is_controllable",
+    "malgrange_check", "malgrange_module", "solution_module",
     "ParseError", "parse_poly", "Session", "parse_session",
     "__version__",
 ]

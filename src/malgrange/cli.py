@@ -15,10 +15,10 @@ from __future__ import annotations
 import os
 import re
 import sys
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from .control import autonomy_report, malgrange_check
-from .functors import (module_dict, stable_hom, verify_adjunction,
+from .functors import (Report, module_dict, stable_hom, verify_adjunction,
                        verify_main_theorem)
 from .modules import (FPModule, annihilator, bass_torsion, hom_module,
                       nonzero_columns)
@@ -63,25 +63,22 @@ def _targets(session: Session, command: str) -> List[Tuple[str, ...]]:
     return [(name,) for _, name in session.bindings]
 
 
-def _run_analyze(session: Session, out: _Printer, results: List[Dict]) -> int:
-    code = 0
+def _run_analyze(session: Session, out: _Printer):
     for (name,) in _targets(session, "analyze"):
         rep = autonomy_report(session.systems[name])
-        flavor = "yes" if rep.controllable else "no"
+        flavor = "yes" if rep["controllable"] else "no"
         out.add(f"analyze {name}: controllable: {flavor}, "
-                f"autonomy: {len(rep.generators)}")
-        for gen in rep.generators:
-            plural = "es" if len(gen.witnesses) != 1 else ""
-            out.add(f"  generator {gen.combination}: "
-                    f"witness{plural} {', '.join(gen.witnesses)}")
+                f"autonomy: {len(rep['autonomy'])}")
+        for gen in rep["autonomy"]:
+            anns = gen["annihilators"]
+            plural = "es" if len(anns) != 1 else ""
+            out.add(f"  generator {gen['combination']}: "
+                    f"witness{plural} {', '.join(anns)}")
         out.add(f"  torsion = defect: {out.verdict(rep.ok)}")
-        if not rep.ok:
-            code = 1
-        results.append({"name": name, **rep.to_dict()})
-    return code
+        yield Report(rep.ok, name=name, **rep)
 
 
-def _run_torsion(session: Session, out: _Printer, results: List[Dict]) -> int:
+def _run_torsion(session: Session, out: _Printer):
     for (name,) in _targets(session, "torsion"):
         m = session.module_of(name)
         gens = nonzero_columns(bass_torsion(m)[1])
@@ -92,81 +89,64 @@ def _run_torsion(session: Session, out: _Printer, results: List[Dict]) -> int:
             word = "annihilator" if len(anns) == 1 else "annihilators"
             out.add(f"  generator {col}: {word} {', '.join(anns)}")
             entries.append({"element": str(col), "annihilators": anns})
-        results.append({"check": "torsion", "name": name,
-                        "module": module_dict(m),
-                        "generators": entries})
-    return 0
+        yield Report(None, check="torsion", name=name,
+                     module=module_dict(m), generators=entries)
 
 
-def _run_defect(session: Session, out: _Printer, results: List[Dict]) -> int:
-    code = 0
+def _run_defect(session: Session, out: _Printer):
     for (name,) in _targets(session, "defect"):
-        m = session.module_of(name)
-        rep = verify_main_theorem(m)
-        ok = rep.equal
-        out.add(f"defect {name}: generators: "
-                f"{len(rep.defect_generators)}, matches torsion: "
-                f"{out.verdict(ok)}")
-        for g in rep.defect_generators:
+        rep = verify_main_theorem(session.module_of(name))
+        gens = rep["defect_generators"]
+        out.add(f"defect {name}: generators: {len(gens)}, "
+                f"matches torsion: {out.verdict(rep.ok)}")
+        for g in gens:
             out.add(f"  generator {g}")
-        if not ok:
-            code = 1
-        results.append({"check": "defect", "name": name,
-                        "generators": list(rep.defect_generators),
-                        "matches_torsion": ok,
-                        "witness": rep.witness})
-    return code
+        yield Report(rep.ok, check="defect", name=name, generators=gens,
+                     matches_torsion=rep.ok, witness=rep.get("witness"))
 
 
-def _run_hom(session: Session, out: _Printer, results: List[Dict]) -> int:
+def _run_hom(session: Session, out: _Printer):
     for a, b in _targets(session, "hom"):
-        src = session.module_of(a)
-        tgt = session.module_of(b)
-        h = hom_module(src, tgt)
+        h = hom_module(session.module_of(a), session.module_of(b))
         out.add(f"hom {a} {b}: generators: {h.ngens}")
         mats = [str(h.decode(g).mat) for g in h.generators()]
         for s in mats:
             out.add(f"  generator {s}")
         out.add(f"  relations: {h.relations}")
-        results.append({"check": "hom", "source": a, "target": b,
-                        "ngens": h.ngens, "relations": str(h.relations),
-                        "generators": mats})
-    return 0
+        yield Report(None, check="hom", source=a, target=b, ngens=h.ngens,
+                     relations=str(h.relations), generators=mats)
 
 
-def _run_gb(session: Session, out: _Printer, results: List[Dict]) -> int:
+def _run_gb(session: Session, out: _Printer):
     for (name,) in _targets(session, "gb"):
         m = session.module_of(name)
         basis = m.gb.gens[::-1]  # a reduced basis lists its leads ascending
         out.add(f"gb {name}: elements: {len(basis)}")
         for v in basis:
             out.add(f"  {v}")
-        results.append({"check": "gb", "name": name,
-                        "elements": [str(v) for v in basis]})
-    return 0
+        yield Report(None, check="gb", name=name,
+                     elements=[str(v) for v in basis])
 
 
-def _verify_triple(entries, out: _Printer, results: List[Dict]) -> int:
-    """Run (label, report) pairs, render verdicts, count failures."""
-    failures = 0
+def _run_verify(entries, out: _Printer) -> List[Report]:
+    """Render the (label, report) pairs' verdicts and their tally."""
+    reports = []
     for label, rep in entries:
-        ok = rep.ok
-        out.add(f"{label}: {out.verdict(ok)}")
-        if not ok:
-            failures += 1
-        results.append(rep.to_dict())
-    return failures
+        out.add(f"{label}: {out.verdict(rep.ok)}")
+        reports.append(rep)
+    failures = sum(not rep.ok for rep in reports)
+    out.add(f"verify: {len(reports)} checks, {failures} failures")
+    return reports
 
 
 def _session_verify_entries(session: Session):
-    entries = []
     modules = [(name, session.module_of(name))
                for _, name in session.bindings]
     for name, m in modules:
-        entries.append((f"main-theorem {name}", verify_main_theorem(m)))
+        yield f"main-theorem {name}", verify_main_theorem(m)
     for name, m in modules:
-        entries.append((f"adjunction stable({name}) @ {name}",
-                        verify_adjunction(stable_hom(m), m)))
+        yield (f"adjunction stable({name}) @ {name}",
+               verify_adjunction(stable_hom(m), m))
     for kind, name in session.bindings:
         if kind != "system":
             continue
@@ -177,33 +157,30 @@ def _session_verify_entries(session: Session):
                    if pname in session.modules
                    and session.modules[pname].ring == sysm.ring]
         for pname, probe in probes:
-            entries.append((f"malgrange {name} @ {pname}",
-                            malgrange_check(sysm, probe)))
-    return entries
+            yield f"malgrange {name} @ {pname}", malgrange_check(sysm, probe)
 
 
 def _corpus_verify_entries(seed: int):
     # kept off the start-up path: only verify --all needs them
     import random
     from . import corpus
-    entries = []
     for name, m in corpus.main_theorem_modules():
-        entries.append((f"main-theorem {name}", verify_main_theorem(m)))
+        yield f"main-theorem {name}", verify_main_theorem(m)
     if seed:
         rng = random.Random(seed)
         for i, r in enumerate((corpus.univariate_ring(),
                                corpus.univariate_ring(),
                                corpus.bivariate_ring())):
             m = corpus.random_cokernel(r, rng)
-            entries.append((f"main-theorem seeded-{seed}-{i}",
-                            verify_main_theorem(m)))
+            yield f"main-theorem seeded-{seed}-{i}", verify_main_theorem(m)
     for fname, fun, aname, a in corpus.adjunction_pairs():
-        entries.append((f"adjunction {fname} @ {aname}",
-                        verify_adjunction(fun, a)))
+        yield f"adjunction {fname} @ {aname}", verify_adjunction(fun, a)
     for sname, sysm, pname, probe in corpus.malgrange_pairs():
-        entries.append((f"malgrange {sname} @ {pname}",
-                        malgrange_check(sysm, probe)))
-    return entries
+        yield f"malgrange {sname} @ {pname}", malgrange_check(sysm, probe)
+
+
+_HANDLERS = {"analyze": _run_analyze, "torsion": _run_torsion,
+             "defect": _run_defect, "hom": _run_hom, "gb": _run_gb}
 
 
 def run(session: Optional[Session], command: str, *, json_out: bool = False,
@@ -211,23 +188,16 @@ def run(session: Optional[Session], command: str, *, json_out: bool = False,
         color: bool = False) -> Tuple[int, str]:
     """Execute one command against a session (or the bundled corpus)."""
     out = _Printer(color and not json_out)
-    results: List[Dict] = []
-    if command == "verify":
-        if all_corpus:
-            entries = _corpus_verify_entries(seed)
-        else:
-            entries = _session_verify_entries(session)
-        failures = _verify_triple(entries, out, results)
-        out.add(f"verify: {len(entries)} checks, {failures} failures")
-        code = 1 if failures else 0
+    if command != "verify":
+        reports = list(_HANDLERS[command](session, out))
+    elif all_corpus:
+        reports = _run_verify(_corpus_verify_entries(seed), out)
     else:
-        handler = {"analyze": _run_analyze, "torsion": _run_torsion,
-                   "defect": _run_defect, "hom": _run_hom,
-                   "gb": _run_gb}[command]
-        code = handler(session, out, results)
+        reports = _run_verify(_session_verify_entries(session), out)
+    code = 1 if any(rep.ok is False for rep in reports) else 0
     if json_out:
         import json  # kept off the start-up path: only --json needs it
-        payload = {"format": 1, "command": command, "results": results,
+        payload = {"format": 1, "command": command, "results": reports,
                    "exit": code}
         return code, json.dumps(payload, indent=2) + "\n"
     return code, out.text()

@@ -10,15 +10,15 @@ re-checks the torsion/defect identity at runtime.
 
 from __future__ import annotations
 
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from .rings import Poly, RingSpec
 from .groebner import PolyMatrix, Vector
 from .modules import (Element, FPModule, Morphism, annihilator,
                       bass_torsion, direct_power, hom_module, kernel,
                       lift_through, nonzero_columns)
-from .functors import (BijectionReport, MainTheoremReport, bijection_report,
-                       module_dict, verify_main_theorem)
+from .functors import (Report, bijection_report, module_dict,
+                       verify_main_theorem)
 
 
 class ControlSystem:
@@ -71,7 +71,7 @@ def solution_module(sys: ControlSystem, v: FPModule,
     return kernel(Morphism(vq, vp, action, _checked=True))
 
 
-def malgrange_check(sys: ControlSystem, v: FPModule) -> BijectionReport:
+def malgrange_check(sys: ControlSystem, v: FPModule) -> Report:
     """Assert Hom(M, V) = Sol(V) via the map phi -> (phi(e_1)..phi(e_q))."""
     h = hom_module(malgrange_module(sys), v)
     _, emb = solution_module(sys, v)
@@ -118,69 +118,20 @@ def _combination(sys: ControlSystem, vec: Vector) -> str:
     return out
 
 
-class AutonomyGenerator(NamedTuple):
-    """One autonomous observable: a combination of unknowns together with
-    the operators annihilating it."""
-
-    combination: str
-    element: str
-    witnesses: Tuple[str, ...]
-
-    @property
-    def witness(self) -> Optional[str]:
-        return self.witnesses[0] if self.witnesses else None
-
-    def to_dict(self) -> Dict:
-        return {
-            "combination": self.combination,
-            "element": self.element,
-            "annihilators": list(self.witnesses),
-        }
-
-
-class AnalysisReport(NamedTuple):
-    """Full controllability analysis of one system."""
-
-    system: str
-    unknowns: Tuple[str, ...]
-    malgrange: Dict
-    generators: Tuple[AutonomyGenerator, ...]
-    controllable: bool
-    theorem_check: MainTheoremReport
-
-    @property
-    def ok(self) -> bool:
-        return self.theorem_check.ok
-
-    def to_dict(self) -> Dict:
-        return {
-            "check": "analysis",
-            "system": self.system,
-            "unknowns": list(self.unknowns),
-            "malgrange": self.malgrange,
-            "autonomy": [g.to_dict() for g in self.generators],
-            "controllable": self.controllable,
-            "theorem_check": self.theorem_check.to_dict(),
-        }
-
-
-def autonomy_report(sys: ControlSystem) -> AnalysisReport:
+def autonomy_report(sys: ControlSystem) -> Report:
     """Autonomy generators with annihilator witnesses, plus the runtime
-    torsion/defect cross-check."""
+    torsion/defect cross-check under ``theorem_check``; one ``autonomy``
+    entry per generator: the combination of unknowns, its element of M,
+    and the operators annihilating it."""
     m = malgrange_module(sys)
-    gens: List[AutonomyGenerator] = []
+    gens: List[Dict] = []
     for col in nonzero_columns(bass_torsion(m)[1]):
         elem = Element(m, col)
-        gens.append(AutonomyGenerator(
-            combination=_combination(sys, elem.vec),
-            element=str(elem.vec),
-            witnesses=tuple(str(g) for g in annihilator(elem).gens),
-        ))
-    return AnalysisReport(
-        system=str(sys.mat),
-        unknowns=sys.unknowns,
-        malgrange=module_dict(m),
-        generators=tuple(gens),
-        controllable=not gens,
-        theorem_check=verify_main_theorem(m),
-    )
+        gens.append({"combination": _combination(sys, elem.vec),
+                     "element": str(elem.vec),
+                     "annihilators": [str(g)
+                                      for g in annihilator(elem).gens]})
+    check = verify_main_theorem(m)
+    return Report(check.ok, check="analysis", system=str(sys.mat),
+                  unknowns=list(sys.unknowns), malgrange=module_dict(m),
+                  autonomy=gens, controllable=not gens, theorem_check=check)

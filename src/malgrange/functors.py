@@ -15,7 +15,7 @@ convention that presentations are chosen data.
 
 from __future__ import annotations
 
-from typing import Dict, NamedTuple, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from .rings import RingSpec
 from .groebner import PolyMatrix, solve_mod
@@ -376,82 +376,30 @@ def module_dict(m: FPModule) -> Dict:
     return {"ngens": m.ngens, "relations": str(m.relations)}
 
 
-class MainTheoremReport(NamedTuple):
-    """Outcome of checking defect(stable_hom(A)) = bass_torsion(A) in A."""
+class Report(dict):
+    """The result of one check or computation: its ``--json`` entries, in
+    output order, with the verdict in ``ok``: a bool, or ``None`` for a
+    plain computation, which has no verdict."""
 
-    module: Dict
-    defect_generators: Tuple[str, ...]
-    torsion_generators: Tuple[str, ...]
-    equal: bool
-    witness: Optional[str] = None
+    __slots__ = ("ok",)
 
-    @property
-    def ok(self) -> bool:
-        return self.equal
-
-    def to_dict(self) -> Dict:
-        out = {
-            "check": "main-theorem",
-            "module": self.module,
-            "defect_generators": list(self.defect_generators),
-            "torsion_generators": list(self.torsion_generators),
-            "equal": self.equal,
-        }
-        if self.witness is not None:
-            out["witness"] = self.witness
-        return out
-
-
-class BijectionReport(NamedTuple):
-    """Outcome of checking that a comparison map is bijective.
-
-    ``subject`` holds the entries naming what was compared, in output
-    order; ``source_key``/``target_key`` name the generator counts of the
-    map's two sides in ``to_dict``.
-    """
-
-    check: str
-    subject: Dict
-    source_key: str
-    source_ngens: int
-    target_key: str
-    target_ngens: int
-    injective: bool
-    surjective: bool
-
-    @property
-    def bijective(self) -> bool:
-        return self.injective and self.surjective
-
-    @property
-    def ok(self) -> bool:
-        return self.bijective
-
-    def to_dict(self) -> Dict:
-        return {
-            "check": self.check,
-            **self.subject,
-            self.source_key: self.source_ngens,
-            self.target_key: self.target_ngens,
-            "injective": self.injective,
-            "surjective": self.surjective,
-            "bijective": self.bijective,
-        }
+    def __init__(self, ok: Optional[bool], /, **entries):
+        super().__init__(entries)
+        self.ok = ok
 
 
 def bijection_report(check: str, subject: Dict, cmp_map: Morphism,
-                     source_key: str, target_key: str) -> BijectionReport:
-    """Test cmp_map for injectivity and surjectivity."""
-    return BijectionReport(
-        check=check,
-        subject=subject,
-        source_key=source_key,
-        source_ngens=cmp_map.source.ngens,
-        target_key=target_key,
-        target_ngens=cmp_map.target.ngens,
-        injective=is_injective(cmp_map),
-        surjective=is_surjective(cmp_map),
-    )
+                     source_key: str, target_key: str) -> Report:
+    """Test cmp_map for injectivity and surjectivity.  ``subject`` holds
+    the entries naming what was compared; ``source_key``/``target_key``
+    name the generator counts of the map's two sides."""
+    injective, surjective = is_injective(cmp_map), is_surjective(cmp_map)
+    bijective = injective and surjective
+    return Report(bijective, check=check, **subject,
+                  **{source_key: cmp_map.source.ngens,
+                     target_key: cmp_map.target.ngens},
+                  injective=injective, surjective=surjective,
+                  bijective=bijective)
 
 
 def _image_membership_witness(phi: Morphism, psi: Morphism) -> Optional[str]:
@@ -469,23 +417,25 @@ def _image_membership_witness(phi: Morphism, psi: Morphism) -> Optional[str]:
     return None
 
 
-def verify_main_theorem(a: FPModule) -> MainTheoremReport:
+def verify_main_theorem(a: FPModule) -> Report:
     """Check that the defect of the stabilized Hom functor of A coincides
     with the torsion submodule of A, as submodules of A: the images of two
-    kernel embeddings, neither kernel presented."""
+    kernel embeddings, neither kernel presented.  A failed check carries
+    a generator in one image and not the other as ``witness``."""
     _, emb = defect(stable_hom(a))
     _, iota = bass_torsion(a)
     witness = _image_membership_witness(emb, iota)
-    return MainTheoremReport(
-        module=module_dict(a),
-        defect_generators=tuple(map(str, nonzero_columns(emb))),
-        torsion_generators=tuple(map(str, nonzero_columns(iota))),
-        equal=witness is None,
-        witness=witness,
-    )
+    rep = Report(witness is None, check="main-theorem",
+                 module=module_dict(a),
+                 defect_generators=list(map(str, nonzero_columns(emb))),
+                 torsion_generators=list(map(str, nonzero_columns(iota))),
+                 equal=witness is None)
+    if witness is not None:
+        rep["witness"] = witness
+    return rep
 
 
-def verify_adjunction(fun: FPFunctor, a: FPModule) -> BijectionReport:
+def verify_adjunction(fun: FPFunctor, a: FPModule) -> Report:
     """Check Nat(F, Hom(A,-)) = Hom(A, Ker f_F) via the corestriction map:
     as X = 0 for Hom(A,-), Nat's carriers are one map into Hom(A, Y_F),
     lifted through the injective Hom(A, Ker f_F) -> Hom(A, Y_F)."""

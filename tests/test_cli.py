@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -9,7 +10,7 @@ from fractions import Fraction
 import pytest
 
 import malgrange
-from malgrange import groebner, parsing
+from malgrange import functors, groebner, parsing
 from malgrange.cli import _Printer, main, run
 from malgrange.parsing import (MAX_COEFFICIENT_BITS, MAX_NESTING,
                                MAX_PRODUCT_WORK, ParseError, parse_poly)
@@ -178,6 +179,62 @@ def test_corpus_verify_exits_zero():
     r = invoke(["verify", "--all"])
     assert r.returncode == 0
     assert r.stdout.rstrip().endswith("33 checks, 0 failures")
+
+
+WITNESS = "defect generator [1] not in torsion"
+DRIFT_AND_MODULE = FREE_DRIFT + " module M = coker [[d]];"
+
+
+def _main_out(capsys, monkeypatch, args):
+    monkeypatch.setenv("MALGRANGE_COLOR", "never")
+    capsys.readouterr()
+    code = main(args)
+    return code, capsys.readouterr().out
+
+
+def _computations_exit_zero(capsys, monkeypatch, path):
+    # plain computations have no verdict, so a failed check elsewhere
+    # leaves their exit code at 0
+    for command in ("torsion", "hom", "gb"):
+        assert _main_out(capsys, monkeypatch, [command, path])[0] == 0
+
+
+def test_a_failed_main_theorem_exits_one_in_text_and_json(tmp_path, capsys,
+                                                          monkeypatch):
+    # torsion = defect is made to fail: every command with that verdict
+    # prints it as failed and exits 1, and --json carries the witness
+    monkeypatch.setattr(functors, "_image_membership_witness",
+                        lambda phi, psi: WITNESS)
+    path = session_file(tmp_path, DRIFT_AND_MODULE)
+    code, out = _main_out(capsys, monkeypatch, ["analyze", path])
+    assert code == 1 and "  torsion = defect: failed\n" in out
+    code, out = _main_out(capsys, monkeypatch, ["defect", path])
+    assert code == 1 and "matches torsion: failed\n" in out
+    code, out = _main_out(capsys, monkeypatch, ["verify", path])
+    assert code == 1 and "main-theorem M: failed\n" in out
+    checks, failures = re.fullmatch(r"verify: (\d+) checks, (\d+) failures",
+                                    out.splitlines()[-1]).groups()
+    assert int(checks) >= int(failures) >= 1
+    for command, verdict in (("analyze", "equal"), ("defect",
+                                                    "matches_torsion"),
+                             ("verify", "equal")):
+        code, out = _main_out(capsys, monkeypatch, [command, path, "--json"])
+        assert code == 1 and json.loads(out)["exit"] == 1
+        assert f'"{verdict}": false' in out, command
+        assert f'"witness": "{WITNESS}"' in out, command
+    _computations_exit_zero(capsys, monkeypatch, path)
+
+
+def test_a_map_that_is_not_injective_exits_one(tmp_path, capsys,
+                                               monkeypatch):
+    monkeypatch.setattr(functors, "is_injective", lambda phi: False)
+    code, out = _main_out(capsys, monkeypatch, ["verify", "--all"])
+    assert code == 1 and "adjunction" in out and ": failed\n" in out
+    assert not out.endswith(" 0 failures\n")
+    path = session_file(tmp_path, DRIFT_AND_MODULE)
+    code, out = _main_out(capsys, monkeypatch, ["verify", path, "--json"])
+    assert code == 1 and '"bijective": false' in out
+    _computations_exit_zero(capsys, monkeypatch, path)
 
 
 def test_verify_all_takes_no_session_file(tmp_path):

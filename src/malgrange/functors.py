@@ -15,7 +15,7 @@ convention that presentations are chosen data.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .rings import RingSpec
 from .groebner import PolyMatrix, solve_mod
@@ -379,13 +379,61 @@ def module_dict(m: FPModule) -> Dict:
 class Report(dict):
     """The result of one check or computation: its ``--json`` entries, in
     output order, with the verdict in ``ok``: a bool, or ``None`` for a
-    plain computation, which has no verdict."""
+    plain computation, which has no verdict.
+
+    An entry may be given as a zero-argument function: it runs when the
+    entry is first read and its value is stored in place, so key order is
+    kept and an entry nobody reads costs nothing.  Every read sees the
+    value: ``rep[k]``, ``get``, ``items``, ``values``, ``==``, ``repr``,
+    ``dict(rep)``, ``**rep`` and ``json.dumps``."""
 
     __slots__ = ("ok",)
 
     def __init__(self, ok: Optional[bool], /, **entries):
         super().__init__(entries)
         self.ok = ok
+
+    def __getitem__(self, key):
+        value = super().__getitem__(key)
+        if callable(value):
+            value = value()
+            super().__setitem__(key, value)
+        return value
+
+    # A Python-level __iter__ makes dict(rep) and **rep read each entry
+    # through keys() and __getitem__ instead of copying the stored slots.
+    def __iter__(self):
+        return super().__iter__()
+
+    def _compute_all(self):
+        for key in tuple(self):
+            self[key]
+
+    def get(self, key, default=None):
+        return self[key] if key in self else default
+
+    # json.dumps reads a dict subclass through items()
+    def items(self):
+        self._compute_all()
+        return super().items()
+
+    def values(self):
+        self._compute_all()
+        return super().values()
+
+    def __eq__(self, other):
+        self._compute_all()
+        if isinstance(other, Report):
+            other._compute_all()
+        return super().__eq__(other)
+
+    def __ne__(self, other):
+        equal = self.__eq__(other)
+        return equal if equal is NotImplemented else not equal
+
+    def __repr__(self) -> str:
+        self._compute_all()
+        return super().__repr__()
 
 
 def bijection_report(check: str, subject: Dict, cmp_map: Morphism,
@@ -417,18 +465,26 @@ def _image_membership_witness(phi: Morphism, psi: Morphism) -> Optional[str]:
     return None
 
 
+def _column_strs(phi: Morphism) -> List[str]:
+    """phi's columns that are nonzero in its target, printed; this needs
+    the basis of the target's relations."""
+    return [str(col) for col in nonzero_columns(phi)]
+
+
 def verify_main_theorem(a: FPModule) -> Report:
     """Check that the defect of the stabilized Hom functor of A coincides
     with the torsion submodule of A, as submodules of A: the images of two
     kernel embeddings, neither kernel presented.  A failed check carries
-    a generator in one image and not the other as ``witness``."""
+    a generator in one image and not the other as ``witness``.  The
+    generator lists are computed when first read (``Report``): the
+    verdict never needs A's relation basis, which they do."""
     _, emb = defect(stable_hom(a))
     _, iota = bass_torsion(a)
     witness = _image_membership_witness(emb, iota)
     rep = Report(witness is None, check="main-theorem",
                  module=module_dict(a),
-                 defect_generators=list(map(str, nonzero_columns(emb))),
-                 torsion_generators=list(map(str, nonzero_columns(iota))),
+                 defect_generators=lambda: _column_strs(emb),
+                 torsion_generators=lambda: _column_strs(iota),
                  equal=witness is None)
     if witness is not None:
         rep["witness"] = witness

@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -10,7 +11,7 @@ from fractions import Fraction
 import pytest
 
 import malgrange
-from malgrange import functors, groebner, parsing
+from malgrange import control, corpus, functors, groebner, parsing
 from malgrange.cli import _Printer, main, run
 from malgrange.parsing import (MAX_COEFFICIENT_BITS, MAX_NESTING,
                                MAX_PRODUCT_WORK, ParseError, parse_poly)
@@ -235,6 +236,134 @@ def test_a_map_that_is_not_injective_exits_one(tmp_path, capsys,
     code, out = _main_out(capsys, monkeypatch, ["verify", path, "--json"])
     assert code == 1 and '"bijective": false' in out
     _computations_exit_zero(capsys, monkeypatch, path)
+
+
+# -- text verdicts compute no generator lists ------------------------------------------
+
+
+def _count_report_lists(monkeypatch):
+    """Calls of ``nonzero_columns`` made by the reports (``functors`` for
+    the main-theorem lists, ``control`` for the autonomy list), which
+    build the relation basis of the module they list in."""
+    calls = []
+    for owner in (functors, control):
+        original = owner.nonzero_columns
+
+        def counting(phi, _original=original):
+            calls.append(phi)
+            return _original(phi)
+
+        monkeypatch.setattr(owner, "nonzero_columns", counting)
+    return calls
+
+
+def _spanned_matrices(monkeypatch):
+    spanned = []
+    original = groebner.PolyMatrix.span
+
+    def spy(matrix):
+        spanned.append(matrix)
+        return original.fget(matrix)
+
+    monkeypatch.setattr(groebner.PolyMatrix, "span", property(spy))
+    return spanned
+
+
+def test_text_verify_builds_no_relation_basis_for_the_generator_lists(
+        capsys, monkeypatch):
+    # the verdict compares two kernel embeddings and never needs A's
+    # relation basis; only the generator lists that --json prints do
+    rng = random.Random(1)
+    seeded = [(f"seeded-1-{i}", corpus.random_cokernel(r, rng))
+              for i, r in enumerate((corpus.univariate_ring(),
+                                     corpus.univariate_ring(),
+                                     corpus.bivariate_ring()))]
+    modules = corpus.main_theorem_modules() + seeded
+    calls = _count_report_lists(monkeypatch)
+    spanned = _spanned_matrices(monkeypatch)
+
+    def listed(args):
+        groebner._CACHE.clear()
+        calls.clear()
+        spanned.clear()
+        assert _main_out(capsys, monkeypatch, args)[0] == 0
+        return {name for name, m in modules if m.relations in spanned}
+
+    text = listed(["verify", "--all", "--seed", "1"])
+    assert calls == []
+    # The seven small corpus modules' relation bases are built anyway: a
+    # free module's is empty, Hom modules of the adjunction and Malgrange
+    # checks reduce modulo the others, and ideal(x,y)'s defect embedding
+    # is its own relation matrix.  Nothing but the lists builds those of
+    # the random and seeded modules.
+    random_names = {name for name, _ in modules
+                    if name.startswith(("random-", "seeded-"))}
+    assert len(random_names) == 8 and not text & random_names
+    assert listed(["verify", "--all", "--seed", "1", "--json"]) \
+        == {name for name, _ in modules}
+    assert len(calls) == 2 * len(modules)
+
+
+def test_defect_and_analyze_list_only_what_they_print(tmp_path, capsys,
+                                                      monkeypatch):
+    # defect prints the defect generators, never the torsion ones; text
+    # analyze prints the autonomy list and not theorem_check's two lists
+    text = (INTEGRATOR + " system T = [[d]] vars y;"
+            " module M = coker [[d, 0], [0, 1]]; module N = coker [[d^2]];")
+    path = session_file(tmp_path, text)
+    calls = _count_report_lists(monkeypatch)
+    for args, count in ((["defect", path], 4), (["defect", path, "--json"], 4),
+                        (["analyze", path], 2),
+                        (["analyze", path, "--json"], 6)):
+        calls.clear()
+        assert _main_out(capsys, monkeypatch, args)[0] == 0
+        assert len(calls) == count, args
+
+
+def _text_checks(out):
+    """(check name, verdict) per line of a text ``verify``, after checking
+    its tally line against them."""
+    *lines, tally = out.splitlines()
+    checks = [(line.split()[0], line.rsplit(": ", 1)[1] == "ok")
+              for line in lines]
+    n, failures = re.fullmatch(r"verify: (\d+) checks, (\d+) failures",
+                               tally).groups()
+    assert int(n) == len(checks)
+    assert int(failures) == [ok for _, ok in checks].count(False)
+    return checks
+
+
+def _json_checks(out):
+    payload = json.loads(out)
+    return [(r["check"], r.get("equal", r.get("bijective")))
+            for r in payload["results"]], payload["exit"]
+
+
+@pytest.mark.parametrize("fail", [False, True])
+def test_text_and_json_verify_agree(tmp_path, capsys, monkeypatch, fail):
+    # text verify computes less than --json: the same checks must still
+    # give the same verdicts and exit code, also when the main theorem fails
+    if fail:
+        monkeypatch.setattr(functors, "_image_membership_witness",
+                            lambda phi, psi: WITNESS)
+    path = session_file(tmp_path, DRIFT_AND_MODULE)
+    for args in (["verify", "--all", "--seed", "1"], ["verify", path]):
+        code, text = _main_out(capsys, monkeypatch, args)
+        json_code, out = _main_out(capsys, monkeypatch, args + ["--json"])
+        checks = _text_checks(text)
+        assert _json_checks(out) == (checks, code) and json_code == code
+        theorems = [r for r in json.loads(out)["results"]
+                    if r["check"] == "main-theorem"]
+        assert theorems and code == int(fail)
+        assert all(ok is not fail for name, ok in checks
+                   if name == "main-theorem")
+        for r in theorems:
+            keys = ["defect_generators", "torsion_generators", "equal"]
+            assert list(r)[-4:] == (keys + ["witness"] if fail
+                                    else ["module"] + keys)
+            assert all(isinstance(g, str) for key in keys[:2]
+                       for g in r[key])
+            assert r.get("witness") == (WITNESS if fail else None)
 
 
 def test_verify_all_takes_no_session_file(tmp_path):

@@ -471,6 +471,88 @@ def test_main_theorem_report_serialization(monkeypatch):
     assert failed["witness"] == "defect generator [1] not in torsion"
 
 
+def _deferred_report(calls):
+    """A Report with deferred entries, one of them nested; each function
+    logs its name in calls when it runs."""
+    def entry(name, value):
+        def compute():
+            calls.append(name)
+            return value
+        return compute
+
+    inner = Report(True, lists=entry("inner", ["[1]"]), n=2)
+    return Report(False, a=1, b=entry("b", ["[x]", "[y]"]), nested=inner,
+                  c=entry("c", []))
+
+
+DEFERRED = {"a": 1, "b": ["[x]", "[y]"], "nested": {"lists": ["[1]"], "n": 2},
+            "c": []}
+
+DEFERRED_READS = {
+    "getitem": lambda r: {key: r[key] for key in r},
+    "get": lambda r: {key: r.get(key) for key in r},
+    "items": lambda r: dict(r.items()),
+    "values": lambda r: dict(zip(r, r.values())),
+    "dict": dict,
+    "kwargs": lambda r: Report(r.ok, **r),
+    "unpack": lambda r: {**r},
+    "json": lambda r: json.loads(json.dumps(r)),
+    "json-indent": lambda r: json.loads(json.dumps(r, indent=2)),
+}
+
+
+@pytest.mark.parametrize("read", sorted(DEFERRED_READS))
+def test_every_read_of_a_report_sees_its_deferred_entries(read):
+    calls = []
+    rep = _deferred_report(calls)
+    assert list(rep) == list(DEFERRED) and len(rep) == 4 and calls == []
+    for _ in range(2):
+        seen = DEFERRED_READS[read](rep)
+        assert not any(callable(v) for v in seen.values())
+        assert seen == DEFERRED
+    # each function ran once, and the key order is kept
+    assert sorted(calls) == ["b", "c", "inner"]
+    assert list(rep) == list(DEFERRED) and rep.ok is False
+
+
+def test_deferred_entries_compare_print_and_serialize_as_values():
+    for check in (lambda r: r == DEFERRED, lambda r: DEFERRED == r,
+                  lambda r: not r != DEFERRED,
+                  lambda r: r == _deferred_report([]),
+                  lambda r: repr(r) == repr(DEFERRED),
+                  lambda r: json.dumps(r) == json.dumps(DEFERRED),
+                  lambda r: json.dumps(r, indent=2)
+                  == json.dumps(DEFERRED, indent=2)):
+        calls = []
+        assert check(_deferred_report(calls))
+        assert sorted(calls) == ["b", "c", "inner"]
+    assert _deferred_report([]) != dict(DEFERRED, c=[0])
+
+
+def test_an_unread_deferred_entry_never_runs():
+    calls = []
+    rep = _deferred_report(calls)
+    assert rep["b"] == ["[x]", "[y]"] and rep["b"] is rep.get("b")
+    assert rep["a"] == 1 and rep.get("missing", 0) == 0
+    assert "c" in rep and calls == ["b"]
+    assert rep["nested"]["n"] == 2 and calls == ["b"]
+
+
+def test_a_nested_theorem_check_serializes_alike_with_and_without_indent():
+    # the C encoder (no indent) and the Python one (indent) each read a
+    # nested Report's deferred generator lists
+    from malgrange.control import ControlSystem, autonomy_report
+    rd = ring("d")
+    sysm = ControlSystem(rd, ["x", "u"], PolyMatrix(rd, 1, 2, [
+        [parse_poly("d^2", rd), parse_poly("0", rd)]]))
+    flat = json.dumps(autonomy_report(sysm))
+    indented = json.dumps(autonomy_report(sysm), indent=2)
+    assert indented == json.dumps(json.loads(flat), indent=2)
+    check = json.loads(flat)["theorem_check"]
+    assert check["defect_generators"] == check["torsion_generators"] \
+        == ["[1, 0]"]
+
+
 def test_adjunction_report_serialization(monkeypatch):
     module = {"ngens": 1, "relations": "[[x]]"}
     adj = verify_adjunction(representable(MOD_X), MOD_X)

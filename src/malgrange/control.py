@@ -6,6 +6,13 @@ the transpose of A: solutions with values in a module V are exactly the
 homomorphisms M -> V, autonomy is the torsion submodule of M, and the
 system is controllable precisely when M is torsion free.  Every analysis
 re-checks the torsion/defect identity at runtime.
+
+Hom(M, V) and the solutions Sol(V) are both the kernel of a matrix
+acting V^q -> V^p, built by one function (``modules.power_kernel``), and
+``malgrange_check`` compares the two as submodules of V^q.  Both are
+built from the same matrix today, so that check cannot disagree; a
+second presentation of one side only has to change the matrix that
+``solution_module`` passes in.
 """
 
 from __future__ import annotations
@@ -15,9 +22,9 @@ from typing import Dict, List, Sequence, Tuple
 from .rings import Poly, RingSpec
 from .groebner import PolyMatrix, Vector
 from .modules import (Element, FPModule, Morphism, annihilator,
-                      bass_torsion, direct_power, hom_module, kernel,
-                      lift_through, nonzero_columns)
-from .functors import (Report, bijection_report, module_dict,
+                      bass_torsion, hom_module, nonzero_columns,
+                      power_kernel)
+from .functors import (Report, _outside_image, module_dict,
                        verify_main_theorem)
 
 
@@ -63,23 +70,36 @@ def malgrange_module(sys: ControlSystem) -> FPModule:
 
 def solution_module(sys: ControlSystem, v: FPModule,
                     ) -> Tuple[FPModule, Morphism]:
-    """Sol(V) = {(v_1..v_q) in V^q : A v = 0 in V^p}, with its embedding."""
-    ring = sys.ring
-    vq = direct_power(v, sys.n_unknowns)
-    vp = direct_power(v, sys.n_equations)
-    action = PolyMatrix.kron(sys.mat, PolyMatrix.identity(ring, v.ngens))
-    return kernel(Morphism(vq, vp, action, _checked=True))
+    """Sol(V) = {(v_1..v_q) in V^q : A v = 0 in V^p}, with its embedding
+    in V^q: the kernel of A acting V^q -> V^p (``power_kernel``), built by
+    the function that builds Hom(M, V), from the system's own matrix."""
+    return power_kernel(sys.mat, v)
 
 
 def malgrange_check(sys: ControlSystem, v: FPModule) -> Report:
-    """Assert Hom(M, V) = Sol(V) via the map phi -> (phi(e_1)..phi(e_q))."""
+    """Check Hom(M, V) = Sol(V) as submodules of V^q, where Hom(M, V)
+    sits by phi -> (phi(e_1)..phi(e_q)): the images of the two kernel
+    embeddings, each column of one tested against the other's cached
+    ``span`` (``functors._outside_image``), so no map between them is
+    built.  ``injective``: every Hom(M, V) generator lies in Sol(V), so
+    the comparison map exists, and it is injective because Hom's
+    embedding is; ``surjective``: every Sol(V) generator lies in
+    Hom(M, V); ``bijective``: both.  A failed check ends with the first
+    generator outside the other image as ``witness``."""
     h = hom_module(malgrange_module(sys), v)
-    _, emb = solution_module(sys, v)
-    tuples = Morphism(h, emb.target, h.emb.mat, _checked=True)
-    cmp_map = lift_through(emb, tuples)
-    return bijection_report("malgrange",
-                            {"system": str(sys.mat), "probe": module_dict(v)},
-                            cmp_map, "hom_generators", "solution_generators")
+    sol, emb = solution_module(sys, v)
+    hom_out, sol_out = _outside_image(h.emb, emb), _outside_image(emb, h.emb)
+    injective, surjective = hom_out is None, sol_out is None
+    rep = Report(injective and surjective, check="malgrange",
+                 system=str(sys.mat), probe=module_dict(v),
+                 hom_generators=h.ngens, solution_generators=sol.ngens,
+                 injective=injective, surjective=surjective,
+                 bijective=injective and surjective)
+    if hom_out is not None:
+        rep["witness"] = f"hom generator {hom_out} not in solutions"
+    elif sol_out is not None:
+        rep["witness"] = f"solution generator {sol_out} not in hom"
+    return rep
 
 
 def autonomy(sys: ControlSystem) -> Tuple[FPModule, Morphism]:

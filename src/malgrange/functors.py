@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from .rings import RingSpec
-from .groebner import PolyMatrix, solve_mod
+from .groebner import PolyMatrix, Vector, solve_mod
 from .modules import (Element, FPModule, Morphism, _flatten, bass_torsion,
                       cokernel, direct_sum, dual, hom_module, hom_pre,
                       hom_post, is_injective, is_surjective, kernel,
@@ -436,33 +436,25 @@ class Report(dict):
         return super().__repr__()
 
 
-def bijection_report(check: str, subject: Dict, cmp_map: Morphism,
-                     source_key: str, target_key: str) -> Report:
-    """Test cmp_map for injectivity and surjectivity.  ``subject`` holds
-    the entries naming what was compared; ``source_key``/``target_key``
-    name the generator counts of the map's two sides."""
-    injective, surjective = is_injective(cmp_map), is_surjective(cmp_map)
-    bijective = injective and surjective
-    return Report(bijective, check=check, **subject,
-                  **{source_key: cmp_map.source.ngens,
-                     target_key: cmp_map.target.ngens},
-                  injective=injective, surjective=surjective,
-                  bijective=bijective)
+def _outside_image(phi: Morphism, psi: Morphism) -> Optional[Vector]:
+    """The first column of phi outside psi's image, or None when phi's
+    image lies in psi's.  psi is a kernel embedding, so its image is the
+    basis of its columns alone (``kernel``): the ``span`` of its matrix,
+    which ``syzygies_mod`` cached with the matrix, so no basis is
+    completed."""
+    gb = psi.mat.span
+    return next((col for col in phi.mat.columns() if not gb.contains(col)),
+                None)
 
 
 def _image_membership_witness(phi: Morphism, psi: Morphism) -> Optional[str]:
-    """A generator of one image missing from the other, or None when equal.
-    phi and psi are kernel embeddings, so each image is the basis of its
-    columns alone (``kernel``): the ``span`` of its matrix, which
-    ``syzygies_mod`` cached with the matrix, so no basis is completed."""
-    gb_phi, gb_psi = phi.mat.span, psi.mat.span
-    for j in range(phi.mat.ncols):
-        if not gb_psi.contains(phi.mat.column(j)):
-            return f"defect generator {phi.mat.column(j)} not in torsion"
-    for j in range(psi.mat.ncols):
-        if not gb_phi.contains(psi.mat.column(j)):
-            return f"torsion generator {psi.mat.column(j)} not in defect"
-    return None
+    """A generator of one image missing from the other, or None when equal
+    (``_outside_image`` both ways, the second only when the first holds)."""
+    col = _outside_image(phi, psi)
+    if col is not None:
+        return f"defect generator {col} not in torsion"
+    col = _outside_image(psi, phi)
+    return None if col is None else f"torsion generator {col} not in defect"
 
 
 def _column_strs(phi: Morphism) -> List[str]:
@@ -494,13 +486,30 @@ def verify_main_theorem(a: FPModule) -> Report:
 def verify_adjunction(fun: FPFunctor, a: FPModule) -> Report:
     """Check Nat(F, Hom(A,-)) = Hom(A, Ker f_F) via the corestriction map:
     as X = 0 for Hom(A,-), Nat's carriers are one map into Hom(A, Y_F),
-    lifted through the injective Hom(A, Ker f_F) -> Hom(A, Y_F)."""
+    lifted through the injective Hom(A, Ker f_F) -> Hom(A, Y_F) by one
+    ``solve_mod``, and the lift is tested for injectivity and
+    surjectivity.  When a carrier does not lift, no map exists: the check
+    fails, with the first such Nat generator as ``witness``."""
     n = nat_hom(fun, representable(a))
     _, emb = defect(fun)
     carriers = Morphism(n, n._h1, n._into_h1)
-    cmp_map = lift_through(hom_post(a, emb), carriers)
-    subject = {"functor": {"f": str(fun.f.mat), "Y": module_dict(fun.y),
-                           "X": module_dict(fun.x)},
-               "module": module_dict(a)}
-    return bijection_report("adjunction", subject, cmp_map,
-                            "nat_generators", "hom_generators")
+    iota = hom_post(a, emb)
+    lifts = solve_mod(carriers.mat, iota.mat, iota.target.relations)
+    if lifts is None:
+        image = PolyMatrix.hstack(iota.mat, iota.target.relations).span
+        j, col = next((j, col) for j, col in enumerate(carriers.mat.columns())
+                      if not image.contains(col))
+        injective = surjective = False
+    else:
+        cmp_map = Morphism(n, iota.source, lifts)
+        injective, surjective = is_injective(cmp_map), is_surjective(cmp_map)
+    rep = Report(injective and surjective, check="adjunction",
+                 functor={"f": str(fun.f.mat), "Y": module_dict(fun.y),
+                          "X": module_dict(fun.x)},
+                 module=module_dict(a), nat_generators=n.ngens,
+                 hom_generators=iota.source.ngens, injective=injective,
+                 surjective=surjective, bijective=injective and surjective)
+    if lifts is None:
+        rep["witness"] = (f"nat generator {j} carries {col}, not in the "
+                          "image of Hom(A, Ker f)")
+    return rep

@@ -242,7 +242,7 @@ def kernel(phi: Morphism) -> Tuple[FPModule, Morphism]:
     reduced basis of the preimage of the target's relations, and iota is
     G.  As phi is well defined, that preimage holds every relation of the
     source, so G alone spans iota's image with them: images in the source
-    compare through the basis of G (``_image_membership_witness``).  K's
+    compare through the basis of G (``functors._outside_image``).  K's
     relations are ``syzygies_mod(G, B)``, B the source's relations: read
     off ``_elimination(G, B)``, the basis that lifts through iota read too
     (``lift_through``).  They are built when ``K.relations`` is first
@@ -312,8 +312,19 @@ def _unflatten(ring: RingSpec, nrows: int, ncols: int, v: Vector) -> PolyMatrix:
     return PolyMatrix(ring, nrows, ncols, rows)
 
 
+def power_kernel(mat: PolyMatrix, v: FPModule) -> Tuple[FPModule, Morphism]:
+    """(K, iota): the kernel of the p x q matrix mat acting V^q -> V^p,
+    as mat (x) I on the generators of the powers (``kernel``).  With mat
+    the transposed relations of M this is Hom(M, V) (``HomModule``); with
+    mat a system's equations, its solutions in V (``solution_module``)."""
+    action = PolyMatrix.kron(mat, PolyMatrix.identity(v.ring, v.ngens))
+    return kernel(Morphism(direct_power(v, mat.ncols),
+                           direct_power(v, mat.nrows), action, _checked=True))
+
+
 class HomModule(FPModule):
-    """Hom(M, N) presented as the kernel of N^m -> N^p, Phi |-> Phi o rel_M.
+    """Hom(M, N) presented as the kernel of N^m -> N^p, Phi |-> Phi o rel_M
+    (``power_kernel`` of rel_M's transpose).
 
     emb maps the generators to flattened matrices M -> N (``_flatten``), in
     N^m; decode reads one morphism off it.  classes lifts flattened
@@ -324,16 +335,8 @@ class HomModule(FPModule):
     __slots__ = ("dom", "cod", "emb")
 
     def __init__(self, dom: FPModule, cod: FPModule):
-        ring = dom.ring
-        m, n = dom.ngens, cod.ngens
-        p = dom.relations.ncols
-        rel_action = PolyMatrix.kron(dom.relations.transpose(),
-                                     PolyMatrix.identity(ring, n))
-        power_m = direct_power(cod, m)
-        power_p = direct_power(cod, p)
-        rho = Morphism(power_m, power_p, rel_action, _checked=True)
-        k, emb = kernel(rho)
-        super().__init__(ring, k.ngens, k.relations)
+        k, emb = power_kernel(dom.relations.transpose(), cod)
+        super().__init__(dom.ring, k.ngens, k.relations)
         self.dom = dom
         self.cod = cod
         self.emb = emb

@@ -13,6 +13,8 @@ import pytest
 import malgrange
 from malgrange import control, corpus, functors, groebner, parsing
 from malgrange.cli import _Printer, main, run
+from malgrange.groebner import PolyMatrix
+from malgrange.modules import FPModule, Morphism, hom_module
 from malgrange.parsing import (MAX_COEFFICIENT_BITS, MAX_NESTING,
                                MAX_PRODUCT_WORK, ParseError, parse_poly)
 from malgrange.rings import Poly, ring
@@ -223,6 +225,63 @@ def test_a_failed_main_theorem_exits_one_in_text_and_json(tmp_path, capsys,
         assert code == 1 and json.loads(out)["exit"] == 1
         assert f'"{verdict}": false' in out, command
         assert f'"witness": "{WITNESS}"' in out, command
+    _computations_exit_zero(capsys, monkeypatch, path)
+
+
+def _drop_a_solution_generator(monkeypatch):
+    # Sol(V)'s embedding loses its first column, so some Hom(M, V)
+    # generator lies outside its image
+    original = control.solution_module
+
+    def dropped(sys, v):
+        _, emb = original(sys, v)
+        cols = emb.mat.columns()[1:]
+        k = FPModule.free(sys.ring, len(cols))
+        return k, Morphism(k, emb.target, PolyMatrix.from_columns(
+            sys.ring, emb.target.ngens, cols), _checked=True)
+
+    monkeypatch.setattr(control, "solution_module", dropped)
+
+
+def _send_hom_post_to_zero(monkeypatch):
+    # Hom(A, Ker f) -> Hom(A, Y) becomes the zero map, so no nonzero Nat
+    # carrier lifts through it
+    monkeypatch.setattr(functors, "hom_post", lambda dom, f: Morphism.zero(
+        hom_module(dom, f.source), hom_module(dom, f.target)))
+
+
+@pytest.mark.parametrize("mutate, line, witness", [
+    (_drop_a_solution_generator, "malgrange S @ M: failed",
+     "hom generator [1] not in solutions"),
+    (_send_hom_post_to_zero, "adjunction stable(M) @ M: failed",
+     "nat generator 0 carries [1], not in the image of Hom(A, Ker f)"),
+], ids=["malgrange", "adjunction"])
+def test_a_failed_comparison_exits_one_in_text_and_json(
+        tmp_path, capsys, monkeypatch, mutate, line, witness):
+    # a comparison with no map between its two sides is a failed verdict
+    # with a witness, not a traceback, in verify --all and session verify
+    check = line.split()[0]
+    mutate(monkeypatch)
+    path = session_file(tmp_path, DRIFT_AND_MODULE)
+    for args in (["verify", "--all"], ["verify", path]):
+        code, out = _main_out(capsys, monkeypatch, args)
+        failed = [text for text in out.splitlines()
+                  if text.endswith(": failed")]
+        assert code == 1 and failed, args
+        assert all(text.startswith(check + " ") for text in failed), args
+        assert out.endswith(f" checks, {len(failed)} failures\n"), args
+        code, out = _main_out(capsys, monkeypatch, args + ["--json"])
+        payload = json.loads(out)
+        assert code == 1 and payload["exit"] == 1, args
+        reports = [r for r in payload["results"]
+                   if r.get("bijective", True) is False]
+        assert len(reports) == len(failed), args
+        for r in reports:
+            assert r["check"] == check
+            assert list(r)[-4:] == ["injective", "surjective", "bijective",
+                                    "witness"]
+    assert line in _main_out(capsys, monkeypatch, ["verify", path])[1]
+    assert reports[-1]["witness"] == witness
     _computations_exit_zero(capsys, monkeypatch, path)
 
 

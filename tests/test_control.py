@@ -1,10 +1,12 @@
 import json
+import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from malgrange.rings import ring
 from malgrange.parsing import parse_poly
-from malgrange import groebner, modules
+from malgrange import control, functors, groebner, modules
 from malgrange.groebner import PolyMatrix
 from malgrange.modules import (FPModule, Morphism, bass_torsion, cokernel,
                                hom_module, is_isomorphism, q_dimension)
@@ -13,6 +15,8 @@ from malgrange.control import (ControlSystem, autonomy, autonomy_report,
                                malgrange_module, solution_module)
 from malgrange.functors import Report
 from malgrange import corpus
+
+from reference_engine import reference_syzygies_mod
 
 RD = ring("d")
 RDD = ring("d1", "d2")
@@ -118,6 +122,80 @@ def test_malgrange_check_report_serialization():
     assert rep["check"] == "malgrange"
     assert rep["bijective"] is True
     json.dumps(rep)
+
+
+def _completions(monkeypatch, run):
+    """The ``groebner._complete`` calls run() makes on a cold cache."""
+    calls = []
+    original = groebner._complete
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    groebner._CACHE.clear()
+    with monkeypatch.context() as patch:
+        patch.setattr(groebner, "_complete", counting)
+        run()
+    return len(calls)
+
+
+def test_the_malgrange_check_completes_only_hom(monkeypatch):
+    # the check compares the images of two kernel embeddings in V^q by the
+    # bases their kernels cached: it completes only what Hom(M, V) needs,
+    # and lifts, solves and tests no map between the two sides
+    def refuse(*args):
+        raise AssertionError("the Malgrange check built a comparison map")
+
+    for sname, sys, pname, probe in corpus.malgrange_pairs():
+        hom = _completions(monkeypatch, lambda: hom_module(
+            malgrange_module(sys), probe).relations)
+        with monkeypatch.context() as patch:
+            for owner in (groebner, modules, functors, control):
+                for name in ("lift_through", "solve_mod", "is_injective",
+                             "is_surjective"):
+                    if hasattr(owner, name):
+                        patch.setattr(owner, name, refuse)
+            check = _completions(patch, lambda: malgrange_check(sys, probe))
+        assert check == hom, (sname, pname)
+
+
+def _solution_draw(r, rng):
+    """A system of at most 2 equations in at most 3 unknowns, entries of
+    degree at most 2, and a probe on n <= 2 generators with at most 3 - n
+    relations of degree 1, over r.  The textbook engine eliminates in
+    rank n * (equations + unknowns), which is kept at most 8: at rank 10,
+    or with probe relations of degree 2, some draws over Q[x,y] take it
+    longer than 10 s."""
+    p, q, deg = rng.randint(1, 2), rng.randint(1, 3), rng.randint(1, 2)
+    rows = [[corpus.random_poly(r, rng, deg) for _ in range(q)]
+            for _ in range(p)]
+    sys = ControlSystem(r, [f"w{i}" for i in range(q)],
+                        PolyMatrix(r, p, q, rows))
+    n = rng.randint(1, 2) if p + q <= 4 else 1
+    return sys, corpus.random_cokernel(r, rng, n, rng.randint(0, 3 - n), 1)
+
+
+def _assert_solutions_match_the_reference(sys, v):
+    # Sol(V) is the reduced basis of {c in V^q : (A (x) I) c = 0 in V^p},
+    # computed here by the textbook engine
+    action = PolyMatrix.kron(sys.mat, PolyMatrix.identity(v.ring, v.ngens))
+    vp = PolyMatrix.block_diag(v.ring, [v.relations] * sys.n_equations)
+    expected = reference_syzygies_mod(action, vp)
+    assert solution_module(sys, v)[1].mat.columns() == expected, (sys, v)
+    assert malgrange_check(sys, v).ok, (sys, v)
+
+
+def test_corpus_solutions_match_the_reference_engine():
+    for _, sys, _, probe in corpus.malgrange_pairs():
+        _assert_solutions_match_the_reference(sys, probe)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**30), st.sampled_from([ring("x"), ring("x", "y")]))
+def test_drawn_solutions_match_the_reference_engine(seed, r):
+    _assert_solutions_match_the_reference(
+        *_solution_draw(r, random.Random(seed)))
 
 
 # -- autonomy and controllability ------------------------------------------------------

@@ -22,7 +22,7 @@ from malgrange.functors import (ContraFPFunctor, FPFunctor, FunMorphism,
                                 tensor_eval_map, tensor_functor,
                                 verify_adjunction, verify_main_theorem,
                                 zero_functor)
-from malgrange.functors import NatModule, bijection_report
+from malgrange.functors import NatModule
 from malgrange import corpus, functors, groebner
 from malgrange.cli import main
 from reference_engine import reference_lifts
@@ -651,28 +651,36 @@ def _nat_comparison_cases(r):
     return cases
 
 
+def _bijection(phi):
+    return {"injective": is_injective(phi), "surjective": is_surjective(phi),
+            "bijective": is_isomorphism(phi)}
+
+
 @pytest.mark.parametrize("r", [RX, RXY], ids=["x", "xy"])
 def test_nat_comparisons_equal_their_per_generator_definitions(r, monkeypatch):
+    # the adjunction's comparison map is the one it tests for injectivity
     maps = []
 
-    def capture(check, subject, cmp_map, *keys):
-        maps.append(cmp_map)
-        return bijection_report(check, subject, cmp_map, *keys)
+    def capture(phi):
+        maps.append(phi)
+        return is_injective(phi)
 
-    monkeypatch.setattr(functors, "bijection_report", capture)
+    monkeypatch.setattr(functors, "is_injective", capture)
     cases = _nat_comparison_cases(r)
     assert len(cases) >= 10
     for fun, a in cases:
         rep = verify_adjunction(fun, a)
         ref = _reference_adjunction_map(fun, a)
         assert maps.pop() == ref, (fun, a)
-        subject = {"functor": rep["functor"], "module": rep["module"]}
-        assert rep == bijection_report("adjunction", subject, ref,
-                                       "nat_generators", "hom_generators")
+        assert list(rep) == ["check", "functor", "module", "nat_generators",
+                             "hom_generators", "injective", "surjective",
+                             "bijective"]
+        assert rep == {**rep, "nat_generators": ref.source.ngens,
+                       "hom_generators": ref.target.ngens, **_bijection(ref)}
+        assert rep.ok is rep["bijective"]
         new, ref = defect_comparison(fun), _reference_defect_comparison(fun)
         assert new == ref, fun
-        assert (bijection_report("defect", {}, new, "nat", "w")
-                == bijection_report("defect", {}, ref, "nat", "w"))
+        assert _bijection(new) == _bijection(ref)
 
 
 def test_nat_comparisons_make_one_lift_and_decode_nothing(monkeypatch):
@@ -685,14 +693,18 @@ def test_nat_comparisons_make_one_lift_and_decode_nothing(monkeypatch):
     monkeypatch.setattr(NatModule, "decode", refuse)
     monkeypatch.setattr(FunMorphism, "__init__", refuse)
     monkeypatch.setattr(Element, "__init__", refuse)
+    # the adjunction lifts by one solve_mod, the defect by one lift_through
     callers = []
-    original = functors.lift_through
 
-    def counting(iota, phi):
-        callers.append(traceback.extract_stack(limit=2)[0].name)
-        return original(iota, phi)
+    def counting(original):
+        def call(*args):
+            callers.append(traceback.extract_stack(limit=2)[0].name)
+            return original(*args)
+        return call
 
-    monkeypatch.setattr(functors, "lift_through", counting)
+    monkeypatch.setattr(functors, "lift_through",
+                        counting(functors.lift_through))
+    monkeypatch.setattr(functors, "solve_mod", counting(functors.solve_mod))
     for _, fun, _, a in corpus.adjunction_pairs():
         callers.clear()
         assert verify_adjunction(fun, a).ok

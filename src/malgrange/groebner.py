@@ -1150,6 +1150,66 @@ class PolyMatrix:
         return f"PolyMatrix({self.nrows}x{self.ncols}, {self})"
 
 
+# The rank certificate of ``_independent_at_point``: x_i is sent to
+# 2i + 3, so to (3, 5, 7, ...), and every value is taken modulo the prime
+# 2^61 - 1.  Module constants, not options: they decide which kernels
+# skip an elimination, never a kernel.
+_POINT_START, _POINT_STEP = 3, 2
+_POINT_PRIME = (1 << 61) - 1
+
+
+def _independent_at_point(a: PolyMatrix) -> bool:
+    """True when a's columns stay linearly independent over F_p after
+    x_i -> ``_POINT_START`` + i * ``_POINT_STEP``, p = ``_POINT_PRIME``.
+
+    Then a maximal minor of a is nonzero at that point modulo p, so is a
+    nonzero polynomial, and over the domain R the map a is injective
+    (McCoy, "Remarks on divisors of zero", Amer. Math. Monthly 49, 1942).
+    Each coefficient is read as numerator * denominator^-1 mod p and each
+    power as ``pow(pt, e, p)``, so a huge exponent costs its bit length.
+    False, and the caller eliminates as usual, for more columns than rows,
+    for a dependent reading, or for a denominator p divides: a False never
+    says the columns are dependent."""
+    k, n = a.nrows, a.ncols
+    if n > k:
+        return False
+    p = _POINT_PRIME
+    point = range(_POINT_START, _POINT_START + _POINT_STEP * a.ring.nvars,
+                  _POINT_STEP)
+    values = {}
+
+    def value(f: Poly) -> int:
+        total = 0
+        for exps, c in f.terms:
+            v = values.get(exps)
+            if v is None:
+                v = 1
+                for x, e in zip(point, exps):
+                    if e:
+                        v = v * pow(x, e, p) % p
+                values[exps] = v
+            d = c.denominator
+            total += c.numerator * v * (pow(d, -1, p) if d != 1 else 1)
+        return total % p
+
+    pivots: List[Tuple[int, List[int]]] = []
+    try:
+        for j in range(n):
+            col = [value(a.rows[i][j]) for i in range(k)]
+            for at, row in pivots:
+                f = col[at]
+                if f:
+                    col = [(x - f * y) % p for x, y in zip(col, row)]
+            at = next((i for i, x in enumerate(col) if x), None)
+            if at is None:
+                return False
+            inv = pow(col[at], -1, p)
+            pivots.append((at, [x * inv % p for x in col]))
+    except ValueError:  # a denominator divisible by p
+        return False
+    return True
+
+
 def syzygies_mod(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
     """Columns generating {c : a*c lies in the column span of b}.
 
@@ -1157,17 +1217,24 @@ def syzygies_mod(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
     (``_eliminate``): no cofactors are tracked and nothing is
     re-completed.  Every column c is multiplied out again and a*c must lie
     in ``b.span`` (``GrobnerBasis.first_product_outside``), else
-    ``RuntimeError``.  The result is computed once per exact (a, b)
-    (``cached``), and the basis it was read off is cached as its ``span``.
+    ``RuntimeError``.  For a free target, b with no nonzero column, whose
+    a has independent columns at a point modulo a prime
+    (``_independent_at_point``), the submodule is zero and no elimination
+    runs: the reading is exact, and any other reading eliminates.  The
+    result is computed once per exact (a, b) (``cached``), and the basis
+    it was read off is cached as its ``span``.
     """
     if a.nrows != b.nrows:
         raise ValueError("row count mismatch")
     ring = a.ring
 
     def build() -> PolyMatrix:
-        gb = _eliminate(a, b)
+        if b.is_zero() and _independent_at_point(a):
+            gb = GrobnerBasis(ring, a.ncols, ())
+        else:
+            gb = _eliminate(a, b)
         c = PolyMatrix.from_columns(ring, a.ncols, gb.gens)
-        if b.span.first_product_outside(a, c) is not None:
+        if c.ncols and b.span.first_product_outside(a, c) is not None:
             raise RuntimeError("uncertified syzygy")
         cached(("span", c), lambda: gb)
         return c

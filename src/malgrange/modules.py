@@ -247,6 +247,9 @@ def kernel(phi: Morphism) -> Tuple[FPModule, Morphism]:
     off ``_elimination(G, B)``, the basis that lifts through iota read too
     (``lift_through``).  They are built when ``K.relations`` is first
     read; a caller that compares images in the source never pays for them.
+    A free target with phi.mat of full column rank at a point modulo a
+    prime gives K = 0 with no elimination (``syzygies_mod``), as for the
+    dual of a torsion module.
     """
     m = phi.source
     gens = syzygies_mod(phi.mat, phi.target.relations)
@@ -316,7 +319,9 @@ def power_kernel(mat: PolyMatrix, v: FPModule) -> Tuple[FPModule, Morphism]:
     """(K, iota): the kernel of the p x q matrix mat acting V^q -> V^p,
     as mat (x) I on the generators of the powers (``kernel``).  With mat
     the transposed relations of M this is Hom(M, V) (``HomModule``); with
-    mat a system's equations, its solutions in V (``solution_module``)."""
+    mat a system's equations, its solutions in V (``solution_module``).
+    K's relations are built on first read.  mat (x) I by an identity
+    multiplies no entry (``Poly.mul_term``)."""
     action = PolyMatrix.kron(mat, PolyMatrix.identity(v.ring, v.ngens))
     return kernel(Morphism(direct_power(v, mat.ncols),
                            direct_power(v, mat.nrows), action, _checked=True))
@@ -324,7 +329,9 @@ def power_kernel(mat: PolyMatrix, v: FPModule) -> Tuple[FPModule, Morphism]:
 
 class HomModule(FPModule):
     """Hom(M, N) presented as the kernel of N^m -> N^p, Phi |-> Phi o rel_M
-    (``power_kernel`` of rel_M's transpose).
+    (``power_kernel`` of rel_M's transpose).  Its relations are the
+    kernel's, built when ``relations`` is first read: a caller that reads
+    only the embedding (``control.malgrange_check``) never completes them.
 
     emb maps the generators to flattened matrices M -> N (``_flatten``), in
     N^m; decode reads one morphism off it.  classes lifts flattened
@@ -336,7 +343,7 @@ class HomModule(FPModule):
 
     def __init__(self, dom: FPModule, cod: FPModule):
         k, emb = power_kernel(dom.relations.transpose(), cod)
-        super().__init__(dom.ring, k.ngens, k.relations)
+        super().__init__(dom.ring, k.ngens, k._relations)
         self.dom = dom
         self.cod = cod
         self.emb = emb

@@ -273,7 +273,11 @@ class Poly:
         return Poly(self.ring, tuple((m, c * k) for m, k in self.terms), _canonical=True)
 
     def mul_term(self, coeff: Fraction, exps: Monomial) -> "Poly":
-        """Multiply by the single term coeff * x^exps (stays canonical)."""
+        """Multiply by the single term coeff * x^exps (stays canonical);
+        by the constant 1, self itself, so ``PolyMatrix.kron`` by an
+        identity builds no polynomial."""
+        if not any(exps) and coeff == 1:
+            return self
         if coeff == 0:
             return Poly.zero(self.ring)
         return Poly(self.ring,

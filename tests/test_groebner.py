@@ -755,6 +755,111 @@ def test_syzygies_mod_matches_the_tracked_route(seed, r, shape):
                                  for i in range(n)]
 
 
+def _free_target_case(r, rng, kind):
+    """(a, b, full) with b free (no columns) and full whether a has full
+    column rank over r.  "wide" has more columns than rows; "full" stacks
+    an upper triangular block with a nonzero diagonal on random rows, its
+    rows then mixed by an invertible constant matrix; "deficient" makes
+    the last column of such an a a combination of the others; "singular
+    at the point" multiplies a column of a full a by x - 3, which vanishes
+    where the rank certificate evaluates (``groebner._POINT_START``)."""
+    deg = 1 if r is R3 else 2
+    n = rng.randint(1, 3)
+    if kind == "wide":
+        k = rng.randint(1, n)
+        n += 1
+        cols = [list(rand_vector(r, rng, k, deg=deg).entries)
+                for _ in range(n)]
+    else:
+        k = n + rng.randint(0, 1)
+        cols = []
+        for j in range(n):
+            top = list(rand_vector(r, rng, j, deg=deg).entries)
+            pivot = Poly.zero(r)
+            while pivot.is_zero():
+                pivot = rand_vector(r, rng, 1, deg=deg).entries[0]
+            cols.append(top + [pivot] + [Poly.zero(r)] * (n - 1 - j)
+                        + list(rand_vector(r, rng, k - n, deg=deg).entries))
+        mix = [[Poly.constant(r, Fraction(rng.randint(-2, 2), rng.randint(1, 3)))
+                if i != j else Poly.one(r) for j in range(k)]
+               for i in range(k)]
+        for i in range(k):  # unit lower triangular, so invertible
+            for j in range(i + 1, k):
+                mix[i][j] = Poly.zero(r)
+        cols = [[sum((mix[i][t] * col[t] for t in range(k)), Poly.zero(r))
+                 for i in range(k)] for col in cols]
+        if kind == "deficient":
+            last = [Poly.zero(r)] * k
+            for col in cols[:-1]:
+                f = rand_vector(r, rng, 1, deg=1).entries[0]
+                last = [p + q * f for p, q in zip(last, col)]
+            cols[-1] = last
+        elif kind == "singular at the point":
+            j = rng.randrange(n)
+            cols[j] = [p * parse_poly("x - 3", r) for p in cols[j]]
+    a = PolyMatrix(r, k, n, [[col[i] for col in cols] for i in range(k)])
+    return a, PolyMatrix.zeros(r, k, 0), kind in ("full",
+                                                  "singular at the point")
+
+
+def _assert_free_target_kernel(a, b, full):
+    groebner._CACHE.clear()
+    got = syzygies_mod(a, b).columns()
+    assert got == reference_syzygies_mod(a, b)
+    # an empty kernel comes only from a matrix of full generic rank
+    assert (got == []) == full
+
+
+_FREE_TARGET_KINDS = ["wide", "full", "deficient", "singular at the point"]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2**30), st.sampled_from([RX, RXY, R3]),
+       st.sampled_from(_FREE_TARGET_KINDS))
+def test_the_rank_certificate_matches_the_reference_engine(seed, r, kind):
+    # a free target's kernel is decided at a point modulo a prime when a
+    # has independent columns there, and eliminated otherwise: both must
+    # give the reference engine's reduced basis
+    a, b, full = _free_target_case(r, random.Random(seed), kind)
+    _assert_free_target_kernel(a, b, full)
+    if kind == "singular at the point":
+        assert not groebner._independent_at_point(a)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_a_forced_full_rank_reading_fails_the_rank_certificate_test(
+        monkeypatch, seed):
+    # the test above sees the shortcut: a point test that reads full rank
+    # for a deficient matrix gives an empty kernel, and the test fails
+    a, b, full = _free_target_case(R3, random.Random(seed), "deficient")
+    assert not full
+    _assert_free_target_kernel(a, b, full)
+    monkeypatch.setattr(groebner, "_independent_at_point", lambda a: True)
+    with pytest.raises(AssertionError):
+        _assert_free_target_kernel(a, b, full)
+
+
+def test_a_denominator_the_prime_divides_is_eliminated():
+    # the point test cannot read 1/p modulo p, so it reports no rank and
+    # the kernel is eliminated: still zero
+    p = groebner._POINT_PRIME
+    a = PolyMatrix(RX, 1, 1, [[Poly.term(RX, Fraction(1, p), (1,))]])
+    assert not groebner._independent_at_point(a)
+    assert groebner._independent_at_point(a.scale(Poly.constant(RX, p)))
+    groebner._CACHE.clear()
+    assert syzygies_mod(a, PolyMatrix.zeros(RX, 1, 0)).ncols == 0
+    assert ("elimination", a, PolyMatrix.zeros(RX, 1, 0)) in groebner._CACHE
+
+
+def test_a_huge_exponent_is_read_at_the_point_quickly():
+    # powers are taken modulo the prime, so x^(10^9) costs its bit length
+    a = PolyMatrix(RXY, 2, 2, [[parse_poly("x^1000000000", RXY),
+                                parse_poly("y", RXY)],
+                               [parse_poly("1", RXY),
+                                parse_poly("y^999999999", RXY)]])
+    assert groebner._independent_at_point(a)
+
+
 def test_syzygies_mod_runs_no_tracked_completion(monkeypatch):
     calls = []
     original = groebner.extended_buchberger
@@ -1003,11 +1108,16 @@ def test_colon_ideal_matches_the_elimination_from_scratch(seed, r, shape):
         assert colon_ideal(v, b) == basis
         assert len(groebner._CACHE) == stored
     column = PolyMatrix.from_columns(r, k, [v])
+    eliminated = ("elimination", column, b) in groebner._CACHE
     elim = groebner._elimination(column, b)
-    if not leading_zero:
+    if eliminated:
         # the elimination is stored under its own key: asking for it
         # again is a hit and stores nothing new
         assert len(groebner._CACHE) == stored
+    elif not leading_zero:
+        # only a free target's kernel is decided with no elimination, at
+        # a point where v is nonzero (syzygies_mod)
+        assert b.is_zero() and not v.is_zero()
     assert list(elim.gens) == reference_buchberger(_elimination_gens(v, b),
                                                    r, k + 1)
     assert list(basis.gens) == reference_syzygies_mod(column, b)

@@ -857,7 +857,13 @@ def test_a_huge_exponent_is_read_at_the_point_quickly():
                                 parse_poly("y", RXY)],
                                [parse_poly("1", RXY),
                                 parse_poly("y^999999999", RXY)]])
-    assert groebner._independent_at_point(a)
+    previous = signal.signal(signal.SIGALRM, _alarm)
+    signal.alarm(10)  # a regression fails here instead of hanging
+    try:
+        assert groebner._independent_at_point(a)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def test_syzygies_mod_runs_no_tracked_completion(monkeypatch):

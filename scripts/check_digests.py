@@ -6,7 +6,7 @@
 Run from the root of a checkout.  Each of the 64 inputs of each
 ``perfbench`` workload runs through ``malgrange.cli.main`` in this process,
 with the Groebner cache emptied before each input so no input sees another's
-results: the cache is the engine's only memo, column bases
+results: the cache is the engine's only memo of results, column bases
 (``PolyMatrix.span``) included, so each input starts cold.  Its stdout must
 pass ``perfbench/run.py``'s ``check_output``: exit code 0, no failed
 verdict, the workload's own check, and the sha256 recorded in

@@ -85,13 +85,14 @@ def malgrange_check(sys: ControlSystem, v: FPModule) -> Report:
     the comparison map exists, and it is injective because Hom's
     embedding is; ``surjective``: every Sol(V) generator lies in
     Hom(M, V); ``bijective``: both.  A failed check ends with the first
-    generator outside the other image as ``witness``."""
+    generator outside the other image as ``witness``.  The system and
+    probe entries are formatted when first read (``Report``)."""
     h = hom_module(malgrange_module(sys), v)
     sol, emb = solution_module(sys, v)
     hom_out, sol_out = _outside_image(h.emb, emb), _outside_image(emb, h.emb)
     injective, surjective = hom_out is None, sol_out is None
     rep = Report(injective and surjective, check="malgrange",
-                 system=str(sys.mat), probe=module_dict(v),
+                 system=lambda: str(sys.mat), probe=lambda: module_dict(v),
                  hom_generators=h.ngens, solution_generators=sol.ngens,
                  injective=injective, surjective=surjective,
                  bijective=injective and surjective)

@@ -27,26 +27,21 @@ def bivariate_ring() -> RingSpec:
     return ring("x", "y")
 
 
-def _monomials_upto(r: RingSpec, deg: int) -> List[Poly]:
-    """All monomials of total degree <= deg, in a fixed order."""
+def _monomials_upto(r: RingSpec, deg: int) -> List[Tuple[int, ...]]:
+    """The exponents of all monomials of total degree <= deg, in a fixed
+    order."""
     exps_list = [()]
     for _ in range(r.nvars):
         exps_list = [e + (k,) for e in exps_list for k in range(deg + 1)]
-    out = []
-    for exps in sorted(exps_list):
-        if sum(exps) <= deg:
-            out.append(Poly.term(r, 1, tuple(exps)))
-    return out
+    return [exps for exps in sorted(exps_list) if sum(exps) <= deg]
 
 
 def random_poly(r: RingSpec, rng: random.Random, deg: int = 2) -> Poly:
-    monos = _monomials_upto(r, deg)
-    p = Poly.zero(r)
-    for m in monos:
-        c = rng.choice((-2, -1, 0, 0, 0, 1, 1, 2))
-        if c:
-            p = p + m.scale(c)
-    return p
+    """One coefficient drawn from rng per monomial of total degree <= deg,
+    in ``_monomials_upto`` order; the polynomial is built by one ``Poly``,
+    which drops the zero draws."""
+    return Poly(r, [(exps, rng.choice((-2, -1, 0, 0, 0, 1, 1, 2)))
+                    for exps in _monomials_upto(r, deg)])
 
 
 def random_cokernel(r: RingSpec, rng: random.Random, nrows: int = 2,

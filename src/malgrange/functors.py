@@ -18,11 +18,10 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from .rings import RingSpec
-from .groebner import PolyMatrix, Vector, solve_mod
+from .groebner import GrobnerBasis, PolyMatrix, Vector, solve_mod
 from .modules import (Element, FPModule, Morphism, _flatten, bass_torsion,
                       cokernel, direct_sum, dual, hom_module, hom_pre,
-                      hom_post, is_injective, is_surjective, kernel,
-                      lift_through, nonzero_columns)
+                      hom_post, kernel, lift_through, nonzero_columns)
 
 
 class FPFunctor:
@@ -258,7 +257,12 @@ class NatModule(FPModule):
 
     Presented as {b : f_F o b factors through f_G} modulo {t o f_G}:
     a kernel of Hom(Y_G,Y_F) -> Hom(Y_G,X_F)/im, with the factoring
-    transformations quotiented out.
+    transformations quotiented out.  The generators are the kernel's,
+    carried into Hom(Y_G, Y_F) by ``_into_h1``; the relations (the
+    kernel's, and the lift of Hom(f_G, Y_F) through it by
+    ``lift_through``, whose ``Morphism`` check certifies them) are built
+    when ``relations`` is first read (``FPModule``): a caller that reads
+    only the carriers (``verify_adjunction``) never builds them.
     """
 
     __slots__ = ("fsrc", "ftgt", "_h1", "_into_h1")
@@ -268,12 +272,14 @@ class NatModule(FPModule):
         h1 = hom_module(ftgt.y, fsrc.y)
         c = hom_post(ftgt.y, f_f)
         d = hom_pre(f_g, fsrc.x)
-        e = hom_pre(f_g, fsrc.y)
         coker_d, _ = cokernel(d)
         _, emb = kernel(Morphism(h1, coker_d, c.mat, _checked=True))
-        e_tilde = lift_through(emb, e)
-        n, _ = cokernel(e_tilde)
-        super().__init__(h1.ring, n.ngens, n.relations)
+
+        def relations() -> PolyMatrix:
+            e_tilde = lift_through(emb, hom_pre(f_g, fsrc.y))
+            return cokernel(e_tilde)[0].relations
+
+        super().__init__(h1.ring, emb.mat.ncols, relations)
         self.fsrc = fsrc
         self.ftgt = ftgt
         self._h1 = h1
@@ -436,15 +442,22 @@ class Report(dict):
         return super().__repr__()
 
 
+def _first_outside(mat: PolyMatrix, gb: GrobnerBasis,
+                   ) -> Optional[Tuple[int, Vector]]:
+    """(j, column j) for the first column of mat that gb does not
+    contain, or None when gb contains them all."""
+    return next(((j, col) for j, col in enumerate(mat.columns())
+                 if not gb.contains(col)), None)
+
+
 def _outside_image(phi: Morphism, psi: Morphism) -> Optional[Vector]:
     """The first column of phi outside psi's image, or None when phi's
     image lies in psi's.  psi is a kernel embedding, so its image is the
     basis of its columns alone (``kernel``): the ``span`` of its matrix,
     which ``syzygies_mod`` cached with the matrix, so no basis is
     completed."""
-    gb = psi.mat.span
-    return next((col for col in phi.mat.columns() if not gb.contains(col)),
-                None)
+    hit = _first_outside(phi.mat, psi.mat.span)
+    return None if hit is None else hit[1]
 
 
 def _image_membership_witness(phi: Morphism, psi: Morphism) -> Optional[str]:
@@ -468,13 +481,14 @@ def verify_main_theorem(a: FPModule) -> Report:
     with the torsion submodule of A, as submodules of A: the images of two
     kernel embeddings, neither kernel presented.  A failed check carries
     a generator in one image and not the other as ``witness``.  The
-    generator lists are computed when first read (``Report``): the
-    verdict never needs A's relation basis, which they do."""
+    module entry and the generator lists are computed when first read
+    (``Report``): the verdict never needs A's relation basis, which the
+    lists do."""
     _, emb = defect(stable_hom(a))
     _, iota = bass_torsion(a)
     witness = _image_membership_witness(emb, iota)
     rep = Report(witness is None, check="main-theorem",
-                 module=module_dict(a),
+                 module=lambda: module_dict(a),
                  defect_generators=lambda: _column_strs(emb),
                  torsion_generators=lambda: _column_strs(iota),
                  equal=witness is None)
@@ -484,32 +498,36 @@ def verify_main_theorem(a: FPModule) -> Report:
 
 
 def verify_adjunction(fun: FPFunctor, a: FPModule) -> Report:
-    """Check Nat(F, Hom(A,-)) = Hom(A, Ker f_F) via the corestriction map:
-    as X = 0 for Hom(A,-), Nat's carriers are one map into Hom(A, Y_F),
-    lifted through the injective Hom(A, Ker f_F) -> Hom(A, Y_F) by one
-    ``solve_mod``, and the lift is tested for injectivity and
-    surjectivity.  When a carrier does not lift, no map exists: the check
-    fails, with the first such Nat generator as ``witness``."""
+    """Check Nat(F, Hom(A,-)) = Hom(A, Ker f_F) as submodules of
+    Hom(A, Y_F): as X = 0 for Hom(A,-), Nat's carriers lie there, and
+    Hom(A, Ker f_F) sits there by Hom(A, -) of the defect's embedding.
+    Two image tests decide, as in ``control.malgrange_check``: no map
+    between the sides is lifted and Nat's relations are never built.
+    ``injective``: every carrier lies in Hom(A, Ker f_F)'s image (with
+    Hom(A, Y_F)'s relations), so the comparison map exists, and it is
+    injective because the carriers embed; ``surjective``: every
+    Hom(A, Ker f_F) generator lies in the carriers' cached ``span``, a
+    kernel embedding's, so it holds Hom(A, Y_F)'s relations;
+    ``bijective``: both.  A failed check ends with the first generator
+    outside the other image as ``witness``.  The functor and module
+    entries are formatted when first read (``Report``)."""
     n = nat_hom(fun, representable(a))
     _, emb = defect(fun)
-    carriers = Morphism(n, n._h1, n._into_h1)
     iota = hom_post(a, emb)
-    lifts = solve_mod(carriers.mat, iota.mat, iota.target.relations)
-    if lifts is None:
-        image = PolyMatrix.hstack(iota.mat, iota.target.relations).span
-        j, col = next((j, col) for j, col in enumerate(carriers.mat.columns())
-                      if not image.contains(col))
-        injective = surjective = False
-    else:
-        cmp_map = Morphism(n, iota.source, lifts)
-        injective, surjective = is_injective(cmp_map), is_surjective(cmp_map)
+    image = PolyMatrix.hstack(iota.mat, iota.target.relations).span
+    nat_out = _first_outside(n._into_h1, image)
+    hom_out = _first_outside(iota.mat, n._into_h1.span)
+    injective, surjective = nat_out is None, hom_out is None
     rep = Report(injective and surjective, check="adjunction",
-                 functor={"f": str(fun.f.mat), "Y": module_dict(fun.y),
-                          "X": module_dict(fun.x)},
-                 module=module_dict(a), nat_generators=n.ngens,
+                 functor=lambda: {"f": str(fun.f.mat), "Y": module_dict(fun.y),
+                                  "X": module_dict(fun.x)},
+                 module=lambda: module_dict(a), nat_generators=n.ngens,
                  hom_generators=iota.source.ngens, injective=injective,
                  surjective=surjective, bijective=injective and surjective)
-    if lifts is None:
-        rep["witness"] = (f"nat generator {j} carries {col}, not in the "
-                          "image of Hom(A, Ker f)")
+    if nat_out is not None:
+        rep["witness"] = ("nat generator {} carries {}, not in the image of "
+                          "Hom(A, Ker f)".format(*nat_out))
+    elif hom_out is not None:
+        rep["witness"] = ("hom generator {} maps to {}, not among the nat "
+                          "carriers".format(*hom_out))
     return rep

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from fractions import Fraction
+from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from itertools import chain, repeat
 from math import gcd
@@ -518,7 +519,10 @@ def cached(key: tuple, build: Callable[[], _T]) -> _T:
     read off them (``syzygies_mod``, so also the annihilators
     ``colon_ideal`` reads off an elimination), Hom modules and torsion
     embeddings (``modules``): the one memo of each, so ``_CACHE.clear()``
-    is a cold start.
+    is a cold start for every certified result.  The identity and zero
+    matrices (``PolyMatrix.identity``, ``PolyMatrix.zeros``) are shared by
+    a memo of their own: they certify nothing, and clearing this cache
+    leaves them.
     """
     value = _CACHE.get(key, _MISSING)
     if value is _MISSING:
@@ -996,14 +1000,25 @@ class PolyMatrix:
     def __setattr__(self, *_):
         raise AttributeError("PolyMatrix is immutable")
 
+    # The identity and zero matrices are built once per (ring, shape) and
+    # shared: immutable, so sharing changes no result, and a cache key
+    # that holds one compares equal to it by identity, not term by term.
+    # The bound keeps a process that meets many shapes from holding them
+    # all.
+
     @staticmethod
+    @lru_cache(maxsize=256)
     def zeros(ring: RingSpec, nrows: int, ncols: int) -> "PolyMatrix":
+        """The nrows x ncols zero matrix, one shared object per (ring,
+        shape)."""
         z = Poly.zero(ring)
         return PolyMatrix(ring, nrows, ncols,
                           tuple((z,) * ncols for _ in range(nrows)))
 
     @staticmethod
+    @lru_cache(maxsize=256)
     def identity(ring: RingSpec, n: int) -> "PolyMatrix":
+        """The n x n identity matrix, one shared object per (ring, n)."""
         one = Poly.one(ring)
         z = Poly.zero(ring)
         return PolyMatrix(ring, n, n,

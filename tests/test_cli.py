@@ -285,15 +285,47 @@ def test_a_failed_comparison_exits_one_in_text_and_json(
     _computations_exit_zero(capsys, monkeypatch, path)
 
 
+# R + R/(d): Hom(M, M) holds the identity of R, which Hom(M, T(M)) does
+# not, so a Nat carrier of stable(M) @ M can be moved outside that image
+FREE_PLUS_TORSION = "ring Q[d]; module M = coker [[0, d]];"
+
+
+def _move_a_nat_carrier_outside(monkeypatch):
+    # the first Nat carrier gains the first unit vector of Hom(A, Y_F)
+    # outside Hom(A, Ker f)'s image, so it leaves that image
+    original = functors.nat_hom
+
+    def moved(fsrc, ftgt):
+        n = original(fsrc, ftgt)
+        iota = functors.hom_post(ftgt.y, functors.defect(fsrc)[1])
+        image = PolyMatrix.hstack(iota.mat, iota.target.relations).span
+        outside = next((e for e in PolyMatrix.identity(
+            n.ring, n._h1.ngens).columns() if not image.contains(e)), None)
+        cols = n._into_h1.columns()
+        if outside is not None and cols:
+            cols[0] = cols[0] + outside
+            n._into_h1 = PolyMatrix.from_columns(n.ring, n._h1.ngens, cols)
+        return n
+
+    monkeypatch.setattr(functors, "nat_hom", moved)
+
+
 def test_a_map_that_is_not_injective_exits_one(tmp_path, capsys,
                                                monkeypatch):
-    monkeypatch.setattr(functors, "is_injective", lambda phi: False)
-    code, out = _main_out(capsys, monkeypatch, ["verify", "--all"])
-    assert code == 1 and "adjunction" in out and ": failed\n" in out
-    assert not out.endswith(" 0 failures\n")
-    path = session_file(tmp_path, DRIFT_AND_MODULE)
+    # a Nat carrier outside Hom(A, Ker f)'s image leaves no comparison
+    # map: the adjunction fails, with that carrier as witness
+    _move_a_nat_carrier_outside(monkeypatch)
+    path = session_file(tmp_path, FREE_PLUS_TORSION)
+    code, out = _main_out(capsys, monkeypatch, ["verify", path])
+    assert code == 1 and "adjunction stable(M) @ M: failed\n" in out
+    assert out.endswith(" checks, 1 failures\n")
     code, out = _main_out(capsys, monkeypatch, ["verify", path, "--json"])
     assert code == 1 and '"bijective": false' in out
+    [rep] = [r for r in json.loads(out)["results"]
+             if r.get("bijective", True) is False]
+    assert (rep["check"], rep["injective"]) == ("adjunction", False)
+    assert rep["witness"] == ("nat generator 0 carries [0, 1, 1], not in "
+                              "the image of Hom(A, Ker f)")
     _computations_exit_zero(capsys, monkeypatch, path)
 
 

@@ -8,7 +8,7 @@ from malgrange.rings import ring
 from malgrange.parsing import parse_poly
 from malgrange.groebner import GrobnerBasis, PolyMatrix, buchberger
 from malgrange.modules import (Element, FPModule, Morphism, _flatten,
-                               bass_torsion, lift_through,
+                               bass_torsion, hom_post, lift_through,
                                direct_sum, hom_module, image, is_injective,
                                is_isomorphism, is_surjective, kernel,
                                cokernel, q_dimension, tensor_modules)
@@ -567,12 +567,30 @@ def test_adjunction_report_serialization(monkeypatch):
                          "bijective"]
     assert adj.ok is True and "ok" not in adj
     assert json.loads(json.dumps(adj)) == adj
-    # a comparison map that is not onto fails, and says which half holds
-    monkeypatch.setattr(functors, "is_surjective", lambda phi: False)
-    half = verify_adjunction(representable(MOD_X), MOD_X)
+    # Hom(A, Ker f) = 0 for F = R/(x) (x) - at A = R; a Hom(A, Ker f)
+    # column outside the carriers' span leaves the comparison map, now
+    # not onto, in place: the check fails, and says which half holds
+    original = functors.hom_post
+    fun = tensor_functor(MOD_X)
+    emb = defect(fun)[1]
+
+    def widened(dom, f):
+        iota = original(dom, f)
+        if f.mat != emb.mat:  # Nat's own Hom(A, f_F) stays as it is
+            return iota
+        unit = PolyMatrix.identity(dom.ring, iota.target.ngens).column(0)
+        return Morphism(FPModule.free(dom.ring, iota.source.ngens + 1),
+                        iota.target, PolyMatrix.hstack(
+                            iota.mat, PolyMatrix.from_columns(
+                                dom.ring, unit.rank, [unit])), _checked=True)
+
+    monkeypatch.setattr(functors, "hom_post", widened)
+    half = verify_adjunction(fun, R1)
     assert half.ok is False
     assert (half["injective"], half["surjective"], half["bijective"]) \
         == (True, False, False)
+    assert half["witness"] == ("hom generator 0 maps to [1], not among the "
+                               "nat carriers")
 
 
 def test_main_theorem_functoriality():
@@ -657,21 +675,18 @@ def _bijection(phi):
 
 
 @pytest.mark.parametrize("r", [RX, RXY], ids=["x", "xy"])
-def test_nat_comparisons_equal_their_per_generator_definitions(r, monkeypatch):
-    # the adjunction's comparison map is the one it tests for injectivity
-    maps = []
-
-    def capture(phi):
-        maps.append(phi)
-        return is_injective(phi)
-
-    monkeypatch.setattr(functors, "is_injective", capture)
+def test_nat_comparisons_equal_their_per_generator_definitions(r):
+    # the adjunction compares Nat's carriers with Hom(A, Ker f)'s image in
+    # Hom(A, Y_F): the carriers are the reference comparison map followed
+    # by that inclusion, and the verdict is the reference's bijection test
     cases = _nat_comparison_cases(r)
     assert len(cases) >= 10
     for fun, a in cases:
         rep = verify_adjunction(fun, a)
         ref = _reference_adjunction_map(fun, a)
-        assert maps.pop() == ref, (fun, a)
+        iota = hom_post(a, defect(fun)[1])
+        carriers = Morphism(ref.source, iota.target, ref.source._into_h1)
+        assert carriers == iota.compose(ref), (fun, a)
         assert list(rep) == ["check", "functor", "module", "nat_generators",
                              "hom_generators", "injective", "surjective",
                              "bijective"]
@@ -693,7 +708,8 @@ def test_nat_comparisons_make_one_lift_and_decode_nothing(monkeypatch):
     monkeypatch.setattr(NatModule, "decode", refuse)
     monkeypatch.setattr(FunMorphism, "__init__", refuse)
     monkeypatch.setattr(Element, "__init__", refuse)
-    # the adjunction lifts by one solve_mod, the defect by one lift_through
+    # the adjunction lifts nothing and reads no Nat relation, it compares
+    # images; the defect lifts by one lift_through
     callers = []
 
     def counting(original):
@@ -705,10 +721,12 @@ def test_nat_comparisons_make_one_lift_and_decode_nothing(monkeypatch):
     monkeypatch.setattr(functors, "lift_through",
                         counting(functors.lift_through))
     monkeypatch.setattr(functors, "solve_mod", counting(functors.solve_mod))
-    for _, fun, _, a in corpus.adjunction_pairs():
-        callers.clear()
-        assert verify_adjunction(fun, a).ok
-        assert callers.count("verify_adjunction") == 1
+    with monkeypatch.context() as patch:
+        patch.setattr(NatModule, "relations", property(refuse))
+        for _, fun, _, a in corpus.adjunction_pairs():
+            callers.clear()
+            assert verify_adjunction(fun, a).ok
+            assert callers == []
     for _, fun in corpus.corpus_functors():
         callers.clear()
         assert is_isomorphism(defect_comparison(fun))
@@ -716,21 +734,31 @@ def test_nat_comparisons_make_one_lift_and_decode_nothing(monkeypatch):
 
 
 def test_nat_carrier_maps_are_checked_morphisms(monkeypatch):
-    # the carriers' matrix is checked as a map out of the Nat module
-    # before it is lifted: into Hom(A, Y) for the adjunction, into Y for
-    # the defect
-    checked = []
+    # a Nat module's relations, built on first read, are certified: the
+    # lift of Hom(f_G, Y_F) through the kernel is checked as a morphism
+    # (``lift_through``); the defect's carriers are checked as a map out
+    # of the Nat module into Y before they are lifted
+    checked, lifts = [], []
     original = GrobnerBasis.first_product_outside
 
     def recording(self, a, c):
         checked.append(a)
         return original(self, a, c)
 
+    def lifting(iota, phi):
+        lifts.append(lift_through(iota, phi))
+        return lifts[-1]
+
     monkeypatch.setattr(GrobnerBasis, "first_product_outside", recording)
     for _, fun, _, a in corpus.adjunction_pairs():
+        n = nat_hom(fun, representable(a))
         checked.clear()
-        verify_adjunction(fun, a)
-        assert nat_hom(fun, representable(a))._into_h1 in checked
+        with monkeypatch.context() as patch:
+            patch.setattr(functors, "lift_through", lifting)
+            n.relations
+        [lift] = lifts
+        lifts.clear()
+        assert lift.target.ngens == n.ngens and lift.mat in checked
     for _, fun in corpus.corpus_functors():
         checked.clear()
         defect_comparison(fun)

@@ -19,7 +19,6 @@ a whole sequence of columns at a time.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from fractions import Fraction
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
@@ -502,7 +501,10 @@ def divide(v: Vector, basis: Sequence[Vector]) -> Tuple[Vector, List[Poly]]:
 # A module constant, not an option: it bounds memory, never a verdict.
 CACHE_ENTRIES = 512
 
-_CACHE: "OrderedDict[tuple, object]" = OrderedDict()
+# A plain dict whose insertion order is recency: a hit is popped and stored
+# again at the end, one lookup of its key (an ``OrderedDict`` compares the
+# key again in ``move_to_end``, and three or four times in ``pop``).
+_CACHE: "dict[tuple, object]" = {}
 _MISSING = object()
 _T = TypeVar("_T")
 
@@ -524,14 +526,12 @@ def cached(key: tuple, build: Callable[[], _T]) -> _T:
     a memo of their own: they certify nothing, and clearing this cache
     leaves them.
     """
-    value = _CACHE.get(key, _MISSING)
+    value = _CACHE.pop(key, _MISSING)
     if value is _MISSING:
         value = build()
-        _CACHE[key] = value
-        while len(_CACHE) > CACHE_ENTRIES:
-            _CACHE.popitem(last=False)
-    else:
-        _CACHE.move_to_end(key)
+    _CACHE[key] = value
+    while len(_CACHE) > CACHE_ENTRIES:
+        del _CACHE[next(iter(_CACHE))]
     return value
 
 

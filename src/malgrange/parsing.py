@@ -11,9 +11,9 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from math import comb
-from typing import List, NamedTuple, Optional
+from typing import List, Optional, Tuple, Union
 
-from .rings import Poly, RingSpec
+from .rings import Monomial, Poly, RingSpec, mono_mul, mono_one
 
 
 class ParseError(ValueError):
@@ -24,46 +24,57 @@ class ParseError(ValueError):
         self.col = col
 
 
-class Token(NamedTuple):
-    kind: str   # INT, IDENT, PUNCT, EOF
-    text: str
-    line: int
-    col: int
+class Token:
+    """One token: kind is INT, IDENT, PUNCT or EOF; line is 1-based and col
+    0-based."""
+
+    __slots__ = ("kind", "text", "line", "col")
+
+    def __init__(self, kind: str, text: str, line: int, col: int):
+        self.kind = kind
+        self.text = text
+        self.line = line
+        self.col = col
 
 
+# Whitespace, then a token, a character that starts none (group 4), or the
+# end of the line (no group).  \s and \d match Unicode whitespace and
+# decimal digits, as ``int`` reads them.
 _TOKEN_RE = re.compile(r"""
-    (?P<ws>\s+)
-  | (?P<int>\d+)
-  | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
-  | (?P<punct>[\[\](),;=+\-*/^])
+    \s*(?:
+        (\d+)
+      | ([A-Za-z_][A-Za-z0-9_]*)
+      | ([\[\](),;=+\-*/^])
+      | (\S)
+      | \Z)
 """, re.VERBOSE)
+
+_KINDS = (None, "INT", "IDENT", "PUNCT")
 
 
 def tokenize(text: str) -> List[Token]:
+    """The tokens of text, line by line: only '\\n' ends a line, and no
+    token spans one."""
     tokens: List[Token] = []
-    line, line_start = 1, 0
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m:
-            raise ParseError(f"unexpected character {text[pos]!r}",
-                             line, pos - line_start)
-        if m.lastgroup == "ws":
-            chunk = m.group()
-            newlines = chunk.count("\n")
-            if newlines:
-                line += newlines
-                line_start = pos + chunk.rfind("\n") + 1
-        else:
-            kind = {"int": "INT", "ident": "IDENT",
-                    "punct": "PUNCT"}[m.lastgroup]
-            tokens.append(Token(kind, m.group(), line, pos - line_start))
-        pos = m.end()
-    tokens.append(Token("EOF", "", line, pos - line_start))
+    append = tokens.append
+    for line, chunk in enumerate(text.split("\n"), 1):
+        for m in _TOKEN_RE.finditer(chunk):
+            group = m.lastindex
+            if group is None:
+                break
+            if group == 4:
+                raise ParseError(f"unexpected character {m.group(4)!r}",
+                                 line, m.start(4))
+            append(Token(_KINDS[group], m.group(group), line,
+                         m.start(group)))
+    append(Token("EOF", "", line, len(chunk)))
     return tokens
 
 
 class TokenStream:
+    """Tokens with a cursor.  A punctuation text is never the text of
+    another kind of token, so the punctuation tests compare text alone."""
+
     def __init__(self, tokens: List[Token]):
         self.tokens = tokens
         self.index = 0
@@ -83,11 +94,12 @@ class TokenStream:
         return ParseError(msg, tok.line, tok.col)
 
     def expect_punct(self, text: str) -> Token:
-        tok = self.peek()
-        if tok.kind != "PUNCT" or tok.text != text:
+        tok = self.tokens[self.index]
+        if tok.text != text:
             shown = tok.text or "end of input"
             raise self.error(f"expected {text!r}, found {shown!r}")
-        return self.next()
+        self.index += 1
+        return tok
 
     def expect_ident(self, what: str = "identifier") -> Token:
         tok = self.peek()
@@ -97,17 +109,22 @@ class TokenStream:
         return self.next()
 
     def at_punct(self, text: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "PUNCT" and tok.text == text
+        return self.tokens[self.index].text == text
 
     def accept_punct(self, text: str) -> bool:
-        if self.at_punct(text):
-            self.next()
+        if self.tokens[self.index].text == text:
+            self.index += 1
             return True
         return False
 
 
 # -- polynomial expressions ----------------------------------------------------
+#
+# A product of single terms is carried as one (exponents, coefficient) item,
+# the shape of an entry of ``Poly.terms`` with an int or Fraction
+# coefficient, and each expression builds one Poly from its summands' items.
+# Poly arithmetic runs only for a parenthesized sum of two or more terms, its
+# powers and the products it enters.
 
 # Each parenthesis level costs three parser frames; the bound keeps deep
 # input a parse error instead of a RecursionError.
@@ -116,8 +133,9 @@ MAX_NESTING = 100
 
 # Coefficient products one parser multiplication may cost.  Each '*' and
 # '^' is checked before it runs, so a dense power such as (d+1)^3000 is a
-# parse error at once instead of minutes of rational arithmetic.  A module
-# constant, not an option.
+# parse error at once instead of minutes of rational arithmetic.  A product
+# or power of single terms costs at most one product and is never refused.
+# A module constant, not an option.
 MAX_PRODUCT_WORK = 250_000
 
 
@@ -129,6 +147,8 @@ MAX_PRODUCT_WORK = 250_000
 # ``rings.format_int`` prints integers of any length.  A module constant,
 # not an option.
 MAX_COEFFICIENT_BITS = 10_000
+
+_Term = Tuple[Monomial, Union[int, Fraction]]
 
 
 def _check_work(work: int, what: str, op: Token) -> None:
@@ -144,11 +164,16 @@ def _check_bits(bits: int, what: str, op: Token) -> None:
                          f"{MAX_COEFFICIENT_BITS} bits", op.line, op.col)
 
 
+def _bits(c: Union[int, Fraction]) -> int:
+    """Bit length of the larger of |numerator| and denominator of c, with
+    the coefficients 0, +1 and -1 counting 0 (their powers never grow)."""
+    n, d = abs(c.numerator), c.denominator
+    return 0 if d == 1 and n <= 1 else max(n, d).bit_length()
+
+
 def _coefficient_bits(p: Poly) -> int:
-    """Bit length of the largest numerator or denominator of p, with the
-    coefficients +1 and -1 counting 0 (their powers never grow)."""
-    return max((max(abs(c.numerator), c.denominator).bit_length()
-                for _, c in p.terms if abs(c) != 1), default=0)
+    """The largest ``_bits`` of a coefficient of p."""
+    return max((_bits(c) for _, c in p.terms), default=0)
 
 
 def _power_work(base: Poly, n: int) -> int:
@@ -175,11 +200,12 @@ def _int_literal(ts: TokenStream) -> int:
     since D digits are at least 3 * (D - 1) bits."""
     tok = ts.next()
     digits = tok.text.lstrip("0") or "0"
-    if (3 * (len(digits) - 1) > MAX_COEFFICIENT_BITS
-            or int(digits).bit_length() > MAX_COEFFICIENT_BITS):
-        raise ts.error(f"integer literal too large: exceeds "
-                       f"{MAX_COEFFICIENT_BITS} bits", tok)
-    return int(digits)
+    if 3 * (len(digits) - 1) <= MAX_COEFFICIENT_BITS:
+        value = int(digits)
+        if value.bit_length() <= MAX_COEFFICIENT_BITS:
+            return value
+    raise ts.error(f"integer literal too large: exceeds "
+                   f"{MAX_COEFFICIENT_BITS} bits", tok)
 
 
 def _parse_exponent(ts: TokenStream) -> int:
@@ -188,29 +214,37 @@ def _parse_exponent(ts: TokenStream) -> int:
     return _int_literal(ts)
 
 
-def _parse_factor(ts: TokenStream, ring: RingSpec) -> Poly:
+def _as_poly(ring: RingSpec, factor: Union[_Term, Poly]) -> Poly:
+    return factor if type(factor) is Poly else Poly.term(ring, factor[1],
+                                                         factor[0])
+
+
+def _parse_factor(ts: TokenStream, ring: RingSpec) -> Union[_Term, Poly]:
+    """A factor and its power: a single term as an item of ``Poly.terms``
+    (with an int or Fraction coefficient, 0 for the literal 0), else a
+    Poly."""
     tok = ts.peek()
     if tok.kind == "INT":
-        num = _int_literal(ts)
-        if ts.at_punct("/"):
-            ts.next()
+        coeff = _int_literal(ts)
+        if ts.accept_punct("/"):
             den_tok = ts.peek()
             if den_tok.kind != "INT":
                 raise ts.error("expected denominator after '/'")
             den = _int_literal(ts)
             if den == 0:
                 raise ts.error("zero denominator", den_tok)
-            base = Poly.constant(ring, Fraction(num, den))
-        else:
-            base = Poly.constant(ring, num)
+            coeff = Fraction(coeff, den)
+        base = (mono_one(ring.nvars), coeff)
     elif tok.kind == "IDENT":
         ts.next()
         try:
             idx = ring.var_index(tok.text)
         except KeyError:
             raise ts.error(f"unknown variable {tok.text!r}", tok) from None
-        base = Poly.variable(ring, idx)
-    elif ts.at_punct("("):
+        exps = [0] * ring.nvars
+        exps[idx] = 1
+        base = (tuple(exps), 1)
+    elif tok.text == "(":
         if ts.depth == MAX_NESTING:
             raise ts.error(f"parentheses nested deeper than {MAX_NESTING}")
         ts.next()
@@ -218,38 +252,53 @@ def _parse_factor(ts: TokenStream, ring: RingSpec) -> Poly:
         base = _parse_expr(ts, ring)
         ts.depth -= 1
         ts.expect_punct(")")
+        if len(base.terms) == 1:
+            base = base.terms[0]
     else:
         shown = tok.text or "end of input"
         raise ts.error(f"expected polynomial factor, found {shown!r}")
     if ts.at_punct("^"):
         op = ts.next()
         n = _parse_exponent(ts)
-        _check_work(_power_work(base, n), "power", op)
-        _check_bits(n * _coefficient_bits(base), "power", op)
-        base = base ** n
+        if type(base) is tuple:  # (c * x^m)^n = c^n * x^(n*m)
+            exps, coeff = base
+            _check_bits(n * _bits(coeff), "power", op)
+            base = (tuple(e * n for e in exps), coeff ** n)
+        else:
+            _check_work(_power_work(base, n), "power", op)
+            _check_bits(n * _coefficient_bits(base), "power", op)
+            base = base ** n
     return base
 
 
-def _parse_product(ts: TokenStream, ring: RingSpec) -> Poly:
+def _parse_product(ts: TokenStream, ring: RingSpec) -> Union[_Term, Poly]:
+    """A product of factors: a single term while every factor is one, else
+    a Poly."""
     out = _parse_factor(ts, ring)
     while ts.at_punct("*"):
         op = ts.next()
         factor = _parse_factor(ts, ring)
-        _check_work(len(out.terms) * len(factor.terms), "product", op)
-        _check_bits(_coefficient_bits(out) + _coefficient_bits(factor),
-                    "product", op)
-        out = out * factor
+        if type(out) is tuple and type(factor) is tuple:
+            _check_bits(_bits(out[1]) + _bits(factor[1]), "product", op)
+            out = (mono_mul(out[0], factor[0]), out[1] * factor[1])
+        else:
+            out, factor = _as_poly(ring, out), _as_poly(ring, factor)
+            _check_work(len(out.terms) * len(factor.terms), "product", op)
+            _check_bits(_coefficient_bits(out) + _coefficient_bits(factor),
+                        "product", op)
+            out = out * factor
     return out
 
 
 def _parse_expr(ts: TokenStream, ring: RingSpec) -> Poly:
     """A signed sum of products, built once from all of its summands' terms,
     so a long literal sum parses in time linear in its terms."""
-    terms = []
+    terms: List[_Term] = []
     negate = ts.accept_punct("-")
     while True:
-        summand = _parse_product(ts, ring).terms
-        terms.extend(((m, -c) for m, c in summand) if negate else summand)
+        summand = _parse_product(ts, ring)
+        items = (summand,) if type(summand) is tuple else summand.terms
+        terms.extend(((m, -c) for m, c in items) if negate else items)
         if ts.accept_punct("+"):
             negate = False
         elif ts.accept_punct("-"):

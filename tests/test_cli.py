@@ -547,6 +547,27 @@ def test_double_minus_is_two_tokens(tmp_path):
                         "found '-'\n")
 
 
+@pytest.mark.parametrize("poly, code, first_line", [
+    # ARABIC-INDIC DIGIT THREE is a decimal digit, read as int reads it
+    ("d^\u0663", 0, "  generator [1]: annihilator d^3"),
+    # EM SPACE is whitespace
+    ("d\u2003+\u20031", 0, "  generator [1]: annihilator d + 1"),
+    # SUPERSCRIPT TWO is a digit to str.isdigit, but not a decimal digit
+    ("d^\u00b2", 2, "error: 1:32: unexpected character '\u00b2'"),
+], ids=["decimal-digit", "em-space", "superscript-two"])
+def test_the_tokenizer_reads_unicode_decimal_digits_and_whitespace(
+        tmp_path, capsys, poly, code, first_line):
+    p = tmp_path / "session.mg"
+    p.write_text(f"ring Q[d]; module M = coker [[{poly}]];", encoding="utf-8")
+    assert main(["torsion", str(p)]) == code
+    out, err = capsys.readouterr()
+    if code:
+        assert (out, err) == ("", first_line + "\n")
+    else:
+        assert err == ""
+        assert out.splitlines() == ["torsion M: generators: 1", first_line]
+
+
 def test_huge_exponent_of_a_monomial_answers_quickly(tmp_path):
     text = "ring Q[d]; module M = coker [[d^99999999999]];"
     r = invoke(["torsion", session_file(tmp_path, text)], timeout=20)

@@ -1854,6 +1854,45 @@ def test_cache_evicts_the_least_recently_used_entry(monkeypatch):
         assert len(groebner._CACHE) <= 3
 
 
+def test_a_hit_compares_each_key_matrix_once(monkeypatch):
+    # a hit looks its key up once: an equal, distinct key matrix is walked
+    # term by term once, not a second time to mark the entry recently used
+    _, (m1, m2) = _two_routes()
+    n1, n2 = m1.transpose(), m2.transpose()
+    groebner._CACHE.clear()
+    span = m1.span
+    value = groebner.cached(("pair", m1, n1), object)
+    calls = []
+    original = PolyMatrix.__eq__
+
+    def counting(self, other):
+        calls.append(self)
+        return original(self, other)
+
+    monkeypatch.setattr(PolyMatrix, "__eq__", counting)
+    assert m2.span is span
+    assert len(calls) == 1
+    assert groebner.cached(("pair", m2, n2), list) is value
+    assert len(calls) == 3
+    # both hits are now the most recently used, in the order of the hits
+    assert [key[0] for key in groebner._CACHE] == ["span", "pair"]
+
+
+def test_a_build_may_fill_the_cache_it_is_stored_in(monkeypatch):
+    monkeypatch.setattr(groebner, "CACHE_ENTRIES", 2)
+    groebner._CACHE.clear()
+
+    def outer():
+        assert groebner.cached(("inner", 1), lambda: 1) == 1
+        assert groebner.cached(("inner", 2), lambda: 2) == 2
+        return 3
+
+    assert groebner.cached(("outer",), outer) == 3
+    assert list(groebner._CACHE) == [("inner", 2), ("outer",)]
+    assert groebner.cached(("inner", 2), list) == 2
+    assert list(groebner._CACHE) == [("outer",), ("inner", 2)]
+
+
 def test_mutating_returned_syzygies_does_not_change_the_solver():
     gens = [vec(RXY, "x"), vec(RXY, "y"), vec(RXY, "x + y")]
     expected = reference_syzygies_mod(PolyMatrix.from_columns(RXY, 1, gens),
